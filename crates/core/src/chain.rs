@@ -12,7 +12,6 @@
 
 use emc_cpu::{Core, EntryState, RobId};
 use emc_types::{Addr, CoreId, EmcConfig, UopKind};
-use std::collections::HashMap;
 
 /// A chain operand after RRT renaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +66,17 @@ pub struct Chain {
 }
 
 impl Chain {
+    /// The Register Remapping Table, read off the chain itself: the EPR
+    /// that holds home-core producer `rob`'s value — the source miss's
+    /// data, or the destination of a chain uop. At most
+    /// `EmcConfig::uop_buffer` entries, so a scan.
+    fn epr_of(&self, rob: RobId) -> Option<u8> {
+        if rob == self.source_rob {
+            return Some(self.source_epr);
+        }
+        self.uops.iter().find(|u| u.rob == rob)?.dst
+    }
+
     /// Total live-in slots consumed (register values + immediates),
     /// matching the paper's "6.4 live-ins on average" metric.
     pub fn live_in_count(&self) -> u64 {
@@ -186,24 +196,21 @@ pub fn generate_chain(
     }
     let source_addr = src_entry.addr?;
 
-    // RRT: home-core producer (ROB id) -> EMC physical register.
-    let mut rrt: HashMap<RobId, u8> = HashMap::new();
+    // EPRs are handed out in order; the source miss's data takes the
+    // first.
     let mut next_epr: u8 = 0;
-    let alloc_epr = |rrt: &mut HashMap<RobId, u8>, rob: RobId, next: &mut u8| -> Option<u8> {
-        if *next as usize >= cfg.prf_entries {
+    let mut alloc_epr = || {
+        let e = next_epr;
+        if e as usize >= cfg.prf_entries {
             return None;
         }
-        let e = *next;
-        *next += 1;
-        rrt.insert(rob, e);
+        next_epr += 1;
         Some(e)
     };
-
-    let source_epr = alloc_epr(&mut rrt, source, &mut next_epr)?;
     let mut chain = Chain {
         home_core,
         source_rob: source,
-        source_epr,
+        source_epr: alloc_epr()?,
         source_addr,
         uops: Vec::new(),
         live_ins: Vec::new(),
@@ -212,24 +219,21 @@ pub fn generate_chain(
     let mut gen_cycles: u64 = 1; // the source broadcast
     let mut mem_ops: usize = 0;
 
-    // Broadcast frontier, in wakeup order.
-    let mut frontier: Vec<RobId> = vec![source];
-    let mut fi = 0;
-    while fi < frontier.len() && chain.uops.len() < cfg.uop_buffer {
-        let producer = frontier[fi];
-        fi += 1;
-        let Some(p) = core.entry(producer) else {
-            continue;
-        };
-        // Waiters of this producer, oldest first for determinism.
-        let mut consumers: Vec<RobId> = p.waiters.iter().map(|&(c, _)| c).collect();
-        consumers.sort_unstable();
-        consumers.dedup();
-        for cid in consumers {
+    // Broadcast in wakeup order: the source, then every chain uop that
+    // wrote an EPR. `next` is the first chain uop not yet considered.
+    let mut producer = source;
+    let mut next = 0;
+    'broadcast: while chain.uops.len() < cfg.uop_buffer {
+        // Waiters of this producer, oldest first; an uop waiting on it
+        // with both operands is listed twice in a row.
+        let waiters = core.waiters_of(producer);
+        debug_assert!(waiters.windows(2).all(|w| w[0].0 <= w[1].0));
+        let mut prev = None;
+        for &(cid, _) in waiters {
             if chain.uops.len() >= cfg.uop_buffer {
                 break;
             }
-            if rrt.contains_key(&cid) {
+            if prev.replace(cid) == Some(cid) || chain.epr_of(cid).is_some() {
                 continue;
             }
             let Some(c) = core.entry(cid) else { continue };
@@ -246,63 +250,36 @@ pub fn generate_chain(
             if kind == UopKind::Store && !is_register_spill(core, cid) {
                 continue;
             }
-            // All sources must be ready (live-in) or renamed in the RRT.
-            let mut ok = true;
-            for (i, src) in c.uop.srcs.iter().enumerate() {
-                if src.is_none() {
-                    continue;
-                }
-                let s = &c.srcs[i];
-                let in_rrt = s.producer.is_some_and(|pid| rrt.contains_key(&pid));
-                if !in_rrt && !s.ready() {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
+            // All sources must be renamed in the RRT or ready (live-in).
+            let has_src = [c.uop.srcs[0].is_some(), c.uop.srcs[1].is_some()];
+            let eprs = [0, 1].map(|i| c.srcs[i].producer.and_then(|pid| chain.epr_of(pid)));
+            if (0..2).any(|i| has_src[i] && eprs[i].is_none() && !c.srcs[i].ready()) {
                 continue;
             }
             // Live-in capacity check: register values AND immediates are
             // shifted into the 16-entry live-in vector (Figure 9).
-            let new_live_ins = c
-                .uop
-                .srcs
-                .iter()
-                .enumerate()
-                .filter(|(i, src)| {
-                    src.is_some()
-                        && !c.srcs[*i]
-                            .producer
-                            .is_some_and(|pid| rrt.contains_key(&pid))
-                })
-                .count();
-            let uses_imm = usize::from(c.uop.srcs[1].is_none() && !kind.is_branch());
+            let new_live_ins = (0..2).filter(|&i| has_src[i] && eprs[i].is_none()).count();
+            let uses_imm = !has_src[1] && !kind.is_branch();
             let occupied = chain.live_ins.len() + chain.imm_live_ins as usize;
-            if occupied + new_live_ins + uses_imm > cfg.live_in_entries {
+            if occupied + new_live_ins + usize::from(uses_imm) > cfg.live_in_entries {
                 continue;
             }
             // Rename sources.
             let mut srcs: [Option<ChainSrc>; 2] = [None, None];
-            for (i, src) in c.uop.srcs.iter().enumerate() {
-                if src.is_none() {
-                    continue;
-                }
-                let s = &c.srcs[i];
-                if let Some(epr) = s.producer.and_then(|pid| rrt.get(&pid)).copied() {
-                    srcs[i] = Some(ChainSrc::Epr(epr));
-                } else {
-                    let idx = chain.live_ins.len() as u8;
-                    chain.live_ins.push(s.value.expect("checked ready"));
-                    srcs[i] = Some(ChainSrc::LiveIn(idx));
-                }
+            for i in (0..2).filter(|&i| has_src[i]) {
+                srcs[i] = Some(match eprs[i] {
+                    Some(epr) => ChainSrc::Epr(epr),
+                    None => {
+                        chain.live_ins.push(c.srcs[i].value.expect("checked ready"));
+                        ChainSrc::LiveIn(chain.live_ins.len() as u8 - 1)
+                    }
+                });
             }
             // Immediates are shifted into the live-in vector (Figure 9).
-            if c.uop.srcs[1].is_none() && !matches!(kind, UopKind::Branch(_)) {
-                chain.imm_live_ins += 1;
-            }
+            chain.imm_live_ins += u64::from(uses_imm);
             // Rename destination.
             let dst = match c.uop.dst {
-                Some(_) => match alloc_epr(&mut rrt, cid, &mut next_epr) {
+                Some(_) => match alloc_epr() {
                     Some(e) => Some(e),
                     None => continue, // out of EPRs: cannot include this uop
                 },
@@ -321,11 +298,17 @@ pub fn generate_chain(
                 predicted_taken: c.predicted_taken,
             });
             gen_cycles += 1;
-            // Broadcast the new destination tag.
-            if dst.is_some() {
-                frontier.push(cid);
-            }
         }
+        // The next destination tag to broadcast.
+        producer = loop {
+            let Some(u) = chain.uops.get(next) else {
+                break 'broadcast;
+            };
+            next += 1;
+            if u.dst.is_some() {
+                break u.rob;
+            }
+        };
     }
 
     if chain.uops.is_empty() {
@@ -357,7 +340,7 @@ mod tests {
     use super::*;
     use emc_cpu::CoreEvent;
     use emc_types::program::{Program, StaticUop};
-    use emc_types::{CoreConfig, MemoryImage, Reg};
+    use emc_types::{BranchCond, CoreConfig, MemoryImage, Reg};
     use std::sync::Arc;
 
     /// Build a core stalled on a source miss with a dependent chain
@@ -534,5 +517,57 @@ mod tests {
         let g = generate_chain(&core, 0, src, &EmcConfig::default()).expect("chain");
         assert_eq!(g.chain.live_out_count(), 2);
         assert!(g.chain.transfer_bytes() >= 6 * g.chain.uops.len() as u64);
+    }
+
+    #[test]
+    fn golden_pointer_chase_chain() {
+        // One window: the chase hop (r1 -> r2 -> r3 -> r5), an uop fed by
+        // two chain producers, a spill/fill pair, a branch, an excluded
+        // FP uop and a committed-register live-in. The walk's contract
+        // is the exact chain, uop for uop, in wakeup order.
+        let (core, src) = stalled_core(vec![
+            StaticUop::load(Reg(5), Reg(3), 8),
+            StaticUop::alu(UopKind::IntAdd, Reg(6), Reg(5), Some(Reg(1)), 0),
+            StaticUop::store(Reg(1), Reg(3), 0x40),
+            StaticUop::load(Reg(7), Reg(1), 0x40),
+            StaticUop::branch(BranchCond::NotZero, Some(Reg(6)), 12),
+            StaticUop::alu(UopKind::FpMul, Reg(9), Reg(1), None, 0),
+            StaticUop::alu(UopKind::And, Reg(8), Reg(2), Some(Reg(0)), 0),
+        ]);
+        let g = generate_chain(&core, 0, src, &EmcConfig::default()).expect("chain");
+        let epr = |e| Some(ChainSrc::Epr(e));
+        let uop = |rob, kind, srcs, dst, imm, pc| ChainUop {
+            rob,
+            kind,
+            srcs,
+            dst,
+            imm,
+            pc,
+            predicted_taken: false,
+        };
+        let branch = UopKind::Branch(BranchCond::NotZero);
+        let expect = [
+            uop(2, UopKind::IntAdd, [epr(0), None], Some(1), 8, 0x7008),
+            uop(7, UopKind::Load, [epr(0), None], Some(2), 0x40, 0x701c),
+            uop(3, UopKind::Load, [epr(1), None], Some(3), 0, 0x700c),
+            uop(
+                10,
+                UopKind::And,
+                [epr(1), Some(ChainSrc::LiveIn(0))],
+                Some(4),
+                0,
+                0x7028,
+            ),
+            uop(4, UopKind::Load, [epr(3), None], Some(5), 8, 0x7010),
+            uop(6, UopKind::Store, [epr(0), epr(3)], None, 0x40, 0x7018),
+            uop(5, UopKind::IntAdd, [epr(5), epr(0)], Some(6), 0, 0x7014),
+            uop(8, branch, [epr(6), None], None, 0, 0x7020),
+        ];
+        assert_eq!(g.chain.uops, expect);
+        assert_eq!((g.chain.source_rob, g.chain.source_epr), (src, 0));
+        assert_eq!(g.chain.source_addr, Addr(0x100));
+        assert_eq!(g.chain.live_ins, [0x100], "r0's committed value");
+        assert_eq!(g.chain.imm_live_ins, 4);
+        assert_eq!(g.gen_cycles, 9, "the source broadcast plus one per uop");
     }
 }

@@ -17,8 +17,8 @@
 
 use crate::bpred::{HybridPredictor, PredictInfo};
 use emc_types::program::{Program, StaticUop};
-use emc_types::{Addr, CoreConfig, CoreStats, Cycle, MemoryImage, Reg, UopKind, NUM_ARCH_REGS};
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use emc_types::{Addr, CoreConfig, CoreStats, Cycle, MemoryImage, UopKind, NUM_ARCH_REGS};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Identifier of a dynamic uop: unique, monotonically increasing, never
@@ -99,8 +99,11 @@ pub struct RobEntry {
     pub tainted: bool,
     /// Output chain depth (ALU ops since the source miss).
     pub chain_depth: u16,
-    /// Consumers waiting for this entry's result: (consumer id, src slot).
-    pub waiters: Vec<(RobId, u8)>,
+    /// Consumers waiting for this entry's result, read through
+    /// [`Core::waiters_of`]. The buffer is borrowed from the core's pool
+    /// at the first registration and handed back when the entry
+    /// completes or is squashed.
+    waiters: Vec<(RobId, u8)>,
     /// Branch-prediction checkpoint (branches only).
     pub bp: Option<PredictInfo>,
     /// Predicted direction at fetch (branches only).
@@ -133,6 +136,51 @@ pub enum CoreEvent {
     },
 }
 
+/// A small ordered set in a `Vec`. The scheduler's keys (ROB ids,
+/// completion times) arrive nearly in order, so an insert lands at or
+/// near the back; the sets stay a few dozen keys long, so taking the
+/// oldest is a short `memmove`; and nothing allocates once the buffer has
+/// grown to its working size.
+#[derive(Debug, Default)]
+struct SortedQueue<T>(Vec<T>);
+
+impl<T: Ord + Copy> SortedQueue<T> {
+    fn first(&self) -> Option<T> {
+        self.0.first().copied()
+    }
+
+    fn insert(&mut self, key: T) {
+        let mut i = self.0.len();
+        while i > 0 && self.0[i - 1] > key {
+            i -= 1;
+        }
+        if i == 0 || self.0[i - 1] != key {
+            self.0.insert(i, key);
+        }
+    }
+
+    fn remove(&mut self, key: T) {
+        if let Ok(i) = self.0.binary_search(&key) {
+            self.0.remove(i);
+        }
+    }
+
+    /// Drop every key above `max`: a flush squashes the youngest ids.
+    fn truncate_above(&mut self, max: T) {
+        while self.0.last().is_some_and(|b| *b > max) {
+            self.0.pop();
+        }
+    }
+}
+
+/// Hand a waiter buffer back to the pool it was borrowed from.
+fn recycle(pool: &mut Vec<Vec<(RobId, u8)>>, mut waiters: Vec<(RobId, u8)>) {
+    if waiters.capacity() > 0 {
+        waiters.clear();
+        pool.push(waiters);
+    }
+}
+
 /// The out-of-order core.
 pub struct Core {
     cfg: CoreConfig,
@@ -148,15 +196,25 @@ pub struct Core {
     fetch_resume_at: Cycle,
     program_done: bool,
 
-    // --- window ---
+    // --- window (DESIGN.md §3, "The instruction window") ---
     rob: VecDeque<RobEntry>,
+    /// `rob.front().id`, kept beside the deque so that a lookup reads
+    /// one entry, not two. Meaningless while the ROB is empty.
+    front_id: RobId,
+    /// Runs of squashed ids inside the window, oldest first: `(first id
+    /// after the run, length of the run)`.
+    gaps: Vec<(RobId, u64)>,
     next_id: RobId,
     rename: [Option<RobId>; NUM_ARCH_REGS],
     committed: [u64; NUM_ARCH_REGS],
-    ready: BTreeSet<RobId>,
-    completing: BinaryHeap<std::cmp::Reverse<(Cycle, RobId)>>,
-    unresolved_stores: BTreeSet<RobId>,
-    store_ids: VecDeque<RobId>,
+    ready: SortedQueue<RobId>,
+    completing: SortedQueue<(Cycle, RobId)>,
+    unresolved_stores: SortedQueue<RobId>,
+    store_ids: SortedQueue<RobId>,
+    waiter_pool: Vec<Vec<(RobId, u8)>>,
+    /// The last load that issue found waiting for an older store's data,
+    /// and that store.
+    data_wait: Option<(RobId, RobId)>,
     waiting_count: usize,
     mem_inflight: usize,
 
@@ -196,13 +254,17 @@ impl Core {
             fetch_resume_at: 0,
             program_done: false,
             rob: VecDeque::new(),
+            front_id: 0,
+            gaps: Vec::new(),
             next_id: 0,
             rename: [None; NUM_ARCH_REGS],
             committed: [0; NUM_ARCH_REGS],
-            ready: BTreeSet::new(),
-            completing: BinaryHeap::new(),
-            unresolved_stores: BTreeSet::new(),
-            store_ids: VecDeque::new(),
+            ready: SortedQueue::default(),
+            completing: SortedQueue::default(),
+            unresolved_stores: SortedQueue::default(),
+            store_ids: SortedQueue::default(),
+            waiter_pool: Vec::new(),
+            data_wait: None,
             waiting_count: 0,
             mem_inflight: 0,
             finished_at: None,
@@ -223,17 +285,33 @@ impl Core {
         &self.committed
     }
 
-    /// Look up an in-flight entry by id. ROB ids are strictly increasing
-    /// front-to-back but may have gaps after a mispredict flush (squashed
-    /// ids are never reused), so lookup is a binary search.
-    pub fn entry(&self, id: RobId) -> Option<&RobEntry> {
-        let idx = self.rob.binary_search_by_key(&id, |e| e.id).ok()?;
-        self.rob.get(idx)
+    /// Position of `id` in the ROB, by arithmetic. Ids grow by one per
+    /// dispatch and are never reused, so they are dense front to back
+    /// except where a flush squashed a run of them; `gaps` records those
+    /// runs. A squashed, retired or future id lands on some other entry
+    /// (or past the end) and fails the final comparison.
+    fn index_of(&self, id: RobId) -> Option<usize> {
+        let mut idx = id.wrapping_sub(self.front_id);
+        for &(first, len) in &self.gaps {
+            if first <= id {
+                idx = idx.wrapping_sub(len);
+            }
+        }
+        let idx = usize::try_from(idx).ok()?;
+        (self.rob.get(idx)?.id == id).then_some(idx)
     }
 
-    fn entry_mut(&mut self, id: RobId) -> Option<&mut RobEntry> {
-        let idx = self.rob.binary_search_by_key(&id, |e| e.id).ok()?;
-        self.rob.get_mut(idx)
+    /// Look up an in-flight entry by id.
+    pub fn entry(&self, id: RobId) -> Option<&RobEntry> {
+        self.index_of(id).map(|i| &self.rob[i])
+    }
+
+    /// The wakeup list of in-flight entry `id`: `(consumer, source slot)`
+    /// for every operand renamed to it while it was incomplete, in
+    /// dispatch order (ascending consumer id; squashed consumers stay
+    /// listed). Empty once the entry completes.
+    pub fn waiters_of(&self, id: RobId) -> &[(RobId, u8)] {
+        self.entry(id).map_or(&[], |e| &e.waiters)
     }
 
     /// Iterate the ROB from oldest to youngest.
@@ -244,7 +322,7 @@ impl Core {
     /// Diagnostics: ids currently in the ready (issueable) set.
     #[doc(hidden)]
     pub fn debug_ready(&self) -> Vec<RobId> {
-        self.ready.iter().copied().collect()
+        self.ready.0.clone()
     }
 
     /// Diagnostics: (waiting_count, fetch_resume_at, program_done).
@@ -300,22 +378,22 @@ impl Core {
     /// keep (pseudo-)executing to prefetch independent misses.
     fn enter_runahead(&mut self, source: RobId, now: Cycle) {
         debug_assert!(self.runahead.is_none());
-        let Some(e) = self.entry(source) else { return };
-        let resume_idx = e.prog_idx;
+        let Some(idx) = self.index_of(source) else {
+            return;
+        };
         self.runahead = Some(Runahead {
             source_rob: source,
-            resume_idx,
+            resume_idx: self.rob[idx].prog_idx,
             checkpoint: self.committed,
         });
         self.stats.runahead_entries += 1;
         // Pseudo-complete the blocking load with an INV result so the
         // window can drain past it.
-        if let Some(e) = self.entry_mut(source) {
-            if e.state == EntryState::Issued {
-                e.inv = true;
-                e.result = 0;
-                self.finish_entry(source, now);
-            }
+        let e = &mut self.rob[idx];
+        if e.state == EntryState::Issued {
+            e.inv = true;
+            e.result = 0;
+            self.finish_entry(idx, now);
         }
     }
 
@@ -324,11 +402,14 @@ impl Core {
     /// keep filling the caches (the prefetch benefit).
     fn exit_runahead(&mut self, now: Cycle) {
         let ra = self.runahead.take().expect("in runahead");
-        self.rob.clear();
-        self.ready.clear();
-        self.completing.clear();
-        self.unresolved_stores.clear();
-        self.store_ids.clear();
+        for e in self.rob.drain(..) {
+            recycle(&mut self.waiter_pool, e.waiters);
+        }
+        self.gaps.clear();
+        self.ready.0.clear();
+        self.completing.0.clear();
+        self.unresolved_stores.0.clear();
+        self.store_ids.0.clear();
         self.waiting_count = 0;
         self.mem_inflight = 0;
         self.rename = [None; NUM_ARCH_REGS];
@@ -344,30 +425,19 @@ impl Core {
     /// dependence tracking) but is not a distinct LLC miss for MPKI or
     /// dependent-miss statistics.
     pub fn mark_llc_miss_merged(&mut self, id: RobId) {
-        if let Some(e) = self.entry_mut(id) {
-            e.llc_miss = true;
+        if let Some(idx) = self.index_of(id) {
+            self.rob[idx].llc_miss = true;
         }
     }
 
     /// Mark a load as having missed the LLC (called by the simulator as
     /// soon as the miss is known, always before completion).
     pub fn mark_llc_miss(&mut self, id: RobId) {
-        let mut record: Option<(bool, u16)> = None;
-        if let Some(e) = self.entry_mut(id) {
-            e.llc_miss = true;
-            let src_taint = e.srcs.iter().any(|s| s.taint);
-            if src_taint {
-                let depth = e
-                    .srcs
-                    .iter()
-                    .filter(|s| s.taint)
-                    .map(|s| s.depth)
-                    .max()
-                    .unwrap_or(0);
-                record = Some((true, depth));
-            }
-        }
-        if let Some((_, depth)) = record {
+        let Some(idx) = self.index_of(id) else { return };
+        let e = &mut self.rob[idx];
+        e.llc_miss = true;
+        let tainted = e.srcs.iter().filter(|s| s.taint);
+        if let Some(depth) = tainted.map(|s| s.depth).max() {
             self.stats.dependent_llc_misses += 1;
             self.stats.dep_chain_pairs += 1;
             self.stats.dep_chain_uop_sum += depth as u64;
@@ -377,10 +447,8 @@ impl Core {
     /// Record that this load's (would-be dependent) miss was covered by a
     /// prefetched line (Figure 3 / 21 accounting, called by the sim).
     pub fn note_dependent_covered_by_prefetch(&mut self, id: RobId) {
-        if let Some(e) = self.entry(id) {
-            if e.srcs.iter().any(|s| s.taint) {
-                self.stats.dependent_misses_prefetched += 1;
-            }
+        if self.load_is_dependent(id) {
+            self.stats.dependent_misses_prefetched += 1;
         }
     }
 
@@ -397,27 +465,19 @@ impl Core {
             self.exit_runahead(now);
             return;
         }
-        let released = {
-            let Some(e) = self.entry_mut(id) else { return };
-            if e.uop.kind != UopKind::Load {
-                return;
-            }
-            let released = e.mem_pending;
-            e.mem_pending = false;
-            if e.state != EntryState::Issued {
-                // Already completed (e.g. remotely by the EMC); just
-                // release the slot.
-                if released {
-                    self.mem_inflight = self.mem_inflight.saturating_sub(1);
-                }
-                return;
-            }
-            released
-        };
-        if released {
+        let Some(idx) = self.index_of(id) else { return };
+        let e = &mut self.rob[idx];
+        if e.uop.kind != UopKind::Load {
+            return;
+        }
+        if std::mem::take(&mut e.mem_pending) {
             self.mem_inflight = self.mem_inflight.saturating_sub(1);
         }
-        self.finish_entry(id, now);
+        // Otherwise already completed (e.g. remotely by the EMC), and
+        // releasing the slot was all there was to do.
+        if e.state == EntryState::Issued {
+            self.finish_entry(idx, now);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -428,9 +488,9 @@ impl Core {
     /// scheduler will not issue them.
     pub fn mark_remote(&mut self, ids: &[RobId]) {
         for &id in ids {
-            self.ready.remove(&id);
-            if let Some(e) = self.entry_mut(id) {
-                e.remote = true;
+            self.ready.remove(id);
+            if let Some(idx) = self.index_of(id) {
+                self.rob[idx].remote = true;
             }
         }
     }
@@ -440,17 +500,15 @@ impl Core {
     /// scheduling and re-execute locally.
     pub fn unmark_remote(&mut self, ids: &[RobId]) {
         for &id in ids {
-            let ready = {
-                let Some(e) = self.entry_mut(id) else {
-                    continue;
-                };
-                if !e.remote {
-                    continue;
-                }
-                e.remote = false;
-                e.state == EntryState::Waiting && e.srcs.iter().all(|s| s.ready())
+            let Some(idx) = self.index_of(id) else {
+                continue;
             };
-            if ready {
+            let e = &mut self.rob[idx];
+            if !e.remote {
+                continue;
+            }
+            e.remote = false;
+            if e.state == EntryState::Waiting && e.srcs.iter().all(|s| s.ready()) {
                 self.ready.insert(id);
             }
         }
@@ -468,21 +526,17 @@ impl Core {
         store: Option<(Addr, u64)>,
         now: Cycle,
     ) {
-        {
-            let Some(e) = self.entry(id) else { return };
-            if e.state == EntryState::Done {
-                return;
-            }
-            // Note: the entry may have been unmarked by a racing chain
-            // abort and even begun local execution; the remote value is
-            // functionally identical, so completing it early is safe.
-            if e.state == EntryState::Waiting {
-                self.waiting_count = self.waiting_count.saturating_sub(1);
-            }
+        let Some(idx) = self.index_of(id) else { return };
+        let e = &mut self.rob[idx];
+        if e.state == EntryState::Done {
+            return;
         }
-        // It may sit in the ready set after an abort re-enabled it.
-        self.ready.remove(&id);
-        let e = self.entry_mut(id).expect("checked above");
+        // Note: the entry may have been unmarked by a racing chain
+        // abort and even begun local execution; the remote value is
+        // functionally identical, so completing it early is safe.
+        if e.state == EntryState::Waiting {
+            self.waiting_count = self.waiting_count.saturating_sub(1);
+        }
         e.state = EntryState::Issued;
         e.result = result;
         if e.uop.kind == UopKind::Load {
@@ -491,9 +545,11 @@ impl Core {
         if let Some((addr, value)) = store {
             e.addr = Some(addr);
             e.store_value = Some(value);
-            self.unresolved_stores.remove(&id);
+            self.unresolved_stores.remove(id);
         }
-        self.finish_entry(id, now);
+        // It may sit in the ready set after an abort re-enabled it.
+        self.ready.remove(id);
+        self.finish_entry(idx, now);
     }
 
     // ------------------------------------------------------------------
@@ -537,47 +593,48 @@ impl Core {
     }
 
     fn retire(&mut self, now: Cycle, events: &mut Vec<CoreEvent>) {
+        let in_runahead = self.runahead.is_some();
         for _ in 0..self.cfg.retire_width {
-            let in_runahead = self.runahead.is_some();
+            let Some(head) = self.rob.front_mut() else {
+                break;
+            };
             // Runahead never waits at a miss: an issued-but-incomplete
             // load at the head pseudo-completes with an INV result.
-            if in_runahead {
-                let pseudo = self
-                    .rob
-                    .front()
-                    .filter(|h| {
-                        h.uop.kind == UopKind::Load
-                            && h.state == EntryState::Issued
-                            && h.mem_pending
-                    })
-                    .map(|h| h.id);
-                if let Some(id) = pseudo {
-                    if let Some(e) = self.entry_mut(id) {
-                        e.inv = true;
-                        e.result = 0;
-                    }
-                    self.finish_entry(id, now);
-                }
+            if in_runahead
+                && head.uop.kind == UopKind::Load
+                && head.state == EntryState::Issued
+                && head.mem_pending
+            {
+                head.inv = true;
+                head.result = 0;
+                self.finish_entry(0, now);
             }
-            let Some(head) = self.rob.front() else { break };
-            if head.state != EntryState::Done {
+            if self.rob[0].state != EntryState::Done {
                 break;
             }
             let e = self.rob.pop_front().expect("head exists");
+            if let Some(next) = self.rob.front() {
+                self.front_id = next.id;
+                if next.id != e.id + 1 {
+                    // Retirement walked up to a squashed run: the ids
+                    // after it now count from the new front.
+                    self.gaps.remove(0);
+                }
+            }
+            if e.uop.kind == UopKind::Store {
+                self.store_ids.0.remove(0);
+            }
+            if let Some(dst) = e.uop.dst {
+                self.committed[dst.idx()] = e.result;
+                self.committed_inv[dst.idx()] = in_runahead && e.inv;
+                if self.rename[dst.idx()] == Some(e.id) {
+                    self.rename[dst.idx()] = None;
+                }
+            }
             if in_runahead {
-                // Pseudo-retirement: advance register state (restored at
-                // exit), never touch memory, count separately.
+                // Pseudo-retirement: the register state advanced above is
+                // restored at exit; never touch memory, count separately.
                 self.stats.runahead_uops += 1;
-                if e.uop.kind == UopKind::Store {
-                    self.store_ids.pop_front();
-                }
-                if let Some(dst) = e.uop.dst {
-                    self.committed[dst.idx()] = e.result;
-                    self.committed_inv[dst.idx()] = e.inv;
-                    if self.rename[dst.idx()] == Some(e.id) {
-                        self.rename[dst.idx()] = None;
-                    }
-                }
                 continue;
             }
             self.stats.retired_uops += 1;
@@ -588,140 +645,135 @@ impl Core {
                     let addr = e.addr.expect("retired store has address");
                     let value = e.store_value.expect("retired store has data");
                     self.mem.write_u64(addr, value);
-                    self.store_ids.pop_front();
                     events.push(CoreEvent::StoreRetired { addr });
                 }
                 UopKind::Branch(_) => self.stats.retired_branches += 1,
                 _ => {}
             }
-            if let Some(dst) = e.uop.dst {
-                self.committed[dst.idx()] = e.result;
-                self.committed_inv[dst.idx()] = false;
-                if self.rename[dst.idx()] == Some(e.id) {
-                    self.rename[dst.idx()] = None;
-                }
-            }
-            let _ = now;
         }
     }
 
     fn drain_completions(&mut self, now: Cycle) {
-        while let Some(&std::cmp::Reverse((t, id))) = self.completing.peek() {
+        while let Some((t, id)) = self.completing.first() {
             if t > now {
                 break;
             }
-            self.completing.pop();
-            // Entry may have been flushed; finish_entry checks state.
-            if self
-                .entry(id)
-                .is_some_and(|e| e.state == EntryState::Issued && e.uop.kind != UopKind::Load)
-            {
-                self.finish_entry(id, now);
+            self.completing.0.remove(0);
+            // The entry may have been flushed, or finished remotely.
+            if let Some(idx) = self.index_of(id) {
+                let e = &self.rob[idx];
+                if e.state == EntryState::Issued && e.uop.kind != UopKind::Load {
+                    self.finish_entry(idx, now);
+                }
             }
         }
     }
 
-    /// Transition an Issued entry to Done and wake its consumers.
-    fn finish_entry(&mut self, id: RobId, _now: Cycle) {
-        let (result, taint, depth, inv, waiters) = {
-            let Some(e) = self.entry_mut(id) else { return };
-            debug_assert_eq!(e.state, EntryState::Issued);
-            e.state = EntryState::Done;
-            match e.uop.kind {
-                UopKind::Load => {
-                    e.tainted = e.llc_miss;
-                    e.chain_depth = 0;
-                    // e.inv stays as set (runahead INV loads).
-                }
-                UopKind::Store | UopKind::Branch(_) => {
-                    e.tainted = false;
-                    e.chain_depth = 0;
-                }
-                _ => {
-                    // ALU: taint/depth were computed at issue.
-                }
+    /// Transition the Issued entry at `idx` to Done and wake its
+    /// consumers.
+    fn finish_entry(&mut self, idx: usize, now: Cycle) {
+        let e = &mut self.rob[idx];
+        debug_assert_eq!(e.state, EntryState::Issued);
+        e.state = EntryState::Done;
+        match e.uop.kind {
+            UopKind::Load => {
+                e.tainted = e.llc_miss;
+                e.chain_depth = 0;
+                // e.inv stays as set (runahead INV loads).
             }
-            (
-                e.result,
-                e.tainted,
-                e.chain_depth,
-                e.inv,
-                std::mem::take(&mut e.waiters),
-            )
-        };
-        let now = _now;
-        for (consumer, slot) in waiters {
-            let mut now_ready = false;
-            let mut store_data_arrived = false;
-            if let Some(c) = self.entry_mut(consumer) {
-                let s = &mut c.srcs[slot as usize];
-                if s.producer == Some(id) && s.value.is_none() {
-                    s.value = Some(result);
-                    s.taint = taint;
-                    s.depth = depth;
-                    s.inv = inv;
-                    if c.state == EntryState::Waiting && !c.remote {
-                        now_ready = if c.uop.kind == UopKind::Store {
-                            c.srcs[0].ready()
-                        } else {
-                            c.srcs.iter().all(|s| s.ready())
-                        };
-                    } else if c.uop.kind == UopKind::Store
-                        && c.state == EntryState::Issued
-                        && slot == 1
-                        && c.store_value.is_none()
-                    {
-                        // Split store: address already resolved, data
-                        // just arrived.
-                        c.store_value = Some(result);
-                        store_data_arrived = true;
-                    }
-                }
+            UopKind::Store | UopKind::Branch(_) => {
+                e.tainted = false;
+                e.chain_depth = 0;
             }
-            if now_ready {
-                self.ready.insert(consumer);
-            }
-            if store_data_arrived {
-                self.completing.push(std::cmp::Reverse((now + 1, consumer)));
+            _ => {
+                // ALU: taint/depth were computed at issue.
             }
         }
+        let (id, result, taint, depth, inv) = (e.id, e.result, e.tainted, e.chain_depth, e.inv);
+        let waiters = std::mem::take(&mut e.waiters);
+        for &(consumer, slot) in &waiters {
+            // Squashed consumers stay on the list and miss here.
+            let Some(ci) = self.index_of(consumer) else {
+                continue;
+            };
+            let c = &mut self.rob[ci];
+            let s = &mut c.srcs[slot as usize];
+            if s.producer != Some(id) || s.value.is_some() {
+                continue;
+            }
+            s.value = Some(result);
+            s.taint = taint;
+            s.depth = depth;
+            s.inv = inv;
+            if c.state == EntryState::Waiting && !c.remote {
+                let ready = if c.uop.kind == UopKind::Store {
+                    c.srcs[0].ready()
+                } else {
+                    c.srcs.iter().all(|s| s.ready())
+                };
+                if ready {
+                    self.ready.insert(consumer);
+                }
+            } else if c.uop.kind == UopKind::Store
+                && c.state == EntryState::Issued
+                && slot == 1
+                && c.store_value.is_none()
+            {
+                // Split store: address already resolved, data just
+                // arrived.
+                c.store_value = Some(result);
+                self.completing.insert((now + 1, consumer));
+            }
+        }
+        recycle(&mut self.waiter_pool, waiters);
     }
 
     fn issue(&mut self, now: Cycle, events: &mut Vec<CoreEvent>) {
         let mut issued = 0;
-        let mut skipped: Vec<RobId> = Vec::new();
+        // Loads held behind an older unresolved store stay ready for next
+        // cycle; `held` counts them at the front of the queue. Everything
+        // an issue inserts or squashes is younger than the uop issuing,
+        // so the queue only changes at or after position `held`.
+        let mut held = 0;
         while issued < self.cfg.issue_width {
-            let Some(&id) = self.ready.iter().next() else {
+            let Some(&id) = self.ready.0.get(held) else {
                 break;
             };
-            self.ready.remove(&id);
-            let Some(e) = self.entry(id) else { continue };
-            debug_assert_eq!(e.state, EntryState::Waiting);
-            let kind = e.uop.kind;
-            if kind == UopKind::Load {
-                // Memory ordering: wait for all older stores' addresses.
-                if self.unresolved_stores.range(..id).next().is_some() {
-                    skipped.push(id);
-                    continue;
+            let Some(idx) = self.index_of(id) else {
+                self.ready.0.remove(held);
+                continue;
+            };
+            debug_assert_eq!(self.rob[idx].state, EntryState::Waiting);
+            let kind = self.rob[idx].uop.kind;
+            // Memory ordering: wait for all older stores' addresses.
+            if kind == UopKind::Load && self.unresolved_stores.first().is_some_and(|s| s < id) {
+                held += 1;
+                continue;
+            }
+            // A load waiting for an older store's data spends its issue
+            // slot and is at once the oldest ready uop again: it takes
+            // every slot left this cycle (DESIGN.md §5, "Known modelling
+            // deviations"). While that store still has no data, skip
+            // finding it again.
+            if let Some((_, store)) = self.data_wait.filter(|w| w.0 == id) {
+                if self.entry(store).is_some_and(|s| s.store_value.is_none()) {
+                    break;
                 }
             }
+            self.ready.0.remove(held);
             issued += 1;
             self.waiting_count -= 1;
             match kind {
-                UopKind::Load => self.issue_load(id, now, events),
-                UopKind::Store => self.issue_store(id, now),
-                UopKind::Branch(_) => self.issue_branch(id, now),
-                _ => self.issue_alu(id, now),
+                UopKind::Load => self.issue_load(idx, now, events),
+                UopKind::Store => self.issue_store(idx, now),
+                UopKind::Branch(_) => self.issue_branch(idx, now),
+                _ => self.issue_alu(idx, now),
             }
-        }
-        // Blocked loads stay ready for next cycle.
-        for id in skipped {
-            self.ready.insert(id);
         }
     }
 
-    fn issue_alu(&mut self, id: RobId, now: Cycle) {
-        let e = self.entry_mut(id).expect("issuing entry exists");
+    fn issue_alu(&mut self, idx: usize, now: Cycle) {
+        let e = &mut self.rob[idx];
         e.state = EntryState::Issued;
         let a = e.srcs[0].value.expect("ready");
         let b = e.srcs[1].value.expect("ready");
@@ -738,163 +790,134 @@ impl Core {
             .unwrap_or(0)
             .saturating_add(1);
         let done = now + e.uop.kind.exec_latency();
-        self.completing.push(std::cmp::Reverse((done, id)));
+        self.completing.insert((done, e.id));
     }
 
-    fn issue_store(&mut self, id: RobId, now: Cycle) {
-        let data_ready = {
-            let e = self.entry_mut(id).expect("issuing entry exists");
-            e.state = EntryState::Issued;
-            let base = e.srcs[0].value.expect("address operand ready");
-            let addr = e.uop.effective_address(base);
-            e.addr = Some(addr);
-            e.inv = e.srcs.iter().any(|s| s.inv);
-            if let Some(v) = e.srcs[1].value {
-                e.store_value = Some(v);
-                true
-            } else {
-                false
-            }
-        };
+    fn issue_store(&mut self, idx: usize, now: Cycle) {
+        let e = &mut self.rob[idx];
+        e.state = EntryState::Issued;
+        let base = e.srcs[0].value.expect("address operand ready");
+        e.addr = Some(e.uop.effective_address(base));
+        e.inv = e.srcs.iter().any(|s| s.inv);
+        e.store_value = e.srcs[1].value;
         // The address is resolved: younger loads may now disambiguate.
-        self.unresolved_stores.remove(&id);
-        if data_ready {
-            self.completing.push(std::cmp::Reverse((now + 1, id)));
-        }
-        // Otherwise the store completes when its data operand arrives
+        self.unresolved_stores.remove(e.id);
+        // Without its data the store completes when the operand arrives
         // (see finish_entry's wakeup path).
+        if e.store_value.is_some() {
+            self.completing.insert((now + 1, e.id));
+        }
     }
 
-    fn issue_branch(&mut self, id: RobId, now: Cycle) {
-        let (taken, predicted, bp, pc, target, next_idx) = {
-            let e = self.entry_mut(id).expect("issuing entry exists");
-            e.state = EntryState::Issued;
-            let v = e.srcs[0].value.expect("ready");
-            let cond = match e.uop.kind {
-                UopKind::Branch(c) => c,
-                _ => unreachable!("issue_branch on non-branch"),
-            };
-            let taken = if e.srcs[0].inv {
-                // Runahead: a branch on an INV value cannot be resolved;
-                // follow the prediction.
-                e.predicted_taken
-            } else {
-                StaticUop::branch_taken(cond, v)
-            };
-            e.result = u64::from(taken);
-            (
-                taken,
-                e.predicted_taken,
-                e.bp.expect("branch has checkpoint"),
-                e.pc,
-                e.uop.target.expect("branch has target") as usize,
-                e.prog_idx + 1,
-            )
+    fn issue_branch(&mut self, idx: usize, now: Cycle) {
+        let e = &mut self.rob[idx];
+        e.state = EntryState::Issued;
+        let v = e.srcs[0].value.expect("ready");
+        let UopKind::Branch(cond) = e.uop.kind else {
+            unreachable!("issue_branch on non-branch")
         };
-        self.bpred.resolve(pc, bp, taken);
+        let taken = if e.srcs[0].inv {
+            // Runahead: a branch on an INV value cannot be resolved;
+            // follow the prediction.
+            e.predicted_taken
+        } else {
+            StaticUop::branch_taken(cond, v)
+        };
+        e.result = u64::from(taken);
+        let (id, predicted, pc) = (e.id, e.predicted_taken, e.pc);
+        let redirect = if taken {
+            e.uop.target.expect("branch has target") as usize
+        } else {
+            e.prog_idx + 1
+        };
+        self.bpred
+            .resolve(pc, e.bp.expect("branch has checkpoint"), taken);
         if taken != predicted {
             self.stats.branch_mispredicts += 1;
             self.flush_younger_than(id);
-            self.fetch_idx = if taken { target } else { next_idx };
+            self.fetch_idx = redirect;
             self.program_done = false;
             self.fetch_resume_at = now + self.cfg.mispredict_penalty;
         }
-        self.completing.push(std::cmp::Reverse((now + 1, id)));
+        self.completing.insert((now + 1, id));
     }
 
-    fn issue_load(&mut self, id: RobId, now: Cycle, events: &mut Vec<CoreEvent>) {
+    fn issue_load(&mut self, idx: usize, now: Cycle, events: &mut Vec<CoreEvent>) {
+        let e = &self.rob[idx];
+        let (id, pc) = (e.id, e.pc);
+        let base = e.srcs[0];
+        let addr = e.uop.effective_address(base.value.expect("ready"));
         // Store-to-load forwarding: youngest older store to the same
         // address wins.
-        let (addr, pc) = {
-            let e = self.entry(id).expect("issuing entry exists");
-            let base = e.srcs[0].value.expect("ready");
-            (e.uop.effective_address(base), e.pc)
-        };
         let mut forwarded: Option<u64> = None;
-        for &sid in self.store_ids.iter().rev() {
+        for &sid in self.store_ids.0.iter().rev() {
             if sid >= id {
                 continue;
             }
-            if let Some(s) = self.entry(sid) {
-                if s.addr == Some(addr) {
-                    match s.store_value {
-                        Some(v) => forwarded = Some(v),
-                        None => {
-                            // Matching older store whose data is not yet
-                            // known: the load must wait.
-                            self.ready.insert(id);
-                            let e = self.entry_mut(id).expect("exists");
-                            e.state = EntryState::Waiting;
-                            self.waiting_count += 1;
-                            return;
-                        }
-                    }
-                    break;
+            let Some(s) = self.entry(sid) else { continue };
+            if s.addr == Some(addr) {
+                forwarded = s.store_value;
+                if forwarded.is_none() {
+                    // Matching older store whose data is not yet known:
+                    // the load must wait, and the issue slot is spent
+                    // (DESIGN.md §5, "Known modelling deviations").
+                    self.ready.insert(id);
+                    self.waiting_count += 1;
+                    self.data_wait = Some((id, sid));
+                    return;
                 }
+                break;
             }
-        }
-        // Runahead: a load whose address descends from the INV miss has
-        // no meaningful address — drop it (no memory request).
-        if self.entry(id).is_some_and(|e| e.srcs[0].inv) {
-            let e = self.entry_mut(id).expect("exists");
-            e.state = EntryState::Issued;
-            e.addr = Some(addr);
-            e.inv = true;
-            e.result = 0;
-            self.finish_entry(id, now);
-            return;
         }
         let mem_value = self.mem.read_u64(addr);
-        let e = self.entry_mut(id).expect("issuing entry exists");
+        let e = &mut self.rob[idx];
         e.state = EntryState::Issued;
         e.addr = Some(addr);
-        match forwarded {
-            Some(v) => {
-                e.result = v;
-                e.forwarded = true;
-                self.finish_forwarded(id, now);
+        if base.inv {
+            // Runahead: a load whose address descends from the INV miss
+            // has no meaningful address — drop it (no memory request).
+            e.inv = true;
+            e.result = 0;
+            self.finish_entry(idx, now);
+        } else if let Some(v) = forwarded {
+            // Forwarded loads complete within the issue cycle (LSQ
+            // bypass).
+            e.result = v;
+            e.forwarded = true;
+            self.finish_entry(idx, now);
+        } else {
+            e.result = mem_value;
+            e.mem_pending = true;
+            self.mem_inflight += 1;
+            if self.runahead.is_some() {
+                self.stats.runahead_requests += 1;
             }
-            None => {
-                e.result = mem_value;
-                e.mem_pending = true;
-                self.mem_inflight += 1;
-                if self.runahead.is_some() {
-                    self.stats.runahead_requests += 1;
-                }
-                events.push(CoreEvent::LoadIssued { rob: id, addr, pc });
-            }
+            events.push(CoreEvent::LoadIssued { rob: id, addr, pc });
         }
-    }
-
-    /// Forwarded loads complete within the issue cycle (LSQ bypass).
-    fn finish_forwarded(&mut self, id: RobId, now: Cycle) {
-        self.finish_entry(id, now);
     }
 
     fn flush_younger_than(&mut self, id: RobId) {
-        while let Some(back) = self.rob.back() {
-            if back.id <= id {
-                break;
-            }
+        while self.rob.back().is_some_and(|b| b.id > id) {
             let e = self.rob.pop_back().expect("back exists");
-            self.ready.remove(&e.id);
-            self.unresolved_stores.remove(&e.id);
-            if e.uop.kind == UopKind::Store && self.store_ids.back() == Some(&e.id) {
-                self.store_ids.pop_back();
-            }
             if e.state == EntryState::Waiting {
                 self.waiting_count -= 1;
             }
             if e.mem_pending {
                 self.mem_inflight = self.mem_inflight.saturating_sub(1);
             }
+            recycle(&mut self.waiter_pool, e.waiters);
+        }
+        self.ready.truncate_above(id);
+        self.unresolved_stores.truncate_above(id);
+        self.store_ids.truncate_above(id);
+        while self.gaps.last().is_some_and(|g| g.0 > id) {
+            self.gaps.pop();
         }
         // Rebuild the rename table from the surviving window.
         self.rename = [None; NUM_ARCH_REGS];
-        let ids: Vec<(RobId, Option<Reg>)> = self.rob.iter().map(|e| (e.id, e.uop.dst)).collect();
-        for (eid, dst) in ids {
-            if let Some(d) = dst {
-                self.rename[d.idx()] = Some(eid);
+        for e in &self.rob {
+            if let Some(d) = e.uop.dst {
+                self.rename[d.idx()] = Some(e.id);
             }
         }
     }
@@ -938,54 +961,58 @@ impl Core {
                 (None, false)
             };
 
-            // Rename: capture operands.
+            // Rename: capture operands, or join the producer's wakeup
+            // list.
             let mut srcs = [SrcOp::absent(), SrcOp::absent()];
-            let mut waits: Vec<(RobId, u8)> = Vec::new();
             for (i, src) in uop.srcs.iter().enumerate() {
                 let Some(r) = src else { continue };
-                match self.rename[r.idx()] {
-                    None => {
-                        srcs[i] = SrcOp {
-                            value: Some(self.committed[r.idx()]),
-                            producer: None,
-                            taint: false,
-                            depth: 0,
-                            inv: self.committed_inv[r.idx()],
-                        };
-                    }
+                srcs[i] = match self.rename[r.idx()] {
+                    None => SrcOp {
+                        value: Some(self.committed[r.idx()]),
+                        inv: self.committed_inv[r.idx()],
+                        ..SrcOp::absent()
+                    },
                     Some(pid) => {
-                        let p = self.entry(pid).expect("renamed producer in ROB");
+                        let pi = self.index_of(pid).expect("renamed producer in ROB");
+                        let p = &mut self.rob[pi];
                         if p.state == EntryState::Done {
-                            srcs[i] = SrcOp {
+                            SrcOp {
                                 value: Some(p.result),
                                 producer: Some(pid),
                                 taint: p.tainted,
                                 depth: p.chain_depth,
                                 inv: p.inv,
-                            };
+                            }
                         } else {
-                            srcs[i] = SrcOp {
+                            if p.waiters.capacity() == 0 {
+                                p.waiters = self.waiter_pool.pop().unwrap_or_default();
+                            }
+                            p.waiters.push((id, i as u8));
+                            SrcOp {
                                 value: None,
                                 producer: Some(pid),
-                                taint: false,
-                                depth: 0,
-                                inv: false,
-                            };
-                            waits.push((pid, i as u8));
+                                ..SrcOp::absent()
+                            }
                         }
                     }
-                }
-            }
-            for (pid, slot) in waits {
-                if let Some(p) = self.entry_mut(pid) {
-                    p.waiters.push((id, slot));
-                }
+                };
             }
             if let Some(d) = uop.dst {
                 self.rename[d.idx()] = Some(id);
             }
+            // Stores issue (resolve their address) as soon as the address
+            // operand is ready; data may arrive later (split
+            // store-address / store-data uops).
             let is_store = uop.kind == UopKind::Store;
-            let entry = RobEntry {
+            let all_ready = srcs[0].ready() && (is_store || srcs[1].ready());
+            match self.rob.back() {
+                None => self.front_id = id,
+                // First dispatch after a flush: ids `back.id + 1..id`
+                // were squashed.
+                Some(back) if back.id + 1 != id => self.gaps.push((id, id - back.id - 1)),
+                Some(_) => {}
+            }
+            self.rob.push_back(RobEntry {
                 id,
                 prog_idx,
                 uop,
@@ -1005,19 +1032,10 @@ impl Core {
                 forwarded: false,
                 mem_pending: false,
                 inv: false,
-            };
-            let all_ready = if entry.uop.kind == UopKind::Store {
-                // Stores issue (resolve their address) as soon as the
-                // address operand is ready; data may arrive later
-                // (split store-address / store-data uops).
-                entry.srcs[0].ready()
-            } else {
-                entry.srcs.iter().all(|s| s.ready())
-            };
-            self.rob.push_back(entry);
+            });
             self.waiting_count += 1;
             if is_store {
-                self.store_ids.push_back(id);
+                self.store_ids.insert(id);
                 self.unresolved_stores.insert(id);
             }
             if all_ready {
@@ -1027,7 +1045,7 @@ impl Core {
     }
 
     fn mem_ops_in_rob(&self) -> usize {
-        self.mem_inflight + self.store_ids.len()
+        self.mem_inflight + self.store_ids.0.len()
     }
 }
 
@@ -1057,7 +1075,7 @@ fn resolve_operands(uop: &StaticUop, a: u64, b: u64) -> (u64, u64) {
 mod tests {
     use super::*;
     use emc_types::program::{run_reference, Program};
-    use emc_types::BranchCond;
+    use emc_types::{BranchCond, Reg};
 
     /// Drive a core to completion with a fixed memory latency, answering
     /// loads after `mem_lat` cycles.
@@ -1475,5 +1493,192 @@ mod tests {
             events.clear();
         }
         assert!(core.rob_len() <= 4 + 2, "RS limit must throttle dispatch");
+    }
+
+    // ------------------------------------------------------------------
+    // Seeded random programs against the reference interpreter: the port
+    // of `tests/equivalence.rs::ooo_matches_reference` that needs no
+    // proptest, plus checks of the window's own bookkeeping.
+    // ------------------------------------------------------------------
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// `mov r15, iters; body; sub r15, 1; brnz r15 -> body`. The body is
+    /// random ALU/load/store uops over r0..r14 and conditional branches
+    /// to strictly later body positions, so every program terminates.
+    fn random_program(rng: &mut XorShift) -> Program {
+        const ALU: [UopKind; 7] = [
+            UopKind::IntAdd,
+            UopKind::IntSub,
+            UopKind::And,
+            UopKind::Or,
+            UopKind::Xor,
+            UopKind::Shl,
+            UopKind::Shr,
+        ];
+        let body = 1 + rng.below(60) as u32;
+        let mut uops = vec![StaticUop::mov_imm(Reg(15), 1 + rng.below(5))];
+        for i in 1..=body {
+            let mut reg = || Reg(rng.below(15) as u8);
+            let (d, a, b) = (reg(), reg(), reg());
+            uops.push(match rng.below(6) {
+                0 => StaticUop::alu(ALU[rng.below(7) as usize], d, a, None, rng.below(64)),
+                1 => StaticUop::alu(UopKind::IntAdd, d, a, Some(b), 0),
+                2 => StaticUop::mov_imm(d, rng.below(1 << 20)),
+                3 => StaticUop::load(d, a, rng.below(512) * 8),
+                4 => StaticUop::store(a, b, rng.below(512) * 8),
+                _ => {
+                    let cond = [BranchCond::Zero, BranchCond::NotZero][rng.below(2) as usize];
+                    let target = i + 1 + rng.below(u64::from(body - i) + 1) as u32;
+                    StaticUop::branch(cond, Some(a), target)
+                }
+            });
+        }
+        uops.push(StaticUop::alu(UopKind::IntSub, Reg(15), Reg(15), None, 1));
+        uops.push(StaticUop::branch(BranchCond::NotZero, Some(Reg(15)), 1));
+        let program = Program::new(uops, 0x9000);
+        program.validate().expect("generated program is valid");
+        program
+    }
+
+    /// What a `complete_load` for a squashed id must leave untouched.
+    fn window_state(core: &Core) -> impl PartialEq + std::fmt::Debug {
+        let entries: Vec<_> = core
+            .rob
+            .iter()
+            .map(|e| (e.id, e.state, e.mem_pending, e.result))
+            .collect();
+        (
+            entries,
+            core.ready.0.clone(),
+            core.completing.0.clone(),
+            core.waiting_count,
+            core.mem_inflight,
+        )
+    }
+
+    /// What the random runs exercised, summed so the test can insist
+    /// that the interesting cases happened.
+    #[derive(Default)]
+    struct Coverage {
+        max_gaps: usize,
+        squashed_completions: u64,
+        runahead_entries: u64,
+    }
+
+    /// Run `program` to completion with random load latencies in
+    /// [5, 260), half the loads marked LLC misses, checking every cycle
+    /// that `entry(id)` agrees with a scan of the ROB.
+    fn run_checked(cfg: &CoreConfig, program: &Program, seed: u64, cov: &mut Coverage) -> Core {
+        let mut core = Core::new(cfg, Arc::new(program.clone()), MemoryImage::new());
+        let mut rng = XorShift(seed | 1);
+        let mut events = Vec::new();
+        let mut pending: Vec<(Cycle, RobId)> = Vec::new();
+        for now in 0..2_000_000 {
+            core.tick(now, &mut events);
+            for ev in events.drain(..) {
+                if let CoreEvent::LoadIssued { rob, .. } = ev {
+                    let r = rng.next();
+                    if r & 1 == 0 {
+                        core.mark_llc_miss(rob);
+                    }
+                    pending.push((now + 5 + r % 256, rob));
+                }
+            }
+            pending.retain(|&(t, rob)| {
+                if t > now {
+                    return true;
+                }
+                let ends_runahead = core.runahead.as_ref().is_some_and(|r| r.source_rob == rob);
+                if ends_runahead || core.rob.iter().any(|e| e.id == rob) {
+                    core.complete_load(rob, now);
+                } else {
+                    // The request outlived a squash (or a runahead
+                    // episode): its completion must be ignored.
+                    let before = window_state(&core);
+                    core.complete_load(rob, now);
+                    assert_eq!(window_state(&core), before, "squashed id {rob} completed");
+                    cov.squashed_completions += 1;
+                }
+                false
+            });
+            // entry(id) against a scan, for every id around the window.
+            let mut scan = core.rob.iter().peekable();
+            let first = core.rob.front().map_or(core.next_id, |e| e.id);
+            for id in first.saturating_sub(2)..=core.next_id {
+                let expect = scan.next_if(|e| e.id == id).map(|e| e as *const RobEntry);
+                assert_eq!(
+                    core.entry(id).map(|e| e as *const RobEntry),
+                    expect,
+                    "entry({id}) at cycle {now}, gaps {:?}",
+                    core.gaps
+                );
+            }
+            assert!(scan.next().is_none(), "ROB ids ascend");
+            cov.max_gaps = cov.max_gaps.max(core.gaps.len());
+            if core.finished_at().is_some() {
+                cov.runahead_entries += core.stats.runahead_entries;
+                return core;
+            }
+        }
+        panic!("core did not finish");
+    }
+
+    fn random_programs_match_reference(cfg: &CoreConfig, seed: u64) -> Coverage {
+        let mut rng = XorShift(seed);
+        let mut cov = Coverage::default();
+        for _ in 0..96 {
+            let program = random_program(&mut rng);
+            let expect = run_reference(&program, &mut MemoryImage::new(), 1_000_000);
+            assert!(!expect.capped);
+            let core = run_checked(cfg, &program, rng.next(), &mut cov);
+            assert_eq!(core.committed_regs(), &expect.regs);
+            assert_eq!(core.stats.retired_uops, expect.dyn_uops);
+            assert_eq!(core.stats.retired_loads, expect.loads);
+            assert_eq!(core.stats.retired_stores, expect.stores);
+        }
+        cov
+    }
+
+    #[test]
+    fn random_programs_match_reference_across_flushes() {
+        let cov = random_programs_match_reference(&CoreConfig::default(), 0x5eed_0001);
+        assert!(cov.max_gaps >= 2, "several squashed runs in flight at once");
+        assert!(
+            cov.squashed_completions > 0,
+            "some load outlived its squash"
+        );
+    }
+
+    #[test]
+    fn random_programs_match_reference_under_runahead() {
+        // A small window, so that full-window stalls (and with them
+        // runahead episodes) happen in sixty-uop programs.
+        let cfg = CoreConfig {
+            runahead: true,
+            rob_entries: 24,
+            rs_entries: 12,
+            lsq_entries: 6,
+            ..CoreConfig::default()
+        };
+        let cov = random_programs_match_reference(&cfg, 0x5eed_0002);
+        assert!(cov.runahead_entries > 0, "runahead was entered");
+        assert!(
+            cov.squashed_completions > 0,
+            "some load outlived its episode"
+        );
     }
 }

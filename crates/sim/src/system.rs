@@ -172,7 +172,7 @@ pub struct System {
     emc_ctx_tag: Vec<Vec<u64>>,
     prefetchers: Vec<PrefetchEngine>,
     dep_counters: Vec<DepMissCounter>,
-    active_chain: Vec<Option<Vec<RobId>>>,
+    active_chain: Vec<Vec<RobId>>,
     chain_cooldown: Vec<Cycle>,
     /// Consecutive chain aborts per home core (graceful degradation).
     chain_fail_streak: Vec<u32>,
@@ -285,7 +285,7 @@ impl System {
             dep_counters: (0..cfg.cores)
                 .map(|_| DepMissCounter::new(cfg.emc.dep_counter_trigger))
                 .collect(),
-            active_chain: vec![None; cfg.cores],
+            active_chain: vec![Vec::new(); cfg.cores],
             chain_cooldown: vec![0; cfg.cores],
             chain_fail_streak: vec![0; cfg.cores],
             chain_backoff: vec![cfg.emc.quiesce_backoff; cfg.cores],
@@ -565,7 +565,7 @@ impl System {
                     retired_uops: c.stats.retired_uops,
                     rob_len: c.rob_len(),
                     finished: c.finished_at().is_some(),
-                    active_chain_uops: self.active_chain[i].as_ref().map(|v| v.len()),
+                    active_chain_uops: Some(self.active_chain[i].len()).filter(|&n| n > 0),
                     rob_head: c.rob_iter().next().map(|e| {
                         format!(
                             "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
@@ -980,7 +980,7 @@ impl System {
             }
             Ev::ChainAbortAtCore { core, rob_ids } => {
                 self.cores[core].unmark_remote(&rob_ids);
-                self.active_chain[core] = None;
+                self.active_chain[core].clear();
             }
         }
     }
@@ -1861,7 +1861,7 @@ impl System {
         }
         let core = fin.chain.home_core;
         self.pending_sources.remove(&(core, fin.chain.source_rob));
-        self.active_chain[core] = None;
+        self.active_chain[core].clear();
         // A completed chain ends any failure streak and resets the
         // degradation backoff for this core.
         self.chain_fail_streak[core] = 0;
@@ -1927,7 +1927,7 @@ impl System {
             return;
         }
         for core in 0..self.cfg.cores {
-            if self.active_chain[core].is_some()
+            if !self.active_chain[core].is_empty()
                 || self.now < self.chain_cooldown[core]
                 || self.cores[core].in_runahead()
             {
@@ -1945,7 +1945,7 @@ impl System {
             // issued together with the head's). Walk the window oldest
             // first and take the first chain that reaches a dependent
             // load; fall back to the head's chain.
-            let candidates: Vec<RobId> = self.cores[core]
+            let candidates = self.cores[core]
                 .rob_iter()
                 .filter(|e| {
                     e.uop.kind == UopKind::Load
@@ -1955,8 +1955,7 @@ impl System {
                         && e.addr.is_some()
                 })
                 .take(self.cfg.emc.chain_candidates.max(1))
-                .map(|e| e.id)
-                .collect();
+                .map(|e| e.id);
             // Prefer the chain that reaches the most dependent loads: a
             // stalled window usually holds both the payload-pointer load
             // (whose chain is one payload miss) and the node load (whose
@@ -1996,8 +1995,9 @@ impl System {
                 self.chain_cooldown[core] = self.now + 32;
                 continue;
             }
-            let rob_ids: Vec<RobId> = chain.uops.iter().map(|u| u.rob).collect();
-            let source_rob = chain.source_rob;
+            let (source_rob, uops) = (chain.source_rob, chain.uops.len());
+            // The per-core list doubles as the "chain active" flag.
+            self.active_chain[core].extend(chain.uops.iter().map(|u| u.rob));
             // Ship: 6 B/uop + live-ins, over the data ring (§6.5).
             let msgs = chain.transfer_bytes().div_ceil(CACHE_LINE_BYTES).max(1);
             let start = self.now + g.gen_cycles;
@@ -2013,6 +2013,7 @@ impl System {
                 );
             }
             let Ok(ctx) = self.emcs[dest_mc].start_chain(chain, arrive) else {
+                self.active_chain[core].clear();
                 self.chain_cooldown[core] = self.now + 32;
                 continue;
             };
@@ -2026,14 +2027,13 @@ impl System {
                     "chain ship",
                     start,
                     arrive,
-                    vec![("core", core as u64), ("uops", rob_ids.len() as u64)],
+                    vec![("core", core as u64), ("uops", uops as u64)],
                 );
             }
             self.cores[core].stats.chains_sent += 1;
-            self.cores[core].stats.chain_uops_sent += rob_ids.len() as u64;
-            self.cores[core].stats.record_chain_length(rob_ids.len());
-            self.cores[core].mark_remote(&rob_ids);
-            self.active_chain[core] = Some(rob_ids);
+            self.cores[core].stats.chain_uops_sent += uops as u64;
+            self.cores[core].stats.record_chain_length(uops);
+            self.cores[core].mark_remote(&self.active_chain[core]);
             self.chain_cooldown[core] = self.now + g.gen_cycles;
             let tag = self.emc_ctx_tag[dest_mc][ctx];
             // Source data may already be on chip (or the load done).
@@ -2204,16 +2204,15 @@ impl System {
             let after: u64 = self.cores.iter().map(|c| c.stats.chains_sent).sum();
             if after > before {
                 for core in 0..self.cfg.cores {
-                    if let Some(ids) = &self.active_chain[core] {
-                        if seen < n {
-                            println!("--- chain from core {core} at cycle {} ---", self.now);
-                            for &id in ids.iter() {
-                                if let Some(e) = self.cores[core].entry(id) {
-                                    println!(
-                                        "  id={} kind={:?} dst={:?} imm={:#x}",
-                                        e.id, e.uop.kind, e.uop.dst, e.uop.imm
-                                    );
-                                }
+                    let ids = &self.active_chain[core];
+                    if !ids.is_empty() && seen < n {
+                        println!("--- chain from core {core} at cycle {} ---", self.now);
+                        for &id in ids.iter() {
+                            if let Some(e) = self.cores[core].entry(id) {
+                                println!(
+                                    "  id={} kind={:?} dst={:?} imm={:#x}",
+                                    e.id, e.uop.kind, e.uop.dst, e.uop.imm
+                                );
                             }
                         }
                     }
@@ -2241,7 +2240,7 @@ impl System {
                                 e.uop.kind,
                                 e.state,
                                 e.remote,
-                                e.waiters,
+                                self.cores[core].waiters_of(e.id),
                                 e.srcs[0].producer,
                                 e.srcs[1].producer
                             );
