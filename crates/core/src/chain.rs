@@ -46,7 +46,7 @@ pub struct ChainUop {
 }
 
 /// A complete dependence chain ready to ship to the EMC.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Chain {
     /// The core whose window this chain came from.
     pub home_core: CoreId,
@@ -190,6 +190,22 @@ pub fn generate_chain(
     source: RobId,
     cfg: &EmcConfig,
 ) -> Option<GeneratedChain> {
+    let mut chain = Chain::default();
+    let gen_cycles = generate_chain_into(core, home_core, source, cfg, &mut chain)?;
+    Some(GeneratedChain { chain, gen_cycles })
+}
+
+/// [`generate_chain`] into a chain the caller owns, reusing its buffers:
+/// most generated chains are thrown away (no free context, or a sibling
+/// candidate reached more loads). Returns the walk's cycles; on `None`
+/// what `chain` holds is meaningless.
+pub fn generate_chain_into(
+    core: &Core,
+    home_core: CoreId,
+    source: RobId,
+    cfg: &EmcConfig,
+    chain: &mut Chain,
+) -> Option<u64> {
     let src_entry = core.entry(source)?;
     if src_entry.uop.kind != UopKind::Load || src_entry.state == EntryState::Done {
         return None;
@@ -207,15 +223,13 @@ pub fn generate_chain(
         next_epr += 1;
         Some(e)
     };
-    let mut chain = Chain {
-        home_core,
-        source_rob: source,
-        source_epr: alloc_epr()?,
-        source_addr,
-        uops: Vec::new(),
-        live_ins: Vec::new(),
-        imm_live_ins: 0,
-    };
+    chain.home_core = home_core;
+    chain.source_rob = source;
+    chain.source_epr = alloc_epr()?;
+    chain.source_addr = source_addr;
+    chain.uops.clear();
+    chain.live_ins.clear();
+    chain.imm_live_ins = 0;
     let mut gen_cycles: u64 = 1; // the source broadcast
     let mut mem_ops: usize = 0;
 
@@ -311,10 +325,7 @@ pub fn generate_chain(
         };
     }
 
-    if chain.uops.is_empty() {
-        return None;
-    }
-    Some(GeneratedChain { chain, gen_cycles })
+    (!chain.uops.is_empty()).then_some(gen_cycles)
 }
 
 /// §4.3: "A store is included in the dependence chain only if it is a

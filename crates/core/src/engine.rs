@@ -140,7 +140,7 @@ enum UopState {
     Done,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Context {
     chain: Chain,
     prf: Vec<u64>,
@@ -207,9 +207,16 @@ impl Context {
 }
 
 /// The enhanced memory controller's compute engine.
+#[derive(Clone)]
 pub struct Emc {
     cfg: EmcConfig,
     contexts: Vec<Option<Context>>,
+    /// [`tick`](Emc::tick) does nothing before this cycle: 0 while
+    /// awake, the arrival of a chain in flight on the ring, or
+    /// `Cycle::MAX` until a caller hands the engine something.
+    sleep_until: Cycle,
+    /// The uops one context issues in a cycle, kept for its capacity.
+    ready: Vec<usize>,
     dcache: SetAssocCache,
     tlbs: Vec<CircularTlb>,
     miss_pred: Vec<MissPredictor>,
@@ -229,6 +236,8 @@ impl Emc {
         Emc {
             cfg: *cfg,
             contexts: (0..cfg.contexts).map(|_| None).collect(),
+            sleep_until: 0,
+            ready: Vec::new(),
             dcache: SetAssocCache::new(&dcache_cfg),
             tlbs: (0..cores)
                 .map(|_| CircularTlb::new(cfg.tlb_entries))
@@ -279,12 +288,14 @@ impl Emc {
         };
         self.tlbs[chain.home_core].insert(tlb_page(chain.source_addr));
         self.contexts[slot] = Some(Context::new(chain, self.cfg.prf_entries, active_at));
+        self.sleep_until = 0;
         Ok(slot)
     }
 
     /// Deliver the source miss's data (the DRAM fill reached the memory
     /// controller): execution of the chain can begin next tick.
     pub fn deliver_source(&mut self, ctx: usize, value: u64) {
+        self.sleep_until = 0;
         if let Some(c) = self.contexts[ctx].as_mut() {
             let epr = c.chain.source_epr as usize;
             c.prf[epr] = value;
@@ -295,6 +306,7 @@ impl Emc {
 
     /// Supply data for a load previously emitted as [`EmcEvent::Load`].
     pub fn complete_load(&mut self, ctx: usize, uop: usize, value: u64) {
+        self.sleep_until = 0;
         let Some(c) = self.contexts[ctx].as_mut() else {
             return;
         };
@@ -317,6 +329,7 @@ impl Emc {
     /// Abort a chain from the outside (memory-disambiguation conflict
     /// detected by the simulator, §4.3).
     pub fn force_abort(&mut self, ctx: usize, reason: AbortReason) {
+        self.sleep_until = 0;
         if let Some(c) = self.contexts[ctx].as_mut() {
             if c.aborted.is_none() {
                 c.aborted = Some(reason);
@@ -331,6 +344,7 @@ impl Emc {
     ///
     /// Panics if the context is empty.
     pub fn take_finished(&mut self, ctx: usize) -> FinishedChain {
+        self.sleep_until = 0;
         let c = self.contexts[ctx].take().expect("context not empty");
         FinishedChain {
             chain: c.chain,
@@ -342,6 +356,7 @@ impl Emc {
     /// Drain the results completed in `ctx` since the last drain (called
     /// by the simulator on [`EmcEvent::Results`]).
     pub fn drain_results(&mut self, ctx: usize) -> Vec<ChainResult> {
+        self.sleep_until = 0;
         self.contexts[ctx]
             .as_mut()
             .map(|c| std::mem::take(&mut c.outbox))
@@ -380,11 +395,30 @@ impl Emc {
         self.tlbs[core].contains(tlb_page(addr))
     }
 
+    /// The cycle before which [`tick`](Emc::tick) is known to do
+    /// nothing, unless one of `start_chain`, `deliver_source`,
+    /// `complete_load`, `force_abort`, `drain_results` or `take_finished`
+    /// is called first: `Cycle::MAX` when only they can give the engine
+    /// work, 0 (any cycle may do something) while it is awake.
+    pub fn sleep_until(&self) -> Cycle {
+        self.sleep_until
+    }
+
     /// Advance one EMC cycle: issue up to `issue_width` ready uops across
     /// all contexts (oldest context first) and announce finished chains.
-    pub fn tick(&mut self, _now: Cycle) -> Vec<EmcEvent> {
+    ///
+    /// Every transition here happens within the cycle that enables it, so
+    /// a tick that issued nothing and announced nothing would repeat
+    /// unchanged until a caller hands the engine something or a chain in
+    /// flight on the ring arrives; the engine sleeps until then.
+    pub fn tick(&mut self, now: Cycle) -> Vec<EmcEvent> {
         let mut events = Vec::new();
+        if now < self.sleep_until {
+            return events;
+        }
         let mut issued = 0;
+        let mut next_arrival = Cycle::MAX;
+        let mut ready = std::mem::take(&mut self.ready);
         for ctx in 0..self.contexts.len() {
             if issued >= self.cfg.issue_width {
                 break;
@@ -392,14 +426,22 @@ impl Emc {
             let Some(c) = self.contexts[ctx].as_ref() else {
                 continue;
             };
-            if !c.source_delivered || c.aborted.is_some() || _now < c.active_at {
+            if !c.source_delivered || c.aborted.is_some() {
                 continue;
             }
-            let ready: Vec<usize> = (0..c.chain.uops.len())
-                .filter(|&i| c.uop_ready(i))
-                .take(self.cfg.issue_width - issued)
-                .collect();
-            for i in ready {
+            if now < c.active_at {
+                next_arrival = next_arrival.min(c.active_at);
+                continue;
+            }
+            // The cycle's issue set is fixed before any of it executes:
+            // a result written this cycle wakes its consumers next cycle.
+            ready.clear();
+            ready.extend(
+                (0..c.chain.uops.len())
+                    .filter(|&i| c.uop_ready(i))
+                    .take(self.cfg.issue_width - issued),
+            );
+            for &i in &ready {
                 issued += 1;
                 self.issue_uop(ctx, i, &mut events);
                 if self.contexts[ctx]
@@ -410,6 +452,7 @@ impl Emc {
                 }
             }
         }
+        self.ready = ready;
         // Stream back results completed this cycle, then announce
         // terminal states.
         for ctx in 0..self.contexts.len() {
@@ -430,6 +473,9 @@ impl Emc {
                 self.stats.chains_executed += 1;
                 events.push(EmcEvent::ChainDone { ctx });
             }
+        }
+        if issued == 0 && events.is_empty() {
+            self.sleep_until = next_arrival;
         }
         events
     }
@@ -945,5 +991,156 @@ mod tests {
             unreachable!()
         };
         assert_eq!(reason, AbortReason::Disambiguation);
+    }
+
+    // ------------------------------------------------------------------
+    // Sleeping: seeded random chains driven with random latencies, an
+    // engine that sleeps against a twin that is woken before every tick.
+    // ------------------------------------------------------------------
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// 1 to 12 uops over E0 (the source) and the registers earlier uops
+    /// wrote; loads stay within the source's 2 MB page most of the time.
+    fn random_chain(rng: &mut XorShift, home_core: CoreId) -> Chain {
+        let n = 1 + rng.below(12) as usize;
+        let mut written = 1u8; // E0
+        let uops = (0..n)
+            .map(|k| {
+                let mut src = || Some(ChainSrc::Epr(rng.below(u64::from(written)) as u8));
+                let (s0, s1) = (src(), src());
+                let roll = rng.below(10);
+                let (kind, srcs, dst) = match roll {
+                    0..=3 => (UopKind::IntAdd, [s0, None], Some(written)),
+                    4..=6 => (UopKind::Load, [s0, None], Some(written)),
+                    7 => (UopKind::Store, [s0, s1], None),
+                    8 => (UopKind::Branch(BranchCond::NotZero), [s0, None], None),
+                    _ => (UopKind::Xor, [s0, s1], Some(written)),
+                };
+                if dst.is_some() {
+                    written += 1;
+                }
+                ChainUop {
+                    rob: 100 + k as u64,
+                    kind,
+                    srcs,
+                    dst,
+                    imm: if rng.below(20) == 0 {
+                        1 << 30
+                    } else {
+                        rng.below(64) * 8
+                    },
+                    pc: 0x400 + 4 * rng.below(32),
+                    predicted_taken: rng.below(8) != 0,
+                }
+            })
+            .collect();
+        Chain {
+            home_core,
+            source_rob: 99,
+            source_epr: 0,
+            source_addr: Addr(0x10_0000),
+            uops,
+            live_ins: vec![],
+            imm_live_ins: 0,
+        }
+    }
+
+    #[test]
+    fn a_sleeping_engine_misses_nothing() {
+        let mut rng = XorShift(0x5eed_0c16);
+        let mut emc = Emc::new(&cfg(), 4);
+        let mut twin = emc.clone();
+        // (cycle, ctx, what) deliveries still on their way.
+        enum Due {
+            Source,
+            Load { uop: usize },
+        }
+        let mut due: Vec<(Cycle, usize, Due)> = Vec::new();
+        let (mut slept, mut in_flight_sleeps, mut events_seen) = (0u64, 0u64, 0u64);
+        for now in 0..60_000 {
+            // The simulator's side: new chains, deliveries, kills, fills.
+            if rng.below(25) == 0 && emc.has_free_context() {
+                let home = rng.below(4) as usize;
+                let chain = random_chain(&mut rng, home);
+                let active_at = now + rng.below(30);
+                let ctx = emc.start_chain(chain.clone(), active_at).unwrap();
+                assert_eq!(twin.start_chain(chain, active_at).ok(), Some(ctx));
+                due.push((now + rng.below(100), ctx, Due::Source));
+            }
+            if rng.below(2_000) == 0 {
+                let ctx = rng.below(emc.context_count() as u64) as usize;
+                emc.force_abort(ctx, AbortReason::Injected);
+                twin.force_abort(ctx, AbortReason::Injected);
+            }
+            if rng.below(50) == 0 {
+                let line = physical_line(0, Addr(0x10_0000 + rng.below(64) * 8).line());
+                assert_eq!(emc.on_dram_fill(line), twin.on_dram_fill(line));
+            }
+            let mut k = 0;
+            while k < due.len() {
+                if due[k].0 > now {
+                    k += 1;
+                    continue;
+                }
+                let (_, ctx, what) = due.swap_remove(k);
+                match what {
+                    Due::Source => {
+                        emc.deliver_source(ctx, 0x10_0000);
+                        twin.deliver_source(ctx, 0x10_0000);
+                    }
+                    Due::Load { uop } => {
+                        let v = 0x10_0000 + rng.below(4096) * 8;
+                        emc.complete_load(ctx, uop, v);
+                        twin.complete_load(ctx, uop, v);
+                    }
+                }
+            }
+            let asleep = now < emc.sleep_until();
+            twin.sleep_until = 0;
+            let events = emc.tick(now);
+            assert_eq!(events, twin.tick(now), "cycle {now}, asleep: {asleep}");
+            assert_eq!(emc.stats.uops_executed, twin.stats.uops_executed);
+            if asleep {
+                slept += 1;
+                in_flight_sleeps += u64::from(emc.sleep_until() != Cycle::MAX);
+            }
+            events_seen += events.len() as u64;
+            for ev in events {
+                match ev {
+                    EmcEvent::Load { ctx, uop, .. } => {
+                        due.push((now + 1 + rng.below(60), ctx, Due::Load { uop }));
+                    }
+                    EmcEvent::Results { ctx } => {
+                        assert_eq!(emc.drain_results(ctx), twin.drain_results(ctx));
+                    }
+                    EmcEvent::ChainDone { ctx } | EmcEvent::ChainAborted { ctx, .. } => {
+                        due.retain(|d| d.1 != ctx);
+                        let (a, b) = (emc.take_finished(ctx), twin.take_finished(ctx));
+                        assert_eq!((a.results, a.aborted), (b.results, b.aborted));
+                    }
+                }
+            }
+        }
+        assert!(emc.stats.chains_executed > 200, "chains ran to completion");
+        assert!(events_seen > 5_000, "{events_seen} events");
+        assert!(slept > 30_000, "asleep on {slept} of 60 000 cycles");
+        assert!(
+            in_flight_sleeps > 100,
+            "slept {in_flight_sleeps} cycles toward an arrival"
+        );
     }
 }

@@ -29,6 +29,6 @@ pub mod chain;
 pub mod engine;
 pub mod predictor;
 
-pub use chain::{generate_chain, Chain, ChainSrc, ChainUop, GeneratedChain};
+pub use chain::{generate_chain, generate_chain_into, Chain, ChainSrc, ChainUop, GeneratedChain};
 pub use engine::{AbortReason, ChainResult, Emc, EmcEvent, FinishedChain, LoadRoute};
 pub use predictor::{DepMissCounter, MissPredictor};

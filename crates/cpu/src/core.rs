@@ -219,6 +219,11 @@ pub struct Core {
     mem_inflight: usize,
 
     finished_at: Option<Cycle>,
+    /// [`tick`](Core::tick) only counts the cycle before this one: what
+    /// [`inert_until`](Core::inert_until) answered after a tick that
+    /// moved nothing. Every call from outside that can end the wait
+    /// zeroes it.
+    asleep_until: Cycle,
 
     // --- observability ---
     stall_since: Option<Cycle>,
@@ -268,6 +273,7 @@ impl Core {
             waiting_count: 0,
             mem_inflight: 0,
             finished_at: None,
+            asleep_until: 0,
             stall_since: None,
             finished_stall: None,
             runahead: None,
@@ -425,6 +431,7 @@ impl Core {
     /// dependence tracking) but is not a distinct LLC miss for MPKI or
     /// dependent-miss statistics.
     pub fn mark_llc_miss_merged(&mut self, id: RobId) {
+        self.asleep_until = 0;
         if let Some(idx) = self.index_of(id) {
             self.rob[idx].llc_miss = true;
         }
@@ -433,6 +440,7 @@ impl Core {
     /// Mark a load as having missed the LLC (called by the simulator as
     /// soon as the miss is known, always before completion).
     pub fn mark_llc_miss(&mut self, id: RobId) {
+        self.asleep_until = 0;
         let Some(idx) = self.index_of(id) else { return };
         let e = &mut self.rob[idx];
         e.llc_miss = true;
@@ -461,6 +469,7 @@ impl Core {
     /// Complete an outstanding load issued to the memory system. Ignored
     /// if the load was flushed (the memory request outlives the squash).
     pub fn complete_load(&mut self, id: RobId, now: Cycle) {
+        self.asleep_until = 0;
         if self.runahead.as_ref().is_some_and(|ra| ra.source_rob == id) {
             self.exit_runahead(now);
             return;
@@ -487,6 +496,7 @@ impl Core {
     /// Mark chain entries as executing remotely at the EMC: the local
     /// scheduler will not issue them.
     pub fn mark_remote(&mut self, ids: &[RobId]) {
+        self.asleep_until = 0;
         for &id in ids {
             self.ready.remove(id);
             if let Some(idx) = self.index_of(id) {
@@ -499,6 +509,7 @@ impl Core {
     /// the chain, disambiguation conflict): entries return to normal
     /// scheduling and re-execute locally.
     pub fn unmark_remote(&mut self, ids: &[RobId]) {
+        self.asleep_until = 0;
         for &id in ids {
             let Some(idx) = self.index_of(id) else {
                 continue;
@@ -526,6 +537,7 @@ impl Core {
         store: Option<(Addr, u64)>,
         now: Cycle,
     ) {
+        self.asleep_until = 0;
         let Some(idx) = self.index_of(id) else { return };
         let e = &mut self.rob[idx];
         if e.state == EntryState::Done {
@@ -562,6 +574,20 @@ impl Core {
             return;
         }
         self.stats.cycles = now;
+        if now < self.asleep_until {
+            self.stats.full_window_stall_cycles += u64::from(self.stall_since.is_some());
+            return;
+        }
+        // Cheap signs of a tick that moved something.
+        let signs = |c: &Core| {
+            (
+                c.rob.len(),
+                c.next_id,
+                c.ready.0.len(),
+                c.completing.0.len(),
+            )
+        };
+        let before = signs(self);
         let stall_head = self.full_window_stall();
         if stall_head.is_some() {
             self.stats.full_window_stall_cycles += 1;
@@ -589,6 +615,106 @@ impl Core {
             && self.runahead.is_none()
         {
             self.finished_at = Some(now);
+        }
+        // Nothing moved and nothing is executing: likely nothing will
+        // until a load comes back. (With uops in flight the wait is a
+        // few cycles, and asking costs more than ticking through it.)
+        if signs(self) == before && self.completing.0.is_empty() {
+            self.asleep_until = self.inert_until(now + 1).unwrap_or(0);
+        }
+    }
+
+    /// If [`tick`](Core::tick) at `now` would change nothing but the
+    /// cycle and stall counters, the first cycle at which that may stop
+    /// being so without a call from outside (`Cycle::MAX`: never). The
+    /// core is then waiting for a load or a remote result, and the owner
+    /// may leave the ticks in between out and
+    /// [`credit_stall`](Core::credit_stall) them.
+    pub fn inert_until(&self, now: Cycle) -> Option<Cycle> {
+        if self.finished_at.is_some() {
+            return Some(Cycle::MAX);
+        }
+        if now < self.asleep_until {
+            return Some(self.asleep_until);
+        }
+        // Retire: the head is not done, and an empty window is not the
+        // end of the program. (The cheap ways out come first: a busy
+        // core takes one of them.)
+        match self.rob.front() {
+            Some(head) if head.state == EntryState::Done => return None,
+            None if self.program_done => return None,
+            _ => {}
+        }
+        let mut until = Cycle::MAX;
+        if let Some((t, _)) = self.completing.first() {
+            if t <= now {
+                return None;
+            }
+            until = t;
+        }
+        // The stall bookkeeping is settled and no episode is about to
+        // open or close; runahead never sits still, and a stall is
+        // where it starts.
+        let stalled = self.full_window_stall().is_some();
+        if stalled != self.stall_since.is_some()
+            || self.runahead.is_some()
+            || (stalled && self.cfg.runahead)
+        {
+            return None;
+        }
+        // Issue: every ready uop is a load held behind an older store's
+        // address, up to the load that waits for an older store's data.
+        let oldest_unresolved = self.unresolved_stores.first();
+        for &id in &self.ready.0 {
+            let e = self.entry(id)?;
+            if e.uop.kind == UopKind::Load && oldest_unresolved.is_some_and(|s| s < id) {
+                continue;
+            }
+            let waits_for_data = self.data_wait.is_some_and(|(load, store)| {
+                load == id && self.entry(store).is_some_and(|s| s.store_value.is_none())
+            });
+            if !waits_for_data {
+                return None;
+            }
+            break;
+        }
+        // Dispatch: redirect penalty running, or the window has no room
+        // for the next uop.
+        if !self.program_done {
+            if now < self.fetch_resume_at {
+                until = until.min(self.fetch_resume_at);
+            } else {
+                let uop = self.program.uops.get(self.fetch_idx)?;
+                let room = self.rob.len() < self.cfg.rob_entries
+                    && self.waiting_count < self.cfg.rs_entries
+                    && !(uop.kind.is_mem() && self.mem_ops_in_rob() >= self.cfg.lsq_entries);
+                if room {
+                    return None;
+                }
+            }
+        }
+        Some(until)
+    }
+
+    /// The cycle before which [`tick`](Core::tick) only counts: the
+    /// core found itself inert and nothing has called on it since. 0
+    /// while awake, `Cycle::MAX` once the program has finished.
+    pub fn asleep_until(&self) -> Cycle {
+        match self.finished_at {
+            Some(_) => Cycle::MAX,
+            None => self.asleep_until,
+        }
+    }
+
+    /// Account for `n` ticks left out while [`inert_until`](Core::inert_until)
+    /// held: what they would have counted, and nothing else.
+    pub fn credit_stall(&mut self, n: u64) {
+        if self.finished_at.is_some() {
+            return;
+        }
+        self.stats.cycles += n;
+        if self.stall_since.is_some() {
+            self.stats.full_window_stall_cycles += n;
         }
     }
 
@@ -1577,6 +1703,81 @@ mod tests {
         max_gaps: usize,
         squashed_completions: u64,
         runahead_entries: u64,
+        inert_ticks: u64,
+        asleep_ticks: u64,
+        inert_stalled_ticks: u64,
+        inert_data_wait_ticks: u64,
+    }
+
+    /// Everything a tick may touch except the statistics, in a form that
+    /// compares. The predictor's tables are thousands of counters, so
+    /// they are in one snapshot in 64.
+    fn everything_but_stats(core: &Core, now: Cycle) -> impl PartialEq + std::fmt::Debug {
+        let entries: Vec<_> = core
+            .rob
+            .iter()
+            .map(|e| {
+                (
+                    (e.id, e.state, e.srcs, e.result, e.addr, e.store_value),
+                    (e.remote, e.llc_miss, e.tainted, e.chain_depth, e.inv),
+                    (e.forwarded, e.mem_pending, e.waiters.clone()),
+                )
+            })
+            .collect();
+        (
+            (entries, core.front_id, core.gaps.clone(), core.next_id),
+            (core.rename, core.committed, core.committed_inv),
+            (core.ready.0.clone(), core.completing.0.clone()),
+            (core.unresolved_stores.0.clone(), core.store_ids.0.clone()),
+            (core.data_wait, core.waiting_count, core.mem_inflight),
+            (core.fetch_idx, core.fetch_resume_at, core.program_done),
+            (core.finished_at, core.stall_since, core.finished_stall),
+            (core.runahead.is_some(), core.waiter_pool.len()),
+            now.is_multiple_of(64).then(|| format!("{:?}", core.bpred)),
+        )
+    }
+
+    /// Tick `core` at `now`; where `inert_until` had promised an inert
+    /// tick, hold it to that: no event, no state touched, and the
+    /// statistics moved exactly as `credit_stall(1)` moves them. A
+    /// sleeping core is that promise remembered: a fresh look must make
+    /// it again. `sleepless` cores are woken before every tick, so that
+    /// each inert tick runs the whole pipeline.
+    fn tick_checking_inertness(
+        core: &mut Core,
+        now: Cycle,
+        events: &mut Vec<CoreEvent>,
+        sleepless: bool,
+        cov: &mut Coverage,
+    ) {
+        let asleep_until = std::mem::take(&mut core.asleep_until);
+        let fresh = core.inert_until(now);
+        if now < asleep_until {
+            assert_eq!(fresh, Some(asleep_until), "a wake-up was missed by {now}");
+            cov.asleep_ticks += u64::from(!sleepless);
+        }
+        if !sleepless {
+            core.asleep_until = asleep_until;
+        }
+        let Some(until) = fresh else {
+            core.tick(now, events);
+            return;
+        };
+        assert!(until > now);
+        let (state, stats) = (everything_but_stats(core, now), core.stats.clone());
+        core.tick(now, events);
+        assert!(events.is_empty(), "inert tick at {now} emitted {events:?}");
+        assert_eq!(
+            everything_but_stats(core, now),
+            state,
+            "inert tick at {now}"
+        );
+        let ticked = std::mem::replace(&mut core.stats, stats);
+        core.credit_stall(1);
+        assert_eq!(format!("{:?}", core.stats), format!("{ticked:?}"));
+        cov.inert_ticks += 1;
+        cov.inert_stalled_ticks += u64::from(core.stall_since.is_some());
+        cov.inert_data_wait_ticks += u64::from(!core.ready.0.is_empty());
     }
 
     /// Run `program` to completion with random load latencies in
@@ -1587,17 +1788,26 @@ mod tests {
         let mut rng = XorShift(seed | 1);
         let mut events = Vec::new();
         let mut pending: Vec<(Cycle, RobId)> = Vec::new();
+        // Misses are known a few cycles after issue, as the LLC's answer
+        // is, and always before the data.
+        let mut misses: Vec<(Cycle, RobId)> = Vec::new();
         for now in 0..2_000_000 {
-            core.tick(now, &mut events);
+            tick_checking_inertness(&mut core, now, &mut events, seed.is_multiple_of(2), cov);
             for ev in events.drain(..) {
                 if let CoreEvent::LoadIssued { rob, .. } = ev {
                     let r = rng.next();
                     if r & 1 == 0 {
-                        core.mark_llc_miss(rob);
+                        misses.push((now + (r >> 8) % 5, rob));
                     }
                     pending.push((now + 5 + r % 256, rob));
                 }
             }
+            misses.retain(|&(t, rob)| {
+                if t <= now {
+                    core.mark_llc_miss(rob);
+                }
+                t > now
+            });
             pending.retain(|&(t, rob)| {
                 if t > now {
                     return true;
@@ -1656,10 +1866,93 @@ mod tests {
     #[test]
     fn random_programs_match_reference_across_flushes() {
         let cov = random_programs_match_reference(&CoreConfig::default(), 0x5eed_0001);
+        assert!(cov.inert_ticks > 10_000, "{} inert ticks", cov.inert_ticks);
+        assert!(
+            cov.asleep_ticks > 3_000,
+            "{} ticks asleep",
+            cov.asleep_ticks
+        );
+        assert!(
+            cov.inert_ticks - cov.asleep_ticks > 5_000,
+            "{} of {} inert ticks ran the pipeline",
+            cov.inert_ticks - cov.asleep_ticks,
+            cov.inert_ticks
+        );
         assert!(cov.max_gaps >= 2, "several squashed runs in flight at once");
         assert!(
             cov.squashed_completions > 0,
             "some load outlived its squash"
+        );
+    }
+
+    #[test]
+    fn every_call_that_can_end_the_wait_wakes_a_sleeping_core() {
+        let mut uops = vec![
+            StaticUop::mov_imm(Reg(0), 0x100),
+            StaticUop::load(Reg(1), Reg(0), 0),
+            StaticUop::alu(UopKind::IntAdd, Reg(2), Reg(1), None, 1),
+        ];
+        uops.resize(
+            300,
+            StaticUop::alu(UopKind::IntAdd, Reg(3), Reg(3), None, 1),
+        );
+        let p = Program::new(uops, 0);
+        let mut core = Core::new(&CoreConfig::default(), Arc::new(p), MemoryImage::new());
+        let mut events = Vec::new();
+        let mut now = 0;
+        let mut fall_asleep = |core: &mut Core| {
+            for _ in 0..2_000 {
+                core.tick(now, &mut events);
+                now += 1;
+                if now < core.asleep_until {
+                    return;
+                }
+            }
+            panic!("the core never fell asleep");
+        };
+        fall_asleep(&mut core);
+        let load = core.rob.front().expect("the load blocks retirement").id;
+        type Call = fn(&mut Core, RobId);
+        let calls: [(&str, Call); 6] = [
+            ("mark_llc_miss", |c, load| c.mark_llc_miss(load)),
+            ("mark_llc_miss_merged", |c, load| {
+                c.mark_llc_miss_merged(load)
+            }),
+            ("mark_remote", |c, load| c.mark_remote(&[load + 1])),
+            ("unmark_remote", |c, load| c.unmark_remote(&[load + 1])),
+            ("complete_remote", |c, load| {
+                c.complete_remote(load + 1, 7, None, 5_000)
+            }),
+            ("complete_load", |c, load| c.complete_load(load, 5_000)),
+        ];
+        for (name, call) in calls {
+            call(&mut core, load);
+            assert_eq!(core.asleep_until, 0, "{name} left the core asleep");
+            if name != "complete_load" {
+                fall_asleep(&mut core);
+            }
+        }
+    }
+
+    #[test]
+    fn inert_ticks_in_a_small_window_change_nothing() {
+        // A window small enough to fill behind a miss, and no runahead to
+        // drain it: the stalled, inert core skip-ahead is built on.
+        let cfg = CoreConfig {
+            rob_entries: 24,
+            rs_entries: 12,
+            lsq_entries: 6,
+            ..CoreConfig::default()
+        };
+        let cov = random_programs_match_reference(&cfg, 0x5eed_0016);
+        assert!(
+            cov.inert_stalled_ticks > 5_000,
+            "{} inert ticks in a full-window stall",
+            cov.inert_stalled_ticks
+        );
+        assert!(
+            cov.inert_data_wait_ticks > 0,
+            "some inert tick had loads held in the ready queue"
         );
     }
 

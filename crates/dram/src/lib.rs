@@ -100,11 +100,18 @@ impl Channel {
     /// The memory controller gates scheduling on this, which is what makes
     /// queueing delay (and hence the EMC's contention savings) real.
     pub fn can_issue(&self, loc: Location, now: Cycle) -> bool {
+        self.ready_at(loc) <= now
+    }
+
+    /// The first cycle at which [`can_issue`](Self::can_issue) holds for
+    /// `loc`. It moves only when this channel issues, so a scheduler can
+    /// keep it beside a blocked request instead of asking every cycle.
+    pub fn ready_at(&self, loc: Location) -> Cycle {
         let b = &self.banks[self.bank_index(loc)];
         // Don't run the bus arbitrarily far ahead: a command issued now
         // will want the bus around now + tRCD + tCAS at the latest.
         let bus_slack = self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas;
-        b.free_at <= now && self.bus_free_at <= now + bus_slack
+        b.free_at.max(self.bus_free_at.saturating_sub(bus_slack))
     }
 
     /// The row currently open in the bank addressed by `loc`, if any.

@@ -17,7 +17,7 @@
 #![warn(missing_docs)]
 
 use emc_dram::{map_line, Channel, Location, RowOutcome};
-use emc_types::{AccessKind, Cycle, DramConfig, FaultPlan, MemReq, MemStats};
+use emc_types::{AccessKind, Cycle, DramConfig, FaultPlan, FxHashMap, MemReq, MemStats};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::BinaryHeap;
 
@@ -77,6 +77,21 @@ impl PartialOrd for InFlight {
     }
 }
 
+/// One channel's PAR-BS winner, kept between ticks. Enqueue, issue,
+/// escalation and batch formation are the only events that can change
+/// it; time alone cannot, so a blocked channel costs one comparison a
+/// cycle.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// One of those events happened: scan the queue again.
+    Stale,
+    /// Nothing is queued for the channel.
+    Idle,
+    /// The winner's queue index and the first cycle at which its bank
+    /// and the data bus accept it.
+    Ready { qi: usize, at: Cycle },
+}
+
 /// Injected-fault state for one controller (ECC re-issues and
 /// backpressure storms), armed by [`MemoryController::set_fault_plan`].
 #[derive(Debug)]
@@ -96,12 +111,27 @@ pub struct MemoryController {
     owned_channels: Vec<usize>,
     channels: Vec<Channel>,
     queue: Vec<QueueEntry>,
+    /// Per owned channel, in `channels` order.
+    picks: Vec<Pick>,
+    /// Marked requests in the queue: the current batch's remainder.
+    marked: usize,
+    /// Unmarked reads and prefetches in the queue: what the next batch
+    /// could mark.
+    markable: usize,
+    /// Batch formation's scratch space, kept for its capacity.
+    batch_order: Vec<usize>,
+    batch_counts: FxHashMap<(usize, usize, usize), usize>,
     in_flight: BinaryHeap<InFlight>,
+    /// The list the next `tick` returns its completions in.
+    done: Vec<Completion>,
     next_seq: u64,
     queue_entries: usize,
     /// Queue age (cycles since `mc_enqueue`) beyond which a request is
     /// escalated ahead of row-hit preference. `None` disables aging.
     escalation_threshold: Option<Cycle>,
+    /// No queued request crosses the threshold before this cycle. A
+    /// request that issued first can leave it early, never late.
+    next_escalation: Cycle,
     faults: Option<McFaults>,
     /// End cycle of the current backpressure storm (0 = none).
     storm_until: Cycle,
@@ -121,16 +151,23 @@ impl MemoryController {
             !owned_channels.is_empty(),
             "an MC must own at least one channel"
         );
-        let channels = owned_channels.iter().map(|_| Channel::new(cfg)).collect();
+        let channels: Vec<Channel> = owned_channels.iter().map(|_| Channel::new(cfg)).collect();
         MemoryController {
             cfg: *cfg,
             owned_channels,
+            picks: vec![Pick::Idle; channels.len()],
             channels,
             queue: Vec::new(),
+            marked: 0,
+            markable: 0,
+            batch_order: Vec::new(),
+            batch_counts: FxHashMap::default(),
             in_flight: BinaryHeap::new(),
+            done: Vec::new(),
             next_seq: 0,
             queue_entries: cfg.queue_entries,
             escalation_threshold: None,
+            next_escalation: Cycle::MAX,
             faults: None,
             storm_until: 0,
             storm_active: false,
@@ -169,6 +206,8 @@ impl MemoryController {
     /// it never drops or reorders data, only the service order.
     pub fn set_escalation_threshold(&mut self, threshold: Option<Cycle>) {
         self.escalation_threshold = threshold;
+        // Unknown under the new threshold: the next tick scans.
+        self.next_escalation = 0;
     }
 
     /// Liveness probe: for each owned channel, the age in cycles of the
@@ -252,9 +291,16 @@ impl MemoryController {
         }
         req.timeline.mc_enqueue = Some(now);
         let loc = map_line(req.line, &self.cfg);
-        debug_assert!(self.owns_channel(loc.channel), "request routed to wrong MC");
         let seq = self.next_seq;
         self.next_seq += 1;
+        if req.kind != AccessKind::Write {
+            self.markable += 1;
+        }
+        if let Some(threshold) = self.escalation_threshold {
+            self.next_escalation = self.next_escalation.min(now.saturating_add(threshold));
+        }
+        let ci = self.local_channel(loc.channel);
+        self.picks[ci] = Pick::Stale;
         self.queue.push(QueueEntry {
             req,
             loc,
@@ -265,39 +311,59 @@ impl MemoryController {
         Ok(())
     }
 
+    /// Index into `channels` of global channel `global`.
+    fn local_channel(&self, global: usize) -> usize {
+        self.owned_channels
+            .iter()
+            .position(|&g| g == global)
+            .expect("request routed to wrong MC")
+    }
+
     /// Form a new PAR-BS batch if no marked requests remain: mark up to
     /// [`MARKING_CAP`] oldest demand requests per (core, bank).
     fn form_batch(&mut self) {
-        if self.queue.iter().any(|e| e.marked) {
+        // Writes are drained opportunistically outside batches, so a
+        // queue of nothing else has nothing to mark.
+        if self.marked > 0 || self.markable == 0 {
             return;
         }
         // Oldest-first marking.
-        let mut order: Vec<usize> = (0..self.queue.len()).collect();
-        order.sort_by_key(|&i| self.queue[i].seq);
-        let mut counts: std::collections::HashMap<(usize, usize, usize), usize> =
-            std::collections::HashMap::new();
-        for i in order {
-            let e = &self.queue[i];
-            // Writes are drained opportunistically outside batches.
+        let mut order = std::mem::take(&mut self.batch_order);
+        order.clear();
+        order.extend(0..self.queue.len());
+        order.sort_unstable_by_key(|&i| self.queue[i].seq);
+        self.batch_counts.clear();
+        for &i in &order {
+            let e = &mut self.queue[i];
             if e.req.kind == AccessKind::Write {
                 continue;
             }
             let key = (e.req.requester.home_core(), e.loc.channel, e.loc.bank);
-            let c = counts.entry(key).or_insert(0);
+            let c = self.batch_counts.entry(key).or_insert(0);
             if *c < MARKING_CAP {
                 *c += 1;
-                self.queue[i].marked = true;
+                e.marked = true;
+                self.marked += 1;
+                self.markable -= 1;
             }
         }
+        self.batch_order = order;
+        self.picks.fill(Pick::Stale);
     }
 
     /// Escalate requests whose queue age crossed the aging threshold.
     /// The scan is a pure function of `(queue ages, now)`, so it is
-    /// seed-stable and independent of scheduler history.
+    /// seed-stable and independent of scheduler history; it runs only
+    /// on a cycle at which some request can cross.
     fn escalate_aged(&mut self, now: Cycle, stats: &mut MemStats) {
         let Some(threshold) = self.escalation_threshold else {
             return;
         };
+        if now < self.next_escalation {
+            return;
+        }
+        self.next_escalation = Cycle::MAX;
+        let before = stats.escalated_requests;
         for e in &mut self.queue {
             if e.escalated {
                 continue;
@@ -306,16 +372,22 @@ impl MemoryController {
             if now.saturating_sub(enqueued) >= threshold {
                 e.escalated = true;
                 stats.escalated_requests += 1;
+            } else {
+                self.next_escalation = self.next_escalation.min(enqueued.saturating_add(threshold));
             }
+        }
+        if stats.escalated_requests != before {
+            self.picks.fill(Pick::Stale);
         }
     }
 
-    /// Pick the best issueable request for local channel `ci`, by PAR-BS
+    /// Scan for the best request of local channel `ci`, by PAR-BS
     /// priority: escalated > non-escalated; marked > unmarked; demand >
     /// prefetch > write; row-hit > row-miss; oldest first. Escalated
     /// requests ignore row-hit preference so an open-row stream cannot
-    /// keep starving them.
-    fn pick(&self, ci: usize) -> Option<usize> {
+    /// keep starving them. The channel issues the winner or nothing: a
+    /// winner whose bank is busy holds back requests to idle banks.
+    fn pick(&self, ci: usize) -> Pick {
         /// PAR-BS priority key: (escalated, marked, kind rank, row hit,
         /// inverted seq). Higher compares greater.
         type Priority = (bool, bool, u8, bool, u64);
@@ -344,7 +416,13 @@ impl MemoryController {
                 best = Some((i, key));
             }
         }
-        best.map(|(i, _)| i)
+        match best {
+            Some((qi, _)) => Pick::Ready {
+                qi,
+                at: ch.ready_at(self.queue[qi].loc),
+            },
+            None => Pick::Idle,
+        }
     }
 
     /// Advance the controller by one cycle: form batches, issue at most one
@@ -361,14 +439,34 @@ impl MemoryController {
         self.escalate_aged(now, stats);
         self.form_batch();
         for ci in 0..self.channels.len() {
-            let Some(qi) = self.pick(ci) else { continue };
-            let loc = self.queue[qi].loc;
-            if !self.channels[ci].can_issue(loc, now) {
+            if matches!(self.picks[ci], Pick::Stale) {
+                self.picks[ci] = self.pick(ci);
+            }
+            let Pick::Ready { qi, at } = self.picks[ci] else {
+                continue;
+            };
+            if now < at {
                 continue;
             }
-            let mut entry = self.queue.swap_remove(qi);
-            let is_write = entry.req.kind == AccessKind::Write;
-            let issue = self.channels[ci].issue(loc, is_write, now);
+            let entry = self.queue.swap_remove(qi);
+            // The last entry moved into the hole; another channel's
+            // winner may be the one that moved.
+            let moved_from = self.queue.len();
+            for p in &mut self.picks {
+                if let Pick::Ready { qi: q, .. } = p {
+                    if *q == moved_from {
+                        *q = qi;
+                    }
+                }
+            }
+            if entry.marked {
+                self.marked -= 1;
+            } else if entry.req.kind != AccessKind::Write {
+                self.markable -= 1;
+            }
+            let mut req = entry.req;
+            let is_write = req.kind == AccessKind::Write;
+            let issue = self.channels[ci].issue(entry.loc, is_write, now);
             // Injected ECC fault: the burst is detected corrupt and
             // re-issued, so the same data arrives a penalty later.
             let mut data_at = issue.data_at;
@@ -378,9 +476,9 @@ impl MemoryController {
                     stats.ecc_reissues += 1;
                 }
             }
-            entry.req.timeline.dram_issue = Some(now);
-            entry.req.timeline.dram_done = Some(data_at);
-            entry.req.timeline.row_hit = Some(issue.outcome == RowOutcome::Hit);
+            req.timeline.dram_issue = Some(now);
+            req.timeline.dram_done = Some(data_at);
+            req.timeline.row_hit = Some(issue.outcome == RowOutcome::Hit);
             match issue.outcome {
                 RowOutcome::Hit => stats.row_hits += 1,
                 RowOutcome::Empty => {
@@ -393,20 +491,20 @@ impl MemoryController {
                     stats.precharges += 1;
                 }
             }
-            match entry.req.kind {
+            match req.kind {
                 AccessKind::Read => stats.dram_reads += 1,
                 AccessKind::Write => stats.dram_writes += 1,
                 AccessKind::Prefetch => stats.dram_prefetches += 1,
             }
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.in_flight.push(InFlight {
-                data_at,
-                seq,
-                req: entry.req,
-            });
+            self.in_flight.push(InFlight { data_at, seq, req });
+            // The channel's next winner, against the bank and bus as the
+            // issue left them: known now, the controller can say when it
+            // next has something to do.
+            self.picks[ci] = self.pick(ci);
         }
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.done);
         while let Some(top) = self.in_flight.peek() {
             if top.data_at > now {
                 break;
@@ -417,10 +515,37 @@ impl MemoryController {
         out
     }
 
-    /// Earliest cycle at which the controller has pending work that will
-    /// complete or could issue — used by the simulator to skip idle cycles.
-    pub fn next_event(&self) -> Option<Cycle> {
-        self.in_flight.peek().map(|f| f.data_at)
+    /// Hand back a drained completion list for a later [`tick`](Self::tick)
+    /// to fill: most cycles complete nothing, and the ones that do
+    /// need not allocate for it.
+    pub fn recycle(&mut self, mut done: Vec<Completion>) {
+        done.clear();
+        self.done = done;
+    }
+
+    /// The first cycle at or after `now` at which [`tick`](Self::tick)
+    /// can do anything, given no enqueue before then: a burst completes,
+    /// a channel's winner finds its bank and the bus ready, a request
+    /// ages past the escalation threshold, a batch forms, or the storm
+    /// generator draws (every cycle while armed). `None` when only an
+    /// enqueue can give the controller work.
+    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
+        let per_cycle_draw = self.faults.as_ref().is_some_and(|f| f.storm_prob > 0.0);
+        if per_cycle_draw || (self.marked == 0 && self.markable > 0) {
+            return Some(now);
+        }
+        let mut wake = self.in_flight.peek().map_or(Cycle::MAX, |f| f.data_at);
+        if self.escalation_threshold.is_some() && !self.queue.is_empty() {
+            wake = wake.min(self.next_escalation);
+        }
+        for p in &self.picks {
+            match *p {
+                Pick::Stale => return Some(now),
+                Pick::Idle => {}
+                Pick::Ready { at, .. } => wake = wake.min(at),
+            }
+        }
+        (wake != Cycle::MAX).then_some(wake.max(now))
     }
 
     /// Whether the controller has any queued or in-flight work.
@@ -587,14 +712,223 @@ mod tests {
     }
 
     #[test]
-    fn next_event_reports_inflight() {
+    fn next_wake_names_the_cycle_of_the_next_change() {
         let cfg = one_channel_cfg();
         let mut mc = MemoryController::new(&cfg, vec![0]);
+        mc.set_escalation_threshold(Some(5_000));
         let mut stats = MemStats::default();
-        assert_eq!(mc.next_event(), None);
+        assert_eq!(mc.next_wake(0), None, "only an enqueue gives it work");
         mc.enqueue(read(1, 0, 0, 0), 0).unwrap();
+        assert_eq!(mc.next_wake(0), Some(0), "a batch is due");
         mc.tick(0, &mut stats);
-        assert_eq!(mc.next_event(), Some(cfg.t_rcd + cfg.t_cas + cfg.t_burst));
+        let done = cfg.t_rcd + cfg.t_cas + cfg.t_burst;
+        assert_eq!(mc.next_wake(1), Some(done), "the burst in flight");
+        // A second request to the busy bank waits for it, not for `now`.
+        mc.enqueue(read(2, 1, 0, 1), 1).unwrap();
+        mc.tick(1, &mut stats);
+        let ready = mc.channels[0].ready_at(mc.queue[0].loc);
+        assert!(ready > 2 && ready < done);
+        assert_eq!(mc.next_wake(2), Some(ready));
+        for t in 2..ready {
+            assert!(mc.tick(t, &mut stats).is_empty());
+            assert_eq!(mc.queue_len(), 1, "nothing issues before {ready}");
+        }
+        mc.tick(ready, &mut stats);
+        assert_eq!(mc.queue_len(), 0);
+    }
+
+    // ------------------------------------------------------------------
+    // The scheduler as it was before the winner, the batch counts and
+    // the escalation cycle were kept between ticks: every tick scans
+    // for all three. The oracle the cached scheduler is held to.
+    // ------------------------------------------------------------------
+
+    struct ScanningMc(MemoryController);
+
+    impl ScanningMc {
+        fn form_batch(&mut self) {
+            let queue = &mut self.0.queue;
+            if queue.iter().any(|e| e.marked) {
+                return;
+            }
+            let mut order: Vec<usize> = (0..queue.len()).collect();
+            order.sort_by_key(|&i| queue[i].seq);
+            let mut counts = std::collections::HashMap::new();
+            for i in order {
+                let e = &mut queue[i];
+                if e.req.kind == AccessKind::Write {
+                    continue;
+                }
+                let key = (e.req.requester.home_core(), e.loc.channel, e.loc.bank);
+                let c = counts.entry(key).or_insert(0);
+                if *c < MARKING_CAP {
+                    *c += 1;
+                    e.marked = true;
+                }
+            }
+        }
+
+        fn escalate_aged(&mut self, now: Cycle, stats: &mut MemStats) {
+            let Some(threshold) = self.0.escalation_threshold else {
+                return;
+            };
+            for e in &mut self.0.queue {
+                let enqueued = e.req.timeline.mc_enqueue.unwrap_or(now);
+                if !e.escalated && now.saturating_sub(enqueued) >= threshold {
+                    e.escalated = true;
+                    stats.escalated_requests += 1;
+                }
+            }
+        }
+
+        /// The cycle's issues as `ReqId`s, storms and re-issues drawn
+        /// as `MemoryController::tick` draws them.
+        fn tick(&mut self, now: Cycle, stats: &mut MemStats) -> Vec<ReqId> {
+            let mc = &mut self.0;
+            if let Some(f) = &mut mc.faults {
+                if f.storm_prob > 0.0 && now >= mc.storm_until && f.rng.gen_bool(f.storm_prob) {
+                    mc.storm_until = now + f.storm_cycles;
+                    stats.backpressure_storms += 1;
+                }
+                mc.storm_active = now < mc.storm_until;
+            }
+            self.escalate_aged(now, stats);
+            self.form_batch();
+            let mc = &mut self.0;
+            let mut issued = Vec::new();
+            for ci in 0..mc.channels.len() {
+                let Pick::Ready { qi, .. } = mc.pick(ci) else {
+                    continue;
+                };
+                let loc = mc.queue[qi].loc;
+                if !mc.channels[ci].can_issue(loc, now) {
+                    continue;
+                }
+                let entry = mc.queue.swap_remove(qi);
+                mc.channels[ci].issue(loc, entry.req.kind == AccessKind::Write, now);
+                if let Some(f) = &mut mc.faults {
+                    if f.reissue_prob > 0.0 && f.rng.gen_bool(f.reissue_prob) {
+                        stats.ecc_reissues += 1;
+                    }
+                }
+                issued.push(entry.req.id);
+            }
+            issued
+        }
+    }
+
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn cached_scheduler_issues_what_the_scanning_one_does() {
+        let mut rng = XorShift(0x5eed_0016);
+        let (mut issues, mut escalations, mut storms, mut write_only_ticks) = (0, 0, 0, 0);
+        for stream in 0..200u64 {
+            let cfg = DramConfig {
+                queue_entries: 8 + rng.below(56) as usize,
+                ..DramConfig::default() // two channels
+            };
+            let threshold = (stream % 2 == 0).then(|| 50 + rng.below(400));
+            let plan = FaultPlan {
+                enabled: stream % 4 == 3,
+                dram_reissue_prob: 0.05,
+                dram_reissue_penalty: 80,
+                mc_storm_prob: 0.01,
+                mc_storm_cycles: 60,
+                ..FaultPlan::default()
+            };
+            let build = || {
+                let mut mc = MemoryController::new(&cfg, vec![0, 1]);
+                mc.set_escalation_threshold(threshold);
+                mc.set_fault_plan(&plan, stream);
+                mc
+            };
+            let (mut cached, mut oracle) = (build(), ScanningMc(build()));
+            let (mut cs, mut os) = (MemStats::default(), MemStats::default());
+            // Some streams are writes only, some bursty, all random in
+            // bank, row, core and kind.
+            let writes_only = stream % 5 == 4;
+            let burst = 1 + rng.below(6);
+            let mut id = 0;
+            let mut now = 0;
+            while now < 600 || !cached.is_idle() {
+                assert!(now < 20_000, "stream {stream} never drains");
+                if now < 600 && rng.below(8) < burst {
+                    for _ in 0..1 + rng.below(3) {
+                        id += 1;
+                        let line = LineAddr(rng.below(4) * 1024 + rng.below(64));
+                        let core = rng.below(4) as usize;
+                        let req = match (writes_only, rng.below(6)) {
+                            (true, _) | (false, 0) => {
+                                MemReq::writeback(ReqId(id), line, Requester::Core(core), now)
+                            }
+                            (false, 1) => MemReq::prefetch(ReqId(id), line, core, now),
+                            _ => read(id, line.0, core, now),
+                        };
+                        assert_eq!(
+                            cached.enqueue(req, now).is_ok(),
+                            oracle.0.enqueue(req, now).is_ok(),
+                            "stream {stream}, cycle {now}: the same back-pressure"
+                        );
+                    }
+                }
+                let due = cached.next_wake(now);
+                let state = |mc: &MemoryController, s: &MemStats| {
+                    let counted = s.escalated_requests + s.backpressure_storms;
+                    (mc.queue_len(), mc.in_flight.len(), mc.marked, counted)
+                };
+                let before = state(&cached, &cs);
+                let issued: Vec<ReqId> = {
+                    let was: Vec<ReqId> = cached.queue.iter().map(|e| e.req.id).collect();
+                    cached.tick(now, &mut cs);
+                    let is: Vec<ReqId> = cached.queue.iter().map(|e| e.req.id).collect();
+                    was.into_iter().filter(|r| !is.contains(r)).collect()
+                };
+                let mut expect = oracle.tick(now, &mut os);
+                expect.sort();
+                let mut got = issued.clone();
+                got.sort();
+                assert_eq!(got, expect, "stream {stream}, cycle {now}");
+                assert_eq!(cs.escalated_requests, os.escalated_requests);
+                assert_eq!(cs.backpressure_storms, os.backpressure_storms);
+                assert_eq!(cs.ecc_reissues, os.ecc_reissues);
+                assert_eq!(cached.is_full(), oracle.0.is_full());
+                if due.is_none_or(|t| t > now) {
+                    let after = state(&cached, &cs);
+                    assert_eq!(
+                        after, before,
+                        "stream {stream}: asleep at {now}, yet it moved"
+                    );
+                }
+                issues += issued.len();
+                if cached.queue_len() > 0 && cached.markable == 0 && cached.marked == 0 {
+                    write_only_ticks += 1;
+                }
+                now += 1;
+            }
+            escalations += cs.escalated_requests;
+            storms += cs.backpressure_storms;
+        }
+        assert!(issues > 10_000, "{issues} issues");
+        assert!(escalations > 100, "{escalations} escalations");
+        assert!(storms > 50, "{storms} storms");
+        assert!(
+            write_only_ticks > 1_000,
+            "{write_only_ticks} write-only ticks"
+        );
     }
 
     #[test]

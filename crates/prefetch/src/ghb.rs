@@ -7,8 +7,11 @@
 //! global miss stream; on a hit, the prefetcher walks the history from the
 //! matched position and replays the deltas that followed it.
 
-use emc_types::LineAddr;
-use std::collections::HashMap;
+use emc_types::{FxHashMap, LineAddr};
+use std::collections::VecDeque;
+
+/// Deltas replayed per index hit.
+const REPLAY: usize = 8;
 
 /// A per-core GHB G/DC prefetcher.
 ///
@@ -35,11 +38,14 @@ pub struct GhbPrefetcher {
     head: usize,
     filled: usize,
     /// Delta-pair -> most recent global position (monotonic sequence id).
-    index: HashMap<(i64, i64), u64>,
+    /// Nothing iterates it.
+    index: FxHashMap<(i64, i64), u64>,
     index_capacity: usize,
     /// Monotonic count of misses trained.
     seq: u64,
-    pending: Vec<LineAddr>,
+    /// Candidates not yet drained, oldest first. Unbounded: what one
+    /// cycle's degree leaves behind issues on later cycles.
+    pending: VecDeque<LineAddr>,
 }
 
 impl GhbPrefetcher {
@@ -50,10 +56,10 @@ impl GhbPrefetcher {
             buffer: vec![0; buffer_entries.max(4)],
             head: 0,
             filled: 0,
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             index_capacity: index_entries.max(16),
             seq: 0,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
         }
     }
 
@@ -101,19 +107,20 @@ impl GhbPrefetcher {
         // Replay the deltas that followed the previous occurrence of this
         // pair, then extrapolate the pair cyclically (covers periodic
         // patterns whose last occurrence is too recent to walk far).
-        let mut deltas = Vec::with_capacity(8);
-        let mut walk = pos;
-        while deltas.len() < 8 {
-            let (Some(a), Some(b)) = (self.at(walk), self.at(walk + 1)) else {
+        let mut deltas = [0i64; REPLAY];
+        let mut walked = 0;
+        while walked < REPLAY {
+            let (Some(a), Some(b)) = (
+                self.at(pos + walked as u64),
+                self.at(pos + walked as u64 + 1),
+            ) else {
                 break;
             };
-            deltas.push(b as i64 - a as i64);
-            walk += 1;
+            deltas[walked] = b as i64 - a as i64;
+            walked += 1;
         }
-        let mut i = 0;
-        while deltas.len() < 8 {
-            deltas.push(if i % 2 == 0 { d1 } else { d2 });
-            i += 1;
+        for (i, delta) in deltas[walked..].iter_mut().enumerate() {
+            *delta = if i % 2 == 0 { d1 } else { d2 };
         }
         let mut addr = line.0 as i64;
         for delta in deltas {
@@ -121,18 +128,26 @@ impl GhbPrefetcher {
             if addr < 0 {
                 break;
             }
-            self.pending.push(LineAddr(addr as u64));
+            self.pending.push_back(LineAddr(addr as u64));
         }
     }
 
-    /// Drain up to `degree` queued prefetch candidates.
+    /// Whether any candidate is queued.
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Move up to `degree` queued candidates, oldest first, to the back
+    /// of `out`.
+    pub fn drain_into(&mut self, degree: usize, out: &mut Vec<LineAddr>) {
+        out.extend(self.pending.drain(..degree.min(self.pending.len())));
+    }
+
+    /// [`drain_into`](Self::drain_into) a fresh `Vec`.
     pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
-        if self.pending.len() > degree {
-            let rest = self.pending.split_off(degree);
-            let out = std::mem::replace(&mut self.pending, rest);
-            return out;
-        }
-        std::mem::take(&mut self.pending)
+        let mut out = Vec::new();
+        self.drain_into(degree, &mut out);
+        out
     }
 }
 

@@ -91,41 +91,54 @@ impl PrefetchEngine {
         }
     }
 
-    /// Drain prefetch candidates, limited by the current FDP degree, and
-    /// account them in the throttle window.
-    pub fn take_requests(&mut self) -> Vec<LineAddr> {
-        let degree = self.fdp.degree();
-        if self.fdp.is_off() {
-            // Discard whatever the pattern tables produced this cycle.
-            if let Some(s) = &mut self.stream {
-                let _ = s.take_requests(usize::MAX >> 1);
-            }
-            if let Some(g) = &mut self.ghb {
-                let _ = g.take_requests(usize::MAX >> 1);
-            }
-            if let Some(m) = &mut self.markov {
-                let _ = m.take_requests(usize::MAX >> 1);
-            }
-            if let Some(st) = &mut self.stride {
-                let _ = st.take_requests(usize::MAX >> 1);
-            }
-            return Vec::new();
-        }
-        let mut out = Vec::new();
+    /// Whether [`drain_into`](Self::drain_into) would find anything to
+    /// drain. While this is false the engine may be left undrained.
+    pub fn has_pending(&self) -> bool {
+        self.stream.as_ref().is_some_and(|s| s.has_pending())
+            || self.ghb.as_ref().is_some_and(|g| g.has_pending())
+            || self.markov.as_ref().is_some_and(|m| m.has_pending())
+            || self.stride.as_ref().is_some_and(|st| st.has_pending())
+    }
+
+    /// Replace `out`'s contents with this cycle's prefetch candidates,
+    /// limited by the current FDP degree. What the pattern tables drain
+    /// beyond that limit, or while FDP has the engine switched off, is
+    /// discarded.
+    pub fn drain_into(&mut self, out: &mut Vec<LineAddr>) {
+        out.clear();
+        // Switched off, every table is emptied.
+        let off = self.fdp.is_off();
+        let degree = if off {
+            usize::MAX >> 1
+        } else {
+            self.fdp.degree()
+        };
+        // Each table after the first gets what the degree has left, and
+        // at least one.
         if let Some(s) = &mut self.stream {
-            out.extend(s.take_requests(degree));
+            s.drain_into(degree, out);
         }
         if let Some(g) = &mut self.ghb {
-            out.extend(g.take_requests(degree.saturating_sub(out.len()).max(1)));
+            g.drain_into(degree.saturating_sub(out.len()).max(1), out);
         }
         if let Some(m) = &mut self.markov {
-            out.extend(m.take_requests(degree.saturating_sub(out.len()).max(1)));
+            m.drain_into(degree.saturating_sub(out.len()).max(1), out);
         }
         if let Some(st) = &mut self.stride {
-            out.extend(st.take_requests(degree.saturating_sub(out.len()).max(1)));
+            st.drain_into(degree.saturating_sub(out.len()).max(1), out);
+        }
+        if off {
+            out.clear();
+            return;
         }
         out.truncate(degree.max(1));
         out.dedup();
+    }
+
+    /// [`drain_into`](Self::drain_into) a fresh `Vec`.
+    pub fn take_requests(&mut self) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        self.drain_into(&mut out);
         out
     }
 

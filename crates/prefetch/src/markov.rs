@@ -7,8 +7,8 @@
 //! first). This is the classic correlation prefetcher the paper shows to
 //! be the most bandwidth-hungry of the three.
 
-use emc_types::LineAddr;
-use std::collections::HashMap;
+use emc_types::{FxHashMap, LineAddr};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Default)]
 struct EntrySucc {
@@ -33,25 +33,27 @@ struct EntrySucc {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MarkovPrefetcher {
-    table: HashMap<u64, EntrySucc>,
+    /// Keyed by miss line. Nothing iterates it; `order` holds the
+    /// eviction order.
+    table: FxHashMap<u64, EntrySucc>,
     capacity: usize,
     fanout: usize,
     last_miss: Option<u64>,
-    pending: Vec<LineAddr>,
+    pending: VecDeque<LineAddr>,
     /// Insertion order for crude FIFO eviction when the table fills.
-    order: std::collections::VecDeque<u64>,
+    order: VecDeque<u64>,
 }
 
 impl MarkovPrefetcher {
     /// Create a table with `capacity` entries of `fanout` successors each.
     pub fn new(capacity: usize, fanout: usize) -> Self {
         MarkovPrefetcher {
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             capacity: capacity.max(4),
             fanout: fanout.max(1),
             last_miss: None,
-            pending: Vec::new(),
-            order: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
+            order: VecDeque::new(),
         }
     }
 
@@ -76,18 +78,27 @@ impl MarkovPrefetcher {
         self.last_miss = Some(line.0);
         if let Some(e) = self.table.get(&line.0) {
             for &s in &e.succ {
-                self.pending.push(LineAddr(s));
+                self.pending.push_back(LineAddr(s));
             }
         }
     }
 
-    /// Drain up to `degree` queued prefetch candidates.
+    /// Whether any candidate is queued.
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Move up to `degree` queued candidates, oldest first, to the back
+    /// of `out`.
+    pub fn drain_into(&mut self, degree: usize, out: &mut Vec<LineAddr>) {
+        out.extend(self.pending.drain(..degree.min(self.pending.len())));
+    }
+
+    /// [`drain_into`](Self::drain_into) a fresh `Vec`.
     pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
-        if self.pending.len() > degree {
-            let rest = self.pending.split_off(degree);
-            return std::mem::replace(&mut self.pending, rest);
-        }
-        std::mem::take(&mut self.pending)
+        let mut out = Vec::new();
+        self.drain_into(degree, &mut out);
+        out
     }
 
     /// Number of correlation-table entries in use.

@@ -41,7 +41,9 @@ pub struct StreamPrefetcher {
     max_streams: usize,
     distance: u64,
     tick: u64,
-    pending: Vec<LineAddr>,
+    /// The last drain found every confirmed stream at its distance
+    /// limit; only `train` can give one room again.
+    run_out: bool,
 }
 
 impl StreamPrefetcher {
@@ -53,13 +55,14 @@ impl StreamPrefetcher {
             max_streams,
             distance,
             tick: 0,
-            pending: Vec::new(),
+            run_out: false,
         }
     }
 
     /// Train on a demand miss.
     pub fn train(&mut self, line: LineAddr) {
         self.tick += 1;
+        self.run_out = false;
         let l = line.0 as i64;
         // Find a stream this miss belongs to: within 2 lines of `last` in
         // training, or within the run-ahead window once confirmed.
@@ -105,28 +108,45 @@ impl StreamPrefetcher {
         }
     }
 
-    /// Drain up to `degree` prefetch candidates across confirmed streams,
-    /// advancing each stream's frontier but never beyond `distance` lines
-    /// past the last demand miss.
-    pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
-        let mut out = std::mem::take(&mut self.pending);
-        for s in &mut self.streams {
-            if !s.confirmed {
-                continue;
-            }
-            while out.len() < degree {
-                let ahead = (s.frontier - s.last as i64) * s.stride;
-                if ahead > self.distance as i64 || s.frontier < 0 {
-                    break;
-                }
+    /// Whether `s` may prefetch its frontier line: it is confirmed and
+    /// the frontier is no more than `distance` lines past its last
+    /// demand miss.
+    fn can_advance(&self, s: &Stream) -> bool {
+        let ahead = (s.frontier - s.last as i64) * s.stride;
+        s.confirmed && ahead <= self.distance as i64 && s.frontier >= 0
+    }
+
+    /// Whether a drain could find a candidate: false once one has found
+    /// every stream run out, until the next `train`.
+    pub fn has_pending(&self) -> bool {
+        !self.run_out
+    }
+
+    /// Move up to `degree` prefetch candidates across confirmed streams
+    /// to the back of `out`, advancing each stream's frontier but never
+    /// beyond `distance` lines past the last demand miss.
+    pub fn drain_into(&mut self, degree: usize, out: &mut Vec<LineAddr>) {
+        if self.run_out {
+            return;
+        }
+        let end = out.len() + degree;
+        for i in 0..self.streams.len() {
+            while out.len() < end && self.can_advance(&self.streams[i]) {
+                let s = &mut self.streams[i];
                 out.push(LineAddr(s.frontier as u64));
                 s.frontier += s.stride;
             }
-            if out.len() >= degree {
-                break;
+            if out.len() >= end {
+                return;
             }
         }
-        out.truncate(degree);
+        self.run_out = true;
+    }
+
+    /// [`drain_into`](Self::drain_into) a fresh `Vec`.
+    pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        self.drain_into(degree, &mut out);
         out
     }
 
@@ -174,9 +194,11 @@ mod tests {
         // Frontier can run at most 4 lines past the last miss (line 11).
         assert_eq!(reqs.len(), 4);
         assert_eq!(*reqs.last().unwrap(), LineAddr(15));
+        assert!(!pf.has_pending(), "the drain came up short of its degree");
         assert!(pf.take_requests(100).is_empty(), "window exhausted");
         // A new demand miss re-opens the window.
         pf.train(LineAddr(12));
+        assert!(pf.has_pending());
         assert!(!pf.take_requests(100).is_empty());
     }
 

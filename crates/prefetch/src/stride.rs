@@ -10,6 +10,7 @@
 //! gap the EMC fills.
 
 use emc_types::LineAddr;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -46,7 +47,7 @@ struct Entry {
 pub struct StridePrefetcher {
     table: Vec<Option<Entry>>,
     tick: u64,
-    pending: Vec<LineAddr>,
+    pending: VecDeque<LineAddr>,
 }
 
 impl StridePrefetcher {
@@ -56,7 +57,7 @@ impl StridePrefetcher {
         StridePrefetcher {
             table: vec![None; entries.next_power_of_two().max(16)],
             tick: 0,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
         }
     }
 
@@ -100,7 +101,7 @@ impl StridePrefetcher {
                         if addr < 0 {
                             break;
                         }
-                        self.pending.push(LineAddr(addr as u64));
+                        self.pending.push_back(LineAddr(addr as u64));
                     }
                 }
             }
@@ -116,13 +117,22 @@ impl StridePrefetcher {
         }
     }
 
-    /// Drain up to `degree` queued prefetch candidates.
+    /// Whether any candidate is queued.
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
+    /// Move up to `degree` queued candidates, oldest first, to the back
+    /// of `out`.
+    pub fn drain_into(&mut self, degree: usize, out: &mut Vec<LineAddr>) {
+        out.extend(self.pending.drain(..degree.min(self.pending.len())));
+    }
+
+    /// [`drain_into`](Self::drain_into) a fresh `Vec`.
     pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
-        if self.pending.len() > degree {
-            let rest = self.pending.split_off(degree);
-            return std::mem::replace(&mut self.pending, rest);
-        }
-        std::mem::take(&mut self.pending)
+        let mut out = Vec::new();
+        self.drain_into(degree, &mut out);
+        out
     }
 }
 

@@ -229,6 +229,12 @@ fn main() {
         for line in prof.table().lines() {
             eprintln!("#   {line}");
         }
+        eprintln!(
+            "#   (ticks are executed ticks: {} of {} cycles, {:.1} %, were jumped over)",
+            sys.skipped_cycles(),
+            sys.now(),
+            100.0 * sys.skipped_cycles() as f64 / sys.now().max(1) as f64
+        );
     }
 
     // Exporters run before outcome handling: a wedged or capped run

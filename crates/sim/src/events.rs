@@ -22,8 +22,6 @@ pub enum Ev {
         rob: RobId,
         /// Physical line.
         pline: LineAddr,
-        /// Virtual byte address.
-        vaddr: Addr,
         /// Load PC.
         pc: u64,
         /// Cycle the request left the core (for latency attribution).
@@ -108,7 +106,7 @@ pub enum Ev {
         /// Home core.
         core: CoreId,
         /// Per-uop results.
-        results: Box<[ChainResult]>,
+        results: Vec<ChainResult>,
     },
     /// Chain abort notification arrives at the home core.
     ChainAbortAtCore {

@@ -62,6 +62,12 @@ impl Sampler {
         self.interval != 0 && now >= self.next
     }
 
+    /// The first cycle at which [`due`](Self::due) holds (`None` while
+    /// sampling is disabled).
+    pub fn next_due(&self) -> Option<Cycle> {
+        (self.interval != 0).then_some(self.next)
+    }
+
     /// Store a captured sample and schedule the next epoch.
     pub fn push(&mut self, s: MetricSample) {
         self.next = s.cycle.saturating_add(self.interval.max(1));

@@ -8,22 +8,22 @@ use crate::events::{Ev, Scheduled};
 use crate::metrics::Sampler;
 use crate::profile::{Phase, ProfileReport, TickProfiler};
 use emc_cache::SetAssocCache;
-use emc_core::{generate_chain, AbortReason, DepMissCounter, Emc, EmcEvent, LoadRoute};
+use emc_core::{generate_chain_into, AbortReason, Chain, DepMissCounter, Emc, EmcEvent, LoadRoute};
 use emc_cpu::{Core, CoreEvent, EntryState, RobId};
 use emc_dram::map_line;
 use emc_memctrl::MemoryController;
 use emc_prefetch::PrefetchEngine;
 use emc_ring::{Ring, RingKind, Topology};
 use emc_types::{
-    physical_line, substream, AccessKind, Addr, CoreId, CoreStats, Cycle, LineAddr,
-    LivenessSnapshot, MemReq, MetricSample, MissJourney, ReqId, Requester, RunOutcome, RunReport,
-    Stats, SystemConfig, TraceSink, TraceTrack, UopKind, WedgeCoreState, WedgeEmcContext,
-    WedgeReport, CACHE_LINE_BYTES,
+    physical_line, substream, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, FxHashSet,
+    LineAddr, LivenessSnapshot, MemReq, MetricSample, MissJourney, PrefetcherKind, ReqId,
+    Requester, RunOutcome, RunReport, Stats, SystemConfig, TraceSink, TraceTrack, UopKind,
+    WedgeCoreState, WedgeEmcContext, WedgeReport, CACHE_LINE_BYTES,
 };
 use emc_workloads::Workload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -127,11 +127,21 @@ struct EmcWait {
     vaddr: Addr,
 }
 
-/// LLC-level outstanding miss bookkeeping.
+/// LLC-level outstanding miss bookkeeping. Both lists borrow their
+/// buffers from the system's pools and hand them back through
+/// [`recycle`].
 #[derive(Debug, Default)]
 struct Outstanding {
     waiters: Vec<(CoreId, RobId)>,
     emc_waiters: Vec<EmcWait>,
+}
+
+/// Hand a waiter buffer back to the pool it was borrowed from.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
+    if buf.capacity() > 0 {
+        buf.clear();
+        pool.push(buf);
+    }
 }
 
 /// Metadata for EMC-issued memory requests.
@@ -182,14 +192,19 @@ pub struct System {
     /// EMC context-kill fault stream, armed iff the fault plan enables
     /// `emc_kill_prob`.
     emc_fault: Option<(f64, SmallRng)>,
-    pending_sources: HashMap<(CoreId, RobId), (usize, usize, u64)>,
-    source_ready: HashSet<(CoreId, RobId)>,
+    // None of the maps below is ever iterated.
+    pending_sources: FxHashMap<(CoreId, RobId), (usize, usize, u64)>,
+    source_ready: FxHashSet<(CoreId, RobId)>,
     events: BinaryHeap<Scheduled>,
-    outstanding: HashMap<LineAddr, Outstanding>,
-    deliver_waiters: HashMap<ReqId, Vec<(CoreId, RobId)>>,
-    prefetched_by: HashMap<LineAddr, CoreId>,
-    req_components: HashMap<ReqId, Components>,
-    emc_req_meta: HashMap<ReqId, EmcReqMeta>,
+    /// Lines on their way to or from DRAM. Nothing iterates it.
+    outstanding: FxHashMap<LineAddr, Outstanding>,
+    waiter_pool: Vec<Vec<(CoreId, RobId)>>,
+    emc_waiter_pool: Vec<Vec<EmcWait>>,
+    deliver_waiters: FxHashMap<ReqId, Vec<(CoreId, RobId)>>,
+    /// Which core's prefetcher brought a line in. Nothing iterates it.
+    prefetched_by: FxHashMap<LineAddr, CoreId>,
+    req_components: FxHashMap<ReqId, Components>,
+    emc_req_meta: FxHashMap<ReqId, EmcReqMeta>,
     next_req: u64,
     /// Accumulated system statistics (cores filled at snapshot time).
     pub stats: Stats,
@@ -209,11 +224,13 @@ pub struct System {
     core_prev_retired: Vec<u64>,
     snapshots: Vec<Option<CoreStats>>,
     scratch_events: Vec<CoreEvent>,
+    scratch_lines: Vec<LineAddr>,
+    /// Chains that finished, aborted or were never shipped, kept for
+    /// their buffers: generation writes into one of these.
+    chain_pool: Vec<Chain>,
     measure_start: Cycle,
-    #[doc(hidden)]
-    dbg_regions: Option<[u64; 5]>,
-    #[doc(hidden)]
-    dbg_cov: Option<[u64; 4]>,
+    /// Cycles `run` and `run_with_warmup` jumped over instead of ticking.
+    skipped_cycles: u64,
 }
 
 impl System {
@@ -290,14 +307,16 @@ impl System {
             chain_fail_streak: vec![0; cfg.cores],
             chain_backoff: vec![cfg.emc.quiesce_backoff; cfg.cores],
             emc_fault,
-            pending_sources: HashMap::new(),
-            source_ready: HashSet::new(),
+            pending_sources: FxHashMap::default(),
+            source_ready: FxHashSet::default(),
             events: BinaryHeap::new(),
-            outstanding: HashMap::new(),
-            deliver_waiters: HashMap::new(),
-            prefetched_by: HashMap::new(),
-            req_components: HashMap::new(),
-            emc_req_meta: HashMap::new(),
+            outstanding: FxHashMap::default(),
+            waiter_pool: Vec::new(),
+            emc_waiter_pool: Vec::new(),
+            deliver_waiters: FxHashMap::default(),
+            prefetched_by: FxHashMap::default(),
+            req_components: FxHashMap::default(),
+            emc_req_meta: FxHashMap::default(),
             next_req: 0,
             stats: Stats::new(cfg.cores),
             trace: TraceSink::disabled(),
@@ -309,9 +328,10 @@ impl System {
             core_prev_retired: vec![0; cfg.cores],
             snapshots: vec![None; cfg.cores],
             scratch_events: Vec::new(),
+            scratch_lines: Vec::new(),
+            chain_pool: Vec::new(),
             measure_start: 0,
-            dbg_regions: None,
-            dbg_cov: None,
+            skipped_cycles: 0,
             cores,
             bench_names,
             cfg,
@@ -321,6 +341,13 @@ impl System {
     /// Current simulation cycle.
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// How many of the cycles up to [`now`](Self::now) were jumped over
+    /// by `run`/`run_with_warmup` rather than ticked, because no
+    /// component could act in them.
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
     }
 
     /// Read access to a core (final architectural state, statistics).
@@ -425,14 +452,10 @@ impl System {
     /// [`WedgeReport`] of the scheduler state (with its liveness-probe
     /// root-cause classification).
     pub fn run(&mut self, budget_uops: u64, max_cycles: u64) -> RunReport {
-        let mut watch = self.new_watchdog();
-        while self.now < max_cycles && !self.all_cores_done(budget_uops) {
-            self.tick(budget_uops);
-            if let Some(stalled) = watch.check(self.now, self.total_retired()) {
-                return self.wedged(stalled);
-            }
+        match self.run_until(budget_uops, budget_uops, max_cycles) {
+            Some(stalled) => self.wedged(stalled),
+            None => self.report(budget_uops),
         }
-        self.report(budget_uops)
     }
 
     /// Run with a warmup phase: execute `warmup_uops` per core with
@@ -449,25 +472,96 @@ impl System {
         budget_uops: u64,
         max_cycles: u64,
     ) -> RunReport {
-        let mut watch = self.new_watchdog();
-        while self.now < max_cycles && !self.all_cores_done(warmup_uops) {
-            self.tick(u64::MAX); // no snapshots during warmup
-            if let Some(stalled) = watch.check(self.now, self.total_retired()) {
-                return self.wedged(stalled);
-            }
+        // No snapshots during warmup.
+        if let Some(stalled) = self.run_until(warmup_uops, u64::MAX, max_cycles) {
+            return self.wedged(stalled);
         }
         if self.now >= max_cycles && !self.all_cores_done(warmup_uops) {
             return self.report(warmup_uops); // cap hit inside warmup
         }
         self.reset_statistics();
+        match self.run_until(budget_uops, budget_uops, max_cycles) {
+            Some(stalled) => self.wedged(stalled),
+            None => self.report(budget_uops),
+        }
+    }
+
+    /// Tick until every core has retired `budget` uops or `max_cycles`
+    /// elapse, snapshotting cores at `snapshot_at`; `Some(stalled_for)`
+    /// if the watchdog fires first. Between ticks, cycles in which no
+    /// component can act are jumped over ([`next_wake`](Self::next_wake)),
+    /// never past a cycle the watchdog or the cap would have looked at.
+    fn run_until(&mut self, budget: u64, snapshot_at: u64, max_cycles: u64) -> Option<Cycle> {
         let mut watch = self.new_watchdog();
-        while self.now < max_cycles && !self.all_cores_done(budget_uops) {
-            self.tick(budget_uops);
+        // The first tick of a phase is never jumped to: it snapshots
+        // cores that finished in an earlier phase at this very cycle.
+        let mut ticked = false;
+        while self.now < max_cycles && !self.all_cores_done(budget) {
+            if ticked {
+                let wake = self.next_wake((max_cycles - 1).min(watch.next_check - 1));
+                let n = wake - self.now;
+                if n > 0 {
+                    self.cores.iter_mut().for_each(|c| c.credit_stall(n));
+                    self.skipped_cycles += n;
+                    self.now = wake;
+                }
+            }
+            self.tick(snapshot_at);
+            ticked = true;
             if let Some(stalled) = watch.check(self.now, self.total_retired()) {
-                return self.wedged(stalled);
+                return Some(stalled);
             }
         }
-        self.report(budget_uops)
+        None
+    }
+
+    /// The first cycle from `now` to `limit` whose tick could be more
+    /// than a no-op that counts a cycle; every earlier one may be left
+    /// out. Each clause mirrors one thing `tick` does (DESIGN.md §3,
+    /// "Who wakes whom"); anything it cannot bound keeps the system
+    /// awake.
+    fn next_wake(&self, limit: Cycle) -> Cycle {
+        let now = self.now;
+        let mut wake = limit;
+        // Cores first: one that is awake settles it, and on a busy
+        // system one is.
+        for (c, core) in self.cores.iter().enumerate() {
+            wake = wake.min(core.asleep_until());
+            if wake > now && self.wants_chain(c) {
+                wake = wake.min(self.chain_cooldown[c]);
+            }
+            if wake <= now {
+                return now;
+            }
+        }
+        // Per-cycle fault draws, and enqueues waiting for queue space.
+        if self.emc_fault.is_some() || self.mc_retry.iter().any(|r| !r.is_empty()) {
+            return now;
+        }
+        if let Some(ev) = self.events.peek() {
+            wake = wake.min(ev.at);
+        }
+        for mc in &self.mcs {
+            wake = wake.min(mc.next_wake(now).unwrap_or(limit));
+        }
+        if self.cfg.emc.enabled {
+            for (emc, progress) in self.emcs.iter().zip(&self.emc_ctx_progress) {
+                wake = wake.min(emc.sleep_until());
+                if self.cfg.liveness.enabled {
+                    // A busy context's lease runs out.
+                    let lease = self.cfg.liveness.emc_lease;
+                    for (ctx, at) in progress.iter().enumerate() {
+                        if emc.context_chain(ctx).is_some() {
+                            wake = wake.min(at.saturating_add(lease));
+                        }
+                    }
+                }
+            }
+        }
+        if wake <= now || self.prefetchers.iter().any(|p| p.has_pending()) {
+            return now;
+        }
+        wake.min(self.sampler.next_due().unwrap_or(limit)).max(now)
     }
 
     fn total_retired(&self) -> u64 {
@@ -820,9 +914,7 @@ impl System {
         self.cores[core].stats.l1d_misses += 1;
         // Merge into an outstanding DRAM-bound miss if one exists (an
         // MSHR merge: it waits like a miss but is not a new one).
-        if let Some(o) = self.outstanding.get_mut(&pline) {
-            o.waiters.push((core, rob));
-            self.cores[core].mark_llc_miss_merged(rob);
+        if self.merge_onto_outstanding(pline, core, rob) {
             return;
         }
         let slice = self.slice_of(pline);
@@ -841,7 +933,6 @@ impl System {
                 core,
                 rob,
                 pline,
-                vaddr,
                 pc,
                 created: self.now,
                 ring_cycles: arrive - start,
@@ -889,13 +980,10 @@ impl System {
                 core,
                 rob,
                 pline,
-                vaddr,
                 pc,
                 created,
                 ring_cycles,
-            } => {
-                self.on_llc_req(core, rob, pline, vaddr, pc, created, ring_cycles);
-            }
+            } => self.on_llc_req(core, rob, pline, pc, created, ring_cycles),
             Ev::LlcDone { core, rob, pline } => {
                 self.l1d[core].fill(pline, false, false);
                 self.cores[core].complete_load(rob, self.now);
@@ -913,7 +1001,7 @@ impl System {
                     } else if self.mcs[mc].queue_len() >= 3 * self.mcs[mc].capacity() / 4 {
                         // Prefetches are dropped when the memory queue
                         // runs hot: they must never back-pressure demands.
-                        self.outstanding.remove(&req.line);
+                        self.untrack_outstanding(req.line);
                         return;
                     }
                 }
@@ -985,13 +1073,11 @@ impl System {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_llc_req(
         &mut self,
         core: CoreId,
         rob: RobId,
         pline: LineAddr,
-        vaddr: Addr,
         pc: u64,
         created: Cycle,
         ring_cycles: Cycle,
@@ -1023,9 +1109,7 @@ impl System {
             return;
         }
         // Another request to the same line may have raced us here.
-        if let Some(o) = self.outstanding.get_mut(&pline) {
-            o.waiters.push((core, rob));
-            self.cores[core].mark_llc_miss_merged(rob);
+        if self.merge_onto_outstanding(pline, core, rob) {
             return;
         }
         // Figure 2 limit study: dependent misses become LLC hits.
@@ -1042,32 +1126,6 @@ impl System {
             return;
         }
         self.cores[core].stats.llc_misses += 1;
-        if core == 0 {
-            if let Some(r) = self.dbg_regions.as_mut() {
-                let a = vaddr.0;
-                let idx = if (0x1000_0000..0x4000_0000).contains(&a) {
-                    0
-                } else if (0x4000_0000..0x8000_0000).contains(&a) {
-                    1
-                } else if (0x8000_0000..0x1_0000_0000).contains(&a) {
-                    2
-                } else if a >= 0x1_0000_0000 {
-                    3
-                } else {
-                    4
-                };
-                r[idx] += 1;
-            }
-        }
-        if let Some(cv) = self.dbg_cov.as_mut() {
-            let a = vaddr.0;
-            if (0x1000_0000..0x4000_0000).contains(&a) {
-                cv[0] += 1;
-            }
-            if (0x4000_0000..0x8000_0000).contains(&a) {
-                cv[2] += 1;
-            }
-        }
         self.cores[core].mark_llc_miss(rob);
         let dependent = self.cores[core].load_is_dependent(rob);
         self.dep_counters[core].on_llc_miss(dependent);
@@ -1075,13 +1133,7 @@ impl System {
         let id = self.new_req_id();
         let mut req = MemReq::read(id, pline, Requester::Core(core), pc, created);
         req.timeline.llc_arrive = Some(self.now);
-        self.outstanding.insert(
-            pline,
-            Outstanding {
-                waiters: vec![(core, rob)],
-                emc_waiters: Vec::new(),
-            },
-        );
+        self.track_outstanding(pline, Some((core, rob)));
         let mc = self.mc_of_line(pline);
         let depart = self.now + lat;
         let arrive = self.ring.send(
@@ -1154,11 +1206,9 @@ impl System {
             // The line also sits in the servicing EMC's data cache now.
             self.llc[slice].set_emc_resident(pline, true);
         }
-        let waiters = self
-            .outstanding
-            .remove(&pline)
-            .map(|o| o.waiters)
-            .unwrap_or_default();
+        let o = self.outstanding.remove(&pline).unwrap_or_default();
+        recycle(&mut self.emc_waiter_pool, o.emc_waiters);
+        let waiters = o.waiters;
         // A prefetch that demand loads merged onto is a *late* prefetch:
         // it still delivers data to its waiters like a demand fill, and
         // it counts as useful for FDP (the right response to lateness is
@@ -1173,6 +1223,7 @@ impl System {
             self.llc[slice].access(pline, false);
         }
         if waiters.is_empty() {
+            recycle(&mut self.waiter_pool, waiters);
             return;
         }
         let core = waiters[0].0;
@@ -1205,7 +1256,7 @@ impl System {
     fn on_core_deliver(&mut self, _core: CoreId, mut req: MemReq, ring: Cycle, cache: Cycle) {
         req.timeline.delivered = Some(self.now);
         let waiters = self.deliver_waiters.remove(&req.id).unwrap_or_default();
-        for (c, rob) in waiters {
+        for &(c, rob) in &waiters {
             self.l1d[c].fill(req.line, false, false);
             self.cores[c].complete_load(rob, self.now);
             self.source_ready.remove(&(c, rob));
@@ -1221,6 +1272,7 @@ impl System {
                 self.pending_sources.remove(&(c, rob));
             }
         }
+        recycle(&mut self.waiter_pool, waiters);
         // Latency attribution (Figures 1, 18, 19) — core-issued demand
         // requests only (EMC-issued ones are recorded at the MC).
         let t = req.timeline;
@@ -1264,38 +1316,33 @@ impl System {
 
     fn tick_mcs(&mut self) {
         for mc in 0..self.mcs.len() {
-            // Retry rejected enqueues first (FIFO).
-            let mut retry = std::mem::take(&mut self.mc_retry[mc]);
-            let mut still: Vec<MemReq> = Vec::new();
-            for mut req in retry.drain(..) {
-                if req.kind == AccessKind::Prefetch {
-                    let has_waiters = self
-                        .outstanding
-                        .get(&req.line)
-                        .is_some_and(|o| !o.waiters.is_empty() || !o.emc_waiters.is_empty());
-                    if has_waiters {
-                        req.kind = AccessKind::Read; // promoted by a merge
-                        if self.mcs[mc].is_full() {
-                            still.push(req);
-                        } else {
-                            let _ = self.mcs[mc].enqueue(req, self.now);
+            // Retry rejected enqueues first (FIFO), keeping in place the
+            // ones the queue still has no room for.
+            if !self.mc_retry[mc].is_empty() {
+                let mut retry = std::mem::take(&mut self.mc_retry[mc]);
+                retry.retain_mut(|req| {
+                    if req.kind == AccessKind::Prefetch {
+                        let has_waiters = self
+                            .outstanding
+                            .get(&req.line)
+                            .is_some_and(|o| !o.waiters.is_empty() || !o.emc_waiters.is_empty());
+                        if !has_waiters {
+                            // Never retry pure prefetches into a full queue.
+                            self.untrack_outstanding(req.line);
+                            return false;
                         }
-                    } else {
-                        // Never retry pure prefetches into a full queue.
-                        self.outstanding.remove(&req.line);
+                        req.kind = AccessKind::Read; // promoted by a merge
                     }
-                } else if self.mcs[mc].is_full() {
-                    still.push(req);
-                } else {
-                    let _ = self.mcs[mc].enqueue(req, self.now);
-                }
+                    self.mcs[mc].is_full() || self.mcs[mc].enqueue(*req, self.now).is_err()
+                });
+                self.mc_retry[mc] = retry;
             }
-            self.mc_retry[mc] = still;
 
-            let completions = self.mcs[mc].tick(self.now, &mut self.stats.mem);
-            for comp in completions {
+            let mut completions = self.mcs[mc].tick(self.now, &mut self.stats.mem);
+            for comp in completions.drain(..) {
                 self.on_mc_completion(mc, comp.req);
             }
+            self.mcs[mc].recycle(completions);
         }
     }
 
@@ -1344,7 +1391,7 @@ impl System {
             .get_mut(&pline)
             .map(|o| std::mem::take(&mut o.emc_waiters))
             .unwrap_or_default();
-        for w in emc_waits {
+        for &w in &emc_waits {
             let value = self.cores[w.home_core].mem.read_u64(w.vaddr);
             let at = if w.mc == mc {
                 self.now + 1
@@ -1369,13 +1416,19 @@ impl System {
                 },
             );
         }
+        recycle(&mut self.emc_waiter_pool, emc_waits);
         // Source-data interception for waiting chains (§4.3): any read
         // completion can carry a chain's source line, regardless of who
         // issued it (the source load may have merged onto an EMC- or
         // prefetcher-issued fetch of the same line).
-        if let Some(o) = self.outstanding.get(&pline) {
-            let waiters = o.waiters.clone();
-            for (c, rob) in waiters {
+        // (The list is lent out for the walk; nothing in it touches
+        // `outstanding`.)
+        let waiters = self
+            .outstanding
+            .get_mut(&pline)
+            .map(|o| std::mem::take(&mut o.waiters));
+        if let Some(waiters) = waiters {
+            for &(c, rob) in &waiters {
                 self.source_ready.insert((c, rob));
                 if let Some(&(emc_mc, ctx, tag)) = self.pending_sources.get(&(c, rob)) {
                     if self.emc_ctx_tag[emc_mc][ctx] == tag {
@@ -1385,6 +1438,9 @@ impl System {
                     }
                     self.pending_sources.remove(&(c, rob));
                 }
+            }
+            if let Some(o) = self.outstanding.get_mut(&pline) {
+                o.waiters = waiters;
             }
         }
         match req.requester {
@@ -1686,18 +1742,12 @@ impl System {
         ring_cycles: Cycle,
         cache_cycles: Cycle,
     ) {
-        if let Some(cv) = self.dbg_cov.as_mut() {
-            let a = vaddr.0;
-            if (0x1000_0000..0x4000_0000).contains(&a) {
-                cv[1] += 1;
-            }
-            if (0x4000_0000..0x8000_0000).contains(&a) {
-                cv[3] += 1;
-            }
-        }
         // Merge onto any outstanding fetch of the same line (the MC
         // snoops its own queue; chain loads often share a node line).
         if let Some(o) = self.outstanding.get_mut(&pline) {
+            if o.emc_waiters.capacity() == 0 {
+                o.emc_waiters = self.emc_waiter_pool.pop().unwrap_or_default();
+            }
             o.emc_waiters.push(EmcWait {
                 mc,
                 tag,
@@ -1731,13 +1781,7 @@ impl System {
                 cache_cycles,
             },
         );
-        self.outstanding.insert(
-            pline,
-            Outstanding {
-                waiters: Vec::new(),
-                emc_waiters: Vec::new(),
-            },
-        );
+        self.track_outstanding(pline, None);
         let owner = self.mc_of_line(pline);
         if owner == mc {
             // The EMC is colocated with the memory queue: no ring hop.
@@ -1831,13 +1875,7 @@ impl System {
             true,
             &mut self.stats.ring,
         );
-        self.schedule(
-            arrive,
-            Ev::ChainResults {
-                core,
-                results: results.into_boxed_slice(),
-            },
-        );
+        self.schedule(arrive, Ev::ChainResults { core, results });
     }
 
     fn on_chain_done(&mut self, mc: usize, ctx: usize) {
@@ -1866,6 +1904,7 @@ impl System {
         // degradation backoff for this core.
         self.chain_fail_streak[core] = 0;
         self.chain_backoff[core] = self.cfg.emc.quiesce_backoff;
+        self.chain_pool.push(fin.chain);
     }
 
     fn on_chain_aborted(&mut self, mc: usize, ctx: usize, reason: AbortReason) {
@@ -1920,6 +1959,17 @@ impl System {
                 rob_ids: rob_ids.into_boxed_slice(),
             },
         );
+        self.chain_pool.push(fin.chain);
+    }
+
+    /// Whether `core` would try to generate a chain once its cooldown
+    /// is over: no chain of its own in flight, and stalled on a full
+    /// window with the dependent-miss counter saying go.
+    fn wants_chain(&self, core: CoreId) -> bool {
+        self.active_chain[core].is_empty()
+            && !self.cores[core].in_runahead()
+            && self.cores[core].full_window_stall().is_some()
+            && self.dep_counters[core].should_generate()
     }
 
     fn maybe_generate_chains(&mut self) {
@@ -1927,16 +1977,7 @@ impl System {
             return;
         }
         for core in 0..self.cfg.cores {
-            if !self.active_chain[core].is_empty()
-                || self.now < self.chain_cooldown[core]
-                || self.cores[core].in_runahead()
-            {
-                continue;
-            }
-            if self.cores[core].full_window_stall().is_none() {
-                continue;
-            }
-            if !self.dep_counters[core].should_generate() {
+            if self.now < self.chain_cooldown[core] || !self.wants_chain(core) {
                 continue;
             }
             // The head miss blocks retirement, but the chain worth
@@ -1959,39 +2000,45 @@ impl System {
             // Prefer the chain that reaches the most dependent loads: a
             // stalled window usually holds both the payload-pointer load
             // (whose chain is one payload miss) and the node load (whose
-            // chain carries the entire pointer chase).
-            let mut best: Option<(usize, emc_core::GeneratedChain)> = None;
+            // chain carries the entire pointer chase). With every context
+            // taken the chain is dropped below whichever it is, and the
+            // first one found says all that matters: that there is one.
+            let any_free = self.emcs.iter().any(|e| e.has_free_context());
+            let mut chain = self.chain_pool.pop().unwrap_or_default();
+            let mut cur = self.chain_pool.pop().unwrap_or_default();
+            // (loads reached, gen cycles) of `chain`.
+            let mut best: Option<(usize, u64)> = None;
             for src in candidates {
-                if let Some(g) = generate_chain(&self.cores[core], core, src, &self.cfg.emc) {
-                    let loads = g
-                        .chain
-                        .uops
-                        .iter()
-                        .filter(|u| u.kind == UopKind::Load)
-                        .count();
-                    let better = match &best {
-                        None => true,
-                        Some((bl, bg)) => {
-                            loads > *bl
-                                || (loads == *bl && g.chain.uops.len() > bg.chain.uops.len())
-                        }
-                    };
-                    if better {
-                        best = Some((loads, g));
-                    }
+                let Some(gen_cycles) =
+                    generate_chain_into(&self.cores[core], core, src, &self.cfg.emc, &mut cur)
+                else {
+                    continue;
+                };
+                let loads = cur.uops.iter().filter(|u| u.kind == UopKind::Load).count();
+                let better = best.is_none_or(|(best_loads, _)| {
+                    loads > best_loads || (loads == best_loads && cur.uops.len() > chain.uops.len())
+                });
+                if better {
+                    std::mem::swap(&mut chain, &mut cur);
+                    best = Some((loads, gen_cycles));
+                }
+                if !any_free {
+                    break;
                 }
             }
-            let Some((_, g)) = best else {
+            self.chain_pool.push(cur);
+            let Some((_, gen_cycles)) = best else {
+                self.chain_pool.push(chain);
                 self.chain_cooldown[core] = self.now + 8;
                 continue;
             };
-            let chain = g.chain;
             let source_pline = physical_line(core, chain.source_addr.line());
             let dest_mc = self.mc_of_line(source_pline);
             // The EMC advertises context availability on the control
             // ring; the context is reserved at generation time and the
             // chain's arrival over the data ring gates execution.
             if !self.emcs[dest_mc].has_free_context() {
+                self.chain_pool.push(chain);
                 self.chain_cooldown[core] = self.now + 32;
                 continue;
             }
@@ -2000,7 +2047,7 @@ impl System {
             self.active_chain[core].extend(chain.uops.iter().map(|u| u.rob));
             // Ship: 6 B/uop + live-ins, over the data ring (§6.5).
             let msgs = chain.transfer_bytes().div_ceil(CACHE_LINE_BYTES).max(1);
-            let start = self.now + g.gen_cycles;
+            let start = self.now + gen_cycles;
             let mut arrive = start;
             for _ in 0..msgs {
                 arrive = self.ring.send(
@@ -2012,10 +2059,14 @@ impl System {
                     &mut self.stats.ring,
                 );
             }
-            let Ok(ctx) = self.emcs[dest_mc].start_chain(chain, arrive) else {
-                self.active_chain[core].clear();
-                self.chain_cooldown[core] = self.now + 32;
-                continue;
+            let ctx = match self.emcs[dest_mc].start_chain(chain, arrive) {
+                Ok(ctx) => ctx,
+                Err(chain) => {
+                    self.chain_pool.push(chain);
+                    self.active_chain[core].clear();
+                    self.chain_cooldown[core] = self.now + 32;
+                    continue;
+                }
             };
             self.emc_ctx_ship[dest_mc][ctx] = Some((start, arrive));
             // Lease clock starts when the chain reaches the EMC; cycles
@@ -2034,7 +2085,7 @@ impl System {
             self.cores[core].stats.chain_uops_sent += uops as u64;
             self.cores[core].stats.record_chain_length(uops);
             self.cores[core].mark_remote(&self.active_chain[core]);
-            self.chain_cooldown[core] = self.now + g.gen_cycles;
+            self.chain_cooldown[core] = self.now + gen_cycles;
             let tag = self.emc_ctx_tag[dest_mc][ctx];
             // Source data may already be on chip (or the load done).
             let already = self.source_ready.contains(&(core, source_rob))
@@ -2054,217 +2105,19 @@ impl System {
         }
     }
 
-    /// Diagnostics: count core-issued vs EMC-issued chase-region misses.
-    #[doc(hidden)]
-    pub fn debug_coverage(&mut self, cycles: u64) {
-        self.dbg_cov = Some([0; 4]);
-        for _ in 0..cycles {
-            self.tick(u64::MAX);
-        }
-        let c = self.dbg_cov.unwrap();
-        println!(
-            "node: core={} emc={}  payload: core={} emc={}",
-            c[0], c[1], c[2], c[3]
-        );
-        let chains: u64 = self.cores.iter().map(|x| x.stats.chains_sent).sum();
-        println!(
-            "chains={} stall0={} cycles0={}",
-            chains, self.cores[0].stats.full_window_stall_cycles, self.cores[0].stats.cycles
-        );
-    }
-
-    /// Diagnostics: print per-core progress.
-    #[doc(hidden)]
-    pub fn debug_progress(&self) {
-        for (i, c) in self.cores.iter().enumerate() {
-            println!(
-                "  core {i} ({}): retired={} rob={} stalls={}",
-                self.bench_names[i],
-                c.stats.retired_uops,
-                c.rob_len(),
-                c.stats.full_window_stall_cycles
-            );
-        }
-    }
-
-    /// Diagnostics: dump one core's window and related chain state.
-    #[doc(hidden)]
-    pub fn debug_core_dump(&self, core: usize) {
-        let c = &self.cores[core];
-        println!(
-            "core {core} retired={} rob_len={} finished={:?} r15={} active_chain={:?} cooldown={}",
-            c.stats.retired_uops,
-            c.rob_len(),
-            c.finished_at(),
-            c.committed_regs()[15],
-            self.active_chain[core],
-            self.chain_cooldown[core]
-        );
-        for e in c.rob_iter().take(20) {
-            println!(
-                "  id={} {:?} st={:?} rem={} llc={} ready=[{},{}] prod=[{:?},{:?}] addr={:?}",
-                e.id,
-                e.uop.kind,
-                e.state,
-                e.remote,
-                e.llc_miss,
-                e.srcs[0].ready(),
-                e.srcs[1].ready(),
-                e.srcs[0].producer,
-                e.srcs[1].producer,
-                e.addr
-            );
-        }
-        for (m, emc) in self.emcs.iter().enumerate() {
-            for ctx in 0..self.cfg.emc.contexts {
-                if let Some(ch) = emc.context_chain(ctx) {
-                    println!(
-                        "emc {m} ctx {ctx}: home={} src_rob={} uops={} pending={:?} tag={}",
-                        ch.home_core,
-                        ch.source_rob,
-                        ch.uops.len(),
-                        self.pending_sources.get(&(ch.home_core, ch.source_rob)),
-                        self.emc_ctx_tag[m][ctx]
-                    );
-                }
-            }
-        }
-        println!(
-            "source_ready: {:?}",
-            self.source_ready
-                .iter()
-                .filter(|(c2, _)| *c2 == core)
-                .collect::<Vec<_>>()
-        );
-        println!("outstanding: {}", self.outstanding.len());
-    }
-
-    /// Diagnostics: classify core-0 LLC misses by address region.
-    #[doc(hidden)]
-    pub fn debug_region_misses(&mut self, cycles: u64) {
-        self.dbg_regions = Some([0; 5]);
-        for _ in 0..cycles {
-            self.tick(u64::MAX);
-        }
-        let r = self.dbg_regions.unwrap();
-        println!(
-            "misses: chase={} payload={} stream={} random={} other={}",
-            r[0], r[1], r[2], r[3], r[4]
-        );
-        println!(
-            "llc_misses={} accesses={}",
-            self.cores[0].stats.llc_misses, self.cores[0].stats.llc_accesses
-        );
-    }
-
-    /// Diagnostics: sample ROB occupancy and window composition of core 0.
-    #[doc(hidden)]
-    pub fn debug_window(&mut self, cycles: u64) {
-        use std::collections::HashMap as Map;
-        let mut occ_hist: Map<usize, u64> = Map::new();
-        let mut stalls = 0u64;
-        for _ in 0..cycles {
-            self.tick(u64::MAX);
-            let len = self.cores[0].rob_len();
-            *occ_hist.entry(len / 32).or_insert(0) += 1;
-            if self.cores[0].full_window_stall().is_some() {
-                stalls += 1;
-            }
-        }
-        let mut keys: Vec<_> = occ_hist.keys().copied().collect();
-        keys.sort();
-        for k in keys {
-            println!("rob in [{},{}) : {}", k * 32, (k + 1) * 32, occ_hist[&k]);
-        }
-        println!("stall cycles: {stalls}");
-        let waiting = self.cores[0]
-            .rob_iter()
-            .filter(|e| e.state == EntryState::Waiting)
-            .count();
-        println!(
-            "rob_len={} waiting={} head={:?}",
-            self.cores[0].rob_len(),
-            waiting,
-            self.cores[0]
-                .rob_iter()
-                .next()
-                .map(|e| (e.uop.kind, e.state, e.llc_miss))
-        );
-    }
-
-    /// Diagnostics: run until `n` chains have been generated, printing
-    /// each chain and the stalled window context.
-    #[doc(hidden)]
-    pub fn debug_first_chains(&mut self, n: u64) {
-        let mut seen = 0;
-        let mut stall_reported = 0;
-        for _ in 0..3_000_000u64 {
-            let before: u64 = self.cores.iter().map(|c| c.stats.chains_sent).sum();
-            self.tick(u64::MAX);
-            let after: u64 = self.cores.iter().map(|c| c.stats.chains_sent).sum();
-            if after > before {
-                for core in 0..self.cfg.cores {
-                    let ids = &self.active_chain[core];
-                    if !ids.is_empty() && seen < n {
-                        println!("--- chain from core {core} at cycle {} ---", self.now);
-                        for &id in ids.iter() {
-                            if let Some(e) = self.cores[core].entry(id) {
-                                println!(
-                                    "  id={} kind={:?} dst={:?} imm={:#x}",
-                                    e.id, e.uop.kind, e.uop.dst, e.uop.imm
-                                );
-                            }
-                        }
-                    }
-                }
-                seen += 1;
-                if seen >= n {
-                    break;
-                }
-            }
-            // report first few stalls
-            if stall_reported < 3 {
-                for core in 0..self.cfg.cores {
-                    if let Some(src) = self.cores[core].full_window_stall() {
-                        stall_reported += 1;
-                        println!(
-                            "=== stall core {core} cycle {} source id {src} dep_ctr={} ===",
-                            self.now,
-                            self.dep_counters[core].value()
-                        );
-                        let rob: Vec<_> = self.cores[core].rob_iter().take(14).collect();
-                        for e in rob {
-                            println!(
-                                "  id={} {:?} state={:?} remote={} waiters={:?} srcs=[{:?},{:?}]",
-                                e.id,
-                                e.uop.kind,
-                                e.state,
-                                e.remote,
-                                self.cores[core].waiters_of(e.id),
-                                e.srcs[0].producer,
-                                e.srcs[1].producer
-                            );
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        println!("chains seen: {seen}");
-    }
-
     // ==================================================================
     // Prefetch
     // ==================================================================
 
     fn drain_prefetchers(&mut self) {
-        if self.cfg.prefetcher == emc_types::PrefetcherKind::None {
+        if self.cfg.prefetcher == PrefetcherKind::None {
             return;
         }
+        let mut candidates = std::mem::take(&mut self.scratch_lines);
         for core in 0..self.cfg.cores {
-            let candidates = self.prefetchers[core].take_requests();
-            for line in candidates {
-                let pline = line; // trained on physical lines
+            self.prefetchers[core].drain_into(&mut candidates);
+            // Trained on physical lines.
+            for &pline in &candidates {
                 if self.outstanding.contains_key(&pline) {
                     continue;
                 }
@@ -2275,13 +2128,7 @@ impl System {
                 self.stats.prefetch.issued += 1;
                 let id = self.new_req_id();
                 let req = MemReq::prefetch(id, pline, core, self.now);
-                self.outstanding.insert(
-                    pline,
-                    Outstanding {
-                        waiters: Vec::new(),
-                        emc_waiters: Vec::new(),
-                    },
-                );
+                self.track_outstanding(pline, None);
                 let mc = self.mc_of_line(pline);
                 let arrive = self.ring.send(
                     RingKind::Control,
@@ -2293,6 +2140,39 @@ impl System {
                 );
                 self.schedule(arrive, Ev::McArrive { mc, req });
             }
+        }
+        self.scratch_lines = candidates;
+    }
+
+    /// Make load `rob` of `core` wait for a fetch of `pline` that is
+    /// already under way, if one is.
+    fn merge_onto_outstanding(&mut self, pline: LineAddr, core: CoreId, rob: RobId) -> bool {
+        let Some(o) = self.outstanding.get_mut(&pline) else {
+            return false;
+        };
+        if o.waiters.capacity() == 0 {
+            o.waiters = self.waiter_pool.pop().unwrap_or_default();
+        }
+        o.waiters.push((core, rob));
+        self.cores[core].mark_llc_miss_merged(rob);
+        true
+    }
+
+    /// Start tracking a line on its way to DRAM, `first` waiting for it.
+    fn track_outstanding(&mut self, pline: LineAddr, first: Option<(CoreId, RobId)>) {
+        let mut o = Outstanding::default();
+        if let Some(first) = first {
+            o.waiters = self.waiter_pool.pop().unwrap_or_default();
+            o.waiters.push(first);
+        }
+        self.outstanding.insert(pline, o);
+    }
+
+    /// Stop tracking a line whose request was dropped short of DRAM.
+    fn untrack_outstanding(&mut self, pline: LineAddr) {
+        if let Some(o) = self.outstanding.remove(&pline) {
+            recycle(&mut self.waiter_pool, o.waiters);
+            recycle(&mut self.emc_waiter_pool, o.emc_waiters);
         }
     }
 }

@@ -25,6 +25,7 @@
 pub mod addr;
 pub mod codec;
 pub mod config;
+pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod mem_image;
@@ -43,6 +44,7 @@ pub use config::{
     CacheConfig, CoreConfig, DramConfig, EmcConfig, FaultPlan, LivenessConfig, PrefetchConfig,
     PrefetcherKind, RingConfig, SystemConfig,
 };
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use hist::{Histogram, HISTOGRAM_BUCKETS};
 pub use json::{JsonValue, ToJson};
 pub use mem_image::MemoryImage;

@@ -6,34 +6,7 @@
 //! comes from the cache/interconnect/DRAM models, which see only addresses.
 
 use crate::addr::{Addr, PAGE_BYTES};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hasher for page numbers: a rotate, an xor and one multiply per word
-/// (the Fx scheme) where the default SipHash spends tens of nanoseconds
-/// on every load issue and store retire. Page numbers come from the
-/// simulated program, not from outside the process, so there is nobody
-/// to craft collisions; nothing iterates the map, so its order cannot
-/// reach a result.
-#[derive(Debug, Clone, Copy, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply mixes upward; the table indexes with the low bits.
-        self.0.rotate_left(26)
-    }
-}
+use crate::hash::FxHashMap;
 
 /// A sparse, demand-allocated byte-addressable memory. Unwritten memory
 /// reads as zero.
@@ -50,7 +23,8 @@ impl Hasher for PageHasher {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES as usize]>, BuildHasherDefault<PageHasher>>,
+    /// Keyed by page number. Nothing iterates it.
+    pages: FxHashMap<u64, Box<[u8; PAGE_BYTES as usize]>>,
 }
 
 impl MemoryImage {
@@ -157,23 +131,6 @@ mod tests {
         m.write_u64(Addr(0), u64::MAX);
         m.write_u8(Addr(3), 0);
         assert_eq!(m.read_u64(Addr(0)), 0xffff_ffff_00ff_ffff);
-    }
-
-    #[test]
-    fn page_hash_spreads_strided_pages_over_buckets() {
-        // Heaps, stacks and spill areas sit at large power-of-two
-        // strides; the low bits of the hash pick the bucket.
-        for stride in [1u64, 1 << 8, 1 << 12, 1 << 20] {
-            let mut buckets = [false; 1024];
-            for page in 0..1024u64 {
-                let mut h = PageHasher::default();
-                h.write_u64(page * stride);
-                buckets[(h.finish() % 1024) as usize] = true;
-            }
-            let used = buckets.iter().filter(|&&b| b).count();
-            // 1024 random keys would fill about 650.
-            assert!(used > 1024 / 3, "stride {stride}: {used} of 1024 buckets");
-        }
     }
 
     #[test]
