@@ -1,9 +1,10 @@
-//! A counting global allocator for the bench bins.
+//! A counting global allocator.
 //!
 //! ROADMAP item 1 targets per-request allocation churn in the
 //! simulator's hot path; to optimize it we first have to see it. The
-//! bins that care (`perf`, and any future harness) install
-//! [`CountingAlloc`] as their `#[global_allocator]`:
+//! binary that cares (`benchmark/`'s `trace`, behind
+//! `sim.allocs_per_kcycle`) installs [`CountingAlloc`] as its
+//! `#[global_allocator]`:
 //!
 //! ```ignore
 //! #[global_allocator]

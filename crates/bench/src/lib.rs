@@ -7,9 +7,8 @@
 //! Since the campaign engine landed, every grid run goes through
 //! `emc-campaign`: jobs are content-addressed, results are cached under
 //! `results/cache/`, and an interrupted `figures all` resumes instead of
-//! starting over. Criterion benches under `benches/` run scaled-down
-//! versions of the same harnesses so `cargo bench` exercises every code
-//! path quickly.
+//! starting over. Host performance is not measured here: that is
+//! `benchmark/` at the repository root, which borrows [`alloc`].
 
 // `deny`, not `forbid`: the one sanctioned exception is the counting
 // global allocator in `alloc`, which must implement `GlobalAlloc`.
@@ -17,14 +16,11 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod perf;
 
 use std::path::PathBuf;
 
 use emc_campaign::{Campaign, CampaignOptions};
-use emc_sim::cycle_cap;
-use emc_types::{JsonValue, PrefetcherKind, SystemConfig, ToJson};
-use emc_workloads::Benchmark;
+use emc_types::{JsonValue, PrefetcherKind, ToJson};
 
 pub use emc_campaign::{
     config_grid, config_json, homog_jobs, mix8_jobs, parallel_map, quad_jobs, JobSpec, RunResult,
@@ -65,23 +61,6 @@ pub fn run_jobs(name: &str, jobs: Vec<JobSpec>) -> Vec<RunResult> {
     Campaign::new(name, jobs)
         .run(&figure_campaign_options())
         .expect_completed()
-}
-
-/// Run one heterogeneous mix under `cfg`, uncached (single-shot paths
-/// and criterion benches; grids go through [`run_jobs`]).
-pub fn run_one_mix(name: &str, mix: [Benchmark; 4], cfg: SystemConfig, budget: u64) -> RunResult {
-    JobSpec::mix(name, mix, cfg, budget).run_now()
-}
-
-/// Run one homogeneous workload (`cfg.cores` copies of `bench`),
-/// uncached.
-pub fn run_one_homog(bench: Benchmark, cfg: SystemConfig, budget: u64) -> RunResult {
-    JobSpec::homog(bench, cfg, budget).run_now()
-}
-
-/// Run one eight-core mix (two copies of a quad mix, §5), uncached.
-pub fn run_one_mix8(name: &str, mix: [Benchmark; 4], cfg: SystemConfig, budget: u64) -> RunResult {
-    JobSpec::mix8(name, mix, cfg, budget).run_now()
 }
 
 /// Weighted speedup of `run` against per-core baseline IPCs, normalized
@@ -151,15 +130,10 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "#".repeat(n), " ".repeat(width - n))
 }
 
-/// A cycle cap consistent with the runner for direct System::run calls.
-pub fn cap(budget: u64) -> u64 {
-    cycle_cap(budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_types::Stats;
+    use emc_types::{Stats, SystemConfig};
 
     #[test]
     fn config_grid_has_eight_entries() {

@@ -1,20 +1,26 @@
 //! Property-based tests for the cache building blocks.
 
 use emc_cache::{MshrOutcome, Mshrs, SetAssocCache};
+use emc_types::rng::for_each_case;
 use emc_types::{CacheConfig, LineAddr};
-use proptest::prelude::*;
 use std::collections::HashSet;
 
-proptest! {
-    /// Occupancy never exceeds capacity and a line is present iff it was
-    /// filled after its last invalidation/eviction (tracked by an oracle).
-    #[test]
-    fn cache_matches_reference_set(ops in prop::collection::vec((0u64..64, prop::bool::ANY), 1..500)) {
-        let cfg = CacheConfig { bytes: 1024, ways: 4, latency: 1, mshrs: 4 }; // 4 sets x 4 ways
+/// Occupancy never exceeds capacity and a line is present iff it was
+/// filled after its last invalidation/eviction (tracked by an oracle).
+#[test]
+fn cache_matches_reference_set() {
+    for_each_case(0x5eed_c001, 256, |rng| {
+        let cfg = CacheConfig {
+            bytes: 1024,
+            ways: 4,
+            latency: 1,
+            mshrs: 4,
+        }; // 4 sets x 4 ways
         let mut c = SetAssocCache::new(&cfg);
         let mut oracle: HashSet<u64> = HashSet::new();
         let capacity = 16;
-        for (line, is_fill) in ops {
+        for _ in 0..rng.gen_range(1..500) {
+            let (line, is_fill) = (rng.gen_range(0..64), rng.gen_bool(0.5));
             let l = LineAddr(line);
             if is_fill {
                 if let Some(ev) = c.fill(l, false, false) {
@@ -23,73 +29,95 @@ proptest! {
                 oracle.insert(line);
             } else {
                 let hit = c.access(l, false).is_some();
-                prop_assert_eq!(hit, oracle.contains(&line),
-                    "hit/miss mismatch for line {}", line);
+                assert_eq!(
+                    hit,
+                    oracle.contains(&line),
+                    "hit/miss mismatch for line {line}"
+                );
             }
-            prop_assert!(c.occupancy() <= capacity);
-            prop_assert_eq!(c.occupancy(), oracle.len());
+            assert!(c.occupancy() <= capacity);
+            assert_eq!(c.occupancy(), oracle.len());
         }
-    }
+    });
+}
 
-    /// Every filled line is immediately hittable, and its set never holds
-    /// two copies (fills are idempotent).
-    #[test]
-    fn fill_is_idempotent(lines in prop::collection::vec(0u64..32, 1..200)) {
-        let cfg = CacheConfig { bytes: 512, ways: 2, latency: 1, mshrs: 4 };
+/// Every filled line is immediately hittable, and its set never holds
+/// two copies (fills are idempotent).
+#[test]
+fn fill_is_idempotent() {
+    for_each_case(0x5eed_c002, 256, |rng| {
+        let cfg = CacheConfig {
+            bytes: 512,
+            ways: 2,
+            latency: 1,
+            mshrs: 4,
+        };
         let mut c = SetAssocCache::new(&cfg);
-        for line in lines {
+        for _ in 0..rng.gen_range(1..200) {
+            let line = rng.gen_range(0..32);
             c.fill(LineAddr(line), false, false);
             c.fill(LineAddr(line), false, false);
-            prop_assert!(c.access(LineAddr(line), false).is_some());
+            assert!(c.access(LineAddr(line), false).is_some());
             let copies = c.resident_lines().filter(|l| l.0 == line).count();
-            prop_assert_eq!(copies, 1);
+            assert_eq!(copies, 1);
         }
-    }
+    });
+}
 
-    /// MSHRs: the file never tracks more lines than its capacity, and
-    /// completing returns exactly the waiters that were merged.
-    #[test]
-    fn mshr_waiter_conservation(reqs in prop::collection::vec((0u64..8, 0u64..1000), 1..200)) {
+/// MSHRs: the file never tracks more lines than its capacity, and
+/// completing returns exactly the waiters that were merged.
+#[test]
+fn mshr_waiter_conservation() {
+    for_each_case(0x5eed_c003, 256, |rng| {
         let mut m = Mshrs::new(4);
         let mut oracle: std::collections::HashMap<u64, Vec<u64>> = Default::default();
-        for (line, waiter) in reqs {
+        for _ in 0..rng.gen_range(1..200) {
+            let (line, waiter) = (rng.gen_range(0..8), rng.gen_range(0..1000));
             match m.alloc(LineAddr(line), waiter) {
                 MshrOutcome::Full => {
-                    prop_assert!(!oracle.contains_key(&line));
-                    prop_assert!(oracle.len() >= 4);
+                    assert!(!oracle.contains_key(&line));
+                    assert!(oracle.len() >= 4);
                 }
                 MshrOutcome::NewMiss => {
-                    prop_assert!(!oracle.contains_key(&line));
+                    assert!(!oracle.contains_key(&line));
                     oracle.entry(line).or_default().push(waiter);
                 }
                 MshrOutcome::Merged => {
-                    prop_assert!(oracle.contains_key(&line));
+                    assert!(oracle.contains_key(&line));
                     oracle.entry(line).or_default().push(waiter);
                 }
             }
-            prop_assert!(m.len() <= 4);
+            assert!(m.len() <= 4);
         }
         for (line, waiters) in oracle {
-            prop_assert_eq!(m.complete(LineAddr(line)), waiters);
+            assert_eq!(m.complete(LineAddr(line)), waiters);
         }
-        prop_assert!(m.is_empty());
-    }
+        assert!(m.is_empty());
+    });
+}
 
-    /// Dirty bit survives until eviction and is reported exactly once.
-    #[test]
-    fn dirty_lines_report_on_eviction(writes in prop::collection::vec(0u64..16, 1..100)) {
-        let cfg = CacheConfig { bytes: 256, ways: 2, latency: 1, mshrs: 4 }; // 2 sets x 2 ways
+/// Dirty bit survives until eviction and is reported exactly once.
+#[test]
+fn dirty_lines_report_on_eviction() {
+    for_each_case(0x5eed_c004, 256, |rng| {
+        let cfg = CacheConfig {
+            bytes: 256,
+            ways: 2,
+            latency: 1,
+            mshrs: 4,
+        }; // 2 sets x 2 ways
         let mut c = SetAssocCache::new(&cfg);
         let mut dirty: HashSet<u64> = HashSet::new();
-        for line in writes {
+        for _ in 0..rng.gen_range(1..100) {
+            let line = rng.gen_range(0..16);
             let l = LineAddr(line);
             if c.access(l, true).is_none() {
                 if let Some(ev) = c.fill(l, true, false) {
                     // The model's view of dirty must match ours.
-                    prop_assert_eq!(ev.flags.dirty, dirty.remove(&ev.line.0));
+                    assert_eq!(ev.flags.dirty, dirty.remove(&ev.line.0));
                 }
             }
             dirty.insert(line);
         }
-    }
+    });
 }

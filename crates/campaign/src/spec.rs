@@ -26,7 +26,7 @@ use crate::hash::digest128_hex;
 /// Bump when a change anywhere in the simulator alters results without
 /// touching any [`SystemConfig`] field — stale cache entries are then
 /// unreachable because every key embeds this value.
-pub const CACHE_EPOCH: u32 = 2;
+pub const CACHE_EPOCH: u32 = 3;
 
 /// The code-version fingerprint mixed into every job key. CI (or any
 /// caller wanting exact provenance) can set `EMC_CODE_FINGERPRINT` at
@@ -154,13 +154,6 @@ impl JobSpec {
             energy,
             ipcs,
         }
-    }
-
-    /// Execute and unwrap a completed run (panics with the full wedge /
-    /// cap diagnosis otherwise) — the single code path behind every
-    /// uncached figure run.
-    pub fn run_now(&self) -> RunResult {
-        self.to_result(self.execute().expect_completed())
     }
 }
 

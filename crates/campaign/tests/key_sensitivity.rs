@@ -7,9 +7,9 @@
 //! drift loudly.
 
 use emc_campaign::JobSpec;
+use emc_types::rng::for_each_case;
 use emc_types::{PrefetcherKind, SystemConfig};
 use emc_workloads::{mix_by_name, Benchmark};
-use proptest::prelude::*;
 
 fn base_spec(seed: u64, budget: u64) -> JobSpec {
     let mut cfg = SystemConfig::quad_core();
@@ -242,43 +242,38 @@ fn every_field_perturbation_changes_the_key() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random field, random magnitude: the key always moves, and the
-    /// same perturbation applied to a fresh spec lands on the same key
-    /// (the hash is a pure function of the spec).
-    #[test]
-    fn perturbed_specs_never_collide_with_their_base(
-        which in 0usize..mutators().len(),
-        delta in 1u64..1_000_000,
-        seed in 0u64..u64::MAX,
-        budget in 1u64..1u64 << 40,
-    ) {
-        let table = mutators();
-        let (name, m) = table[which];
-        let base = base_spec(seed, budget);
+/// Random field, random magnitude: the key always moves, and the
+/// same perturbation applied to a fresh spec lands on the same key
+/// (the hash is a pure function of the spec).
+#[test]
+fn perturbed_specs_never_collide_with_their_base() {
+    let table = mutators();
+    for_each_case(0x5eed_4e01, 64, |rng| {
+        let (name, m) = table[rng.gen_range(0..table.len() as u64) as usize];
+        let delta = rng.gen_range(1..1_000_000);
+        let base = base_spec(rng.gen_range(0..u64::MAX), rng.gen_range(1..1 << 40));
 
         let mut a = base.clone();
         m(&mut a, delta);
-        // The stub proptest's assert macros take no format args; bake
-        // the mutator name into a plain assert instead.
         assert_ne!(base.key(), a.key(), "mutator {name} at delta {delta}");
 
         let mut b = base.clone();
         m(&mut b, delta);
         assert_eq!(a.key(), b.key(), "key must be deterministic ({name})");
-    }
+    });
+}
 
-    /// Two *different* workload mixes never share a key, whatever the
-    /// seed/budget (benches are part of the canonical encoding).
-    #[test]
-    fn distinct_mixes_hash_apart(seed in 0u64..u64::MAX, budget in 1u64..1u64 << 40) {
+/// Two *different* workload mixes never share a key, whatever the
+/// seed/budget (benches are part of the canonical encoding).
+#[test]
+fn distinct_mixes_hash_apart() {
+    for_each_case(0x5eed_4e02, 64, |rng| {
         let mut cfg = SystemConfig::quad_core();
-        cfg.seed = seed;
+        cfg.seed = rng.gen_range(0..u64::MAX);
+        let budget = rng.gen_range(1..1 << 40);
         let a = JobSpec::mix("H1", mix_by_name("H1").unwrap(), cfg.clone(), budget);
         let b = JobSpec::mix("H2", mix_by_name("H2").unwrap(), cfg, budget);
         // Same label on purpose: only the benches differ.
-        prop_assert_ne!(a.with_label("x").key(), b.with_label("x").key());
-    }
+        assert_ne!(a.with_label("x").key(), b.with_label("x").key());
+    });
 }

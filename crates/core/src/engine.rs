@@ -596,6 +596,7 @@ impl Emc {
 mod tests {
     use super::*;
     use crate::chain::{ChainSrc, ChainUop};
+    use emc_types::rng::{seeded_rng, SmallRng};
     use emc_types::BranchCond;
 
     fn cfg() -> EmcConfig {
@@ -998,31 +999,16 @@ mod tests {
     // engine that sleeps against a twin that is woken before every tick.
     // ------------------------------------------------------------------
 
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// 1 to 12 uops over E0 (the source) and the registers earlier uops
     /// wrote; loads stay within the source's 2 MB page most of the time.
-    fn random_chain(rng: &mut XorShift, home_core: CoreId) -> Chain {
-        let n = 1 + rng.below(12) as usize;
+    fn random_chain(rng: &mut SmallRng, home_core: CoreId) -> Chain {
+        let n = 1 + rng.gen_range(0..12) as usize;
         let mut written = 1u8; // E0
         let uops = (0..n)
             .map(|k| {
-                let mut src = || Some(ChainSrc::Epr(rng.below(u64::from(written)) as u8));
+                let mut src = || Some(ChainSrc::Epr(rng.gen_range(0..u64::from(written)) as u8));
                 let (s0, s1) = (src(), src());
-                let roll = rng.below(10);
+                let roll = rng.gen_range(0..10);
                 let (kind, srcs, dst) = match roll {
                     0..=3 => (UopKind::IntAdd, [s0, None], Some(written)),
                     4..=6 => (UopKind::Load, [s0, None], Some(written)),
@@ -1038,13 +1024,13 @@ mod tests {
                     kind,
                     srcs,
                     dst,
-                    imm: if rng.below(20) == 0 {
+                    imm: if rng.gen_range(0..20) == 0 {
                         1 << 30
                     } else {
-                        rng.below(64) * 8
+                        rng.gen_range(0..64) * 8
                     },
-                    pc: 0x400 + 4 * rng.below(32),
-                    predicted_taken: rng.below(8) != 0,
+                    pc: 0x400 + 4 * rng.gen_range(0..32),
+                    predicted_taken: rng.gen_range(0..8) != 0,
                 }
             })
             .collect();
@@ -1061,7 +1047,7 @@ mod tests {
 
     #[test]
     fn a_sleeping_engine_misses_nothing() {
-        let mut rng = XorShift(0x5eed_0c16);
+        let mut rng = seeded_rng(0x5eed_0c16);
         let mut emc = Emc::new(&cfg(), 4);
         let mut twin = emc.clone();
         // (cycle, ctx, what) deliveries still on their way.
@@ -1073,21 +1059,21 @@ mod tests {
         let (mut slept, mut in_flight_sleeps, mut events_seen) = (0u64, 0u64, 0u64);
         for now in 0..60_000 {
             // The simulator's side: new chains, deliveries, kills, fills.
-            if rng.below(25) == 0 && emc.has_free_context() {
-                let home = rng.below(4) as usize;
+            if rng.gen_range(0..25) == 0 && emc.has_free_context() {
+                let home = rng.gen_range(0..4) as usize;
                 let chain = random_chain(&mut rng, home);
-                let active_at = now + rng.below(30);
+                let active_at = now + rng.gen_range(0..30);
                 let ctx = emc.start_chain(chain.clone(), active_at).unwrap();
                 assert_eq!(twin.start_chain(chain, active_at).ok(), Some(ctx));
-                due.push((now + rng.below(100), ctx, Due::Source));
+                due.push((now + rng.gen_range(0..100), ctx, Due::Source));
             }
-            if rng.below(2_000) == 0 {
-                let ctx = rng.below(emc.context_count() as u64) as usize;
+            if rng.gen_range(0..2_000) == 0 {
+                let ctx = rng.gen_range(0..emc.context_count() as u64) as usize;
                 emc.force_abort(ctx, AbortReason::Injected);
                 twin.force_abort(ctx, AbortReason::Injected);
             }
-            if rng.below(50) == 0 {
-                let line = physical_line(0, Addr(0x10_0000 + rng.below(64) * 8).line());
+            if rng.gen_range(0..50) == 0 {
+                let line = physical_line(0, Addr(0x10_0000 + rng.gen_range(0..64) * 8).line());
                 assert_eq!(emc.on_dram_fill(line), twin.on_dram_fill(line));
             }
             let mut k = 0;
@@ -1103,7 +1089,7 @@ mod tests {
                         twin.deliver_source(ctx, 0x10_0000);
                     }
                     Due::Load { uop } => {
-                        let v = 0x10_0000 + rng.below(4096) * 8;
+                        let v = 0x10_0000 + rng.gen_range(0..4096) * 8;
                         emc.complete_load(ctx, uop, v);
                         twin.complete_load(ctx, uop, v);
                     }
@@ -1122,7 +1108,7 @@ mod tests {
             for ev in events {
                 match ev {
                     EmcEvent::Load { ctx, uop, .. } => {
-                        due.push((now + 1 + rng.below(60), ctx, Due::Load { uop }));
+                        due.push((now + 1 + rng.gen_range(0..60), ctx, Due::Load { uop }));
                     }
                     EmcEvent::Results { ctx } => {
                         assert_eq!(emc.drain_results(ctx), twin.drain_results(ctx));

@@ -5,8 +5,8 @@
 use emc_core::{generate_chain, ChainSrc};
 use emc_cpu::{Core, CoreEvent};
 use emc_types::program::{Program, StaticUop};
+use emc_types::rng::{for_each_case, SmallRng};
 use emc_types::{Addr, CoreConfig, EmcConfig, MemoryImage, Reg, UopKind};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Build a core stalled on a source miss followed by a random mix of
@@ -41,44 +41,50 @@ fn stalled_core(body: Vec<StaticUop>) -> Option<(Core, u64)> {
     src.map(|s| (core, s))
 }
 
-fn arb_body_uop() -> impl Strategy<Value = StaticUop> {
-    let reg = 1u8..8; // r0 reserved as base, r15 as filler
-    prop_oneof![
-        (reg.clone(), reg.clone(), 0u64..64, 0usize..6).prop_map(|(d, a, imm, k)| {
-            let kind = [
-                UopKind::IntAdd,
-                UopKind::Xor,
-                UopKind::Or,
-                UopKind::And,
-                UopKind::Shl,
-                UopKind::IntMul, // not EMC-allowed: must be filtered
-            ][k];
-            StaticUop::alu(kind, Reg(d), Reg(a), None, imm)
-        }),
-        (reg.clone(), reg.clone()).prop_map(|(d, a)| StaticUop::load(Reg(d), Reg(a), 8)),
-        (reg.clone(), reg.clone())
-            .prop_map(|(d, a)| { StaticUop::alu(UopKind::FpAdd, Reg(d), Reg(a), None, 0) }),
-        (reg.clone(), reg.clone()).prop_map(|(b, v)| StaticUop::store(Reg(b), Reg(v), 16)),
-    ]
+/// `1..max_len` random body uops.
+fn arb_body(rng: &mut SmallRng, max_len: u64) -> Vec<StaticUop> {
+    (0..rng.gen_range(1..max_len))
+        .map(|_| {
+            // r0 reserved as base, r15 as filler
+            let mut reg = || Reg(rng.gen_range(1..8) as u8);
+            let (d, a) = (reg(), reg());
+            match rng.gen_range(0..4) {
+                0 => {
+                    let kind = [
+                        UopKind::IntAdd,
+                        UopKind::Xor,
+                        UopKind::Or,
+                        UopKind::And,
+                        UopKind::Shl,
+                        UopKind::IntMul, // not EMC-allowed: must be filtered
+                    ][rng.gen_range(0..6) as usize];
+                    StaticUop::alu(kind, d, a, None, rng.gen_range(0..64))
+                }
+                1 => StaticUop::load(d, a, 8),
+                2 => StaticUop::alu(UopKind::FpAdd, d, a, None, 0),
+                _ => StaticUop::store(d, a, 16),
+            }
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn generated_chains_respect_hardware_limits(
-        body in prop::collection::vec(arb_body_uop(), 1..40),
-    ) {
-        let Some((core, src)) = stalled_core(body) else { return Ok(()) };
+#[test]
+fn generated_chains_respect_hardware_limits() {
+    for_each_case(0x5eed_c4a1, 48, |rng| {
+        let Some((core, src)) = stalled_core(arb_body(rng, 40)) else {
+            return;
+        };
         let cfg = EmcConfig::default();
-        let Some(g) = generate_chain(&core, 0, src, &cfg) else { return Ok(()) };
+        let Some(g) = generate_chain(&core, 0, src, &cfg) else {
+            return;
+        };
         let chain = &g.chain;
 
         // 1. Buffer limit.
-        prop_assert!(chain.uops.len() <= cfg.uop_buffer);
+        assert!(chain.uops.len() <= cfg.uop_buffer);
         // 2. Only EMC-executable operation classes.
         for u in &chain.uops {
-            prop_assert!(u.kind.emc_allowed(), "{:?} not allowed", u.kind);
+            assert!(u.kind.emc_allowed(), "{:?} not allowed", u.kind);
         }
         // 3. Register file limit and closed dataflow: every EPR source is
         //    the source miss's register or a destination written by an
@@ -90,17 +96,16 @@ proptest! {
             for s in u.srcs.iter().flatten() {
                 match s {
                     ChainSrc::Epr(e) => {
-                        prop_assert!((*e as usize) < cfg.prf_entries);
-                        prop_assert!(defined[*e as usize],
-                            "EPR {e} read before any definition");
+                        assert!((*e as usize) < cfg.prf_entries);
+                        assert!(defined[*e as usize], "EPR {e} read before any definition");
                     }
                     ChainSrc::LiveIn(i) => {
-                        prop_assert!((*i as usize) < chain.live_ins.len());
+                        assert!((*i as usize) < chain.live_ins.len());
                     }
                 }
             }
             if let Some(d) = u.dst {
-                prop_assert!((d as usize) < cfg.prf_entries);
+                assert!((d as usize) < cfg.prf_entries);
                 defined[d as usize] = true;
             }
             if u.kind.is_mem() {
@@ -108,37 +113,41 @@ proptest! {
             }
         }
         // 4. LSQ limit.
-        prop_assert!(mem_ops <= cfg.lsq_entries);
+        assert!(mem_ops <= cfg.lsq_entries);
         // 5. Live-in vector limit (register values + immediates).
-        prop_assert!(chain.live_in_count() <= cfg.live_in_entries as u64);
+        assert!(chain.live_in_count() <= cfg.live_in_entries as u64);
         // 6. Generation latency grows with the walk.
-        prop_assert!(g.gen_cycles > chain.uops.len() as u64);
+        assert!(g.gen_cycles > chain.uops.len() as u64);
         // 7. All chain uops are real ROB entries, younger than the source.
         for u in &chain.uops {
-            prop_assert!(u.rob > src);
-            prop_assert!(core.entry(u.rob).is_some());
+            assert!(u.rob > src);
+            assert!(core.entry(u.rob).is_some());
         }
-    }
+    });
+}
 
-    /// The chain's uops always form a set reachable from the source miss
-    /// through register dataflow: marking them remote never strands an
-    /// independent uop.
-    #[test]
-    fn chain_members_depend_on_the_source(
-        body in prop::collection::vec(arb_body_uop(), 1..30),
-    ) {
-        let Some((core, src)) = stalled_core(body) else { return Ok(()) };
+/// The chain's uops always form a set reachable from the source miss
+/// through register dataflow: marking them remote never strands an
+/// independent uop.
+#[test]
+fn chain_members_depend_on_the_source() {
+    for_each_case(0x5eed_c4a2, 48, |rng| {
+        let Some((core, src)) = stalled_core(arb_body(rng, 30)) else {
+            return;
+        };
         let cfg = EmcConfig::default();
-        let Some(g) = generate_chain(&core, 0, src, &cfg) else { return Ok(()) };
+        let Some(g) = generate_chain(&core, 0, src, &cfg) else {
+            return;
+        };
         // Transitive dependence check via producer links in the ROB.
-        let in_chain: std::collections::HashSet<u64> =
-            g.chain.uops.iter().map(|u| u.rob).collect();
+        let in_chain: std::collections::HashSet<u64> = g.chain.uops.iter().map(|u| u.rob).collect();
         for u in &g.chain.uops {
             let e = core.entry(u.rob).expect("in ROB");
             let depends = e.srcs.iter().any(|s| {
-                s.producer.is_some_and(|p| p == src || in_chain.contains(&p))
+                s.producer
+                    .is_some_and(|p| p == src || in_chain.contains(&p))
             });
-            prop_assert!(depends, "uop {} is not dependent on the chain", u.rob);
+            assert!(depends, "uop {} is not dependent on the chain", u.rob);
         }
-    }
+    });
 }

@@ -1201,6 +1201,7 @@ fn resolve_operands(uop: &StaticUop, a: u64, b: u64) -> (u64, u64) {
 mod tests {
     use super::*;
     use emc_types::program::{run_reference, Program};
+    use emc_types::rng::{seeded_rng, SmallRng};
     use emc_types::{BranchCond, Reg};
 
     /// Drive a core to completion with a fixed memory latency, answering
@@ -1622,30 +1623,15 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Seeded random programs against the reference interpreter: the port
-    // of `tests/equivalence.rs::ooo_matches_reference` that needs no
-    // proptest, plus checks of the window's own bookkeeping.
+    // Seeded random programs against the reference interpreter, as in
+    // `tests/equivalence.rs::ooo_matches_reference` but as loops, plus
+    // checks of the window's own bookkeeping.
     // ------------------------------------------------------------------
-
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
 
     /// `mov r15, iters; body; sub r15, 1; brnz r15 -> body`. The body is
     /// random ALU/load/store uops over r0..r14 and conditional branches
     /// to strictly later body positions, so every program terminates.
-    fn random_program(rng: &mut XorShift) -> Program {
+    fn random_program(rng: &mut SmallRng) -> Program {
         const ALU: [UopKind; 7] = [
             UopKind::IntAdd,
             UopKind::IntSub,
@@ -1655,20 +1641,27 @@ mod tests {
             UopKind::Shl,
             UopKind::Shr,
         ];
-        let body = 1 + rng.below(60) as u32;
-        let mut uops = vec![StaticUop::mov_imm(Reg(15), 1 + rng.below(5))];
+        let body = 1 + rng.gen_range(0..60) as u32;
+        let mut uops = vec![StaticUop::mov_imm(Reg(15), 1 + rng.gen_range(0..5))];
         for i in 1..=body {
-            let mut reg = || Reg(rng.below(15) as u8);
+            let mut reg = || Reg(rng.gen_range(0..15) as u8);
             let (d, a, b) = (reg(), reg(), reg());
-            uops.push(match rng.below(6) {
-                0 => StaticUop::alu(ALU[rng.below(7) as usize], d, a, None, rng.below(64)),
+            uops.push(match rng.gen_range(0..6) {
+                0 => StaticUop::alu(
+                    ALU[rng.gen_range(0..7) as usize],
+                    d,
+                    a,
+                    None,
+                    rng.gen_range(0..64),
+                ),
                 1 => StaticUop::alu(UopKind::IntAdd, d, a, Some(b), 0),
-                2 => StaticUop::mov_imm(d, rng.below(1 << 20)),
-                3 => StaticUop::load(d, a, rng.below(512) * 8),
-                4 => StaticUop::store(a, b, rng.below(512) * 8),
+                2 => StaticUop::mov_imm(d, rng.gen_range(0..1 << 20)),
+                3 => StaticUop::load(d, a, rng.gen_range(0..512) * 8),
+                4 => StaticUop::store(a, b, rng.gen_range(0..512) * 8),
                 _ => {
-                    let cond = [BranchCond::Zero, BranchCond::NotZero][rng.below(2) as usize];
-                    let target = i + 1 + rng.below(u64::from(body - i) + 1) as u32;
+                    let cond =
+                        [BranchCond::Zero, BranchCond::NotZero][rng.gen_range(0..2) as usize];
+                    let target = i + 1 + rng.gen_range(0..u64::from(body - i) + 1) as u32;
                     StaticUop::branch(cond, Some(a), target)
                 }
             });
@@ -1785,7 +1778,7 @@ mod tests {
     /// that `entry(id)` agrees with a scan of the ROB.
     fn run_checked(cfg: &CoreConfig, program: &Program, seed: u64, cov: &mut Coverage) -> Core {
         let mut core = Core::new(cfg, Arc::new(program.clone()), MemoryImage::new());
-        let mut rng = XorShift(seed | 1);
+        let mut rng = seeded_rng(seed);
         let mut events = Vec::new();
         let mut pending: Vec<(Cycle, RobId)> = Vec::new();
         // Misses are known a few cycles after issue, as the LLC's answer
@@ -1795,7 +1788,7 @@ mod tests {
             tick_checking_inertness(&mut core, now, &mut events, seed.is_multiple_of(2), cov);
             for ev in events.drain(..) {
                 if let CoreEvent::LoadIssued { rob, .. } = ev {
-                    let r = rng.next();
+                    let r = rng.next_u64();
                     if r & 1 == 0 {
                         misses.push((now + (r >> 8) % 5, rob));
                     }
@@ -1848,13 +1841,13 @@ mod tests {
     }
 
     fn random_programs_match_reference(cfg: &CoreConfig, seed: u64) -> Coverage {
-        let mut rng = XorShift(seed);
+        let mut rng = seeded_rng(seed);
         let mut cov = Coverage::default();
         for _ in 0..96 {
             let program = random_program(&mut rng);
             let expect = run_reference(&program, &mut MemoryImage::new(), 1_000_000);
             assert!(!expect.capped);
-            let core = run_checked(cfg, &program, rng.next(), &mut cov);
+            let core = run_checked(cfg, &program, rng.next_u64(), &mut cov);
             assert_eq!(core.committed_regs(), &expect.regs);
             assert_eq!(core.stats.retired_uops, expect.dyn_uops);
             assert_eq!(core.stats.retired_loads, expect.loads);

@@ -5,8 +5,8 @@
 
 use emc_cpu::{Core, CoreEvent};
 use emc_types::program::{run_reference, Program, StaticUop};
+use emc_types::rng::{for_each_case, seeded_rng, SmallRng};
 use emc_types::{BranchCond, CoreConfig, MemoryImage, Reg, UopKind};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Run the core to completion with a deterministic pseudo-random memory
@@ -19,19 +19,17 @@ fn run_core(program: &Program, mem: &MemoryImage, lat_seed: u64, max_cycles: u64
     );
     let mut events = Vec::new();
     let mut pending: Vec<(u64, u64)> = Vec::new();
-    let mut state = lat_seed | 1;
+    let mut rng = seeded_rng(lat_seed);
     for now in 0..max_cycles {
         core.tick(now, &mut events);
         for ev in events.drain(..) {
             if let CoreEvent::LoadIssued { rob, .. } = ev {
-                // xorshift latency in [5, 260): misses and hits mixed.
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let lat = 5 + (state % 256);
+                // Latency in [5, 260): misses and hits mixed.
+                let r = rng.next_u64();
+                let lat = 5 + (r % 256);
                 // Mark roughly half the loads as LLC misses to exercise
                 // taint tracking.
-                if state & 1 == 0 {
+                if r & 1 == 0 {
                     core.mark_llc_miss(rob);
                 }
                 pending.push((now + lat, rob));
@@ -52,11 +50,13 @@ fn run_core(program: &Program, mem: &MemoryImage, lat_seed: u64, max_cycles: u64
     None
 }
 
-fn arb_uop(max_target: u32) -> impl Strategy<Value = StaticUop> {
-    let reg = 0u8..16;
-    prop_oneof![
+/// One random uop; branches come back aimed at `target`.
+fn arb_uop(rng: &mut SmallRng, target: u32) -> StaticUop {
+    let mut reg = || Reg(rng.gen_range(0..16) as u8);
+    let (d, a, b) = (reg(), reg(), reg());
+    match rng.gen_range(0..6) {
         // ALU reg-imm
-        (reg.clone(), reg.clone(), 0u64..1024, 0usize..7).prop_map(|(d, a, imm, k)| {
+        0 => {
             let kind = [
                 UopKind::IntAdd,
                 UopKind::IntSub,
@@ -65,76 +65,55 @@ fn arb_uop(max_target: u32) -> impl Strategy<Value = StaticUop> {
                 UopKind::Xor,
                 UopKind::Shl,
                 UopKind::Shr,
-            ][k];
-            StaticUop::alu(kind, Reg(d), Reg(a), None, imm % 64)
-        }),
+            ][rng.gen_range(0..7) as usize];
+            StaticUop::alu(kind, d, a, None, rng.gen_range(0..1024) % 64)
+        }
         // ALU reg-reg
-        (reg.clone(), reg.clone(), reg.clone()).prop_map(|(d, a, b)| {
-            StaticUop::alu(UopKind::IntAdd, Reg(d), Reg(a), Some(Reg(b)), 0)
-        }),
+        1 => StaticUop::alu(UopKind::IntAdd, d, a, Some(b), 0),
         // mov imm
-        (reg.clone(), any::<u64>())
-            .prop_map(|(d, imm)| StaticUop::mov_imm(Reg(d), imm % (1 << 20))),
+        2 => StaticUop::mov_imm(d, rng.next_u64() % (1 << 20)),
         // load (address masked into a small window by construction: the
         // base register values stay small because immediates are small)
-        (reg.clone(), reg.clone(), 0u64..512)
-            .prop_map(|(d, b, off)| { StaticUop::load(Reg(d), Reg(b), off * 8) }),
+        3 => StaticUop::load(d, a, rng.gen_range(0..512) * 8),
         // store
-        (reg.clone(), reg.clone(), 0u64..512)
-            .prop_map(|(b, v, off)| { StaticUop::store(Reg(b), Reg(v), off * 8) }),
+        4 => StaticUop::store(a, b, rng.gen_range(0..512) * 8),
         // forward conditional branch
-        (reg.clone(), any::<bool>()).prop_map(move |(r, z)| {
-            StaticUop::branch(
-                if z {
-                    BranchCond::Zero
-                } else {
-                    BranchCond::NotZero
-                },
-                Some(Reg(r)),
-                max_target,
-            )
-        }),
-    ]
+        _ => {
+            let cond = [BranchCond::Zero, BranchCond::NotZero][rng.gen_range(0..2) as usize];
+            StaticUop::branch(cond, Some(a), target)
+        }
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random straight-line-with-forward-branches programs: the OoO core
-    /// and the reference interpreter agree on every register and on the
-    /// load/store/uop counts that survive speculation.
-    #[test]
-    fn ooo_matches_reference(
-        mut program_uops in prop::collection::vec(arb_uop(0), 1usize..60),
-        seed in any::<u64>(),
-        lat_seed in any::<u64>(),
-    ) {
-        // Retarget branches to valid strictly-forward targets (guarantees
+/// Random straight-line-with-forward-branches programs: the OoO core
+/// and the reference interpreter agree on every register and on the
+/// load/store/uop counts that survive speculation.
+#[test]
+fn ooo_matches_reference() {
+    for_each_case(0x5eed_e901, 64, |rng| {
+        // Branches get valid strictly-forward targets (guarantees
         // termination regardless of data values).
-        let len = program_uops.len();
-        let mut s = seed | 1;
-        for (i, u) in program_uops.iter_mut().enumerate() {
-            if u.kind.is_branch() {
-                s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-                let lo = i as u32 + 1;
-                let hi = len as u32;
-                u.target = Some(lo + (s as u32 % (hi - lo + 1)).min(hi - lo));
-            }
-        }
+        let len = rng.gen_range(1..60) as u32;
+        let program_uops = (0..len)
+            .map(|i| {
+                let target = rng.gen_range(u64::from(i) + 1..u64::from(len) + 1) as u32;
+                arb_uop(rng, target)
+            })
+            .collect();
         let program = Program::new(program_uops, 0x9000);
-        prop_assume!(program.validate().is_ok());
+        assert!(program.validate().is_ok());
 
         let mem = MemoryImage::new();
         let mut ref_mem = mem.clone();
         let expect = run_reference(&program, &mut ref_mem, 1_000_000);
-        prop_assert!(!expect.capped);
+        assert!(!expect.capped);
 
-        let core = run_core(&program, &mem, lat_seed, 2_000_000).expect("core finished");
-        prop_assert_eq!(core.committed_regs(), &expect.regs);
-        prop_assert_eq!(core.stats.retired_uops, expect.dyn_uops);
-        prop_assert_eq!(core.stats.retired_loads, expect.loads);
-        prop_assert_eq!(core.stats.retired_stores, expect.stores);
-    }
+        let core = run_core(&program, &mem, rng.next_u64(), 2_000_000).expect("core finished");
+        assert_eq!(core.committed_regs(), &expect.regs);
+        assert_eq!(core.stats.retired_uops, expect.dyn_uops);
+        assert_eq!(core.stats.retired_loads, expect.loads);
+        assert_eq!(core.stats.retired_stores, expect.stores);
+    });
 }
 
 #[test]

@@ -20,13 +20,12 @@
 #![warn(missing_docs)]
 
 use emc_types::{Stats, SystemConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-event dynamic energies (nanojoules) and static powers (watts).
 ///
 /// Defaults are in the range published for 32 nm out-of-order cores
 /// (McPAT) and DDR3 devices (CACTI/Micron power calculators).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Core clock in GHz (converts cycles to seconds).
     pub clock_ghz: f64,
@@ -87,7 +86,7 @@ impl Default for EnergyParams {
 }
 
 /// Energy broken down by component, in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// Core pipeline dynamic energy.
     pub core_dynamic_j: f64,

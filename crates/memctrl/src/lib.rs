@@ -17,8 +17,8 @@
 #![warn(missing_docs)]
 
 use emc_dram::{map_line, Channel, Location, RowOutcome};
+use emc_types::rng::{seeded_rng, SmallRng};
 use emc_types::{AccessKind, Cycle, DramConfig, FaultPlan, FxHashMap, MemReq, MemStats};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::collections::BinaryHeap;
 
 /// PAR-BS marking cap: maximum marked requests per (core, bank) per batch.
@@ -190,7 +190,7 @@ impl MemoryController {
                 reissue_penalty: plan.dram_reissue_penalty,
                 storm_prob: plan.mc_storm_prob,
                 storm_cycles: plan.mc_storm_cycles,
-                rng: SmallRng::seed_from_u64(seed),
+                rng: seeded_rng(seed),
             });
         } else {
             self.faults = None;
@@ -817,31 +817,16 @@ mod tests {
         }
     }
 
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     #[test]
     fn cached_scheduler_issues_what_the_scanning_one_does() {
-        let mut rng = XorShift(0x5eed_0016);
+        let mut rng = seeded_rng(0x5eed_0016);
         let (mut issues, mut escalations, mut storms, mut write_only_ticks) = (0, 0, 0, 0);
         for stream in 0..200u64 {
             let cfg = DramConfig {
-                queue_entries: 8 + rng.below(56) as usize,
+                queue_entries: 8 + rng.gen_range(0..56) as usize,
                 ..DramConfig::default() // two channels
             };
-            let threshold = (stream % 2 == 0).then(|| 50 + rng.below(400));
+            let threshold = (stream % 2 == 0).then(|| 50 + rng.gen_range(0..400));
             let plan = FaultPlan {
                 enabled: stream % 4 == 3,
                 dram_reissue_prob: 0.05,
@@ -861,17 +846,17 @@ mod tests {
             // Some streams are writes only, some bursty, all random in
             // bank, row, core and kind.
             let writes_only = stream % 5 == 4;
-            let burst = 1 + rng.below(6);
+            let burst = 1 + rng.gen_range(0..6);
             let mut id = 0;
             let mut now = 0;
             while now < 600 || !cached.is_idle() {
                 assert!(now < 20_000, "stream {stream} never drains");
-                if now < 600 && rng.below(8) < burst {
-                    for _ in 0..1 + rng.below(3) {
+                if now < 600 && rng.gen_range(0..8) < burst {
+                    for _ in 0..1 + rng.gen_range(0..3) {
                         id += 1;
-                        let line = LineAddr(rng.below(4) * 1024 + rng.below(64));
-                        let core = rng.below(4) as usize;
-                        let req = match (writes_only, rng.below(6)) {
+                        let line = LineAddr(rng.gen_range(0..4) * 1024 + rng.gen_range(0..64));
+                        let core = rng.gen_range(0..4) as usize;
+                        let req = match (writes_only, rng.gen_range(0..6)) {
                             (true, _) | (false, 0) => {
                                 MemReq::writeback(ReqId(id), line, Requester::Core(core), now)
                             }

@@ -3,8 +3,8 @@
 //! starvation-freedom under adversarial request streams.
 
 use emc_memctrl::MemoryController;
+use emc_types::rng::for_each_case;
 use emc_types::{DramConfig, LineAddr, MemReq, MemStats, ReqId, Requester};
-use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn one_channel() -> DramConfig {
@@ -14,15 +14,11 @@ fn one_channel() -> DramConfig {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every accepted request completes exactly once, with a data time
-    /// after its enqueue time.
-    #[test]
-    fn conservation_and_causality(
-        reqs in prop::collection::vec((0u64..512, 0u64..20, prop::bool::ANY, 0usize..4), 1..120),
-    ) {
+/// Every accepted request completes exactly once, with a data time
+/// after its enqueue time.
+#[test]
+fn conservation_and_causality() {
+    for_each_case(0x5eed_3c01, 64, |rng| {
         let cfg = one_channel();
         let mut mc = MemoryController::new(&cfg, vec![0]);
         let mut stats = MemStats::default();
@@ -30,13 +26,17 @@ proptest! {
         let mut completed: HashSet<u64> = HashSet::new();
         let mut now = 0u64;
         let mut id = 0u64;
-        for (line, gap, is_write, core) in reqs {
+        for _ in 0..rng.gen_range(1..120) {
+            let (line, gap) = (rng.gen_range(0..512), rng.gen_range(0..20));
+            let (is_write, core) = (rng.gen_bool(0.5), rng.gen_range(0..4) as usize);
             now += gap;
             // Drain due completions while time advances.
             for t in (now - gap)..=now {
                 for c in mc.tick(t, &mut stats) {
-                    prop_assert!(completed.insert(c.req.id.0), "double completion");
-                    prop_assert!(c.req.timeline.dram_done.unwrap() >= c.req.timeline.mc_enqueue.unwrap());
+                    assert!(completed.insert(c.req.id.0), "double completion");
+                    assert!(
+                        c.req.timeline.dram_done.unwrap() >= c.req.timeline.mc_enqueue.unwrap()
+                    );
                 }
             }
             id += 1;
@@ -52,29 +52,44 @@ proptest! {
         // Drain to empty.
         for t in now..now + 2_000_000 {
             for c in mc.tick(t, &mut stats) {
-                prop_assert!(completed.insert(c.req.id.0), "double completion");
+                assert!(completed.insert(c.req.id.0), "double completion");
             }
             if mc.is_idle() {
                 break;
             }
         }
-        prop_assert!(mc.is_idle(), "controller failed to drain");
-        prop_assert_eq!(&accepted, &completed, "lost or spurious completions");
-    }
+        assert!(mc.is_idle(), "controller failed to drain");
+        assert_eq!(&accepted, &completed, "lost or spurious completions");
+    });
+}
 
-    /// A single old request from a quiet core is never starved behind a
-    /// flood from another core, regardless of the flood's layout
-    /// (PAR-BS batching property).
-    #[test]
-    fn no_starvation_under_flood(flood_lines in prop::collection::vec(0u64..64, 20..60)) {
+/// A single old request from a quiet core is never starved behind a
+/// flood from another core, regardless of the flood's layout
+/// (PAR-BS batching property).
+#[test]
+fn no_starvation_under_flood() {
+    for_each_case(0x5eed_3c02, 64, |rng| {
+        let flood_lines: Vec<u64> = (0..rng.gen_range(20..60))
+            .map(|_| rng.gen_range(0..64))
+            .collect();
         let cfg = one_channel();
         let mut mc = MemoryController::new(&cfg, vec![0]);
         let mut stats = MemStats::default();
         // The victim request arrives first.
-        mc.enqueue(MemReq::read(ReqId(1), LineAddr(1000), Requester::Core(1), 0, 0), 0).unwrap();
+        mc.enqueue(
+            MemReq::read(ReqId(1), LineAddr(1000), Requester::Core(1), 0, 0),
+            0,
+        )
+        .unwrap();
         for (i, l) in flood_lines.iter().enumerate() {
             let _ = mc.enqueue(
-                MemReq::read(ReqId(100 + i as u64), LineAddr(*l), Requester::Core(0), 0, 0),
+                MemReq::read(
+                    ReqId(100 + i as u64),
+                    LineAddr(*l),
+                    Requester::Core(0),
+                    0,
+                    0,
+                ),
                 0,
             );
         }
@@ -94,21 +109,21 @@ proptest! {
         let (_, position) = victim_done_at.expect("victim serviced");
         // The victim is in the first batch: it cannot finish later than
         // MARKING_CAP requests per competing (core, bank) pair + itself.
-        prop_assert!(
+        assert!(
             position <= 8 * emc_memctrl::MARKING_CAP + 1,
             "victim serviced at position {position}"
         );
-    }
+    });
+}
 
-    /// Adversarial single-bank hog: one core keeps an open-row stream to
-    /// a single line alive for the whole run while victims arrive at
-    /// arbitrary times and addresses. With aging armed, no request —
-    /// victim or hog — is ever issued older than the escalation
-    /// threshold plus one batch-drain window.
-    #[test]
-    fn hog_cannot_age_requests_past_escalation_bound(
-        victims in prop::collection::vec((0u64..20_000, 0u64..4096), 1..8),
-    ) {
+/// Adversarial single-bank hog: one core keeps an open-row stream to
+/// a single line alive for the whole run while victims arrive at
+/// arbitrary times and addresses. With aging armed, no request —
+/// victim or hog — is ever issued older than the escalation
+/// threshold plus one batch-drain window.
+#[test]
+fn hog_cannot_age_requests_past_escalation_bound() {
+    for_each_case(0x5eed_3c03, 64, |rng| {
         const THRESHOLD: u64 = 500;
         // One escalated batch drain: every queued entry (≤ 8 hog + 8
         // victims + in-flight slack) serviced at worst-case row-conflict
@@ -118,7 +133,9 @@ proptest! {
         let mut mc = MemoryController::new(&cfg, vec![0]);
         mc.set_escalation_threshold(Some(THRESHOLD));
         let mut stats = MemStats::default();
-        let mut victims = victims.clone();
+        let mut victims: Vec<(u64, u64)> = (0..rng.gen_range(1..8))
+            .map(|_| (rng.gen_range(0..20_000), rng.gen_range(0..4096)))
+            .collect();
         victims.sort_unstable();
         let mut next_victim = 0usize;
         let mut hog_outstanding = 0usize;
@@ -128,7 +145,10 @@ proptest! {
             if hog_outstanding < 8 {
                 id += 1;
                 if mc
-                    .enqueue(MemReq::read(ReqId(id), LineAddr(0), Requester::Core(0), 0, now), now)
+                    .enqueue(
+                        MemReq::read(ReqId(id), LineAddr(0), Requester::Core(0), 0, now),
+                        now,
+                    )
                     .is_ok()
                 {
                     hog_outstanding += 1;
@@ -149,23 +169,34 @@ proptest! {
                 }
                 let enq = c.req.timeline.mc_enqueue.unwrap();
                 let issue = c.req.timeline.dram_issue.unwrap();
-                prop_assert!(
+                assert!(
                     issue - enq <= THRESHOLD + DRAIN,
                     "request {} issued {} cycles after enqueue (bound {})",
-                    c.req.id.0, issue - enq, THRESHOLD + DRAIN
+                    c.req.id.0,
+                    issue - enq,
+                    THRESHOLD + DRAIN
                 );
             }
         }
-    }
+    });
+}
 
-    /// The controller is a pure function of its request stream: replaying
-    /// the same interleaving through two fresh instances (aging armed)
-    /// yields bit-identical completion order and timing. This is what
-    /// makes liveness escalation seed-stable.
-    #[test]
-    fn same_stream_yields_identical_completion_order(
-        reqs in prop::collection::vec((0u64..512, 0u64..10, 0usize..4), 1..80),
-    ) {
+/// The controller is a pure function of its request stream: replaying
+/// the same interleaving through two fresh instances (aging armed)
+/// yields bit-identical completion order and timing. This is what
+/// makes liveness escalation seed-stable.
+#[test]
+fn same_stream_yields_identical_completion_order() {
+    for_each_case(0x5eed_3c04, 64, |rng| {
+        let reqs: Vec<(u64, u64, usize)> = (0..rng.gen_range(1..80))
+            .map(|_| {
+                (
+                    rng.gen_range(0..512),
+                    rng.gen_range(0..10),
+                    rng.gen_range(0..4) as usize,
+                )
+            })
+            .collect();
         let run = |reqs: &[(u64, u64, usize)]| -> Vec<(u64, u64, u64)> {
             let cfg = one_channel();
             let mut mc = MemoryController::new(&cfg, vec![0]);
@@ -177,17 +208,31 @@ proptest! {
                 now += gap;
                 for t in (now - gap)..=now {
                     for c in mc.tick(t, &mut stats) {
-                        log.push((c.req.id.0, c.req.timeline.dram_issue.unwrap(), c.req.timeline.dram_done.unwrap()));
+                        log.push((
+                            c.req.id.0,
+                            c.req.timeline.dram_issue.unwrap(),
+                            c.req.timeline.dram_done.unwrap(),
+                        ));
                     }
                 }
                 let _ = mc.enqueue(
-                    MemReq::read(ReqId(i as u64), LineAddr(line), Requester::Core(core), 0, now),
+                    MemReq::read(
+                        ReqId(i as u64),
+                        LineAddr(line),
+                        Requester::Core(core),
+                        0,
+                        now,
+                    ),
                     now,
                 );
             }
             for t in now..now + 1_000_000 {
                 for c in mc.tick(t, &mut stats) {
-                    log.push((c.req.id.0, c.req.timeline.dram_issue.unwrap(), c.req.timeline.dram_done.unwrap()));
+                    log.push((
+                        c.req.id.0,
+                        c.req.timeline.dram_issue.unwrap(),
+                        c.req.timeline.dram_done.unwrap(),
+                    ));
                 }
                 if mc.is_idle() {
                     break;
@@ -195,8 +240,12 @@ proptest! {
             }
             log
         };
-        prop_assert_eq!(run(&reqs), run(&reqs), "completion order diverged across replays");
-    }
+        assert_eq!(
+            run(&reqs),
+            run(&reqs),
+            "completion order diverged across replays"
+        );
+    });
 }
 
 /// Deterministic adversary that forces the aging path itself to fire: a

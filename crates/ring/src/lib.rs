@@ -13,8 +13,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use emc_types::rng::{seeded_rng, SmallRng};
 use emc_types::{Cycle, FaultPlan, RingConfig, RingStats};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 /// Which of the two rings a message travels on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,7 +120,7 @@ impl Ring {
             self.faults = Some((
                 plan.ring_delay_prob,
                 plan.ring_delay_cycles,
-                SmallRng::seed_from_u64(seed),
+                seeded_rng(seed),
             ));
         } else {
             self.faults = None;

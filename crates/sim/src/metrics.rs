@@ -2,10 +2,9 @@
 //! captures queue-occupancy [`MetricSample`]s each epoch, and the JSON
 //! exporters behind `emcsim --metrics-out` and `--json`.
 //!
-//! All JSON here is rendered through [`JsonValue`] (not serde), so the
-//! exporters work — and are tested — in environments without a
-//! functional serde backend. The schemas are versioned by a `"schema"`
-//! key so downstream consumers can detect format changes.
+//! All JSON here is rendered through [`JsonValue`]. The schemas are
+//! versioned by a `"schema"` key so downstream consumers can detect
+//! format changes.
 
 use emc_types::{Cycle, Histogram, JsonValue, MetricSample, RunOutcome, Stats};
 

@@ -6,9 +6,9 @@
 //! across the sub-phases of [`System::tick`](crate::System::tick) —
 //! event drain, memory controllers, EMCs, chain generation, prefetch,
 //! cores, observability — and [`ThroughputMeter`] turns a whole run
-//! into simulated-cycles-per-second and retired-uops-per-second. The
-//! `perf` bin in `emc-bench` uses both to emit the `emc-bench-v1`
-//! perf-trajectory artifact (`BENCH_<sha>.json`, EXPERIMENTS.md).
+//! into simulated-cycles-per-second and retired-uops-per-second.
+//! `emcsim --profile` prints both; `benchmark/`'s `trace` binary turns
+//! the profiler's report into the `sim.phase.*` metrics.
 //!
 //! # Overhead model
 //!
@@ -18,19 +18,16 @@
 //! tick in every `stride` is measured, and within a measured tick each
 //! phase boundary is a single monotonic-clock read (`phase_mark` reuses
 //! the end of phase *n* as the start of phase *n+1*). At the default
-//! stride of 64 that is ⅛ of a clock read per tick — far below the
-//! noise floor of the `observability_tax` criterion bench. Sampled
-//! phase intervals are disjoint sub-intervals of the run's wall time,
-//! so their sum can never exceed it (the invariant the `emc-bench-v1`
-//! schema tests pin down).
+//! stride of 64 that is ⅛ of a clock read per tick. Sampled phase
+//! intervals are disjoint sub-intervals of the run's wall time, so
+//! their sum can never exceed it
+//! (`sampled_phase_time_is_bounded_by_wall_time` below).
 //!
 //! The profiler reads the clock and nothing else: it never touches
 //! simulator state, so enabling it cannot perturb simulated results
 //! (asserted by `profiling_does_not_perturb_results` below).
 
 use std::time::Instant;
-
-use emc_types::JsonValue;
 
 /// Number of [`Phase`]s (sizes the accumulator arrays).
 pub const PHASE_COUNT: usize = 7;
@@ -71,7 +68,7 @@ impl Phase {
         Phase::Observe,
     ];
 
-    /// Stable label, used as the JSON `phase` value and the table row.
+    /// Stable label: the table row, and `benchmark/`'s metric suffix.
     pub fn name(self) -> &'static str {
         match self {
             Phase::Events => "events",
@@ -204,7 +201,7 @@ impl TickProfiler {
     }
 
     /// Credit `nanos` to `phase` directly (the measurement core;
-    /// public so schema tests can synthesize known distributions).
+    /// public so tests can synthesize known distributions).
     pub fn record(&mut self, phase: Phase, nanos: u64) {
         let i = phase.index();
         self.nanos[i] = self.nanos[i].saturating_add(nanos);
@@ -268,32 +265,6 @@ impl ProfileReport {
             .iter()
             .find(|p| p.name == name)
             .map_or(0.0, |p| p.nanos as f64 / total as f64)
-    }
-
-    /// The breakdown as a JSON fragment: `[{phase, nanos, samples,
-    /// share}, ...]` plus sampling coverage — the `phases` value inside
-    /// each `emc-bench-v1` cell.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            (
-                "phases",
-                JsonValue::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            JsonValue::obj(vec![
-                                ("phase", p.name.into()),
-                                ("nanos", p.nanos.into()),
-                                ("samples", p.samples.into()),
-                                ("share", self.share(p.name).into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("sampled_ticks", self.sampled_ticks.into()),
-            ("total_ticks", self.total_ticks.into()),
-        ])
     }
 
     /// A human-readable table (one line per phase), widest share first.
@@ -460,26 +431,6 @@ mod tests {
         let sum: f64 = Phase::ALL.iter().map(|ph| r.share(ph.name())).sum();
         assert!((sum - 1.0).abs() < 1e-12, "shares sum to {sum}");
         assert!((r.share("tick_cores") - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_json_round_trips() {
-        let mut p = TickProfiler::with_stride(1);
-        p.begin_tick();
-        p.record(Phase::Cores, 1234);
-        let doc = p.report().to_json();
-        let back = JsonValue::parse(&doc.to_json()).expect("valid JSON");
-        assert_eq!(back, doc, "shortest-float formatting round-trips");
-        let cores = back
-            .get("phases")
-            .and_then(|a| a.as_arr())
-            .and_then(|a| {
-                a.iter()
-                    .find(|e| e.get("phase").and_then(|v| v.as_str()) == Some("tick_cores"))
-                    .cloned()
-            })
-            .unwrap();
-        assert_eq!(cores.get("nanos").and_then(|v| v.as_f64()), Some(1234.0));
     }
 
     #[test]

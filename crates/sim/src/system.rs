@@ -14,15 +14,14 @@ use emc_dram::map_line;
 use emc_memctrl::MemoryController;
 use emc_prefetch::PrefetchEngine;
 use emc_ring::{Ring, RingKind, Topology};
+use emc_types::rng::{seeded_rng, substream, SmallRng};
 use emc_types::{
-    physical_line, substream, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, FxHashSet,
-    LineAddr, LivenessSnapshot, MemReq, MetricSample, MissJourney, PrefetcherKind, ReqId,
-    Requester, RunOutcome, RunReport, Stats, SystemConfig, TraceSink, TraceTrack, UopKind,
-    WedgeCoreState, WedgeEmcContext, WedgeReport, CACHE_LINE_BYTES,
+    physical_line, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, FxHashSet, LineAddr,
+    LivenessSnapshot, MemReq, MetricSample, MissJourney, PrefetcherKind, ReqId, Requester,
+    RunOutcome, RunReport, Stats, SystemConfig, TraceSink, TraceTrack, UopKind, WedgeCoreState,
+    WedgeEmcContext, WedgeReport, CACHE_LINE_BYTES,
 };
 use emc_workloads::Workload;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
@@ -278,7 +277,7 @@ impl System {
             }
         }
         let emc_fault = (cfg.faults.enabled && cfg.faults.emc_kill_prob > 0.0).then(|| {
-            let rng = SmallRng::seed_from_u64(substream(cfg.seed, FAULT_STREAM_EMC_KILL));
+            let rng = seeded_rng(substream(cfg.seed, FAULT_STREAM_EMC_KILL));
             (cfg.faults.emc_kill_prob, rng)
         });
         Ok(System {

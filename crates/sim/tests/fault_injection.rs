@@ -6,9 +6,9 @@
 //! truncation.
 
 use emc_sim::{build_system, cycle_cap, BuildError, RunOutcome, System};
+use emc_types::rng::{for_each_case, SmallRng};
 use emc_types::{FaultPlan, Stats, SystemConfig};
 use emc_workloads::{build, Benchmark, SPILL_BASE};
-use proptest::prelude::*;
 
 /// Architectural fingerprint of a finished run: retired counts, final
 /// committed registers, and the spill words every benchmark writes.
@@ -81,26 +81,24 @@ fn run_storm(
     ((retired, regs, mem), stats)
 }
 
-fn fault_plan_strategy() -> impl Strategy<Value = FaultPlan> {
-    (
-        0.0..0.05f64,  // ring_delay_prob
-        1u64..32,      // ring_delay_cycles
-        0.0..0.02f64,  // dram_reissue_prob
-        1u64..200,     // dram_reissue_penalty
-        0.0..0.003f64, // emc_kill_prob (per busy context per cycle)
-        0.0..0.001f64, // mc_storm_prob
-        1u64..300,     // mc_storm_cycles
-    )
-        .prop_map(|(rp, rd, dp, dpen, kp, sp, sc)| FaultPlan {
-            enabled: true,
-            ring_delay_prob: rp,
-            ring_delay_cycles: rd,
-            dram_reissue_prob: dp,
-            dram_reissue_penalty: dpen,
-            emc_kill_prob: kp,
-            mc_storm_prob: sp,
-            mc_storm_cycles: sc,
-        })
+/// Any valid fault plan, every knob drawn inside its hostile-but-sane
+/// range.
+fn arb_fault_plan(rng: &mut SmallRng) -> FaultPlan {
+    // Uniform in `0.0..hi`, in millionths of `hi`.
+    let mut prob = |hi: f64| hi * rng.gen_range(0..1_000_000) as f64 / 1e6;
+    let (ring_delay_prob, dram_reissue_prob) = (prob(0.05), prob(0.02));
+    // emc_kill_prob is per busy context per cycle.
+    let (emc_kill_prob, mc_storm_prob) = (prob(0.003), prob(0.001));
+    FaultPlan {
+        enabled: true,
+        ring_delay_prob,
+        ring_delay_cycles: rng.gen_range(1..32),
+        dram_reissue_prob,
+        dram_reissue_penalty: rng.gen_range(1..200),
+        emc_kill_prob,
+        mc_storm_prob,
+        mc_storm_cycles: rng.gen_range(1..300),
+    }
 }
 
 fn baseline() -> &'static ArchState {
@@ -108,38 +106,46 @@ fn baseline() -> &'static ArchState {
     BASELINE.get_or_init(|| run_to_completion(FaultPlan::default(), Benchmark::Mcf, 120).0)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Any valid fault plan: the run terminates and its final
-    /// architectural state is bit-identical to the fault-free run —
-    /// faults perturb timing only.
-    #[test]
-    fn chaos_faults_are_architecturally_invisible(plan in fault_plan_strategy()) {
+/// Any valid fault plan: the run terminates and its final
+/// architectural state is bit-identical to the fault-free run —
+/// faults perturb timing only.
+#[test]
+fn chaos_faults_are_architecturally_invisible() {
+    for_each_case(0x5eed_fa01, 6, |rng| {
+        let plan = arb_fault_plan(rng);
         let (faulty, _) = run_to_completion(plan, Benchmark::Mcf, 120);
         let clean = baseline();
-        prop_assert_eq!(&faulty.0, &clean.0, "retired-uop counts diverged under {:?}", plan);
-        prop_assert_eq!(&faulty.1, &clean.1, "final registers diverged under {:?}", plan);
-        prop_assert_eq!(&faulty.2, &clean.2, "spill memory diverged under {:?}", plan);
-    }
+        assert_eq!(
+            &faulty.0, &clean.0,
+            "retired-uop counts diverged under {plan:?}"
+        );
+        assert_eq!(
+            &faulty.1, &clean.1,
+            "final registers diverged under {plan:?}"
+        );
+        assert_eq!(&faulty.2, &clean.2, "spill memory diverged under {plan:?}");
+    });
+}
 
-    /// Same seed, same fault plan: reruns are bit-identical, faults and
-    /// all.
-    #[test]
-    fn chaos_runs_are_deterministic(plan in fault_plan_strategy()) {
+/// Same seed, same fault plan: reruns are bit-identical, faults and
+/// all.
+#[test]
+fn chaos_runs_are_deterministic() {
+    for_each_case(0x5eed_fa02, 6, |rng| {
+        let plan = arb_fault_plan(rng);
         let (state_a, a) = run_to_completion(plan, Benchmark::Mcf, 100);
         let (state_b, b) = run_to_completion(plan, Benchmark::Mcf, 100);
-        prop_assert_eq!(state_a, state_b);
-        prop_assert_eq!(a.cycles, b.cycles);
-        prop_assert_eq!(a.mem.dram_reads, b.mem.dram_reads);
-        prop_assert_eq!(a.ring.injected_delays, b.ring.injected_delays);
-        prop_assert_eq!(a.mem.ecc_reissues, b.mem.ecc_reissues);
-        prop_assert_eq!(a.mem.backpressure_storms, b.mem.backpressure_storms);
+        assert_eq!(state_a, state_b);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.mem.dram_reads, b.mem.dram_reads);
+        assert_eq!(a.ring.injected_delays, b.ring.injected_delays);
+        assert_eq!(a.mem.ecc_reissues, b.mem.ecc_reissues);
+        assert_eq!(a.mem.backpressure_storms, b.mem.backpressure_storms);
         for (ca, cb) in a.cores.iter().zip(&b.cores) {
-            prop_assert_eq!(ca.chains_aborted_injected, cb.chains_aborted_injected);
-            prop_assert_eq!(ca.emc_quiesce_events, cb.emc_quiesce_events);
+            assert_eq!(ca.chains_aborted_injected, cb.chains_aborted_injected);
+            assert_eq!(ca.emc_quiesce_events, cb.emc_quiesce_events);
         }
-    }
+    });
 }
 
 #[test]

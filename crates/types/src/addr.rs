@@ -1,6 +1,5 @@
 //! Address newtypes: byte addresses, cache-line addresses, page addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of a cache line in bytes (Table 1: 64-byte lines).
@@ -25,21 +24,15 @@ pub const PAGE_BYTES: u64 = 4096;
 /// assert_eq!(a.line().base().0, 0x1200);
 /// assert_eq!(a.offset_in_line(), 0x34);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
 
 /// A cache-line-aligned address, stored as `byte_address / 64`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
 
 /// A page-aligned address, stored as `byte_address / 4096`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageAddr(pub u64);
 
 /// Fold a core id into a (per-core virtual) line address to form the

@@ -21,10 +21,9 @@
 //!   field (such as [`LivenessConfig`]) cannot ship without entering
 //!   the cache key.
 //!
-//! Decoders are tolerant in exactly one dimension: a missing optional
-//! key decodes as its default where the struct's serde annotation says
-//! `#[serde(default)]`, so documents written before a field existed
-//! still load.
+//! Decoders are tolerant in exactly one dimension: a key added after
+//! documents were already on disk decodes as its default when missing,
+//! so documents written before the field existed still load.
 
 use crate::config::{
     CacheConfig, CoreConfig, DramConfig, EmcConfig, FaultPlan, LivenessConfig, PrefetchConfig,
@@ -323,8 +322,7 @@ fn core_stats_from_json(v: &JsonValue) -> Result<CoreStats, String> {
     })
 }
 
-/// Decode an optional `u64` field: absent means zero (mirrors the
-/// struct's `#[serde(default)]`).
+/// Decode an optional `u64` field: absent means zero.
 fn opt_u64(obj: &JsonValue, key: &str) -> Result<u64, String> {
     match obj.get(key) {
         Some(v) => dec_u64(v, key),
@@ -636,8 +634,7 @@ pub fn config_to_json(cfg: &SystemConfig) -> JsonValue {
 /// Decode a [`SystemConfig`] written by [`config_to_json`].
 ///
 /// Documents written before the fault or liveness layers existed (no
-/// `faults` / `liveness` key) decode with those sections defaulted,
-/// mirroring the struct's `#[serde(default)]` annotations.
+/// `faults` / `liveness` key) decode with those sections defaulted.
 ///
 /// # Errors
 ///

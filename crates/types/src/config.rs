@@ -5,11 +5,9 @@
 //! cycles; one 64-byte burst at an 800 MHz DDR bus takes 5 ns = 16 core
 //! cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// Which hardware prefetcher configuration is active (§5 of the paper:
 /// stream always accompanies Markov because it strictly helps it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No prefetching (baseline).
     None,
@@ -61,7 +59,7 @@ impl PrefetcherKind {
 
 /// Core pipeline parameters (Table 1: 4-wide issue, 256-entry ROB,
 /// 92-entry reservation station, hybrid branch predictor, 3.2 GHz).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Uops fetched/renamed per cycle.
     pub fetch_width: usize,
@@ -103,7 +101,7 @@ impl Default for CoreConfig {
 }
 
 /// Parameters of one cache (L1 or one LLC slice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub bytes: u64,
@@ -144,7 +142,7 @@ impl CacheConfig {
 
 /// Ring interconnect parameters (Table 1: two bi-directional rings,
 /// 8-byte control and 64-byte data, 1-cycle links).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingConfig {
     /// Latency of one ring link hop, in cycles.
     pub link_cycles: u64,
@@ -162,7 +160,7 @@ impl Default for RingConfig {
 }
 
 /// DRAM device and channel parameters, in core cycles (3.2 GHz).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Independent channels.
     pub channels: usize,
@@ -211,7 +209,7 @@ impl DramConfig {
 }
 
 /// Prefetcher parameters (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchConfig {
     /// Stream prefetcher: concurrent streams tracked per core.
     pub stream_count: usize,
@@ -256,7 +254,7 @@ impl Default for PrefetchConfig {
 }
 
 /// Enhanced Memory Controller parameters (Table 1 and §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmcConfig {
     /// Whether the EMC is present at all.
     pub enabled: bool,
@@ -298,26 +296,13 @@ pub struct EmcConfig {
     /// failures (aborts/cancels with no completed chain in between) on
     /// one core, the EMC quiesces chain generation for that core for a
     /// backoff window instead of thrashing the abort path.
-    #[serde(default = "default_quiesce_threshold")]
     pub quiesce_threshold: u32,
     /// Initial quiesce backoff window in cycles; doubles on every
     /// repeated quiesce (saturating at [`EmcConfig::quiesce_backoff_max`])
     /// and resets when a chain completes.
-    #[serde(default = "default_quiesce_backoff")]
     pub quiesce_backoff: u64,
     /// Saturation point for the quiesce backoff window.
-    #[serde(default = "default_quiesce_backoff_max")]
     pub quiesce_backoff_max: u64,
-}
-
-fn default_quiesce_threshold() -> u32 {
-    8
-}
-fn default_quiesce_backoff() -> u64 {
-    512
-}
-fn default_quiesce_backoff_max() -> u64 {
-    16_384
 }
 
 impl Default for EmcConfig {
@@ -339,9 +324,9 @@ impl Default for EmcConfig {
             miss_pred_threshold: 4,
             dep_counter_trigger: 2,
             chain_candidates: 4,
-            quiesce_threshold: default_quiesce_threshold(),
-            quiesce_backoff: default_quiesce_backoff(),
-            quiesce_backoff_max: default_quiesce_backoff_max(),
+            quiesce_threshold: 8,
+            quiesce_backoff: 512,
+            quiesce_backoff_max: 16_384,
         }
     }
 }
@@ -352,7 +337,7 @@ impl Default for EmcConfig {
 /// bit-identical to a fault-free run. All draws come from seeded
 /// [`substream`](crate::rng::substream)s of [`SystemConfig::seed`], so
 /// a faulty run is exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Master switch; when false no fault RNG is even constructed and
     /// the simulation is cycle-identical to a build without this field.
@@ -441,30 +426,6 @@ impl FaultPlan {
     }
 }
 
-fn default_true() -> bool {
-    true
-}
-
-fn default_mc_escalation_age() -> u64 {
-    8_192
-}
-
-fn default_emc_lease() -> u64 {
-    32_768
-}
-
-fn default_ring_backlog_threshold() -> u64 {
-    1_024
-}
-
-fn default_core_stall_age() -> u64 {
-    250_000
-}
-
-fn default_probe_interval() -> u64 {
-    10_000
-}
-
 /// Forward-progress (liveness) enforcement and diagnosis parameters.
 ///
 /// Two mechanisms actively guarantee progress — memory-queue aging
@@ -477,42 +438,36 @@ fn default_probe_interval() -> u64 {
 ///
 /// Both mechanisms are timing-only and architecturally invisible: they
 /// reorder or re-execute work through existing paths, never drop it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LivenessConfig {
     /// Master switch for aging and leases (probes always run).
-    #[serde(default = "default_true")]
     pub enabled: bool,
     /// Memory-queue age (cycles) at which a request escalates ahead of
     /// row-hit preference and batch boundaries.
-    #[serde(default = "default_mc_escalation_age")]
     pub mc_escalation_age: u64,
     /// Cycles an occupied EMC context may go without a progress event
     /// (ship arrival, source delivery, load completion, result drain)
     /// before its chain is killed and re-executed at the core.
-    #[serde(default = "default_emc_lease")]
     pub emc_lease: u64,
     /// Ring link backlog (cycles of queued occupancy) the classifier
     /// treats as pathological backpressure.
-    #[serde(default = "default_ring_backlog_threshold")]
     pub ring_backlog_threshold: u64,
     /// Cycles since last retirement beyond which the classifier deems a
     /// core deadlocked rather than slow.
-    #[serde(default = "default_core_stall_age")]
     pub core_stall_age: u64,
     /// Cadence (cycles) of the watchdog's liveness probe sampling.
-    #[serde(default = "default_probe_interval")]
     pub probe_interval: u64,
 }
 
 impl Default for LivenessConfig {
     fn default() -> Self {
         LivenessConfig {
-            enabled: default_true(),
-            mc_escalation_age: default_mc_escalation_age(),
-            emc_lease: default_emc_lease(),
-            ring_backlog_threshold: default_ring_backlog_threshold(),
-            core_stall_age: default_core_stall_age(),
-            probe_interval: default_probe_interval(),
+            enabled: true,
+            mc_escalation_age: 8_192,
+            emc_lease: 32_768,
+            ring_backlog_threshold: 1_024,
+            core_stall_age: 250_000,
+            probe_interval: 10_000,
         }
     }
 }
@@ -544,7 +499,7 @@ impl LivenessConfig {
 }
 
 /// Full system configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of cores (4 or 8 in the paper).
     pub cores: usize,
@@ -572,10 +527,8 @@ pub struct SystemConfig {
     /// dependent on an in-flight LLC miss are served as LLC hits.
     pub ideal_dependent_hits: bool,
     /// Deterministic timing-fault injection (disabled by default).
-    #[serde(default)]
     pub faults: FaultPlan,
     /// Forward-progress enforcement and diagnosis (enabled by default).
-    #[serde(default)]
     pub liveness: LivenessConfig,
 }
 

@@ -9,8 +9,6 @@
 //! state (65 buckets), O(1) recording, exact count/sum/min/max, and
 //! percentile estimates whose error is bounded by the bucket width.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
@@ -20,7 +18,7 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// The bucket vector is allocated lazily on the first
 /// [`record`](Histogram::record), so a default (empty) histogram is as
 /// cheap as the count+sum statistic it replaced.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Number of samples.
     pub count: u64,

@@ -5,7 +5,6 @@
 //! [`RunOutcome`] (or call [`RunReport::expect_completed`], which fails
 //! loudly with the full [`WedgeReport`] diagnosis).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::config::LivenessConfig;
@@ -17,7 +16,7 @@ use crate::Cycle;
 /// from the per-component liveness probes ([`LivenessSnapshot`]). Each
 /// variant names the implicated components so a harness (or a human)
 /// can act on the diagnosis instead of a bare "wedged".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WedgeClass {
     /// One or more memory controllers held a request past the
     /// escalation age: the scheduler starved it. Carries the implicated
@@ -97,7 +96,7 @@ impl fmt::Display for WedgeClass {
 /// simulator captures one whenever a run ends without completing (and
 /// the watchdog samples them at `probe_interval`); the classifier turns
 /// it into a [`WedgeClass`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LivenessSnapshot {
     /// Cycle at which the probes were read.
     pub cycle: Cycle,
@@ -196,7 +195,7 @@ impl LivenessSnapshot {
 }
 
 /// How a simulation run terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
     /// Every core reached its retired-uop budget (or finished its
     /// program). The statistics are a valid measurement.
@@ -222,7 +221,7 @@ impl fmt::Display for RunOutcome {
 }
 
 /// Per-core state captured when the watchdog declares a wedge.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WedgeCoreState {
     /// Core index.
     pub core: usize,
@@ -243,7 +242,7 @@ pub struct WedgeCoreState {
 }
 
 /// EMC issue-context occupancy captured at the wedge point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WedgeEmcContext {
     /// Which memory controller's EMC.
     pub mc: usize,
@@ -259,7 +258,7 @@ pub struct WedgeEmcContext {
 
 /// Structured diagnosis of a wedged run: what every scheduler-visible
 /// queue looked like when forward progress stopped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WedgeReport {
     /// Cycle at which the wedge was declared.
     pub cycle: Cycle,
@@ -280,13 +279,10 @@ pub struct WedgeReport {
     /// The last time-series samples captured before the wedge (oldest
     /// first), when the sampler was enabled: the queue-depth/occupancy
     /// history leading up to the stall, not just the final snapshot.
-    #[serde(default)]
     pub recent_samples: Vec<MetricSample>,
     /// Root-cause classification from the liveness probes.
-    #[serde(default)]
     pub class: Option<WedgeClass>,
     /// The probe readings the classification was derived from.
-    #[serde(default)]
     pub liveness: Option<LivenessSnapshot>,
 }
 
@@ -348,7 +344,7 @@ impl fmt::Display for WedgeReport {
 
 /// The result of a full-system run: final statistics plus a typed
 /// outcome, and the wedge diagnosis when the watchdog fired.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// How the run terminated.
     pub outcome: RunOutcome,
@@ -361,11 +357,9 @@ pub struct RunReport {
     /// Root-cause classification, present for every non-completed
     /// outcome (for `Wedged` it mirrors the wedge report's class; for
     /// `CapHit` it distinguishes slow-but-live from a real pathology).
-    #[serde(default)]
     pub class: Option<WedgeClass>,
     /// Liveness probe readings at termination, present for every
     /// non-completed outcome.
-    #[serde(default)]
     pub liveness: Option<LivenessSnapshot>,
 }
 

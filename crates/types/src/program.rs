@@ -10,7 +10,6 @@
 use crate::mem_image::MemoryImage;
 use crate::uop::{BranchCond, Reg, UopKind, NUM_ARCH_REGS};
 use crate::Addr;
-use serde::{Deserialize, Serialize};
 
 /// One static micro-op in a [`Program`].
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// - `Load`: `dst = mem[srcs[0] + imm]` (8 bytes; `srcs[0]` optional).
 /// - `Store`: `mem[srcs[0] + imm] = srcs[1]`.
 /// - `Branch(cond)`: tests `srcs[0]`; jumps to `target` when taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticUop {
     /// Operation class.
     pub kind: UopKind,
@@ -144,7 +143,7 @@ impl StaticUop {
 /// Execution begins at uop 0 and terminates when control flow runs past the
 /// last uop. The synthetic PC of uop `i` is `pc_base + 4*i` (used by branch
 /// predictors and the EMC miss predictor, which hash on PC).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Program {
     /// The micro-ops, in static program order.
     pub uops: Vec<StaticUop>,

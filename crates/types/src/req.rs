@@ -8,13 +8,10 @@
 
 use crate::addr::LineAddr;
 use crate::{CoreId, Cycle};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier for a memory request.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReqId(pub u64);
 
 impl fmt::Display for ReqId {
@@ -25,7 +22,7 @@ impl fmt::Display for ReqId {
 
 /// Who issued a memory request. Latency attribution and several figures
 /// (15, 18, 21) distinguish core-issued, EMC-issued and prefetch requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Requester {
     /// A demand request issued by a core pipeline.
     Core(CoreId),
@@ -63,7 +60,7 @@ impl Requester {
 }
 
 /// The type of memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Demand read (load miss or instruction fetch miss).
     Read,
@@ -78,7 +75,7 @@ pub enum AccessKind {
 /// All stamps are in core-clock cycles. `None` means the request has not
 /// reached that boundary (or skipped it: EMC requests predicted to miss
 /// bypass the LLC entirely, §4.3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReqTimeline {
     /// Cycle the request was created by its requester.
     pub created: Cycle,
@@ -135,7 +132,7 @@ impl ReqTimeline {
 }
 
 /// A memory request flowing through the simulated memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemReq {
     /// Unique id.
     pub id: ReqId,

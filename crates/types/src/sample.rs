@@ -10,10 +10,9 @@
 //! to the wedge rather than just the final snapshot.
 
 use crate::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Occupancy of every scheduler-visible queue at one sample epoch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricSample {
     /// Cycle the sample was taken.
     pub cycle: Cycle,

@@ -2,10 +2,9 @@
 //! figure harnesses and the energy model.
 
 use crate::hist::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// Per-core pipeline statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CoreStats {
     /// Cycles this core took to finish its benchmark (or cycles elapsed).
     pub cycles: u64,
@@ -58,7 +57,6 @@ pub struct CoreStats {
     pub chains_aborted_injected: u64,
     /// Chains killed because their EMC context lease expired without
     /// forward progress (liveness enforcement).
-    #[serde(default)]
     pub chains_aborted_lease: u64,
     /// Times graceful degradation quiesced chain generation for this
     /// core after consecutive chain failures.
@@ -76,7 +74,6 @@ pub struct CoreStats {
     /// Distribution of full-window stall *episode* lengths in cycles
     /// (one sample per contiguous stall; `full_window_stall_cycles` is
     /// the sum of all episodes).
-    #[serde(default)]
     pub stall_episodes: Histogram,
 }
 
@@ -119,7 +116,7 @@ impl CoreStats {
 }
 
 /// DRAM / memory-controller statistics (summed over channels).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MemStats {
     /// Demand read requests serviced by DRAM.
     pub dram_reads: u64,
@@ -164,7 +161,6 @@ pub struct MemStats {
     pub backpressure_storms: u64,
     /// Requests escalated by anti-starvation aging (queue age crossed
     /// the liveness escalation threshold).
-    #[serde(default)]
     pub escalated_requests: u64,
 }
 
@@ -187,7 +183,7 @@ impl MemStats {
 }
 
 /// Ring interconnect statistics (§6.5 overhead numbers).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RingStats {
     /// Control-ring messages.
     pub control_msgs: u64,
@@ -204,7 +200,7 @@ pub struct RingStats {
 }
 
 /// EMC statistics (§6.3, Figures 15, 17, 21, 22).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EmcStats {
     /// Chains accepted and executed (at least partially).
     pub chains_executed: u64,
@@ -237,7 +233,6 @@ pub struct EmcStats {
     pub requests_covered_by_prefetch: u64,
     /// Distribution of chain ship-to-completion latency in cycles
     /// (data-ring departure at the core to context release at the EMC).
-    #[serde(default)]
     pub chain_latency: Histogram,
 }
 
@@ -253,7 +248,7 @@ impl EmcStats {
 }
 
 /// Prefetcher statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PrefetchStats {
     /// Prefetch requests issued to the memory system.
     pub issued: u64,
@@ -277,7 +272,7 @@ impl PrefetchStats {
 }
 
 /// All statistics for one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Stats {
     /// Total cycles simulated (max over cores).
     pub cycles: u64,

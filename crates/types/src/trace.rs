@@ -26,7 +26,6 @@
 
 use crate::req::ReqId;
 use crate::{CoreId, Cycle};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, Write};
 
@@ -35,7 +34,7 @@ use std::io::{self, Write};
 pub const DEFAULT_TRACE_CAP: usize = 2_000_000;
 
 /// A component timeline in the exported trace (one Perfetto track each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceTrack {
     /// A core pipeline (ROB stalls, chain ships, miss journeys).
     Core(CoreId),
@@ -93,7 +92,7 @@ impl TraceTrack {
 }
 
 /// One buffered trace event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A complete span (`ph: "X"`): a named interval on one track.
     Span {
@@ -149,7 +148,7 @@ pub enum TraceEvent {
 /// The full per-request record of one demand miss: the cycle it crossed
 /// each subsystem boundary, assembled at delivery time from the
 /// request's [`ReqTimeline`](crate::ReqTimeline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MissJourney {
     /// The memory request this journey describes.
     pub req: ReqId,
@@ -213,7 +212,7 @@ impl MissJourney {
 /// Construct with [`TraceSink::disabled`] (the default, free) or
 /// [`TraceSink::enabled`]; check [`TraceSink::is_enabled`] before doing
 /// any work to build event arguments.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSink {
     enabled: bool,
     cap: usize,

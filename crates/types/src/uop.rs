@@ -6,7 +6,6 @@
 //! sign-extend) plus floating-point and multiply placeholders that the core
 //! can execute but the EMC must reject, and conditional branches.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of architectural integer registers in the simulated ISA.
@@ -18,9 +17,7 @@ use std::fmt;
 pub const NUM_ARCH_REGS: usize = 16;
 
 /// An architectural register index (`0..NUM_ARCH_REGS`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -37,7 +34,7 @@ impl fmt::Display for Reg {
 }
 
 /// Condition tested by a branch micro-op against its first source register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchCond {
     /// Taken if the source register equals zero.
     Zero,
@@ -59,7 +56,7 @@ pub enum BranchCond {
 /// assert!(!UopKind::IntMul.emc_allowed());
 /// assert!(!UopKind::FpMul.emc_allowed());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UopKind {
     /// Integer addition: `dst = src0 + src1/imm`.
     IntAdd,

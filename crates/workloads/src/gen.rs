@@ -11,10 +11,8 @@
 
 use crate::profiles::{Benchmark, Profile};
 use emc_types::program::{Program, StaticUop};
-use emc_types::rng::substream;
-use emc_types::{seeded_rng, Addr, BranchCond, MemoryImage, Reg, UopKind};
-use rand::seq::SliceRandom;
-use rand::Rng;
+use emc_types::rng::{seeded_rng, substream, SmallRng};
+use emc_types::{Addr, BranchCond, MemoryImage, Reg, UopKind};
 
 /// Base of the spill/fill scratch region (L1-resident).
 pub const SPILL_BASE: u64 = 0x0010_0000;
@@ -97,7 +95,7 @@ pub fn build(bench: Benchmark, seed: u64, iterations: u64) -> Workload {
         CHASE_BASE + (p.chase_lines / 2) * 64,
     ));
     e.push(StaticUop::mov_imm(R_SPILL, SPILL_BASE));
-    e.push(StaticUop::mov_imm(R_RNG, rng.gen::<u64>() | 1));
+    e.push(StaticUop::mov_imm(R_RNG, rng.next_u64() | 1));
     e.push(StaticUop::mov_imm(R_MASK, (p.random_span - 1) & !7));
     e.push(StaticUop::mov_imm(R_RBASE, RANDOM_BASE));
     e.push(StaticUop::mov_imm(R_STREAM, STREAM_BASE));
@@ -118,7 +116,7 @@ pub fn build(bench: Benchmark, seed: u64, iterations: u64) -> Workload {
     segs.extend(std::iter::repeat_n(Seg::Random, p.random_segments as usize));
     segs.extend(std::iter::repeat_n(Seg::Spill, p.spill_segments as usize));
     segs.extend(std::iter::repeat_n(Seg::Branch, p.noisy_branches as usize));
-    segs.shuffle(&mut rng);
+    rng.shuffle(&mut segs);
 
     let gaps = segs.len() + 1;
     let compute_per_gap = p.compute_ops as usize / gaps;
@@ -159,7 +157,7 @@ pub fn build_default(bench: Benchmark, seed: u64) -> Workload {
     build(bench, seed, crate::DEFAULT_ITERATIONS)
 }
 
-fn init_chase_regions(p: &Profile, memory: &mut MemoryImage, rng: &mut impl Rng) {
+fn init_chase_regions(p: &Profile, memory: &mut MemoryImage, rng: &mut SmallRng) {
     if p.chase_lines == 0 || p.chase_segments == 0 {
         return;
     }
@@ -169,7 +167,7 @@ fn init_chase_regions(p: &Profile, memory: &mut MemoryImage, rng: &mut impl Rng)
     let n = p.chase_lines as usize;
     let mut perm: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
-        let j = rng.gen_range(0..i);
+        let j = rng.gen_range(0..i as u64) as usize;
         perm.swap(i, j);
     }
     // perm is a random permutation; convert to successor mapping by
@@ -190,7 +188,7 @@ fn init_chase_regions(p: &Profile, memory: &mut MemoryImage, rng: &mut impl Rng)
         memory.write_u64(Addr(node), CHASE_BASE + next * 64);
         let payload_line = if rng.gen_range(0..100) < 15 {
             // Hot subset: 64 lines (4 KB).
-            rng.gen_range(0..64u64)
+            rng.gen_range(0..64)
         } else {
             (w as u64 * 8 + rng.gen_range(0..16)) % payload_span
         };

@@ -8,10 +8,8 @@
 //! (Figure 6), and its qualitative access pattern (pointer-chasing vs
 //! streaming vs mixed; integer vs floating-point).
 
-use serde::{Deserialize, Serialize};
-
 /// The SPEC CPU2006 benchmarks (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Benchmark {
     // High memory intensity (MPKI >= 10), Table 2.
@@ -148,7 +146,7 @@ impl std::fmt::Display for Benchmark {
 /// Synthetic-kernel parameters. One loop iteration of the generated
 /// program contains the configured number of each segment type; see
 /// `emc-workloads::gen` for segment shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Profile {
     /// Pointer-chase node region size in cache lines (0 = no chasing).
     pub chase_lines: u64,
