@@ -7,13 +7,22 @@
 //! daemon's `Connection: close` discipline; the wire documents are the
 //! shared types in [`emc_types::svc`].
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use emc_types::{
     EventBatch, JobStatusView, JsonValue, Rejection, ServiceStats, SubmitAck, SubmitRequest,
 };
+
+use crate::http::read_message;
+
+/// Largest response body accepted. The largest legitimate document is
+/// an [`EventBatch`] with a job's whole history: the daemon's default
+/// queue capacity bounds a job at 8192 tasks and an event is about
+/// 200 bytes, so 1.6 MB; this leaves a decade of headroom and still
+/// bounds what a confused or hostile peer can make the client allocate.
+const MAX_RESPONSE_BODY: usize = 16 << 20;
 
 /// How a client call failed — the split the CLI's exit-code mapping
 /// needs: a daemon that isn't there is a different failure class from a
@@ -182,59 +191,24 @@ impl Client {
     }
 }
 
-/// Parse one HTTP/1.1 response: status code and body (honoring
-/// `Content-Length` when present, else read-to-close).
+/// Read one HTTP/1.1 response: status code and body.
 fn read_response(stream: &mut TcpStream) -> Result<(u16, String), ClientError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| ClientError::Unreachable(format!("read status line: {e}")))?;
-    let status: u16 = line
+    let (line, body) = read_message(stream, MAX_RESPONSE_BODY).map_err(|e| match e.kind() {
+        ErrorKind::InvalidData => ClientError::Protocol(e.to_string()),
+        _ => ClientError::Unreachable(format!("read response: {e}")),
+    })?;
+    let status = line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| ClientError::Protocol(format!("bad status line {line:?}")))?;
-
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| ClientError::Unreachable(format!("read header: {e}")))?;
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            }
-        }
-    }
-
-    let body = match content_length {
-        Some(n) => {
-            let mut buf = vec![0u8; n];
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| ClientError::Unreachable(format!("read body: {e}")))?;
-            String::from_utf8_lossy(&buf).into_owned()
-        }
-        None => {
-            let mut buf = String::new();
-            reader
-                .read_to_string(&mut buf)
-                .map_err(|e| ClientError::Unreachable(format!("read body: {e}")))?;
-            buf
-        }
-    };
     Ok((status, body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
 
     /// Serve exactly one canned HTTP response, then close.

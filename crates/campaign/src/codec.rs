@@ -7,109 +7,30 @@
 //! external JSON crate on the runtime path (matching the metrics
 //! exporters in `emc-sim`).
 //!
-//! The statistics and histogram codecs live in [`emc_types::codec`]
-//! (the canonical encoding shared with config hashing and the exporter
-//! tests) and are re-exported here unchanged; this module adds only
-//! the campaign-specific layers — the energy breakdown and the full
-//! [`RunResult`] envelope. Every encoder destructures its struct
-//! without `..`, so adding a field without extending the codec is a
-//! compile error, not a silently lossy cache.
+//! [`RunResult`] and everything inside it are declared in
+//! [`emc_types::json_struct!`], so their definitions are the on-disk
+//! format and there is no field list here: the functions below (and
+//! [`stats_to_json`], re-exported from [`emc_types::codec`]) name the
+//! documents the rest of the workspace asks for by name.
 
-use emc_energy::EnergyBreakdown;
-use emc_types::codec::{get, get_bool, get_f64, get_str};
-use emc_types::JsonValue;
+use emc_types::{FromJson, JsonValue, ToJson};
 
-pub use emc_types::codec::{
-    histogram_from_json, histogram_to_json, stats_from_json, stats_to_json,
-};
+pub use emc_types::codec::stats_to_json;
 
 use crate::spec::RunResult;
 
-// ---------------------------------------------------------------------
-// Energy and the full result
-// ---------------------------------------------------------------------
-
-fn energy_to_json(e: &EnergyBreakdown) -> JsonValue {
-    let EnergyBreakdown {
-        core_dynamic_j,
-        cache_dynamic_j,
-        ring_dynamic_j,
-        dram_dynamic_j,
-        emc_dynamic_j,
-        chip_static_j,
-        dram_static_j,
-    } = e;
-    JsonValue::obj(vec![
-        ("core_dynamic_j", JsonValue::Num(*core_dynamic_j)),
-        ("cache_dynamic_j", JsonValue::Num(*cache_dynamic_j)),
-        ("ring_dynamic_j", JsonValue::Num(*ring_dynamic_j)),
-        ("dram_dynamic_j", JsonValue::Num(*dram_dynamic_j)),
-        ("emc_dynamic_j", JsonValue::Num(*emc_dynamic_j)),
-        ("chip_static_j", JsonValue::Num(*chip_static_j)),
-        ("dram_static_j", JsonValue::Num(*dram_static_j)),
-    ])
-}
-
-fn energy_from_json(v: &JsonValue) -> Result<EnergyBreakdown, String> {
-    Ok(EnergyBreakdown {
-        core_dynamic_j: get_f64(v, "core_dynamic_j")?,
-        cache_dynamic_j: get_f64(v, "cache_dynamic_j")?,
-        ring_dynamic_j: get_f64(v, "ring_dynamic_j")?,
-        dram_dynamic_j: get_f64(v, "dram_dynamic_j")?,
-        emc_dynamic_j: get_f64(v, "emc_dynamic_j")?,
-        chip_static_j: get_f64(v, "chip_static_j")?,
-        dram_static_j: get_f64(v, "dram_static_j")?,
-    })
-}
-
 /// Encode a full [`RunResult`].
 pub fn run_result_to_json(r: &RunResult) -> JsonValue {
-    let RunResult {
-        workload,
-        prefetcher,
-        emc,
-        stats,
-        energy,
-        ipcs,
-    } = r;
-    JsonValue::obj(vec![
-        ("workload", workload.as_str().into()),
-        ("prefetcher", prefetcher.as_str().into()),
-        ("emc", JsonValue::Bool(*emc)),
-        ("stats", stats_to_json(stats)),
-        ("energy", energy_to_json(energy)),
-        (
-            "ipcs",
-            JsonValue::Arr(ipcs.iter().map(|&v| JsonValue::Num(v)).collect()),
-        ),
-    ])
+    r.to_json_value()
 }
 
 /// Decode a full [`RunResult`].
+///
+/// # Errors
+///
+/// Returns the path to the first missing or malformed field.
 pub fn run_result_from_json(v: &JsonValue) -> Result<RunResult, String> {
-    let ipcs = get(v, "ipcs")?
-        .as_arr()
-        .ok_or("ipcs: expected array")?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .ok_or_else(|| "ipcs: expected number".to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(RunResult {
-        workload: get_str(v, "workload")?.to_string(),
-        prefetcher: get_str(v, "prefetcher")?.to_string(),
-        emc: get_bool(v, "emc")?,
-        stats: stats_from_json(get(v, "stats")?).map_err(|e| format!("stats.{e}"))?,
-        energy: energy_from_json(get(v, "energy")?).map_err(|e| format!("energy.{e}"))?,
-        ipcs,
-    })
-}
-
-impl emc_types::ToJson for RunResult {
-    fn to_json_value(&self) -> JsonValue {
-        run_result_to_json(self)
-    }
+    RunResult::from_json_value(v)
 }
 
 #[cfg(test)]
@@ -178,9 +99,9 @@ mod tests {
         let mut h = Histogram::new();
         h.record(u64::MAX);
         h.record(1);
-        let text = histogram_to_json(&h).to_json();
+        let text = h.to_json_value().to_json();
         assert!(text.contains(&format!("\"{}\"", u64::MAX)), "{text}");
-        let back = histogram_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let back = Histogram::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, h);
     }
 
@@ -188,7 +109,7 @@ mod tests {
     fn empty_histogram_round_trips_with_empty_buckets() {
         let h = Histogram::new();
         let back =
-            histogram_from_json(&JsonValue::parse(&histogram_to_json(&h).to_json()).unwrap())
+            Histogram::from_json_value(&JsonValue::parse(&h.to_json_value().to_json()).unwrap())
                 .unwrap();
         assert_eq!(back, h);
         assert!(back.buckets.is_empty());
@@ -204,7 +125,7 @@ mod tests {
         assert!(err.contains("energy"), "{err}");
 
         let bad = JsonValue::parse(r#"{"count":1,"sum":-3,"min":0,"max":0,"buckets":[]}"#).unwrap();
-        let err = histogram_from_json(&bad).unwrap_err();
+        let err = Histogram::from_json_value(&bad).unwrap_err();
         assert!(err.contains("sum"), "{err}");
     }
 }

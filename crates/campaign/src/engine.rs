@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use emc_types::{Histogram, JsonValue, RunOutcome, WedgeClass};
+use emc_types::{HistSummary, Histogram, JsonValue, RunOutcome, ToJson, WedgeClass};
 
 use crate::cache::ResultCache;
 use crate::exec::parallel_map;
@@ -473,8 +473,8 @@ impl CampaignReport {
             (
                 "host_perf",
                 JsonValue::obj(vec![
-                    ("job_wall_ms", hist_summary_json(&wall_ms)),
-                    ("job_cycles_per_sec", hist_summary_json(&cps)),
+                    ("job_wall_ms", HistSummary::of(&wall_ms).to_json_value()),
+                    ("job_cycles_per_sec", HistSummary::of(&cps).to_json_value()),
                 ]),
             ),
             (
@@ -682,18 +682,6 @@ impl Campaign {
             None => fresh(),
         }
     }
-}
-
-/// Five-number summary of a histogram for report JSON (count, mean,
-/// p50/p95/p99) — the full bucket vector stays out of the report.
-pub fn hist_summary_json(h: &Histogram) -> JsonValue {
-    JsonValue::obj(vec![
-        ("count", h.count.into()),
-        ("mean", h.mean().into()),
-        ("p50", h.p50().into()),
-        ("p95", h.p95().into()),
-        ("p99", h.p99().into()),
-    ])
 }
 
 /// Remaining-time estimate extrapolated from throughput so far: the

@@ -32,19 +32,17 @@ pub mod codec;
 pub mod engine;
 pub mod exec;
 pub mod hash;
+pub mod http;
 pub mod manifest;
 pub mod spec;
 pub mod suite;
 
 pub use cache::{ResultCache, CACHE_SCHEMA, DEFAULT_CACHE_DIR};
 pub use client::{Client, ClientError};
-pub use codec::{
-    histogram_from_json, histogram_to_json, run_result_from_json, run_result_to_json,
-    stats_from_json, stats_to_json,
-};
+pub use codec::{run_result_from_json, run_result_to_json, stats_to_json};
 pub use engine::{
-    eta, hist_summary_json, retry_decision, Campaign, CampaignOptions, CampaignReport, Executor,
-    JobRecord, JobSource, RetryDecision, CAP_EXTENSION_FACTOR, REPORT_SCHEMA,
+    eta, retry_decision, Campaign, CampaignOptions, CampaignReport, Executor, JobRecord, JobSource,
+    RetryDecision, CAP_EXTENSION_FACTOR, REPORT_SCHEMA,
 };
 pub use exec::{default_workers, parallel_map};
 pub use hash::{digest128, digest128_hex};

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use emc_types::JsonValue;
+use emc_types::{FromJson, JsonValue, ToJson};
 
 use crate::hash::digest128_hex;
 use crate::spec::JobKey;
@@ -21,56 +21,42 @@ use crate::spec::JobKey;
 /// Schema tag stamped into every manifest file.
 pub const MANIFEST_SCHEMA: &str = "emc-campaign-manifest-v1";
 
-/// How far one job has progressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Not yet attempted (or attempted in a run that died mid-job).
-    Pending,
-    /// Completed; its result is in the cache.
-    Done,
-    /// Attempted and failed (wedge retries exhausted, or cap hit).
-    Failed,
-}
-
-impl JobStatus {
-    fn as_str(self) -> &'static str {
-        match self {
-            JobStatus::Pending => "pending",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-        }
-    }
-
-    fn parse(s: &str) -> Option<JobStatus> {
-        match s {
-            "pending" => Some(JobStatus::Pending),
-            "done" => Some(JobStatus::Done),
-            "failed" => Some(JobStatus::Failed),
-            _ => None,
-        }
+emc_types::json_struct! {
+    /// How far one job has progressed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum JobStatus {
+        /// Not yet attempted (or attempted in a run that died mid-job).
+        Pending = "pending",
+        /// Completed; its result is in the cache.
+        Done = "done",
+        /// Attempted and failed (wedge retries exhausted, or cap hit).
+        Failed = "failed",
     }
 }
 
-/// One job's manifest row.
-#[derive(Debug, Clone)]
-pub struct ManifestEntry {
-    /// Content-addressed key (ties the row to a cache entry).
-    pub key: JobKey,
-    /// Display label at the time the campaign was defined.
-    pub label: String,
-    /// Last known status.
-    pub status: JobStatus,
-    /// Execution attempts so far (cache hits don't count).
-    pub attempts: u32,
-    /// Short outcome note ("completed", "cache-hit", "wedged at ...").
-    pub outcome: String,
-    /// Host wall-clock of the last *execution*, milliseconds. Zero for
-    /// rows that never executed; preserved across cache-hit re-runs so
-    /// the measurement survives warm replays.
-    pub wall_ms: u64,
-    /// Simulated cycles of the last execution (with [`Self::wall_ms`],
-    /// gives host cycles/sec per job). Zero when never executed.
-    pub sim_cycles: u64,
+emc_types::json_struct! {
+    /// One job's manifest row.
+    #[derive(Debug, Clone)]
+    pub struct ManifestEntry {
+        /// Content-addressed key (ties the row to a cache entry).
+        pub key: JobKey,
+        /// Display label at the time the campaign was defined.
+        pub label: String,
+        /// Last known status.
+        pub status: JobStatus,
+        /// Execution attempts so far (cache hits don't count).
+        pub attempts: u32,
+        /// Short outcome note ("completed", "cache-hit", "wedged at ...").
+        pub outcome: String,
+        /// Host wall-clock of the last *execution*, milliseconds. Zero for
+        /// rows that never executed (or written before the column
+        /// existed); preserved across cache-hit re-runs so the
+        /// measurement survives warm replays.
+        pub wall_ms: u64 = 0,
+        /// Simulated cycles of the last execution (with [`Self::wall_ms`],
+        /// gives host cycles/sec per job). Zero when never executed.
+        pub sim_cycles: u64 = 0,
+    }
 }
 
 impl ManifestEntry {
@@ -174,33 +160,17 @@ impl Manifest {
             .count()
     }
 
-    /// The manifest as a JSON document.
+    /// The manifest as a JSON document: the rows under `jobs`, behind
+    /// the schema tag, the campaign's identity and two tallies for
+    /// readers (`total`, `done`; both recomputed on load).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::obj(vec![
             ("schema", MANIFEST_SCHEMA.into()),
             ("name", self.name.as_str().into()),
             ("id", self.id.as_str().into()),
-            ("total", (self.entries.len() as u64).into()),
-            ("done", (self.done_count() as u64).into()),
-            (
-                "jobs",
-                JsonValue::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            JsonValue::obj(vec![
-                                ("key", e.key.0.as_str().into()),
-                                ("label", e.label.as_str().into()),
-                                ("status", e.status.as_str().into()),
-                                ("attempts", (e.attempts as u64).into()),
-                                ("outcome", e.outcome.as_str().into()),
-                                ("wall_ms", e.wall_ms.into()),
-                                ("sim_cycles", e.sim_cycles.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("total", self.entries.len().into()),
+            ("done", self.done_count().into()),
+            ("jobs", self.entries.to_json_value()),
         ])
     }
 
@@ -211,44 +181,11 @@ impl Manifest {
         if schema != MANIFEST_SCHEMA {
             return Err(format!("schema {schema:?}, expected {MANIFEST_SCHEMA:?}"));
         }
-        let name = doc
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or("missing name")?
-            .to_string();
-        let id = doc
-            .get("id")
-            .and_then(|v| v.as_str())
-            .ok_or("missing id")?
-            .to_string();
-        let jobs = doc
-            .get("jobs")
-            .and_then(|v| v.as_arr())
-            .ok_or("missing jobs")?;
-        let entries = jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let field = |k: &str| {
-                    j.get(k)
-                        .and_then(|v| v.as_str())
-                        .ok_or_else(|| format!("jobs[{i}]: missing {k}"))
-                };
-                Ok(ManifestEntry {
-                    key: JobKey(field("key")?.to_string()),
-                    label: field("label")?.to_string(),
-                    status: JobStatus::parse(field("status")?)
-                        .ok_or_else(|| format!("jobs[{i}]: bad status"))?,
-                    attempts: j.get("attempts").and_then(|v| v.as_f64()).unwrap_or(0.0) as u32,
-                    outcome: field("outcome")?.to_string(),
-                    // Absent in pre-host-perf manifests: default to "no
-                    // measurement" rather than rejecting the file.
-                    wall_ms: j.get("wall_ms").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-                    sim_cycles: j.get("sim_cycles").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Manifest { name, id, entries })
+        Ok(Manifest {
+            name: String::from_json_member(&doc, "name", None)?,
+            id: String::from_json_member(&doc, "id", None)?,
+            entries: Vec::from_json_member(&doc, "jobs", None)?,
+        })
     }
 }
 
@@ -308,6 +245,12 @@ mod tests {
         assert_eq!(m.entries[0].attempts, 2);
         assert_eq!(m.entries[0].wall_ms, 0);
         assert_eq!(m.entries[0].sim_cycles, 0);
+
+        // That is the only tolerance: a count that is not a count is a
+        // corrupt manifest, not a zero.
+        let err = Manifest::from_json_text(&text.replace("\"attempts\":2", "\"attempts\":-3"))
+            .unwrap_err();
+        assert!(err.starts_with(".jobs[0].attempts: expected u64"), "{err}");
     }
 
     #[test]

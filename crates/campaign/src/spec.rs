@@ -8,15 +8,15 @@
 //! they would produce byte-identical results — which is what lets the
 //! result cache deduplicate the same baseline run across figures.
 //!
-//! The canonical encoding ([`emc_types::codec::config_to_json`])
-//! destructures every config struct without a `..` rest pattern: adding
-//! a field to [`SystemConfig`] (or any nested config) breaks compilation
-//! there until the encoder includes it, so the fingerprint can never
-//! silently go stale.
+//! The canonical encoding ([`emc_types::codec::config_to_json`]) is
+//! generated from the config structs' own definitions
+//! ([`emc_types::json_struct!`]): a field added to [`SystemConfig`] (or
+//! any nested config) is in the key by being declared, so the
+//! fingerprint can never silently go stale.
 
 use emc_energy::{estimate_default, EnergyBreakdown};
 use emc_sim::{eight_core_mix, run_mix};
-use emc_types::{JsonValue, RunReport, Stats, SystemConfig};
+use emc_types::{FromJson, JsonValue, RunReport, Stats, SystemConfig, ToJson};
 use emc_workloads::Benchmark;
 
 pub(crate) use emc_types::codec::u;
@@ -167,29 +167,43 @@ impl std::fmt::Display for JobKey {
     }
 }
 
-/// One simulated configuration's measured outcome (moved here from
-/// `emc-bench` so figures and campaigns share a single result type).
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Workload label ("H4", "mcf x4", ...).
-    pub workload: String,
-    /// Prefetcher configuration.
-    pub prefetcher: String,
-    /// Whether the EMC was enabled.
-    pub emc: bool,
-    /// Full statistics.
-    pub stats: Stats,
-    /// Energy estimate.
-    pub energy: EnergyBreakdown,
-    /// Per-core IPCs (for weighted speedup against a baseline run).
-    pub ipcs: Vec<f64>,
+impl ToJson for JobKey {
+    fn to_json_value(&self) -> JsonValue {
+        self.0.to_json_value()
+    }
+}
+
+impl FromJson for JobKey {
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        String::from_json_value(v).map(JobKey)
+    }
+}
+
+emc_types::json_struct! {
+    /// One simulated configuration's measured outcome (moved here from
+    /// `emc-bench` so figures and campaigns share a single result type).
+    #[derive(Debug, Clone)]
+    pub struct RunResult {
+        /// Workload label ("H4", "mcf x4", ...).
+        pub workload: String,
+        /// Prefetcher configuration.
+        pub prefetcher: String,
+        /// Whether the EMC was enabled.
+        pub emc: bool,
+        /// Full statistics.
+        pub stats: Stats,
+        /// Energy estimate.
+        pub energy: EnergyBreakdown,
+        /// Per-core IPCs (for weighted speedup against a baseline run).
+        pub ipcs: Vec<f64>,
+    }
 }
 
 /// Canonical encoding of a [`SystemConfig`] — a thin alias for
-/// [`emc_types::codec::config_to_json`], the single exhaustive encoder
-/// shared with the simulator's exporters. Every field of every nested
-/// struct (including the liveness layer) enters the document, so it can
-/// never silently fall out of the cache key.
+/// [`emc_types::codec::config_to_json`], the single encoding shared
+/// with the simulator's exporters. Every field of every nested struct
+/// (including the liveness layer) enters the document by being
+/// declared, so it can never silently fall out of the cache key.
 pub fn config_json(cfg: &SystemConfig) -> JsonValue {
     emc_types::codec::config_to_json(cfg)
 }

@@ -1,14 +1,16 @@
 //! Property tests for the content-addressed job key: perturbing *any*
 //! `SystemConfig` field, the seed, the budget, or the workload mix must
 //! change the key, and equal specs must always agree on it. The mutator
-//! table below names every field the canonical encoding covers; a field
-//! added to the config without a mutator here still fails compilation in
-//! `spec.rs` (the `..`-free destructuring), so the two lists can only
-//! drift loudly.
+//! table below names every field the canonical encoding covers, and
+//! `mutator_table_names_every_leaf_of_the_config_document` holds it to
+//! that: the encoding is generated from the config structs' definitions,
+//! so a new field is in the key by being declared, and this table is the
+//! only second list there is. The test fails, naming the field, until the
+//! table has a mutator for it.
 
-use emc_campaign::JobSpec;
+use emc_campaign::{config_json, JobSpec};
 use emc_types::rng::for_each_case;
-use emc_types::{PrefetcherKind, SystemConfig};
+use emc_types::{JsonValue, PrefetcherKind, SystemConfig};
 use emc_workloads::{mix_by_name, Benchmark};
 
 fn base_spec(seed: u64, budget: u64) -> JobSpec {
@@ -226,7 +228,58 @@ fn mutators() -> Vec<Mutator> {
         ("faults.mc_storm_cycles", |s, d| {
             du(&mut s.cfg.faults.mc_storm_cycles, d)
         }),
+        // Liveness enforcement.
+        ("liveness.enabled", |s, _| {
+            s.cfg.liveness.enabled = !s.cfg.liveness.enabled
+        }),
+        ("liveness.mc_escalation_age", |s, d| {
+            du(&mut s.cfg.liveness.mc_escalation_age, d)
+        }),
+        ("liveness.emc_lease", |s, d| {
+            du(&mut s.cfg.liveness.emc_lease, d)
+        }),
+        ("liveness.ring_backlog_threshold", |s, d| {
+            du(&mut s.cfg.liveness.ring_backlog_threshold, d)
+        }),
+        ("liveness.core_stall_age", |s, d| {
+            du(&mut s.cfg.liveness.core_stall_age, d)
+        }),
+        ("liveness.probe_interval", |s, d| {
+            du(&mut s.cfg.liveness.probe_interval, d)
+        }),
     ]
+}
+
+/// The table above and the config document name the same fields: no
+/// field of the key is without a mutator, and no mutator is for a field
+/// the key no longer has.
+#[test]
+fn mutator_table_names_every_leaf_of_the_config_document() {
+    // The document is two levels deep: scalars and sections of scalars.
+    let JsonValue::Obj(top) = config_json(&SystemConfig::quad_core()) else {
+        panic!("a config encodes as an object");
+    };
+    let mut leaves: Vec<String> = Vec::new();
+    for (key, value) in &top {
+        match value {
+            JsonValue::Obj(section) => {
+                leaves.extend(section.iter().map(|(k, _)| format!("{key}.{k}")))
+            }
+            _ => leaves.push(key.clone()),
+        }
+    }
+    let named: Vec<String> = mutators()
+        .iter()
+        .map(|(name, _)| name.to_string())
+        .filter(|name| name != "budget" && name != "benches")
+        .collect();
+    let missing: Vec<_> = leaves.iter().filter(|l| !named.contains(l)).collect();
+    let stale: Vec<_> = named.iter().filter(|n| !leaves.contains(n)).collect();
+    assert!(
+        missing.is_empty() && stale.is_empty(),
+        "config fields without a mutator: {missing:?}; mutators without a field: {stale:?}"
+    );
+    assert_eq!(named.len(), leaves.len(), "a field has two mutators");
 }
 
 /// Every mutator, applied with the smallest magnitude, changes the key —

@@ -7,18 +7,18 @@
 //! (`Connection: close`), a thread per connection (long-poll handlers
 //! block, and localhost clients are few), bounded header/body sizes, and
 //! read timeouts so a stuck client can never wedge a handler thread.
-//! Routing lives in [`crate::service`]; this module only parses requests
-//! and writes responses, both ways exercised by unit tests without
-//! sockets.
+//! Framing is [`emc_campaign::http::read_message`], shared with the
+//! client; routing lives in [`crate::service`]; this module parses
+//! request targets and writes responses, both ways exercised by unit
+//! tests without sockets.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
+
+use emc_campaign::http::read_message;
 
 /// Maximum accepted request body (1 MiB — submissions are small).
 pub const MAX_BODY: usize = 1 << 20;
-
-/// Maximum accepted header section (16 KiB).
-pub const MAX_HEADER: usize = 16 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,11 +56,7 @@ impl Request {
 /// Returns a message for malformed request lines, oversized headers or
 /// bodies, and I/O failures (including read timeouts).
 pub fn read_request<S: Read>(stream: S) -> Result<Request, String> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    let (line, body) = read_message(stream, MAX_BODY).map_err(|e| format!("read request: {e}"))?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -70,41 +66,6 @@ pub fn read_request<S: Read>(stream: S) -> Result<Request, String> {
     if !target.starts_with('/') {
         return Err(format!("bad request target {target:?}"));
     }
-
-    // Headers: we only act on Content-Length.
-    let mut content_length = 0usize;
-    let mut header_bytes = 0usize;
-    loop {
-        let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| format!("read header: {e}"))?;
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER {
-            return Err("header section too large".into());
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = h.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad content-length {value:?}"))?;
-            }
-        }
-    }
-    if content_length > MAX_BODY {
-        return Err(format!("body of {content_length} bytes exceeds {MAX_BODY}"));
-    }
-
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("read body: {e}"))?;
-    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
 
     let (path, query_str) = match target.split_once('?') {
         Some((p, q)) => (p, q),
@@ -234,6 +195,12 @@ mod tests {
         // never a hang or a silent short read.
         let short = "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
         assert!(read_request(short.as_bytes()).is_err());
+        // A request line that never ends is cut off at the head bound
+        // (`emc_campaign::http` pins how much was buffered by then).
+        let endless = "GET /".to_string() + &"a".repeat(1 << 20);
+        assert!(read_request(endless.as_bytes())
+            .unwrap_err()
+            .contains("head exceeds"));
     }
 
     #[test]

@@ -148,15 +148,18 @@ impl FairQueue {
 
     /// Admit a job's tasks for `tenant`, all or nothing: if the batch
     /// would push the queue past capacity, nothing is admitted and the
-    /// caller turns the [`QueueFull`] into a structured 429.
+    /// caller turns the [`QueueFull`] into a structured 429. The batch
+    /// is sized before any of it is produced, so an absurd task count
+    /// costs a rejection, not memory.
     pub fn admit(
         &mut self,
         tenant: usize,
-        tasks: impl IntoIterator<Item = TaskRef>,
+        tasks: impl IntoIterator<Item = TaskRef, IntoIter: ExactSizeIterator>,
         now_ms: u64,
     ) -> Result<usize, QueueFull> {
-        let tasks: Vec<TaskRef> = tasks.into_iter().collect();
-        if self.len + tasks.len() > self.capacity {
+        let tasks = tasks.into_iter();
+        let n = tasks.len();
+        if n > self.capacity.saturating_sub(self.len) {
             return Err(QueueFull {
                 depth: self.len,
                 capacity: self.capacity,
@@ -165,7 +168,6 @@ impl FairQueue {
         while self.tenants.len() <= tenant {
             self.tenants.push(TenantQueue::default());
         }
-        let n = tasks.len();
         for task in tasks {
             self.tenants[tenant].tasks.push_back(QueuedTask {
                 task,

@@ -239,8 +239,17 @@ impl Service {
     /// carries the HTTP status the rejection maps to (400 bad request,
     /// 429 queue full, 503 draining).
     pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitAck, (u16, Rejection)> {
-        let (name, specs) = expand_request(req, self.inner.cfg.default_budget)
-            .map_err(|e| (400, Rejection::of("bad-request", e)))?;
+        let bad_request = |e: String| (400, Rejection::of("bad-request", e));
+        let (name, grid) =
+            narrowed_grid(req, self.inner.cfg.default_budget).map_err(bad_request)?;
+        // `repeat` is the submitter's number: the job is sized and put
+        // to admission control before any of it is materialised.
+        let total = usize::try_from(req.repeat.max(1))
+            .ok()
+            .and_then(|repeat| grid.len().checked_mul(repeat))
+            .ok_or_else(|| {
+                bad_request(format!("repeat {} overflows the task count", req.repeat))
+            })?;
         let now = self.now_ms();
         let mut state = self.lock();
         if state.draining {
@@ -250,28 +259,23 @@ impl Service {
         }
         let id = format!("j{}", state.next_job);
         let tenant = tenant_index(&mut state, &req.tenant);
-        let tasks: Vec<TaskRef> = (0..specs.len())
-            .map(|index| TaskRef {
-                job: state.jobs.len(),
-                index,
-            })
-            .collect();
+        let job = state.jobs.len();
+        let tasks = (0..total).map(|index| TaskRef { job, index });
         if let Err(full) = state.queue.admit(tenant, tasks, now) {
             return Err((
                 429,
                 Rejection {
                     error: "queue-full".into(),
                     detail: format!(
-                        "{} queued + {} submitted exceeds capacity {}",
-                        full.depth,
-                        specs.len(),
-                        full.capacity
+                        "{} queued + {total} submitted exceeds capacity {}",
+                        full.depth, full.capacity
                     ),
                     queue_depth: full.depth as u64,
                     capacity: full.capacity as u64,
                 },
             ));
         }
+        let specs = fan_out(&grid, req);
         state.next_job += 1;
 
         // Journal before acking: an acked job must survive kill -9.
@@ -838,11 +842,23 @@ fn load_or_fresh_manifest(cache_dir: &Path, id: &str, specs: &[JobSpec]) -> Mani
 /// Expand a wire submission into `(display name, concrete specs)`:
 /// suite × optional (prefetcher, EMC) narrowing × `repeat` seed-bumped
 /// copies. Pure, so the grid a submission produces is unit-testable.
+/// Allocates `repeat` grids: for a request that has not passed
+/// admission control, [`Service::submit`] sizes the job first.
 ///
 /// # Errors
 ///
 /// Names the unknown suite or prefetcher label (with the valid options).
 pub fn expand_request(
+    req: &SubmitRequest,
+    default_budget: u64,
+) -> Result<(String, Vec<JobSpec>), String> {
+    let (name, grid) = narrowed_grid(req, default_budget)?;
+    Ok((name, fan_out(&grid, req)))
+}
+
+/// The display name and one copy of the (at most 80-cell) grid a
+/// submission selects: suite × optional (prefetcher, EMC) narrowing.
+fn narrowed_grid(
     req: &SubmitRequest,
     default_budget: u64,
 ) -> Result<(String, Vec<JobSpec>), String> {
@@ -883,23 +899,28 @@ pub fn expand_request(
             labels.join(", ")
         ));
     }
-    let mut specs = Vec::with_capacity(narrowed.len() * req.repeat as usize);
+    let name = if req.name.is_empty() {
+        format!("{}:{}", req.tenant, req.suite)
+    } else {
+        req.name.clone()
+    };
+    Ok((name, narrowed))
+}
+
+/// `req.repeat` seed-bumped copies of `grid`, in repeat-major order.
+fn fan_out(grid: &[JobSpec], req: &SubmitRequest) -> Vec<JobSpec> {
+    let mut specs = Vec::new();
     for rep in 0..req.repeat.max(1) {
-        for s in &narrowed {
+        for s in grid {
             let mut s = s.clone();
-            s.cfg.seed ^= req.seed_bump + rep;
+            s.cfg.seed ^= req.seed_bump.wrapping_add(rep);
             if req.repeat > 1 {
                 s.label = format!("{}#{rep}", s.label);
             }
             specs.push(s);
         }
     }
-    let name = if req.name.is_empty() {
-        format!("{}:{}", req.tenant, req.suite)
-    } else {
-        req.name.clone()
-    };
-    Ok((name, specs))
+    specs
 }
 
 // ---------------------------------------------------------------------
@@ -1291,6 +1312,47 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
+        let _ = fs::remove_dir_all(cache_dir);
+    }
+
+    #[test]
+    fn hostile_submissions_are_answered_and_the_daemon_keeps_serving() {
+        let cfg = small_cfg("hostile");
+        let cache_dir = cfg.cache_dir.clone();
+        let svc = Service::new(cfg);
+        let request = |method: &str, path: &str, body: &str| Request {
+            method: method.into(),
+            path: path.into(),
+            query: HashMap::new(),
+            body: body.into(),
+        };
+        let submission = |members: String| {
+            format!(r#"{{"schema":"{SVC_SCHEMA}","tenant":"a","suite":"quad",{members}}}"#)
+        };
+        let max = u64::MAX;
+        for (body, status, detail) in [
+            // A fifth of MAX_BODY, all `[`: one parser frame per byte
+            // overflows the connection thread's stack and aborts the daemon.
+            ("[".repeat(200_000), 400, "nesting deeper than"),
+            // 80 cells x 1e13 copies: materialised before admission
+            // control sees the job, this dies in the allocator.
+            (submission(r#""repeat":1e13"#.into()), 429, "capacity 256"),
+            // A task count past `usize` is malformed, not just large.
+            (submission(format!(r#""repeat":"{max}""#)), 400, "overflows"),
+            // Seeds wrap: the largest bump is as good as any other.
+            (
+                submission(format!(r#""repeat":2,"emc":true,"seed_bump":"{max}""#)),
+                200,
+                "j1",
+            ),
+        ] {
+            let (code, doc) = handle_request(&svc, &request("POST", "/v1/jobs", &body));
+            assert_eq!(code, status, "{}", doc.to_json());
+            assert!(doc.to_json().contains(detail), "{}", doc.to_json());
+            let (health, _) = handle_request(&svc, &request("GET", "/v1/healthz", ""));
+            assert_eq!(health, 200, "daemon keeps serving");
+        }
+        assert_eq!(svc.stats().queue_depth, 80, "only the last was admitted");
         let _ = fs::remove_dir_all(cache_dir);
     }
 

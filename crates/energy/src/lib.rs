@@ -85,23 +85,25 @@ impl Default for EnergyParams {
     }
 }
 
-/// Energy broken down by component, in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EnergyBreakdown {
-    /// Core pipeline dynamic energy.
-    pub core_dynamic_j: f64,
-    /// L1 + LLC dynamic energy.
-    pub cache_dynamic_j: f64,
-    /// Ring interconnect dynamic energy.
-    pub ring_dynamic_j: f64,
-    /// DRAM dynamic energy (activates, bursts, precharges).
-    pub dram_dynamic_j: f64,
-    /// EMC execution + chain-generation dynamic energy.
-    pub emc_dynamic_j: f64,
-    /// Chip static energy (cores, LLC, EMC) over the run.
-    pub chip_static_j: f64,
-    /// DRAM background/refresh energy over the run.
-    pub dram_static_j: f64,
+emc_types::json_struct! {
+    /// Energy broken down by component, in joules.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct EnergyBreakdown {
+        /// Core pipeline dynamic energy.
+        pub core_dynamic_j: f64,
+        /// L1 + LLC dynamic energy.
+        pub cache_dynamic_j: f64,
+        /// Ring interconnect dynamic energy.
+        pub ring_dynamic_j: f64,
+        /// DRAM dynamic energy (activates, bursts, precharges).
+        pub dram_dynamic_j: f64,
+        /// EMC execution + chain-generation dynamic energy.
+        pub emc_dynamic_j: f64,
+        /// Chip static energy (cores, LLC, EMC) over the run.
+        pub chip_static_j: f64,
+        /// DRAM background/refresh energy over the run.
+        pub dram_static_j: f64,
+    }
 }
 
 impl EnergyBreakdown {

@@ -5,21 +5,25 @@
 //! cycles; one 64-byte burst at an 800 MHz DDR bus takes 5 ns = 16 core
 //! cycles.
 
-/// Which hardware prefetcher configuration is active (§5 of the paper:
-/// stream always accompanies Markov because it strictly helps it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PrefetcherKind {
-    /// No prefetching (baseline).
-    None,
-    /// Global History Buffer G/DC delta-correlation prefetcher.
-    Ghb,
-    /// IBM POWER4-style stream prefetcher.
-    Stream,
-    /// Markov correlation prefetcher combined with the stream prefetcher.
-    MarkovStream,
-    /// PC-indexed stride prefetcher (extension; cited by the paper as the
-    /// simplest prefetcher class but not part of its evaluation grid).
-    Stride,
+crate::json_struct! {
+    /// Which hardware prefetcher configuration is active (§5 of the paper:
+    /// stream always accompanies Markov because it strictly helps it).
+    /// The labels are the figure column names and the canonical config
+    /// encoding (see [`codec`](crate::codec)).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum PrefetcherKind {
+        /// No prefetching (baseline).
+        None = "No-PF",
+        /// Global History Buffer G/DC delta-correlation prefetcher.
+        Ghb = "GHB",
+        /// IBM POWER4-style stream prefetcher.
+        Stream = "Stream",
+        /// Markov correlation prefetcher combined with the stream prefetcher.
+        MarkovStream = "Markov+Stream",
+        /// PC-indexed stride prefetcher (extension; cited by the paper as the
+        /// simplest prefetcher class but not part of its evaluation grid).
+        Stride = "Stride",
+    }
 }
 
 impl PrefetcherKind {
@@ -31,57 +35,35 @@ impl PrefetcherKind {
         PrefetcherKind::Stream,
         PrefetcherKind::MarkovStream,
     ];
-
-    /// Short label used in figure output.
-    pub fn label(self) -> &'static str {
-        match self {
-            PrefetcherKind::None => "No-PF",
-            PrefetcherKind::Ghb => "GHB",
-            PrefetcherKind::Stream => "Stream",
-            PrefetcherKind::MarkovStream => "Markov+Stream",
-            PrefetcherKind::Stride => "Stride",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label), used when decoding canonical
-    /// config documents (see [`codec`](crate::codec)).
-    pub fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "No-PF" => Some(PrefetcherKind::None),
-            "GHB" => Some(PrefetcherKind::Ghb),
-            "Stream" => Some(PrefetcherKind::Stream),
-            "Markov+Stream" => Some(PrefetcherKind::MarkovStream),
-            "Stride" => Some(PrefetcherKind::Stride),
-            _ => None,
-        }
-    }
 }
 
-/// Core pipeline parameters (Table 1: 4-wide issue, 256-entry ROB,
-/// 92-entry reservation station, hybrid branch predictor, 3.2 GHz).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoreConfig {
-    /// Uops fetched/renamed per cycle.
-    pub fetch_width: usize,
-    /// Uops issued to execution per cycle.
-    pub issue_width: usize,
-    /// Uops retired per cycle.
-    pub retire_width: usize,
-    /// Reorder buffer entries.
-    pub rob_entries: usize,
-    /// Reservation station entries.
-    pub rs_entries: usize,
-    /// Load/store queue entries.
-    pub lsq_entries: usize,
-    /// Pipeline refill penalty after a branch misprediction (cycles).
-    pub mispredict_penalty: u64,
-    /// Branch predictor global-history table size (entries, power of two).
-    pub bp_table_entries: usize,
-    /// Runahead execution (Mutlu et al., HPCA 2003): on a full-window
-    /// stall, checkpoint and pre-execute past the blocking miss to
-    /// prefetch *independent* misses. The paper's §1/§2 contrast: runahead
-    /// cannot touch dependent misses, which is exactly what the EMC adds.
-    pub runahead: bool,
+crate::json_struct! {
+    /// Core pipeline parameters (Table 1: 4-wide issue, 256-entry ROB,
+    /// 92-entry reservation station, hybrid branch predictor, 3.2 GHz).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CoreConfig {
+        /// Uops fetched/renamed per cycle.
+        pub fetch_width: usize,
+        /// Uops issued to execution per cycle.
+        pub issue_width: usize,
+        /// Uops retired per cycle.
+        pub retire_width: usize,
+        /// Reorder buffer entries.
+        pub rob_entries: usize,
+        /// Reservation station entries.
+        pub rs_entries: usize,
+        /// Load/store queue entries.
+        pub lsq_entries: usize,
+        /// Pipeline refill penalty after a branch misprediction (cycles).
+        pub mispredict_penalty: u64,
+        /// Branch predictor global-history table size (entries, power of two).
+        pub bp_table_entries: usize,
+        /// Runahead execution (Mutlu et al., HPCA 2003): on a full-window
+        /// stall, checkpoint and pre-execute past the blocking miss to
+        /// prefetch *independent* misses. The paper's §1/§2 contrast: runahead
+        /// cannot touch dependent misses, which is exactly what the EMC adds.
+        pub runahead: bool,
+    }
 }
 
 impl Default for CoreConfig {
@@ -100,17 +82,19 @@ impl Default for CoreConfig {
     }
 }
 
-/// Parameters of one cache (L1 or one LLC slice).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheConfig {
-    /// Total capacity in bytes.
-    pub bytes: u64,
-    /// Associativity.
-    pub ways: usize,
-    /// Access latency in core cycles.
-    pub latency: u64,
-    /// Number of MSHR entries (outstanding misses).
-    pub mshrs: usize,
+crate::json_struct! {
+    /// Parameters of one cache (L1 or one LLC slice).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct CacheConfig {
+        /// Total capacity in bytes.
+        pub bytes: u64,
+        /// Associativity.
+        pub ways: usize,
+        /// Access latency in core cycles.
+        pub latency: u64,
+        /// Number of MSHR entries (outstanding misses).
+        pub mshrs: usize,
+    }
 }
 
 impl CacheConfig {
@@ -140,14 +124,16 @@ impl CacheConfig {
     }
 }
 
-/// Ring interconnect parameters (Table 1: two bi-directional rings,
-/// 8-byte control and 64-byte data, 1-cycle links).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RingConfig {
-    /// Latency of one ring link hop, in cycles.
-    pub link_cycles: u64,
-    /// Extra cycle to bypass from a core into its own LLC slice stop.
-    pub stop_cycles: u64,
+crate::json_struct! {
+    /// Ring interconnect parameters (Table 1: two bi-directional rings,
+    /// 8-byte control and 64-byte data, 1-cycle links).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RingConfig {
+        /// Latency of one ring link hop, in cycles.
+        pub link_cycles: u64,
+        /// Extra cycle to bypass from a core into its own LLC slice stop.
+        pub stop_cycles: u64,
+    }
 }
 
 impl Default for RingConfig {
@@ -159,29 +145,31 @@ impl Default for RingConfig {
     }
 }
 
-/// DRAM device and channel parameters, in core cycles (3.2 GHz).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DramConfig {
-    /// Independent channels.
-    pub channels: usize,
-    /// Ranks per channel.
-    pub ranks_per_channel: usize,
-    /// Banks per rank (DDR3: 8).
-    pub banks_per_rank: usize,
-    /// Row-buffer size in bytes (Table 1: 8 KB).
-    pub row_bytes: u64,
-    /// Column access strobe latency (core cycles). 13.75 ns ≈ 44.
-    pub t_cas: u64,
-    /// Row-to-column delay (core cycles).
-    pub t_rcd: u64,
-    /// Row precharge time (core cycles).
-    pub t_rp: u64,
-    /// Minimum row-open time before precharge (core cycles). 35 ns ≈ 112.
-    pub t_ras: u64,
-    /// Data-bus occupancy of one 64-byte burst (core cycles). 5 ns ≈ 16.
-    pub t_burst: u64,
-    /// Memory-controller queue entries (Table 1: 128 quad / 256 eight).
-    pub queue_entries: usize,
+crate::json_struct! {
+    /// DRAM device and channel parameters, in core cycles (3.2 GHz).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DramConfig {
+        /// Independent channels.
+        pub channels: usize,
+        /// Ranks per channel.
+        pub ranks_per_channel: usize,
+        /// Banks per rank (DDR3: 8).
+        pub banks_per_rank: usize,
+        /// Row-buffer size in bytes (Table 1: 8 KB).
+        pub row_bytes: u64,
+        /// Column access strobe latency (core cycles). 13.75 ns ≈ 44.
+        pub t_cas: u64,
+        /// Row-to-column delay (core cycles).
+        pub t_rcd: u64,
+        /// Row precharge time (core cycles).
+        pub t_rp: u64,
+        /// Minimum row-open time before precharge (core cycles). 35 ns ≈ 112.
+        pub t_ras: u64,
+        /// Data-bus occupancy of one 64-byte burst (core cycles). 5 ns ≈ 16.
+        pub t_burst: u64,
+        /// Memory-controller queue entries (Table 1: 128 quad / 256 eight).
+        pub queue_entries: usize,
+    }
 }
 
 impl Default for DramConfig {
@@ -208,31 +196,33 @@ impl DramConfig {
     }
 }
 
-/// Prefetcher parameters (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PrefetchConfig {
-    /// Stream prefetcher: concurrent streams tracked per core.
-    pub stream_count: usize,
-    /// Stream prefetcher: maximum prefetch distance.
-    pub stream_distance: u64,
-    /// Markov prefetcher: correlation-table entries (1 MB / entry size).
-    pub markov_entries: usize,
-    /// Markov prefetcher: next-address slots per entry.
-    pub markov_fanout: usize,
-    /// GHB: global history buffer entries.
-    pub ghb_entries: usize,
-    /// GHB: index-table entries.
-    pub ghb_index_entries: usize,
-    /// FDP: minimum dynamic degree.
-    pub fdp_min_degree: usize,
-    /// FDP: maximum dynamic degree (Table 1: 1..32).
-    pub fdp_max_degree: usize,
-    /// FDP: accuracy threshold above which degree is increased.
-    pub fdp_high_accuracy: f64,
-    /// FDP: accuracy threshold below which degree is decreased.
-    pub fdp_low_accuracy: f64,
-    /// FDP: interval (in prefetch fills) between feedback adjustments.
-    pub fdp_interval: u64,
+crate::json_struct! {
+    /// Prefetcher parameters (Table 1).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct PrefetchConfig {
+        /// Stream prefetcher: concurrent streams tracked per core.
+        pub stream_count: usize,
+        /// Stream prefetcher: maximum prefetch distance.
+        pub stream_distance: u64,
+        /// Markov prefetcher: correlation-table entries (1 MB / entry size).
+        pub markov_entries: usize,
+        /// Markov prefetcher: next-address slots per entry.
+        pub markov_fanout: usize,
+        /// GHB: global history buffer entries.
+        pub ghb_entries: usize,
+        /// GHB: index-table entries.
+        pub ghb_index_entries: usize,
+        /// FDP: minimum dynamic degree.
+        pub fdp_min_degree: usize,
+        /// FDP: maximum dynamic degree (Table 1: 1..32).
+        pub fdp_max_degree: usize,
+        /// FDP: accuracy threshold above which degree is increased.
+        pub fdp_high_accuracy: f64,
+        /// FDP: accuracy threshold below which degree is decreased.
+        pub fdp_low_accuracy: f64,
+        /// FDP: interval (in prefetch fills) between feedback adjustments.
+        pub fdp_interval: u64,
+    }
 }
 
 impl Default for PrefetchConfig {
@@ -253,56 +243,58 @@ impl Default for PrefetchConfig {
     }
 }
 
-/// Enhanced Memory Controller parameters (Table 1 and §4.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EmcConfig {
-    /// Whether the EMC is present at all.
-    pub enabled: bool,
-    /// Issue contexts per EMC (2 quad-core; 4 total eight-core).
-    pub contexts: usize,
-    /// Uop-buffer entries per context (= max chain length).
-    pub uop_buffer: usize,
-    /// Physical registers per context.
-    pub prf_entries: usize,
-    /// Live-in vector entries per context.
-    pub live_in_entries: usize,
-    /// LSQ entries per context.
-    pub lsq_entries: usize,
-    /// Shared reservation-station entries.
-    pub rs_entries: usize,
-    /// Back-end issue width (2-wide).
-    pub issue_width: usize,
-    /// TLB entries per core.
-    pub tlb_entries: usize,
-    /// Data-cache capacity in bytes (4 KB).
-    pub dcache_bytes: u64,
-    /// Data-cache associativity (4-way).
-    pub dcache_ways: usize,
-    /// Data-cache access latency (2 cycles).
-    pub dcache_latency: u64,
-    /// Miss-predictor table entries per core (3-bit counters, PC-hashed).
-    pub miss_pred_entries: usize,
-    /// Miss-predictor counter threshold to bypass the LLC.
-    pub miss_pred_threshold: u8,
-    /// Dependent-miss 3-bit saturating counter: generation begins when
-    /// either of the top 2 bits is set, i.e. counter >= this value.
-    pub dep_counter_trigger: u8,
-    /// How many outstanding misses in the stalled window are considered
-    /// as chain sources (1 = strictly the ROB head, a literal reading of
-    /// the paper; higher values find the pointer-chase chain when the
-    /// head is a leaf payload miss — see DESIGN.md deviation 4).
-    pub chain_candidates: usize,
-    /// Graceful degradation: after this many *consecutive* chain
-    /// failures (aborts/cancels with no completed chain in between) on
-    /// one core, the EMC quiesces chain generation for that core for a
-    /// backoff window instead of thrashing the abort path.
-    pub quiesce_threshold: u32,
-    /// Initial quiesce backoff window in cycles; doubles on every
-    /// repeated quiesce (saturating at [`EmcConfig::quiesce_backoff_max`])
-    /// and resets when a chain completes.
-    pub quiesce_backoff: u64,
-    /// Saturation point for the quiesce backoff window.
-    pub quiesce_backoff_max: u64,
+crate::json_struct! {
+    /// Enhanced Memory Controller parameters (Table 1 and §4.1).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct EmcConfig {
+        /// Whether the EMC is present at all.
+        pub enabled: bool,
+        /// Issue contexts per EMC (2 quad-core; 4 total eight-core).
+        pub contexts: usize,
+        /// Uop-buffer entries per context (= max chain length).
+        pub uop_buffer: usize,
+        /// Physical registers per context.
+        pub prf_entries: usize,
+        /// Live-in vector entries per context.
+        pub live_in_entries: usize,
+        /// LSQ entries per context.
+        pub lsq_entries: usize,
+        /// Shared reservation-station entries.
+        pub rs_entries: usize,
+        /// Back-end issue width (2-wide).
+        pub issue_width: usize,
+        /// TLB entries per core.
+        pub tlb_entries: usize,
+        /// Data-cache capacity in bytes (4 KB).
+        pub dcache_bytes: u64,
+        /// Data-cache associativity (4-way).
+        pub dcache_ways: usize,
+        /// Data-cache access latency (2 cycles).
+        pub dcache_latency: u64,
+        /// Miss-predictor table entries per core (3-bit counters, PC-hashed).
+        pub miss_pred_entries: usize,
+        /// Miss-predictor counter threshold to bypass the LLC.
+        pub miss_pred_threshold: u8,
+        /// Dependent-miss 3-bit saturating counter: generation begins when
+        /// either of the top 2 bits is set, i.e. counter >= this value.
+        pub dep_counter_trigger: u8,
+        /// How many outstanding misses in the stalled window are considered
+        /// as chain sources (1 = strictly the ROB head, a literal reading of
+        /// the paper; higher values find the pointer-chase chain when the
+        /// head is a leaf payload miss — see DESIGN.md deviation 4).
+        pub chain_candidates: usize,
+        /// Graceful degradation: after this many *consecutive* chain
+        /// failures (aborts/cancels with no completed chain in between) on
+        /// one core, the EMC quiesces chain generation for that core for a
+        /// backoff window instead of thrashing the abort path.
+        pub quiesce_threshold: u32,
+        /// Initial quiesce backoff window in cycles; doubles on every
+        /// repeated quiesce (saturating at [`EmcConfig::quiesce_backoff_max`])
+        /// and resets when a chain completes.
+        pub quiesce_backoff: u64,
+        /// Saturation point for the quiesce backoff window.
+        pub quiesce_backoff_max: u64,
+    }
 }
 
 impl Default for EmcConfig {
@@ -331,37 +323,39 @@ impl Default for EmcConfig {
     }
 }
 
-/// Deterministic fault-injection plan: every fault is *timing-only* —
-/// it delays, re-issues, or aborts work that the existing retry and
-/// chain-abort/re-execute paths then recover, so architectural state is
-/// bit-identical to a fault-free run. All draws come from seeded
-/// [`substream`](crate::rng::substream)s of [`SystemConfig::seed`], so
-/// a faulty run is exactly reproducible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPlan {
-    /// Master switch; when false no fault RNG is even constructed and
-    /// the simulation is cycle-identical to a build without this field.
-    pub enabled: bool,
-    /// Per-message probability that a ring hop is delayed (models a
-    /// flit retry after a link-level CRC error).
-    pub ring_delay_prob: f64,
-    /// Extra cycles added to a delayed ring message.
-    pub ring_delay_cycles: u64,
-    /// Per-DRAM-issue probability that the access is re-issued (models
-    /// an ECC correction + retransmit) with a latency penalty.
-    pub dram_reissue_prob: f64,
-    /// Extra cycles of service latency for a re-issued DRAM access.
-    pub dram_reissue_penalty: u64,
-    /// Per-cycle, per-busy-context probability that an EMC issue
-    /// context is killed mid-chain; the chain aborts through the normal
-    /// abort path and the home core re-executes the uops locally.
-    pub emc_kill_prob: f64,
-    /// Per-cycle, per-MC probability that a queue-full backpressure
-    /// storm starts: the controller advertises a reduced effective
-    /// queue capacity for a window, forcing enqueue rejections/retries.
-    pub mc_storm_prob: f64,
-    /// Length of a backpressure storm in cycles.
-    pub mc_storm_cycles: u64,
+crate::json_struct! {
+    /// Deterministic fault-injection plan: every fault is *timing-only* —
+    /// it delays, re-issues, or aborts work that the existing retry and
+    /// chain-abort/re-execute paths then recover, so architectural state is
+    /// bit-identical to a fault-free run. All draws come from seeded
+    /// [`substream`](crate::rng::substream)s of [`SystemConfig::seed`], so
+    /// a faulty run is exactly reproducible.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct FaultPlan {
+        /// Master switch; when false no fault RNG is even constructed and
+        /// the simulation is cycle-identical to a build without this field.
+        pub enabled: bool,
+        /// Per-message probability that a ring hop is delayed (models a
+        /// flit retry after a link-level CRC error).
+        pub ring_delay_prob: f64,
+        /// Extra cycles added to a delayed ring message.
+        pub ring_delay_cycles: u64,
+        /// Per-DRAM-issue probability that the access is re-issued (models
+        /// an ECC correction + retransmit) with a latency penalty.
+        pub dram_reissue_prob: f64,
+        /// Extra cycles of service latency for a re-issued DRAM access.
+        pub dram_reissue_penalty: u64,
+        /// Per-cycle, per-busy-context probability that an EMC issue
+        /// context is killed mid-chain; the chain aborts through the normal
+        /// abort path and the home core re-executes the uops locally.
+        pub emc_kill_prob: f64,
+        /// Per-cycle, per-MC probability that a queue-full backpressure
+        /// storm starts: the controller advertises a reduced effective
+        /// queue capacity for a window, forcing enqueue rejections/retries.
+        pub mc_storm_prob: f64,
+        /// Length of a backpressure storm in cycles.
+        pub mc_storm_cycles: u64,
+    }
 }
 
 impl Default for FaultPlan {
@@ -426,37 +420,39 @@ impl FaultPlan {
     }
 }
 
-/// Forward-progress (liveness) enforcement and diagnosis parameters.
-///
-/// Two mechanisms actively guarantee progress — memory-queue aging
-/// (escalation past row-hit preference once a request has waited
-/// `mc_escalation_age` cycles) and EMC context leases (a shipped chain
-/// making no progress for `emc_lease` cycles is deterministically killed
-/// and re-executed at the core). The remaining thresholds only classify
-/// an already-stalled run for the wedge root-cause report; they never
-/// change simulated behaviour.
-///
-/// Both mechanisms are timing-only and architecturally invisible: they
-/// reorder or re-execute work through existing paths, never drop it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LivenessConfig {
-    /// Master switch for aging and leases (probes always run).
-    pub enabled: bool,
-    /// Memory-queue age (cycles) at which a request escalates ahead of
-    /// row-hit preference and batch boundaries.
-    pub mc_escalation_age: u64,
-    /// Cycles an occupied EMC context may go without a progress event
-    /// (ship arrival, source delivery, load completion, result drain)
-    /// before its chain is killed and re-executed at the core.
-    pub emc_lease: u64,
-    /// Ring link backlog (cycles of queued occupancy) the classifier
-    /// treats as pathological backpressure.
-    pub ring_backlog_threshold: u64,
-    /// Cycles since last retirement beyond which the classifier deems a
-    /// core deadlocked rather than slow.
-    pub core_stall_age: u64,
-    /// Cadence (cycles) of the watchdog's liveness probe sampling.
-    pub probe_interval: u64,
+crate::json_struct! {
+    /// Forward-progress (liveness) enforcement and diagnosis parameters.
+    ///
+    /// Two mechanisms actively guarantee progress — memory-queue aging
+    /// (escalation past row-hit preference once a request has waited
+    /// `mc_escalation_age` cycles) and EMC context leases (a shipped chain
+    /// making no progress for `emc_lease` cycles is deterministically killed
+    /// and re-executed at the core). The remaining thresholds only classify
+    /// an already-stalled run for the wedge root-cause report; they never
+    /// change simulated behaviour.
+    ///
+    /// Both mechanisms are timing-only and architecturally invisible: they
+    /// reorder or re-execute work through existing paths, never drop it.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct LivenessConfig {
+        /// Master switch for aging and leases (probes always run).
+        pub enabled: bool,
+        /// Memory-queue age (cycles) at which a request escalates ahead of
+        /// row-hit preference and batch boundaries.
+        pub mc_escalation_age: u64,
+        /// Cycles an occupied EMC context may go without a progress event
+        /// (ship arrival, source delivery, load completion, result drain)
+        /// before its chain is killed and re-executed at the core.
+        pub emc_lease: u64,
+        /// Ring link backlog (cycles of queued occupancy) the classifier
+        /// treats as pathological backpressure.
+        pub ring_backlog_threshold: u64,
+        /// Cycles since last retirement beyond which the classifier deems a
+        /// core deadlocked rather than slow.
+        pub core_stall_age: u64,
+        /// Cadence (cycles) of the watchdog's liveness probe sampling.
+        pub probe_interval: u64,
+    }
 }
 
 impl Default for LivenessConfig {
@@ -498,38 +494,40 @@ impl LivenessConfig {
     }
 }
 
-/// Full system configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemConfig {
-    /// Number of cores (4 or 8 in the paper).
-    pub cores: usize,
-    /// Number of (enhanced) memory controllers; channels are split evenly.
-    pub memory_controllers: usize,
-    /// Core pipeline parameters.
-    pub core: CoreConfig,
-    /// L1 instruction/data cache parameters (modeled identically).
-    pub l1: CacheConfig,
-    /// One shared-LLC slice per core.
-    pub llc_slice: CacheConfig,
-    /// Ring interconnect.
-    pub ring: RingConfig,
-    /// DRAM system.
-    pub dram: DramConfig,
-    /// Active prefetcher configuration.
-    pub prefetcher: PrefetcherKind,
-    /// Prefetcher parameters.
-    pub prefetch: PrefetchConfig,
-    /// EMC parameters.
-    pub emc: EmcConfig,
-    /// RNG seed for every stochastic element of the simulation.
-    pub seed: u64,
-    /// Idealization for Figure 2's limit study: loads that are data-
-    /// dependent on an in-flight LLC miss are served as LLC hits.
-    pub ideal_dependent_hits: bool,
-    /// Deterministic timing-fault injection (disabled by default).
-    pub faults: FaultPlan,
-    /// Forward-progress enforcement and diagnosis (enabled by default).
-    pub liveness: LivenessConfig,
+crate::json_struct! {
+    /// Full system configuration.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SystemConfig {
+        /// Number of cores (4 or 8 in the paper).
+        pub cores: usize,
+        /// Number of (enhanced) memory controllers; channels are split evenly.
+        pub memory_controllers: usize,
+        /// Core pipeline parameters.
+        pub core: CoreConfig,
+        /// L1 instruction/data cache parameters (modeled identically).
+        pub l1: CacheConfig,
+        /// One shared-LLC slice per core.
+        pub llc_slice: CacheConfig,
+        /// Ring interconnect.
+        pub ring: RingConfig,
+        /// DRAM system.
+        pub dram: DramConfig,
+        /// Active prefetcher configuration.
+        pub prefetcher: PrefetcherKind,
+        /// Prefetcher parameters.
+        pub prefetch: PrefetchConfig,
+        /// EMC parameters.
+        pub emc: EmcConfig,
+        /// RNG seed for every stochastic element of the simulation.
+        pub seed: u64,
+        /// Idealization for Figure 2's limit study: loads that are data-
+        /// dependent on an in-flight LLC miss are served as LLC hits.
+        pub ideal_dependent_hits: bool,
+        /// Deterministic timing-fault injection (disabled by default).
+        pub faults: FaultPlan = FaultPlan::default(),
+        /// Forward-progress enforcement and diagnosis (enabled by default).
+        pub liveness: LivenessConfig = LivenessConfig::default(),
+    }
 }
 
 impl SystemConfig {
@@ -756,20 +754,20 @@ mod tests {
 
     #[test]
     fn fault_plan_serde_round_trip() {
-        use crate::codec::{config_from_json, config_to_json, fault_plan_to_json};
-        use crate::json::JsonValue;
+        use crate::codec::config_to_json;
+        use crate::json::{FromJson, JsonValue, ToJson};
         let cfg = SystemConfig::quad_core().with_faults(FaultPlan::chaos());
         let json = config_to_json(&cfg).to_json();
-        let back = config_from_json(&JsonValue::parse(&json).unwrap()).unwrap();
+        let back = SystemConfig::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(back, cfg);
         // Configs serialized before the fault layer existed (no
         // `faults` key) still deserialize, with faults disabled.
         let legacy = json.replace(
-            &format!(",\"faults\":{}", fault_plan_to_json(&cfg.faults).to_json()),
+            &format!(",\"faults\":{}", cfg.faults.to_json_value().to_json()),
             "",
         );
         assert!(!legacy.contains("faults"), "failed to strip faults key");
-        let back = config_from_json(&JsonValue::parse(&legacy).unwrap()).unwrap();
+        let back = SystemConfig::from_json_value(&JsonValue::parse(&legacy).unwrap()).unwrap();
         assert_eq!(back.faults, FaultPlan::default());
     }
 

@@ -12,24 +12,26 @@
 /// Number of log2 buckets: one for zero plus one per bit of `u64`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// An accumulating latency histogram (log2 buckets, exact count/sum/
-/// min/max, percentile estimates, mergeable).
-///
-/// The bucket vector is allocated lazily on the first
-/// [`record`](Histogram::record), so a default (empty) histogram is as
-/// cheap as the count+sum statistic it replaced.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of sample values.
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Per-bucket sample counts; empty until the first record.
-    pub buckets: Vec<u64>,
+crate::json_struct! {
+    /// An accumulating latency histogram (log2 buckets, exact count/sum/
+    /// min/max, percentile estimates, mergeable).
+    ///
+    /// The bucket vector is allocated lazily on the first
+    /// [`record`](Histogram::record), so a default (empty) histogram is as
+    /// cheap as the count+sum statistic it replaced.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Histogram {
+        /// Number of samples.
+        pub count: u64,
+        /// Sum of sample values.
+        pub sum: u64,
+        /// Smallest sample (0 when empty).
+        pub min: u64,
+        /// Largest sample (0 when empty).
+        pub max: u64,
+        /// Per-bucket sample counts; empty until the first record.
+        pub buckets: Vec<u64>,
+    }
 }
 
 /// Bucket index for a value: 0 for 0, else `64 - leading_zeros(v)`.

@@ -9,8 +9,19 @@
 //!
 //! Objects preserve insertion order so emitted reports are stable and
 //! diffable across runs.
+//!
+//! [`ToJson`] and [`FromJson`] are the two directions of a wire type,
+//! and [`json_struct!`](crate::json_struct) derives both from a struct
+//! definition, so a serialised struct names each field exactly once:
+//! declaration order is key order, on disk and on the wire.
 
 use std::fmt::Write as _;
+
+/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+/// The parser recurses once per level and its input comes off the
+/// network; the deepest document this workspace writes (a cache entry,
+/// down to a histogram's buckets) nests 7 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value: the full document model, no external dependencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +30,8 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as f64; u64 counters above 2^53 lose
-    /// precision, which is acceptable for reporting).
+    /// Any JSON number (stored as f64; a `u64` above 2^53 is carried
+    /// as a string instead, see [`u`]).
     Num(f64),
     /// A string.
     Str(String),
@@ -170,6 +181,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -181,15 +193,52 @@ impl JsonValue {
     }
 }
 
+/// Encode a `u64` exactly: numbers up to 2^53 fit JSON's double grid;
+/// larger values (saturated histogram sums) are carried as strings so
+/// every integer round-trips bit-exactly.
+pub fn u(v: u64) -> JsonValue {
+    if v <= (1u64 << 53) {
+        JsonValue::Num(v as f64)
+    } else {
+        JsonValue::Str(v.to_string())
+    }
+}
+
+/// Decode a value produced by [`u`] back to a `u64`.
+///
+/// # Errors
+///
+/// Returns a message when the value is neither an exact non-negative
+/// integer on the double grid nor a parseable string.
+pub fn dec_u64(v: &JsonValue) -> Result<u64, String> {
+    match v {
+        JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
+            Ok(*n as u64)
+        }
+        JsonValue::Str(s) => s.parse().map_err(|_| format!(": bad u64 string {s:?}")),
+        other => Err(expected("u64", other)),
+    }
+}
+
+/// The leaf of a decode error: scalars are shown, containers only named
+/// (the document may be a megabyte off the network).
+fn expected(what: &str, got: &JsonValue) -> String {
+    match got {
+        JsonValue::Arr(_) => format!(": expected {what}, got an array"),
+        JsonValue::Obj(_) => format!(": expected {what}, got an object"),
+        scalar => format!(": expected {what}, got {}", scalar.to_json()),
+    }
+}
+
 impl From<u64> for JsonValue {
     fn from(v: u64) -> Self {
-        JsonValue::Num(v as f64)
+        u(v)
     }
 }
 
 impl From<usize> for JsonValue {
     fn from(v: usize) -> Self {
-        JsonValue::Num(v as f64)
+        u(v as u64)
     }
 }
 
@@ -249,13 +298,7 @@ macro_rules! to_json_via_from {
     )*};
 }
 
-to_json_via_from!(u64, usize, f64, bool, String);
-
-impl ToJson for u32 {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::Num(f64::from(*self))
-    }
-}
+to_json_via_from!(f64, bool, String);
 
 impl ToJson for &str {
     fn to_json_value(&self) -> JsonValue {
@@ -315,6 +358,218 @@ to_json_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
 to_json_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
 to_json_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8);
 
+/// Conversion out of a [`JsonValue`] tree, the inverse of [`ToJson`]:
+/// implemented for the integers (exactly, through [`dec_u64`]), `f64`,
+/// `bool`, `String`, `Option` and `Vec`, and by
+/// [`json_struct!`](crate::json_struct) for every serialised struct.
+///
+/// Errors are the path to the offending value, jq style, then the
+/// complaint: `.mem.core_miss_latency.sum: expected u64, got -3`,
+/// `.events[2].seq: missing`. A path grows by plain prefixing on the way
+/// out, so nothing is allocated while decoding succeeds.
+pub trait FromJson: Sized {
+    /// Decode a value.
+    fn from_json_value(v: &JsonValue) -> Result<Self, String>;
+
+    /// Decode the member `key` of an object. `absent` is the value of a
+    /// missing key; `None` makes the key required.
+    fn from_json_member(obj: &JsonValue, key: &str, absent: Option<Self>) -> Result<Self, String> {
+        match (obj.get(key), absent) {
+            (Some(v), _) => Self::from_json_value(v).map_err(|e| format!(".{key}{e}")),
+            (None, Some(default)) => Ok(default),
+            (None, None) => Err(format!(".{key}: missing")),
+        }
+    }
+}
+
+/// Every unsigned integer goes through the one exact pair, [`u`] and
+/// [`dec_u64`].
+macro_rules! json_uint {
+    ($($t:ident),*) => {$(
+        impl ToJson for $t {
+            fn to_json_value(&self) -> JsonValue {
+                u(*self as u64)
+            }
+        }
+
+        impl FromJson for $t {
+            fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+                $t::try_from(dec_u64(v)?)
+                    .map_err(|_| format!(": value exceeds {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+
+json_uint!(u8, u32, u64, usize);
+
+impl FromJson for f64 {
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| expected("number", v))
+    }
+}
+
+impl FromJson for bool {
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            other => Err(expected("bool", other)),
+        }
+    }
+}
+
+impl FromJson for String {
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| expected("string", v))
+    }
+}
+
+/// `None` is an omitted key in a [`json_struct!`](crate::json_struct)
+/// (declare the field `= None`) and `null` anywhere else.
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::Null => Ok(None),
+            some => T::from_json_value(some).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        v.as_arr()
+            .ok_or_else(|| expected("array", v))?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json_value(item).map_err(|e| format!("[{i}]{e}")))
+            .collect()
+    }
+}
+
+/// Wrap a struct (or unit-enum) *definition* and make it its own wire
+/// format: the definition is emitted as written (docs, derives and
+/// visibilities pass through) with [`ToJson`] and [`FromJson`] impls
+/// generated from it.
+///
+/// A struct's document is an object whose keys are the field names in
+/// declaration order, so **declaration order is wire order**: reordering
+/// or renaming a field changes every byte derived from the struct (cache
+/// keys and entries, manifests, the `campaignd` wire), which
+/// `tests/golden_digests.rs` pins. `field: T = expr` gives the value of
+/// an absent key, the one tolerance a decoder has: a field added after
+/// documents were already on disk declares the value those documents
+/// imply. An `Option` field is omitted while `None` and is declared
+/// `= None`. For an enum, `Variant = "label"` is the one table behind
+/// `label`, `from_label` and both impls.
+///
+/// ```
+/// use emc_types::{json_struct, FromJson, JsonValue, ToJson};
+///
+/// json_struct! {
+///     /// A point, with a colour added in a later version.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Point {
+///         pub x: u64,
+///         pub y: u64,
+///         pub colour: String = "black".to_string(),
+///     }
+/// }
+///
+/// let p = Point { x: 1, y: 2, colour: "red".into() };
+/// assert_eq!(p.to_json_value().to_json(), r#"{"x":1,"y":2,"colour":"red"}"#);
+/// let old = JsonValue::parse(r#"{"x":1,"y":-2}"#).unwrap();
+/// assert_eq!(Point::from_json_value(&old).unwrap_err(), ".y: expected u64, got -2");
+/// let old = JsonValue::parse(r#"{"x":1,"y":2}"#).unwrap();
+/// assert_eq!(Point::from_json_value(&old).unwrap().colour, "black");
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    (@absent) => { None };
+    (@absent $absent:expr) => { Some($absent) };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty $(= $absent:expr)? ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn to_json_value(&self) -> $crate::json::JsonValue {
+                let fields =
+                    [ $( (stringify!($field), $crate::json::ToJson::to_json_value(&self.$field)) ),* ];
+                // Sized up front: a filtered iterator has no length to collect by.
+                let mut members = Vec::with_capacity(fields.len());
+                members.extend(
+                    fields
+                        .into_iter()
+                        .filter(|(_, v)| !matches!(v, $crate::json::JsonValue::Null))
+                        .map(|(k, v)| (k.to_string(), v)),
+                );
+                $crate::json::JsonValue::Obj(members)
+            }
+        }
+
+        impl $crate::json::FromJson for $name {
+            fn from_json_value(v: &$crate::json::JsonValue) -> Result<Self, String> {
+                Ok($name {
+                    $( $field: <$ty as $crate::json::FromJson>::from_json_member(
+                        v,
+                        stringify!($field),
+                        $crate::json_struct!(@absent $($absent)?),
+                    )?, )*
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $label:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$vmeta])* $variant, )*
+        }
+
+        impl $name {
+            /// The variant's label: its wire form and its printed name.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $label, )*
+                }
+            }
+
+            /// Inverse of [`label`](Self::label).
+            pub fn from_label(label: &str) -> Option<Self> {
+                match label {
+                    $( $label => Some($name::$variant), )*
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn to_json_value(&self) -> $crate::json::JsonValue {
+                $crate::json::JsonValue::Str(self.label().to_string())
+            }
+        }
+
+        impl $crate::json::FromJson for $name {
+            fn from_json_value(v: &$crate::json::JsonValue) -> Result<Self, String> {
+                let label = v.as_str().ok_or(": expected a label")?;
+                Self::from_label(label).ok_or_else(|| format!(": unknown label {label:?}"))
+            }
+        }
+    };
+}
+
 /// Escape and quote a string per RFC 8259.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -337,6 +592,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -378,8 +635,21 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                // One stack frame per level: bounded here, not by the input.
+                if self.depth == MAX_DEPTH {
+                    let at = self.pos;
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -559,6 +829,58 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_to_death() {
+        // A fifth of campaignd's body limit, all `[`: unbounded
+        // recursion overflows the stack and aborts the process.
+        let err = JsonValue::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains(&format!("byte {MAX_DEPTH}")), "{err}");
+        assert!(JsonValue::parse(&r#"{"a":"#.repeat(200_000)).is_err());
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Depth is nesting, not a count of containers.
+        assert!(JsonValue::parse(&format!("[{}{{}}]", "[],".repeat(1000))).is_ok());
+    }
+
+    #[test]
+    fn integers_encode_and_decode_exactly_one_way() {
+        for v in [0, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let doc = JsonValue::from(v);
+            assert_eq!((&doc, &doc), (&u(v), &v.to_json_value()));
+            let back = JsonValue::parse(&doc.to_json()).unwrap();
+            assert_eq!(u64::from_json_value(&back), Ok(v));
+        }
+        assert_eq!(u(1 << 53), JsonValue::Num((1u64 << 53) as f64));
+        assert_eq!(u(u64::MAX), JsonValue::Str(u64::MAX.to_string()));
+        assert_eq!(JsonValue::from(usize::MAX), u(usize::MAX as u64));
+        for bad in ["-1", "2.5", "1e300", "\"12x\"", "null", "[1]"] {
+            let v = JsonValue::parse(bad).unwrap();
+            assert!(u64::from_json_value(&v).is_err(), "accepted {bad}");
+        }
+        assert_eq!(u8::from_json_value(&u(255)), Ok(255));
+        assert_eq!(
+            u8::from_json_value(&u(256)).unwrap_err(),
+            ": value exceeds u8"
+        );
+    }
+
+    #[test]
+    fn decode_errors_are_paths_to_the_offending_value() {
+        let doc = JsonValue::parse(r#"{"rows":[[1,2],[3,"x"]],"flag":1}"#).unwrap();
+        let rows = Vec::<Vec<u64>>::from_json_member(&doc, "rows", None);
+        assert_eq!(rows.unwrap_err(), ".rows[1][1]: bad u64 string \"x\"");
+        let flag = bool::from_json_member(&doc, "flag", None);
+        assert_eq!(flag.unwrap_err(), ".flag: expected bool, got 1");
+        let rows = String::from_json_member(&doc, "rows", None);
+        assert_eq!(rows.unwrap_err(), ".rows: expected string, got an array");
+        let gone = f64::from_json_member(&doc, "gone", None);
+        assert_eq!(gone.unwrap_err(), ".gone: missing");
+        assert_eq!(f64::from_json_member(&doc, "gone", Some(0.5)), Ok(0.5));
+        assert_eq!(Option::<u64>::from_json_value(&JsonValue::Null), Ok(None));
+        assert_eq!(Option::<u64>::from_json_value(&u(7)), Ok(Some(7)));
     }
 
     #[test]

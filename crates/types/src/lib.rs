@@ -46,7 +46,7 @@ pub use config::{
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use hist::{Histogram, HISTOGRAM_BUCKETS};
-pub use json::{JsonValue, ToJson};
+pub use json::{FromJson, JsonValue, ToJson};
 pub use mem_image::MemoryImage;
 pub use outcome::{
     LivenessSnapshot, RunOutcome, RunReport, WedgeClass, WedgeCoreState, WedgeEmcContext,

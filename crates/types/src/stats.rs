@@ -3,78 +3,81 @@
 
 use crate::hist::Histogram;
 
-/// Per-core pipeline statistics.
-#[derive(Debug, Clone, Default)]
-pub struct CoreStats {
-    /// Cycles this core took to finish its benchmark (or cycles elapsed).
-    pub cycles: u64,
-    /// Retired micro-ops.
-    pub retired_uops: u64,
-    /// Retired loads.
-    pub retired_loads: u64,
-    /// Retired stores.
-    pub retired_stores: u64,
-    /// Retired branches.
-    pub retired_branches: u64,
-    /// Mispredicted branches.
-    pub branch_mispredicts: u64,
-    /// L1D accesses.
-    pub l1d_accesses: u64,
-    /// L1D misses.
-    pub l1d_misses: u64,
-    /// Demand LLC accesses by this core.
-    pub llc_accesses: u64,
-    /// Demand LLC misses by this core (core-issued only).
-    pub llc_misses: u64,
-    /// LLC misses that were data-dependent on an earlier in-flight LLC
-    /// miss (the paper's "dependent cache misses", Figure 2).
-    pub dependent_llc_misses: u64,
-    /// Dependent cache misses that a prefetcher had already covered
-    /// (Figure 3 numerator).
-    pub dependent_misses_prefetched: u64,
-    /// Sum over dependent misses of the number of chain uops between the
-    /// source miss and the dependent miss (Figure 6 numerator).
-    pub dep_chain_uop_sum: u64,
-    /// Count of (source, dependent) miss pairs for the Figure 6 mean.
-    pub dep_chain_pairs: u64,
-    /// Cycles stalled with a full ROB whose head is an LLC-miss load.
-    pub full_window_stall_cycles: u64,
-    /// Dependence chains shipped to the EMC.
-    pub chains_sent: u64,
-    /// Total uops across all shipped chains (Figure 22).
-    pub chain_uops_sent: u64,
-    /// Total live-in registers shipped (§6.5).
-    pub chain_live_ins: u64,
-    /// Total live-out registers returned (§6.5).
-    pub chain_live_outs: u64,
-    /// Chains aborted because the EMC detected a mispredicted branch.
-    pub chains_aborted_branch: u64,
-    /// Chains aborted on an EMC TLB miss (core re-executes).
-    pub chains_aborted_tlb: u64,
-    /// Chains cancelled for memory-disambiguation conflicts.
-    pub chains_cancelled_disambiguation: u64,
-    /// Chains killed by injected EMC context faults (fault injection).
-    pub chains_aborted_injected: u64,
-    /// Chains killed because their EMC context lease expired without
-    /// forward progress (liveness enforcement).
-    pub chains_aborted_lease: u64,
-    /// Times graceful degradation quiesced chain generation for this
-    /// core after consecutive chain failures.
-    pub emc_quiesce_events: u64,
-    /// Demand misses by this core that hit in a prefetched line.
-    pub prefetch_covered_misses: u64,
-    /// Times the core entered runahead mode.
-    pub runahead_entries: u64,
-    /// Speculative uops pseudo-retired during runahead episodes.
-    pub runahead_uops: u64,
-    /// Memory requests issued from runahead mode (the prefetch effect).
-    pub runahead_requests: u64,
-    /// Histogram of shipped chain lengths (index = uops, 0..=16).
-    pub chain_length_hist: Vec<u64>,
-    /// Distribution of full-window stall *episode* lengths in cycles
-    /// (one sample per contiguous stall; `full_window_stall_cycles` is
-    /// the sum of all episodes).
-    pub stall_episodes: Histogram,
+crate::json_struct! {
+    /// Per-core pipeline statistics.
+    #[derive(Debug, Clone, Default)]
+    pub struct CoreStats {
+        /// Cycles this core took to finish its benchmark (or cycles elapsed).
+        pub cycles: u64,
+        /// Retired micro-ops.
+        pub retired_uops: u64,
+        /// Retired loads.
+        pub retired_loads: u64,
+        /// Retired stores.
+        pub retired_stores: u64,
+        /// Retired branches.
+        pub retired_branches: u64,
+        /// Mispredicted branches.
+        pub branch_mispredicts: u64,
+        /// L1D accesses.
+        pub l1d_accesses: u64,
+        /// L1D misses.
+        pub l1d_misses: u64,
+        /// Demand LLC accesses by this core.
+        pub llc_accesses: u64,
+        /// Demand LLC misses by this core (core-issued only).
+        pub llc_misses: u64,
+        /// LLC misses that were data-dependent on an earlier in-flight LLC
+        /// miss (the paper's "dependent cache misses", Figure 2).
+        pub dependent_llc_misses: u64,
+        /// Dependent cache misses that a prefetcher had already covered
+        /// (Figure 3 numerator).
+        pub dependent_misses_prefetched: u64,
+        /// Sum over dependent misses of the number of chain uops between the
+        /// source miss and the dependent miss (Figure 6 numerator).
+        pub dep_chain_uop_sum: u64,
+        /// Count of (source, dependent) miss pairs for the Figure 6 mean.
+        pub dep_chain_pairs: u64,
+        /// Cycles stalled with a full ROB whose head is an LLC-miss load.
+        pub full_window_stall_cycles: u64,
+        /// Dependence chains shipped to the EMC.
+        pub chains_sent: u64,
+        /// Total uops across all shipped chains (Figure 22).
+        pub chain_uops_sent: u64,
+        /// Total live-in registers shipped (§6.5).
+        pub chain_live_ins: u64,
+        /// Total live-out registers returned (§6.5).
+        pub chain_live_outs: u64,
+        /// Chains aborted because the EMC detected a mispredicted branch.
+        pub chains_aborted_branch: u64,
+        /// Chains aborted on an EMC TLB miss (core re-executes).
+        pub chains_aborted_tlb: u64,
+        /// Chains cancelled for memory-disambiguation conflicts.
+        pub chains_cancelled_disambiguation: u64,
+        /// Chains killed by injected EMC context faults (fault injection).
+        pub chains_aborted_injected: u64,
+        /// Chains killed because their EMC context lease expired without
+        /// forward progress (liveness enforcement; absent from runs that
+        /// predate it).
+        pub chains_aborted_lease: u64 = 0,
+        /// Times graceful degradation quiesced chain generation for this
+        /// core after consecutive chain failures.
+        pub emc_quiesce_events: u64,
+        /// Demand misses by this core that hit in a prefetched line.
+        pub prefetch_covered_misses: u64,
+        /// Times the core entered runahead mode.
+        pub runahead_entries: u64,
+        /// Speculative uops pseudo-retired during runahead episodes.
+        pub runahead_uops: u64,
+        /// Memory requests issued from runahead mode (the prefetch effect).
+        pub runahead_requests: u64,
+        /// Histogram of shipped chain lengths (index = uops, 0..=16).
+        pub chain_length_hist: Vec<u64>,
+        /// Distribution of full-window stall *episode* lengths in cycles
+        /// (one sample per contiguous stall; `full_window_stall_cycles` is
+        /// the sum of all episodes).
+        pub stall_episodes: Histogram,
+    }
 }
 
 impl CoreStats {
@@ -115,53 +118,56 @@ impl CoreStats {
     }
 }
 
-/// DRAM / memory-controller statistics (summed over channels).
-#[derive(Debug, Clone, Default)]
-pub struct MemStats {
-    /// Demand read requests serviced by DRAM.
-    pub dram_reads: u64,
-    /// Write-backs serviced by DRAM.
-    pub dram_writes: u64,
-    /// Prefetch reads serviced by DRAM.
-    pub dram_prefetches: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row-buffer conflicts (row open to a different row).
-    pub row_conflicts: u64,
-    /// Row-buffer "empty" accesses (bank precharged, plain activate).
-    pub row_empties: u64,
-    /// DRAM activate commands issued.
-    pub activates: u64,
-    /// DRAM precharge commands issued.
-    pub precharges: u64,
-    /// Latency of core-issued demand misses, creation → delivery (Fig 18).
-    pub core_miss_latency: Histogram,
-    /// Latency of EMC-issued demand misses, creation → delivery (Fig 18).
-    pub emc_miss_latency: Histogram,
-    /// Ring/fill-path component of core-issued miss latency (Fig 19).
-    pub core_ring_component: Histogram,
-    /// Cache-hierarchy component of core-issued miss latency (Fig 19).
-    pub core_cache_component: Histogram,
-    /// MC queueing component of core-issued miss latency (Fig 19).
-    pub core_queue_component: Histogram,
-    /// Ring/fill-path component of EMC-issued miss latency.
-    pub emc_ring_component: Histogram,
-    /// Cache-hierarchy component of EMC-issued miss latency.
-    pub emc_cache_component: Histogram,
-    /// MC queueing component of EMC-issued miss latency.
-    pub emc_queue_component: Histogram,
-    /// Pure DRAM service latency across demand misses (Figure 1).
-    pub dram_service_latency: Histogram,
-    /// On-chip delay across demand misses (Figure 1).
-    pub on_chip_delay: Histogram,
-    /// DRAM accesses re-issued with a latency penalty by injected
-    /// ECC-style faults.
-    pub ecc_reissues: u64,
-    /// Injected queue-full backpressure storms started.
-    pub backpressure_storms: u64,
-    /// Requests escalated by anti-starvation aging (queue age crossed
-    /// the liveness escalation threshold).
-    pub escalated_requests: u64,
+crate::json_struct! {
+    /// DRAM / memory-controller statistics (summed over channels).
+    #[derive(Debug, Clone, Default)]
+    pub struct MemStats {
+        /// Demand read requests serviced by DRAM.
+        pub dram_reads: u64,
+        /// Write-backs serviced by DRAM.
+        pub dram_writes: u64,
+        /// Prefetch reads serviced by DRAM.
+        pub dram_prefetches: u64,
+        /// Row-buffer hits.
+        pub row_hits: u64,
+        /// Row-buffer conflicts (row open to a different row).
+        pub row_conflicts: u64,
+        /// Row-buffer "empty" accesses (bank precharged, plain activate).
+        pub row_empties: u64,
+        /// DRAM activate commands issued.
+        pub activates: u64,
+        /// DRAM precharge commands issued.
+        pub precharges: u64,
+        /// Latency of core-issued demand misses, creation → delivery (Fig 18).
+        pub core_miss_latency: Histogram,
+        /// Latency of EMC-issued demand misses, creation → delivery (Fig 18).
+        pub emc_miss_latency: Histogram,
+        /// Ring/fill-path component of core-issued miss latency (Fig 19).
+        pub core_ring_component: Histogram,
+        /// Cache-hierarchy component of core-issued miss latency (Fig 19).
+        pub core_cache_component: Histogram,
+        /// MC queueing component of core-issued miss latency (Fig 19).
+        pub core_queue_component: Histogram,
+        /// Ring/fill-path component of EMC-issued miss latency.
+        pub emc_ring_component: Histogram,
+        /// Cache-hierarchy component of EMC-issued miss latency.
+        pub emc_cache_component: Histogram,
+        /// MC queueing component of EMC-issued miss latency.
+        pub emc_queue_component: Histogram,
+        /// Pure DRAM service latency across demand misses (Figure 1).
+        pub dram_service_latency: Histogram,
+        /// On-chip delay across demand misses (Figure 1).
+        pub on_chip_delay: Histogram,
+        /// DRAM accesses re-issued with a latency penalty by injected
+        /// ECC-style faults.
+        pub ecc_reissues: u64,
+        /// Injected queue-full backpressure storms started.
+        pub backpressure_storms: u64,
+        /// Requests escalated by anti-starvation aging (queue age crossed
+        /// the liveness escalation threshold; absent from runs that
+        /// predate it).
+        pub escalated_requests: u64 = 0,
+    }
 }
 
 impl MemStats {
@@ -182,58 +188,62 @@ impl MemStats {
     }
 }
 
-/// Ring interconnect statistics (§6.5 overhead numbers).
-#[derive(Debug, Clone, Default)]
-pub struct RingStats {
-    /// Control-ring messages.
-    pub control_msgs: u64,
-    /// Data-ring messages.
-    pub data_msgs: u64,
-    /// Control-ring messages attributable to the EMC.
-    pub emc_control_msgs: u64,
-    /// Data-ring messages attributable to the EMC (chains, live-ins/outs).
-    pub emc_data_msgs: u64,
-    /// Total hop·message products (for occupancy/energy).
-    pub total_hops: u64,
-    /// Messages hit by an injected ring delay fault.
-    pub injected_delays: u64,
+crate::json_struct! {
+    /// Ring interconnect statistics (§6.5 overhead numbers).
+    #[derive(Debug, Clone, Default)]
+    pub struct RingStats {
+        /// Control-ring messages.
+        pub control_msgs: u64,
+        /// Data-ring messages.
+        pub data_msgs: u64,
+        /// Control-ring messages attributable to the EMC.
+        pub emc_control_msgs: u64,
+        /// Data-ring messages attributable to the EMC (chains, live-ins/outs).
+        pub emc_data_msgs: u64,
+        /// Total hop·message products (for occupancy/energy).
+        pub total_hops: u64,
+        /// Messages hit by an injected ring delay fault.
+        pub injected_delays: u64,
+    }
 }
 
-/// EMC statistics (§6.3, Figures 15, 17, 21, 22).
-#[derive(Debug, Clone, Default)]
-pub struct EmcStats {
-    /// Chains accepted and executed (at least partially).
-    pub chains_executed: u64,
-    /// Uops executed at the EMC.
-    pub uops_executed: u64,
-    /// Loads executed at the EMC.
-    pub loads_executed: u64,
-    /// Stores executed at the EMC (register spills).
-    pub stores_executed: u64,
-    /// EMC data-cache accesses.
-    pub dcache_accesses: u64,
-    /// EMC data-cache hits (Figure 17).
-    pub dcache_hits: u64,
-    /// Loads sent directly to DRAM on a predicted LLC miss.
-    pub direct_to_dram: u64,
-    /// Loads that queried the LLC (predicted hit).
-    pub llc_lookups: u64,
-    /// LLC misses generated by EMC execution (Figure 15 numerator).
-    pub llc_misses_generated: u64,
-    /// EMC TLB hits.
-    pub tlb_hits: u64,
-    /// EMC TLB misses (chain handed back to the core).
-    pub tlb_misses: u64,
-    /// Chains rejected because no context was free.
-    pub chains_rejected_busy: u64,
-    /// Mispredicted branches detected during chain execution.
-    pub branch_mispredicts_detected: u64,
-    /// EMC-generated misses that were LLC hits due to a prefetcher
-    /// (Figure 21 numerator, measured against the no-prefetch EMC set).
-    pub requests_covered_by_prefetch: u64,
-    /// Distribution of chain ship-to-completion latency in cycles
-    /// (data-ring departure at the core to context release at the EMC).
-    pub chain_latency: Histogram,
+crate::json_struct! {
+    /// EMC statistics (§6.3, Figures 15, 17, 21, 22).
+    #[derive(Debug, Clone, Default)]
+    pub struct EmcStats {
+        /// Chains accepted and executed (at least partially).
+        pub chains_executed: u64,
+        /// Uops executed at the EMC.
+        pub uops_executed: u64,
+        /// Loads executed at the EMC.
+        pub loads_executed: u64,
+        /// Stores executed at the EMC (register spills).
+        pub stores_executed: u64,
+        /// EMC data-cache accesses.
+        pub dcache_accesses: u64,
+        /// EMC data-cache hits (Figure 17).
+        pub dcache_hits: u64,
+        /// Loads sent directly to DRAM on a predicted LLC miss.
+        pub direct_to_dram: u64,
+        /// Loads that queried the LLC (predicted hit).
+        pub llc_lookups: u64,
+        /// LLC misses generated by EMC execution (Figure 15 numerator).
+        pub llc_misses_generated: u64,
+        /// EMC TLB hits.
+        pub tlb_hits: u64,
+        /// EMC TLB misses (chain handed back to the core).
+        pub tlb_misses: u64,
+        /// Chains rejected because no context was free.
+        pub chains_rejected_busy: u64,
+        /// Mispredicted branches detected during chain execution.
+        pub branch_mispredicts_detected: u64,
+        /// EMC-generated misses that were LLC hits due to a prefetcher
+        /// (Figure 21 numerator, measured against the no-prefetch EMC set).
+        pub requests_covered_by_prefetch: u64,
+        /// Distribution of chain ship-to-completion latency in cycles
+        /// (data-ring departure at the core to context release at the EMC).
+        pub chain_latency: Histogram,
+    }
 }
 
 impl EmcStats {
@@ -247,17 +257,19 @@ impl EmcStats {
     }
 }
 
-/// Prefetcher statistics.
-#[derive(Debug, Clone, Default)]
-pub struct PrefetchStats {
-    /// Prefetch requests issued to the memory system.
-    pub issued: u64,
-    /// Prefetched lines later hit by a demand access (useful).
-    pub useful: u64,
-    /// Prefetched lines evicted without use.
-    pub useless: u64,
-    /// Current FDP dynamic degree (last value).
-    pub degree: u64,
+crate::json_struct! {
+    /// Prefetcher statistics.
+    #[derive(Debug, Clone, Default)]
+    pub struct PrefetchStats {
+        /// Prefetch requests issued to the memory system.
+        pub issued: u64,
+        /// Prefetched lines later hit by a demand access (useful).
+        pub useful: u64,
+        /// Prefetched lines evicted without use.
+        pub useless: u64,
+        /// Current FDP dynamic degree (last value).
+        pub degree: u64,
+    }
 }
 
 impl PrefetchStats {
@@ -271,21 +283,23 @@ impl PrefetchStats {
     }
 }
 
-/// All statistics for one simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct Stats {
-    /// Total cycles simulated (max over cores).
-    pub cycles: u64,
-    /// Per-core pipeline stats.
-    pub cores: Vec<CoreStats>,
-    /// Memory-system stats.
-    pub mem: MemStats,
-    /// Ring stats.
-    pub ring: RingStats,
-    /// EMC stats (zeroed when the EMC is disabled).
-    pub emc: EmcStats,
-    /// Prefetcher stats (zeroed when prefetching is off).
-    pub prefetch: PrefetchStats,
+crate::json_struct! {
+    /// All statistics for one simulation run.
+    #[derive(Debug, Clone, Default)]
+    pub struct Stats {
+        /// Total cycles simulated (max over cores).
+        pub cycles: u64,
+        /// Per-core pipeline stats.
+        pub cores: Vec<CoreStats>,
+        /// Memory-system stats.
+        pub mem: MemStats,
+        /// Ring stats.
+        pub ring: RingStats,
+        /// EMC stats (zeroed when the EMC is disabled).
+        pub emc: EmcStats,
+        /// Prefetcher stats (zeroed when prefetching is off).
+        pub prefetch: PrefetchStats,
+    }
 }
 
 impl Stats {
@@ -442,8 +456,8 @@ mod tests {
 
     #[test]
     fn stats_serde_round_trip() {
-        use crate::codec::{stats_from_json, stats_to_json};
-        use crate::json::JsonValue;
+        use crate::codec::stats_to_json;
+        use crate::json::{FromJson, JsonValue};
         let mut s = Stats::new(2);
         s.cycles = 123;
         s.cores[0].retired_uops = 77;
@@ -452,7 +466,8 @@ mod tests {
         s.mem.escalated_requests = 2;
         s.emc.chains_executed = 9;
         let json = stats_to_json(&s).to_json();
-        let back = stats_from_json(&JsonValue::parse(&json).expect("parse")).expect("decode");
+        let back =
+            Stats::from_json_value(&JsonValue::parse(&json).expect("parse")).expect("decode");
         assert_eq!(back.cycles, 123);
         assert_eq!(back.cores[0].retired_uops, 77);
         assert_eq!(back.cores[0].chain_length_hist[5], 1);

@@ -7,64 +7,105 @@
 //! live here — not in the service crate — because both sides of the
 //! protocol need them and `emc-types` is the dependency root: the
 //! daemon encodes what the CLI decodes and vice versa, through the same
-//! hand-rolled [`JsonValue`] model the rest of the workspace uses (no
-//! external JSON crate on either side).
+//! [`JsonValue`] model the rest of the workspace uses (no external JSON
+//! crate on either side).
 //!
-//! Every top-level document carries `"schema": "emc-campaignd-v1"`;
-//! decoders reject mismatched schemas so a client talking to a future
-//! incompatible daemon fails loudly instead of misparsing.
+//! Each document is declared inside [`json_struct!`](crate::json_struct),
+//! so its definition is its wire format: keys are the field names in
+//! declaration order, and an `Option` member is omitted while `None`.
+//! Every top-level document additionally carries
+//! `"schema": "emc-campaignd-v1"` as its first key; decoders reject
+//! mismatched schemas so a client talking to a future incompatible
+//! daemon fails loudly instead of misparsing.
 
-use crate::codec::{get_bool, get_f64, get_str, get_u64, u};
 use crate::hist::Histogram;
-use crate::json::JsonValue;
+use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json_struct;
 
 /// Schema tag stamped into (and required from) every protocol document.
 pub const SVC_SCHEMA: &str = "emc-campaignd-v1";
 
-/// Check a decoded document's schema tag.
-fn check_schema(doc: &JsonValue) -> Result<(), String> {
+/// The document of `body` behind the schema tag.
+fn tagged(body: &impl ToJson) -> JsonValue {
+    let mut pairs = vec![("schema".to_string(), SVC_SCHEMA.into())];
+    if let JsonValue::Obj(members) = body.to_json_value() {
+        pairs.extend(members);
+    }
+    JsonValue::Obj(pairs)
+}
+
+/// Decode a tagged document, schema first.
+fn untagged<T: FromJson>(doc: &JsonValue) -> Result<T, String> {
     let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
     if schema != SVC_SCHEMA {
         return Err(format!("schema {schema:?}, expected {SVC_SCHEMA:?}"));
     }
-    Ok(())
+    T::from_json_value(doc)
 }
 
-fn opt_u64(doc: &JsonValue, key: &str) -> Option<u64> {
-    doc.get(key).and_then(|v| v.as_f64()).map(|n| n as u64)
+/// Give top-level documents their `to_json` / `from_json` pair.
+macro_rules! tagged_document {
+    ($($name:ident),*) => {$(
+        impl $name {
+            /// Encode as a protocol document.
+            pub fn to_json(&self) -> JsonValue {
+                tagged(self)
+            }
+
+            /// Decode a protocol document.
+            ///
+            /// # Errors
+            ///
+            /// Names the schema mismatch, or the path to the missing or
+            /// mistyped member.
+            pub fn from_json(doc: &JsonValue) -> Result<$name, String> {
+                untagged(doc)
+            }
+        }
+    )*};
 }
+
+tagged_document!(
+    SubmitAck,
+    Rejection,
+    JobStatusView,
+    EventBatch,
+    ServiceStats
+);
 
 // ---------------------------------------------------------------------
 // Submission
 // ---------------------------------------------------------------------
 
-/// A job submission: one of the standard suites, optionally narrowed to
-/// a single (prefetcher, EMC) grid cell and fanned out across seeds.
-///
-/// The daemon expands this into concrete `JobSpec`s (suite × repeat),
-/// so the wire format stays plain strings and numbers — clients never
-/// serialize a full `SystemConfig`. `repeat > 1` submits `repeat`
-/// copies of the grid with seeds bumped `seed_bump .. seed_bump +
-/// repeat - 1`, which is how load tests queue thousands of distinct
-/// jobs from a one-line request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubmitRequest {
-    /// Who is submitting (fair-queue identity; required, non-empty).
-    pub tenant: String,
-    /// Display name for the job ("" = derived from the suite).
-    pub name: String,
-    /// Suite: `quad`, `homog`, `mix8-1mc`, or `mix8-2mc`.
-    pub suite: String,
-    /// Per-core retired-uop budget (0 = daemon default).
-    pub budget: u64,
-    /// XORed into every config seed — distinct grids for load tests.
-    pub seed_bump: u64,
-    /// Number of seed-bumped copies of the grid to queue (min 1).
-    pub repeat: u64,
-    /// Narrow the 8-config grid to one prefetcher label (e.g. `GHB`).
-    pub prefetcher: Option<String>,
-    /// Narrow the 8-config grid to EMC on (`true`) or off (`false`).
-    pub emc: Option<bool>,
+json_struct! {
+    /// A job submission: one of the standard suites, optionally narrowed to
+    /// a single (prefetcher, EMC) grid cell and fanned out across seeds.
+    ///
+    /// The daemon expands this into concrete `JobSpec`s (suite × repeat),
+    /// so the wire format stays plain strings and numbers — clients never
+    /// serialize a full `SystemConfig`. `repeat > 1` submits `repeat`
+    /// copies of the grid with seeds bumped `seed_bump .. seed_bump +
+    /// repeat - 1`, which is how load tests queue thousands of distinct
+    /// jobs from a one-line request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SubmitRequest {
+        /// Who is submitting (fair-queue identity; required, non-empty).
+        pub tenant: String,
+        /// Display name for the job ("" = derived from the suite).
+        pub name: String = String::new(),
+        /// Suite: `quad`, `homog`, `mix8-1mc`, or `mix8-2mc`.
+        pub suite: String,
+        /// Per-core retired-uop budget (0 = daemon default).
+        pub budget: u64 = 0,
+        /// XORed into every config seed — distinct grids for load tests.
+        pub seed_bump: u64 = 0,
+        /// Number of seed-bumped copies of the grid to queue (min 1).
+        pub repeat: u64 = 1,
+        /// Narrow the 8-config grid to one prefetcher label (e.g. `GHB`).
+        pub prefetcher: Option<String> = None,
+        /// Narrow the 8-config grid to EMC on (`true`) or off (`false`).
+        pub emc: Option<bool> = None,
+    }
 }
 
 impl SubmitRequest {
@@ -84,109 +125,55 @@ impl SubmitRequest {
 
     /// Encode as a protocol document.
     pub fn to_json(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("schema", SVC_SCHEMA.into()),
-            ("tenant", self.tenant.as_str().into()),
-            ("name", self.name.as_str().into()),
-            ("suite", self.suite.as_str().into()),
-            ("budget", u(self.budget)),
-            ("seed_bump", u(self.seed_bump)),
-            ("repeat", u(self.repeat)),
-        ];
-        if let Some(pf) = &self.prefetcher {
-            pairs.push(("prefetcher", pf.as_str().into()));
-        }
-        if let Some(emc) = self.emc {
-            pairs.push(("emc", JsonValue::Bool(emc)));
-        }
-        JsonValue::obj(pairs)
+        tagged(self)
     }
 
-    /// Decode a protocol document.
+    /// Decode a protocol document. This is where outside input enters
+    /// the daemon, so the decoded request is also validated: the tenant
+    /// is non-empty and `repeat` is at least 1 (0 reads as 1).
     ///
     /// # Errors
     ///
-    /// Names the missing/mistyped field, the schema mismatch, or an
-    /// empty tenant.
+    /// Names the schema mismatch, the path to the missing or mistyped
+    /// member, or an empty tenant.
     pub fn from_json(doc: &JsonValue) -> Result<SubmitRequest, String> {
-        check_schema(doc)?;
-        let tenant = get_str(doc, "tenant")?.to_string();
-        if tenant.is_empty() {
+        let mut req: SubmitRequest = untagged(doc)?;
+        if req.tenant.is_empty() {
             return Err("tenant must be non-empty".into());
         }
-        Ok(SubmitRequest {
-            tenant,
-            name: doc
-                .get("name")
-                .and_then(|v| v.as_str())
-                .unwrap_or("")
-                .to_string(),
-            suite: get_str(doc, "suite")?.to_string(),
-            budget: opt_u64(doc, "budget").unwrap_or(0),
-            seed_bump: opt_u64(doc, "seed_bump").unwrap_or(0),
-            repeat: opt_u64(doc, "repeat").unwrap_or(1).max(1),
-            prefetcher: doc
-                .get("prefetcher")
-                .and_then(|v| v.as_str())
-                .map(str::to_string),
-            emc: doc.get("emc").and_then(|v| match v {
-                JsonValue::Bool(b) => Some(*b),
-                _ => None,
-            }),
-        })
+        req.repeat = req.repeat.max(1);
+        Ok(req)
     }
 }
 
-/// Acceptance of a submission (`POST /v1/jobs`, 200).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubmitAck {
-    /// The new job's id (use with `/v1/jobs/<id>`).
-    pub id: String,
-    /// Tasks queued for this job.
-    pub total: u64,
-    /// Service-wide queued tasks after admission.
-    pub queue_depth: u64,
-}
-
-impl SubmitAck {
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("schema", SVC_SCHEMA.into()),
-            ("id", self.id.as_str().into()),
-            ("total", u(self.total)),
-            ("queue_depth", u(self.queue_depth)),
-        ])
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field or schema mismatch.
-    pub fn from_json(doc: &JsonValue) -> Result<SubmitAck, String> {
-        check_schema(doc)?;
-        Ok(SubmitAck {
-            id: get_str(doc, "id")?.to_string(),
-            total: get_u64(doc, "total")?,
-            queue_depth: get_u64(doc, "queue_depth")?,
-        })
+json_struct! {
+    /// Acceptance of a submission (`POST /v1/jobs`, 200).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SubmitAck {
+        /// The new job's id (use with `/v1/jobs/<id>`).
+        pub id: String,
+        /// Tasks queued for this job.
+        pub total: u64,
+        /// Service-wide queued tasks after admission.
+        pub queue_depth: u64,
     }
 }
 
-/// A structured rejection (`429` queue-full, `503` draining, `400`
-/// bad request, `404` unknown job).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Rejection {
-    /// Machine-readable reason: `queue-full`, `draining`,
-    /// `bad-request`, `not-found`.
-    pub error: String,
-    /// Human-readable detail.
-    pub detail: String,
-    /// Queued tasks at rejection time.
-    pub queue_depth: u64,
-    /// Admission-control capacity (0 when not applicable).
-    pub capacity: u64,
+json_struct! {
+    /// A structured rejection (`429` queue-full, `503` draining, `400`
+    /// bad request, `404` unknown job).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Rejection {
+        /// Machine-readable reason: `queue-full`, `draining`,
+        /// `bad-request`, `not-found`.
+        pub error: String,
+        /// Human-readable detail.
+        pub detail: String,
+        /// Queued tasks at rejection time.
+        pub queue_depth: u64 = 0,
+        /// Admission-control capacity (0 when not applicable).
+        pub capacity: u64 = 0,
+    }
 }
 
 impl Rejection {
@@ -199,257 +186,97 @@ impl Rejection {
             capacity: 0,
         }
     }
-
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("schema", SVC_SCHEMA.into()),
-            ("error", self.error.as_str().into()),
-            ("detail", self.detail.as_str().into()),
-            ("queue_depth", u(self.queue_depth)),
-            ("capacity", u(self.capacity)),
-        ])
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field or schema mismatch.
-    pub fn from_json(doc: &JsonValue) -> Result<Rejection, String> {
-        check_schema(doc)?;
-        Ok(Rejection {
-            error: get_str(doc, "error")?.to_string(),
-            detail: get_str(doc, "detail")?.to_string(),
-            queue_depth: opt_u64(doc, "queue_depth").unwrap_or(0),
-            capacity: opt_u64(doc, "capacity").unwrap_or(0),
-        })
-    }
 }
 
 // ---------------------------------------------------------------------
 // Job status and progress
 // ---------------------------------------------------------------------
 
-/// Where a job is in its service lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Admitted; no task has finished yet.
-    Queued,
-    /// At least one task finished, some remain.
-    Running,
-    /// Every task resolved (completed or failed).
-    Done,
-}
-
-impl JobState {
-    /// Wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-        }
-    }
-
-    /// Parse a wire name.
-    pub fn parse(s: &str) -> Option<JobState> {
-        match s {
-            "queued" => Some(JobState::Queued),
-            "running" => Some(JobState::Running),
-            "done" => Some(JobState::Done),
-            _ => None,
-        }
+json_struct! {
+    /// Where a job is in its service lifecycle.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum JobState {
+        /// Admitted; no task has finished yet.
+        Queued = "queued",
+        /// At least one task finished, some remain.
+        Running = "running",
+        /// Every task resolved (completed or failed).
+        Done = "done",
     }
 }
 
 impl std::fmt::Display for JobState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        f.write_str(self.label())
     }
 }
 
-/// A job status snapshot (`GET /v1/jobs/<id>`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobStatusView {
-    /// Job id.
-    pub id: String,
-    /// Submitting tenant.
-    pub tenant: String,
-    /// Display name.
-    pub name: String,
-    /// Lifecycle state.
-    pub state: JobState,
-    /// Total tasks in the job.
-    pub total: u64,
-    /// Tasks resolved so far (hits + executed + failed).
-    pub done: u64,
-    /// Tasks resolved from the result cache.
-    pub hits: u64,
-    /// Tasks freshly simulated.
-    pub executed: u64,
-    /// Tasks that failed (wedged/cap-hit after retries).
-    pub failed: u64,
-    /// Remaining-time estimate, milliseconds (absent before the first
-    /// completion and after the last).
-    pub eta_ms: Option<u64>,
-    /// Wall-clock since admission, milliseconds.
-    pub wall_ms: u64,
-}
-
-impl JobStatusView {
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("schema", SVC_SCHEMA.into()),
-            ("id", self.id.as_str().into()),
-            ("tenant", self.tenant.as_str().into()),
-            ("name", self.name.as_str().into()),
-            ("state", self.state.as_str().into()),
-            ("total", u(self.total)),
-            ("done", u(self.done)),
-            ("hits", u(self.hits)),
-            ("executed", u(self.executed)),
-            ("failed", u(self.failed)),
-            ("wall_ms", u(self.wall_ms)),
-        ];
-        if let Some(eta) = self.eta_ms {
-            pairs.push(("eta_ms", u(eta)));
-        }
-        JsonValue::obj(pairs)
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field, bad state, or schema mismatch.
-    pub fn from_json(doc: &JsonValue) -> Result<JobStatusView, String> {
-        check_schema(doc)?;
-        let state = get_str(doc, "state")?;
-        Ok(JobStatusView {
-            id: get_str(doc, "id")?.to_string(),
-            tenant: get_str(doc, "tenant")?.to_string(),
-            name: get_str(doc, "name")?.to_string(),
-            state: JobState::parse(state).ok_or_else(|| format!("bad state {state:?}"))?,
-            total: get_u64(doc, "total")?,
-            done: get_u64(doc, "done")?,
-            hits: get_u64(doc, "hits")?,
-            executed: get_u64(doc, "executed")?,
-            failed: get_u64(doc, "failed")?,
-            eta_ms: opt_u64(doc, "eta_ms"),
-            wall_ms: get_u64(doc, "wall_ms")?,
-        })
+json_struct! {
+    /// A job status snapshot (`GET /v1/jobs/<id>`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct JobStatusView {
+        /// Job id.
+        pub id: String,
+        /// Submitting tenant.
+        pub tenant: String,
+        /// Display name.
+        pub name: String,
+        /// Lifecycle state.
+        pub state: JobState,
+        /// Total tasks in the job.
+        pub total: u64,
+        /// Tasks resolved so far (hits + executed + failed).
+        pub done: u64,
+        /// Tasks resolved from the result cache.
+        pub hits: u64,
+        /// Tasks freshly simulated.
+        pub executed: u64,
+        /// Tasks that failed (wedged/cap-hit after retries).
+        pub failed: u64,
+        /// Wall-clock since admission, milliseconds.
+        pub wall_ms: u64,
+        /// Remaining-time estimate, milliseconds (absent before the first
+        /// completion and after the last).
+        pub eta_ms: Option<u64> = None,
     }
 }
 
-/// One per-task progress event within a job's ordered event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgressEvent {
-    /// Monotonic sequence number within the job (starts at 1).
-    pub seq: u64,
-    /// Label of the task that resolved.
-    pub label: String,
-    /// How it resolved ("cache-hit", "completed", "wedged ...").
-    pub outcome: String,
-    /// Job-level progress after this event: tasks done.
-    pub done: u64,
-    /// Tasks total.
-    pub total: u64,
-    /// Cache hits so far.
-    pub hits: u64,
-    /// Failures so far.
-    pub failed: u64,
-    /// Remaining-time estimate after this event, milliseconds.
-    pub eta_ms: Option<u64>,
-}
-
-impl ProgressEvent {
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("seq", u(self.seq)),
-            ("label", self.label.as_str().into()),
-            ("outcome", self.outcome.as_str().into()),
-            ("done", u(self.done)),
-            ("total", u(self.total)),
-            ("hits", u(self.hits)),
-            ("failed", u(self.failed)),
-        ];
-        if let Some(eta) = self.eta_ms {
-            pairs.push(("eta_ms", u(eta)));
-        }
-        JsonValue::obj(pairs)
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field.
-    pub fn from_json(doc: &JsonValue) -> Result<ProgressEvent, String> {
-        Ok(ProgressEvent {
-            seq: get_u64(doc, "seq")?,
-            label: get_str(doc, "label")?.to_string(),
-            outcome: get_str(doc, "outcome")?.to_string(),
-            done: get_u64(doc, "done")?,
-            total: get_u64(doc, "total")?,
-            hits: get_u64(doc, "hits")?,
-            failed: get_u64(doc, "failed")?,
-            eta_ms: opt_u64(doc, "eta_ms"),
-        })
+json_struct! {
+    /// One per-task progress event within a job's ordered event stream.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ProgressEvent {
+        /// Monotonic sequence number within the job (starts at 1).
+        pub seq: u64,
+        /// Label of the task that resolved.
+        pub label: String,
+        /// How it resolved ("cache-hit", "completed", "wedged ...").
+        pub outcome: String,
+        /// Job-level progress after this event: tasks done.
+        pub done: u64,
+        /// Tasks total.
+        pub total: u64,
+        /// Cache hits so far.
+        pub hits: u64,
+        /// Failures so far.
+        pub failed: u64,
+        /// Remaining-time estimate after this event, milliseconds.
+        pub eta_ms: Option<u64> = None,
     }
 }
 
-/// A long-poll batch of progress events
-/// (`GET /v1/jobs/<id>/events?since=N`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventBatch {
-    /// Job id.
-    pub id: String,
-    /// Pass as `since` on the next poll.
-    pub next: u64,
-    /// True once the job has fully resolved (stop polling).
-    pub complete: bool,
-    /// Events with `seq > since`, in sequence order.
-    pub events: Vec<ProgressEvent>,
-}
-
-impl EventBatch {
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("schema", SVC_SCHEMA.into()),
-            ("id", self.id.as_str().into()),
-            ("next", u(self.next)),
-            ("complete", JsonValue::Bool(self.complete)),
-            (
-                "events",
-                JsonValue::Arr(self.events.iter().map(ProgressEvent::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field or schema mismatch.
-    pub fn from_json(doc: &JsonValue) -> Result<EventBatch, String> {
-        check_schema(doc)?;
-        let events = doc
-            .get("events")
-            .and_then(|v| v.as_arr())
-            .ok_or("missing events")?
-            .iter()
-            .map(ProgressEvent::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(EventBatch {
-            id: get_str(doc, "id")?.to_string(),
-            next: get_u64(doc, "next")?,
-            complete: get_bool(doc, "complete")?,
-            events,
-        })
+json_struct! {
+    /// A long-poll batch of progress events
+    /// (`GET /v1/jobs/<id>/events?since=N`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct EventBatch {
+        /// Job id.
+        pub id: String,
+        /// Pass as `since` on the next poll.
+        pub next: u64,
+        /// True once the job has fully resolved (stop polling).
+        pub complete: bool,
+        /// Events with `seq > since`, in sequence order.
+        pub events: Vec<ProgressEvent>,
     }
 }
 
@@ -457,22 +284,24 @@ impl EventBatch {
 // Service statistics
 // ---------------------------------------------------------------------
 
-/// Five-number summary of a [`Histogram`] for stats documents (the
-/// full bucket vector stays off the wire).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistSummary {
-    /// Samples.
-    pub count: u64,
-    /// Mean value.
-    pub mean: f64,
-    /// Median.
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Largest sample.
-    pub max: u64,
+json_struct! {
+    /// Six-number summary of a [`Histogram`] for stats and report
+    /// documents (the full bucket vector stays off the wire).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HistSummary {
+        /// Samples.
+        pub count: u64,
+        /// Mean value.
+        pub mean: f64,
+        /// Median.
+        pub p50: u64,
+        /// 95th percentile.
+        pub p95: u64,
+        /// 99th percentile.
+        pub p99: u64,
+        /// Largest sample.
+        pub max: u64,
+    }
 }
 
 impl HistSummary {
@@ -487,195 +316,70 @@ impl HistSummary {
             max: h.max,
         }
     }
+}
 
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("count", u(self.count)),
-            ("mean", self.mean.into()),
-            ("p50", u(self.p50)),
-            ("p95", u(self.p95)),
-            ("p99", u(self.p99)),
-            ("max", u(self.max)),
-        ])
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field.
-    pub fn from_json(doc: &JsonValue) -> Result<HistSummary, String> {
-        Ok(HistSummary {
-            count: get_u64(doc, "count")?,
-            mean: get_f64(doc, "mean")?,
-            p50: get_u64(doc, "p50")?,
-            p95: get_u64(doc, "p95")?,
-            p99: get_u64(doc, "p99")?,
-            max: get_u64(doc, "max")?,
-        })
+json_struct! {
+    /// Per-tenant fairness statistics within [`ServiceStats`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct TenantStats {
+        /// Tenant name.
+        pub tenant: String,
+        /// Tasks waiting in the fair queue.
+        pub queued: u64,
+        /// Tasks currently on a worker.
+        pub running: u64,
+        /// Tasks resolved.
+        pub done: u64,
+        /// Tasks failed.
+        pub failed: u64,
+        /// Queue-wait distribution, milliseconds (admission → dispatch).
+        pub wait_ms: HistSummary,
+        /// Largest observed queue wait, milliseconds.
+        pub max_wait_ms: u64,
+        /// Tasks dispatched via aging escalation (starvation rescue).
+        pub escalated: u64,
     }
 }
 
-/// Per-tenant fairness statistics within [`ServiceStats`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantStats {
-    /// Tenant name.
-    pub tenant: String,
-    /// Tasks waiting in the fair queue.
-    pub queued: u64,
-    /// Tasks currently on a worker.
-    pub running: u64,
-    /// Tasks resolved.
-    pub done: u64,
-    /// Tasks failed.
-    pub failed: u64,
-    /// Queue-wait distribution, milliseconds (admission → dispatch).
-    pub wait_ms: HistSummary,
-    /// Largest observed queue wait, milliseconds.
-    pub max_wait_ms: u64,
-    /// Tasks dispatched via aging escalation (starvation rescue).
-    pub escalated: u64,
-}
-
-impl TenantStats {
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("tenant", self.tenant.as_str().into()),
-            ("queued", u(self.queued)),
-            ("running", u(self.running)),
-            ("done", u(self.done)),
-            ("failed", u(self.failed)),
-            ("wait_ms", self.wait_ms.to_json()),
-            ("max_wait_ms", u(self.max_wait_ms)),
-            ("escalated", u(self.escalated)),
-        ])
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field.
-    pub fn from_json(doc: &JsonValue) -> Result<TenantStats, String> {
-        Ok(TenantStats {
-            tenant: get_str(doc, "tenant")?.to_string(),
-            queued: get_u64(doc, "queued")?,
-            running: get_u64(doc, "running")?,
-            done: get_u64(doc, "done")?,
-            failed: get_u64(doc, "failed")?,
-            wait_ms: HistSummary::from_json(doc.get("wait_ms").ok_or("missing wait_ms")?)?,
-            max_wait_ms: get_u64(doc, "max_wait_ms")?,
-            escalated: get_u64(doc, "escalated")?,
-        })
-    }
-}
-
-/// Service-level statistics (`GET /v1/stats`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceStats {
-    /// Milliseconds since the daemon started.
-    pub uptime_ms: u64,
-    /// Resident worker threads.
-    pub workers: u64,
-    /// Tasks waiting in the fair queue right now.
-    pub queue_depth: u64,
-    /// Admission-control capacity (queued tasks).
-    pub queue_cap: u64,
-    /// True once `/v1/drain` was accepted.
-    pub draining: bool,
-    /// Jobs ever admitted (including resumed ones).
-    pub jobs: u64,
-    /// Jobs fully resolved.
-    pub jobs_done: u64,
-    /// Tasks resolved.
-    pub tasks_done: u64,
-    /// Tasks resolved from the result cache.
-    pub hits: u64,
-    /// Tasks freshly simulated.
-    pub executed: u64,
-    /// Tasks failed.
-    pub failed: u64,
-    /// `hits / tasks_done` (0 when nothing resolved yet).
-    pub hit_rate: f64,
-    /// Queue-wait distribution across all tenants, milliseconds.
-    pub wait_ms: HistSummary,
-    /// Per-task resolve-latency distribution, milliseconds.
-    pub task_wall_ms: HistSummary,
-    /// Per-job latency distribution (admission → completion), ms.
-    pub job_wall_ms: HistSummary,
-    /// Host throughput over executed tasks: simulated megacycles per
-    /// second (PR-8 host-perf, aggregated).
-    pub mcycles_per_sec: f64,
-    /// Per-tenant fairness breakdown, sorted by tenant name.
-    pub tenants: Vec<TenantStats>,
-}
-
-impl ServiceStats {
-    /// Encode as a protocol document.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("schema", SVC_SCHEMA.into()),
-            ("uptime_ms", u(self.uptime_ms)),
-            ("workers", u(self.workers)),
-            ("queue_depth", u(self.queue_depth)),
-            ("queue_cap", u(self.queue_cap)),
-            ("draining", JsonValue::Bool(self.draining)),
-            ("jobs", u(self.jobs)),
-            ("jobs_done", u(self.jobs_done)),
-            ("tasks_done", u(self.tasks_done)),
-            ("hits", u(self.hits)),
-            ("executed", u(self.executed)),
-            ("failed", u(self.failed)),
-            ("hit_rate", self.hit_rate.into()),
-            ("wait_ms", self.wait_ms.to_json()),
-            ("task_wall_ms", self.task_wall_ms.to_json()),
-            ("job_wall_ms", self.job_wall_ms.to_json()),
-            ("mcycles_per_sec", self.mcycles_per_sec.into()),
-            (
-                "tenants",
-                JsonValue::Arr(self.tenants.iter().map(TenantStats::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Decode a protocol document.
-    ///
-    /// # Errors
-    ///
-    /// Names the missing field or schema mismatch.
-    pub fn from_json(doc: &JsonValue) -> Result<ServiceStats, String> {
-        check_schema(doc)?;
-        let hist = |key: &str| -> Result<HistSummary, String> {
-            HistSummary::from_json(doc.get(key).ok_or_else(|| format!("missing {key}"))?)
-        };
-        let tenants = doc
-            .get("tenants")
-            .and_then(|v| v.as_arr())
-            .ok_or("missing tenants")?
-            .iter()
-            .map(TenantStats::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ServiceStats {
-            uptime_ms: get_u64(doc, "uptime_ms")?,
-            workers: get_u64(doc, "workers")?,
-            queue_depth: get_u64(doc, "queue_depth")?,
-            queue_cap: get_u64(doc, "queue_cap")?,
-            draining: get_bool(doc, "draining")?,
-            jobs: get_u64(doc, "jobs")?,
-            jobs_done: get_u64(doc, "jobs_done")?,
-            tasks_done: get_u64(doc, "tasks_done")?,
-            hits: get_u64(doc, "hits")?,
-            executed: get_u64(doc, "executed")?,
-            failed: get_u64(doc, "failed")?,
-            hit_rate: get_f64(doc, "hit_rate")?,
-            wait_ms: hist("wait_ms")?,
-            task_wall_ms: hist("task_wall_ms")?,
-            job_wall_ms: hist("job_wall_ms")?,
-            mcycles_per_sec: get_f64(doc, "mcycles_per_sec")?,
-            tenants,
-        })
+json_struct! {
+    /// Service-level statistics (`GET /v1/stats`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ServiceStats {
+        /// Milliseconds since the daemon started.
+        pub uptime_ms: u64,
+        /// Resident worker threads.
+        pub workers: u64,
+        /// Tasks waiting in the fair queue right now.
+        pub queue_depth: u64,
+        /// Admission-control capacity (queued tasks).
+        pub queue_cap: u64,
+        /// True once `/v1/drain` was accepted.
+        pub draining: bool,
+        /// Jobs ever admitted (including resumed ones).
+        pub jobs: u64,
+        /// Jobs fully resolved.
+        pub jobs_done: u64,
+        /// Tasks resolved.
+        pub tasks_done: u64,
+        /// Tasks resolved from the result cache.
+        pub hits: u64,
+        /// Tasks freshly simulated.
+        pub executed: u64,
+        /// Tasks failed.
+        pub failed: u64,
+        /// `hits / tasks_done` (0 when nothing resolved yet).
+        pub hit_rate: f64,
+        /// Queue-wait distribution across all tenants, milliseconds.
+        pub wait_ms: HistSummary,
+        /// Per-task resolve-latency distribution, milliseconds.
+        pub task_wall_ms: HistSummary,
+        /// Per-job latency distribution (admission → completion), ms.
+        pub job_wall_ms: HistSummary,
+        /// Host throughput over executed tasks: simulated megacycles per
+        /// second (PR-8 host-perf, aggregated).
+        pub mcycles_per_sec: f64,
+        /// Per-tenant fairness breakdown, sorted by tenant name.
+        pub tenants: Vec<TenantStats>,
     }
 }
 
@@ -740,6 +444,23 @@ mod tests {
             ("repeat", JsonValue::Num(0.0)),
         ]);
         assert_eq!(SubmitRequest::from_json(&zero_repeat).unwrap().repeat, 1);
+
+        // Numbers decode exactly or not at all: a negative, fractional or
+        // out-of-range count is a 400 naming the key, never 0, 2 or
+        // `u64::MAX`.
+        for (key, bad) in [("budget", -1.0), ("repeat", 2.5), ("repeat", 1e300)] {
+            let doc = JsonValue::obj(vec![
+                ("schema", SVC_SCHEMA.into()),
+                ("tenant", "a".into()),
+                ("suite", "quad".into()),
+                (key, JsonValue::Num(bad)),
+            ]);
+            let err = SubmitRequest::from_json(&doc).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains("u64"),
+                "{key}={bad}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -766,9 +487,9 @@ mod tests {
         );
 
         for state in [JobState::Queued, JobState::Running, JobState::Done] {
-            assert_eq!(JobState::parse(state.as_str()), Some(state));
+            assert_eq!(JobState::from_label(state.label()), Some(state));
         }
-        assert_eq!(JobState::parse("exploded"), None);
+        assert_eq!(JobState::from_label("exploded"), None);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! monotone and bounded by the bucket width, and the exact aggregates
 //! (count/sum/min/max) must never drift from the recorded samples.
 
-use emc_types::codec::{histogram_from_json, histogram_to_json};
 use emc_types::rng::{for_each_case, SmallRng};
-use emc_types::{Histogram, JsonValue};
+use emc_types::{FromJson, Histogram, JsonValue, ToJson};
 
 fn hist_of(vals: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -132,8 +131,8 @@ fn percentile_error_bounded_by_bucket_width() {
 fn serde_round_trip() {
     for_each_case(0x5eed_7006, 256, |rng| {
         let h = hist_of(&any_vals(rng, 0, 100));
-        let text = histogram_to_json(&h).to_json();
-        let back = histogram_from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let text = h.to_json_value().to_json();
+        let back = Histogram::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, h);
     });
 }
