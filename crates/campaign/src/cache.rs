@@ -2,15 +2,16 @@
 //!
 //! Completed [`RunResult`]s are stored once under
 //! `<root>/<first two hex chars>/<key>.json` (sharding keeps any single
-//! directory small even for thousand-job campaigns). Writes go through a
-//! temp file in the same directory followed by a rename, so a crash or
-//! interrupt can never leave a truncated entry behind — at worst the
+//! directory small even for thousand-job campaigns). Writes go through
+//! [`write_atomic`], so a crash, an interrupt or a second writer of the
+//! same key can never leave a truncated entry behind — at worst the
 //! entry is absent and the job re-runs. Corrupt or schema-mismatched
 //! entries are treated as misses and overwritten on the next store
 //! (self-healing), never as hard errors.
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use emc_types::JsonValue;
 
@@ -22,6 +23,29 @@ pub const CACHE_SCHEMA: &str = "emc-campaign-cache-v1";
 
 /// Default cache root, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = "results/cache";
+
+/// Publish `text` at `path` all at once: written in full to a temp file
+/// beside it, then renamed over it, the directory created on the way.
+/// The temp file's name is this writer's own (process id and a
+/// process-wide count), so writers of one path, in one process or
+/// several, never share one; the last rename wins and every reader sees
+/// some writer's whole text. The error says which step failed, for the
+/// caller to put its name in front of.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().expect("published path has a parent");
+    fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let name = path.file_name().expect("published path has a file name");
+    let tmp = dir.join(format!(
+        ".{}.{}.{}.tmp",
+        name.to_string_lossy(),
+        std::process::id(),
+        WRITES.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    fs::rename(&tmp, path)
+        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+}
 
 /// A content-addressed store of completed run results.
 #[derive(Debug, Clone)]
@@ -86,16 +110,11 @@ impl ResultCache {
         }
     }
 
-    /// Store a completed result under `spec`'s key. Atomic: the entry is
-    /// fully written to a temp file and renamed into place. Returns the
-    /// final path.
+    /// Store a completed result under `spec`'s key, atomically
+    /// ([`write_atomic`]). Returns the final path.
     pub fn store(&self, spec: &JobSpec, result: &RunResult) -> Result<PathBuf, String> {
         let key = spec.key();
         let path = self.path_of(&key);
-        let dir = path.parent().expect("sharded path has a parent");
-        fs::create_dir_all(dir)
-            .map_err(|e| format!("cache: cannot create {}: {e}", dir.display()))?;
-
         let doc = JsonValue::obj(vec![
             ("schema", CACHE_SCHEMA.into()),
             ("key", key.0.as_str().into()),
@@ -107,11 +126,7 @@ impl ResultCache {
         ]);
         let mut text = doc.to_json();
         text.push('\n');
-
-        let tmp = dir.join(format!(".{key}.tmp"));
-        fs::write(&tmp, &text).map_err(|e| format!("cache: write {}: {e}", tmp.display()))?;
-        fs::rename(&tmp, &path)
-            .map_err(|e| format!("cache: rename {} -> {}: {e}", tmp.display(), path.display()))?;
+        write_atomic(&path, &text).map_err(|e| format!("cache: {e}"))?;
         Ok(path)
     }
 

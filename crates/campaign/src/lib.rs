@@ -37,7 +37,7 @@ pub mod manifest;
 pub mod spec;
 pub mod suite;
 
-pub use cache::{ResultCache, CACHE_SCHEMA, DEFAULT_CACHE_DIR};
+pub use cache::{write_atomic, ResultCache, CACHE_SCHEMA, DEFAULT_CACHE_DIR};
 pub use client::{Client, ClientError};
 pub use codec::{run_result_from_json, run_result_to_json, stats_to_json};
 pub use engine::{

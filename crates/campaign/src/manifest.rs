@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 
 use emc_types::{FromJson, JsonValue, ToJson};
 
+use crate::cache::write_atomic;
 use crate::hash::digest128_hex;
 use crate::spec::JobKey;
 
@@ -135,20 +136,9 @@ impl Manifest {
     /// Persist atomically under the cache root.
     pub fn save(&self, cache_root: &Path) -> Result<PathBuf, String> {
         let path = Manifest::path_for(cache_root, &self.name);
-        let dir = path.parent().expect("manifest path has a parent");
-        fs::create_dir_all(dir)
-            .map_err(|e| format!("manifest: cannot create {}: {e}", dir.display()))?;
         let mut text = self.to_json().to_json();
         text.push('\n');
-        let tmp = dir.join(format!(".{}.tmp", self.name));
-        fs::write(&tmp, &text).map_err(|e| format!("manifest: write {}: {e}", tmp.display()))?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            format!(
-                "manifest: rename {} -> {}: {e}",
-                tmp.display(),
-                path.display()
-            )
-        })?;
+        write_atomic(&path, &text).map_err(|e| format!("manifest: {e}"))?;
         Ok(path)
     }
 

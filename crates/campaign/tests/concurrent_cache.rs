@@ -133,3 +133,54 @@ fn many_racers_over_a_small_spec_pool_stay_consistent() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two workers that simulated the same spec store it at the same time,
+/// over and over, beside a reader: no store fails, the published path
+/// never holds anything but the whole entry, and no load takes the
+/// present entry for a miss.
+#[test]
+fn concurrent_stores_of_one_key_never_publish_a_torn_entry() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let dir = tmp_cache("same-key");
+    let spec = small_spec(0xbeef);
+    let mut stats = emc_types::Stats::new(spec.cfg.cores);
+    stats.cycles = 4242;
+    let result = spec.to_result(stats);
+    let cache = ResultCache::new(&dir);
+    let path = cache.store(&spec, &result).expect("first store");
+    let entry = std::fs::read(&path).unwrap();
+
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    let (store_errors, torn_reads, misses) = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    let errors = (0..1_500)
+                        .filter(|_| cache.store(&spec, &result).is_err())
+                        .count();
+                    done.store(true, Ordering::Release);
+                    errors
+                })
+            })
+            .collect();
+        let (mut torn, mut misses) = (0, 0);
+        start.wait();
+        while !done.load(Ordering::Acquire) {
+            torn += usize::from(std::fs::read(&path).ok().as_deref() != Some(&entry[..]));
+            misses += usize::from(cache.load(&spec).is_none());
+        }
+        let errors: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+        (errors, torn, misses)
+    });
+    assert_eq!(
+        (store_errors, torn_reads, misses),
+        (0, 0, 0),
+        "(store errors, torn reads of the published path, loads that missed)"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), entry);
+    assert_eq!(cache.entry_count(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

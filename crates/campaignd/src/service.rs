@@ -29,8 +29,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use emc_campaign::{
-    default_workers, eta, homog_jobs, mix8_jobs, quad_jobs, Executor, JobRecord, JobSource,
-    JobSpec, JobStatus, Manifest, ResultCache,
+    default_workers, eta, homog_jobs, mix8_jobs, quad_jobs, write_atomic, Executor, JobRecord,
+    JobSource, JobSpec, JobStatus, Manifest, ResultCache,
 };
 use emc_types::codec::u;
 use emc_types::{
@@ -931,11 +931,9 @@ fn journal_dir(cache_dir: &Path) -> PathBuf {
     cache_dir.join("service").join("jobs")
 }
 
-/// Persist one admitted submission (atomic temp + rename, like every
-/// other artifact under the cache root).
+/// Persist one admitted submission (atomically, like every other
+/// artifact under the cache root).
 fn write_journal(cache_dir: &Path, id: &str, req: &SubmitRequest) -> Result<(), String> {
-    let dir = journal_dir(cache_dir);
-    fs::create_dir_all(&dir).map_err(|e| format!("journal: create {}: {e}", dir.display()))?;
     let doc = JsonValue::obj(vec![
         ("schema", SVC_SCHEMA.into()),
         ("id", id.into()),
@@ -943,11 +941,8 @@ fn write_journal(cache_dir: &Path, id: &str, req: &SubmitRequest) -> Result<(), 
     ]);
     let mut text = doc.to_json();
     text.push('\n');
-    let tmp = dir.join(format!(".{id}.tmp"));
-    let path = dir.join(format!("{id}.json"));
-    fs::write(&tmp, &text).map_err(|e| format!("journal: write {}: {e}", tmp.display()))?;
-    fs::rename(&tmp, &path).map_err(|e| format!("journal: rename {}: {e}", path.display()))?;
-    Ok(())
+    let path = journal_dir(cache_dir).join(format!("{id}.json"));
+    write_atomic(&path, &text).map_err(|e| format!("journal: {e}"))
 }
 
 /// Read every journaled submission, expanded and ordered by job id.

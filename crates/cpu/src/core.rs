@@ -325,18 +325,6 @@ impl Core {
         self.rob.iter()
     }
 
-    /// Diagnostics: ids currently in the ready (issueable) set.
-    #[doc(hidden)]
-    pub fn debug_ready(&self) -> Vec<RobId> {
-        self.ready.0.clone()
-    }
-
-    /// Diagnostics: (waiting_count, fetch_resume_at, program_done).
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (usize, Cycle, bool) {
-        (self.waiting_count, self.fetch_resume_at, self.program_done)
-    }
-
     /// Current ROB occupancy.
     pub fn rob_len(&self) -> usize {
         self.rob.len()

@@ -235,11 +235,6 @@ impl MemoryController {
         self.owned_channels.contains(&ch)
     }
 
-    /// Decode the DRAM location of a line under this MC's config.
-    pub fn locate(&self, line: emc_types::LineAddr) -> Location {
-        map_line(line, &self.cfg)
-    }
-
     /// The channels this MC owns, as `(global_channel, &Channel)` pairs,
     /// for observability (per-bank row-buffer state sampling and DRAM
     /// bank trace tracks).

@@ -1,8 +1,35 @@
 //! Scheduled-event plumbing for the system simulator.
+//!
+//! A message carries what is known about the request it moves — the EMC
+//! load it serves ([`EmcLoad`]), its stamps and latency components (the
+//! [`MemReq`]'s timeline), on the last leg the loads waiting for it — so
+//! no table beside the queue is keyed by request. A handler reads what it
+//! needs from the event and writes what it learns into the event it
+//! schedules next (DESIGN.md §3, "Where a request's state lives").
 
 use emc_core::ChainResult;
 use emc_cpu::RobId;
 use emc_types::{Addr, CoreId, Cycle, LineAddr, MemReq};
+
+/// One load of a chain executing at an EMC: uop `uop` of the chain in
+/// context `ctx` of the EMC at controller `mc`. The context is reused
+/// chain after chain, so the handle names the generation `tag` it was
+/// made under, and whoever completes it checks the tag is still current.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EmcLoad {
+    /// Issuing EMC.
+    pub mc: usize,
+    /// Context index.
+    pub ctx: usize,
+    /// Context generation (staleness guard).
+    pub tag: u64,
+    /// Uop index within the chain.
+    pub uop: usize,
+    /// Home core of the chain.
+    pub core: CoreId,
+    /// Virtual address loaded from.
+    pub vaddr: Addr,
+}
 
 /// A scheduled simulator event.
 #[derive(Debug)]
@@ -49,55 +76,27 @@ pub enum Ev {
     FillAtLlc {
         /// The completed request.
         req: MemReq,
-        /// Ring cycles spent so far.
-        ring_cycles: Cycle,
-        /// Cache-access cycles spent so far.
-        cache_cycles: Cycle,
     },
-    /// Data delivered to the requesting core: complete waiters.
+    /// Data delivered to the first waiter's core: complete the waiters.
     CoreDeliver {
-        /// Core.
-        core: CoreId,
         /// The completed request.
         req: MemReq,
-        /// Ring component of the total latency.
-        ring_cycles: Cycle,
-        /// Cache component of the total latency.
-        cache_cycles: Cycle,
+        /// The loads that waited for the line.
+        waiters: Vec<(CoreId, RobId)>,
     },
     /// An EMC load (route = LLC) arrives at the home LLC slice.
     EmcLlcReq {
-        /// Issuing EMC.
-        mc: usize,
-        /// Context tag (staleness guard).
-        tag: u64,
-        /// Context index.
-        ctx: usize,
-        /// Uop index within the chain.
-        uop: usize,
-        /// Home core.
-        core: CoreId,
-        /// Physical line.
-        pline: LineAddr,
-        /// Virtual address.
-        vaddr: Addr,
+        /// The load.
+        load: EmcLoad,
         /// PC.
         pc: u64,
-        /// Issue cycle (latency attribution).
-        created: Cycle,
         /// Ring cycles spent so far.
         ring_cycles: Cycle,
     },
     /// Data for an EMC load is available at its EMC.
     EmcLoadDone {
-        /// EMC index.
-        mc: usize,
-        /// Context tag (staleness guard).
-        tag: u64,
-        /// Context index.
-        ctx: usize,
-        /// Uop index.
-        uop: usize,
+        /// The load.
+        load: EmcLoad,
         /// Loaded value.
         value: u64,
     },
@@ -108,12 +107,11 @@ pub enum Ev {
         /// Per-uop results.
         results: Vec<ChainResult>,
     },
-    /// Chain abort notification arrives at the home core.
+    /// Chain abort notification arrives at the home core, which returns
+    /// its active chain to local execution.
     ChainAbortAtCore {
         /// Home core.
         core: CoreId,
-        /// ROB ids to return to local execution.
-        rob_ids: Box<[RobId]>,
     },
 }
 

@@ -4,7 +4,7 @@
 //! with FDP throttling, and the EMC chain-generation/remote-execution
 //! flow (paper Figures 7 and 11).
 
-use crate::events::{Ev, Scheduled};
+use crate::events::{EmcLoad, Ev, Scheduled};
 use crate::metrics::Sampler;
 use crate::profile::{Phase, ProfileReport, TickProfiler};
 use emc_cache::SetAssocCache;
@@ -13,7 +13,8 @@ use emc_cpu::{Core, CoreEvent, EntryState, RobId};
 use emc_dram::map_line;
 use emc_memctrl::MemoryController;
 use emc_prefetch::PrefetchEngine;
-use emc_ring::{Ring, RingKind, Topology};
+use emc_ring::RingKind::{self, Control, Data};
+use emc_ring::{Ring, Topology};
 use emc_types::rng::{seeded_rng, substream, SmallRng};
 use emc_types::{
     physical_line, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, FxHashSet, LineAddr,
@@ -115,15 +116,12 @@ impl Watchdog {
     }
 }
 
-/// An EMC load merged onto an outstanding line fetch.
-#[derive(Debug, Clone, Copy)]
-struct EmcWait {
-    mc: usize,
-    tag: u64,
-    ctx: usize,
-    uop: usize,
-    home_core: CoreId,
-    vaddr: Addr,
+/// A ring stop, named by what sits at it.
+#[derive(Clone, Copy)]
+enum Stop {
+    Core(CoreId),
+    Llc(usize),
+    Mc(usize),
 }
 
 /// LLC-level outstanding miss bookkeeping. Both lists borrow their
@@ -132,7 +130,10 @@ struct EmcWait {
 #[derive(Debug, Default)]
 struct Outstanding {
     waiters: Vec<(CoreId, RobId)>,
-    emc_waiters: Vec<EmcWait>,
+    /// The EMC load the fetch was issued for, if an EMC issued it.
+    issuer: Option<EmcLoad>,
+    /// EMC loads merged onto it.
+    emc_waiters: Vec<EmcLoad>,
 }
 
 /// Hand a waiter buffer back to the pool it was borrowed from.
@@ -141,25 +142,6 @@ fn recycle<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
         buf.clear();
         pool.push(buf);
     }
-}
-
-/// Metadata for EMC-issued memory requests.
-#[derive(Debug, Clone, Copy)]
-struct EmcReqMeta {
-    mc: usize,
-    tag: u64,
-    ctx: usize,
-    uop: usize,
-    vaddr: Addr,
-    ring_cycles: Cycle,
-    cache_cycles: Cycle,
-}
-
-/// Per-request latency components threaded to the completion point.
-#[derive(Debug, Clone, Copy, Default)]
-struct Components {
-    ring: Cycle,
-    cache: Cycle,
 }
 
 /// The simulated system.
@@ -191,19 +173,20 @@ pub struct System {
     /// EMC context-kill fault stream, armed iff the fault plan enables
     /// `emc_kill_prob`.
     emc_fault: Option<(f64, SmallRng)>,
-    // None of the maps below is ever iterated.
-    pending_sources: FxHashMap<(CoreId, RobId), (usize, usize, u64)>,
+    /// Per core: the source load its chain in flight still waits for,
+    /// and the EMC `(mc, ctx, tag)` to hand the data to. A core has at
+    /// most one chain in flight.
+    pending_source: Vec<Option<(RobId, usize, usize, u64)>>,
+    /// Loads whose line is on chip but not yet at the core. Nothing
+    /// iterates it.
     source_ready: FxHashSet<(CoreId, RobId)>,
     events: BinaryHeap<Scheduled>,
     /// Lines on their way to or from DRAM. Nothing iterates it.
     outstanding: FxHashMap<LineAddr, Outstanding>,
     waiter_pool: Vec<Vec<(CoreId, RobId)>>,
-    emc_waiter_pool: Vec<Vec<EmcWait>>,
-    deliver_waiters: FxHashMap<ReqId, Vec<(CoreId, RobId)>>,
+    emc_waiter_pool: Vec<Vec<EmcLoad>>,
     /// Which core's prefetcher brought a line in. Nothing iterates it.
     prefetched_by: FxHashMap<LineAddr, CoreId>,
-    req_components: FxHashMap<ReqId, Components>,
-    emc_req_meta: FxHashMap<ReqId, EmcReqMeta>,
     next_req: u64,
     /// Accumulated system statistics (cores filled at snapshot time).
     pub stats: Stats,
@@ -306,16 +289,13 @@ impl System {
             chain_fail_streak: vec![0; cfg.cores],
             chain_backoff: vec![cfg.emc.quiesce_backoff; cfg.cores],
             emc_fault,
-            pending_sources: FxHashMap::default(),
+            pending_source: vec![None; cfg.cores],
             source_ready: FxHashSet::default(),
             events: BinaryHeap::new(),
             outstanding: FxHashMap::default(),
             waiter_pool: Vec::new(),
             emc_waiter_pool: Vec::new(),
-            deliver_waiters: FxHashMap::default(),
             prefetched_by: FxHashMap::default(),
-            req_components: FxHashMap::default(),
-            emc_req_meta: FxHashMap::default(),
             next_req: 0,
             stats: Stats::new(cfg.cores),
             trace: TraceSink::disabled(),
@@ -369,12 +349,6 @@ impl System {
         self.trace = TraceSink::enabled();
     }
 
-    /// Enable tracing with an explicit buffered-event cap (events past
-    /// the cap are counted as dropped rather than stored).
-    pub fn enable_tracing_with_cap(&mut self, cap: usize) {
-        self.trace = TraceSink::enabled_with_cap(cap);
-    }
-
     /// The trace sink: journey records, buffered events, drop count,
     /// and the Chrome-trace exporter.
     pub fn trace(&self) -> &TraceSink {
@@ -416,6 +390,19 @@ impl System {
             seq,
             ev,
         });
+    }
+
+    /// Send one message over the ring, `emc` saying whether it is EMC
+    /// traffic; the cycle it arrives. The only caller of [`Ring::send`].
+    fn hop(&mut self, kind: RingKind, from: Stop, to: Stop, at: Cycle, emc: bool) -> Cycle {
+        let topo = self.topo;
+        let stop = |s| match s {
+            Stop::Core(c) => topo.core_stop(c),
+            Stop::Llc(slice) => topo.llc_stop(slice),
+            Stop::Mc(m) => topo.mc_stop(m),
+        };
+        self.ring
+            .send(kind, stop(from), stop(to), at, emc, &mut self.stats.ring)
     }
 
     fn new_req_id(&mut self) -> ReqId {
@@ -679,9 +666,8 @@ impl System {
                         ctx,
                         home_core: ch.home_core,
                         chain_uops: ch.uops.len(),
-                        awaiting_source: self
-                            .pending_sources
-                            .contains_key(&(ch.home_core, ch.source_rob)),
+                        awaiting_source: self.pending_source[ch.home_core]
+                            .is_some_and(|p| p.0 == ch.source_rob),
                     })
                 })
             })
@@ -918,14 +904,7 @@ impl System {
         }
         let slice = self.slice_of(pline);
         let start = self.now + self.l1d[core].latency;
-        let arrive = self.ring.send(
-            RingKind::Control,
-            self.topo.core_stop(core),
-            self.topo.llc_stop(slice),
-            start,
-            false,
-            &mut self.stats.ring,
-        );
+        let arrive = self.hop(Control, Stop::Core(core), Stop::Llc(slice), start, false);
         self.schedule(
             arrive,
             Ev::LlcReq {
@@ -989,11 +968,7 @@ impl System {
             }
             Ev::McArrive { mc, mut req } => {
                 if req.kind == AccessKind::Prefetch {
-                    let has_waiters = self
-                        .outstanding
-                        .get(&req.line)
-                        .is_some_and(|o| !o.waiters.is_empty() || !o.emc_waiters.is_empty());
-                    if has_waiters {
+                    if self.demand_merged(req.line) {
                         // A demand merged onto this prefetch while it was
                         // in flight: it is a demand request now.
                         req.kind = AccessKind::Read;
@@ -1008,55 +983,17 @@ impl System {
                     self.mc_retry[mc].push(req);
                 }
             }
-            Ev::FillAtLlc {
-                req,
-                ring_cycles,
-                cache_cycles,
-            } => {
-                self.on_fill_at_llc(req, ring_cycles, cache_cycles);
-            }
-            Ev::CoreDeliver {
-                core,
-                req,
-                ring_cycles,
-                cache_cycles,
-            } => {
-                self.on_core_deliver(core, req, ring_cycles, cache_cycles);
-            }
+            Ev::FillAtLlc { req } => self.on_fill_at_llc(req),
+            Ev::CoreDeliver { req, waiters } => self.on_core_deliver(req, waiters),
             Ev::EmcLlcReq {
-                mc,
-                tag,
-                ctx,
-                uop,
-                core,
-                pline,
-                vaddr,
+                load,
                 pc,
-                created,
                 ring_cycles,
-            } => {
-                self.on_emc_llc_req(
-                    mc,
-                    tag,
-                    ctx,
-                    uop,
-                    core,
-                    pline,
-                    vaddr,
-                    pc,
-                    created,
-                    ring_cycles,
-                );
-            }
-            Ev::EmcLoadDone {
-                mc,
-                tag,
-                ctx,
-                uop,
-                value,
-            } => {
-                if self.emc_ctx_tag[mc][ctx] == tag {
-                    self.emcs[mc].complete_load(ctx, uop, value);
+            } => self.on_emc_llc_req(load, pc, ring_cycles),
+            Ev::EmcLoadDone { load, value } => {
+                let EmcLoad { mc, ctx, .. } = load;
+                if self.emc_ctx_tag[mc][ctx] == load.tag {
+                    self.emcs[mc].complete_load(ctx, load.uop, value);
                     self.emc_ctx_progress[mc][ctx] = self.now;
                 }
             }
@@ -1065,8 +1002,8 @@ impl System {
                     self.cores[core].complete_remote(r.rob, r.value, r.store, self.now);
                 }
             }
-            Ev::ChainAbortAtCore { core, rob_ids } => {
-                self.cores[core].unmark_remote(&rob_ids);
+            Ev::ChainAbortAtCore { core } => {
+                self.cores[core].unmark_remote(&self.active_chain[core]);
                 self.active_chain[core].clear();
             }
         }
@@ -1084,43 +1021,27 @@ impl System {
         self.cores[core].stats.llc_accesses += 1;
         let slice = self.slice_of(pline);
         let lat = self.llc[slice].latency;
-        if let Some(hit) = self.llc[slice].access(pline, false) {
-            if hit.first_use_of_prefetch {
-                self.prefetched_by.remove(&pline);
-                self.prefetchers[core].on_useful();
-                // Keep streams advancing once prefetches start covering
-                // the demand stream (train on prefetched hits, as FDP's
-                // L2-access training does).
-                self.prefetchers[core].train_on_prefetch_hit(pline);
-                self.stats.prefetch.useful += 1;
-                self.cores[core].stats.prefetch_covered_misses += 1;
-                self.cores[core].note_dependent_covered_by_prefetch(rob);
-            }
-            let back = self.ring.send(
-                RingKind::Data,
-                self.topo.llc_stop(slice),
-                self.topo.core_stop(core),
-                self.now + lat,
-                false,
-                &mut self.stats.ring,
-            );
-            self.schedule(back, Ev::LlcDone { core, rob, pline });
-            return;
+        let depart = self.now + lat;
+        let hit = self.llc[slice].access(pline, false);
+        if hit.is_some_and(|h| h.first_use_of_prefetch) {
+            self.prefetched_by.remove(&pline);
+            self.prefetchers[core].on_useful();
+            // Keep streams advancing once prefetches start covering
+            // the demand stream (train on prefetched hits, as FDP's
+            // L2-access training does).
+            self.prefetchers[core].train_on_prefetch_hit(pline);
+            self.stats.prefetch.useful += 1;
+            self.cores[core].stats.prefetch_covered_misses += 1;
+            self.cores[core].note_dependent_covered_by_prefetch(rob);
         }
         // Another request to the same line may have raced us here.
-        if self.merge_onto_outstanding(pline, core, rob) {
+        if hit.is_none() && self.merge_onto_outstanding(pline, core, rob) {
             return;
         }
         // Figure 2 limit study: dependent misses become LLC hits.
-        if self.cfg.ideal_dependent_hits && self.cores[core].load_is_dependent(rob) {
-            let back = self.ring.send(
-                RingKind::Data,
-                self.topo.llc_stop(slice),
-                self.topo.core_stop(core),
-                self.now + lat,
-                false,
-                &mut self.stats.ring,
-            );
+        let ideal = self.cfg.ideal_dependent_hits && self.cores[core].load_is_dependent(rob);
+        if hit.is_some() || ideal {
+            let back = self.hop(Data, Stop::Llc(slice), Stop::Core(core), depart, false);
             self.schedule(back, Ev::LlcDone { core, rob, pline });
             return;
         }
@@ -1132,24 +1053,11 @@ impl System {
         let id = self.new_req_id();
         let mut req = MemReq::read(id, pline, Requester::Core(core), pc, created);
         req.timeline.llc_arrive = Some(self.now);
-        self.track_outstanding(pline, Some((core, rob)));
+        self.track_outstanding(pline, Some((core, rob)), None);
         let mc = self.mc_of_line(pline);
-        let depart = self.now + lat;
-        let arrive = self.ring.send(
-            RingKind::Control,
-            self.topo.llc_stop(slice),
-            self.topo.mc_stop(mc),
-            depart,
-            false,
-            &mut self.stats.ring,
-        );
-        self.req_components.insert(
-            id,
-            Components {
-                ring: ring_cycles + (arrive - depart),
-                cache: lat,
-            },
-        );
+        let arrive = self.hop(Control, Stop::Llc(slice), Stop::Mc(mc), depart, false);
+        req.timeline.ring_cycles = ring_cycles + (arrive - depart);
+        req.timeline.cache_cycles = lat;
         self.schedule(arrive, Ev::McArrive { mc, req });
     }
 
@@ -1171,19 +1079,12 @@ impl System {
             let req = MemReq::writeback(id, ev.line, Requester::Core(0), self.now);
             let mc = self.mc_of_line(ev.line);
             let slice = self.slice_of(ev.line);
-            let arrive = self.ring.send(
-                RingKind::Data,
-                self.topo.llc_stop(slice),
-                self.topo.mc_stop(mc),
-                self.now,
-                false,
-                &mut self.stats.ring,
-            );
+            let arrive = self.hop(Data, Stop::Llc(slice), Stop::Mc(mc), self.now, false);
             self.schedule(arrive, Ev::McArrive { mc, req });
         }
     }
 
-    fn on_fill_at_llc(&mut self, req: MemReq, ring_cycles: Cycle, cache_cycles: Cycle) {
+    fn on_fill_at_llc(&mut self, mut req: MemReq) {
         let pline = req.line;
         let slice = self.slice_of(pline);
         let prefetched = req.kind == AccessKind::Prefetch;
@@ -1226,35 +1127,20 @@ impl System {
             return;
         }
         let core = waiters[0].0;
-        self.deliver_waiters.insert(req.id, waiters);
         // The fill pays the LLC array access before continuing up the
         // hierarchy, and the L1 fill at the core — the part of the fill
         // path the EMC bypasses entirely (§6.3, Figure 19).
         let llc_lat = self.llc[slice].latency;
         let depart = self.now + llc_lat;
-        let back = self.ring.send(
-            RingKind::Data,
-            self.topo.llc_stop(slice),
-            self.topo.core_stop(core),
-            depart,
-            false,
-            &mut self.stats.ring,
-        );
+        let back = self.hop(Data, Stop::Llc(slice), Stop::Core(core), depart, false);
         let l1_lat = self.l1d[core].latency;
-        self.schedule(
-            back + l1_lat,
-            Ev::CoreDeliver {
-                core,
-                req,
-                ring_cycles: ring_cycles + (back - depart),
-                cache_cycles: cache_cycles + llc_lat + l1_lat,
-            },
-        );
+        req.timeline.ring_cycles += back - depart;
+        req.timeline.cache_cycles += llc_lat + l1_lat;
+        self.schedule(back + l1_lat, Ev::CoreDeliver { req, waiters });
     }
 
-    fn on_core_deliver(&mut self, _core: CoreId, mut req: MemReq, ring: Cycle, cache: Cycle) {
+    fn on_core_deliver(&mut self, mut req: MemReq, waiters: Vec<(CoreId, RobId)>) {
         req.timeline.delivered = Some(self.now);
-        let waiters = self.deliver_waiters.remove(&req.id).unwrap_or_default();
         for &(c, rob) in &waiters {
             self.l1d[c].fill(req.line, false, false);
             self.cores[c].complete_load(rob, self.now);
@@ -1262,14 +1148,7 @@ impl System {
             // A chain may be waiting on this load as its source miss and
             // have missed the MC-time interception (the load merged onto
             // an already-completed request): deliver at fill time.
-            if let Some(&(emc_mc, ctx, tag)) = self.pending_sources.get(&(c, rob)) {
-                if self.emc_ctx_tag[emc_mc][ctx] == tag {
-                    let value = self.source_value(emc_mc, ctx, c, rob);
-                    self.emcs[emc_mc].deliver_source(ctx, value);
-                    self.emc_ctx_progress[emc_mc][ctx] = self.now;
-                }
-                self.pending_sources.remove(&(c, rob));
-            }
+            self.deliver_pending_source(c, rob);
         }
         recycle(&mut self.waiter_pool, waiters);
         // Latency attribution (Figures 1, 18, 19) — core-issued demand
@@ -1285,27 +1164,49 @@ impl System {
                 .mem
                 .on_chip_delay
                 .record(total.saturating_sub(dl));
-            self.stats.mem.core_ring_component.record(ring);
-            self.stats.mem.core_cache_component.record(cache);
+            self.stats.mem.core_ring_component.record(t.ring_cycles);
+            self.stats.mem.core_cache_component.record(t.cache_cycles);
             self.stats
                 .mem
                 .core_queue_component
                 .record(t.mc_queue_delay().unwrap_or(0));
-            if self.trace.is_enabled() {
-                self.trace.journey(MissJourney {
-                    req: req.id,
-                    core: req.requester.home_core(),
-                    emc: false,
-                    line: req.line.0,
-                    created: t.created,
-                    llc_arrive: t.llc_arrive,
-                    mc_enqueue: t.mc_enqueue,
-                    dram_issue: t.dram_issue,
-                    dram_done: t.dram_done,
-                    delivered: self.now,
-                    row_hit: t.row_hit,
-                });
-            }
+            self.record_journey(&req, self.now);
+        }
+    }
+
+    /// Trace the journey of a request whose data is consumable at
+    /// `delivered`: its timeline, under its own `ReqId`.
+    fn record_journey(&mut self, req: &MemReq, delivered: Cycle) {
+        if !self.trace.is_enabled() {
+            return;
+        }
+        let t = req.timeline;
+        self.trace.journey(MissJourney {
+            req: req.id,
+            core: req.requester.home_core(),
+            emc: req.requester.is_emc(),
+            line: req.line.0,
+            created: t.created,
+            llc_arrive: t.llc_arrive,
+            mc_enqueue: t.mc_enqueue,
+            dram_issue: t.dram_issue,
+            dram_done: t.dram_done,
+            delivered,
+            row_hit: t.row_hit,
+        });
+    }
+
+    /// If the chain `core` has in flight still waits for load `rob` as
+    /// its source miss, hand the data to its EMC context.
+    fn deliver_pending_source(&mut self, core: CoreId, rob: RobId) {
+        let Some((_, mc, ctx, tag)) = self.pending_source[core].filter(|p| p.0 == rob) else {
+            return;
+        };
+        self.pending_source[core] = None;
+        if self.emc_ctx_tag[mc][ctx] == tag {
+            let value = self.source_value(mc, ctx, core, rob);
+            self.emcs[mc].deliver_source(ctx, value);
+            self.emc_ctx_progress[mc][ctx] = self.now;
         }
     }
 
@@ -1321,11 +1222,7 @@ impl System {
                 let mut retry = std::mem::take(&mut self.mc_retry[mc]);
                 retry.retain_mut(|req| {
                     if req.kind == AccessKind::Prefetch {
-                        let has_waiters = self
-                            .outstanding
-                            .get(&req.line)
-                            .is_some_and(|o| !o.waiters.is_empty() || !o.emc_waiters.is_empty());
-                        if !has_waiters {
+                        if !self.demand_merged(req.line) {
                             // Never retry pure prefetches into a full queue.
                             self.untrack_outstanding(req.line);
                             return false;
@@ -1345,7 +1242,7 @@ impl System {
         }
     }
 
-    fn on_mc_completion(&mut self, mc: usize, req: MemReq) {
+    fn on_mc_completion(&mut self, mc: usize, mut req: MemReq) {
         if req.kind == AccessKind::Write {
             return;
         }
@@ -1384,36 +1281,16 @@ impl System {
                 self.llc[s].set_emc_resident(evicted, false);
             }
         }
-        // Merged EMC loads get their data the moment it reaches the chip.
-        let emc_waits = self
+        // Merged EMC loads get their data the moment it reaches the chip,
+        // ahead of the load the fetch was issued for (served below): each
+        // return occupies ring links, so the order is simulated state.
+        let (issuer, emc_waits) = self
             .outstanding
             .get_mut(&pline)
-            .map(|o| std::mem::take(&mut o.emc_waiters))
+            .map(|o| (o.issuer.take(), std::mem::take(&mut o.emc_waiters)))
             .unwrap_or_default();
         for &w in &emc_waits {
-            let value = self.cores[w.home_core].mem.read_u64(w.vaddr);
-            let at = if w.mc == mc {
-                self.now + 1
-            } else {
-                self.ring.send(
-                    RingKind::Data,
-                    self.topo.mc_stop(mc),
-                    self.topo.mc_stop(w.mc),
-                    self.now,
-                    true,
-                    &mut self.stats.ring,
-                )
-            };
-            self.schedule(
-                at,
-                Ev::EmcLoadDone {
-                    mc: w.mc,
-                    tag: w.tag,
-                    ctx: w.ctx,
-                    uop: w.uop,
-                    value,
-                },
-            );
+            self.data_to_emc(mc, w);
         }
         recycle(&mut self.emc_waiter_pool, emc_waits);
         // Source-data interception for waiting chains (§4.3): any read
@@ -1429,112 +1306,51 @@ impl System {
         if let Some(waiters) = waiters {
             for &(c, rob) in &waiters {
                 self.source_ready.insert((c, rob));
-                if let Some(&(emc_mc, ctx, tag)) = self.pending_sources.get(&(c, rob)) {
-                    if self.emc_ctx_tag[emc_mc][ctx] == tag {
-                        let value = self.source_value(emc_mc, ctx, c, rob);
-                        self.emcs[emc_mc].deliver_source(ctx, value);
-                        self.emc_ctx_progress[emc_mc][ctx] = self.now;
-                    }
-                    self.pending_sources.remove(&(c, rob));
-                }
+                self.deliver_pending_source(c, rob);
             }
             if let Some(o) = self.outstanding.get_mut(&pline) {
                 o.waiters = waiters;
             }
         }
-        match req.requester {
-            Requester::Emc { .. } => {
-                let meta = self.emc_req_meta.remove(&req.id).expect("EMC request meta");
-                let value = self.cores[meta.mc_home(&req)].mem.read_u64(meta.vaddr);
-                let deliver_at = if meta.mc == mc {
-                    self.now + 1
-                } else {
-                    // Cross-channel dependency: data returns over the ring
-                    // to the issuing EMC (§4.4).
-                    self.ring.send(
-                        RingKind::Data,
-                        self.topo.mc_stop(mc),
-                        self.topo.mc_stop(meta.mc),
-                        self.now,
-                        true,
-                        &mut self.stats.ring,
-                    )
-                };
-                // Record EMC-issued miss latency (Figure 18/19).
-                let t = req.timeline;
-                let total = deliver_at.saturating_sub(t.created);
-                self.stats.mem.emc_miss_latency.record(total);
-                self.stats.mem.emc_ring_component.record(meta.ring_cycles);
-                self.stats.mem.emc_cache_component.record(meta.cache_cycles);
-                self.stats
-                    .mem
-                    .emc_queue_component
-                    .record(t.mc_queue_delay().unwrap_or(0));
-                if self.trace.is_enabled() {
-                    self.trace.journey(MissJourney {
-                        req: req.id,
-                        core: req.requester.home_core(),
-                        emc: true,
-                        line: pline.0,
-                        created: t.created,
-                        llc_arrive: t.llc_arrive,
-                        mc_enqueue: t.mc_enqueue,
-                        dram_issue: t.dram_issue,
-                        dram_done: t.dram_done,
-                        delivered: deliver_at,
-                        row_hit: t.row_hit,
-                    });
-                }
-                self.schedule(
-                    deliver_at,
-                    Ev::EmcLoadDone {
-                        mc: meta.mc,
-                        tag: meta.tag,
-                        ctx: meta.ctx,
-                        uop: meta.uop,
-                        value,
-                    },
-                );
-                // EMC fills also install into the LLC.
-                let slice = self.slice_of(pline);
-                let depart = self.ring.send(
-                    RingKind::Data,
-                    self.topo.mc_stop(mc),
-                    self.topo.llc_stop(slice),
-                    self.now,
-                    true,
-                    &mut self.stats.ring,
-                );
-                self.schedule(
-                    depart,
-                    Ev::FillAtLlc {
-                        req,
-                        ring_cycles: 0,
-                        cache_cycles: 0,
-                    },
-                );
-            }
-            Requester::Core(_) | Requester::Prefetcher(_) => {
-                let comps = self.req_components.remove(&req.id).unwrap_or_default();
-                let slice = self.slice_of(pline);
-                let arrive = self.ring.send(
-                    RingKind::Data,
-                    self.topo.mc_stop(mc),
-                    self.topo.llc_stop(slice),
-                    self.now,
-                    false,
-                    &mut self.stats.ring,
-                );
-                self.schedule(
-                    arrive,
-                    Ev::FillAtLlc {
-                        req,
-                        ring_cycles: comps.ring + (arrive - self.now),
-                        cache_cycles: comps.cache,
-                    },
-                );
-            }
+        let emc = req.requester.is_emc();
+        if emc {
+            let load = issuer.expect("an EMC's fetch remembers the load it was issued for");
+            let deliver_at = self.data_to_emc(mc, load);
+            // Record EMC-issued miss latency (Figure 18/19): the ring and
+            // cache components are the ones the request was created
+            // with; what the fill below adds to them is never read.
+            let t = req.timeline;
+            let total = deliver_at.saturating_sub(t.created);
+            self.stats.mem.emc_miss_latency.record(total);
+            self.stats.mem.emc_ring_component.record(t.ring_cycles);
+            self.stats.mem.emc_cache_component.record(t.cache_cycles);
+            self.stats
+                .mem
+                .emc_queue_component
+                .record(t.mc_queue_delay().unwrap_or(0));
+            self.record_journey(&req, deliver_at);
         }
+        // The line goes on to its LLC slice (EMC fills install there
+        // too), scheduled after the issuing load's data.
+        let slice = self.slice_of(pline);
+        let arrive = self.hop(Data, Stop::Mc(mc), Stop::Llc(slice), self.now, emc);
+        req.timeline.ring_cycles += arrive - self.now;
+        self.schedule(arrive, Ev::FillAtLlc { req });
+    }
+
+    /// Return data that reached the chip at controller `from_mc` to the
+    /// EMC running `load`: the next cycle if that is the same controller,
+    /// else over the ring (a cross-channel dependency, §4.4). Returns
+    /// the cycle the load completes.
+    fn data_to_emc(&mut self, from_mc: usize, load: EmcLoad) -> Cycle {
+        let value = self.cores[load.core].mem.read_u64(load.vaddr);
+        let at = if load.mc == from_mc {
+            self.now + 1
+        } else {
+            self.hop(Data, Stop::Mc(from_mc), Stop::Mc(load.mc), self.now, true)
+        };
+        self.schedule(at, Ev::EmcLoadDone { load, value });
+        at
     }
 
     /// Value of a chain's source miss: the home core's entry result if the
@@ -1604,7 +1420,17 @@ impl System {
                         pc,
                         route,
                     } => {
-                        self.on_emc_load(mc, ctx, uop, home_core, vaddr, pc, route);
+                        // `tag` is the context's generation as this
+                        // event is handled, whatever the batch's order.
+                        let load = EmcLoad {
+                            mc,
+                            ctx,
+                            tag: self.emc_ctx_tag[mc][ctx],
+                            uop,
+                            core: home_core,
+                            vaddr,
+                        };
+                        self.on_emc_load(load, pc, route);
                     }
                     EmcEvent::Results { ctx } => self.on_emc_results(mc, ctx),
                     EmcEvent::ChainDone { ctx } => self.on_chain_done(mc, ctx),
@@ -1616,18 +1442,15 @@ impl System {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_emc_load(
-        &mut self,
-        mc: usize,
-        ctx: usize,
-        uop: usize,
-        core: CoreId,
-        vaddr: Addr,
-        pc: u64,
-        route: LoadRoute,
-    ) {
-        let tag = self.emc_ctx_tag[mc][ctx];
+    fn on_emc_load(&mut self, load: EmcLoad, pc: u64, route: LoadRoute) {
+        let EmcLoad {
+            mc,
+            ctx,
+            uop,
+            core,
+            vaddr,
+            ..
+        } = load;
         // Memory disambiguation against the home core's older stores
         // (§4.3): conflicting or unresolved older store → cancel.
         let rob = self.emcs[mc]
@@ -1645,97 +1468,48 @@ impl System {
             self.emcs[mc].force_abort(ctx, AbortReason::Disambiguation);
             return;
         }
-        let value = self.cores[core].mem.read_u64(vaddr);
         let pline = physical_line(core, vaddr.line());
-        match route {
+        let slice = self.slice_of(pline);
+        let via_llc = match route {
             LoadRoute::DcacheHit => {
+                let value = self.cores[core].mem.read_u64(vaddr);
                 let lat = self.cfg.emc.dcache_latency;
-                self.schedule(
-                    self.now + lat,
-                    Ev::EmcLoadDone {
-                        mc,
-                        tag,
-                        ctx,
-                        uop,
-                        value,
-                    },
-                );
+                self.schedule(self.now + lat, Ev::EmcLoadDone { load, value });
+                return;
             }
-            LoadRoute::Llc => {
-                let slice = self.slice_of(pline);
-                let arrive = self.ring.send(
-                    RingKind::Control,
-                    self.topo.mc_stop(mc),
-                    self.topo.llc_stop(slice),
-                    self.now,
-                    true,
-                    &mut self.stats.ring,
-                );
-                self.schedule(
-                    arrive,
-                    Ev::EmcLlcReq {
-                        mc,
-                        tag,
-                        ctx,
-                        uop,
-                        core,
-                        pline,
-                        vaddr,
-                        pc,
-                        created: self.now,
-                        ring_cycles: arrive - self.now,
-                    },
-                );
-            }
+            LoadRoute::Llc => true,
             LoadRoute::DirectDram => {
                 // The MC's home agent consults the coherence directory
                 // before touching DRAM; a mispredicted bypass of an
                 // LLC-resident line is redirected to the LLC instead of
                 // wasting a DRAM fetch (and risking staleness).
-                let slice = self.slice_of(pline);
                 let was_present = self.llc[slice].probe(pline).is_some();
                 self.emcs[mc].train_miss_predictor(core, pc, !was_present);
-                if was_present {
-                    let arrive = self.ring.send(
-                        RingKind::Control,
-                        self.topo.mc_stop(mc),
-                        self.topo.llc_stop(slice),
-                        self.now,
-                        true,
-                        &mut self.stats.ring,
-                    );
-                    self.schedule(
-                        arrive,
-                        Ev::EmcLlcReq {
-                            mc,
-                            tag,
-                            ctx,
-                            uop,
-                            core,
-                            pline,
-                            vaddr,
-                            pc,
-                            created: self.now,
-                            ring_cycles: arrive - self.now,
-                        },
-                    );
-                    return;
-                }
-                self.emcs[mc].stats.llc_misses_generated += 1;
-                self.send_emc_req_to_dram(mc, tag, ctx, uop, core, vaddr, pline, pc, 0, 0);
+                was_present
             }
+        };
+        if via_llc {
+            let arrive = self.hop(Control, Stop::Mc(mc), Stop::Llc(slice), self.now, true);
+            let ring_cycles = arrive - self.now;
+            self.schedule(
+                arrive,
+                Ev::EmcLlcReq {
+                    load,
+                    pc,
+                    ring_cycles,
+                },
+            );
+        } else {
+            self.emcs[mc].stats.llc_misses_generated += 1;
+            self.send_emc_req_to_dram(load, pline, pc, 0, 0);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Fetch `pline` from DRAM for `load`, which has spent `ring_cycles`
+    /// and `cache_cycles` finding out that it must.
     fn send_emc_req_to_dram(
         &mut self,
-        mc: usize,
-        tag: u64,
-        ctx: usize,
-        uop: usize,
-        core: CoreId,
-        vaddr: Addr,
+        load: EmcLoad,
         pline: LineAddr,
         pc: u64,
         ring_cycles: Cycle,
@@ -1747,76 +1521,37 @@ impl System {
             if o.emc_waiters.capacity() == 0 {
                 o.emc_waiters = self.emc_waiter_pool.pop().unwrap_or_default();
             }
-            o.emc_waiters.push(EmcWait {
-                mc,
-                tag,
-                ctx,
-                uop,
-                home_core: core,
-                vaddr,
-            });
+            o.emc_waiters.push(load);
             return;
         }
         let id = self.new_req_id();
-        let req = MemReq::read(
-            id,
-            pline,
-            Requester::Emc {
-                home_core: core,
-                mc,
-            },
-            pc,
-            self.now,
-        );
-        self.emc_req_meta.insert(
-            id,
-            EmcReqMeta {
-                mc,
-                tag,
-                ctx,
-                uop,
-                vaddr,
-                ring_cycles,
-                cache_cycles,
-            },
-        );
-        self.track_outstanding(pline, None);
+        let requester = Requester::Emc {
+            home_core: load.core,
+            mc: load.mc,
+        };
+        let mut req = MemReq::read(id, pline, requester, pc, self.now);
+        req.timeline.ring_cycles = ring_cycles;
+        req.timeline.cache_cycles = cache_cycles;
+        self.track_outstanding(pline, None, Some(load));
         let owner = self.mc_of_line(pline);
-        if owner == mc {
+        let arrive = if owner == load.mc {
             // The EMC is colocated with the memory queue: no ring hop.
-            self.schedule(self.now + 1, Ev::McArrive { mc: owner, req });
+            self.now + 1
         } else {
             // Cross-channel dependency: EMC→EMC direct (§4.4).
-            let arrive = self.ring.send(
-                RingKind::Control,
-                self.topo.mc_stop(mc),
-                self.topo.mc_stop(owner),
-                self.now,
-                true,
-                &mut self.stats.ring,
-            );
-            self.schedule(arrive, Ev::McArrive { mc: owner, req });
-        }
+            self.hop(Control, Stop::Mc(load.mc), Stop::Mc(owner), self.now, true)
+        };
+        self.schedule(arrive, Ev::McArrive { mc: owner, req });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_emc_llc_req(
-        &mut self,
-        mc: usize,
-        tag: u64,
-        ctx: usize,
-        uop: usize,
-        core: CoreId,
-        pline: LineAddr,
-        vaddr: Addr,
-        pc: u64,
-        created: Cycle,
-        ring_cycles: Cycle,
-    ) {
-        let _ = vaddr;
-        if self.emc_ctx_tag[mc][ctx] != tag {
+    fn on_emc_llc_req(&mut self, load: EmcLoad, pc: u64, ring_cycles: Cycle) {
+        let EmcLoad {
+            mc, core, vaddr, ..
+        } = load;
+        if self.emc_ctx_tag[mc][load.ctx] != load.tag {
             return; // chain finished/aborted while the request was in flight
         }
+        let pline = physical_line(core, vaddr.line());
         let slice = self.slice_of(pline);
         let lat = self.llc[slice].latency;
         if let Some(hit) = self.llc[slice].access(pline, false) {
@@ -1828,30 +1563,13 @@ impl System {
                 self.emcs[mc].stats.requests_covered_by_prefetch += 1;
             }
             let value = self.cores[core].mem.read_u64(vaddr);
-            let back = self.ring.send(
-                RingKind::Data,
-                self.topo.llc_stop(slice),
-                self.topo.mc_stop(mc),
-                self.now + lat,
-                true,
-                &mut self.stats.ring,
-            );
-            self.schedule(
-                back,
-                Ev::EmcLoadDone {
-                    mc,
-                    tag,
-                    ctx,
-                    uop,
-                    value,
-                },
-            );
+            let back = self.hop(Data, Stop::Llc(slice), Stop::Mc(mc), self.now + lat, true);
+            self.schedule(back, Ev::EmcLoadDone { load, value });
             return;
         }
         self.emcs[mc].train_miss_predictor(core, pc, true);
         self.emcs[mc].stats.llc_misses_generated += 1;
-        let _ = created;
-        self.send_emc_req_to_dram(mc, tag, ctx, uop, core, vaddr, pline, pc, ring_cycles, lat);
+        self.send_emc_req_to_dram(load, pline, pc, ring_cycles, lat);
     }
 
     /// Ship the results completed this cycle back to the home core as
@@ -1866,14 +1584,7 @@ impl System {
         }
         self.emc_ctx_progress[mc][ctx] = self.now;
         self.cores[core].stats.chain_live_outs += results.len() as u64;
-        let arrive = self.ring.send(
-            RingKind::Data,
-            self.topo.mc_stop(mc),
-            self.topo.core_stop(core),
-            self.now,
-            true,
-            &mut self.stats.ring,
-        );
+        let arrive = self.hop(Data, Stop::Mc(mc), Stop::Core(core), self.now, true);
         self.schedule(arrive, Ev::ChainResults { core, results });
     }
 
@@ -1897,7 +1608,7 @@ impl System {
             );
         }
         let core = fin.chain.home_core;
-        self.pending_sources.remove(&(core, fin.chain.source_rob));
+        self.pending_source[core] = None;
         self.active_chain[core].clear();
         // A completed chain ends any failure streak and resets the
         // degradation backoff for this core.
@@ -1919,7 +1630,7 @@ impl System {
             );
         }
         let core = fin.chain.home_core;
-        self.pending_sources.remove(&(core, fin.chain.source_rob));
+        self.pending_source[core] = None;
         match reason {
             AbortReason::TlbMiss => self.cores[core].stats.chains_aborted_tlb += 1,
             AbortReason::BranchMispredict => {
@@ -1942,22 +1653,13 @@ impl System {
                 .min(self.cfg.emc.quiesce_backoff_max);
             self.cores[core].stats.emc_quiesce_events += 1;
         }
-        let rob_ids: Vec<RobId> = fin.chain.uops.iter().map(|u| u.rob).collect();
-        let arrive = self.ring.send(
-            RingKind::Control,
-            self.topo.mc_stop(mc),
-            self.topo.core_stop(core),
-            self.now,
-            true,
-            &mut self.stats.ring,
+        // The core knows which uops to take back: `active_chain[core]`.
+        debug_assert!(
+            (fin.chain.uops.iter().map(|u| &u.rob)).eq(&self.active_chain[core]),
+            "core {core}'s active chain is not the one aborted"
         );
-        self.schedule(
-            arrive,
-            Ev::ChainAbortAtCore {
-                core,
-                rob_ids: rob_ids.into_boxed_slice(),
-            },
-        );
+        let arrive = self.hop(Control, Stop::Mc(mc), Stop::Core(core), self.now, true);
+        self.schedule(arrive, Ev::ChainAbortAtCore { core });
         self.chain_pool.push(fin.chain);
     }
 
@@ -2049,14 +1751,7 @@ impl System {
             let start = self.now + gen_cycles;
             let mut arrive = start;
             for _ in 0..msgs {
-                arrive = self.ring.send(
-                    RingKind::Data,
-                    self.topo.core_stop(core),
-                    self.topo.mc_stop(dest_mc),
-                    start,
-                    true,
-                    &mut self.stats.ring,
-                );
+                arrive = self.hop(Data, Stop::Core(core), Stop::Mc(dest_mc), start, true);
             }
             let ctx = match self.emcs[dest_mc].start_chain(chain, arrive) {
                 Ok(ctx) => ctx,
@@ -2095,8 +1790,11 @@ impl System {
                 let value = self.source_value(dest_mc, ctx, core, source_rob);
                 self.emcs[dest_mc].deliver_source(ctx, value);
             } else {
-                self.pending_sources
-                    .insert((core, source_rob), (dest_mc, ctx, tag));
+                debug_assert!(
+                    self.pending_source[core].is_none(),
+                    "core {core} has a second chain in flight"
+                );
+                self.pending_source[core] = Some((source_rob, dest_mc, ctx, tag));
             }
             if let Some(c) = self.emcs[dest_mc].context_chain(ctx) {
                 self.cores[core].stats.chain_live_ins += c.live_in_count();
@@ -2127,16 +1825,9 @@ impl System {
                 self.stats.prefetch.issued += 1;
                 let id = self.new_req_id();
                 let req = MemReq::prefetch(id, pline, core, self.now);
-                self.track_outstanding(pline, None);
+                self.track_outstanding(pline, None, None);
                 let mc = self.mc_of_line(pline);
-                let arrive = self.ring.send(
-                    RingKind::Control,
-                    self.topo.core_stop(core),
-                    self.topo.mc_stop(mc),
-                    self.now,
-                    false,
-                    &mut self.stats.ring,
-                );
+                let arrive = self.hop(Control, Stop::Core(core), Stop::Mc(mc), self.now, false);
                 self.schedule(arrive, Ev::McArrive { mc, req });
             }
         }
@@ -2157,9 +1848,26 @@ impl System {
         true
     }
 
-    /// Start tracking a line on its way to DRAM, `first` waiting for it.
-    fn track_outstanding(&mut self, pline: LineAddr, first: Option<(CoreId, RobId)>) {
-        let mut o = Outstanding::default();
+    /// Whether a demand load, a core's or an EMC's, has merged onto the
+    /// fetch of `pline` that is under way.
+    fn demand_merged(&self, pline: LineAddr) -> bool {
+        self.outstanding
+            .get(&pline)
+            .is_some_and(|o| !o.waiters.is_empty() || !o.emc_waiters.is_empty())
+    }
+
+    /// Start tracking a line on its way to DRAM, `first` waiting for it,
+    /// fetched for `issuer` if an EMC issued the request.
+    fn track_outstanding(
+        &mut self,
+        pline: LineAddr,
+        first: Option<(CoreId, RobId)>,
+        issuer: Option<EmcLoad>,
+    ) {
+        let mut o = Outstanding {
+            issuer,
+            ..Default::default()
+        };
         if let Some(first) = first {
             o.waiters = self.waiter_pool.pop().unwrap_or_default();
             o.waiters.push(first);
@@ -2172,15 +1880,6 @@ impl System {
         if let Some(o) = self.outstanding.remove(&pline) {
             recycle(&mut self.waiter_pool, o.waiters);
             recycle(&mut self.emc_waiter_pool, o.emc_waiters);
-        }
-    }
-}
-
-impl EmcReqMeta {
-    fn mc_home(&self, req: &MemReq) -> CoreId {
-        match req.requester {
-            Requester::Emc { home_core, .. } => home_core,
-            _ => unreachable!("EMC meta on non-EMC request"),
         }
     }
 }

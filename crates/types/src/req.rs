@@ -94,6 +94,11 @@ pub struct ReqTimeline {
     /// Whether the DRAM access hit the open row buffer (None until issued;
     /// also None for LLC hits that never touched DRAM).
     pub row_hit: Option<bool>,
+    /// Cycles spent on the ring so far: each hop adds its own as the
+    /// request makes it (the ring component of Figures 18 and 19).
+    pub ring_cycles: Cycle,
+    /// Cycles spent in cache arrays so far (their cache component).
+    pub cache_cycles: Cycle,
 }
 
 impl ReqTimeline {

@@ -15,9 +15,10 @@ use emc_campaign::{
     config_json, digest128_hex, run_result_to_json, stats_to_json, JobKey, Manifest, RunResult,
 };
 use emc_energy::EnergyBreakdown;
-use emc_sim::{build_system, cycle_cap};
+use emc_sim::{build_system, cycle_cap, eight_core_mix};
 use emc_types::rng::substream;
 use emc_types::{FaultPlan, PrefetcherKind, Stats, SubmitRequest, SystemConfig};
+use emc_workloads::mix_by_name;
 use emc_workloads::Benchmark::{self, *};
 
 /// Workload name and digest, one pair per line (CI matches the lines).
@@ -41,15 +42,70 @@ fn cell(workload: &str) -> (SystemConfig, [Benchmark; 4], u64) {
     }
 }
 
+/// Digest of the canonical `Stats` JSON the cell ends with.
+fn run_digest(cfg: SystemConfig, benches: &[Benchmark], budget: u64) -> String {
+    let mut sys = build_system(cfg, benches).expect("pinned cell builds");
+    let report = sys.run_with_warmup(budget / 2, budget, cycle_cap(budget));
+    digest128_hex(stats_to_json(&report.stats).to_json().as_bytes())
+}
+
 #[test]
 fn benchmark_cells_hash_to_the_committed_digests() {
     for (workload, golden) in GOLDEN {
         let (cfg, benches, base) = cell(workload);
         let budget = base + substream(1, 0) % (base / 64);
-        let mut sys = build_system(cfg, &benches).expect("pinned cell builds");
-        let report = sys.run_with_warmup(budget / 2, budget, cycle_cap(budget));
-        let digest = digest128_hex(stats_to_json(&report.stats).to_json().as_bytes());
+        let digest = run_digest(cfg, &benches, budget);
         assert_eq!(digest, golden, "{workload}: a simulated count moved");
+    }
+}
+
+/// What the three cells above cannot see (ROADMAP 3(a)): every
+/// prefetcher with and without the EMC, two memory controllers (the
+/// only cells in which EMC data crosses the ring between controllers,
+/// so the only ones that notice the order merged EMC loads and the load
+/// that issued the fetch are served in), every fault generator, and
+/// runahead. Mix H4 throughout, the default seed, small budgets. The
+/// names have capitals and spaces so that CI's `sed` over `GOLDEN`
+/// passes them by. In 4 500 uops per core the Markov half of
+/// Markov+Stream changes no count, so those two rows equal the Stream
+/// rows.
+const CELLS: [(&str, &str); 11] = [
+    ("H4 No-PF", "3f2444aaf2e2c836409193435a469953"),
+    ("H4 No-PF +EMC", "262d9135a3ab2b2df848858495c17104"),
+    ("H4 Stream", "393ea2231f74ba5e7be662109227b2da"),
+    ("H4 Stream +EMC", "ed6c11f747a1419ab2c1292ba3ad9dab"),
+    ("H4 GHB", "f5523ee8676572262c78317ee513a332"),
+    ("H4 GHB +EMC", "44f1d323f07a4cf365b991a4d5ab361e"),
+    ("H4 Markov+Stream", "393ea2231f74ba5e7be662109227b2da"),
+    ("H4 Markov+Stream +EMC", "ed6c11f747a1419ab2c1292ba3ad9dab"),
+    ("H4 x2, 2 MCs", "eea90a5b81b6697926a4cf45ae371657"),
+    ("H4 Chaos", "d8729bf4fcb0537b25e82e236721fbc0"),
+    ("H4 Runahead", "b4ce045b9c4e154e0240f93724ad94a0"),
+];
+
+#[test]
+fn small_cells_hash_to_the_committed_digests() {
+    let h4 = mix_by_name("H4").unwrap();
+    let quad = SystemConfig::quad_core;
+    let mut runahead = quad().without_emc();
+    runahead.core.runahead = true;
+    let mut cells = Vec::new();
+    for pf in [
+        PrefetcherKind::None,
+        PrefetcherKind::Stream,
+        PrefetcherKind::Ghb,
+        PrefetcherKind::MarkovStream,
+    ] {
+        cells.push((quad().without_emc().with_prefetcher(pf), h4.to_vec(), 3_000));
+        cells.push((quad().with_prefetcher(pf), h4.to_vec(), 3_000));
+    }
+    cells.push((SystemConfig::eight_core_2mc(), eight_core_mix(h4), 2_000));
+    cells.push((quad().with_faults(FaultPlan::chaos()), h4.to_vec(), 3_000));
+    cells.push((runahead, h4.to_vec(), 3_000));
+    assert_eq!(cells.len(), CELLS.len());
+    for ((name, golden), (cfg, benches, budget)) in CELLS.into_iter().zip(cells) {
+        let digest = run_digest(cfg, &benches, budget);
+        assert_eq!(digest, golden, "{name}: a simulated count moved");
     }
 }
 
