@@ -23,43 +23,18 @@ use emc_campaign::{Campaign, CampaignOptions};
 use emc_types::{JsonValue, PrefetcherKind, ToJson};
 
 pub use emc_campaign::{
-    config_grid, config_json, homog_jobs, mix8_jobs, parallel_map, quad_jobs, JobSpec, RunResult,
+    config_grid, config_json, figure_budget, homog_jobs, mix8_jobs, quad_jobs, JobSpec, RunResult,
 };
-
-/// Default per-core retired-uop budget for figure runs.
-pub const DEFAULT_FIGURE_BUDGET: u64 = 30_000;
 
 /// Schema tag stamped into every figure sidecar.
 pub const FIGURES_SCHEMA: &str = "emc-figures-v1";
 
-/// Resolve a figure budget from an explicit source string (the
-/// injectable core of [`figure_budget`] — tests pass values directly
-/// instead of mutating process-global environment).
-pub fn budget_from(source: Option<&str>) -> u64 {
-    source
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_FIGURE_BUDGET)
-}
-
-/// Per-core retired-uop budget for figure runs. Override with the
-/// `EMC_FIGURE_BUDGET` environment variable. Campaign job keys embed the
-/// value this *resolves to*, never the variable itself, so cached
-/// results are immune to later environment changes.
-pub fn figure_budget() -> u64 {
-    budget_from(std::env::var("EMC_FIGURE_BUDGET").ok().as_deref())
-}
-
-/// Campaign options for figure harnesses: default cache under
-/// `results/cache`, resume on, progress on stderr.
-pub fn figure_campaign_options() -> CampaignOptions {
-    CampaignOptions::default()
-}
-
-/// Run a named set of jobs through the campaign engine (cache +
-/// manifest + all cores) and unwrap every result, in job order.
+/// Run a named set of jobs through the campaign engine (default cache
+/// under `results/cache`, manifest resume, all cores, progress on
+/// stderr) and unwrap every result, in job order.
 pub fn run_jobs(name: &str, jobs: Vec<JobSpec>) -> Vec<RunResult> {
     Campaign::new(name, jobs)
-        .run(&figure_campaign_options())
+        .run(&CampaignOptions::default())
         .expect_completed()
 }
 
@@ -67,17 +42,6 @@ pub fn run_jobs(name: &str, jobs: Vec<JobSpec>) -> Vec<RunResult> {
 /// per core (1.0 = baseline performance).
 pub fn norm_weighted_speedup(run: &RunResult, baseline_ipcs: &[f64]) -> f64 {
     run.stats.weighted_speedup(baseline_ipcs) / baseline_ipcs.len() as f64
-}
-
-/// Order-preserving parallel map across all cores (kept for harness
-/// code that runs ad-hoc job lists; campaign grids use [`run_jobs`]).
-pub fn par_map<T, R, F>(jobs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map(jobs, 0, |_, job| f(job))
 }
 
 /// All quad-core heterogeneous grid runs (H1–H10 × 8 configs), the input
@@ -133,7 +97,7 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_types::{Stats, SystemConfig};
+    use emc_types::SystemConfig;
 
     #[test]
     fn config_grid_has_eight_entries() {
@@ -145,39 +109,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let jobs: Vec<u64> = (0..6).collect();
-        let out = par_map(jobs, |&i| RunResult {
-            workload: format!("w{i}"),
-            prefetcher: "No-PF".into(),
-            emc: false,
-            stats: Stats::new(1),
-            energy: Default::default(),
-            ipcs: vec![i as f64],
-        });
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(r.workload, format!("w{i}"));
-            assert_eq!(r.ipcs[0], i as f64);
-        }
-    }
-
-    #[test]
     fn bar_renders_bounded() {
         assert_eq!(bar(0.0, 1.0, 10).trim(), "");
         assert_eq!(bar(1.0, 1.0, 10), "##########");
         assert_eq!(bar(2.0, 1.0, 4), "####", "clamped");
         assert_eq!(bar(0.5, 1.0, 10).matches('#').count(), 5);
-    }
-
-    #[test]
-    fn budget_resolution_is_injectable() {
-        // No process-global env mutation: budget_from takes its source
-        // directly, so this can't race parallel tests.
-        assert_eq!(budget_from(None), DEFAULT_FIGURE_BUDGET);
-        assert_eq!(budget_from(Some("123")), 123);
-        assert_eq!(budget_from(Some(" 456 ")), 456, "whitespace tolerated");
-        assert_eq!(budget_from(Some("junk")), DEFAULT_FIGURE_BUDGET);
-        assert_eq!(budget_from(Some("")), DEFAULT_FIGURE_BUDGET);
     }
 
     #[test]

@@ -27,13 +27,10 @@
 //! failure, 2 usage, 3 partial campaign, 5 service unreachable.
 
 use emc_campaign::{
-    homog_jobs, mix8_jobs, quad_jobs, Campaign, CampaignOptions, Client, ClientError, JobStatus,
-    Manifest, ResultCache, DEFAULT_CACHE_DIR,
+    figure_budget, suite_jobs, Campaign, CampaignOptions, Client, ClientError, JobSpec, JobStatus,
+    Manifest, ResultCache, Tally, DEFAULT_ADDR, DEFAULT_CACHE_DIR, SUITES,
 };
-use emc_types::{ServiceStats, SubmitRequest, SystemConfig};
-
-/// Default daemon address — keep in sync with the `campaignd` binary.
-const DEFAULT_ADDR: &str = "127.0.0.1:8321";
+use emc_types::{ServiceStats, SubmitRequest};
 
 // ---------------------------------------------------------------------
 // Exit-code contract
@@ -195,13 +192,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Resolve the per-core retired-uop budget for *local* runs: flag, then
-/// environment, then the figures default.
-fn resolve_budget(flag: Option<u64>) -> u64 {
-    flag.or_else(|| std::env::var("EMC_FIGURE_BUDGET").ok()?.trim().parse().ok())
-        .unwrap_or(30_000)
-}
-
 /// Build the wire submission from parsed flags. Unlike `run`, the
 /// budget is NOT environment-resolved here: an omitted `--budget` goes
 /// out as 0 so the daemon's default applies uniformly to all clients.
@@ -228,37 +218,19 @@ fn submit_request_of(args: &Args) -> Result<SubmitRequest, String> {
 // Local commands (run / status / stats)
 // ---------------------------------------------------------------------
 
-fn suites_of(
-    names: &[String],
-    budget: u64,
-) -> Result<Vec<(&'static str, Vec<emc_campaign::JobSpec>)>, String> {
-    let mut suites = Vec::new();
-    let mut add = |name: &str| -> Result<(), String> {
-        match name {
-            "quad" => suites.push(("quad", quad_jobs(budget))),
-            "homog" => suites.push(("homog", homog_jobs(budget))),
-            "mix8-1mc" => suites.push((
-                "mix8-1mc",
-                mix8_jobs(SystemConfig::eight_core_1mc(), budget),
-            )),
-            "mix8-2mc" => suites.push((
-                "mix8-2mc",
-                mix8_jobs(SystemConfig::eight_core_2mc(), budget),
-            )),
-            other => return Err(format!("unknown suite: {other}")),
-        }
-        Ok(())
-    };
-    for n in names {
-        if n == "all" {
-            for s in ["quad", "homog", "mix8-1mc", "mix8-2mc"] {
-                add(s)?;
-            }
-        } else {
-            add(n)?;
-        }
-    }
-    Ok(suites)
+/// The named suites' job lists, `all` standing for every suite.
+fn suites_of(names: &[String], budget: u64) -> Result<Vec<(&str, Vec<JobSpec>)>, String> {
+    names
+        .iter()
+        .flat_map(|n| match n.as_str() {
+            "all" => SUITES.to_vec(),
+            one => vec![one],
+        })
+        .map(|n| {
+            let jobs = suite_jobs(n, budget).ok_or_else(|| format!("unknown suite: {n}"))?;
+            Ok((n, jobs))
+        })
+        .collect()
 }
 
 fn cmd_run(args: Args) -> Outcome {
@@ -266,7 +238,8 @@ fn cmd_run(args: Args) -> Outcome {
         eprintln!("run: no suites named");
         return Outcome::Usage;
     }
-    let budget = resolve_budget(args.budget);
+    // Flag, then `EMC_FIGURE_BUDGET`, then the figures default.
+    let budget = args.budget.unwrap_or_else(figure_budget);
     let suites = match suites_of(&args.positional, budget) {
         Ok(s) => s,
         Err(e) => {
@@ -282,7 +255,6 @@ fn cmd_run(args: Args) -> Outcome {
         retry_failed: args.retry_failed,
         max_fresh_runs: args.max_jobs,
         progress: !args.quiet,
-        ..CampaignOptions::default()
     };
 
     if !args.quiet {
@@ -337,16 +309,12 @@ fn cmd_status(args: Args) -> Outcome {
         println!("{name}: no manifest under {}", args.cache_dir);
         return Outcome::Failed;
     };
-    let (mut done, mut failed, mut pending) = (0, 0, 0);
-    for e in &m.entries {
-        match e.status {
-            JobStatus::Done => done += 1,
-            JobStatus::Failed => failed += 1,
-            JobStatus::Pending => pending += 1,
-        }
-    }
+    let tally = Tally::of(&m);
+    let pending = m.entries.len() as u64 - tally.done;
     println!(
-        "{name}: {done} done · {failed} failed · {pending} pending (of {})",
+        "{name}: {} done · {} failed · {pending} pending (of {})",
+        tally.done - tally.failed,
+        tally.failed,
         m.entries.len()
     );
     for e in m.entries.iter().filter(|e| e.status == JobStatus::Failed) {
@@ -753,7 +721,8 @@ mod tests {
     #[test]
     fn unknown_suites_are_usage_errors_not_panics() {
         assert!(suites_of(&strs(&["frob"]), 100).is_err());
-        let suites = suites_of(&strs(&["quad", "homog"]), 100).unwrap();
+        let names = strs(&["quad", "homog"]);
+        let suites = suites_of(&names, 100).unwrap();
         assert_eq!(suites.len(), 2);
         assert_eq!(suites[0].0, "quad");
     }

@@ -17,6 +17,10 @@ use emc_types::{
 
 use crate::http::read_message;
 
+/// Where `campaignd` listens and the `campaign` CLI looks for it by
+/// default (localhost only: the protocol is unauthenticated).
+pub const DEFAULT_ADDR: &str = "127.0.0.1:8321";
+
 /// Largest response body accepted. The largest legitimate document is
 /// an [`EventBatch`] with a job's whole history: the daemon's default
 /// queue capacity bounds a job at 8192 tasks and an event is about

@@ -24,7 +24,7 @@ use emc_types::{HistSummary, Histogram, JsonValue, RunOutcome, ToJson, WedgeClas
 
 use crate::cache::ResultCache;
 use crate::exec::parallel_map;
-use crate::manifest::{JobStatus, Manifest};
+use crate::manifest::{JobStatus, Manifest, CACHE_HIT};
 use crate::spec::{JobKey, JobSpec, RunResult};
 
 /// Schema tag stamped into campaign report JSON.
@@ -33,6 +33,9 @@ pub const REPORT_SCHEMA: &str = "emc-campaign-report-v1";
 /// Cycle-cap multiplier for the one extended re-run a slow-but-live cap
 /// hit earns.
 pub const CAP_EXTENSION_FACTOR: u64 = 10;
+
+/// Bounded re-runs of a job whose wedge class is transient.
+const WEDGE_RETRIES: u32 = 2;
 
 /// What the engine does after a non-`Completed` attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,18 +105,15 @@ pub fn retry_decision(
 pub struct Executor {
     /// Result cache to consult and fill; `None` executes every job.
     pub cache: Option<ResultCache>,
-    /// Bounded re-runs for transient wedge classes.
-    pub wedge_retries: u32,
     /// Prefix for diagnostic stderr lines ("campaign NAME", "worker 3").
     pub tag: String,
 }
 
 impl Executor {
-    /// An executor over `cache` with the default retry budget.
+    /// An executor over `cache`.
     pub fn new(cache: Option<ResultCache>) -> Self {
         Executor {
             cache,
-            wedge_retries: 2,
             tag: "engine".into(),
         }
     }
@@ -124,35 +124,31 @@ impl Executor {
         self
     }
 
-    /// Resolve one spec: cache hit, or execute under the class-driven
-    /// retry policy and store the result. Sets the record's `wall` to
-    /// the time spent in this call (microseconds for hits, the full
-    /// simulation for executions).
+    /// Resolve one spec: a cache hit, else an execution under the
+    /// class-driven retry policy whose result is stored. Sets the
+    /// record's `wall` to the time spent in this call (microseconds for
+    /// hits, the full simulation for executions).
     pub fn resolve(&self, spec: &JobSpec) -> JobRecord {
         let start = Instant::now();
-        let mut record = JobRecord {
-            label: spec.label.clone(),
-            key: spec.key(),
-            source: JobSource::Executed,
-            outcome: String::new(),
-            attempts: 0,
-            result: None,
-            wall: Duration::ZERO,
-        };
+        let mut record = self.lookup(spec).unwrap_or_else(|| self.execute(spec));
+        record.wall = start.elapsed();
+        record
+    }
 
-        if let Some(cache) = &self.cache {
-            if let Some(result) = cache.load(spec) {
-                record.source = JobSource::CacheHit;
-                record.outcome = "cache-hit".into();
-                record.result = Some(result);
-                record.wall = start.elapsed();
-                return record;
-            }
-        }
+    /// The cache-hit record of `spec`, if the cache holds its result.
+    pub(crate) fn lookup(&self, spec: &JobSpec) -> Option<JobRecord> {
+        let result = self.cache.as_ref()?.load(spec)?;
+        let mut record = JobRecord::new(spec, JobSource::CacheHit, CACHE_HIT.into());
+        record.result = Some(result);
+        Some(record)
+    }
 
-        // Execute under the class-driven retry policy: transient wedge
-        // classes get bounded re-runs, deterministic classes fail on
-        // sight, and a slow-but-live cap hit earns one extended cap.
+    /// Simulate `spec` under the class-driven retry policy — transient
+    /// wedge classes get bounded re-runs, deterministic classes fail on
+    /// sight, and a slow-but-live cap hit earns one extended cap — and
+    /// store a completed result in the cache. Never reads the cache.
+    pub(crate) fn execute(&self, spec: &JobSpec) -> JobRecord {
+        let mut record = JobRecord::new(spec, JobSource::Executed, String::new());
         let mut next_cap: Option<u64> = None;
         loop {
             record.attempts += 1;
@@ -173,7 +169,6 @@ impl Executor {
                     "completed".into()
                 };
                 record.result = Some(result);
-                record.wall = start.elapsed();
                 return record;
             }
 
@@ -186,7 +181,7 @@ impl Executor {
                 report.outcome,
                 report.class.as_ref(),
                 record.attempts,
-                self.wedge_retries,
+                WEDGE_RETRIES,
                 next_cap.is_some(),
             ) {
                 RetryDecision::Retry => {
@@ -229,7 +224,6 @@ impl Executor {
                             }
                         ),
                     };
-                    record.wall = start.elapsed();
                     return record;
                 }
             }
@@ -251,9 +245,6 @@ pub struct CampaignOptions {
     pub resume: bool,
     /// Re-execute jobs the manifest recorded as failed.
     pub retry_failed: bool,
-    /// How many times to re-run a job that wedges before recording it
-    /// failed. Cap hits never retry (deterministic).
-    pub wedge_retries: u32,
     /// Execute at most this many cache misses, deferring the rest as
     /// pending. This is the interrupt: CI's resume test and `--max-jobs`
     /// stop a campaign mid-flight without killing the process.
@@ -269,7 +260,6 @@ impl Default for CampaignOptions {
             workers: 0,
             resume: true,
             retry_failed: false,
-            wedge_retries: 2,
             max_fresh_runs: None,
             progress: true,
         }
@@ -305,7 +295,7 @@ pub enum JobSource {
 impl JobSource {
     fn as_str(self) -> &'static str {
         match self {
-            JobSource::CacheHit => "cache-hit",
+            JobSource::CacheHit => CACHE_HIT,
             JobSource::Executed => "executed",
             JobSource::SkippedFailed => "skipped-failed",
             JobSource::Deferred => "deferred",
@@ -336,6 +326,19 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
+    /// A record of `spec` with no result, attempts or wall time yet.
+    fn new(spec: &JobSpec, source: JobSource, outcome: String) -> JobRecord {
+        JobRecord {
+            label: spec.label.clone(),
+            key: spec.key(),
+            source,
+            outcome,
+            attempts: 0,
+            result: None,
+            wall: Duration::ZERO,
+        }
+    }
+
     /// Simulated cycles this record carries (0 when unresolved).
     pub fn sim_cycles(&self) -> u64 {
         self.result.as_ref().map_or(0, |r| r.stats.cycles)
@@ -520,26 +523,13 @@ impl Campaign {
 
     /// Run every job under `opts` and report how each resolved.
     pub fn run(&self, opts: &CampaignOptions) -> CampaignReport {
-        self.run_with(opts, |_| {})
-    }
-
-    /// [`run`](Self::run) with a per-job completion callback, invoked
-    /// after each job is resolved and journaled (from whichever worker
-    /// thread finished it — the callback must be `Sync`). This is the
-    /// streaming interface `campaignd` builds its progress events on.
-    pub fn run_with<F>(&self, opts: &CampaignOptions, on_job: F) -> CampaignReport
-    where
-        F: Fn(&JobRecord) + Sync,
-    {
         let start = Instant::now();
-        let keys: Vec<JobKey> = self.jobs.iter().map(|j| j.key()).collect();
-
-        // Load (or create) the manifest keyed to this exact job list.
-        let manifest = self.load_or_fresh_manifest(&keys, opts);
-        let prior: Vec<(JobStatus, u32, String)> = manifest
+        let root = opts.cache.as_ref().map(ResultCache::root);
+        let manifest = Manifest::open(root.filter(|_| opts.resume), &self.name, &self.jobs);
+        let failed_before: Vec<Option<String>> = manifest
             .entries
             .iter()
-            .map(|e| (e.status, e.attempts, e.outcome.clone()))
+            .map(|e| (e.status == JobStatus::Failed).then(|| e.outcome.clone()))
             .collect();
         let manifest = Mutex::new(manifest);
 
@@ -547,44 +537,28 @@ impl Campaign {
         let hits = AtomicUsize::new(0);
         let fresh = AtomicUsize::new(0);
         let total = self.jobs.len();
-        let executor = Executor {
-            cache: opts.cache.clone(),
-            wedge_retries: opts.wedge_retries,
-            tag: format!("campaign {}", self.name),
-        };
+        let executor =
+            Executor::new(opts.cache.clone()).with_tag(format!("campaign {}", self.name));
 
         let records = parallel_map((0..total).collect::<Vec<usize>>(), opts.workers, |_, &i| {
             let job_start = Instant::now();
-            let mut record = self.resolve_one(i, &keys[i], &prior[i], &executor, opts, &fresh);
+            let failed_before = failed_before[i].as_deref();
+            let mut record = resolve_one(&self.jobs[i], failed_before, &executor, opts, &fresh);
             record.wall = job_start.elapsed();
 
-            // Journal the job before reporting progress, so a kill
-            // after this line never forgets completed work.
-            if record.source != JobSource::Deferred {
+            // Journal a resolved job before reporting progress, so a kill
+            // after this line never forgets completed work. Skipped and
+            // deferred jobs leave their rows as they were.
+            if matches!(record.source, JobSource::CacheHit | JobSource::Executed) {
                 let mut m = manifest.lock().expect("manifest lock");
-                let entry = &mut m.entries[i];
-                entry.status = if record.result.is_some() {
-                    JobStatus::Done
-                } else {
-                    JobStatus::Failed
-                };
-                entry.attempts += record.attempts;
-                entry.outcome = record.outcome.clone();
-                // Host-perf is only overwritten by real executions: a
-                // warm re-run's cache hit must not clobber the original
-                // simulation measurement.
-                if record.attempts > 0 {
-                    entry.wall_ms = record.wall.as_millis() as u64;
-                    entry.sim_cycles = record.sim_cycles();
-                }
-                if let Some(cache) = &opts.cache {
-                    if let Err(e) = m.save(cache.root()) {
+                m.entries[i].record(&record);
+                if let Some(root) = root {
+                    if let Err(e) = m.save(root) {
                         eprintln!("# campaign {}: {e}", self.name);
                     }
                 }
             }
 
-            on_job(&record);
             let d = done.fetch_add(1, Ordering::Relaxed) + 1;
             let h = if record.source == JobSource::CacheHit {
                 hits.fetch_add(1, Ordering::Relaxed) + 1
@@ -606,82 +580,34 @@ impl Campaign {
             wall: start.elapsed(),
         }
     }
+}
 
-    /// Resolve job `i`: skip or defer per campaign policy, else hand the
-    /// spec to the executor (cache hit or execute with retries).
-    fn resolve_one(
-        &self,
-        i: usize,
-        key: &JobKey,
-        prior: &(JobStatus, u32, String),
-        executor: &Executor,
-        opts: &CampaignOptions,
-        fresh: &AtomicUsize,
-    ) -> JobRecord {
-        let spec = &self.jobs[i];
-        let mut record = JobRecord {
-            label: spec.label.clone(),
-            key: key.clone(),
-            source: JobSource::Executed,
-            outcome: String::new(),
-            attempts: 0,
-            result: None,
-            wall: Duration::ZERO,
-        };
-
-        if prior.0 == JobStatus::Failed && !opts.retry_failed {
-            record.source = JobSource::SkippedFailed;
-            record.outcome = format!("skipped (previously failed: {})", prior.2);
-            return record;
-        }
-
-        // The deferral budget only charges cache misses, so the cheap
-        // hit probe runs first (outside the executor, which would count
-        // a miss-then-execute as one opaque resolve).
-        if let Some(limit) = opts.max_fresh_runs {
-            if let Some(cache) = &opts.cache {
-                if let Some(result) = cache.load(spec) {
-                    record.source = JobSource::CacheHit;
-                    record.outcome = "cache-hit".into();
-                    record.result = Some(result);
-                    return record;
-                }
-            }
-            if fresh.fetch_add(1, Ordering::Relaxed) >= limit {
-                record.source = JobSource::Deferred;
-                record.outcome = "deferred (fresh-run budget exhausted)".into();
-                return record;
-            }
-        }
-
-        executor.resolve(spec)
+/// Resolve one job per campaign policy: a job that failed before (its
+/// row's outcome is `failed_before`) is skipped unless retries are
+/// asked for; a cache hit is taken; a miss executes unless the
+/// `max_fresh_runs` budget, which only misses charge, is spent.
+fn resolve_one(
+    spec: &JobSpec,
+    failed_before: Option<&str>,
+    executor: &Executor,
+    opts: &CampaignOptions,
+    fresh: &AtomicUsize,
+) -> JobRecord {
+    if let Some(outcome) = failed_before.filter(|_| !opts.retry_failed) {
+        let outcome = format!("skipped (previously failed: {outcome})");
+        return JobRecord::new(spec, JobSource::SkippedFailed, outcome);
     }
-
-    fn load_or_fresh_manifest(&self, keys: &[JobKey], opts: &CampaignOptions) -> Manifest {
-        let job_list: Vec<(JobKey, String)> = keys
-            .iter()
-            .cloned()
-            .zip(self.jobs.iter().map(|j| j.label.clone()))
-            .collect();
-        let fresh = || Manifest::fresh(&self.name, &job_list);
-        let Some(cache) = &opts.cache else {
-            return fresh();
-        };
-        if !opts.resume {
-            return fresh();
-        }
-        match Manifest::load(cache.root(), &self.name) {
-            Some(m) if m.id == Manifest::id_of(keys) && m.entries.len() == keys.len() => m,
-            Some(_) => {
-                eprintln!(
-                    "# campaign {}: job list changed; discarding stale manifest",
-                    self.name
-                );
-                fresh()
-            }
-            None => fresh(),
-        }
+    if let Some(hit) = executor.lookup(spec) {
+        return hit;
     }
+    if opts
+        .max_fresh_runs
+        .is_some_and(|limit| fresh.fetch_add(1, Ordering::Relaxed) >= limit)
+    {
+        let outcome = "deferred (fresh-run budget exhausted)".into();
+        return JobRecord::new(spec, JobSource::Deferred, outcome);
+    }
+    executor.execute(spec)
 }
 
 /// Remaining-time estimate extrapolated from throughput so far: the
@@ -978,32 +904,34 @@ mod tests {
     }
 
     #[test]
-    fn run_with_fires_completion_callback_per_job() {
-        let cache = tmpcache("callback");
+    fn skipping_a_failed_job_leaves_its_row_alone() {
+        let cache = tmpcache("skip");
         let root = cache.root().to_path_buf();
-        let campaign = tiny_campaign(5);
-        let seen = Mutex::new(Vec::new());
-        let report = campaign.run_with(
-            &CampaignOptions {
-                workers: 2,
-                ..CampaignOptions::quiet(Some(cache))
-            },
-            |record| {
-                seen.lock()
-                    .unwrap()
-                    .push((record.label.clone(), record.result.is_some()));
-            },
+        let campaign = Campaign::new(
+            "skip-test",
+            vec![JobSpec::homog(Benchmark::Mcf, tiny_quad(5), 300)],
         );
-        let mut seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), report.records.len());
-        seen.sort();
-        let mut expected: Vec<(String, bool)> = report
-            .records
-            .iter()
-            .map(|r| (r.label.clone(), r.result.is_some()))
-            .collect();
-        expected.sort();
-        assert_eq!(seen, expected, "callback saw every record exactly once");
+        let mut seeded = Manifest::open(None, &campaign.name, &campaign.jobs);
+        seeded.entries[0].status = JobStatus::Failed;
+        seeded.entries[0].attempts = 3;
+        seeded.entries[0].outcome = "wedged at cycle 5".into();
+        seeded.save(&root).unwrap();
+
+        for _ in 0..3 {
+            let report = campaign.run(&CampaignOptions::quiet(Some(ResultCache::new(&root))));
+            assert_eq!(report.records[0].source, JobSource::SkippedFailed);
+            assert_eq!(
+                report.records[0].outcome,
+                "skipped (previously failed: wedged at cycle 5)"
+            );
+        }
+        let row = &Manifest::load(&root, "skip-test").unwrap().entries[0];
+        assert_eq!(row.status, JobStatus::Failed);
+        assert_eq!(
+            row.outcome, "wedged at cycle 5",
+            "the reason is not re-wrapped"
+        );
+        assert_eq!(row.attempts, 3);
         let _ = std::fs::remove_dir_all(root);
     }
 

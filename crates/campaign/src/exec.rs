@@ -1,6 +1,6 @@
 //! Work-stealing parallel map on `std::thread::scope`.
 //!
-//! Generalizes the bench harness's former `par_map`: a shared index
+//! Generalizes the bench harness's first parallel map: a shared index
 //! counter acts as the work queue, each worker claims the next
 //! unclaimed job when it finishes its current one (so a slow job never
 //! blocks the queue behind it), and results land in their input slot so
@@ -11,10 +11,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of workers to use when the caller passes `workers == 0`:
-/// every core the OS will give us, minimum one.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// The one reading of a worker-count option: `workers`, or every core
+/// the OS will give us (minimum one) when it is 0.
+pub fn worker_count(workers: usize) -> usize {
+    if workers == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        workers
+    }
 }
 
 /// Apply `f` to every job across `workers` threads (0 = all cores),
@@ -26,12 +30,7 @@ where
     R: Send,
     F: Fn(usize, &J) -> R + Sync,
 {
-    let workers = if workers == 0 {
-        default_workers()
-    } else {
-        workers
-    };
-    let workers = workers.min(jobs.len()).max(1);
+    let workers = worker_count(workers).min(jobs.len()).max(1);
     if workers <= 1 {
         return jobs.iter().enumerate().map(|(i, j)| f(i, j)).collect();
     }

@@ -16,6 +16,10 @@
 //!   atomic (temp file + rename); corrupt entries degrade to misses.
 //! - [`Manifest`] — per-job status journaled after every job, so an
 //!   interrupted campaign resumes without re-running completed work.
+//!   [`ManifestEntry::record`] is the one rule for what a resolved job
+//!   writes into its row and [`Tally`] the one count of done / hits /
+//!   executed / failed; the engine and `campaignd` both keep their books
+//!   with them.
 //! - [`Campaign`] / [`CampaignOptions`] — the engine: a work-stealing
 //!   executor ([`parallel_map`]) across all cores, bounded retries for
 //!   wedged runs, immediate structured failure for cap hits, and live
@@ -38,16 +42,16 @@ pub mod spec;
 pub mod suite;
 
 pub use cache::{write_atomic, ResultCache, CACHE_SCHEMA, DEFAULT_CACHE_DIR};
-pub use client::{Client, ClientError};
+pub use client::{Client, ClientError, DEFAULT_ADDR};
 pub use codec::{run_result_from_json, run_result_to_json, stats_to_json};
 pub use engine::{
     eta, retry_decision, Campaign, CampaignOptions, CampaignReport, Executor, JobRecord, JobSource,
     RetryDecision, CAP_EXTENSION_FACTOR, REPORT_SCHEMA,
 };
-pub use exec::{default_workers, parallel_map};
+pub use exec::{parallel_map, worker_count};
 pub use hash::{digest128, digest128_hex};
-pub use manifest::{JobStatus, Manifest, ManifestEntry, MANIFEST_SCHEMA};
+pub use manifest::{JobStatus, Manifest, ManifestEntry, Tally, MANIFEST_SCHEMA};
 pub use spec::{
     benchmark_by_name, code_fingerprint, config_json, JobKey, JobSpec, RunResult, CACHE_EPOCH,
 };
-pub use suite::{config_grid, homog_jobs, mix8_jobs, quad_jobs};
+pub use suite::{config_grid, figure_budget, homog_jobs, mix8_jobs, quad_jobs, suite_jobs, SUITES};

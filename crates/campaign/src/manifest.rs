@@ -9,6 +9,13 @@
 //! the job list changes (new budget, new grid, new code fingerprint),
 //! the id changes and the stale manifest is discarded rather than
 //! trusted.
+//!
+//! This module is also the one job ledger both schedulers keep — the
+//! engine's [`Campaign::run`](crate::Campaign::run) and `campaignd`:
+//! [`Manifest::open`] loads or starts a manifest, [`ManifestEntry::record`]
+//! is the one rule for what a resolved job writes into its row, and
+//! [`Tally`] is the one count of done / hits / executed / failed, kept
+//! live from records or recomputed from rows.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -16,11 +23,16 @@ use std::path::{Path, PathBuf};
 use emc_types::{FromJson, JsonValue, ToJson};
 
 use crate::cache::write_atomic;
+use crate::engine::JobRecord;
 use crate::hash::digest128_hex;
-use crate::spec::JobKey;
+use crate::spec::{JobKey, JobSpec};
 
 /// Schema tag stamped into every manifest file.
 pub const MANIFEST_SCHEMA: &str = "emc-campaign-manifest-v1";
+
+/// The outcome note of a job resolved from the result cache — in
+/// records, manifest rows and progress events alike.
+pub(crate) const CACHE_HIT: &str = "cache-hit";
 
 emc_types::json_struct! {
     /// How far one job has progressed.
@@ -69,6 +81,71 @@ impl ManifestEntry {
         }
         self.sim_cycles as f64 / (self.wall_ms as f64 / 1e3)
     }
+
+    /// The manifest-row rule: fold one resolved job (a cache hit or an
+    /// execution) into its row. The status follows the result, attempts
+    /// accumulate, the outcome is copied, and the host-perf columns are
+    /// written only by executions — a warm re-run's cache hit keeps the
+    /// original simulation measurement.
+    pub fn record(&mut self, record: &JobRecord) {
+        self.status = if record.result.is_some() {
+            JobStatus::Done
+        } else {
+            JobStatus::Failed
+        };
+        self.attempts += record.attempts;
+        self.outcome = record.outcome.clone();
+        if record.attempts > 0 {
+            self.wall_ms = record.wall.as_millis() as u64;
+            self.sim_cycles = record.sim_cycles();
+        }
+    }
+}
+
+/// How many jobs resolved, and how: the one count behind a campaign's
+/// status line, a `campaignd` job, tenant and service. Counted live with
+/// [`add`](Tally::add) or recomputed from a manifest with
+/// [`of`](Tally::of); the two agree because a row is what
+/// [`ManifestEntry::record`] made of the same record.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Jobs resolved: `hits + executed + failed`.
+    pub done: u64,
+    /// Resolved from the result cache.
+    pub hits: u64,
+    /// Freshly simulated to completion.
+    pub executed: u64,
+    /// Resolved without a result.
+    pub failed: u64,
+}
+
+impl Tally {
+    /// Count one resolved record (a cache hit or an execution).
+    pub fn add(&mut self, record: &JobRecord) {
+        self.count(record.result.is_none(), &record.outcome);
+    }
+
+    /// Count the resolved rows of `manifest` (pending rows are not).
+    pub fn of(manifest: &Manifest) -> Tally {
+        let mut tally = Tally::default();
+        for e in &manifest.entries {
+            if e.status != JobStatus::Pending {
+                tally.count(e.status == JobStatus::Failed, &e.outcome);
+            }
+        }
+        tally
+    }
+
+    fn count(&mut self, failed: bool, outcome: &str) {
+        self.done += 1;
+        if failed {
+            self.failed += 1;
+        } else if outcome == CACHE_HIT {
+            self.hits += 1;
+        } else {
+            self.executed += 1;
+        }
+    }
 }
 
 /// The persisted state of one named campaign.
@@ -106,6 +183,23 @@ impl Manifest {
                     sim_cycles: 0,
                 })
                 .collect(),
+        }
+    }
+
+    /// The manifest `name` keeps for `specs`: the one under `root` if it
+    /// lists exactly these jobs (an interrupted run resuming), else a
+    /// fresh one with every job pending. `None` means "start fresh".
+    pub fn open(root: Option<&Path>, name: &str, specs: &[JobSpec]) -> Manifest {
+        let jobs: Vec<(JobKey, String)> =
+            specs.iter().map(|s| (s.key(), s.label.clone())).collect();
+        let fresh = Manifest::fresh(name, &jobs);
+        match root.and_then(|root| Manifest::load(root, name)) {
+            Some(m) if m.id == fresh.id && m.entries.len() == jobs.len() => m,
+            Some(_) => {
+                eprintln!("# manifest {name}: job list changed; starting fresh");
+                fresh
+            }
+            None => fresh,
         }
     }
 
@@ -182,6 +276,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::JobSource::{self, CacheHit, Executed};
 
     fn tmproot(tag: &str) -> PathBuf {
         let d =
@@ -196,15 +291,37 @@ mod tests {
             .collect()
     }
 
+    /// A record that took 250 ms and, unless `cycles` is `None`, has a
+    /// result of that many simulated cycles.
+    fn record(source: JobSource, outcome: &str, attempts: u32, cycles: Option<u64>) -> JobRecord {
+        let result = cycles.map(|cycles| {
+            let mut stats = emc_types::Stats::new(1);
+            stats.cycles = cycles;
+            crate::RunResult {
+                workload: "w".into(),
+                prefetcher: "No-PF".into(),
+                emc: false,
+                stats,
+                energy: Default::default(),
+                ipcs: vec![1.0],
+            }
+        });
+        JobRecord {
+            label: "w".into(),
+            key: JobKey("0".repeat(32)),
+            source,
+            outcome: outcome.into(),
+            attempts,
+            result,
+            wall: std::time::Duration::from_millis(250),
+        }
+    }
+
     #[test]
     fn fresh_save_load_round_trips() {
         let root = tmproot("roundtrip");
         let mut m = Manifest::fresh("smoke", &keys(3));
-        m.entries[1].status = JobStatus::Done;
-        m.entries[1].attempts = 1;
-        m.entries[1].outcome = "completed".into();
-        m.entries[1].wall_ms = 250;
-        m.entries[1].sim_cycles = 500_000;
+        m.entries[1].record(&record(Executed, "completed", 1, Some(500_000)));
         m.save(&root).unwrap();
 
         let back = Manifest::load(&root, "smoke").expect("load saved manifest");
@@ -267,5 +384,46 @@ mod tests {
     #[test]
     fn missing_manifest_is_none() {
         assert!(Manifest::load(Path::new("/nonexistent-emc"), "nope").is_none());
+    }
+
+    #[test]
+    fn one_row_rule_and_the_tally_it_implies() {
+        let executed = record(Executed, "completed (attempt 2)", 2, Some(500_000));
+        let hit = record(CacheHit, CACHE_HIT, 0, Some(7));
+        let failed = record(Executed, "wedged at cycle 5", 3, None);
+
+        let mut m = Manifest::fresh("rule", &keys(4));
+        // An execution, then a warm re-run's hit: the row says "hit" but
+        // keeps the execution's attempts and host-perf.
+        m.entries[0].record(&executed);
+        m.entries[0].record(&hit);
+        let row = &m.entries[0];
+        assert_eq!(row.status, JobStatus::Done);
+        assert_eq!(row.outcome, CACHE_HIT);
+        assert_eq!(
+            (row.attempts, row.wall_ms, row.sim_cycles),
+            (2, 250, 500_000)
+        );
+        m.entries[1].record(&executed);
+        // No result is a failed row.
+        m.entries[2].record(&failed);
+        assert_eq!(m.entries[2].status, JobStatus::Failed);
+        assert_eq!(m.entries[2].attempts, 3);
+
+        // Row 3 stays pending and is in no count.
+        let mut live = Tally::default();
+        for r in [&hit, &executed, &failed] {
+            live.add(r);
+        }
+        assert_eq!(
+            live,
+            Tally {
+                done: 3,
+                hits: 1,
+                executed: 1,
+                failed: 1
+            }
+        );
+        assert_eq!(Tally::of(&m), live, "rows recount what records counted");
     }
 }

@@ -12,10 +12,8 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use emc_campaign::DEFAULT_ADDR;
 use emc_campaignd::{Service, ServiceConfig};
-
-/// Default listen address (localhost only: the protocol is unauthenticated).
-const DEFAULT_ADDR: &str = "127.0.0.1:8321";
 
 fn usage() -> String {
     format!(

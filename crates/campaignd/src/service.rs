@@ -29,17 +29,21 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use emc_campaign::{
-    default_workers, eta, homog_jobs, mix8_jobs, quad_jobs, write_atomic, Executor, JobRecord,
-    JobSource, JobSpec, JobStatus, Manifest, ResultCache,
+    eta, suite_jobs, worker_count, write_atomic, Executor, JobRecord, JobSource, JobSpec, Manifest,
+    ResultCache, Tally, SUITES,
 };
 use emc_types::codec::u;
 use emc_types::{
     EventBatch, Histogram, JobState, JobStatusView, JsonValue, ProgressEvent, Rejection,
-    ServiceStats, SubmitAck, SubmitRequest, SystemConfig, TenantStats, SVC_SCHEMA,
+    ServiceStats, SubmitAck, SubmitRequest, TenantStats, SVC_SCHEMA,
 };
 
 use crate::http::{read_request, write_response, Request};
 use crate::queue::{FairQueue, TaskRef, DEFAULT_AGE_MS, DEFAULT_MARK_CAP};
+
+/// Upper bound on one long-poll wait, milliseconds (also the wait when
+/// the client names none).
+const POLL_TIMEOUT_MS: u64 = 10_000;
 
 /// Service configuration (defaults suit an interactive localhost daemon).
 #[derive(Debug, Clone)]
@@ -59,8 +63,6 @@ pub struct ServiceConfig {
     pub default_budget: u64,
     /// Result-cache root (also holds manifests and the job journal).
     pub cache_dir: PathBuf,
-    /// Upper bound on one long-poll wait, milliseconds.
-    pub poll_timeout_ms: u64,
 }
 
 impl Default for ServiceConfig {
@@ -72,7 +74,6 @@ impl Default for ServiceConfig {
             age_ms: DEFAULT_AGE_MS,
             default_budget: 2_000,
             cache_dir: PathBuf::from(emc_campaign::DEFAULT_CACHE_DIR),
-            poll_timeout_ms: 10_000,
         }
     }
 }
@@ -88,12 +89,7 @@ struct Job {
     manifest_dirty: u32,
     admitted_ms: u64,
     finished_ms: u64,
-    done: u64,
-    hits: u64,
-    executed: u64,
-    failed: u64,
-    running: u64,
-    complete: bool,
+    tally: Tally,
     events: Vec<ProgressEvent>,
 }
 
@@ -101,31 +97,20 @@ impl Job {
     fn total(&self) -> u64 {
         self.specs.len() as u64
     }
+
+    fn complete(&self) -> bool {
+        self.tally.done == self.total()
+    }
 }
 
 /// Per-tenant fairness accounting.
+#[derive(Default)]
 struct Tenant {
     name: String,
     running: u64,
-    done: u64,
-    failed: u64,
+    tally: Tally,
     wait_ms: Histogram,
-    max_wait_ms: u64,
     escalated: u64,
-}
-
-impl Tenant {
-    fn new(name: String) -> Self {
-        Tenant {
-            name,
-            running: 0,
-            done: 0,
-            failed: 0,
-            wait_ms: Histogram::new(),
-            max_wait_ms: 0,
-            escalated: 0,
-        }
-    }
 }
 
 /// Everything behind the state mutex.
@@ -139,11 +124,9 @@ struct State {
     draining: bool,
     stopping: bool,
     running: u64,
-    jobs_done: u64,
-    tasks_done: u64,
-    hits: u64,
-    executed: u64,
-    failed: u64,
+    /// Tasks resolved in this life of the daemon (jobs resumed complete
+    /// from their manifests add nothing).
+    tally: Tally,
     /// Queue waits across all tenants (clock anomalies clamp, never
     /// poison the distribution — `saturating_record`).
     wait_all: Histogram,
@@ -196,11 +179,7 @@ impl Service {
             draining: false,
             stopping: false,
             running: 0,
-            jobs_done: 0,
-            tasks_done: 0,
-            hits: 0,
-            executed: 0,
-            failed: 0,
+            tally: Tally::default(),
             wait_all: Histogram::new(),
             task_wall_ms: Histogram::new(),
             job_wall_ms: Histogram::new(),
@@ -240,8 +219,7 @@ impl Service {
     /// 429 queue full, 503 draining).
     pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitAck, (u16, Rejection)> {
         let bad_request = |e: String| (400, Rejection::of("bad-request", e));
-        let (name, grid) =
-            narrowed_grid(req, self.inner.cfg.default_budget).map_err(bad_request)?;
+        let grid = narrowed_grid(req, self.inner.cfg.default_budget).map_err(bad_request)?;
         // `repeat` is the submitter's number: the job is sized and put
         // to admission control before any of it is materialised.
         let total = usize::try_from(req.repeat.max(1))
@@ -258,7 +236,10 @@ impl Service {
             return Err((503, rej));
         }
         let id = format!("j{}", state.next_job);
-        let tenant = tenant_index(&mut state, &req.tenant);
+        // A new tenant gets its row only once admitted: a rejected name
+        // leaves nothing behind (DESIGN.md §11, bounded before buffered).
+        let known = state.tenant_index.get(&req.tenant).copied();
+        let tenant = known.unwrap_or(state.tenants.len());
         let job = state.jobs.len();
         let tasks = (0..total).map(|index| TaskRef { job, index });
         if let Err(full) = state.queue.admit(tenant, tasks, now) {
@@ -275,6 +256,7 @@ impl Service {
                 },
             ));
         }
+        let tenant = tenant_index(&mut state, &req.tenant);
         let specs = fan_out(&grid, req);
         state.next_job += 1;
 
@@ -282,7 +264,7 @@ impl Service {
         if let Err(e) = write_journal(&self.inner.cfg.cache_dir, &id, req) {
             eprintln!("# campaignd: {e}");
         }
-        let job = self.register_job(&mut state, &id, tenant, name, specs, now);
+        let job = self.register_job(&mut state, &id, tenant, display_name(req), specs, now);
         let ack = SubmitAck {
             id,
             total: job,
@@ -293,7 +275,7 @@ impl Service {
         Ok(ack)
     }
 
-    /// Insert the job table row (manifest loaded or freshly saved).
+    /// Insert the job table row (manifest loaded or fresh, and saved).
     /// Returns the task count.
     fn register_job(
         &self,
@@ -304,7 +286,11 @@ impl Service {
         specs: Vec<JobSpec>,
         now: u64,
     ) -> u64 {
-        let manifest = load_or_fresh_manifest(&self.inner.cfg.cache_dir, id, &specs);
+        let cache_dir = &self.inner.cfg.cache_dir;
+        let manifest = Manifest::open(Some(cache_dir), &format!("svc-{id}"), &specs);
+        if let Err(e) = manifest.save(cache_dir) {
+            eprintln!("# campaignd: {e}");
+        }
         let job = Job {
             id: id.to_string(),
             tenant,
@@ -314,12 +300,7 @@ impl Service {
             manifest_dirty: 0,
             admitted_ms: now,
             finished_ms: 0,
-            done: 0,
-            hits: 0,
-            executed: 0,
-            failed: 0,
-            running: 0,
-            complete: false,
+            tally: Tally::default(),
             events: Vec::new(),
         };
         let total = job.total();
@@ -345,49 +326,22 @@ impl Service {
         for (seq, req, specs) in journaled {
             let id = format!("j{seq}");
             state.next_job = state.next_job.max(seq + 1);
-            let name = if req.name.is_empty() {
-                format!("{}:{}", req.tenant, req.suite)
-            } else {
-                req.name.clone()
-            };
             let tenant = tenant_index(&mut state, &req.tenant);
             let job_idx = state.jobs.len();
-            let total = self.register_job(&mut state, &id, tenant, name, specs, now);
+            let total = self.register_job(&mut state, &id, tenant, display_name(&req), specs, now);
             let job = &mut state.jobs[job_idx];
-            let resolved = job
-                .manifest
-                .entries
-                .iter()
-                .filter(|e| e.status != JobStatus::Pending)
-                .count() as u64;
-            if resolved == total {
+            let tally = Tally::of(&job.manifest);
+            if tally.done == total {
                 // Fully resolved before the restart: surface the final
                 // tallies without queueing anything.
-                job.complete = true;
+                job.tally = tally;
                 job.finished_ms = now;
-                job.done = total;
-                job.hits = job
-                    .manifest
-                    .entries
-                    .iter()
-                    .filter(|e| e.outcome == "cache-hit")
-                    .count() as u64;
-                job.failed = job
-                    .manifest
-                    .entries
-                    .iter()
-                    .filter(|e| e.status == JobStatus::Failed)
-                    .count() as u64;
-                job.executed = total - job.hits - job.failed;
-                state.jobs_done += 1;
                 continue;
             }
-            let tasks: Vec<TaskRef> = (0..total as usize)
-                .map(|index| TaskRef {
-                    job: job_idx,
-                    index,
-                })
-                .collect();
+            let tasks = (0..total as usize).map(|index| TaskRef {
+                job: job_idx,
+                index,
+            });
             match state.queue.admit(tenant, tasks, now) {
                 Ok(n) => eprintln!("# campaignd: resumed {id} ({n} tasks re-queued)"),
                 Err(full) => {
@@ -396,11 +350,12 @@ impl Service {
                     // configuration. Fail the job loudly rather than
                     // wedge it half-registered.
                     let job = &mut state.jobs[job_idx];
-                    job.complete = true;
+                    job.tally = Tally {
+                        done: total,
+                        failed: total,
+                        ..Tally::default()
+                    };
                     job.finished_ms = now;
-                    job.failed = total;
-                    job.done = total;
-                    state.jobs_done += 1;
                     eprintln!(
                         "# campaignd: cannot resume {id}: queue full ({}/{})",
                         full.depth, full.capacity
@@ -418,12 +373,7 @@ impl Service {
 
     /// Spawn the resident worker pool.
     pub fn start_workers(&self) -> Vec<JoinHandle<()>> {
-        let n = if self.inner.cfg.workers == 0 {
-            default_workers()
-        } else {
-            self.inner.cfg.workers
-        };
-        (0..n)
+        (0..worker_count(self.inner.cfg.workers))
             .map(|i| {
                 let svc = self.clone();
                 std::thread::Builder::new()
@@ -452,15 +402,11 @@ impl Service {
             };
 
             // Dispatch bookkeeping under the lock, simulation outside it.
-            let tenant = d.tenant;
-            state.tenants[tenant].wait_ms.saturating_record(d.wait_ms);
-            state.tenants[tenant].max_wait_ms = state.tenants[tenant].max_wait_ms.max(d.wait_ms);
-            if d.escalated {
-                state.tenants[tenant].escalated += 1;
-            }
+            let tenant = &mut state.tenants[d.tenant];
+            tenant.wait_ms.saturating_record(d.wait_ms);
+            tenant.escalated += u64::from(d.escalated);
+            tenant.running += 1;
             state.wait_all.saturating_record(d.wait_ms);
-            state.tenants[tenant].running += 1;
-            state.jobs[d.task.job].running += 1;
             state.running += 1;
             let spec = state.jobs[d.task.job].specs[d.task.index].clone();
             drop(state);
@@ -468,7 +414,7 @@ impl Service {
             let record = self.inner.executor.resolve(&spec);
 
             state = self.lock();
-            self.complete_task(&mut state, d.task, tenant, &record);
+            self.complete_task(&mut state, d.task, d.tenant, &record);
             self.inner.event_cv.notify_all();
         }
     }
@@ -477,21 +423,10 @@ impl Service {
     /// service aggregates; fire the progress event; detect completion.
     fn complete_task(&self, state: &mut State, task: TaskRef, tenant: usize, record: &JobRecord) {
         let now = self.now_ms();
-        let failed = record.result.is_none();
-        let hit = record.source == JobSource::CacheHit;
-
         state.running -= 1;
+        state.tally.add(record);
         state.tenants[tenant].running -= 1;
-        state.tenants[tenant].done += 1;
-        state.tasks_done += 1;
-        if failed {
-            state.failed += 1;
-            state.tenants[tenant].failed += 1;
-        } else if hit {
-            state.hits += 1;
-        } else {
-            state.executed += 1;
-        }
+        state.tenants[tenant].tally.add(record);
         if record.source == JobSource::Executed {
             let wall_ms = record.wall.as_millis() as u64;
             state.task_wall_ms.saturating_record(wall_ms);
@@ -500,35 +435,11 @@ impl Service {
         }
 
         let job = &mut state.jobs[task.job];
-        job.running -= 1;
-        job.done += 1;
-        if failed {
-            job.failed += 1;
-        } else if hit {
-            job.hits += 1;
-        } else {
-            job.executed += 1;
-        }
-
-        // Manifest row — same rules as the campaign engine: host-perf
-        // columns are only overwritten by real executions, so a resumed
-        // run's cache hits preserve the original measurements.
-        let entry = &mut job.manifest.entries[task.index];
-        entry.status = if failed {
-            JobStatus::Failed
-        } else {
-            JobStatus::Done
-        };
-        entry.attempts += record.attempts;
-        entry.outcome = record.outcome.clone();
-        if record.attempts > 0 {
-            entry.wall_ms = record.wall.as_millis() as u64;
-            entry.sim_cycles = record.sim_cycles();
-        }
+        job.tally.add(record);
+        job.manifest.entries[task.index].record(record);
         job.manifest_dirty += 1;
-
-        job.complete = job.done == job.total();
-        if job.complete {
+        let complete = job.complete();
+        if complete {
             job.finished_ms = now;
         }
         let elapsed = Duration::from_millis(now.saturating_sub(job.admitted_ms));
@@ -536,11 +447,11 @@ impl Service {
             seq: job.events.len() as u64 + 1,
             label: record.label.clone(),
             outcome: record.outcome.clone(),
-            done: job.done,
+            done: job.tally.done,
             total: job.total(),
-            hits: job.hits,
-            failed: job.failed,
-            eta_ms: eta(job.done as usize, job.total() as usize, elapsed)
+            hits: job.tally.hits,
+            failed: job.tally.failed,
+            eta_ms: eta(job.tally.done as usize, job.total() as usize, elapsed)
                 .map(|d| d.as_millis() as u64),
         };
         job.events.push(event);
@@ -549,16 +460,15 @@ impl Service {
         // completion: a crash between saves costs manifest rows, not
         // results — the cache already holds them, and resume replays the
         // lost rows as instant hits.
-        if job.complete || job.manifest_dirty >= 16 {
+        if complete || job.manifest_dirty >= 16 {
             job.manifest_dirty = 0;
             if let Err(e) = job.manifest.save(&self.inner.cfg.cache_dir) {
                 eprintln!("# campaignd: {e}");
             }
         }
-        if job.complete {
+        if complete {
             let job_wall = now.saturating_sub(job.admitted_ms);
             state.job_wall_ms.saturating_record(job_wall);
-            state.jobs_done += 1;
         }
 
         if state.draining && state.queue.is_empty() && state.running == 0 {
@@ -575,14 +485,14 @@ impl Service {
     pub fn status(&self, id: &str) -> Option<JobStatusView> {
         let state = self.lock();
         let job = &state.jobs[*state.job_index.get(id)?];
-        let wall_ms = if job.complete {
+        let wall_ms = if job.complete() {
             job.finished_ms.saturating_sub(job.admitted_ms)
         } else {
             self.now_ms().saturating_sub(job.admitted_ms)
         };
-        let lifecycle = if job.complete {
+        let lifecycle = if job.complete() {
             JobState::Done
-        } else if job.done > 0 {
+        } else if job.tally.done > 0 {
             JobState::Running
         } else {
             JobState::Queued
@@ -593,12 +503,12 @@ impl Service {
             name: job.name.clone(),
             state: lifecycle,
             total: job.total(),
-            done: job.done,
-            hits: job.hits,
-            executed: job.executed,
-            failed: job.failed,
+            done: job.tally.done,
+            hits: job.tally.hits,
+            executed: job.tally.executed,
+            failed: job.tally.failed,
             eta_ms: eta(
-                job.done as usize,
+                job.tally.done as usize,
                 job.total() as usize,
                 Duration::from_millis(wall_ms),
             )
@@ -609,10 +519,9 @@ impl Service {
 
     /// Long-poll the job's event stream: block until an event with
     /// `seq > since` exists, the job completes, or the timeout expires
-    /// (bounded by the configured `poll_timeout_ms`).
+    /// (bounded by `POLL_TIMEOUT_MS`, 10 s).
     pub fn events(&self, id: &str, since: u64, timeout_ms: u64) -> Option<EventBatch> {
-        let deadline =
-            Instant::now() + Duration::from_millis(timeout_ms.min(self.inner.cfg.poll_timeout_ms));
+        let deadline = Instant::now() + Duration::from_millis(timeout_ms.min(POLL_TIMEOUT_MS));
         let mut state = self.lock();
         loop {
             let idx = *state.job_index.get(id)?;
@@ -623,12 +532,12 @@ impl Service {
                 .filter(|e| e.seq > since)
                 .cloned()
                 .collect();
-            if !fresh.is_empty() || job.complete {
+            if !fresh.is_empty() || job.complete() {
                 let next = fresh.last().map_or(since, |e| e.seq);
                 return Some(EventBatch {
                     id: job.id.clone(),
                     next,
-                    complete: job.complete,
+                    complete: job.complete(),
                     events: fresh,
                 });
             }
@@ -663,18 +572,19 @@ impl Service {
                 tenant: t.name.clone(),
                 queued: state.queue.depth_of(i) as u64,
                 running: t.running,
-                done: t.done,
-                failed: t.failed,
+                done: t.tally.done,
+                failed: t.tally.failed,
                 wait_ms: emc_types::HistSummary::of(&t.wait_ms),
-                max_wait_ms: t.max_wait_ms,
+                max_wait_ms: t.wait_ms.max,
                 escalated: t.escalated,
             })
             .collect();
         tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        let hit_rate = if state.tasks_done == 0 {
+        let tally = state.tally;
+        let hit_rate = if tally.done == 0 {
             0.0
         } else {
-            state.hits as f64 / state.tasks_done as f64
+            tally.hits as f64 / tally.done as f64
         };
         let mcycles_per_sec = if state.exec_wall_ms == 0 {
             0.0
@@ -683,20 +593,16 @@ impl Service {
         };
         ServiceStats {
             uptime_ms: self.now_ms(),
-            workers: if self.inner.cfg.workers == 0 {
-                default_workers() as u64
-            } else {
-                self.inner.cfg.workers as u64
-            },
+            workers: worker_count(self.inner.cfg.workers) as u64,
             queue_depth: state.queue.len() as u64,
             queue_cap: state.queue.capacity() as u64,
             draining: state.draining,
             jobs: state.jobs.len() as u64,
-            jobs_done: state.jobs_done,
-            tasks_done: state.tasks_done,
-            hits: state.hits,
-            executed: state.executed,
-            failed: state.failed,
+            jobs_done: state.jobs.iter().filter(|j| j.complete()).count() as u64,
+            tasks_done: tally.done,
+            hits: tally.hits,
+            executed: tally.executed,
+            failed: tally.failed,
             hit_rate,
             wait_ms: emc_types::HistSummary::of(&state.wait_all),
             task_wall_ms: emc_types::HistSummary::of(&state.task_wall_ms),
@@ -747,7 +653,7 @@ impl Service {
         let deadline = Instant::now() + timeout;
         let mut state = self.lock();
         loop {
-            if state.jobs.iter().all(|j| j.complete) {
+            if state.jobs.iter().all(Job::complete) {
                 return true;
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -810,29 +716,12 @@ fn tenant_index(state: &mut State, name: &str) -> usize {
         return i;
     }
     let i = state.tenants.len();
-    state.tenants.push(Tenant::new(name.to_string()));
+    state.tenants.push(Tenant {
+        name: name.to_string(),
+        ..Tenant::default()
+    });
     state.tenant_index.insert(name.to_string(), i);
     i
-}
-
-/// Load the job's manifest if one matches its task list (crash resume),
-/// else create and persist a fresh one.
-fn load_or_fresh_manifest(cache_dir: &Path, id: &str, specs: &[JobSpec]) -> Manifest {
-    let name = format!("svc-{id}");
-    let keys: Vec<(emc_campaign::JobKey, String)> =
-        specs.iter().map(|s| (s.key(), s.label.clone())).collect();
-    let key_list: Vec<emc_campaign::JobKey> = keys.iter().map(|(k, _)| k.clone()).collect();
-    if let Some(m) = Manifest::load(cache_dir, &name) {
-        if m.id == Manifest::id_of(&key_list) && m.entries.len() == specs.len() {
-            return m;
-        }
-        eprintln!("# campaignd: manifest {name} does not match its journal; starting fresh");
-    }
-    let m = Manifest::fresh(&name, &keys);
-    if let Err(e) = m.save(cache_dir) {
-        eprintln!("# campaignd: {e}");
-    }
-    m
 }
 
 // ---------------------------------------------------------------------
@@ -852,32 +741,29 @@ pub fn expand_request(
     req: &SubmitRequest,
     default_budget: u64,
 ) -> Result<(String, Vec<JobSpec>), String> {
-    let (name, grid) = narrowed_grid(req, default_budget)?;
-    Ok((name, fan_out(&grid, req)))
+    let grid = narrowed_grid(req, default_budget)?;
+    Ok((display_name(req), fan_out(&grid, req)))
 }
 
-/// The display name and one copy of the (at most 80-cell) grid a
-/// submission selects: suite × optional (prefetcher, EMC) narrowing.
-fn narrowed_grid(
-    req: &SubmitRequest,
-    default_budget: u64,
-) -> Result<(String, Vec<JobSpec>), String> {
+/// A job's display name: the submitter's, else `tenant:suite`.
+fn display_name(req: &SubmitRequest) -> String {
+    if req.name.is_empty() {
+        format!("{}:{}", req.tenant, req.suite)
+    } else {
+        req.name.clone()
+    }
+}
+
+/// One copy of the (at most 80-cell) grid a submission selects: suite ×
+/// optional (prefetcher, EMC) narrowing.
+fn narrowed_grid(req: &SubmitRequest, default_budget: u64) -> Result<Vec<JobSpec>, String> {
     let budget = if req.budget == 0 {
         default_budget
     } else {
         req.budget
     };
-    let base = match req.suite.as_str() {
-        "quad" => quad_jobs(budget),
-        "homog" => homog_jobs(budget),
-        "mix8-1mc" => mix8_jobs(SystemConfig::eight_core_1mc(), budget),
-        "mix8-2mc" => mix8_jobs(SystemConfig::eight_core_2mc(), budget),
-        other => {
-            return Err(format!(
-                "unknown suite {other:?} (quad, homog, mix8-1mc, mix8-2mc)"
-            ))
-        }
-    };
+    let base = suite_jobs(&req.suite, budget)
+        .ok_or_else(|| format!("unknown suite {:?} ({})", req.suite, SUITES.join(", ")))?;
     let narrowed: Vec<JobSpec> = base
         .into_iter()
         .filter(|s| {
@@ -899,12 +785,7 @@ fn narrowed_grid(
             labels.join(", ")
         ));
     }
-    let name = if req.name.is_empty() {
-        format!("{}:{}", req.tenant, req.suite)
-    } else {
-        req.name.clone()
-    };
-    Ok((name, narrowed))
+    Ok(narrowed)
 }
 
 /// `req.repeat` seed-bumped copies of `grid`, in repeat-major order.
@@ -1039,7 +920,7 @@ pub fn handle_request(svc: &Service, req: &Request) -> (u16, JsonValue) {
         },
         ("GET", ["v1", "jobs", id, "events"]) => {
             let since = req.query_u64("since", 0);
-            let timeout = req.query_u64("timeout_ms", svc.inner.cfg.poll_timeout_ms);
+            let timeout = req.query_u64("timeout_ms", POLL_TIMEOUT_MS);
             match svc.events(id, since, timeout) {
                 Some(batch) => (200, batch.to_json()),
                 None => not_found(id),
@@ -1088,7 +969,6 @@ mod tests {
             age_ms: 10_000,
             default_budget: 300,
             cache_dir: tmpcache(tag),
-            poll_timeout_ms: 2_000,
         }
     }
 
@@ -1232,6 +1112,22 @@ mod tests {
     }
 
     #[test]
+    fn rejected_submissions_leave_no_tenant_behind() {
+        let mut cfg = small_cfg("tenants");
+        cfg.queue_cap = 15;
+        let cache_dir = cfg.cache_dir.clone();
+        let svc = Service::new(cfg);
+        svc.submit(&small_request("alice")).expect("first fits");
+        for i in 0..100 {
+            let (code, _) = svc.submit(&small_request(&format!("m{i}"))).unwrap_err();
+            assert_eq!(code, 429);
+        }
+        let tenants: Vec<String> = svc.stats().tenants.into_iter().map(|t| t.tenant).collect();
+        assert_eq!(tenants, ["alice"], "a 429 allocates nothing per name");
+        let _ = fs::remove_dir_all(cache_dir);
+    }
+
+    #[test]
     fn drain_rejects_submissions_and_stops_when_idle() {
         let cfg = small_cfg("drain");
         let cache_dir = cfg.cache_dir.clone();
@@ -1273,17 +1169,19 @@ mod tests {
         // First life: run one job to completion, admit a second, then
         // stop abruptly with its tasks still queued (no workers ever saw
         // them — the moral equivalent of kill -9 mid-queue).
-        {
+        let before = {
             let svc = Service::new(cfg.clone());
             let workers = svc.start_workers();
             svc.submit(&small_request("alice")).unwrap();
             assert!(svc.wait_all_jobs(Duration::from_secs(120)));
+            let before = svc.status("j1").unwrap();
             svc.stop();
             for w in workers {
                 w.join().unwrap();
             }
             svc.submit(&small_request("bob")).unwrap();
-        }
+            before
+        };
 
         // Second life: both journals replay. Job 1 is already complete
         // per its manifest; job 2's tasks re-queue and resolve as pure
@@ -1292,6 +1190,11 @@ mod tests {
         let s1 = svc.status("j1").expect("job 1 survives");
         assert_eq!(s1.state, JobState::Done);
         assert_eq!(s1.done, 10);
+        // Recounted from the manifest, the tally is the one kept live.
+        assert_eq!(
+            (s1.hits, s1.executed, s1.failed),
+            (before.hits, before.executed, before.failed)
+        );
         let s2 = svc.status("j2").expect("job 2 survives");
         assert_eq!(s2.state, JobState::Queued);
 

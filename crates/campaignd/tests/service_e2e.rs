@@ -41,7 +41,6 @@ fn cfg(cache_dir: &Path) -> ServiceConfig {
         age_ms: AGE_MS,
         default_budget: BUDGET,
         cache_dir: cache_dir.to_path_buf(),
-        poll_timeout_ms: 2_000,
     }
 }
 
