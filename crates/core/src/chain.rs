@@ -11,7 +11,7 @@
 //! uops or the dataflow frontier is exhausted.
 
 use emc_cpu::{Core, EntryState, RobId};
-use emc_types::{Addr, CoreId, EmcConfig, UopKind};
+use emc_types::{Addr, CoreId, Cycle, EmcConfig, UopKind};
 
 /// A chain operand after RRT renaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +63,11 @@ pub struct Chain {
     /// Immediates shifted into the live-in vector (counted for the §6.5
     /// transfer-overhead statistics; values ride inline in the uops).
     pub imm_live_ins: u64,
+    /// Cycle the chain left the home core (chain latency runs from here).
+    pub shipped_at: Cycle,
+    /// The source miss's data, if it was already on chip when the chain
+    /// shipped: it travels with the chain instead of following it.
+    pub source_value: Option<u64>,
 }
 
 impl Chain {
@@ -111,7 +116,7 @@ impl Chain {
     ///         srcs: [Some(ChainSrc::Epr(0)), None],
     ///         dst: Some(1), imm: 0x18, pc: 0x40, predicted_taken: false,
     ///     }],
-    ///     live_ins: vec![], imm_live_ins: 1,
+    ///     live_ins: vec![], imm_live_ins: 1, shipped_at: 0, source_value: None,
     /// };
     /// let text = chain.render();
     /// assert!(text.contains("E1 <- add E0"));

@@ -50,9 +50,9 @@ pub enum AbortReason {
     /// miss, so architectural state is unaffected).
     Injected,
     /// The context's forward-progress lease expired: the chain made no
-    /// progress (no source delivery, load completion, or result drain)
-    /// for the configured lease window, so the simulator reclaimed the
-    /// context and the home core re-executes the chain locally.
+    /// progress (no source delivery, load completion, or results leaving)
+    /// for the configured lease window, so the EMC reclaimed the context
+    /// ([`Emc::expire_leases`]) and the home core re-executes the chain.
     LeaseExpired,
 }
 
@@ -126,11 +126,8 @@ pub struct ChainResult {
 pub struct FinishedChain {
     /// The original chain (for ROB ids and accounting).
     pub chain: Chain,
-    /// Results completed but not yet drained (normally empty: results
-    /// stream back incrementally via [`EmcEvent::Results`]).
-    pub results: Vec<ChainResult>,
-    /// Abort reason, if aborted.
-    pub aborted: Option<AbortReason>,
+    /// The cycle the chain reached the EMC (its context's `active_at`).
+    pub active_at: Cycle,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,6 +150,10 @@ struct Context {
     /// (the context is reserved at generation time; execution may not
     /// begin before the uops physically arrive).
     active_at: Cycle,
+    /// The lease clock: the chain's last progress, from its arrival on.
+    progress_at: Cycle,
+    /// Progress since the last [`Emc::expire_leases`], which dates it.
+    progressed: bool,
     aborted: Option<AbortReason>,
     announced: bool,
 }
@@ -160,8 +161,7 @@ struct Context {
 impl Context {
     fn new(chain: Chain, prf_entries: usize, active_at: Cycle) -> Self {
         let n = chain.uops.len();
-        Context {
-            chain,
+        let mut c = Context {
             prf: vec![0; prf_entries],
             prf_ready: vec![false; prf_entries],
             states: vec![UopState::Waiting; n],
@@ -169,9 +169,24 @@ impl Context {
             store_buffer: Vec::new(),
             source_delivered: false,
             active_at,
+            progress_at: active_at,
+            progressed: false,
             aborted: None,
             announced: false,
+            chain,
+        };
+        // Data shipped with the chain is no progress of the chain's own.
+        if let Some(value) = c.chain.source_value {
+            c.set_source(value);
         }
+        c
+    }
+
+    fn set_source(&mut self, value: u64) {
+        let epr = self.chain.source_epr as usize;
+        self.prf[epr] = value;
+        self.prf_ready[epr] = true;
+        self.source_delivered = true;
     }
 
     fn src_value(&self, s: ChainSrc) -> Option<u64> {
@@ -211,6 +226,10 @@ impl Context {
 pub struct Emc {
     cfg: EmcConfig,
     contexts: Vec<Option<Context>>,
+    /// Per context: how many chains it has finished.
+    generations: Vec<u64>,
+    /// Cycles without progress that reclaim a busy context (MAX: never).
+    lease: Cycle,
     /// [`tick`](Emc::tick) does nothing before this cycle: 0 while
     /// awake, the arrival of a chain in flight on the ring, or
     /// `Cycle::MAX` until a caller hands the engine something.
@@ -236,6 +255,8 @@ impl Emc {
         Emc {
             cfg: *cfg,
             contexts: (0..cfg.contexts).map(|_| None).collect(),
+            generations: vec![0; cfg.contexts],
+            lease: Cycle::MAX,
             sleep_until: 0,
             ready: Vec::new(),
             dcache: SetAssocCache::new(&dcache_cfg),
@@ -247,6 +268,12 @@ impl Emc {
                 .collect(),
             stats: EmcStats::default(),
         }
+    }
+
+    /// Reclaim a busy context after `lease` cycles without progress
+    /// ([`expire_leases`](Emc::expire_leases)); `None`: never.
+    pub fn set_lease(&mut self, lease: Option<Cycle>) {
+        self.lease = lease.unwrap_or(Cycle::MAX);
     }
 
     /// Whether any issue context is free.
@@ -271,11 +298,25 @@ impl Emc {
         self.contexts.get(ctx)?.as_ref().map(|c| &c.chain)
     }
 
+    /// How many chains `ctx` has finished ([`Emc::take_finished`]).
+    pub fn generation(&self, ctx: usize) -> u64 {
+        self.generations[ctx]
+    }
+
+    /// The context whose chain from `core` still waits for the data of
+    /// source miss `rob`, and the source's address.
+    pub fn awaiting_source(&self, core: CoreId, rob: emc_cpu::RobId) -> Option<(usize, Addr)> {
+        self.contexts.iter().enumerate().find_map(|(ctx, c)| {
+            let ch = &c.as_ref().filter(|c| !c.source_delivered)?.chain;
+            (ch.home_core == core && ch.source_rob == rob).then_some((ctx, ch.source_addr))
+        })
+    }
+
     /// Accept a chain into a free context, reserved immediately; the
     /// chain's uops are still in flight on the ring until `active_at`,
-    /// before which no uop issues. The source miss's PTE is installed in
-    /// the home core's EMC TLB if absent (it travels with the chain,
-    /// §4.1.4).
+    /// before which no uop issues and the lease clock does not run. The
+    /// source miss's PTE travels with the chain into the home core's EMC
+    /// TLB (§4.1.4), and so does its data if `Chain::source_value` has it.
     ///
     /// # Errors
     ///
@@ -293,23 +334,23 @@ impl Emc {
     }
 
     /// Deliver the source miss's data (the DRAM fill reached the memory
-    /// controller): execution of the chain can begin next tick.
+    /// controller): execution of the chain can begin next tick (progress).
     pub fn deliver_source(&mut self, ctx: usize, value: u64) {
         self.sleep_until = 0;
         if let Some(c) = self.contexts[ctx].as_mut() {
-            let epr = c.chain.source_epr as usize;
-            c.prf[epr] = value;
-            c.prf_ready[epr] = true;
-            c.source_delivered = true;
+            c.set_source(value);
+            c.progressed = true;
         }
     }
 
-    /// Supply data for a load previously emitted as [`EmcEvent::Load`].
+    /// Supply data for a load previously emitted as [`EmcEvent::Load`]
+    /// (progress).
     pub fn complete_load(&mut self, ctx: usize, uop: usize, value: u64) {
         self.sleep_until = 0;
         let Some(c) = self.contexts[ctx].as_mut() else {
             return;
         };
+        c.progressed = true;
         if c.states[uop] != UopState::Issued {
             return;
         }
@@ -331,14 +372,13 @@ impl Emc {
     pub fn force_abort(&mut self, ctx: usize, reason: AbortReason) {
         self.sleep_until = 0;
         if let Some(c) = self.contexts[ctx].as_mut() {
-            if c.aborted.is_none() {
-                c.aborted = Some(reason);
-            }
+            c.aborted.get_or_insert(reason);
         }
     }
 
     /// Collect a finished context announced via [`EmcEvent::ChainDone`] /
-    /// [`EmcEvent::ChainAborted`], freeing it.
+    /// [`EmcEvent::ChainAborted`], freeing it and advancing its
+    /// generation. Results not yet drained are dropped.
     ///
     /// # Panics
     ///
@@ -346,11 +386,34 @@ impl Emc {
     pub fn take_finished(&mut self, ctx: usize) -> FinishedChain {
         self.sleep_until = 0;
         let c = self.contexts[ctx].take().expect("context not empty");
+        self.generations[ctx] += 1;
         FinishedChain {
             chain: c.chain,
-            results: c.outbox,
-            aborted: c.aborted,
+            active_at: c.active_at,
         }
+    }
+
+    /// The once-per-cycle lease pass, before [`tick`](Emc::tick): progress
+    /// since the last pass restarts a context's clock at `now`; a lease
+    /// run out aborts the chain ([`AbortReason::LeaseExpired`]) and
+    /// re-arms the clock, so the abort can drain.
+    pub fn expire_leases(&mut self, now: Cycle) {
+        for c in self.contexts.iter_mut().flatten() {
+            if std::mem::take(&mut c.progressed) {
+                c.progress_at = now;
+            }
+            if now.saturating_sub(c.progress_at) >= self.lease {
+                c.aborted.get_or_insert(AbortReason::LeaseExpired);
+                c.progress_at = now;
+                self.sleep_until = 0;
+            }
+        }
+    }
+
+    /// `(ctx, cycles since its last progress)` of each busy context.
+    pub fn context_ages(&self, now: Cycle) -> impl Iterator<Item = (usize, Cycle)> + '_ {
+        let busy = self.contexts.iter().enumerate();
+        busy.filter_map(move |(ctx, c)| Some((ctx, now.saturating_sub(c.as_ref()?.progress_at))))
     }
 
     /// Drain the results completed in `ctx` since the last drain (called
@@ -395,13 +458,16 @@ impl Emc {
         self.tlbs[core].contains(tlb_page(addr))
     }
 
-    /// The cycle before which [`tick`](Emc::tick) is known to do
-    /// nothing, unless one of `start_chain`, `deliver_source`,
-    /// `complete_load`, `force_abort`, `drain_results` or `take_finished`
-    /// is called first: `Cycle::MAX` when only they can give the engine
-    /// work, 0 (any cycle may do something) while it is awake.
-    pub fn sleep_until(&self) -> Cycle {
-        self.sleep_until
+    /// The cycle before which neither [`expire_leases`](Emc::expire_leases)
+    /// nor [`tick`](Emc::tick) is known to do anything, unless one of
+    /// `start_chain`, `deliver_source`, `complete_load`, `force_abort`,
+    /// `drain_results` or `take_finished` is called first: the earlier of
+    /// the engine's sleep (`Cycle::MAX` when only those calls can give it
+    /// work, 0 while it is awake) and the first lease to run out.
+    pub fn next_wake(&self) -> Cycle {
+        let expiry = |c: &Context| c.progress_at.saturating_add(self.lease);
+        let first = self.contexts.iter().flatten().map(expiry).min();
+        self.sleep_until.min(first.unwrap_or(Cycle::MAX))
     }
 
     /// Advance one EMC cycle: issue up to `issue_width` ready uops across
@@ -460,6 +526,8 @@ impl Emc {
                 continue;
             };
             if !c.outbox.is_empty() && c.aborted.is_none() {
+                // Results leaving for the home core are progress.
+                c.progress_at = now;
                 events.push(EmcEvent::Results { ctx });
             }
             if c.announced {
@@ -471,6 +539,9 @@ impl Emc {
             } else if c.all_done() {
                 c.announced = true;
                 self.stats.chains_executed += 1;
+                // Chain latency: ship departure to last uop done here.
+                let latency = now.saturating_sub(c.chain.shipped_at);
+                self.stats.chain_latency.record(latency);
                 events.push(EmcEvent::ChainDone { ctx });
             }
         }
@@ -632,6 +703,7 @@ mod tests {
             ],
             live_ins: vec![],
             imm_live_ins: 1,
+            ..Default::default()
         }
     }
 
@@ -657,7 +729,7 @@ mod tests {
                         results.extend(emc.drain_results(ctx));
                     }
                     EmcEvent::ChainDone { ctx: c } if c == ctx => {
-                        results.extend(emc.take_finished(ctx).results);
+                        emc.take_finished(ctx);
                         return results;
                     }
                     _ => {}
@@ -687,7 +759,7 @@ mod tests {
         emc.complete_load(ctx, uop, 777);
         results.extend(emc.drain_results(ctx));
         let _ = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::ChainDone { .. }), 10);
-        results.extend(emc.take_finished(ctx).results);
+        emc.take_finished(ctx);
         results.sort_by_key(|r| r.rob);
         assert_eq!(results.len(), 2);
         assert_eq!(
@@ -772,12 +844,11 @@ mod tests {
         };
         assert_eq!(reason, AbortReason::TlbMiss);
         assert_eq!(emc.stats.tlb_misses, 1);
-        let fin = emc.take_finished(ctx);
-        assert_eq!(fin.aborted, Some(AbortReason::TlbMiss));
         // The ADD executed before the load's TLB miss; its residual
-        // result is discarded by the abort path (the core re-executes
-        // the whole chain, §4.1.4).
-        assert!(fin.results.len() <= 1);
+        // result is discarded with the context (the core re-executes the
+        // whole chain, §4.1.4).
+        emc.take_finished(ctx);
+        assert!(emc.has_free_context());
     }
 
     #[test]
@@ -799,6 +870,7 @@ mod tests {
             }],
             live_ins: vec![],
             imm_live_ins: 0,
+            ..Default::default()
         };
         let ctx = emc.start_chain(chain, 0).unwrap();
         emc.deliver_source(ctx, 0); // value 0 → brz taken → mispredict
@@ -829,6 +901,7 @@ mod tests {
             }],
             live_ins: vec![],
             imm_live_ins: 0,
+            ..Default::default()
         };
         let ctx = emc.start_chain(chain, 0).unwrap();
         emc.deliver_source(ctx, 5);
@@ -868,6 +941,7 @@ mod tests {
             ],
             live_ins: vec![],
             imm_live_ins: 0,
+            ..Default::default()
         };
         let ctx = emc.start_chain(chain, 0).unwrap();
         emc.deliver_source(ctx, 0x2000);
@@ -881,7 +955,7 @@ mod tests {
                         results.extend(emc.drain_results(ctx));
                     }
                     EmcEvent::ChainDone { .. } => {
-                        results.extend(emc.take_finished(ctx).results);
+                        emc.take_finished(ctx);
                         assert!(!saw_load_event, "fill must forward, not issue");
                         results.sort_by_key(|r| r.rob);
                         assert_eq!(results[0].store, Some((Addr(0x2010), 0x2000)));
@@ -933,6 +1007,7 @@ mod tests {
             uops,
             live_ins: vec![],
             imm_live_ins: 6,
+            ..Default::default()
         };
         let ctx = emc.start_chain(chain, 0).unwrap();
         emc.deliver_source(ctx, 100);
@@ -995,6 +1070,139 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
+    // A context's own books: lease clock, generation, awaited source,
+    // chain latency.
+    // ------------------------------------------------------------------
+
+    /// The lease-clock age of each busy context at `now`.
+    fn ages(emc: &Emc, now: Cycle) -> Vec<Cycle> {
+        emc.context_ages(now).map(|(_, age)| age).collect()
+    }
+
+    #[test]
+    fn arrival_starts_the_lease_clock_and_an_early_delivery_moves_it_back() {
+        let mut emc = Emc::new(&cfg(), 4);
+        let ctx = emc.start_chain(simple_chain(), 50).unwrap();
+        emc.expire_leases(20);
+        assert_eq!(ages(&emc, 60), [10], "the clock starts at arrival");
+        emc.deliver_source(ctx, 0x4000);
+        emc.expire_leases(30);
+        assert_eq!(ages(&emc, 60), [30], "delivered before arrival");
+    }
+
+    #[test]
+    fn a_source_shipped_with_the_chain_does_not_restart_the_clock() {
+        let mut emc = Emc::new(&cfg(), 4);
+        let chain = Chain {
+            source_value: Some(0x4000),
+            ..simple_chain()
+        };
+        emc.start_chain(chain, 5).unwrap();
+        assert_eq!(emc.awaiting_source(0, 10), None, "nothing left to wait for");
+        emc.expire_leases(40);
+        assert_eq!(ages(&emc, 40), [35]);
+        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::Load { .. }), 10);
+        assert!(matches!(
+            ev,
+            EmcEvent::Load {
+                vaddr: Addr(0x4008),
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn load_completions_and_results_leaving_restart_the_clock() {
+        let mut emc = Emc::new(&cfg(), 4);
+        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        emc.deliver_source(ctx, 0x4000);
+        emc.expire_leases(0);
+        assert_eq!(emc.tick(3), [EmcEvent::Results { ctx }], "the ADD's");
+        assert_eq!(ages(&emc, 10), [7]);
+        emc.drain_results(ctx);
+        let [EmcEvent::Load { uop, .. }] = emc.tick(4)[..] else {
+            panic!("the dependent load issues")
+        };
+        emc.complete_load(ctx, uop, 777);
+        emc.expire_leases(9);
+        assert_eq!(ages(&emc, 10), [1]);
+    }
+
+    #[test]
+    fn an_expired_lease_aborts_the_chain_and_rearms_the_clock() {
+        let mut emc = Emc::new(&cfg(), 4);
+        emc.set_lease(Some(100));
+        let ctx = emc.start_chain(simple_chain(), 10).unwrap();
+        assert!(emc.tick(0).is_empty());
+        assert_eq!(emc.next_wake(), 110, "asleep until the lease runs out");
+        emc.expire_leases(109);
+        assert_eq!(emc.next_wake(), 110);
+        emc.expire_leases(110);
+        assert_eq!((ages(&emc, 110), emc.next_wake()), (vec![0], 0));
+        let reason = AbortReason::LeaseExpired;
+        assert_eq!(emc.tick(110), [EmcEvent::ChainAborted { ctx, reason }]);
+    }
+
+    #[test]
+    fn without_a_lease_no_context_is_reclaimed() {
+        let mut emc = Emc::new(&cfg(), 4);
+        emc.set_lease(Some(100));
+        emc.set_lease(None);
+        emc.start_chain(simple_chain(), 0).unwrap();
+        assert!(emc.tick(0).is_empty());
+        assert_eq!(emc.next_wake(), Cycle::MAX);
+        emc.expire_leases(1 << 40);
+        assert_eq!(ages(&emc, 1 << 40), [1 << 40]);
+        assert!(emc.tick(1 << 40).is_empty());
+    }
+
+    #[test]
+    fn next_wake_is_the_engines_sleep_when_that_comes_first() {
+        let mut emc = Emc::new(&cfg(), 4);
+        emc.set_lease(Some(100));
+        let ctx = emc.start_chain(simple_chain(), 10).unwrap();
+        emc.deliver_source(ctx, 0x4000);
+        assert!(emc.tick(0).is_empty());
+        assert_eq!(emc.next_wake(), 10, "the chain arrives before 110");
+    }
+
+    #[test]
+    fn take_finished_advances_the_generation() {
+        let mut emc = Emc::new(&cfg(), 4);
+        let ctx = emc.start_chain(simple_chain(), 7).unwrap();
+        assert_eq!(emc.generation(ctx), 0);
+        emc.force_abort(ctx, AbortReason::Injected);
+        let fin = emc.take_finished(ctx);
+        assert_eq!((emc.generation(ctx), fin.active_at), (1, 7));
+        assert_eq!(emc.generation(1 - ctx), 0, "the other context's is its own");
+    }
+
+    #[test]
+    fn awaiting_source_stops_matching_once_the_source_is_delivered() {
+        let mut emc = Emc::new(&cfg(), 4);
+        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        assert_eq!(emc.awaiting_source(0, 10), Some((ctx, Addr(0x100))));
+        assert_eq!(emc.awaiting_source(1, 10), None, "another core's");
+        assert_eq!(emc.awaiting_source(0, 11), None, "not the source");
+        emc.deliver_source(ctx, 0x4000);
+        assert_eq!(emc.awaiting_source(0, 10), None);
+    }
+
+    #[test]
+    fn chain_latency_runs_from_shipping_to_the_last_uop() {
+        let mut emc = Emc::new(&cfg(), 4);
+        let mut chain = Chain {
+            shipped_at: 3,
+            source_value: Some(0x4000),
+            ..simple_chain()
+        };
+        chain.uops.truncate(1); // the ADD alone: done the cycle it arrives
+        let ctx = emc.start_chain(chain, 8).unwrap();
+        assert_eq!(drive_collect(&mut emc, ctx, 10).len(), 1);
+        assert_eq!(emc.stats.chain_latency.mean(), 5.0);
+    }
+
+    // ------------------------------------------------------------------
     // Sleeping: seeded random chains driven with random latencies, an
     // engine that sleeps against a twin that is woken before every tick.
     // ------------------------------------------------------------------
@@ -1042,6 +1250,7 @@ mod tests {
             uops,
             live_ins: vec![],
             imm_live_ins: 0,
+            ..Default::default()
         }
     }
 
@@ -1095,14 +1304,14 @@ mod tests {
                     }
                 }
             }
-            let asleep = now < emc.sleep_until();
+            let asleep = now < emc.next_wake();
             twin.sleep_until = 0;
             let events = emc.tick(now);
             assert_eq!(events, twin.tick(now), "cycle {now}, asleep: {asleep}");
             assert_eq!(emc.stats.uops_executed, twin.stats.uops_executed);
             if asleep {
                 slept += 1;
-                in_flight_sleeps += u64::from(emc.sleep_until() != Cycle::MAX);
+                in_flight_sleeps += u64::from(emc.next_wake() != Cycle::MAX);
             }
             events_seen += events.len() as u64;
             for ev in events {
@@ -1116,7 +1325,7 @@ mod tests {
                     EmcEvent::ChainDone { ctx } | EmcEvent::ChainAborted { ctx, .. } => {
                         due.retain(|d| d.1 != ctx);
                         let (a, b) = (emc.take_finished(ctx), twin.take_finished(ctx));
-                        assert_eq!((a.results, a.aborted), (b.results, b.aborted));
+                        assert_eq!(a.chain.uops, b.chain.uops);
                     }
                 }
             }

@@ -19,6 +19,13 @@
 //!    straight to DRAM, branch-direction checking, and spill-store
 //!    support with in-chain forwarding.
 //!
+//! An issue context is its own record: [`Emc`] keeps each context's
+//! generation, its lease clock (what counts as progress, when the lease
+//! runs out), which chain still waits for its source miss
+//! ([`Emc::awaiting_source`]) and the chain latency it measures from
+//! [`Chain::shipped_at`]; [`Emc::next_wake`] answers for the engine's
+//! sleep and the leases alike.
+//!
 //! The system simulator (`emc-sim`) wires these to the cores, ring, LLC
 //! and DRAM; this crate is pure mechanism.
 

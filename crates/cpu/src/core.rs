@@ -483,9 +483,9 @@ impl Core {
 
     /// Mark chain entries as executing remotely at the EMC: the local
     /// scheduler will not issue them.
-    pub fn mark_remote(&mut self, ids: &[RobId]) {
+    pub fn mark_remote(&mut self, ids: impl IntoIterator<Item = RobId>) {
         self.asleep_until = 0;
-        for &id in ids {
+        for id in ids {
             self.ready.remove(id);
             if let Some(idx) = self.index_of(id) {
                 self.rob[idx].remote = true;
@@ -496,9 +496,9 @@ impl Core {
     /// Abort remote execution (EMC TLB miss, branch misprediction inside
     /// the chain, disambiguation conflict): entries return to normal
     /// scheduling and re-execute locally.
-    pub fn unmark_remote(&mut self, ids: &[RobId]) {
+    pub fn unmark_remote(&mut self, ids: impl IntoIterator<Item = RobId>) {
         self.asleep_until = 0;
-        for &id in ids {
+        for id in ids {
             let Some(idx) = self.index_of(id) else {
                 continue;
             };
@@ -1518,7 +1518,7 @@ mod tests {
         }
         let src = source.expect("source load issued");
         // Entries 2 (ADD) and 3 (dependent load) go remote.
-        core.mark_remote(&[src + 1, src + 2]);
+        core.mark_remote([src + 1, src + 2]);
         // Source data arrives; EMC executes the chain and returns values.
         core.complete_load(src, 10);
         core.complete_remote(src + 1, 0x4008, None, 11);
@@ -1556,7 +1556,7 @@ mod tests {
                 if let CoreEvent::LoadIssued { rob, .. } = ev {
                     if source.is_none() {
                         source = Some(rob);
-                        core.mark_remote(&[rob + 1, rob + 2]);
+                        core.mark_remote([rob + 1, rob + 2]);
                         marked = true;
                     }
                     pending.push((now + 100, rob));
@@ -1565,7 +1565,7 @@ mod tests {
             if marked && now == 300 {
                 // EMC aborts (e.g. TLB miss): chain re-executes locally.
                 let s = source.unwrap();
-                core.unmark_remote(&[s + 1, s + 2]);
+                core.unmark_remote([s + 1, s + 2]);
             }
             pending.retain(|&(t, rob)| {
                 if t <= now {
@@ -1899,8 +1899,8 @@ mod tests {
             ("mark_llc_miss_merged", |c, load| {
                 c.mark_llc_miss_merged(load)
             }),
-            ("mark_remote", |c, load| c.mark_remote(&[load + 1])),
-            ("unmark_remote", |c, load| c.unmark_remote(&[load + 1])),
+            ("mark_remote", |c, load| c.mark_remote([load + 1])),
+            ("unmark_remote", |c, load| c.unmark_remote([load + 1])),
             ("complete_remote", |c, load| {
                 c.complete_remote(load + 1, 7, None, 5_000)
             }),

@@ -7,14 +7,15 @@
 //! needs from the event and writes what it learns into the event it
 //! schedules next (DESIGN.md §3, "Where a request's state lives").
 
-use emc_core::ChainResult;
+use emc_core::{Chain, ChainResult};
 use emc_cpu::RobId;
 use emc_types::{Addr, CoreId, Cycle, LineAddr, MemReq};
 
 /// One load of a chain executing at an EMC: uop `uop` of the chain in
 /// context `ctx` of the EMC at controller `mc`. The context is reused
 /// chain after chain, so the handle names the generation `tag` it was
-/// made under, and whoever completes it checks the tag is still current.
+/// made under, and whoever completes it checks the tag is still the
+/// context's (`Emc::generation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmcLoad {
     /// Issuing EMC.
@@ -107,11 +108,11 @@ pub enum Ev {
         /// Per-uop results.
         results: Vec<ChainResult>,
     },
-    /// Chain abort notification arrives at the home core, which returns
-    /// its active chain to local execution.
+    /// The aborted chain arrives back at its home core, which returns its
+    /// uops to local execution.
     ChainAbortAtCore {
-        /// Home core.
-        core: CoreId,
+        /// The chain (its buffers go back to the pool afterwards).
+        chain: Chain,
     },
 }
 

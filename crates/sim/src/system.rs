@@ -160,10 +160,11 @@ pub struct System {
     mcs: Vec<MemoryController>,
     mc_retry: Vec<Vec<MemReq>>,
     emcs: Vec<Emc>,
-    emc_ctx_tag: Vec<Vec<u64>>,
     prefetchers: Vec<PrefetchEngine>,
     dep_counters: Vec<DepMissCounter>,
-    active_chain: Vec<Vec<RobId>>,
+    /// Per core: the uops of its chain in flight, 0 if it has none (a
+    /// core has at most one).
+    chain_uops: Vec<usize>,
     chain_cooldown: Vec<Cycle>,
     /// Consecutive chain aborts per home core (graceful degradation).
     chain_fail_streak: Vec<u32>,
@@ -173,10 +174,6 @@ pub struct System {
     /// EMC context-kill fault stream, armed iff the fault plan enables
     /// `emc_kill_prob`.
     emc_fault: Option<(f64, SmallRng)>,
-    /// Per core: the source load its chain in flight still waits for,
-    /// and the EMC `(mc, ctx, tag)` to hand the data to. A core has at
-    /// most one chain in flight.
-    pending_source: Vec<Option<(RobId, usize, usize, u64)>>,
     /// Loads whose line is on chip but not yet at the core. Nothing
     /// iterates it.
     source_ready: FxHashSet<(CoreId, RobId)>,
@@ -193,13 +190,6 @@ pub struct System {
     trace: TraceSink,
     sampler: Sampler,
     profiler: TickProfiler,
-    /// Per EMC context: ship-start and execution-start cycles of the
-    /// chain currently occupying it (chain-latency attribution).
-    emc_ctx_ship: Vec<Vec<Option<(Cycle, Cycle)>>>,
-    /// Per EMC context: cycle of the last forward-progress event (ship
-    /// arrival, source delivery, load completion or result drain) of
-    /// the occupying chain — the context-lease clock.
-    emc_ctx_progress: Vec<Vec<Cycle>>,
     /// Per-core cycle of the last retirement (liveness probe).
     core_last_retire: Vec<Cycle>,
     /// Per-core retired-uop count at the last probe update.
@@ -244,10 +234,9 @@ impl System {
         let mut mcs: Vec<MemoryController> = (0..cfg.memory_controllers)
             .map(|m| MemoryController::new(&cfg.dram, cfg.channels_of_mc(m).collect()))
             .collect();
-        let emcs: Vec<Emc> = (0..cfg.memory_controllers)
-            .map(|_| Emc::new(&cfg.emc, cfg.cores))
-            .collect();
-        let emc_ctx_tag = vec![vec![0u64; cfg.emc.contexts]; cfg.memory_controllers];
+        let mut emc = Emc::new(&cfg.emc, cfg.cores);
+        emc.set_lease(cfg.liveness.enabled.then_some(cfg.liveness.emc_lease));
+        let emcs = vec![emc; cfg.memory_controllers];
         let mut ring = Ring::new(topo, cfg.ring);
         ring.set_fault_plan(&cfg.faults, substream(cfg.seed, FAULT_STREAM_RING));
         for (m, mc) in mcs.iter_mut().enumerate() {
@@ -277,19 +266,17 @@ impl System {
             mc_retry: vec![Vec::new(); cfg.memory_controllers],
             mcs,
             emcs,
-            emc_ctx_tag,
             prefetchers: (0..cfg.cores)
                 .map(|_| PrefetchEngine::new(cfg.prefetcher, &cfg.prefetch))
                 .collect(),
             dep_counters: (0..cfg.cores)
                 .map(|_| DepMissCounter::new(cfg.emc.dep_counter_trigger))
                 .collect(),
-            active_chain: vec![Vec::new(); cfg.cores],
+            chain_uops: vec![0; cfg.cores],
             chain_cooldown: vec![0; cfg.cores],
             chain_fail_streak: vec![0; cfg.cores],
             chain_backoff: vec![cfg.emc.quiesce_backoff; cfg.cores],
             emc_fault,
-            pending_source: vec![None; cfg.cores],
             source_ready: FxHashSet::default(),
             events: BinaryHeap::new(),
             outstanding: FxHashMap::default(),
@@ -301,8 +288,6 @@ impl System {
             trace: TraceSink::disabled(),
             sampler: Sampler::default(),
             profiler: TickProfiler::disabled(),
-            emc_ctx_ship: vec![vec![None; cfg.emc.contexts]; cfg.memory_controllers],
-            emc_ctx_progress: vec![vec![0; cfg.emc.contexts]; cfg.memory_controllers],
             core_last_retire: vec![0; cfg.cores],
             core_prev_retired: vec![0; cfg.cores],
             snapshots: vec![None; cfg.cores],
@@ -531,17 +516,8 @@ impl System {
             wake = wake.min(mc.next_wake(now).unwrap_or(limit));
         }
         if self.cfg.emc.enabled {
-            for (emc, progress) in self.emcs.iter().zip(&self.emc_ctx_progress) {
-                wake = wake.min(emc.sleep_until());
-                if self.cfg.liveness.enabled {
-                    // A busy context's lease runs out.
-                    let lease = self.cfg.liveness.emc_lease;
-                    for (ctx, at) in progress.iter().enumerate() {
-                        if emc.context_chain(ctx).is_some() {
-                            wake = wake.min(at.saturating_add(lease));
-                        }
-                    }
-                }
+            for emc in &self.emcs {
+                wake = wake.min(emc.next_wake());
             }
         }
         if wake <= now || self.prefetchers.iter().any(|p| p.has_pending()) {
@@ -606,19 +582,12 @@ impl System {
                 mc_oldest_age.push((m, ch, age));
             }
         }
-        let mut emc_ctx_age = Vec::new();
-        for (m, emc) in self.emcs.iter().enumerate() {
-            for ctx in 0..self.cfg.emc.contexts {
-                if emc.context_chain(ctx).is_some() {
-                    let age = self.now.saturating_sub(self.emc_ctx_progress[m][ctx]);
-                    emc_ctx_age.push((m, ctx, age));
-                }
-            }
-        }
         LivenessSnapshot {
             cycle: self.now,
             mc_oldest_age,
-            emc_ctx_age,
+            emc_ctx_age: (self.emcs.iter().enumerate())
+                .flat_map(|(m, emc)| emc.context_ages(self.now).map(move |(c, age)| (m, c, age)))
+                .collect(),
             ring_backlog: self.ring.max_backlog(self.now),
             core_retire_age: self
                 .core_last_retire
@@ -645,7 +614,7 @@ impl System {
                     retired_uops: c.stats.retired_uops,
                     rob_len: c.rob_len(),
                     finished: c.finished_at().is_some(),
-                    active_chain_uops: Some(self.active_chain[i].len()).filter(|&n| n > 0),
+                    active_chain_uops: Some(self.chain_uops[i]).filter(|&n| n > 0),
                     rob_head: c.rob_iter().next().map(|e| {
                         format!(
                             "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
@@ -666,8 +635,7 @@ impl System {
                         ctx,
                         home_core: ch.home_core,
                         chain_uops: ch.uops.len(),
-                        awaiting_source: self.pending_source[ch.home_core]
-                            .is_some_and(|p| p.0 == ch.source_rob),
+                        awaiting_source: emc.awaiting_source(ch.home_core, ch.source_rob).is_some(),
                     })
                 })
             })
@@ -991,10 +959,9 @@ impl System {
                 ring_cycles,
             } => self.on_emc_llc_req(load, pc, ring_cycles),
             Ev::EmcLoadDone { load, value } => {
-                let EmcLoad { mc, ctx, .. } = load;
-                if self.emc_ctx_tag[mc][ctx] == load.tag {
-                    self.emcs[mc].complete_load(ctx, load.uop, value);
-                    self.emc_ctx_progress[mc][ctx] = self.now;
+                let emc = &mut self.emcs[load.mc];
+                if emc.generation(load.ctx) == load.tag {
+                    emc.complete_load(load.ctx, load.uop, value);
                 }
             }
             Ev::ChainResults { core, results } => {
@@ -1002,9 +969,11 @@ impl System {
                     self.cores[core].complete_remote(r.rob, r.value, r.store, self.now);
                 }
             }
-            Ev::ChainAbortAtCore { core } => {
-                self.cores[core].unmark_remote(&self.active_chain[core]);
-                self.active_chain[core].clear();
+            Ev::ChainAbortAtCore { chain } => {
+                let core = chain.home_core;
+                self.cores[core].unmark_remote(chain.uops.iter().map(|u| u.rob));
+                self.chain_uops[core] = 0;
+                self.chain_pool.push(chain);
             }
         }
     }
@@ -1148,7 +1117,7 @@ impl System {
             // A chain may be waiting on this load as its source miss and
             // have missed the MC-time interception (the load merged onto
             // an already-completed request): deliver at fill time.
-            self.deliver_pending_source(c, rob);
+            self.deliver_awaited_source(c, rob);
         }
         recycle(&mut self.waiter_pool, waiters);
         // Latency attribution (Figures 1, 18, 19) — core-issued demand
@@ -1198,15 +1167,13 @@ impl System {
 
     /// If the chain `core` has in flight still waits for load `rob` as
     /// its source miss, hand the data to its EMC context.
-    fn deliver_pending_source(&mut self, core: CoreId, rob: RobId) {
-        let Some((_, mc, ctx, tag)) = self.pending_source[core].filter(|p| p.0 == rob) else {
-            return;
-        };
-        self.pending_source[core] = None;
-        if self.emc_ctx_tag[mc][ctx] == tag {
-            let value = self.source_value(mc, ctx, core, rob);
-            self.emcs[mc].deliver_source(ctx, value);
-            self.emc_ctx_progress[mc][ctx] = self.now;
+    fn deliver_awaited_source(&mut self, core: CoreId, rob: RobId) {
+        for mc in 0..self.emcs.len() {
+            if let Some((ctx, addr)) = self.emcs[mc].awaiting_source(core, rob) {
+                let value = self.source_value(core, rob, addr);
+                self.emcs[mc].deliver_source(ctx, value);
+                return;
+            }
         }
     }
 
@@ -1306,7 +1273,7 @@ impl System {
         if let Some(waiters) = waiters {
             for &(c, rob) in &waiters {
                 self.source_ready.insert((c, rob));
-                self.deliver_pending_source(c, rob);
+                self.deliver_awaited_source(c, rob);
             }
             if let Some(o) = self.outstanding.get_mut(&pline) {
                 o.waiters = waiters;
@@ -1353,18 +1320,15 @@ impl System {
         at
     }
 
-    /// Value of a chain's source miss: the home core's entry result if the
-    /// entry is still in flight, else re-read from the functional image.
-    fn source_value(&self, mc: usize, ctx: usize, core: CoreId, rob: RobId) -> u64 {
+    /// Value of a chain's source miss `rob`, loading from `addr`: the home
+    /// core's entry result if the entry is still in flight, else re-read
+    /// from the functional image.
+    fn source_value(&self, core: CoreId, rob: RobId, addr: Addr) -> u64 {
         if let Some(e) = self.cores[core].entry(rob) {
             if e.uop.kind == UopKind::Load && e.state != EntryState::Waiting {
                 return e.result;
             }
         }
-        let addr = self.emcs[mc]
-            .context_chain(ctx)
-            .map(|c| c.source_addr)
-            .expect("chain present");
         self.cores[core].mem.read_u64(addr)
     }
 
@@ -1376,25 +1340,14 @@ impl System {
         if !self.cfg.emc.enabled {
             return;
         }
-        // Context leases: a shipped chain that has made no progress for
-        // the whole lease window is deterministically killed; the abort
-        // rides the normal chain-abort path, so the home core re-executes
-        // the chain locally and architectural state is unaffected. The
-        // quiesce machinery then backs chain generation off on repeats.
-        if self.cfg.liveness.enabled {
-            let lease = self.cfg.liveness.emc_lease;
-            for mc in 0..self.emcs.len() {
-                for ctx in 0..self.cfg.emc.contexts {
-                    if self.emcs[mc].context_chain(ctx).is_some()
-                        && self.now.saturating_sub(self.emc_ctx_progress[mc][ctx]) >= lease
-                    {
-                        self.emcs[mc].force_abort(ctx, AbortReason::LeaseExpired);
-                        // Re-arm the clock so the context is not killed
-                        // again while the abort drains through the ring.
-                        self.emc_ctx_progress[mc][ctx] = self.now;
-                    }
-                }
-            }
+        // Context leases, on every EMC before anything else: a shipped
+        // chain that has made no progress for the whole lease window is
+        // deterministically killed; the abort rides the normal chain-abort
+        // path, so the home core re-executes the chain locally and
+        // architectural state is unaffected. The quiesce machinery then
+        // backs chain generation off on repeats.
+        for emc in &mut self.emcs {
+            emc.expire_leases(self.now);
         }
         // Fault injection: kill busy contexts mid-chain. The abort rides
         // the normal chain-abort path (home core re-executes locally), so
@@ -1425,7 +1378,7 @@ impl System {
                         let load = EmcLoad {
                             mc,
                             ctx,
-                            tag: self.emc_ctx_tag[mc][ctx],
+                            tag: self.emcs[mc].generation(ctx),
                             uop,
                             core: home_core,
                             vaddr,
@@ -1548,7 +1501,7 @@ impl System {
         let EmcLoad {
             mc, core, vaddr, ..
         } = load;
-        if self.emc_ctx_tag[mc][load.ctx] != load.tag {
+        if self.emcs[mc].generation(load.ctx) != load.tag {
             return; // chain finished/aborted while the request was in flight
         }
         let pline = physical_line(core, vaddr.line());
@@ -1575,41 +1528,28 @@ impl System {
     /// Ship the results completed this cycle back to the home core as
     /// one data-ring message (incremental live-out return).
     fn on_emc_results(&mut self, mc: usize, ctx: usize) {
-        let Some(core) = self.emcs[mc].context_chain(ctx).map(|c| c.home_core) else {
-            return;
-        };
+        let core = (self.emcs[mc].context_chain(ctx))
+            .expect("a context with results holds a chain")
+            .home_core;
         let results = self.emcs[mc].drain_results(ctx);
-        if results.is_empty() {
-            return;
-        }
-        self.emc_ctx_progress[mc][ctx] = self.now;
         self.cores[core].stats.chain_live_outs += results.len() as u64;
         let arrive = self.hop(Data, Stop::Mc(mc), Stop::Core(core), self.now, true);
         self.schedule(arrive, Ev::ChainResults { core, results });
     }
 
+    /// Free a finished context. Its last results left in the same tick,
+    /// ahead of this event (`Emc::tick` announces `Results` first).
     fn on_chain_done(&mut self, mc: usize, ctx: usize) {
-        // Ship any straggler results before freeing the context.
-        self.on_emc_results(mc, ctx);
         let fin = self.emcs[mc].take_finished(ctx);
-        self.emc_ctx_tag[mc][ctx] += 1;
-        if let Some((ship_start, exec_start)) = self.emc_ctx_ship[mc][ctx].take() {
-            // Chain latency: ship departure to last uop retired at the EMC.
-            self.emcs[mc]
-                .stats
-                .chain_latency
-                .record(self.now.saturating_sub(ship_start));
-            self.trace.span(
-                TraceTrack::EmcCtx { mc, ctx },
-                "chain execute",
-                exec_start.min(self.now),
-                self.now,
-                vec![("uops", fin.chain.uops.len() as u64)],
-            );
-        }
+        self.trace.span(
+            TraceTrack::EmcCtx { mc, ctx },
+            "chain execute",
+            fin.active_at.min(self.now),
+            self.now,
+            vec![("uops", fin.chain.uops.len() as u64)],
+        );
         let core = fin.chain.home_core;
-        self.pending_source[core] = None;
-        self.active_chain[core].clear();
+        self.chain_uops[core] = 0;
         // A completed chain ends any failure streak and resets the
         // degradation backoff for this core.
         self.chain_fail_streak[core] = 0;
@@ -1619,18 +1559,14 @@ impl System {
 
     fn on_chain_aborted(&mut self, mc: usize, ctx: usize, reason: AbortReason) {
         let fin = self.emcs[mc].take_finished(ctx);
-        self.emc_ctx_tag[mc][ctx] += 1;
-        if let Some((_, exec_start)) = self.emc_ctx_ship[mc][ctx].take() {
-            self.trace.span(
-                TraceTrack::EmcCtx { mc, ctx },
-                "chain aborted",
-                exec_start.min(self.now),
-                self.now,
-                vec![],
-            );
-        }
+        self.trace.span(
+            TraceTrack::EmcCtx { mc, ctx },
+            "chain aborted",
+            fin.active_at.min(self.now),
+            self.now,
+            vec![],
+        );
         let core = fin.chain.home_core;
-        self.pending_source[core] = None;
         match reason {
             AbortReason::TlbMiss => self.cores[core].stats.chains_aborted_tlb += 1,
             AbortReason::BranchMispredict => {
@@ -1653,21 +1589,15 @@ impl System {
                 .min(self.cfg.emc.quiesce_backoff_max);
             self.cores[core].stats.emc_quiesce_events += 1;
         }
-        // The core knows which uops to take back: `active_chain[core]`.
-        debug_assert!(
-            (fin.chain.uops.iter().map(|u| &u.rob)).eq(&self.active_chain[core]),
-            "core {core}'s active chain is not the one aborted"
-        );
         let arrive = self.hop(Control, Stop::Mc(mc), Stop::Core(core), self.now, true);
-        self.schedule(arrive, Ev::ChainAbortAtCore { core });
-        self.chain_pool.push(fin.chain);
+        self.schedule(arrive, Ev::ChainAbortAtCore { chain: fin.chain });
     }
 
     /// Whether `core` would try to generate a chain once its cooldown
     /// is over: no chain of its own in flight, and stalled on a full
     /// window with the dependent-miss counter saying go.
     fn wants_chain(&self, core: CoreId) -> bool {
-        self.active_chain[core].is_empty()
+        self.chain_uops[core] == 0
             && !self.cores[core].in_runahead()
             && self.cores[core].full_window_stall().is_some()
             && self.dep_counters[core].should_generate()
@@ -1744,8 +1674,21 @@ impl System {
                 continue;
             }
             let (source_rob, uops) = (chain.source_rob, chain.uops.len());
-            // The per-core list doubles as the "chain active" flag.
-            self.active_chain[core].extend(chain.uops.iter().map(|u| u.rob));
+            // Source data may already be on chip (or the load done): then
+            // it ships with the chain.
+            let already = self.source_ready.contains(&(core, source_rob))
+                || self.cores[core]
+                    .entry(source_rob)
+                    .is_none_or(|e| e.state == EntryState::Done);
+            chain.source_value =
+                already.then(|| self.source_value(core, source_rob, chain.source_addr));
+            self.chain_uops[core] = uops;
+            self.cores[core].stats.chains_sent += 1;
+            self.cores[core].stats.chain_uops_sent += uops as u64;
+            self.cores[core].stats.record_chain_length(uops);
+            self.cores[core].stats.chain_live_ins += chain.live_in_count();
+            self.cores[core].mark_remote(chain.uops.iter().map(|u| u.rob));
+            self.chain_cooldown[core] = self.now + gen_cycles;
             // Ship: 6 B/uop + live-ins, over the data ring (§6.5).
             let msgs = chain.transfer_bytes().div_ceil(CACHE_LINE_BYTES).max(1);
             let start = self.now + gen_cycles;
@@ -1753,19 +1696,8 @@ impl System {
             for _ in 0..msgs {
                 arrive = self.hop(Data, Stop::Core(core), Stop::Mc(dest_mc), start, true);
             }
-            let ctx = match self.emcs[dest_mc].start_chain(chain, arrive) {
-                Ok(ctx) => ctx,
-                Err(chain) => {
-                    self.chain_pool.push(chain);
-                    self.active_chain[core].clear();
-                    self.chain_cooldown[core] = self.now + 32;
-                    continue;
-                }
-            };
-            self.emc_ctx_ship[dest_mc][ctx] = Some((start, arrive));
-            // Lease clock starts when the chain reaches the EMC; cycles
-            // in flight on the ring never count against the lease.
-            self.emc_ctx_progress[dest_mc][ctx] = arrive;
+            chain.shipped_at = start;
+            let ctx = (self.emcs[dest_mc].start_chain(chain, arrive)).expect("a context is free");
             if self.trace.is_enabled() {
                 self.trace.span(
                     TraceTrack::EmcCtx { mc: dest_mc, ctx },
@@ -1774,30 +1706,6 @@ impl System {
                     arrive,
                     vec![("core", core as u64), ("uops", uops as u64)],
                 );
-            }
-            self.cores[core].stats.chains_sent += 1;
-            self.cores[core].stats.chain_uops_sent += uops as u64;
-            self.cores[core].stats.record_chain_length(uops);
-            self.cores[core].mark_remote(&self.active_chain[core]);
-            self.chain_cooldown[core] = self.now + gen_cycles;
-            let tag = self.emc_ctx_tag[dest_mc][ctx];
-            // Source data may already be on chip (or the load done).
-            let already = self.source_ready.contains(&(core, source_rob))
-                || self.cores[core]
-                    .entry(source_rob)
-                    .is_none_or(|e| e.state == EntryState::Done);
-            if already {
-                let value = self.source_value(dest_mc, ctx, core, source_rob);
-                self.emcs[dest_mc].deliver_source(ctx, value);
-            } else {
-                debug_assert!(
-                    self.pending_source[core].is_none(),
-                    "core {core} has a second chain in flight"
-                );
-                self.pending_source[core] = Some((source_rob, dest_mc, ctx, tag));
-            }
-            if let Some(c) = self.emcs[dest_mc].context_chain(ctx) {
-                self.cores[core].stats.chain_live_ins += c.live_in_count();
             }
         }
     }

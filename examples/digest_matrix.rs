@@ -1,4 +1,4 @@
-//! The equivalence matrix: 54 small cells over every mechanism the
+//! The equivalence matrix: 56 small cells over every mechanism the
 //! simulator has, one line each —
 //!
 //! ```text
@@ -125,6 +125,19 @@ fn main() {
     let mut no_liveness = quad();
     no_liveness.liveness.enabled = false;
     run("liveness-off/H4", no_liveness, &h4, 3_000, false);
+    // The default lease never fires in these budgets; 400 cycles does.
+    let mut lease = quad();
+    lease.liveness.emc_lease = 400;
+    run("lease400/H4", lease, &h4, 3_000, false);
+    let mut lease = two_mc();
+    lease.liveness.emc_lease = 400;
+    run(
+        "lease400/8core/H4/2mc",
+        lease,
+        &eight_core_mix(h4),
+        2_000,
+        false,
+    );
     for bench in [
         Benchmark::Mcf,
         Benchmark::Omnetpp,

@@ -68,8 +68,10 @@ fn benchmark_cells_hash_to_the_committed_digests() {
 /// names have capitals and spaces so that CI's `sed` over `GOLDEN`
 /// passes them by. In 4 500 uops per core the Markov half of
 /// Markov+Stream changes no count, so those two rows equal the Stream
-/// rows.
-const CELLS: [(&str, &str); 11] = [
+/// rows. At the default lease (32 768 cycles) no cell kills a context,
+/// so the last two rows shorten it to 400: 24 and 118 lease kills, the
+/// only witnesses of when a context's lease clock restarts.
+const CELLS: [(&str, &str); 13] = [
     ("H4 No-PF", "3f2444aaf2e2c836409193435a469953"),
     ("H4 No-PF +EMC", "262d9135a3ab2b2df848858495c17104"),
     ("H4 Stream", "393ea2231f74ba5e7be662109227b2da"),
@@ -81,6 +83,11 @@ const CELLS: [(&str, &str); 11] = [
     ("H4 x2, 2 MCs", "eea90a5b81b6697926a4cf45ae371657"),
     ("H4 Chaos", "d8729bf4fcb0537b25e82e236721fbc0"),
     ("H4 Runahead", "b4ce045b9c4e154e0240f93724ad94a0"),
+    ("H4 lease 400", "a81e605981d81cf35e3cc8b32132ba4d"),
+    (
+        "H4 x2, 2 MCs, lease 400",
+        "a3f0f88664ab98267f133bd0306ad5e8",
+    ),
 ];
 
 #[test]
@@ -102,6 +109,12 @@ fn small_cells_hash_to_the_committed_digests() {
     cells.push((SystemConfig::eight_core_2mc(), eight_core_mix(h4), 2_000));
     cells.push((quad().with_faults(FaultPlan::chaos()), h4.to_vec(), 3_000));
     cells.push((runahead, h4.to_vec(), 3_000));
+    let mut lease = quad();
+    lease.liveness.emc_lease = 400;
+    cells.push((lease, h4.to_vec(), 3_000));
+    let mut lease = SystemConfig::eight_core_2mc();
+    lease.liveness.emc_lease = 400;
+    cells.push((lease, eight_core_mix(h4), 2_000));
     assert_eq!(cells.len(), CELLS.len());
     for ((name, golden), (cfg, benches, budget)) in CELLS.into_iter().zip(cells) {
         let digest = run_digest(cfg, &benches, budget);
