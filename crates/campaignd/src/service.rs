@@ -18,11 +18,14 @@
 //! Everything network-shaped lives behind [`handle_request`], a pure
 //! `(service, request) → (status, body)` router, so the protocol is
 //! unit-testable without sockets; [`Service::serve`] is the thin accept
-//! loop that feeds it.
+//! loop that feeds it. Workers, long-pollers and the accept loop each
+//! block until the event that concerns them; a timer bounds only a
+//! caller's deadline and the back-off after a failed `accept`
+//! (DESIGN.md §11, "No waiting").
 
 use std::collections::HashMap;
 use std::fs;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -83,23 +86,43 @@ struct Job {
     id: String,
     tenant: usize,
     name: String,
-    specs: Vec<JobSpec>,
-    manifest: Manifest,
-    /// Task completions since the manifest was last saved.
-    manifest_dirty: u32,
+    total: u64,
+    /// Present while the job has tasks to resolve; taken when the last
+    /// one lands, so a finished job keeps only what `status`, `events`
+    /// and `stats` read.
+    work: Option<Work>,
     admitted_ms: u64,
     finished_ms: u64,
     tally: Tally,
     events: Vec<ProgressEvent>,
 }
 
+/// What resolving a job's tasks needs, and nothing after.
+struct Work {
+    specs: Vec<JobSpec>,
+    manifest: Manifest,
+    /// Task completions since the manifest was last saved.
+    manifest_dirty: u32,
+}
+
 impl Job {
-    fn total(&self) -> u64 {
-        self.specs.len() as u64
+    /// A job row with nothing resolved and no work attached.
+    fn new(id: &str, tenant: usize, name: String, total: u64, now: u64) -> Job {
+        Job {
+            id: id.to_string(),
+            tenant,
+            name,
+            total,
+            work: None,
+            admitted_ms: now,
+            finished_ms: 0,
+            tally: Tally::default(),
+            events: Vec::new(),
+        }
     }
 
     fn complete(&self) -> bool {
-        self.tally.done == self.total()
+        self.tally.done == self.total
     }
 }
 
@@ -122,7 +145,11 @@ struct State {
     queue: FairQueue,
     next_job: u64,
     draining: bool,
+    /// Written only by [`Service::halt`].
     stopping: bool,
+    /// Where `serve` accepts, once it runs: `halt` connects here to
+    /// wake a blocked `accept`.
+    listening: Option<SocketAddr>,
     running: u64,
     /// Tasks resolved in this life of the daemon (jobs resumed complete
     /// from their manifests add nothing).
@@ -141,13 +168,26 @@ struct State {
     sim_cycles: u64,
 }
 
+impl State {
+    /// Nothing queued and nothing running.
+    fn idle(&self) -> bool {
+        self.queue.is_empty() && self.running == 0
+    }
+
+    fn push_job(&mut self, job: Job) {
+        self.job_index.insert(job.id.clone(), self.jobs.len());
+        self.jobs.push(job);
+    }
+}
+
 struct Inner {
     cfg: ServiceConfig,
     executor: Executor,
     state: Mutex<State>,
     /// Workers sleep here when the queue is empty.
     work_cv: Condvar,
-    /// Long-pollers sleep here until a task completes.
+    /// Long-pollers sleep here until a task completes or the service
+    /// stops.
     event_cv: Condvar,
     started: Instant,
 }
@@ -178,6 +218,7 @@ impl Service {
             next_job: 1,
             draining: false,
             stopping: false,
+            listening: None,
             running: 0,
             tally: Tally::default(),
             wait_all: Histogram::new(),
@@ -264,10 +305,19 @@ impl Service {
         if let Err(e) = write_journal(&self.inner.cfg.cache_dir, &id, req) {
             eprintln!("# campaignd: {e}");
         }
-        let job = self.register_job(&mut state, &id, tenant, display_name(req), specs, now);
+        let manifest = self.open_manifest(&id, &specs);
+        let total = total as u64;
+        state.push_job(Job {
+            work: Some(Work {
+                specs,
+                manifest,
+                manifest_dirty: 0,
+            }),
+            ..Job::new(&id, tenant, display_name(req), total, now)
+        });
         let ack = SubmitAck {
             id,
-            total: job,
+            total,
             queue_depth: state.queue.len() as u64,
         };
         drop(state);
@@ -275,38 +325,15 @@ impl Service {
         Ok(ack)
     }
 
-    /// Insert the job table row (manifest loaded or fresh, and saved).
-    /// Returns the task count.
-    fn register_job(
-        &self,
-        state: &mut State,
-        id: &str,
-        tenant: usize,
-        name: String,
-        specs: Vec<JobSpec>,
-        now: u64,
-    ) -> u64 {
+    /// The job's manifest, loaded if it lists these specs (a resumed
+    /// job) or else fresh, and saved.
+    fn open_manifest(&self, id: &str, specs: &[JobSpec]) -> Manifest {
         let cache_dir = &self.inner.cfg.cache_dir;
-        let manifest = Manifest::open(Some(cache_dir), &format!("svc-{id}"), &specs);
+        let manifest = Manifest::open(Some(cache_dir), &format!("svc-{id}"), specs);
         if let Err(e) = manifest.save(cache_dir) {
             eprintln!("# campaignd: {e}");
         }
-        let job = Job {
-            id: id.to_string(),
-            tenant,
-            name,
-            specs,
-            manifest,
-            manifest_dirty: 0,
-            admitted_ms: now,
-            finished_ms: 0,
-            tally: Tally::default(),
-            events: Vec::new(),
-        };
-        let total = job.total();
-        state.job_index.insert(job.id.clone(), state.jobs.len());
-        state.jobs.push(job);
-        total
+        manifest
     }
 
     // -----------------------------------------------------------------
@@ -327,29 +354,37 @@ impl Service {
             let id = format!("j{seq}");
             state.next_job = state.next_job.max(seq + 1);
             let tenant = tenant_index(&mut state, &req.tenant);
-            let job_idx = state.jobs.len();
-            let total = self.register_job(&mut state, &id, tenant, display_name(&req), specs, now);
-            let job = &mut state.jobs[job_idx];
-            let tally = Tally::of(&job.manifest);
+            let manifest = self.open_manifest(&id, &specs);
+            let tally = Tally::of(&manifest);
+            let total = specs.len() as u64;
+            let mut job = Job::new(&id, tenant, display_name(&req), total, now);
             if tally.done == total {
                 // Fully resolved before the restart: surface the final
-                // tallies without queueing anything.
+                // tallies without queueing or holding anything.
                 job.tally = tally;
                 job.finished_ms = now;
+                state.push_job(job);
                 continue;
             }
+            let job_idx = state.jobs.len();
             let tasks = (0..total as usize).map(|index| TaskRef {
                 job: job_idx,
                 index,
             });
             match state.queue.admit(tenant, tasks, now) {
-                Ok(n) => eprintln!("# campaignd: resumed {id} ({n} tasks re-queued)"),
+                Ok(n) => {
+                    job.work = Some(Work {
+                        specs,
+                        manifest,
+                        manifest_dirty: 0,
+                    });
+                    eprintln!("# campaignd: resumed {id} ({n} tasks re-queued)");
+                }
                 Err(full) => {
                     // Capacity was pre-sized to the journaled backlog, so
                     // this only fires on a journal written by a larger
                     // configuration. Fail the job loudly rather than
                     // wedge it half-registered.
-                    let job = &mut state.jobs[job_idx];
                     job.tally = Tally {
                         done: total,
                         failed: total,
@@ -362,6 +397,7 @@ impl Service {
                     );
                 }
             }
+            state.push_job(job);
         }
         drop(state);
         self.inner.work_cv.notify_all();
@@ -390,14 +426,10 @@ impl Service {
             if state.stopping {
                 return;
             }
-            let now = self.now_ms();
-            let Some(d) = state.queue.pop(now) else {
-                let (guard, _) = self
-                    .inner
-                    .work_cv
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .expect("state lock");
-                state = guard;
+            // `pop` answers `None` only for an empty queue, and whatever
+            // fills the queue or stops the service notifies `work_cv`.
+            let Some(d) = state.queue.pop(self.now_ms()) else {
+                state = self.inner.work_cv.wait(state).expect("state lock");
                 continue;
             };
 
@@ -408,19 +440,25 @@ impl Service {
             tenant.running += 1;
             state.wait_all.saturating_record(d.wait_ms);
             state.running += 1;
-            let spec = state.jobs[d.task.job].specs[d.task.index].clone();
+            let work = state.jobs[d.task.job].work.as_ref();
+            let work = work.expect("a queued task's job holds its work");
+            let spec = work.specs[d.task.index].clone();
             drop(state);
 
             let record = self.inner.executor.resolve(&spec);
 
             state = self.lock();
             self.complete_task(&mut state, d.task, d.tenant, &record);
+            if state.draining && state.idle() {
+                return self.halt(state);
+            }
             self.inner.event_cv.notify_all();
         }
     }
 
     /// Fold one resolved task into its job, tenant, manifest, and the
-    /// service aggregates; fire the progress event; detect completion.
+    /// service aggregates; fire the progress event; detect completion,
+    /// where the job's manifest is saved and its work dropped.
     fn complete_task(&self, state: &mut State, task: TaskRef, tenant: usize, record: &JobRecord) {
         let now = self.now_ms();
         state.running -= 1;
@@ -436,8 +474,6 @@ impl Service {
 
         let job = &mut state.jobs[task.job];
         job.tally.add(record);
-        job.manifest.entries[task.index].record(record);
-        job.manifest_dirty += 1;
         let complete = job.complete();
         if complete {
             job.finished_ms = now;
@@ -448,32 +484,34 @@ impl Service {
             label: record.label.clone(),
             outcome: record.outcome.clone(),
             done: job.tally.done,
-            total: job.total(),
+            total: job.total,
             hits: job.tally.hits,
             failed: job.tally.failed,
-            eta_ms: eta(job.tally.done as usize, job.total() as usize, elapsed)
+            eta_ms: eta(job.tally.done as usize, job.total as usize, elapsed)
                 .map(|d| d.as_millis() as u64),
         };
         job.events.push(event);
 
+        let work = job
+            .work
+            .as_mut()
+            .expect("a running task's job holds its work");
+        work.manifest.entries[task.index].record(record);
+        work.manifest_dirty += 1;
         // Save the manifest on a throttle (every 16 completions) and at
         // completion: a crash between saves costs manifest rows, not
         // results — the cache already holds them, and resume replays the
         // lost rows as instant hits.
-        if complete || job.manifest_dirty >= 16 {
-            job.manifest_dirty = 0;
-            if let Err(e) = job.manifest.save(&self.inner.cfg.cache_dir) {
+        if complete || work.manifest_dirty >= 16 {
+            work.manifest_dirty = 0;
+            if let Err(e) = work.manifest.save(&self.inner.cfg.cache_dir) {
                 eprintln!("# campaignd: {e}");
             }
         }
         if complete {
+            job.work = None;
             let job_wall = now.saturating_sub(job.admitted_ms);
             state.job_wall_ms.saturating_record(job_wall);
-        }
-
-        if state.draining && state.queue.is_empty() && state.running == 0 {
-            state.stopping = true;
-            self.inner.work_cv.notify_all();
         }
     }
 
@@ -502,14 +540,14 @@ impl Service {
             tenant: state.tenants[job.tenant].name.clone(),
             name: job.name.clone(),
             state: lifecycle,
-            total: job.total(),
+            total: job.total,
             done: job.tally.done,
             hits: job.tally.hits,
             executed: job.tally.executed,
             failed: job.tally.failed,
             eta_ms: eta(
                 job.tally.done as usize,
-                job.total() as usize,
+                job.total as usize,
                 Duration::from_millis(wall_ms),
             )
             .map(|d| d.as_millis() as u64),
@@ -518,8 +556,8 @@ impl Service {
     }
 
     /// Long-poll the job's event stream: block until an event with
-    /// `seq > since` exists, the job completes, or the timeout expires
-    /// (bounded by `POLL_TIMEOUT_MS`, 10 s).
+    /// `seq > since` exists, the job completes, the timeout expires
+    /// (bounded by `POLL_TIMEOUT_MS`, 10 s) or the service stops.
     pub fn events(&self, id: &str, since: u64, timeout_ms: u64) -> Option<EventBatch> {
         let deadline = Instant::now() + Duration::from_millis(timeout_ms.min(POLL_TIMEOUT_MS));
         let mut state = self.lock();
@@ -542,9 +580,10 @@ impl Service {
                 });
             }
             let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                // Timeout: an empty, incomplete batch tells the client
-                // to poll again from the same cursor.
+            if left.is_zero() || state.stopping {
+                // Timeout, or the service is stopping so that `serve`
+                // can return: an empty, incomplete batch tells the
+                // client to poll again from the same cursor.
                 return Some(EventBatch {
                     id: id.to_string(),
                     next: since,
@@ -621,18 +660,16 @@ impl Service {
     pub fn drain(&self) -> JsonValue {
         let mut state = self.lock();
         state.draining = true;
-        if state.queue.is_empty() && state.running == 0 {
-            state.stopping = true;
-        }
         let doc = JsonValue::obj(vec![
             ("schema", SVC_SCHEMA.into()),
             ("draining", JsonValue::Bool(true)),
             ("queue_depth", u(state.queue.len() as u64)),
             ("running", u(state.running)),
         ]);
-        drop(state);
-        self.inner.work_cv.notify_all();
-        self.inner.event_cv.notify_all();
+        // Otherwise the worker that finishes the last task halts.
+        if state.idle() {
+            self.halt(state);
+        }
         doc
     }
 
@@ -643,9 +680,30 @@ impl Service {
 
     /// Abrupt stop for tests: workers exit after their current task.
     pub fn stop(&self) {
-        self.lock().stopping = true;
+        self.halt(self.lock());
+    }
+
+    /// The one way the service stops: set the flag, wake the workers and
+    /// long-pollers, and connect once to the accept loop so that a
+    /// blocked `accept` returns and sees the flag. Takes the state guard
+    /// to connect with the lock released.
+    fn halt(&self, mut state: MutexGuard<'_, State>) {
+        state.stopping = true;
+        let listening = state.listening;
+        drop(state);
         self.inner.work_cv.notify_all();
         self.inner.event_cv.notify_all();
+        if let Some(addr) = listening {
+            // A listener on the unspecified address is reachable on the
+            // loopback address of its family.
+            let ip = match addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(ip) if ip.is_unspecified() => Ipv6Addr::LOCALHOST.into(),
+                ip => ip,
+            };
+            // Refused only when `serve` has already returned.
+            let _ = TcpStream::connect((ip, addr.port()));
+        }
     }
 
     /// Block until every admitted job is complete (test helper).
@@ -663,46 +721,47 @@ impl Service {
             let (guard, _) = self
                 .inner
                 .event_cv
-                .wait_timeout(state, left.min(Duration::from_millis(200)))
+                .wait_timeout(state, left)
                 .expect("state lock");
             state = guard;
         }
     }
 
-    /// Accept loop: thread per connection, `Connection: close`, polls
-    /// the stop flag between accepts. Returns when the service stops.
+    /// Accept loop: thread per connection, `Connection: close`, blocked
+    /// in `accept` between connections ([`Service::halt`] wakes it).
+    /// Returns once the service stops and every accepted connection has
+    /// been answered, so a drain's own answer goes out before the daemon
+    /// exits (a silent peer holds it for at most the 10 s read timeout).
     pub fn serve(&self, listener: TcpListener) {
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        loop {
-            if self.stopped() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let svc = self.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("campaignd-conn".into())
-                        .spawn(move || {
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-                            let (status, body) = match read_request(&stream) {
-                                Ok(req) => handle_request(&svc, &req),
-                                Err(e) => (400, Rejection::of("bad-request", e).to_json()),
-                            };
-                            let _ = write_response(&stream, status, &body.to_json());
-                        });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    eprintln!("# campaignd: accept: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
+        // Published before the first look at the flag: a concurrent stop
+        // either sees the address and connects, or is seen below.
+        self.lock().listening = listener.local_addr().ok();
+        std::thread::scope(|scope| {
+            while !self.stopped() {
+                match listener.accept() {
+                    Ok((stream, _addr)) if !self.stopped() => {
+                        let _ = std::thread::Builder::new()
+                            .name("campaignd-conn".into())
+                            .spawn_scoped(scope, move || {
+                                let _ = stream.set_nodelay(true);
+                                let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
+                                let (status, body) = match read_request(&stream) {
+                                    Ok(req) => handle_request(self, &req),
+                                    Err(e) => (400, Rejection::of("bad-request", e).to_json()),
+                                };
+                                let _ = write_response(&stream, status, &body.to_json());
+                            });
+                    }
+                    // The service is stopping: `halt`'s wake-up, or a
+                    // late client, dropped unanswered.
+                    Ok(_) => {}
+                    Err(e) => {
+                        eprintln!("# campaignd: accept: {e}");
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
                 }
             }
-        }
+        });
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
@@ -1206,6 +1265,77 @@ mod tests {
         assert_eq!(s2.executed, 0);
         let stats = svc.stats();
         assert_eq!(stats.executed, 0, "this life simulated nothing");
+        svc.stop();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = fs::remove_dir_all(cache_dir);
+    }
+
+    #[test]
+    fn finished_jobs_hold_no_per_task_state_and_answer_as_before() {
+        let cfg = small_cfg("release");
+        let cache_dir = cfg.cache_dir.clone();
+        // Every job's `status` and `events(id, 0, 0)` answers, by id.
+        let answers = |svc: &Service| -> Vec<(JobStatusView, EventBatch)> {
+            let ids: Vec<String> = svc.lock().jobs.iter().map(|j| j.id.clone()).collect();
+            ids.iter()
+                .map(|id| (svc.status(id).unwrap(), svc.events(id, 0, 0).unwrap()))
+                .collect()
+        };
+        // No job holds its work, and handing each one back what it held
+        // before the release (its specs, its manifest) changes no answer.
+        let released_answers = |svc: &Service| {
+            let released = answers(svc);
+            for job in &mut svc.lock().jobs {
+                assert!(job.work.is_none(), "{} still holds its work", job.id);
+                let (_, specs) = expand_request(&small_request("t"), 300).unwrap();
+                let manifest = Manifest::load(&cache_dir, &format!("svc-{}", job.id)).unwrap();
+                job.work = Some(Work {
+                    specs,
+                    manifest,
+                    manifest_dirty: 0,
+                });
+            }
+            assert_eq!(answers(svc), released);
+            released
+        };
+
+        // First life: j1 runs to completion; j2 is admitted after the
+        // stop, so it is still queued (the resume test's setup).
+        let first = {
+            let svc = Service::new(cfg.clone());
+            let workers = svc.start_workers();
+            svc.submit(&small_request("alice")).unwrap();
+            assert!(svc.wait_all_jobs(Duration::from_secs(120)));
+            let first = released_answers(&svc);
+            svc.stop();
+            for w in workers {
+                w.join().unwrap();
+            }
+            svc.submit(&small_request("bob")).unwrap();
+            first
+        };
+
+        // Second life: j1 registers complete from its manifest, j2 runs.
+        let svc = Service::new(cfg);
+        let workers = svc.start_workers();
+        assert!(svc.wait_all_jobs(Duration::from_secs(120)));
+        let second = released_answers(&svc);
+        let (j1, j1_events) = &second[0];
+        assert_eq!(j1.state, JobState::Done);
+        assert_eq!(
+            (j1.done, j1.hits, j1.executed, j1.failed),
+            (10, first[0].0.hits, first[0].0.executed, first[0].0.failed)
+        );
+        assert!(j1_events.complete && j1_events.events.is_empty());
+        // A job run in this life streamed each task once, in order.
+        for (view, batch) in [&first[0], &second[1]] {
+            assert_eq!(view.state, JobState::Done);
+            assert!(batch.complete);
+            let seqs: Vec<u64> = batch.events.iter().map(|e| e.seq).collect();
+            assert_eq!(seqs, (1..=view.total).collect::<Vec<u64>>());
+        }
         svc.stop();
         for w in workers {
             w.join().unwrap();
