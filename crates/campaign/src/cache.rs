@@ -82,8 +82,13 @@ impl ResultCache {
     /// On a hit the result's workload label is rewritten to the
     /// requesting spec's label — labels are presentation, not identity.
     pub fn load(&self, spec: &JobSpec) -> Option<RunResult> {
-        let key = spec.key();
-        let path = self.path_of(&key);
+        self.load_keyed(spec, &spec.key())
+    }
+
+    /// [`load`](Self::load) for a caller that already holds `spec`'s
+    /// key, which must be `spec.key()`.
+    pub fn load_keyed(&self, spec: &JobSpec, key: &JobKey) -> Option<RunResult> {
+        let path = self.path_of(key);
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
@@ -95,7 +100,7 @@ impl ResultCache {
                 return None;
             }
         };
-        match decode_entry(&text, &key) {
+        match decode_entry(&text, key) {
             Ok(mut result) => {
                 result.workload = spec.label.clone();
                 Some(result)
@@ -113,8 +118,18 @@ impl ResultCache {
     /// Store a completed result under `spec`'s key, atomically
     /// ([`write_atomic`]). Returns the final path.
     pub fn store(&self, spec: &JobSpec, result: &RunResult) -> Result<PathBuf, String> {
-        let key = spec.key();
-        let path = self.path_of(&key);
+        self.store_keyed(spec, &spec.key(), result)
+    }
+
+    /// [`store`](Self::store) for a caller that already holds `spec`'s
+    /// key, which must be `spec.key()`.
+    pub fn store_keyed(
+        &self,
+        spec: &JobSpec,
+        key: &JobKey,
+        result: &RunResult,
+    ) -> Result<PathBuf, String> {
+        let path = self.path_of(key);
         let doc = JsonValue::obj(vec![
             ("schema", CACHE_SCHEMA.into()),
             ("key", key.0.as_str().into()),
@@ -211,6 +226,19 @@ mod tests {
         cache.store(&spec, &result).unwrap();
         assert_eq!(fs::read(&path).unwrap(), first);
         assert_eq!(cache.entry_count(), 1);
+        let _ = fs::remove_dir_all(cache.root());
+    }
+
+    #[test]
+    fn a_simulated_entry_parses_and_re_encodes_to_its_bytes() {
+        let cache = ResultCache::new(tmpdir("reencode"));
+        let spec = JobSpec::homog(Benchmark::Mcf, SystemConfig::quad_core(), 300);
+        let result = spec.to_result(spec.execute().stats);
+        let text = fs::read_to_string(cache.store(&spec, &result).unwrap()).unwrap();
+        let doc = JsonValue::parse(&text).expect("entry parses");
+        assert_eq!(doc.to_json() + "\n", text);
+        let hit = cache.load(&spec).expect("warm cache hits");
+        assert_eq!(run_result_to_json(&hit), run_result_to_json(&result));
         let _ = fs::remove_dir_all(cache.root());
     }
 

@@ -24,7 +24,7 @@ use emc_types::{HistSummary, Histogram, JsonValue, RunOutcome, ToJson, WedgeClas
 
 use crate::cache::ResultCache;
 use crate::exec::parallel_map;
-use crate::manifest::{JobStatus, Manifest, CACHE_HIT};
+use crate::manifest::{JobStatus, Manifest, CACHE_HIT, COMPLETED};
 use crate::spec::{JobKey, JobSpec, RunResult};
 
 /// Schema tag stamped into campaign report JSON.
@@ -124,21 +124,26 @@ impl Executor {
         self
     }
 
-    /// Resolve one spec: a cache hit, else an execution under the
+    /// Resolve one spec, whose key the caller hashed once
+    /// ([`Manifest::rows_of`]): a cache hit, else an execution under the
     /// class-driven retry policy whose result is stored. Sets the
     /// record's `wall` to the time spent in this call (microseconds for
     /// hits, the full simulation for executions).
-    pub fn resolve(&self, spec: &JobSpec) -> JobRecord {
+    pub fn resolve(&self, spec: &JobSpec, key: &JobKey) -> JobRecord {
+        // A wrong key would file the result under another job's entry.
+        debug_assert_eq!(*key, spec.key(), "{}: key is not the spec's", spec.label);
         let start = Instant::now();
-        let mut record = self.lookup(spec).unwrap_or_else(|| self.execute(spec));
+        let mut record = self
+            .lookup(spec, key)
+            .unwrap_or_else(|| self.execute(spec, key));
         record.wall = start.elapsed();
         record
     }
 
     /// The cache-hit record of `spec`, if the cache holds its result.
-    pub(crate) fn lookup(&self, spec: &JobSpec) -> Option<JobRecord> {
-        let result = self.cache.as_ref()?.load(spec)?;
-        let mut record = JobRecord::new(spec, JobSource::CacheHit, CACHE_HIT.into());
+    pub(crate) fn lookup(&self, spec: &JobSpec, key: &JobKey) -> Option<JobRecord> {
+        let result = self.cache.as_ref()?.load_keyed(spec, key)?;
+        let mut record = JobRecord::new(spec, key, JobSource::CacheHit, CACHE_HIT.into());
         record.result = Some(result);
         Some(record)
     }
@@ -147,8 +152,8 @@ impl Executor {
     /// wedge classes get bounded re-runs, deterministic classes fail on
     /// sight, and a slow-but-live cap hit earns one extended cap — and
     /// store a completed result in the cache. Never reads the cache.
-    pub(crate) fn execute(&self, spec: &JobSpec) -> JobRecord {
-        let mut record = JobRecord::new(spec, JobSource::Executed, String::new());
+    pub(crate) fn execute(&self, spec: &JobSpec, key: &JobKey) -> JobRecord {
+        let mut record = JobRecord::new(spec, key, JobSource::Executed, String::new());
         let mut next_cap: Option<u64> = None;
         loop {
             record.attempts += 1;
@@ -159,14 +164,14 @@ impl Executor {
             if report.outcome == RunOutcome::Completed {
                 let result = spec.to_result(report.stats);
                 if let Some(cache) = &self.cache {
-                    if let Err(e) = cache.store(spec, &result) {
+                    if let Err(e) = cache.store_keyed(spec, key, &result) {
                         eprintln!("# {}: {e}", self.tag);
                     }
                 }
                 record.outcome = if record.attempts > 1 {
-                    format!("completed (attempt {})", record.attempts)
+                    format!("{COMPLETED} (attempt {})", record.attempts)
                 } else {
-                    "completed".into()
+                    COMPLETED.into()
                 };
                 record.result = Some(result);
                 return record;
@@ -326,11 +331,12 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// A record of `spec` with no result, attempts or wall time yet.
-    fn new(spec: &JobSpec, source: JobSource, outcome: String) -> JobRecord {
+    /// A record of `spec` (keyed `key`) with no result, attempts or wall
+    /// time yet.
+    fn new(spec: &JobSpec, key: &JobKey, source: JobSource, outcome: String) -> JobRecord {
         JobRecord {
             label: spec.label.clone(),
-            key: spec.key(),
+            key: key.clone(),
             source,
             outcome,
             attempts: 0,
@@ -525,7 +531,8 @@ impl Campaign {
     pub fn run(&self, opts: &CampaignOptions) -> CampaignReport {
         let start = Instant::now();
         let root = opts.cache.as_ref().map(ResultCache::root);
-        let manifest = Manifest::open(root.filter(|_| opts.resume), &self.name, &self.jobs);
+        let rows = Manifest::rows_of(&self.jobs);
+        let manifest = Manifest::open(root.filter(|_| opts.resume), &self.name, &rows);
         let failed_before: Vec<Option<String>> = manifest
             .entries
             .iter()
@@ -543,7 +550,9 @@ impl Campaign {
         let records = parallel_map((0..total).collect::<Vec<usize>>(), opts.workers, |_, &i| {
             let job_start = Instant::now();
             let failed_before = failed_before[i].as_deref();
-            let mut record = resolve_one(&self.jobs[i], failed_before, &executor, opts, &fresh);
+            let (key, _) = &rows[i];
+            let mut record =
+                resolve_one(&self.jobs[i], key, failed_before, &executor, opts, &fresh);
             record.wall = job_start.elapsed();
 
             // Journal a resolved job before reporting progress, so a kill
@@ -582,12 +591,14 @@ impl Campaign {
     }
 }
 
-/// Resolve one job per campaign policy: a job that failed before (its
-/// row's outcome is `failed_before`) is skipped unless retries are
-/// asked for; a cache hit is taken; a miss executes unless the
-/// `max_fresh_runs` budget, which only misses charge, is spent.
+/// Resolve one job (keyed `key`, its manifest row's key) per campaign
+/// policy: a job that failed before (its row's outcome is
+/// `failed_before`) is skipped unless retries are asked for; a cache hit
+/// is taken; a miss executes unless the `max_fresh_runs` budget, which
+/// only misses charge, is spent.
 fn resolve_one(
     spec: &JobSpec,
+    key: &JobKey,
     failed_before: Option<&str>,
     executor: &Executor,
     opts: &CampaignOptions,
@@ -595,9 +606,9 @@ fn resolve_one(
 ) -> JobRecord {
     if let Some(outcome) = failed_before.filter(|_| !opts.retry_failed) {
         let outcome = format!("skipped (previously failed: {outcome})");
-        return JobRecord::new(spec, JobSource::SkippedFailed, outcome);
+        return JobRecord::new(spec, key, JobSource::SkippedFailed, outcome);
     }
-    if let Some(hit) = executor.lookup(spec) {
+    if let Some(hit) = executor.lookup(spec, key) {
         return hit;
     }
     if opts
@@ -605,9 +616,9 @@ fn resolve_one(
         .is_some_and(|limit| fresh.fetch_add(1, Ordering::Relaxed) >= limit)
     {
         let outcome = "deferred (fresh-run budget exhausted)".into();
-        return JobRecord::new(spec, JobSource::Deferred, outcome);
+        return JobRecord::new(spec, key, JobSource::Deferred, outcome);
     }
-    executor.execute(spec)
+    executor.execute(spec, key)
 }
 
 /// Remaining-time estimate extrapolated from throughput so far: the
@@ -882,7 +893,7 @@ mod tests {
         let records: Vec<JobRecord> = std::thread::scope(|s| {
             specs
                 .iter()
-                .map(|spec| s.spawn(|| executor.resolve(spec)))
+                .map(|spec| s.spawn(|| executor.resolve(spec, &spec.key())))
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|h| h.join().expect("no panics"))
@@ -896,7 +907,7 @@ mod tests {
 
         // Second pass resolves from the cache.
         for spec in &specs {
-            let r = executor.resolve(spec);
+            let r = executor.resolve(spec, &spec.key());
             assert_eq!(r.source, JobSource::CacheHit);
             assert_eq!(r.attempts, 0);
         }
@@ -911,7 +922,7 @@ mod tests {
             "skip-test",
             vec![JobSpec::homog(Benchmark::Mcf, tiny_quad(5), 300)],
         );
-        let mut seeded = Manifest::open(None, &campaign.name, &campaign.jobs);
+        let mut seeded = Manifest::fresh(&campaign.name, &Manifest::rows_of(&campaign.jobs));
         seeded.entries[0].status = JobStatus::Failed;
         seeded.entries[0].attempts = 3;
         seeded.entries[0].outcome = "wedged at cycle 5".into();

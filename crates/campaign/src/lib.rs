@@ -50,7 +50,9 @@ pub use engine::{
 };
 pub use exec::{parallel_map, worker_count};
 pub use hash::{digest128, digest128_hex};
-pub use manifest::{JobStatus, Manifest, ManifestEntry, Tally, MANIFEST_SCHEMA};
+pub use manifest::{
+    JobStatus, Manifest, ManifestEntry, Tally, CACHE_HIT, COMPLETED, MANIFEST_SCHEMA,
+};
 pub use spec::{
     benchmark_by_name, code_fingerprint, config_json, JobKey, JobSpec, RunResult, CACHE_EPOCH,
 };

@@ -32,7 +32,11 @@ pub const MANIFEST_SCHEMA: &str = "emc-campaign-manifest-v1";
 
 /// The outcome note of a job resolved from the result cache — in
 /// records, manifest rows and progress events alike.
-pub(crate) const CACHE_HIT: &str = "cache-hit";
+pub const CACHE_HIT: &str = "cache-hit";
+
+/// The outcome note of a job simulated to completion on its first
+/// attempt.
+pub const COMPLETED: &str = "completed";
 
 emc_types::json_struct! {
     /// How far one job has progressed.
@@ -186,13 +190,21 @@ impl Manifest {
         }
     }
 
-    /// The manifest `name` keeps for `specs`: the one under `root` if it
-    /// lists exactly these jobs (an interrupted run resuming), else a
-    /// fresh one with every job pending. `None` means "start fresh".
-    pub fn open(root: Option<&Path>, name: &str, specs: &[JobSpec]) -> Manifest {
-        let jobs: Vec<(JobKey, String)> =
-            specs.iter().map(|s| (s.key(), s.label.clone())).collect();
-        let fresh = Manifest::fresh(name, &jobs);
+    /// The `(key, label)` row of each spec, in order: where a job list's
+    /// keys are hashed, once, for its manifest and everything that
+    /// resolves its jobs.
+    pub fn rows_of(specs: &[JobSpec]) -> Vec<(JobKey, String)> {
+        specs.iter().map(|s| (s.key(), s.label.clone())).collect()
+    }
+
+    /// The manifest `name` keeps for the jobs `jobs` ([`rows_of`]
+    /// their specs): the one under `root` if it lists exactly these jobs
+    /// (an interrupted run resuming), else a fresh one with every job
+    /// pending. `None` means "start fresh".
+    ///
+    /// [`rows_of`]: Manifest::rows_of
+    pub fn open(root: Option<&Path>, name: &str, jobs: &[(JobKey, String)]) -> Manifest {
+        let fresh = Manifest::fresh(name, jobs);
         match root.and_then(|root| Manifest::load(root, name)) {
             Some(m) if m.id == fresh.id && m.entries.len() == jobs.len() => m,
             Some(_) => {
@@ -230,10 +242,15 @@ impl Manifest {
     /// Persist atomically under the cache root.
     pub fn save(&self, cache_root: &Path) -> Result<PathBuf, String> {
         let path = Manifest::path_for(cache_root, &self.name);
+        write_atomic(&path, &self.encode()).map_err(|e| format!("manifest: {e}"))?;
+        Ok(path)
+    }
+
+    /// The file text [`save`](Self::save) writes.
+    pub fn encode(&self) -> String {
         let mut text = self.to_json().to_json();
         text.push('\n');
-        write_atomic(&path, &text).map_err(|e| format!("manifest: {e}"))?;
-        Ok(path)
+        text
     }
 
     /// Number of entries already `Done`.

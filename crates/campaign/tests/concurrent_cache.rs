@@ -38,12 +38,12 @@ fn racing_executors_converge_on_one_byte_identical_entry() {
     let records: Vec<_> = (0..2)
         .map(|i| {
             let dir = dir.clone();
-            let spec = spec.clone();
+            let (spec, key) = (spec.clone(), key.clone());
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let exec = Executor::new(Some(ResultCache::new(&dir))).with_tag(format!("t{i}"));
                 barrier.wait();
-                exec.resolve(&spec)
+                exec.resolve(&spec, &key)
             })
         })
         .collect::<Vec<_>>()
@@ -71,7 +71,7 @@ fn racing_executors_converge_on_one_byte_identical_entry() {
 
     // A third resolve is a pure hit whose stored bytes are untouched.
     let exec = Executor::new(Some(ResultCache::new(&dir)));
-    let replay = exec.resolve(&spec);
+    let replay = exec.resolve(&spec, &key);
     assert_eq!(replay.source, JobSource::CacheHit);
     let bytes_after = std::fs::read(&path).unwrap();
     assert_eq!(bytes, bytes_after, "a hit must never rewrite the entry");
@@ -103,7 +103,7 @@ fn many_racers_over_a_small_spec_pool_stay_consistent() {
             std::thread::spawn(move || {
                 let exec = Executor::new(Some(ResultCache::new(&dir)));
                 barrier.wait();
-                exec.resolve(&spec)
+                exec.resolve(&spec, &spec.key())
             })
         })
         .collect();

@@ -146,6 +146,19 @@ impl FairQueue {
         self.tenants.get(tenant).map_or(0, |t| t.tasks.len())
     }
 
+    /// Whether `n` more tasks fit under the capacity: the check
+    /// [`admit`](Self::admit) makes, for a caller that wants the answer
+    /// before it builds the tasks.
+    pub fn room_for(&self, n: usize) -> Result<(), QueueFull> {
+        if n > self.capacity.saturating_sub(self.len) {
+            return Err(QueueFull {
+                depth: self.len,
+                capacity: self.capacity,
+            });
+        }
+        Ok(())
+    }
+
     /// Admit a job's tasks for `tenant`, all or nothing: if the batch
     /// would push the queue past capacity, nothing is admitted and the
     /// caller turns the [`QueueFull`] into a structured 429. The batch
@@ -159,12 +172,7 @@ impl FairQueue {
     ) -> Result<usize, QueueFull> {
         let tasks = tasks.into_iter();
         let n = tasks.len();
-        if n > self.capacity.saturating_sub(self.len) {
-            return Err(QueueFull {
-                depth: self.len,
-                capacity: self.capacity,
-            });
-        }
+        self.room_for(n)?;
         while self.tenants.len() <= tenant {
             self.tenants.push(TenantQueue::default());
         }

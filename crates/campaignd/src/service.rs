@@ -15,6 +15,16 @@
 //! previously-finished ones resolve as instant cache hits instead of
 //! re-executing.
 //!
+//! The state mutex guards bookkeeping only. Expanding a submission and
+//! hashing its keys, the journal write, the fresh manifest and the
+//! throttled manifest saves all run with it released; the one disk
+//! write under it is a job's completion-time manifest save, so a
+//! client that sees a job complete finds its manifest resolved on disk
+//! (DESIGN.md §11, "Off the state lock"). That save takes the job's
+//! file lock, so it can first wait for one unlocked write of the same
+//! job's manifest already in flight: at most two writes while the
+//! state lock is held.
+//!
 //! Everything network-shaped lives behind [`handle_request`], a pure
 //! `(service, request) → (status, body)` router, so the protocol is
 //! unit-testable without sockets; [`Service::serve`] is the thin accept
@@ -33,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use emc_campaign::{
     eta, suite_jobs, worker_count, write_atomic, Executor, JobRecord, JobSource, JobSpec, Manifest,
-    ResultCache, Tally, SUITES,
+    ResultCache, Tally, CACHE_HIT, COMPLETED, SUITES,
 };
 use emc_types::codec::u;
 use emc_types::{
@@ -94,15 +104,75 @@ struct Job {
     admitted_ms: u64,
     finished_ms: u64,
     tally: Tally,
-    events: Vec<ProgressEvent>,
+    /// The job's progress events, one per resolved task in resolution
+    /// order, each kept as the few numbers it is rebuilt from.
+    resolved: Vec<Resolved>,
+    /// Task labels, moved out of the manifest rows when the work is
+    /// dropped (until then the rows hold them).
+    labels: Box<[String]>,
 }
 
 /// What resolving a job's tasks needs, and nothing after.
 struct Work {
     specs: Vec<JobSpec>,
+    /// One row per task; a row's key is the one its spec was hashed to
+    /// at admission, so no task is hashed again.
     manifest: Manifest,
+    file: Arc<ManifestFile>,
     /// Task completions since the manifest was last saved.
     manifest_dirty: u32,
+}
+
+impl Work {
+    /// The manifest as it stands, as the generation-`generation`
+    /// snapshot of its file.
+    fn snapshot(&self, generation: u64) -> Snapshot {
+        Snapshot {
+            file: Arc::clone(&self.file),
+            generation,
+            text: self.manifest.encode(),
+        }
+    }
+}
+
+/// One resolved task, as its job keeps it for the event stream.
+struct Resolved {
+    task: usize,
+    /// Milliseconds from admission to resolution (the ETA's input).
+    elapsed_ms: u64,
+    outcome: Outcome,
+}
+
+/// A task's outcome note, with no heap string for the two common ones.
+enum Outcome {
+    Hit,
+    Completed,
+    /// Any other note, verbatim: a retried completion or a failure.
+    Other {
+        failed: bool,
+        note: Box<str>,
+    },
+}
+
+impl Outcome {
+    fn of(record: &JobRecord) -> Outcome {
+        match (record.result.is_some(), record.outcome.as_str()) {
+            (true, CACHE_HIT) => Outcome::Hit,
+            (true, COMPLETED) => Outcome::Completed,
+            (ok, note) => Outcome::Other {
+                failed: !ok,
+                note: note.into(),
+            },
+        }
+    }
+
+    fn note(&self) -> &str {
+        match self {
+            Outcome::Hit => CACHE_HIT,
+            Outcome::Completed => COMPLETED,
+            Outcome::Other { note, .. } => note,
+        }
+    }
 }
 
 impl Job {
@@ -117,12 +187,95 @@ impl Job {
             admitted_ms: now,
             finished_ms: 0,
             tally: Tally::default(),
-            events: Vec::new(),
+            resolved: Vec::new(),
+            labels: Box::default(),
         }
     }
 
     fn complete(&self) -> bool {
         self.tally.done == self.total
+    }
+
+    fn label(&self, task: usize) -> &str {
+        match &self.work {
+            Some(work) => &work.manifest.entries[task].label,
+            None => &self.labels[task],
+        }
+    }
+
+    /// The progress events with `seq > since`, each as it read when its
+    /// task resolved: done, hits and failed are the counts up to it.
+    fn events_after(&self, since: u64) -> Vec<ProgressEvent> {
+        let (mut hits, mut failed) = (0, 0);
+        let mut events = Vec::new();
+        for (done, r) in (1..).zip(&self.resolved) {
+            hits += u64::from(matches!(r.outcome, Outcome::Hit));
+            failed += u64::from(matches!(r.outcome, Outcome::Other { failed: true, .. }));
+            if done <= since {
+                continue;
+            }
+            let elapsed = Duration::from_millis(r.elapsed_ms);
+            events.push(ProgressEvent {
+                seq: done,
+                label: self.label(r.task).to_string(),
+                outcome: r.outcome.note().to_string(),
+                done,
+                total: self.total,
+                hits,
+                failed,
+                eta_ms: eta(done as usize, self.total as usize, elapsed)
+                    .map(|d| d.as_millis() as u64),
+            });
+        }
+        events
+    }
+}
+
+/// A job's manifest file. Its snapshots are taken under the state lock
+/// but written after it is released, so two of them can reach the file
+/// out of order. Each carries its generation, the job's resolved-task
+/// count when it was taken, and one no newer than the file's is
+/// dropped: the file only moves forward.
+struct ManifestFile {
+    path: PathBuf,
+    /// The generation on disk. Held across a write, so one job's writes
+    /// never overlap; the completion save, made under the state lock,
+    /// waits here for an unlocked write in flight.
+    on_disk: Mutex<Option<u64>>,
+}
+
+impl ManifestFile {
+    /// The file of manifest `name` under `cache_dir`, not yet written.
+    fn new(cache_dir: &Path, name: &str) -> ManifestFile {
+        ManifestFile {
+            path: Manifest::path_for(cache_dir, name),
+            on_disk: Mutex::new(None),
+        }
+    }
+
+    fn write(&self, generation: u64, text: &str) {
+        let mut on_disk = self.on_disk.lock().expect("manifest file lock");
+        if on_disk.is_some_and(|g| g >= generation) {
+            return;
+        }
+        match write_atomic(&self.path, text) {
+            Ok(()) => *on_disk = Some(generation),
+            Err(e) => eprintln!("# campaignd: manifest: {e}"),
+        }
+    }
+}
+
+/// A manifest snapshot, encoded under the state lock, to write once it
+/// is released.
+struct Snapshot {
+    file: Arc<ManifestFile>,
+    generation: u64,
+    text: String,
+}
+
+impl Snapshot {
+    fn write(self) {
+        self.file.write(self.generation, &self.text);
     }
 }
 
@@ -178,6 +331,72 @@ impl State {
         self.job_index.insert(job.id.clone(), self.jobs.len());
         self.jobs.push(job);
     }
+
+    /// Replay journaled submissions into a service that has not started
+    /// (no lock exists yet): jobs whose manifests show every task
+    /// resolved register as done; everything else re-enqueues all its
+    /// tasks, and the ones that already ran resolve as instant cache
+    /// hits rather than re-executing.
+    fn resume(
+        &mut self,
+        cache_dir: &Path,
+        journaled: Vec<(u64, SubmitRequest, Vec<JobSpec>)>,
+        now: u64,
+    ) {
+        for (seq, req, specs) in journaled {
+            let id = format!("j{seq}");
+            self.next_job = self.next_job.max(seq + 1);
+            let tenant = tenant_index(self, &req.tenant);
+            let name = format!("svc-{id}");
+            let manifest = Manifest::open(Some(cache_dir), &name, &Manifest::rows_of(&specs));
+            let file = Arc::new(ManifestFile::new(cache_dir, &name));
+            file.write(0, &manifest.encode());
+            let tally = Tally::of(&manifest);
+            let total = specs.len() as u64;
+            let mut job = Job::new(&id, tenant, display_name(&req), total, now);
+            if tally.done == total {
+                // Fully resolved before the restart: surface the final
+                // tallies without queueing or holding anything.
+                job.tally = tally;
+                job.finished_ms = now;
+                self.push_job(job);
+                continue;
+            }
+            let job_idx = self.jobs.len();
+            let tasks = (0..total as usize).map(|index| TaskRef {
+                job: job_idx,
+                index,
+            });
+            match self.queue.admit(tenant, tasks, now) {
+                Ok(n) => {
+                    job.work = Some(Work {
+                        specs,
+                        manifest,
+                        file,
+                        manifest_dirty: 0,
+                    });
+                    eprintln!("# campaignd: resumed {id} ({n} tasks re-queued)");
+                }
+                Err(full) => {
+                    // Capacity was pre-sized to the journaled backlog, so
+                    // this only fires on a journal written by a larger
+                    // configuration. Fail the job loudly rather than
+                    // wedge it half-registered.
+                    job.tally = Tally {
+                        done: total,
+                        failed: total,
+                        ..Tally::default()
+                    };
+                    job.finished_ms = now;
+                    eprintln!(
+                        "# campaignd: cannot resume {id}: queue full ({}/{})",
+                        full.depth, full.capacity
+                    );
+                }
+            }
+            self.push_job(job);
+        }
+    }
 }
 
 struct Inner {
@@ -202,6 +421,7 @@ impl Service {
     /// Build the service: open the cache, replay the submission journal
     /// (crash resume), and size the queue.
     pub fn new(cfg: ServiceConfig) -> Service {
+        let started = Instant::now();
         let cache = ResultCache::new(&cfg.cache_dir);
         let executor = Executor::new(Some(cache)).with_tag("campaignd");
         let journaled = read_journal(&cfg.cache_dir, cfg.default_budget);
@@ -209,7 +429,7 @@ impl Service {
         // Resumed work already passed admission control in a previous
         // life; never bounce it against the cap it once fit under.
         let capacity = cfg.queue_cap.max(resumed_tasks);
-        let state = State {
+        let mut state = State {
             jobs: Vec::new(),
             job_index: HashMap::new(),
             tenants: Vec::new(),
@@ -227,18 +447,18 @@ impl Service {
             exec_wall_ms: 0,
             sim_cycles: 0,
         };
-        let service = Service {
+        let now = started.elapsed().as_millis() as u64;
+        state.resume(&cfg.cache_dir, journaled, now);
+        Service {
             inner: Arc::new(Inner {
                 cfg,
                 executor,
                 state: Mutex::new(state),
                 work_cv: Condvar::new(),
                 event_cv: Condvar::new(),
-                started: Instant::now(),
+                started,
             }),
-        };
-        service.resume(journaled);
-        service
+        }
     }
 
     /// Milliseconds since the daemon started (the queue's virtual clock).
@@ -255,7 +475,7 @@ impl Service {
     // Submission
     // -----------------------------------------------------------------
 
-    /// Admit one submission: expand, journal, enqueue. The error side
+    /// Admit one submission: expand, enqueue, journal. The error side
     /// carries the HTTP status the rejection maps to (400 bad request,
     /// 429 queue full, 503 draining).
     pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitAck, (u16, Rejection)> {
@@ -269,48 +489,36 @@ impl Service {
             .ok_or_else(|| {
                 bad_request(format!("repeat {} overflows the task count", req.repeat))
             })?;
+        admission(&self.lock(), total)?;
+
+        // The slow part, expansion and one key hash per task, unlocked.
+        let specs = fan_out(&grid, req);
+        // Named below, once the job has its id.
+        let mut manifest = Manifest::fresh("", &Manifest::rows_of(&specs));
         let now = self.now_ms();
+
         let mut state = self.lock();
-        if state.draining {
-            let mut rej = Rejection::of("draining", "service is draining; not accepting jobs");
-            rej.queue_depth = state.queue.len() as u64;
-            return Err((503, rej));
-        }
-        let id = format!("j{}", state.next_job);
+        // Asked again: other submissions ran while the lock was free.
+        admission(&state, total)?;
         // A new tenant gets its row only once admitted: a rejected name
         // leaves nothing behind (DESIGN.md §11, bounded before buffered).
-        let known = state.tenant_index.get(&req.tenant).copied();
-        let tenant = known.unwrap_or(state.tenants.len());
+        let tenant = tenant_index(&mut state, &req.tenant);
         let job = state.jobs.len();
         let tasks = (0..total).map(|index| TaskRef { job, index });
-        if let Err(full) = state.queue.admit(tenant, tasks, now) {
-            return Err((
-                429,
-                Rejection {
-                    error: "queue-full".into(),
-                    detail: format!(
-                        "{} queued + {total} submitted exceeds capacity {}",
-                        full.depth, full.capacity
-                    ),
-                    queue_depth: full.depth as u64,
-                    capacity: full.capacity as u64,
-                },
-            ));
-        }
-        let tenant = tenant_index(&mut state, &req.tenant);
-        let specs = fan_out(&grid, req);
+        let admitted = state.queue.admit(tenant, tasks, now);
+        admitted.expect("admission checked under this guard");
+        let id = format!("j{}", state.next_job);
         state.next_job += 1;
-
-        // Journal before acking: an acked job must survive kill -9.
-        if let Err(e) = write_journal(&self.inner.cfg.cache_dir, &id, req) {
-            eprintln!("# campaignd: {e}");
-        }
-        let manifest = self.open_manifest(&id, &specs);
+        manifest.name = format!("svc-{id}");
+        let fresh = manifest.clone();
+        let cache_dir = &self.inner.cfg.cache_dir;
+        let file = Arc::new(ManifestFile::new(cache_dir, &fresh.name));
         let total = total as u64;
         state.push_job(Job {
             work: Some(Work {
                 specs,
                 manifest,
+                file: Arc::clone(&file),
                 manifest_dirty: 0,
             }),
             ..Job::new(&id, tenant, display_name(req), total, now)
@@ -322,85 +530,15 @@ impl Service {
         };
         drop(state);
         self.inner.work_cv.notify_all();
-        Ok(ack)
-    }
 
-    /// The job's manifest, loaded if it lists these specs (a resumed
-    /// job) or else fresh, and saved.
-    fn open_manifest(&self, id: &str, specs: &[JobSpec]) -> Manifest {
-        let cache_dir = &self.inner.cfg.cache_dir;
-        let manifest = Manifest::open(Some(cache_dir), &format!("svc-{id}"), specs);
-        if let Err(e) = manifest.save(cache_dir) {
+        // Journal before acking: an acked job must survive kill -9. The
+        // job's tasks may already be resolving; whatever they saved is
+        // newer than this pending manifest, which then gives way.
+        if let Err(e) = write_journal(cache_dir, &ack.id, req) {
             eprintln!("# campaignd: {e}");
         }
-        manifest
-    }
-
-    // -----------------------------------------------------------------
-    // Crash resume
-    // -----------------------------------------------------------------
-
-    /// Replay journaled submissions: jobs whose manifests show every
-    /// task resolved register as done; everything else re-enqueues all
-    /// its tasks, and the ones that already ran resolve as instant cache
-    /// hits rather than re-executing.
-    fn resume(&self, journaled: Vec<(u64, SubmitRequest, Vec<JobSpec>)>) {
-        if journaled.is_empty() {
-            return;
-        }
-        let now = self.now_ms();
-        let mut state = self.lock();
-        for (seq, req, specs) in journaled {
-            let id = format!("j{seq}");
-            state.next_job = state.next_job.max(seq + 1);
-            let tenant = tenant_index(&mut state, &req.tenant);
-            let manifest = self.open_manifest(&id, &specs);
-            let tally = Tally::of(&manifest);
-            let total = specs.len() as u64;
-            let mut job = Job::new(&id, tenant, display_name(&req), total, now);
-            if tally.done == total {
-                // Fully resolved before the restart: surface the final
-                // tallies without queueing or holding anything.
-                job.tally = tally;
-                job.finished_ms = now;
-                state.push_job(job);
-                continue;
-            }
-            let job_idx = state.jobs.len();
-            let tasks = (0..total as usize).map(|index| TaskRef {
-                job: job_idx,
-                index,
-            });
-            match state.queue.admit(tenant, tasks, now) {
-                Ok(n) => {
-                    job.work = Some(Work {
-                        specs,
-                        manifest,
-                        manifest_dirty: 0,
-                    });
-                    eprintln!("# campaignd: resumed {id} ({n} tasks re-queued)");
-                }
-                Err(full) => {
-                    // Capacity was pre-sized to the journaled backlog, so
-                    // this only fires on a journal written by a larger
-                    // configuration. Fail the job loudly rather than
-                    // wedge it half-registered.
-                    job.tally = Tally {
-                        done: total,
-                        failed: total,
-                        ..Tally::default()
-                    };
-                    job.finished_ms = now;
-                    eprintln!(
-                        "# campaignd: cannot resume {id}: queue full ({}/{})",
-                        full.depth, full.capacity
-                    );
-                }
-            }
-            state.push_job(job);
-        }
-        drop(state);
-        self.inner.work_cv.notify_all();
+        file.write(0, &fresh.encode());
+        Ok(ack)
     }
 
     // -----------------------------------------------------------------
@@ -443,23 +581,38 @@ impl Service {
             let work = state.jobs[d.task.job].work.as_ref();
             let work = work.expect("a queued task's job holds its work");
             let spec = work.specs[d.task.index].clone();
+            let key = work.manifest.entries[d.task.index].key.clone();
             drop(state);
 
-            let record = self.inner.executor.resolve(&spec);
+            let record = self.inner.executor.resolve(&spec, &key);
 
             state = self.lock();
-            self.complete_task(&mut state, d.task, d.tenant, &record);
+            let snapshot = self.complete_task(&mut state, d.task, d.tenant, &record);
             if state.draining && state.idle() {
+                // Idle: every job is complete, so no snapshot is due.
                 return self.halt(state);
             }
             self.inner.event_cv.notify_all();
+            if let Some(snapshot) = snapshot {
+                drop(state);
+                snapshot.write();
+                state = self.lock();
+            }
         }
     }
 
     /// Fold one resolved task into its job, tenant, manifest, and the
     /// service aggregates; fire the progress event; detect completion,
-    /// where the job's manifest is saved and its work dropped.
-    fn complete_task(&self, state: &mut State, task: TaskRef, tenant: usize, record: &JobRecord) {
+    /// where the job's manifest is saved and its work dropped. Returns
+    /// the throttled manifest snapshot due, if any, for the caller to
+    /// write once the lock is released.
+    fn complete_task(
+        &self,
+        state: &mut State,
+        task: TaskRef,
+        tenant: usize,
+        record: &JobRecord,
+    ) -> Option<Snapshot> {
         let now = self.now_ms();
         state.running -= 1;
         state.tally.add(record);
@@ -474,23 +627,13 @@ impl Service {
 
         let job = &mut state.jobs[task.job];
         job.tally.add(record);
+        let elapsed_ms = now.saturating_sub(job.admitted_ms);
+        job.resolved.push(Resolved {
+            task: task.index,
+            elapsed_ms,
+            outcome: Outcome::of(record),
+        });
         let complete = job.complete();
-        if complete {
-            job.finished_ms = now;
-        }
-        let elapsed = Duration::from_millis(now.saturating_sub(job.admitted_ms));
-        let event = ProgressEvent {
-            seq: job.events.len() as u64 + 1,
-            label: record.label.clone(),
-            outcome: record.outcome.clone(),
-            done: job.tally.done,
-            total: job.total,
-            hits: job.tally.hits,
-            failed: job.tally.failed,
-            eta_ms: eta(job.tally.done as usize, job.total as usize, elapsed)
-                .map(|d| d.as_millis() as u64),
-        };
-        job.events.push(event);
 
         let work = job
             .work
@@ -502,17 +645,22 @@ impl Service {
         // completion: a crash between saves costs manifest rows, not
         // results — the cache already holds them, and resume replays the
         // lost rows as instant hits.
-        if complete || work.manifest_dirty >= 16 {
-            work.manifest_dirty = 0;
-            if let Err(e) = work.manifest.save(&self.inner.cfg.cache_dir) {
-                eprintln!("# campaignd: {e}");
+        if !complete {
+            if work.manifest_dirty < 16 {
+                return None;
             }
+            work.manifest_dirty = 0;
+            return Some(work.snapshot(job.tally.done));
         }
-        if complete {
-            job.work = None;
-            let job_wall = now.saturating_sub(job.admitted_ms);
-            state.job_wall_ms.saturating_record(job_wall);
-        }
+        // Saved before the completion is visible: whoever sees the job
+        // complete finds every row resolved on disk.
+        work.snapshot(job.total).write();
+        let work = job.work.take().expect("checked above");
+        job.labels = work.manifest.entries.into_iter().map(|e| e.label).collect();
+        job.resolved.shrink_to_fit();
+        job.finished_ms = now;
+        state.job_wall_ms.saturating_record(elapsed_ms);
+        None
     }
 
     // -----------------------------------------------------------------
@@ -564,19 +712,13 @@ impl Service {
         loop {
             let idx = *state.job_index.get(id)?;
             let job = &state.jobs[idx];
-            let fresh: Vec<ProgressEvent> = job
-                .events
-                .iter()
-                .filter(|e| e.seq > since)
-                .cloned()
-                .collect();
-            if !fresh.is_empty() || job.complete() {
-                let next = fresh.last().map_or(since, |e| e.seq);
+            let resolved = job.resolved.len() as u64;
+            if resolved > since || job.complete() {
                 return Some(EventBatch {
                     id: job.id.clone(),
-                    next,
+                    next: resolved.max(since),
                     complete: job.complete(),
-                    events: fresh,
+                    events: job.events_after(since),
                 });
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -767,6 +909,28 @@ impl Service {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.inner.state.lock().expect("state lock")
     }
+}
+
+/// Whether a job of `total` tasks may be admitted now: not while the
+/// service drains (503), nor past the queue's capacity (429).
+fn admission(state: &State, total: usize) -> Result<(), (u16, Rejection)> {
+    if state.draining {
+        let mut rej = Rejection::of("draining", "service is draining; not accepting jobs");
+        rej.queue_depth = state.queue.len() as u64;
+        return Err((503, rej));
+    }
+    state.queue.room_for(total).map_err(|full| {
+        let rej = Rejection {
+            error: "queue-full".into(),
+            detail: format!(
+                "{} queued + {total} submitted exceeds capacity {}",
+                full.depth, full.capacity
+            ),
+            queue_depth: full.depth as u64,
+            capacity: full.capacity as u64,
+        };
+        (429, rej)
+    })
 }
 
 /// Get or create the tenant row for `name`.
@@ -1103,18 +1267,38 @@ mod tests {
 
         // Long-poll the ordered event stream to completion.
         let mut since = 0;
-        let mut seen = Vec::new();
+        let mut live = Vec::new();
         loop {
             let batch = svc.events("j1", since, 1_000).expect("job exists");
-            for e in &batch.events {
-                seen.push(e.seq);
-            }
+            live.extend(batch.events);
             since = batch.next;
             if batch.complete {
                 break;
             }
         }
-        assert_eq!(seen, (1..=10).collect::<Vec<u64>>(), "ordered, gap-free");
+        let seqs: Vec<u64> = live.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>(), "ordered, gap-free");
+        // Rebuilt after completion, from the labels moved out of the
+        // manifest, the stream reads as it did live, from every cursor.
+        for since in 0..=12 {
+            let expected = EventBatch {
+                id: "j1".into(),
+                next: since.max(10),
+                complete: true,
+                events: live.get(since as usize..).unwrap_or_default().to_vec(),
+            };
+            let batch = svc.events("j1", since, 0).unwrap();
+            assert_eq!(batch.to_json().to_json(), expected.to_json().to_json());
+        }
+        let mut labels: Vec<&str> = live.iter().map(|e| e.label.as_str()).collect();
+        let (_, specs) = expand_request(&small_request("alice"), 300).unwrap();
+        let mut expected: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
+        labels.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(labels, expected, "each task's label, once");
+        assert!(live
+            .iter()
+            .all(|e| e.outcome == "completed" && e.done == e.seq && e.total == 10));
 
         let status = svc.status("j1").expect("status");
         assert_eq!(status.state, JobState::Done);
@@ -1129,6 +1313,10 @@ mod tests {
         let status2 = svc.status(&ack2.id).unwrap();
         assert_eq!(status2.hits, 10, "warm resubmit is pure cache hits");
         assert_eq!(status2.executed, 0);
+        let warm = svc.events(&ack2.id, 0, 0).unwrap().events;
+        assert!(warm
+            .iter()
+            .all(|e| e.outcome == "cache-hit" && e.hits == e.seq && e.failed == 0));
 
         let stats = svc.stats();
         assert_eq!(stats.tasks_done, 20);
@@ -1290,10 +1478,12 @@ mod tests {
             for job in &mut svc.lock().jobs {
                 assert!(job.work.is_none(), "{} still holds its work", job.id);
                 let (_, specs) = expand_request(&small_request("t"), 300).unwrap();
-                let manifest = Manifest::load(&cache_dir, &format!("svc-{}", job.id)).unwrap();
+                let name = format!("svc-{}", job.id);
+                let manifest = Manifest::load(&cache_dir, &name).unwrap();
                 job.work = Some(Work {
                     specs,
                     manifest,
+                    file: Arc::new(ManifestFile::new(&cache_dir, &name)),
                     manifest_dirty: 0,
                 });
             }
@@ -1340,6 +1530,74 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
+        let _ = fs::remove_dir_all(cache_dir);
+    }
+
+    #[test]
+    fn a_manifest_file_never_goes_back_a_generation() {
+        let dir = tmpcache("generation");
+        let file = ManifestFile::new(&dir, "svc-j1");
+        file.write(16, "sixteen\n");
+        file.write(40, "forty\n");
+        // Taken before the completion save, written after it: a
+        // throttled save, then the submission's fresh manifest.
+        file.write(16, "sixteen again\n");
+        file.write(0, "fresh\n");
+        assert_eq!(fs::read_to_string(&file.path).unwrap(), "forty\n");
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn concurrent_tenants_leave_every_job_journaled_and_resolved_on_disk() {
+        let mut cfg = small_cfg("ordering");
+        cfg.queue_cap = 1_000;
+        let cache_dir = cfg.cache_dir.clone();
+        let svc = Service::new(cfg);
+        let workers = svc.start_workers();
+        // Twenty tasks a job, so that each job saves on the throttle (at
+        // 16) as well as at completion. Both grids are cold at first;
+        // they share ten cells, and every later job is warm.
+        let mut alice = small_request("alice");
+        alice.emc = None;
+        let mut bob = small_request("bob");
+        bob.repeat = 2;
+        std::thread::scope(|s| {
+            for req in [&alice, &bob] {
+                let svc = svc.clone();
+                s.spawn(move || {
+                    for _ in 0..20 {
+                        assert_eq!(svc.submit(req).expect("admitted").total, 20);
+                    }
+                });
+            }
+        });
+        assert!(svc.wait_all_jobs(Duration::from_secs(300)));
+        svc.stop();
+        for w in workers {
+            w.join().unwrap();
+        }
+
+        let seqs: Vec<u64> = read_journal(&cache_dir, 300).iter().map(|j| j.0).collect();
+        assert_eq!(seqs, (1..=40).collect::<Vec<u64>>(), "every job journaled");
+        let on_disk = fs::read_dir(cache_dir.join("manifests")).unwrap().count();
+        assert_eq!(on_disk, 40, "one manifest a job, no temp file left");
+        let executed: u64 = (1..=40)
+            .map(|n| {
+                let id = format!("j{n}");
+                let view = svc.status(&id).unwrap();
+                let manifest = Manifest::load(&cache_dir, &format!("svc-{id}")).unwrap();
+                let rows = Tally::of(&manifest);
+                assert_eq!(rows.done, 20, "{id}: every row resolved on disk");
+                let live = (view.done, view.hits, view.executed, view.failed);
+                assert_eq!(
+                    (rows.done, rows.hits, rows.executed, rows.failed),
+                    live,
+                    "{id}"
+                );
+                view.executed
+            })
+            .sum();
+        assert!(executed >= 30, "the cold cells ran: {executed}");
         let _ = fs::remove_dir_all(cache_dir);
     }
 
