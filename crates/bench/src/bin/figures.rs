@@ -1,10 +1,10 @@
 //! Regenerate the paper's tables and figures.
 //!
-//! Usage: `cargo run -p emc-bench --release --bin figures -- <id>`
-//! where `<id>` is one of: tab1 tab2 tab3 fig1 fig2 fig3 fig6 fig12 fig13
-//! fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24
-//! overhead ablation check all. Set `EMC_FIGURE_BUDGET` to change the
-//! per-core retired-uop budget (default 30000).
+//! Usage: `cargo run -p emc-bench --release --bin figures -- <id>`, where
+//! `<id>` is a row of [`FIGURES`] or `all` (the default), which draws
+//! every row but `check` and `calibrate` in table order. Set
+//! `EMC_FIGURE_BUDGET` to change the per-core retired-uop budget
+//! (default 30000).
 //!
 //! Every grid goes through the campaign engine: results are cached by
 //! content under `results/cache/`, shared across figures (fig1, fig6 and
@@ -12,77 +12,124 @@
 //! an interrupted `all` resumes from its manifests instead of starting
 //! over. Re-running a figure with a warm cache is pure lookups.
 
+use std::cell::OnceCell;
+
 use emc_bench::{
-    bar, config_grid, config_json, figure_budget, find, homog_grid, mix8_jobs,
-    norm_weighted_speedup, quad_grid, run_jobs, write_json, JobSpec, RunResult,
+    bar, config_grid, config_json, figure_budget, find, homog_jobs, mix8_jobs,
+    norm_weighted_speedup, quad_jobs, run_jobs, write_json, JobSpec, RunResult,
 };
-use emc_types::{PrefetcherKind, SystemConfig, ToJson};
+use emc_types::{JsonValue, PrefetcherKind, SystemConfig, ToJson};
 use emc_workloads::{Benchmark, QUAD_MIXES};
+use Draw::{Budget, Fixed, Homog, Quad};
+
+/// One row of the harness: `figures <id>` draws it, and `figures all`
+/// draws every row with `in_all` set, in table order.
+struct Figure {
+    id: &'static str,
+    in_all: bool,
+    draw: Draw,
+}
+
+/// What a row reads, and the function that draws it from that. Each
+/// returns the sidecar written as `results/<id>.json`, if it has one.
+enum Draw {
+    Fixed(fn() -> Sidecar),
+    Budget(fn(u64) -> Sidecar),
+    /// H1–H10 × the eight configurations of `config_grid`.
+    Quad(fn(&[RunResult]) -> Sidecar),
+    /// The high-intensity benchmarks, four copies each, × the same eight.
+    Homog(fn(&[RunResult]) -> Sidecar),
+}
+
+type Sidecar = Option<JsonValue>;
+
+#[rustfmt::skip]
+const FIGURES: &[Figure] = &[
+    Figure { id: "tab1", in_all: true, draw: Fixed(tab1) },
+    Figure { id: "tab3", in_all: true, draw: Fixed(tab3) },
+    Figure { id: "fig1", in_all: true, draw: Budget(|b| fig1_2(b, false)) },
+    Figure { id: "fig2", in_all: true, draw: Budget(|b| fig1_2(b, true)) },
+    Figure { id: "fig3", in_all: true, draw: Budget(fig3) },
+    Figure { id: "fig6", in_all: true, draw: Budget(fig6) },
+    Figure { id: "fig12", in_all: true, draw: Quad(fig12) },
+    Figure { id: "fig15", in_all: true, draw: Quad(fig15) },
+    Figure { id: "fig16", in_all: true, draw: Quad(fig16) },
+    Figure { id: "fig17", in_all: true, draw: Quad(fig17) },
+    Figure { id: "fig18", in_all: true, draw: Quad(fig18) },
+    Figure { id: "fig19", in_all: true, draw: Quad(fig19) },
+    Figure { id: "fig21", in_all: true, draw: Quad(fig21) },
+    Figure { id: "fig22", in_all: true, draw: Quad(fig22) },
+    Figure { id: "fig23", in_all: true, draw: Quad(fig23) },
+    Figure { id: "overhead", in_all: true, draw: Quad(overhead) },
+    Figure { id: "fig13", in_all: true, draw: Homog(fig13) },
+    Figure { id: "fig24", in_all: true, draw: Homog(fig24) },
+    Figure { id: "fig14", in_all: true, draw: Budget(fig14) },
+    Figure { id: "fig20", in_all: true, draw: Budget(fig20) },
+    Figure { id: "ablation", in_all: true, draw: Budget(ablation) },
+    Figure { id: "tab2", in_all: true, draw: Budget(tab2) },
+    Figure { id: "check", in_all: false, draw: Budget(check) },
+    Figure { id: "calibrate", in_all: false, draw: Fixed(calibrate) },
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().map(|s| s.as_str()).unwrap_or("all");
-    let budget = figure_budget();
-    eprintln!("# figure budget: {budget} retired uops/core (EMC_FIGURE_BUDGET to change)");
-    match what {
-        "tab1" => tab1(),
-        "tab2" => tab2(budget),
-        "tab3" => tab3(),
-        "fig1" => fig1_2(budget, false),
-        "fig2" => fig1_2(budget, true),
-        "fig3" => fig3(budget),
-        "fig6" => fig6(budget),
-        "fig12" => with_quad(budget, fig12),
-        "fig13" => with_homog(budget, fig13),
-        "fig14" => fig14(budget),
-        "fig15" => with_quad(budget, fig15),
-        "fig16" => with_quad(budget, fig16),
-        "fig17" => with_quad(budget, fig17),
-        "fig18" => with_quad(budget, fig18),
-        "fig19" => with_quad(budget, fig19),
-        "fig20" => fig20(budget),
-        "fig21" => with_quad(budget, fig21),
-        "fig22" => with_quad(budget, fig22),
-        "fig23" => with_quad(budget, fig23),
-        "fig24" => with_homog(budget, fig24),
-        "overhead" => with_quad(budget, overhead),
-        "ablation" => ablation(budget),
-        "check" => check(budget),
-        "all" => {
-            tab1();
-            tab3();
-            fig1_2(budget, false);
-            fig1_2(budget, true);
-            fig3(budget);
-            fig6(budget);
-            eprintln!("# running quad-core grid (80 simulations)...");
-            let quad = quad_grid(budget);
-            emit("quad_grid", &quad);
-            fig12(&quad);
-            fig15(&quad);
-            fig16(&quad);
-            fig17(&quad);
-            fig18(&quad);
-            fig19(&quad);
-            fig21(&quad);
-            fig22(&quad);
-            fig23(&quad);
-            overhead(&quad);
-            eprintln!("# running homogeneous grid (64 simulations)...");
-            let homog = homog_grid(budget);
-            emit("homog_grid", &homog);
-            fig13(&homog);
-            fig24(&homog);
-            fig14(budget);
-            fig20(budget);
-            ablation(budget);
-            tab2(budget);
-        }
-        other => {
-            eprintln!("unknown figure id: {other}");
-            std::process::exit(2);
+    let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    let inputs = Inputs {
+        budget: figure_budget(),
+        quad: OnceCell::new(),
+        homog: OnceCell::new(),
+    };
+    eprintln!(
+        "# figure budget: {} retired uops/core (EMC_FIGURE_BUDGET to change)",
+        inputs.budget
+    );
+    if what == "all" {
+        FIGURES
+            .iter()
+            .filter(|f| f.in_all)
+            .for_each(|f| f.draw(&inputs));
+    } else if let Some(f) = FIGURES.iter().find(|f| f.id == what) {
+        f.draw(&inputs);
+    } else {
+        let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+        eprintln!("unknown figure id: {what} (one of: {} all)", ids.join(" "));
+        std::process::exit(2);
+    }
+}
+
+/// What rows read: the budget, and the two shared grids, each run at
+/// most once per invocation, by the first row that reads it.
+struct Inputs {
+    budget: u64,
+    quad: OnceCell<Vec<RunResult>>,
+    homog: OnceCell<Vec<RunResult>>,
+}
+
+impl Figure {
+    fn draw(&self, inputs: &Inputs) {
+        let budget = inputs.budget;
+        let sidecar = match self.draw {
+            Fixed(f) => f(),
+            Budget(f) => f(budget),
+            Quad(f) => f(inputs
+                .quad
+                .get_or_init(|| shared_grid("quad-core", "quad", quad_jobs(budget)))),
+            Homog(f) => f(inputs
+                .homog
+                .get_or_init(|| shared_grid("homogeneous", "homog", homog_jobs(budget)))),
+        };
+        if let Some(data) = sidecar {
+            emit(self.id, &data);
         }
     }
+}
+
+/// Run one of the shared grids under campaign `<name>-grid` and write
+/// it whole to `results/<name>_grid.json`.
+fn shared_grid(what: &str, name: &str, jobs: Vec<JobSpec>) -> Vec<RunResult> {
+    eprintln!("# running {what} grid ({} simulations)...", jobs.len());
+    let grid = run_jobs(&format!("{name}-grid"), jobs);
+    emit(&format!("{name}_grid"), &grid);
+    grid
 }
 
 /// Write a sidecar, failing the run loudly (with the path) if the write
@@ -95,22 +142,9 @@ fn emit<T: ToJson>(name: &str, value: &T) {
     }
 }
 
-fn with_quad(budget: u64, f: impl FnOnce(&[RunResult])) {
-    eprintln!("# running quad-core grid (80 simulations)...");
-    let grid = quad_grid(budget);
-    emit("quad_grid", &grid);
-    f(&grid);
-}
-
-fn with_homog(budget: u64, f: impl FnOnce(&[RunResult])) {
-    eprintln!("# running homogeneous grid (64 simulations)...");
-    let grid = homog_grid(budget);
-    emit("homog_grid", &grid);
-    f(&grid);
-}
-
 /// The homogeneous no-EMC baseline specs over `benches` — the jobs
-/// fig1, fig2, fig6 and tab2 all share (and therefore cache-hit on).
+/// fig1, fig2, fig6, tab2 and `calibrate` all share (and therefore
+/// cache-hit on, at the same budget).
 fn baseline_specs(benches: &[Benchmark], budget: u64) -> Vec<JobSpec> {
     let cfg = SystemConfig::quad_core().without_emc();
     benches
@@ -128,15 +162,16 @@ fn header(title: &str) {
 // Tables
 // ---------------------------------------------------------------------
 
-fn tab1() {
+fn tab1() -> Sidecar {
     header("Table 1: system configuration");
     println!(
         "{}",
         config_json(&SystemConfig::quad_core()).to_json_pretty()
     );
+    None
 }
 
-fn tab2(budget: u64) {
+fn tab2(budget: u64) -> Sidecar {
     header("Table 2: SPEC CPU2006 classification by memory intensity (measured MPKI)");
     let jobs: Vec<Benchmark> = Benchmark::all();
     let runs = run_jobs("tab2-mpki", baseline_specs(&jobs, budget));
@@ -175,15 +210,45 @@ fn tab2(budget: u64) {
         );
     }
     println!("classification agreement: {agree}/{}", rows.len());
-    emit("tab2", &rows);
+    Some(rows.to_json_value())
 }
 
-fn tab3() {
+fn tab3() -> Sidecar {
     header("Table 3: quad-core workloads");
     for (name, mix) in QUAD_MIXES {
         let names: Vec<&str> = mix.iter().map(|b| b.name()).collect();
         println!("{name:<4} {}", names.join("+"));
     }
+    None
+}
+
+/// Workload calibration (DESIGN.md §2): MPKI, IPC, dependent-miss share
+/// and full-window-stall share of the high-intensity benchmarks and
+/// four others, four copies each on the quad-core without EMC or
+/// prefetching, at a fixed 150 000 uops per core whatever the figure
+/// budget is. Keeps the synthetic profiles inside the paper's bands.
+fn calibrate() -> Sidecar {
+    use Benchmark::{Gcc, Hmmer, Leslie3d, Perlbench};
+    header("Workload calibration: no EMC, no prefetcher, 150 000 uops/core");
+    let mut benches = Benchmark::HIGH_INTENSITY.to_vec();
+    benches.extend([Gcc, Perlbench, Leslie3d, Hmmer]);
+    let runs = run_jobs("calibrate", baseline_specs(&benches, 150_000));
+    println!(
+        "{:<12} {:>7} {:>6} {:>6} {:>7}",
+        "bench", "MPKI", "IPC", "dep%", "stall%"
+    );
+    for (b, r) in benches.iter().zip(&runs) {
+        let c = &r.stats.cores[0];
+        println!(
+            "{:<12} {:>7.1} {:>6.3} {:>6.1} {:>7.1}",
+            b.name(),
+            c.mpki(),
+            c.ipc(),
+            100.0 * c.dependent_miss_fraction(),
+            100.0 * c.full_window_stall_cycles as f64 / c.cycles as f64
+        );
+    }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -193,7 +258,7 @@ fn tab3() {
 /// Figures 1 and 2 share the homogeneous no-prefetch runs over the whole
 /// suite; `ideal` additionally runs the dependent-misses-become-hits
 /// limit study of Figure 2.
-fn fig1_2(budget: u64, ideal: bool) {
+fn fig1_2(budget: u64, ideal: bool) -> Sidecar {
     let jobs: Vec<Benchmark> = Benchmark::all();
     let runs = run_jobs("motivation-base", baseline_specs(&jobs, budget));
     // Sort ascending by memory intensity as the paper does.
@@ -230,8 +295,7 @@ fn fig1_2(budget: u64, ideal: bool) {
             );
             out.push((jobs[i].name(), dram, chip));
         }
-        emit("fig1", &out);
-        return;
+        return Some(out.to_json_value());
     }
 
     header("Figure 2: dependent LLC misses and the ideal-hit limit study");
@@ -260,10 +324,10 @@ fn fig1_2(budget: u64, ideal: bool) {
         println!("{:<12} {:>11.1}% {:>15.1}%", jobs[i].name(), dep, speedup);
         out.push((jobs[i].name(), dep, speedup));
     }
-    emit("fig2", &out);
+    Some(out.to_json_value())
 }
 
-fn fig3(budget: u64) {
+fn fig3(budget: u64) -> Sidecar {
     header("Figure 3: % of dependent cache misses covered by each prefetcher");
     println!(
         "{:<12} {:>8} {:>8} {:>14}",
@@ -313,10 +377,10 @@ fn fig3(budget: u64) {
         );
         out.push((b.name(), cov));
     }
-    emit("fig3", &out);
+    Some(out.to_json_value())
 }
 
-fn fig6(budget: u64) {
+fn fig6(budget: u64) -> Sidecar {
     header("Figure 6: average ops between a source miss and its dependent miss");
     // Same specs as the fig1/tab2 baseline over the high-intensity
     // subset: all cache hits once either has run.
@@ -334,76 +398,113 @@ fn fig6(budget: u64) {
         println!("{:<12} {:>6.2}", b.name(), mean);
         out.push((b.name(), mean));
     }
-    emit("fig6", &out);
+    Some(out.to_json_value())
 }
 
 // ---------------------------------------------------------------------
-// Performance figures (12, 13, 14)
+// Performance (12, 13, 14) and energy (23, 24) against the baseline
 // ---------------------------------------------------------------------
 
-fn perf_rows(grid: &[RunResult], workloads: &[String]) -> Vec<(String, Vec<(String, f64)>)> {
-    let mut rows = Vec::new();
-    for w in workloads {
-        let base = find(grid, w, PrefetcherKind::None, false);
-        let mut cols = Vec::new();
-        for pf in PrefetcherKind::ALL {
-            for emc in [false, true] {
-                if pf == PrefetcherKind::None && !emc {
-                    continue;
-                }
-                let r = find(grid, w, pf, emc);
-                let label = format!("{}{}", pf.label(), if emc { "+EMC" } else { "" });
-                cols.push((label, norm_weighted_speedup(r, &base.ipcs)));
+/// How Figures 12–14, 23 and 24 tabulate a grid: a row per workload, in
+/// grid order, with one value per `config_grid` column but the no-PF,
+/// no-EMC baseline (the workload's run in that column against its
+/// baseline run), then a mean row.
+struct Versus {
+    /// A cell's value, from its run and the workload's baseline run.
+    value: fn(&RunResult, &RunResult) -> f64,
+    /// A printed cell, leading space included.
+    cell: fn(f64) -> String,
+    /// Printed after the column labels.
+    note: &'static str,
+    /// The mean row's label.
+    mean: &'static str,
+    /// Whether the sidecar pairs each value with its column label.
+    labelled: bool,
+}
+
+/// Normalized weighted speedup (Figures 12–14).
+const SPEEDUP: Versus = Versus {
+    value: |r, base| norm_weighted_speedup(r, &base.ipcs),
+    cell: |v| format!(" {v:>14.3}"),
+    note: "",
+    mean: "gmean-ish",
+    labelled: true,
+};
+
+/// Energy change in percent (Figures 23 and 24).
+const ENERGY: Versus = Versus {
+    value: |r, base| r.energy.percent_vs(&base.energy),
+    cell: |v| format!(" {v:>+13.1}%"),
+    note: "   (% energy vs no-PF baseline)",
+    mean: "mean",
+    labelled: false,
+};
+
+impl Versus {
+    /// Print the table of `grid` and return its sidecar.
+    fn table(&self, grid: &[RunResult]) -> JsonValue {
+        let mut workloads: Vec<&str> = Vec::new();
+        for r in grid {
+            if !workloads.contains(&r.workload.as_str()) {
+                workloads.push(&r.workload);
             }
         }
-        rows.push((w.clone(), cols));
-    }
-    rows
-}
-
-fn print_perf(rows: &[(String, Vec<(String, f64)>)]) {
-    let labels: Vec<&str> = rows[0].1.iter().map(|(l, _)| l.as_str()).collect();
-    print!("{:<12}", "workload");
-    for l in &labels {
-        print!(" {l:>14}");
-    }
-    println!();
-    let mut sums = vec![0.0; labels.len()];
-    for (w, cols) in rows {
-        print!("{w:<12}");
-        for (i, (_, v)) in cols.iter().enumerate() {
-            print!(" {v:>14.3}");
-            sums[i] += v;
+        let columns: Vec<(PrefetcherKind, bool)> = config_grid(SystemConfig::quad_core())
+            .iter()
+            .map(|c| (c.prefetcher, c.emc.enabled))
+            .filter(|&(pf, emc)| pf != PrefetcherKind::None || emc)
+            .collect();
+        let labels: Vec<String> = columns
+            .iter()
+            .map(|(pf, emc)| format!("{}{}", pf.label(), if *emc { "+EMC" } else { "" }))
+            .collect();
+        print!("{:<12}", "workload");
+        for l in &labels {
+            print!(" {l:>14}");
+        }
+        println!("{}", self.note);
+        let mut sums = vec![0.0; columns.len()];
+        let mut rows = Vec::new();
+        for &w in &workloads {
+            let base = find(grid, w, PrefetcherKind::None, false);
+            print!("{w:<12}");
+            let mut values = Vec::new();
+            for (&(pf, emc), sum) in columns.iter().zip(&mut sums) {
+                let v = (self.value)(find(grid, w, pf, emc), base);
+                print!("{}", (self.cell)(v));
+                *sum += v;
+                values.push(v);
+            }
+            println!();
+            rows.push((w.to_string(), values));
+        }
+        print!("{:<12}", self.mean);
+        for s in &sums {
+            print!("{}", (self.cell)(s / workloads.len() as f64));
         }
         println!();
+        if !self.labelled {
+            return rows.to_json_value();
+        }
+        let labelled: Vec<(String, Vec<(String, f64)>)> = rows
+            .into_iter()
+            .map(|(w, values)| (w, labels.iter().cloned().zip(values).collect()))
+            .collect();
+        labelled.to_json_value()
     }
-    print!("{:<12}", "gmean-ish");
-    for s in &sums {
-        print!(" {:>14.3}", s / rows.len() as f64);
-    }
-    println!();
 }
 
-fn fig12(grid: &[RunResult]) {
+fn fig12(grid: &[RunResult]) -> Sidecar {
     header("Figure 12: quad-core weighted speedup vs no-PF baseline, H1-H10");
-    let workloads: Vec<String> = QUAD_MIXES.iter().map(|(n, _)| n.to_string()).collect();
-    let rows = perf_rows(grid, &workloads);
-    print_perf(&rows);
-    emit("fig12", &rows);
+    Some(SPEEDUP.table(grid))
 }
 
-fn fig13(grid: &[RunResult]) {
+fn fig13(grid: &[RunResult]) -> Sidecar {
     header("Figure 13: quad-core homogeneous workloads (4 copies each)");
-    let workloads: Vec<String> = Benchmark::HIGH_INTENSITY
-        .iter()
-        .map(|b| format!("{}x4", b.name()))
-        .collect();
-    let rows = perf_rows(grid, &workloads);
-    print_perf(&rows);
-    emit("fig13", &rows);
+    Some(SPEEDUP.table(grid))
 }
 
-fn fig14(budget: u64) {
+fn fig14(budget: u64) -> Sidecar {
     header("Figure 14: eight-core performance, single vs dual memory controller");
     for (label, cfg) in [
         ("1MC", SystemConfig::eight_core_1mc()),
@@ -416,11 +517,19 @@ fn fig14(budget: u64) {
             mix8_jobs(cfg, budget),
         );
         println!("--- {label} ---");
-        let workloads: Vec<String> = QUAD_MIXES.iter().map(|(n, _)| n.to_string()).collect();
-        let rows = perf_rows(&grid, &workloads);
-        print_perf(&rows);
-        emit(&format!("fig14_{label}"), &rows);
+        emit(&format!("fig14_{label}"), &SPEEDUP.table(&grid));
     }
+    None
+}
+
+fn fig23(grid: &[RunResult]) -> Sidecar {
+    header("Figure 23: energy consumption vs no-EMC/no-PF baseline, H1-H10");
+    Some(ENERGY.table(grid))
+}
+
+fn fig24(grid: &[RunResult]) -> Sidecar {
+    header("Figure 24: energy consumption, homogeneous workloads");
+    Some(ENERGY.table(grid))
 }
 
 // ---------------------------------------------------------------------
@@ -434,7 +543,7 @@ fn emc_runs(grid: &[RunResult]) -> Vec<&RunResult> {
         .collect()
 }
 
-fn fig15(grid: &[RunResult]) {
+fn fig15(grid: &[RunResult]) -> Sidecar {
     header("Figure 15: fraction of all LLC misses generated by the EMC");
     let mut out = Vec::new();
     for r in emc_runs(grid) {
@@ -447,10 +556,10 @@ fn fig15(grid: &[RunResult]) {
         );
         out.push((r.workload.clone(), f));
     }
-    emit("fig15", &out);
+    Some(out.to_json_value())
 }
 
-fn fig16(grid: &[RunResult]) {
+fn fig16(grid: &[RunResult]) -> Sidecar {
     header("Figure 16: row-buffer conflict-rate change vs no-PF baseline");
     let mut out = Vec::new();
     for (name, _) in QUAD_MIXES {
@@ -465,10 +574,10 @@ fn fig16(grid: &[RunResult]) {
         );
         out.push((name, delta));
     }
-    emit("fig16", &out);
+    Some(out.to_json_value())
 }
 
-fn fig17(grid: &[RunResult]) {
+fn fig17(grid: &[RunResult]) -> Sidecar {
     header("Figure 17: EMC data-cache hit rate");
     let mut out = Vec::new();
     for r in emc_runs(grid) {
@@ -481,10 +590,10 @@ fn fig17(grid: &[RunResult]) {
         );
         out.push((r.workload.clone(), h));
     }
-    emit("fig17", &out);
+    Some(out.to_json_value())
 }
 
-fn fig18(grid: &[RunResult]) {
+fn fig18(grid: &[RunResult]) -> Sidecar {
     header("Figure 18: LLC-miss latency, EMC-issued vs core-issued (cycles)");
     // The paper's claim is about the latency *distribution*, so report
     // the median and tail of each histogram, not just the mean.
@@ -521,17 +630,18 @@ fn fig18(grid: &[RunResult]) {
             eh.p99(),
         ));
     }
+    let n = out.len() as f64;
     println!(
         "{:<5} mean {:>7.0} vs {:>7.0} {:>8.1}%  (paper: ~20% lower for EMC requests)",
         "avg",
-        csum / 10.0,
-        esum / 10.0,
+        csum / n,
+        esum / n,
         100.0 * (1.0 - esum / csum)
     );
-    emit("fig18", &out);
+    Some(out.to_json_value())
 }
 
-fn fig19(grid: &[RunResult]) {
+fn fig19(grid: &[RunResult]) -> Sidecar {
     header("Figure 19: average cycles saved per EMC request, by source");
     println!(
         "{:<5} {:>12} {:>12} {:>12} {:>8}",
@@ -553,10 +663,10 @@ fn fig19(grid: &[RunResult]) {
         );
         out.push((r.workload.clone(), ring, cache, queue));
     }
-    emit("fig19", &out);
+    Some(out.to_json_value())
 }
 
-fn fig21(grid: &[RunResult]) {
+fn fig21(grid: &[RunResult]) -> Sidecar {
     header("Figure 21: % of EMC-generated misses covered when prefetching is on");
     println!(
         "{:<5} {:>8} {:>8} {:>14}",
@@ -584,10 +694,10 @@ fn fig21(grid: &[RunResult]) {
         );
         out.push((name, cov));
     }
-    emit("fig21", &out);
+    Some(out.to_json_value())
 }
 
-fn fig22(grid: &[RunResult]) {
+fn fig22(grid: &[RunResult]) -> Sidecar {
     header("Figure 22: average uops per dependence chain");
     let mut out = Vec::new();
     let mut hist = [0u64; 17];
@@ -613,17 +723,17 @@ fn fig22(grid: &[RunResult]) {
             );
         }
     }
-    emit("fig22", &out);
+    Some(out.to_json_value())
 }
 
 // ---------------------------------------------------------------------
-// Sensitivity (20), energy (23, 24), overhead (§6.5)
+// Sensitivity (20), overhead (§6.5), self-check, ablations
 // ---------------------------------------------------------------------
 
-fn fig20(budget: u64) {
+fn fig20(budget: u64) -> Sidecar {
     header("Figure 20: sensitivity to DRAM channels/ranks (speedup over 1C1R, no-PF)");
-    // The paper averages H1-H10; we use three representative mixes to
-    // bound runtime (override the budget env var for full sweeps).
+    // The paper averages H1-H10; three representative mixes bound the
+    // runtime (the mix list is fixed, whatever the budget).
     let mixes = ["H1", "H4", "H9"];
     let geoms = [
         (1, 1),
@@ -678,74 +788,13 @@ fn fig20(budget: u64) {
         );
         out.push((format!("{c}C{r}R"), b, e));
     }
-    emit("fig20", &out);
-}
-
-fn energy_rows(grid: &[RunResult], workloads: &[String], json: &str) {
-    print!("{:<12}", "workload");
-    let mut labels = Vec::new();
-    for pf in PrefetcherKind::ALL {
-        for emc in [false, true] {
-            if pf == PrefetcherKind::None && !emc {
-                continue;
-            }
-            labels.push(format!("{}{}", pf.label(), if emc { "+EMC" } else { "" }));
-        }
-    }
-    for l in &labels {
-        print!(" {l:>14}");
-    }
-    println!("   (% energy vs no-PF baseline)");
-    let mut out = Vec::new();
-    let mut sums = vec![0.0; labels.len()];
-    for w in workloads {
-        let base = find(grid, w, PrefetcherKind::None, false);
-        print!("{w:<12}");
-        let mut row = Vec::new();
-        let mut i = 0;
-        for pf in PrefetcherKind::ALL {
-            for emc in [false, true] {
-                if pf == PrefetcherKind::None && !emc {
-                    continue;
-                }
-                let r = find(grid, w, pf, emc);
-                let pct = r.energy.percent_vs(&base.energy);
-                print!(" {pct:>+13.1}%");
-                row.push(pct);
-                sums[i] += pct;
-                i += 1;
-            }
-        }
-        println!();
-        out.push((w.clone(), row));
-    }
-    print!("{:<12}", "mean");
-    for s in &sums {
-        print!(" {:>+13.1}%", s / workloads.len() as f64);
-    }
-    println!();
-    emit(json, &out);
-}
-
-fn fig23(grid: &[RunResult]) {
-    header("Figure 23: energy consumption vs no-EMC/no-PF baseline, H1-H10");
-    let workloads: Vec<String> = QUAD_MIXES.iter().map(|(n, _)| n.to_string()).collect();
-    energy_rows(grid, &workloads, "fig23");
-}
-
-fn fig24(grid: &[RunResult]) {
-    header("Figure 24: energy consumption, homogeneous workloads");
-    let workloads: Vec<String> = Benchmark::HIGH_INTENSITY
-        .iter()
-        .map(|b| format!("{}x4", b.name()))
-        .collect();
-    energy_rows(grid, &workloads, "fig24");
+    Some(out.to_json_value())
 }
 
 /// Automated reproduction self-test: re-runs a small grid and asserts
 /// the scorecard's directional claims (EXPERIMENTS.md). Exits non-zero
 /// on any violation.
-fn check(budget: u64) {
+fn check(budget: u64) -> Sidecar {
     header("Reproduction self-check");
     let mut failures: Vec<String> = Vec::new();
     let mut claim = |name: &str, ok: bool, detail: String| {
@@ -758,14 +807,12 @@ fn check(budget: u64) {
     // Representative mixes keep the check fast; the specs are a subset
     // of the quad grid, so a warm cache answers them without simulating.
     let mixes = ["H1", "H4", "H7"];
-    let mut specs = Vec::new();
-    for name in mixes {
-        let mix = emc_workloads::mix_by_name(name).expect("known mix");
-        for cfg in config_grid(SystemConfig::quad_core()) {
-            specs.push(JobSpec::mix(name, mix, cfg, budget));
-        }
-    }
+    let specs = quad_jobs(budget)
+        .into_iter()
+        .filter(|j| mixes.contains(&j.label.as_str()))
+        .collect();
     let grid = run_jobs("check", specs);
+    let n = mixes.len() as f64;
 
     // 1. EMC speeds up the no-prefetch system on average.
     let mut emc_gain = 0.0;
@@ -774,7 +821,7 @@ fn check(budget: u64) {
         let emc = find(&grid, name, PrefetcherKind::None, true);
         emc_gain += norm_weighted_speedup(emc, &base.ipcs);
     }
-    emc_gain /= mixes.len() as f64;
+    emc_gain /= n;
     claim(
         "emc_speedup",
         emc_gain > 1.02,
@@ -792,7 +839,7 @@ fn check(budget: u64) {
     claim(
         "emc_latency",
         e < c,
-        format!("core {:.0} vs EMC {:.0} cycles", c / 3.0, e / 3.0),
+        format!("core {:.0} vs EMC {:.0} cycles", c / n, e / n),
     );
 
     // 3. EMC saves energy; Markov+stream costs energy on chase mixes.
@@ -829,24 +876,19 @@ fn check(budget: u64) {
     );
 
     if failures.is_empty() {
-        println!(
-            "
-all checks passed"
-        );
+        println!("\nall checks passed");
     } else {
-        println!(
-            "
-FAILED: {failures:?}"
-        );
+        println!("\nFAILED: {failures:?}");
         std::process::exit(1);
     }
+    None
 }
 
 /// Design-space ablations: the paper chose the EMC's context count, data
 /// cache and uop-buffer sizes "via sensitivity analysis" (§5); this
 /// regenerates that analysis, plus the §1/§2 mechanism comparison against
 /// runahead execution.
-fn ablation(budget: u64) {
+fn ablation(budget: u64) -> Sidecar {
     header("Ablation A: EMC design space (omnetpp x4, speedup vs no EMC)");
     let mut specs = vec![JobSpec::homog(
         Benchmark::Omnetpp,
@@ -947,9 +989,10 @@ fn ablation(budget: u64) {
     }
     println!("(runahead targets independent misses; the EMC targets dependent ones — §1/§2)");
     emit("ablation_mechanisms", &out);
+    None
 }
 
-fn overhead(grid: &[RunResult]) {
+fn overhead(grid: &[RunResult]) -> Sidecar {
     header("Section 6.5: EMC interconnect overhead (averages over H1-H10)");
     let mut live_in = 0.0;
     let mut live_out = 0.0;
@@ -1008,4 +1051,65 @@ fn overhead(grid: &[RunResult]) {
         "EMC share of data messages:  {:.1}% (paper: 25%)",
         emc_data_share / n
     );
+    None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::FIGURES;
+    use std::collections::BTreeSet;
+
+    fn ids() -> BTreeSet<&'static str> {
+        FIGURES.iter().map(|f| f.id).collect()
+    }
+
+    /// The word after each occurrence of `prefix` in `text`.
+    fn cited<'a>(text: &'a str, prefix: &str) -> Vec<&'a str> {
+        text.split(prefix)
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn design_index_names_every_row_once_and_nothing_else() {
+        let design = include_str!("../../../../DESIGN.md");
+        let index = design
+            .split("\n## 4.")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("DESIGN.md has a §4");
+        // The "Bench target" column is the last cell of each table row.
+        let targets: Vec<&str> = index
+            .lines()
+            .filter(|l| l.starts_with('|'))
+            .filter_map(|l| l.trim_end().trim_end_matches('|').rsplit('|').next())
+            .flat_map(|cell| cited(cell, "`figures "))
+            .collect();
+        let unique: BTreeSet<&str> = targets.iter().copied().collect();
+        assert_eq!(unique.len(), targets.len(), "a target is listed twice");
+        assert_eq!(unique, ids());
+    }
+
+    #[test]
+    fn readme_and_experiments_cite_only_rows() {
+        for (doc, text) in [
+            ("README.md", include_str!("../../../../README.md")),
+            ("EXPERIMENTS.md", include_str!("../../../../EXPERIMENTS.md")),
+        ] {
+            for prefix in ["`figures ", "--bin figures -- "] {
+                for id in cited(text, prefix) {
+                    assert!(
+                        id == "all" || ids().contains(id),
+                        "{doc} cites `figures {id}`, which is no row of FIGURES"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -44,18 +44,6 @@ pub fn norm_weighted_speedup(run: &RunResult, baseline_ipcs: &[f64]) -> f64 {
     run.stats.weighted_speedup(baseline_ipcs) / baseline_ipcs.len() as f64
 }
 
-/// All quad-core heterogeneous grid runs (H1–H10 × 8 configs), the input
-/// to Figures 12, 15, 16, 17, 18, 19, 21, 22 and 23. Campaign-cached.
-pub fn quad_grid(budget: u64) -> Vec<RunResult> {
-    run_jobs("quad-grid", quad_jobs(budget))
-}
-
-/// All homogeneous grid runs (8 high-intensity benchmarks × 8 configs),
-/// the input to Figures 13 and 24. Campaign-cached.
-pub fn homog_grid(budget: u64) -> Vec<RunResult> {
-    run_jobs("homog-grid", homog_jobs(budget))
-}
-
 /// Find the run for (workload, prefetcher label, emc) in a grid.
 pub fn find<'a>(
     grid: &'a [RunResult],
@@ -97,16 +85,6 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_types::SystemConfig;
-
-    #[test]
-    fn config_grid_has_eight_entries() {
-        let g = config_grid(SystemConfig::quad_core());
-        assert_eq!(g.len(), 8);
-        assert_eq!(g.iter().filter(|c| c.emc.enabled).count(), 4);
-        let labels: std::collections::HashSet<_> = g.iter().map(|c| c.prefetcher.label()).collect();
-        assert_eq!(labels.len(), 4);
-    }
 
     #[test]
     fn bar_renders_bounded() {
