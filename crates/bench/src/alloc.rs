@@ -1,10 +1,9 @@
 //! A counting global allocator.
 //!
-//! ROADMAP item 1 targets per-request allocation churn in the
-//! simulator's hot path; to optimize it we first have to see it. The
-//! binary that cares (`benchmark/`'s `trace`, behind
-//! `sim.allocs_per_kcycle`) installs [`CountingAlloc`] as its
-//! `#[global_allocator]`:
+//! Two programs install [`CountingAlloc`] as their `#[global_allocator]`:
+//! `benchmark/`'s `trace`, behind `sim.allocs_per_kcycle` and
+//! `sim.alloc_bytes_per_kcycle`, and `tests/build_once.rs`, which holds
+//! the bytes building a cell allocates to one copy of its memory images:
 //!
 //! ```ignore
 //! #[global_allocator]

@@ -206,7 +206,8 @@ pub struct System {
 }
 
 impl System {
-    /// Build a system running one workload per core.
+    /// Build a system running one workload per core. Each workload's
+    /// program and memory image move into its core; neither is copied.
     ///
     /// Returns a [`BuildError`] (rather than panicking) if the config
     /// fails validation or the workload count differs from `cfg.cores`.
@@ -223,14 +224,13 @@ impl System {
             cores: cfg.cores,
             mcs: cfg.memory_controllers,
         };
-        let cores: Vec<Core> = workloads
-            .iter()
-            .map(|w| Core::new(&cfg.core, Arc::new(w.program.clone()), w.memory.clone()))
-            .collect();
-        let bench_names = workloads
-            .iter()
-            .map(|w| w.bench.name().to_string())
-            .collect();
+        let (bench_names, cores): (Vec<String>, Vec<Core>) = workloads
+            .into_iter()
+            .map(|w| {
+                let core = Core::new(&cfg.core, Arc::new(w.program), w.memory);
+                (w.bench.name().to_string(), core)
+            })
+            .unzip();
         let mut mcs: Vec<MemoryController> = (0..cfg.memory_controllers)
             .map(|m| MemoryController::new(&cfg.dram, cfg.channels_of_mc(m).collect()))
             .collect();
