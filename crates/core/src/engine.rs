@@ -11,7 +11,13 @@
 //!
 //! The engine is driven by the system simulator: it emits [`EmcEvent`]s
 //! (load requests with their chosen route, chain completion/abort) and
-//! receives load data via [`Emc::complete_load`].
+//! receives load data via [`EmcEngine::complete_load`].
+//!
+//! The engine owns no counters. [`EmcEngine::start_chain`] and
+//! [`EmcEngine::tick`] count into the caller's [`EmcStats`], the way the
+//! memory controller and the ring count into theirs: a `System` passes
+//! its one `Stats::emc`, shared by every memory controller's engine. An
+//! engine driven on its own keeps its counters beside it in an [`Emc`].
 
 use crate::chain::{Chain, ChainSrc, ChainUop};
 use crate::predictor::MissPredictor;
@@ -52,7 +58,8 @@ pub enum AbortReason {
     /// The context's forward-progress lease expired: the chain made no
     /// progress (no source delivery, load completion, or results leaving)
     /// for the configured lease window, so the EMC reclaimed the context
-    /// ([`Emc::expire_leases`]) and the home core re-executes the chain.
+    /// ([`EmcEngine::expire_leases`]) and the home core re-executes the
+    /// chain.
     LeaseExpired,
 }
 
@@ -67,11 +74,11 @@ pub enum LoadRoute {
     DirectDram,
 }
 
-/// Events emitted by [`Emc::tick`] for the simulator.
+/// Events emitted by [`EmcEngine::tick`] for the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmcEvent {
     /// A load issued; the simulator must supply data via
-    /// [`Emc::complete_load`] after modeling `route`'s latency.
+    /// [`EmcEngine::complete_load`] after modeling `route`'s latency.
     Load {
         /// Issue context.
         ctx: usize,
@@ -95,13 +102,13 @@ pub enum EmcEvent {
         ctx: usize,
     },
     /// Every uop of the chain in `ctx` completed; collect it with
-    /// [`Emc::take_finished`].
+    /// [`EmcEngine::take_finished`].
     ChainDone {
         /// Issue context.
         ctx: usize,
     },
-    /// The chain in `ctx` aborted; collect it with [`Emc::take_finished`]
-    /// and re-execute at the core.
+    /// The chain in `ctx` aborted; collect it with
+    /// [`EmcEngine::take_finished`] and re-execute at the core.
     ChainAborted {
         /// Issue context.
         ctx: usize,
@@ -152,7 +159,8 @@ struct Context {
     active_at: Cycle,
     /// The lease clock: the chain's last progress, from its arrival on.
     progress_at: Cycle,
-    /// Progress since the last [`Emc::expire_leases`], which dates it.
+    /// Progress since the last [`EmcEngine::expire_leases`], which dates
+    /// it.
     progressed: bool,
     aborted: Option<AbortReason>,
     announced: bool,
@@ -221,16 +229,17 @@ impl Context {
     }
 }
 
-/// The enhanced memory controller's compute engine.
+/// The enhanced memory controller's compute engine (counts into the
+/// caller's [`EmcStats`]).
 #[derive(Clone)]
-pub struct Emc {
+pub struct EmcEngine {
     cfg: EmcConfig,
     contexts: Vec<Option<Context>>,
     /// Per context: how many chains it has finished.
     generations: Vec<u64>,
     /// Cycles without progress that reclaim a busy context (MAX: never).
     lease: Cycle,
-    /// [`tick`](Emc::tick) does nothing before this cycle: 0 while
+    /// [`tick`](EmcEngine::tick) does nothing before this cycle: 0 while
     /// awake, the arrival of a chain in flight on the ring, or
     /// `Cycle::MAX` until a caller hands the engine something.
     sleep_until: Cycle,
@@ -239,11 +248,9 @@ pub struct Emc {
     dcache: SetAssocCache,
     tlbs: Vec<CircularTlb>,
     miss_pred: Vec<MissPredictor>,
-    /// Execution statistics (Figures 15, 17, 21, 22 inputs).
-    pub stats: EmcStats,
 }
 
-impl Emc {
+impl EmcEngine {
     /// Build an EMC for `cores` home cores.
     pub fn new(cfg: &EmcConfig, cores: usize) -> Self {
         let dcache_cfg = CacheConfig {
@@ -252,7 +259,7 @@ impl Emc {
             latency: cfg.dcache_latency,
             mshrs: 8,
         };
-        Emc {
+        EmcEngine {
             cfg: *cfg,
             contexts: (0..cfg.contexts).map(|_| None).collect(),
             generations: vec![0; cfg.contexts],
@@ -266,12 +273,11 @@ impl Emc {
             miss_pred: (0..cores)
                 .map(|_| MissPredictor::new(cfg.miss_pred_entries, cfg.miss_pred_threshold))
                 .collect(),
-            stats: EmcStats::default(),
         }
     }
 
     /// Reclaim a busy context after `lease` cycles without progress
-    /// ([`expire_leases`](Emc::expire_leases)); `None`: never.
+    /// ([`expire_leases`](EmcEngine::expire_leases)); `None`: never.
     pub fn set_lease(&mut self, lease: Option<Cycle>) {
         self.lease = lease.unwrap_or(Cycle::MAX);
     }
@@ -298,7 +304,7 @@ impl Emc {
         self.contexts.get(ctx)?.as_ref().map(|c| &c.chain)
     }
 
-    /// How many chains `ctx` has finished ([`Emc::take_finished`]).
+    /// How many chains `ctx` has finished ([`EmcEngine::take_finished`]).
     pub fn generation(&self, ctx: usize) -> u64 {
         self.generations[ctx]
     }
@@ -321,10 +327,15 @@ impl Emc {
     /// # Errors
     ///
     /// Returns the chain back if every context is busy (the caller drops
-    /// it; the core simply executes normally).
-    pub fn start_chain(&mut self, chain: Chain, active_at: Cycle) -> Result<usize, Chain> {
+    /// it; the core simply executes normally), counted in `stats`.
+    pub fn start_chain(
+        &mut self,
+        chain: Chain,
+        active_at: Cycle,
+        stats: &mut EmcStats,
+    ) -> Result<usize, Chain> {
         let Some(slot) = self.contexts.iter().position(|c| c.is_none()) else {
-            self.stats.chains_rejected_busy += 1;
+            stats.chains_rejected_busy += 1;
             return Err(chain);
         };
         self.tlbs[chain.home_core].insert(tlb_page(chain.source_addr));
@@ -393,7 +404,7 @@ impl Emc {
         }
     }
 
-    /// The once-per-cycle lease pass, before [`tick`](Emc::tick): progress
+    /// The once-per-cycle lease pass, before [`tick`](EmcEngine::tick): progress
     /// since the last pass restarts a context's clock at `now`; a lease
     /// run out aborts the chain ([`AbortReason::LeaseExpired`]) and
     /// re-arms the clock, so the abort can drain.
@@ -458,8 +469,8 @@ impl Emc {
         self.tlbs[core].contains(tlb_page(addr))
     }
 
-    /// The cycle before which neither [`expire_leases`](Emc::expire_leases)
-    /// nor [`tick`](Emc::tick) is known to do anything, unless one of
+    /// The cycle before which neither [`expire_leases`](EmcEngine::expire_leases)
+    /// nor [`tick`](EmcEngine::tick) is known to do anything, unless one of
     /// `start_chain`, `deliver_source`, `complete_load`, `force_abort`,
     /// `drain_results` or `take_finished` is called first: the earlier of
     /// the engine's sleep (`Cycle::MAX` when only those calls can give it
@@ -476,8 +487,9 @@ impl Emc {
     /// Every transition here happens within the cycle that enables it, so
     /// a tick that issued nothing and announced nothing would repeat
     /// unchanged until a caller hands the engine something or a chain in
-    /// flight on the ring arrives; the engine sleeps until then.
-    pub fn tick(&mut self, now: Cycle) -> Vec<EmcEvent> {
+    /// flight on the ring arrives; the engine sleeps until then. What
+    /// executes is counted in `stats`.
+    pub fn tick(&mut self, now: Cycle, stats: &mut EmcStats) -> Vec<EmcEvent> {
         let mut events = Vec::new();
         if now < self.sleep_until {
             return events;
@@ -509,7 +521,7 @@ impl Emc {
             );
             for &i in &ready {
                 issued += 1;
-                self.issue_uop(ctx, i, &mut events);
+                self.issue_uop(ctx, i, &mut events, stats);
                 if self.contexts[ctx]
                     .as_ref()
                     .is_none_or(|c| c.aborted.is_some())
@@ -538,10 +550,10 @@ impl Emc {
                 events.push(EmcEvent::ChainAborted { ctx, reason });
             } else if c.all_done() {
                 c.announced = true;
-                self.stats.chains_executed += 1;
+                stats.chains_executed += 1;
                 // Chain latency: ship departure to last uop done here.
                 let latency = now.saturating_sub(c.chain.shipped_at);
-                self.stats.chain_latency.record(latency);
+                stats.chain_latency.record(latency);
                 events.push(EmcEvent::ChainDone { ctx });
             }
         }
@@ -551,10 +563,16 @@ impl Emc {
         events
     }
 
-    fn issue_uop(&mut self, ctx: usize, i: usize, events: &mut Vec<EmcEvent>) {
+    fn issue_uop(
+        &mut self,
+        ctx: usize,
+        i: usize,
+        events: &mut Vec<EmcEvent>,
+        stats: &mut EmcStats,
+    ) {
         let c = self.contexts[ctx].as_mut().expect("context exists");
         let u = c.chain.uops[i];
-        self.stats.uops_executed += 1;
+        stats.uops_executed += 1;
         match u.kind {
             UopKind::Branch(cond) => {
                 let v = u.srcs[0].and_then(|s| c.src_value(s)).unwrap_or(0);
@@ -563,7 +581,7 @@ impl Emc {
                 if taken != u.predicted_taken {
                     // The core must re-execute the branch locally to
                     // redirect fetch: no result is returned.
-                    self.stats.branch_mispredicts_detected += 1;
+                    stats.branch_mispredicts_detected += 1;
                     c.aborted = Some(AbortReason::BranchMispredict);
                 } else {
                     c.outbox.push(ChainResult {
@@ -587,17 +605,17 @@ impl Emc {
                     value,
                     store: Some((addr, value)),
                 });
-                self.stats.stores_executed += 1;
+                stats.stores_executed += 1;
             }
             UopKind::Load => {
                 let base = u.srcs[0].and_then(|s| c.src_value(s)).unwrap_or(0);
                 let addr = Addr(base.wrapping_add(u.imm));
                 let home = c.chain.home_core;
-                self.stats.loads_executed += 1;
+                stats.loads_executed += 1;
                 // 1. Virtual address translation (§4.1.4).
                 let page = tlb_page(addr);
                 if !self.tlbs[home].contains(page) {
-                    self.stats.tlb_misses += 1;
+                    stats.tlb_misses += 1;
                     // Model the core sending the PTE along with the
                     // re-execution notification, so the next chain to
                     // this page succeeds.
@@ -606,7 +624,7 @@ impl Emc {
                     c.aborted = Some(AbortReason::TlbMiss);
                     return;
                 }
-                self.stats.tlb_hits += 1;
+                stats.tlb_hits += 1;
                 // 2. In-chain store forwarding (register fills).
                 if let Some(&(_, v)) = c.store_buffer.iter().rev().find(|&&(a, _)| a == addr) {
                     c.states[i] = UopState::Done;
@@ -623,16 +641,16 @@ impl Emc {
                 }
                 // 3. EMC data cache.
                 let pline = physical_line(home, addr.line());
-                self.stats.dcache_accesses += 1;
+                stats.dcache_accesses += 1;
                 let route = if self.dcache.access(pline, false).is_some() {
-                    self.stats.dcache_hits += 1;
+                    stats.dcache_hits += 1;
                     LoadRoute::DcacheHit
                 } else if self.miss_pred[home].predict_miss(u.pc) {
                     // 4. Predicted LLC miss: straight to DRAM.
-                    self.stats.direct_to_dram += 1;
+                    stats.direct_to_dram += 1;
                     LoadRoute::DirectDram
                 } else {
-                    self.stats.llc_lookups += 1;
+                    stats.llc_lookups += 1;
                     LoadRoute::Llc
                 };
                 c.states[i] = UopState::Issued;
@@ -660,6 +678,46 @@ impl Emc {
                 });
             }
         }
+    }
+}
+
+/// An [`EmcEngine`] driven on its own, outside a `System`, with the
+/// counters it writes kept beside it; every other call goes to the engine.
+pub struct Emc {
+    engine: EmcEngine,
+    /// What the engine counted.
+    pub stats: EmcStats,
+}
+
+impl Emc {
+    /// Build an EMC for `cores` home cores, its counters at zero.
+    pub fn new(cfg: &EmcConfig, cores: usize) -> Self {
+        let (engine, stats) = (EmcEngine::new(cfg, cores), EmcStats::default());
+        Emc { engine, stats }
+    }
+
+    /// [`EmcEngine::start_chain`], counted in [`stats`](Emc::stats).
+    pub fn start_chain(&mut self, chain: Chain, active_at: Cycle) -> Result<usize, Chain> {
+        self.engine.start_chain(chain, active_at, &mut self.stats)
+    }
+
+    /// [`EmcEngine::tick`], counted in [`stats`](Emc::stats).
+    pub fn tick(&mut self, now: Cycle) -> Vec<EmcEvent> {
+        self.engine.tick(now, &mut self.stats)
+    }
+}
+
+impl std::ops::Deref for Emc {
+    type Target = EmcEngine;
+
+    fn deref(&self) -> &EmcEngine {
+        &self.engine
+    }
+}
+
+impl std::ops::DerefMut for Emc {
+    fn deref_mut(&mut self) -> &mut EmcEngine {
+        &mut self.engine
     }
 }
 
@@ -707,9 +765,14 @@ mod tests {
         }
     }
 
-    fn drive_until_event(emc: &mut Emc, pred: impl Fn(&EmcEvent) -> bool, max: u64) -> EmcEvent {
+    fn drive_until_event(
+        emc: &mut EmcEngine,
+        stats: &mut EmcStats,
+        pred: impl Fn(&EmcEvent) -> bool,
+        max: u64,
+    ) -> EmcEvent {
         for now in 0..max {
-            for ev in emc.tick(now) {
+            for ev in emc.tick(now, stats) {
                 if pred(&ev) {
                     return ev;
                 }
@@ -720,10 +783,15 @@ mod tests {
 
     /// Drive until the chain in `ctx` completes, draining streamed
     /// results along the way.
-    fn drive_collect(emc: &mut Emc, ctx: usize, max: u64) -> Vec<ChainResult> {
+    fn drive_collect(
+        emc: &mut EmcEngine,
+        stats: &mut EmcStats,
+        ctx: usize,
+        max: u64,
+    ) -> Vec<ChainResult> {
         let mut results = Vec::new();
         for now in 0..max {
-            for ev in emc.tick(now) {
+            for ev in emc.tick(now, stats) {
                 match ev {
                     EmcEvent::Results { ctx: c } if c == ctx => {
                         results.extend(emc.drain_results(ctx));
@@ -741,12 +809,18 @@ mod tests {
 
     #[test]
     fn chain_executes_after_source_delivery() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         // No source data yet: nothing happens.
-        assert!(emc.tick(0).is_empty());
+        assert!(emc.tick(0, &mut stats).is_empty());
         emc.deliver_source(ctx, 0x4000);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::Load { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::Load { .. }),
+            10,
+        );
         let EmcEvent::Load {
             vaddr, route, uop, ..
         } = ev
@@ -758,7 +832,12 @@ mod tests {
         let mut results = emc.drain_results(ctx); // the ADD's result
         emc.complete_load(ctx, uop, 777);
         results.extend(emc.drain_results(ctx));
-        let _ = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::ChainDone { .. }), 10);
+        let _ = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::ChainDone { .. }),
+            10,
+        );
         emc.take_finished(ctx);
         results.sort_by_key(|r| r.rob);
         assert_eq!(results.len(), 2);
@@ -779,50 +858,68 @@ mod tests {
             }
         );
         assert!(emc.has_free_context());
-        assert_eq!(emc.stats.chains_executed, 1);
-        assert_eq!(emc.stats.loads_executed, 1);
+        assert_eq!(stats.chains_executed, 1);
+        assert_eq!(stats.loads_executed, 1);
     }
 
     #[test]
     fn miss_predictor_routes_direct_to_dram() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         for _ in 0..8 {
             emc.train_miss_predictor(0, 0x48, true);
         }
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::Load { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::Load { .. }),
+            10,
+        );
         let EmcEvent::Load { route, .. } = ev else {
             unreachable!()
         };
         assert_eq!(route, LoadRoute::DirectDram);
-        assert_eq!(emc.stats.direct_to_dram, 1);
+        assert_eq!(stats.direct_to_dram, 1);
     }
 
     #[test]
     fn dcache_hit_routes_locally() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         // The line containing 0x4008 arrived from DRAM earlier.
         emc.on_dram_fill(physical_line(0, Addr(0x4008).line()));
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::Load { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::Load { .. }),
+            10,
+        );
         let EmcEvent::Load { route, .. } = ev else {
             unreachable!()
         };
         assert_eq!(route, LoadRoute::DcacheHit);
-        assert_eq!(emc.stats.dcache_hit_rate(), 1.0);
+        assert_eq!(stats.dcache_hit_rate(), 1.0);
     }
 
     #[test]
     fn coherence_invalidation_blocks_dcache_hit() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let pline = physical_line(0, Addr(0x4008).line());
         emc.on_dram_fill(pline);
         emc.invalidate_line(pline);
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::Load { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::Load { .. }),
+            10,
+        );
         let EmcEvent::Load { route, .. } = ev else {
             unreachable!()
         };
@@ -831,19 +928,25 @@ mod tests {
 
     #[test]
     fn tlb_miss_aborts_chain() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let mut chain = simple_chain();
         // Dependent load lands on a far page; source page (0x100) is
         // installed by start_chain but 0x4008's page is not.
         chain.source_addr = Addr(0x100);
-        let ctx = emc.start_chain(chain, 0).unwrap();
+        let ctx = emc.start_chain(chain, 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4_0000_0000);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::ChainAborted { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::ChainAborted { .. }),
+            10,
+        );
         let EmcEvent::ChainAborted { reason, .. } = ev else {
             unreachable!()
         };
         assert_eq!(reason, AbortReason::TlbMiss);
-        assert_eq!(emc.stats.tlb_misses, 1);
+        assert_eq!(stats.tlb_misses, 1);
         // The ADD executed before the load's TLB miss; its residual
         // result is discarded with the context (the core re-executes the
         // whole chain, §4.1.4).
@@ -853,7 +956,8 @@ mod tests {
 
     #[test]
     fn branch_mispredict_detected_and_aborts() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let chain = Chain {
             home_core: 1,
             source_rob: 20,
@@ -872,19 +976,25 @@ mod tests {
             imm_live_ins: 0,
             ..Default::default()
         };
-        let ctx = emc.start_chain(chain, 0).unwrap();
+        let ctx = emc.start_chain(chain, 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0); // value 0 → brz taken → mispredict
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::ChainAborted { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::ChainAborted { .. }),
+            10,
+        );
         let EmcEvent::ChainAborted { reason, .. } = ev else {
             unreachable!()
         };
         assert_eq!(reason, AbortReason::BranchMispredict);
-        assert_eq!(emc.stats.branch_mispredicts_detected, 1);
+        assert_eq!(stats.branch_mispredicts_detected, 1);
     }
 
     #[test]
     fn correctly_predicted_branch_passes() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let chain = Chain {
             home_core: 0,
             source_rob: 20,
@@ -903,9 +1013,9 @@ mod tests {
             imm_live_ins: 0,
             ..Default::default()
         };
-        let ctx = emc.start_chain(chain, 0).unwrap();
+        let ctx = emc.start_chain(chain, 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 5);
-        let results = drive_collect(&mut emc, ctx, 10);
+        let results = drive_collect(&mut emc, &mut stats, ctx, 10);
         assert_eq!(results[0].value, 1);
     }
 
@@ -913,7 +1023,8 @@ mod tests {
     fn store_forwarding_within_chain() {
         // st [E0 + 0x10] = E0 ; ld E1 <- [E0 + 0x10]: the fill must
         // forward from the chain LSQ without a memory request.
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let chain = Chain {
             home_core: 0,
             source_rob: 30,
@@ -943,12 +1054,12 @@ mod tests {
             imm_live_ins: 0,
             ..Default::default()
         };
-        let ctx = emc.start_chain(chain, 0).unwrap();
+        let ctx = emc.start_chain(chain, 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x2000);
         let mut saw_load_event = false;
         let mut results = Vec::new();
         for now in 0..10 {
-            for ev in emc.tick(now) {
+            for ev in emc.tick(now, &mut stats) {
                 match ev {
                     EmcEvent::Load { .. } => saw_load_event = true,
                     EmcEvent::Results { ctx: c } if c == ctx => {
@@ -960,7 +1071,7 @@ mod tests {
                         results.sort_by_key(|r| r.rob);
                         assert_eq!(results[0].store, Some((Addr(0x2010), 0x2000)));
                         assert_eq!(results[1].value, 0x2000);
-                        assert_eq!(emc.stats.stores_executed, 1);
+                        assert_eq!(stats.stores_executed, 1);
                         return;
                     }
                     _ => {}
@@ -972,22 +1083,24 @@ mod tests {
 
     #[test]
     fn contexts_fill_and_reject() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         assert_eq!(emc.busy_contexts(), 0);
-        assert!(emc.start_chain(simple_chain(), 0).is_ok());
+        assert!(emc.start_chain(simple_chain(), 0, &mut stats).is_ok());
         assert_eq!(emc.busy_contexts(), 1);
-        assert!(emc.start_chain(simple_chain(), 0).is_ok());
+        assert!(emc.start_chain(simple_chain(), 0, &mut stats).is_ok());
         assert!(!emc.has_free_context(), "default EMC has 2 contexts");
         assert_eq!(emc.busy_contexts(), emc.context_count());
-        assert!(emc.start_chain(simple_chain(), 0).is_err());
-        assert_eq!(emc.stats.chains_rejected_busy, 1);
+        assert!(emc.start_chain(simple_chain(), 0, &mut stats).is_err());
+        assert_eq!(stats.chains_rejected_busy, 1);
     }
 
     #[test]
     fn issue_width_throttles_alu_throughput() {
         // A chain of 6 independent ALU uops (all read E0): with a 2-wide
         // back-end they need 3 ticks.
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let uops: Vec<ChainUop> = (0..6)
             .map(|k| ChainUop {
                 rob: 40 + k as u64,
@@ -1009,11 +1122,11 @@ mod tests {
             imm_live_ins: 6,
             ..Default::default()
         };
-        let ctx = emc.start_chain(chain, 0).unwrap();
+        let ctx = emc.start_chain(chain, 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 100);
         let mut done_tick = None;
         for now in 0..10 {
-            for ev in emc.tick(now) {
+            for ev in emc.tick(now, &mut stats) {
                 if matches!(ev, EmcEvent::ChainDone { .. }) {
                     done_tick = Some(now);
                 }
@@ -1027,8 +1140,9 @@ mod tests {
 
     #[test]
     fn tlb_shootdown_invalidate_and_reinstall() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         assert!(
             emc.tlb_resident(0, Addr(0x100)),
             "PTE installed with the chain"
@@ -1043,14 +1157,19 @@ mod tests {
         // The running chain's next load now TLB-misses and aborts — the
         // §4.1.4 behavior the shootdown machinery must preserve.
         emc.deliver_source(ctx, 0x4000);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::ChainAborted { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::ChainAborted { .. }),
+            10,
+        );
         let EmcEvent::ChainAborted { reason, .. } = ev else {
             unreachable!()
         };
         assert_eq!(reason, AbortReason::TlbMiss);
         emc.take_finished(ctx);
         // A later chain reinstalls the PTE (it ships with the chain).
-        let _ctx2 = emc.start_chain(simple_chain(), 0).unwrap();
+        let _ctx2 = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         assert!(emc.tlb_resident(0, Addr(0x100)));
         // Shootdowns are per-core: core 1's TLB is unaffected.
         assert!(!emc.tlb_shootdown(1, Addr(0x100)));
@@ -1058,11 +1177,17 @@ mod tests {
 
     #[test]
     fn force_abort_for_disambiguation() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
         emc.force_abort(ctx, AbortReason::Disambiguation);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::ChainAborted { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::ChainAborted { .. }),
+            10,
+        );
         let EmcEvent::ChainAborted { reason, .. } = ev else {
             unreachable!()
         };
@@ -1075,14 +1200,15 @@ mod tests {
     // ------------------------------------------------------------------
 
     /// The lease-clock age of each busy context at `now`.
-    fn ages(emc: &Emc, now: Cycle) -> Vec<Cycle> {
+    fn ages(emc: &EmcEngine, now: Cycle) -> Vec<Cycle> {
         emc.context_ages(now).map(|(_, age)| age).collect()
     }
 
     #[test]
     fn arrival_starts_the_lease_clock_and_an_early_delivery_moves_it_back() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 50).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 50, &mut stats).unwrap();
         emc.expire_leases(20);
         assert_eq!(ages(&emc, 60), [10], "the clock starts at arrival");
         emc.deliver_source(ctx, 0x4000);
@@ -1092,16 +1218,22 @@ mod tests {
 
     #[test]
     fn a_source_shipped_with_the_chain_does_not_restart_the_clock() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let chain = Chain {
             source_value: Some(0x4000),
             ..simple_chain()
         };
-        emc.start_chain(chain, 5).unwrap();
+        emc.start_chain(chain, 5, &mut stats).unwrap();
         assert_eq!(emc.awaiting_source(0, 10), None, "nothing left to wait for");
         emc.expire_leases(40);
         assert_eq!(ages(&emc, 40), [35]);
-        let ev = drive_until_event(&mut emc, |e| matches!(e, EmcEvent::Load { .. }), 10);
+        let ev = drive_until_event(
+            &mut emc,
+            &mut stats,
+            |e| matches!(e, EmcEvent::Load { .. }),
+            10,
+        );
         assert!(matches!(
             ev,
             EmcEvent::Load {
@@ -1113,14 +1245,19 @@ mod tests {
 
     #[test]
     fn load_completions_and_results_leaving_restart_the_clock() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
         emc.expire_leases(0);
-        assert_eq!(emc.tick(3), [EmcEvent::Results { ctx }], "the ADD's");
+        assert_eq!(
+            emc.tick(3, &mut stats),
+            [EmcEvent::Results { ctx }],
+            "the ADD's"
+        );
         assert_eq!(ages(&emc, 10), [7]);
         emc.drain_results(ctx);
-        let [EmcEvent::Load { uop, .. }] = emc.tick(4)[..] else {
+        let [EmcEvent::Load { uop, .. }] = emc.tick(4, &mut stats)[..] else {
             panic!("the dependent load issues")
         };
         emc.complete_load(ctx, uop, 777);
@@ -1130,46 +1267,53 @@ mod tests {
 
     #[test]
     fn an_expired_lease_aborts_the_chain_and_rearms_the_clock() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         emc.set_lease(Some(100));
-        let ctx = emc.start_chain(simple_chain(), 10).unwrap();
-        assert!(emc.tick(0).is_empty());
+        let ctx = emc.start_chain(simple_chain(), 10, &mut stats).unwrap();
+        assert!(emc.tick(0, &mut stats).is_empty());
         assert_eq!(emc.next_wake(), 110, "asleep until the lease runs out");
         emc.expire_leases(109);
         assert_eq!(emc.next_wake(), 110);
         emc.expire_leases(110);
         assert_eq!((ages(&emc, 110), emc.next_wake()), (vec![0], 0));
         let reason = AbortReason::LeaseExpired;
-        assert_eq!(emc.tick(110), [EmcEvent::ChainAborted { ctx, reason }]);
+        assert_eq!(
+            emc.tick(110, &mut stats),
+            [EmcEvent::ChainAborted { ctx, reason }]
+        );
     }
 
     #[test]
     fn without_a_lease_no_context_is_reclaimed() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         emc.set_lease(Some(100));
         emc.set_lease(None);
-        emc.start_chain(simple_chain(), 0).unwrap();
-        assert!(emc.tick(0).is_empty());
+        emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
+        assert!(emc.tick(0, &mut stats).is_empty());
         assert_eq!(emc.next_wake(), Cycle::MAX);
         emc.expire_leases(1 << 40);
         assert_eq!(ages(&emc, 1 << 40), [1 << 40]);
-        assert!(emc.tick(1 << 40).is_empty());
+        assert!(emc.tick(1 << 40, &mut stats).is_empty());
     }
 
     #[test]
     fn next_wake_is_the_engines_sleep_when_that_comes_first() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         emc.set_lease(Some(100));
-        let ctx = emc.start_chain(simple_chain(), 10).unwrap();
+        let ctx = emc.start_chain(simple_chain(), 10, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
-        assert!(emc.tick(0).is_empty());
+        assert!(emc.tick(0, &mut stats).is_empty());
         assert_eq!(emc.next_wake(), 10, "the chain arrives before 110");
     }
 
     #[test]
     fn take_finished_advances_the_generation() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 7).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 7, &mut stats).unwrap();
         assert_eq!(emc.generation(ctx), 0);
         emc.force_abort(ctx, AbortReason::Injected);
         let fin = emc.take_finished(ctx);
@@ -1179,8 +1323,9 @@ mod tests {
 
     #[test]
     fn awaiting_source_stops_matching_once_the_source_is_delivered() {
-        let mut emc = Emc::new(&cfg(), 4);
-        let ctx = emc.start_chain(simple_chain(), 0).unwrap();
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
+        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         assert_eq!(emc.awaiting_source(0, 10), Some((ctx, Addr(0x100))));
         assert_eq!(emc.awaiting_source(1, 10), None, "another core's");
         assert_eq!(emc.awaiting_source(0, 11), None, "not the source");
@@ -1190,16 +1335,53 @@ mod tests {
 
     #[test]
     fn chain_latency_runs_from_shipping_to_the_last_uop() {
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let mut chain = Chain {
             shipped_at: 3,
             source_value: Some(0x4000),
             ..simple_chain()
         };
         chain.uops.truncate(1); // the ADD alone: done the cycle it arrives
-        let ctx = emc.start_chain(chain, 8).unwrap();
-        assert_eq!(drive_collect(&mut emc, ctx, 10).len(), 1);
-        assert_eq!(emc.stats.chain_latency.mean(), 5.0);
+        let ctx = emc.start_chain(chain, 8, &mut stats).unwrap();
+        assert_eq!(drive_collect(&mut emc, &mut stats, ctx, 10).len(), 1);
+        assert_eq!(stats.chain_latency.mean(), 5.0);
+    }
+
+    #[test]
+    fn engines_sharing_one_stats_count_what_standalone_emcs_add_up_to() {
+        // A System's memory controllers all count into its one `Stats::emc`.
+        let chain = |shipped_at| {
+            let mut chain = Chain {
+                shipped_at,
+                source_value: Some(0x4000),
+                ..simple_chain()
+            };
+            chain.uops.truncate(1); // the ADD alone: done the cycle it arrives
+            chain
+        };
+        let mut shared = EmcStats::default();
+        let mut engines = [EmcEngine::new(&cfg(), 4), EmcEngine::new(&cfg(), 4)];
+        let mut alone = [Emc::new(&cfg(), 4), Emc::new(&cfg(), 4)];
+        for (i, shipped_at) in [1, 6].into_iter().enumerate() {
+            engines[i]
+                .start_chain(chain(shipped_at), 8, &mut shared)
+                .unwrap();
+            alone[i].start_chain(chain(shipped_at), 8).unwrap();
+        }
+        for now in 0..10 {
+            for (engine, emc) in engines.iter_mut().zip(&mut alone) {
+                assert_eq!(engine.tick(now, &mut shared), emc.tick(now));
+            }
+        }
+        let [a, b] = alone.map(|emc| emc.stats);
+        assert_eq!(a.chains_executed + b.chains_executed, 2);
+        assert_eq!(shared.chains_executed, 2);
+        assert_eq!(shared.uops_executed, a.uops_executed + b.uops_executed);
+        let mut latency = a.chain_latency;
+        latency.merge(&b.chain_latency);
+        assert_eq!(shared.chain_latency, latency, "one histogram = the merge");
+        assert_eq!(shared.chain_latency.mean(), 4.5);
     }
 
     // ------------------------------------------------------------------
@@ -1257,8 +1439,10 @@ mod tests {
     #[test]
     fn a_sleeping_engine_misses_nothing() {
         let mut rng = seeded_rng(0x5eed_0c16);
-        let mut emc = Emc::new(&cfg(), 4);
+        let mut emc = EmcEngine::new(&cfg(), 4);
+        let mut stats = EmcStats::default();
         let mut twin = emc.clone();
+        let mut twin_stats = EmcStats::default();
         // (cycle, ctx, what) deliveries still on their way.
         enum Due {
             Source,
@@ -1272,8 +1456,13 @@ mod tests {
                 let home = rng.gen_range(0..4) as usize;
                 let chain = random_chain(&mut rng, home);
                 let active_at = now + rng.gen_range(0..30);
-                let ctx = emc.start_chain(chain.clone(), active_at).unwrap();
-                assert_eq!(twin.start_chain(chain, active_at).ok(), Some(ctx));
+                let ctx = emc
+                    .start_chain(chain.clone(), active_at, &mut stats)
+                    .unwrap();
+                assert_eq!(
+                    twin.start_chain(chain, active_at, &mut twin_stats).ok(),
+                    Some(ctx)
+                );
                 due.push((now + rng.gen_range(0..100), ctx, Due::Source));
             }
             if rng.gen_range(0..2_000) == 0 {
@@ -1306,9 +1495,13 @@ mod tests {
             }
             let asleep = now < emc.next_wake();
             twin.sleep_until = 0;
-            let events = emc.tick(now);
-            assert_eq!(events, twin.tick(now), "cycle {now}, asleep: {asleep}");
-            assert_eq!(emc.stats.uops_executed, twin.stats.uops_executed);
+            let events = emc.tick(now, &mut stats);
+            assert_eq!(
+                events,
+                twin.tick(now, &mut twin_stats),
+                "cycle {now}, asleep: {asleep}"
+            );
+            assert_eq!(stats.uops_executed, twin_stats.uops_executed);
             if asleep {
                 slept += 1;
                 in_flight_sleeps += u64::from(emc.next_wake() != Cycle::MAX);
@@ -1330,7 +1523,7 @@ mod tests {
                 }
             }
         }
-        assert!(emc.stats.chains_executed > 200, "chains ran to completion");
+        assert!(stats.chains_executed > 200, "chains ran to completion");
         assert!(events_seen > 5_000, "{events_seen} events");
         assert!(slept > 30_000, "asleep on {slept} of 60 000 cycles");
         assert!(

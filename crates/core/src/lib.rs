@@ -11,7 +11,7 @@
 //!    renaming the EMC-eligible dependents of the miss through a Register
 //!    Remapping Table onto the EMC's 16-register file and capturing ready
 //!    values in a live-in vector.
-//! 2. **Remote execution at the memory controller** ([`engine::Emc`],
+//! 2. **Remote execution at the memory controller** ([`EmcEngine`],
 //!    §4.1/§4.3): per-chain issue contexts, a 2-wide out-of-order
 //!    back-end, a 4 KB data cache fed by DRAM fills and kept coherent via
 //!    LLC directory bits, per-core circular TLBs, a PC-hashed LLC
@@ -19,12 +19,14 @@
 //!    straight to DRAM, branch-direction checking, and spill-store
 //!    support with in-chain forwarding.
 //!
-//! An issue context is its own record: [`Emc`] keeps each context's
-//! generation, its lease clock (what counts as progress, when the lease
-//! runs out), which chain still waits for its source miss
-//! ([`Emc::awaiting_source`]) and the chain latency it measures from
-//! [`Chain::shipped_at`]; [`Emc::next_wake`] answers for the engine's
-//! sleep and the leases alike.
+//! An issue context is its own record: [`EmcEngine`] keeps each
+//! context's generation, its lease clock (what counts as progress, when
+//! the lease runs out), which chain still waits for its source miss
+//! ([`EmcEngine::awaiting_source`]) and the chain latency it measures
+//! from [`Chain::shipped_at`]; [`EmcEngine::next_wake`] answers for the
+//! engine's sleep and the leases alike. The engine keeps no counters: it
+//! counts into the caller's `EmcStats` ([`Emc`] pairs an engine driven
+//! on its own with the counters it writes).
 //!
 //! The system simulator (`emc-sim`) wires these to the cores, ring, LLC
 //! and DRAM; this crate is pure mechanism.
@@ -37,5 +39,5 @@ pub mod engine;
 pub mod predictor;
 
 pub use chain::{generate_chain, generate_chain_into, Chain, ChainSrc, ChainUop, GeneratedChain};
-pub use engine::{AbortReason, ChainResult, Emc, EmcEvent, FinishedChain, LoadRoute};
+pub use engine::{AbortReason, ChainResult, Emc, EmcEngine, EmcEvent, FinishedChain, LoadRoute};
 pub use predictor::{DepMissCounter, MissPredictor};

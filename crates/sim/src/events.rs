@@ -15,7 +15,7 @@ use emc_types::{Addr, CoreId, Cycle, LineAddr, MemReq};
 /// context `ctx` of the EMC at controller `mc`. The context is reused
 /// chain after chain, so the handle names the generation `tag` it was
 /// made under, and whoever completes it checks the tag is still the
-/// context's (`Emc::generation`).
+/// context's (`EmcEngine::generation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmcLoad {
     /// Issuing EMC.

@@ -6,7 +6,9 @@
 //! versioned by a `"schema"` key so downstream consumers can detect
 //! format changes.
 
-use emc_types::{Cycle, Histogram, JsonValue, MetricSample, RunOutcome, Stats};
+use emc_types::{
+    Cycle, HistSummary, JsonValue, MetricSample, RunOutcome, Stats, StatsView, ToJson,
+};
 
 /// Default sampling epoch: coarse enough to be free (one sample per
 /// 10 k cycles), fine enough that a wedge report shows meaningful
@@ -101,156 +103,48 @@ impl Sampler {
     }
 }
 
-/// Stable lower-case label for a run outcome, used as a JSON value.
-pub fn outcome_label(outcome: RunOutcome) -> &'static str {
-    match outcome {
-        RunOutcome::Completed => "completed",
-        RunOutcome::CapHit => "cap-hit",
-        RunOutcome::Wedged => "wedged",
-    }
-}
-
-/// Render a [`Histogram`] with its headline percentiles.
-pub fn histogram_json(h: &Histogram) -> JsonValue {
-    JsonValue::obj(vec![
-        ("count", h.count.into()),
-        ("sum", h.sum.into()),
-        ("mean", h.mean().into()),
-        ("min", h.min.into()),
-        ("max", h.max.into()),
-        ("p50", h.p50().into()),
-        ("p95", h.p95().into()),
-        ("p99", h.p99().into()),
-    ])
-}
-
-/// Render one [`MetricSample`].
-pub fn sample_json(s: &MetricSample) -> JsonValue {
-    fn nums(v: &[u32]) -> JsonValue {
-        JsonValue::nums(v.iter().map(|&x| x as u64))
-    }
-    JsonValue::obj(vec![
-        ("cycle", s.cycle.into()),
-        ("mc_queue_depth", nums(&s.mc_queue_depth)),
-        ("mc_retry_depth", nums(&s.mc_retry_depth)),
-        ("banks_open", nums(&s.banks_open)),
-        ("emc_busy_contexts", nums(&s.emc_busy_contexts)),
-        ("ring_busy_links", u64::from(s.ring_busy_links).into()),
-        ("outstanding_misses", u64::from(s.outstanding_misses).into()),
-        ("llc_occupancy_permille", nums(&s.llc_occupancy)),
-        ("rob_occupancy", nums(&s.rob_occupancy)),
-    ])
-}
-
-/// The full `--metrics-out` document: run outcome, per-core statistics,
-/// every latency histogram with percentiles, and the captured
-/// time-series samples.
+/// The full `--metrics-out` document (`emcsim-metrics-v2`): the run
+/// outcome, every declared statistic under its declared name (the
+/// [`StatsView`] of [`Stats`], each core's object opening with its index,
+/// benchmark, IPC and MPKI), and the captured time-series samples.
 pub fn metrics_json(
     stats: &Stats,
     names: &[String],
     outcome: RunOutcome,
     samples: &[MetricSample],
 ) -> JsonValue {
-    let cores: Vec<JsonValue> = stats
-        .cores
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            JsonValue::obj(vec![
-                ("core", (i as u64).into()),
-                (
-                    "bench",
-                    names.get(i).map(String::as_str).unwrap_or("?").into(),
-                ),
-                ("ipc", c.ipc().into()),
-                ("mpki", c.mpki().into()),
-                ("retired_uops", c.retired_uops.into()),
-                ("llc_misses", c.llc_misses.into()),
-                (
-                    "full_window_stall_cycles",
-                    c.full_window_stall_cycles.into(),
-                ),
-                ("stall_episodes", histogram_json(&c.stall_episodes)),
-                ("chains_sent", c.chains_sent.into()),
-                ("chains_aborted_lease", c.chains_aborted_lease.into()),
-            ])
-        })
-        .collect();
-    let m = &stats.mem;
-    let latency = JsonValue::obj(vec![
-        ("core_miss", histogram_json(&m.core_miss_latency)),
-        ("emc_miss", histogram_json(&m.emc_miss_latency)),
-        ("dram_service", histogram_json(&m.dram_service_latency)),
-        ("on_chip_delay", histogram_json(&m.on_chip_delay)),
-        ("core_ring", histogram_json(&m.core_ring_component)),
-        ("core_cache", histogram_json(&m.core_cache_component)),
-        ("core_queue", histogram_json(&m.core_queue_component)),
-        ("emc_ring", histogram_json(&m.emc_ring_component)),
-        ("emc_cache", histogram_json(&m.emc_cache_component)),
-        ("emc_queue", histogram_json(&m.emc_queue_component)),
-    ]);
-    JsonValue::obj(vec![
-        ("schema", "emcsim-metrics-v1".into()),
-        ("outcome", outcome_label(outcome).into()),
-        ("cycles", stats.cycles.into()),
-        ("cores", JsonValue::Arr(cores)),
-        (
-            "mem",
-            JsonValue::obj(vec![
-                ("dram_reads", m.dram_reads.into()),
-                ("dram_writes", m.dram_writes.into()),
-                ("dram_prefetches", m.dram_prefetches.into()),
-                ("row_hits", m.row_hits.into()),
-                ("row_conflicts", m.row_conflicts.into()),
-                ("row_empties", m.row_empties.into()),
-                ("escalated_requests", m.escalated_requests.into()),
-                ("latency", latency),
-            ]),
-        ),
-        (
-            "emc",
-            JsonValue::obj(vec![
-                ("chains_executed", stats.emc.chains_executed.into()),
-                ("uops_executed", stats.emc.uops_executed.into()),
-                ("chain_latency", histogram_json(&stats.emc.chain_latency)),
-                ("dcache_hit_rate", stats.emc.dcache_hit_rate().into()),
-            ]),
-        ),
-        (
-            "ring",
-            JsonValue::obj(vec![
-                ("control_msgs", stats.ring.control_msgs.into()),
-                ("data_msgs", stats.ring.data_msgs.into()),
-                ("total_hops", stats.ring.total_hops.into()),
-            ]),
-        ),
-        (
-            "prefetch",
-            JsonValue::obj(vec![
-                ("issued", stats.prefetch.issued.into()),
-                ("useful", stats.prefetch.useful.into()),
-                ("useless", stats.prefetch.useless.into()),
-                ("degree", stats.prefetch.degree.into()),
-            ]),
-        ),
-        (
-            "samples",
-            JsonValue::Arr(samples.iter().map(sample_json).collect()),
-        ),
-    ])
+    let mut doc = vec![
+        ("schema".to_string(), "emcsim-metrics-v2".into()),
+        ("outcome".to_string(), outcome.to_json_value()),
+    ];
+    if let JsonValue::Obj(view) = stats.view() {
+        doc.extend(view);
+    }
+    for (key, value) in &mut doc {
+        let ("cores", JsonValue::Arr(cores)) = (key.as_str(), value) else {
+            continue;
+        };
+        for (i, (core, c)) in cores.iter_mut().zip(&stats.cores).enumerate() {
+            if let JsonValue::Obj(fields) = core {
+                let bench = names.get(i).map(String::as_str).unwrap_or("?");
+                let head = [
+                    ("core", i.into()),
+                    ("bench", bench.into()),
+                    ("ipc", c.ipc().into()),
+                    ("mpki", c.mpki().into()),
+                ];
+                fields.splice(0..0, head.map(|(k, v)| (k.to_string(), v)));
+            }
+        }
+    }
+    doc.push(("samples".to_string(), samples.to_json_value()));
+    JsonValue::Obj(doc)
 }
 
 /// The compact `--json` run summary: outcome, per-core IPC, and the
-/// headline latency percentiles.
+/// headline latency histograms as [`HistSummary`]s.
 pub fn summary_json(stats: &Stats, names: &[String], outcome: RunOutcome) -> JsonValue {
-    fn pcts(h: &Histogram) -> JsonValue {
-        JsonValue::obj(vec![
-            ("p50", h.p50().into()),
-            ("p95", h.p95().into()),
-            ("p99", h.p99().into()),
-            ("mean", h.mean().into()),
-        ])
-    }
+    let summary = |h| HistSummary::of(h).to_json_value();
     let cores: Vec<JsonValue> = stats
         .cores
         .iter()
@@ -272,7 +166,7 @@ pub fn summary_json(stats: &Stats, names: &[String], outcome: RunOutcome) -> Jso
     let lease_aborts: u64 = stats.cores.iter().map(|c| c.chains_aborted_lease).sum();
     JsonValue::obj(vec![
         ("schema", "emcsim-summary-v1".into()),
-        ("outcome", outcome_label(outcome).into()),
+        ("outcome", outcome.to_json_value()),
         ("cycles", stats.cycles.into()),
         ("ipc_sum", stats.ipc_sum().into()),
         ("cores", JsonValue::Arr(cores)),
@@ -288,10 +182,10 @@ pub fn summary_json(stats: &Stats, names: &[String], outcome: RunOutcome) -> Jso
         (
             "latency",
             JsonValue::obj(vec![
-                ("core_miss", pcts(&stats.mem.core_miss_latency)),
-                ("emc_miss", pcts(&stats.mem.emc_miss_latency)),
-                ("dram_service", pcts(&stats.mem.dram_service_latency)),
-                ("mc_queue", pcts(&stats.mem.core_queue_component)),
+                ("core_miss", summary(&stats.mem.core_miss_latency)),
+                ("emc_miss", summary(&stats.mem.emc_miss_latency)),
+                ("dram_service", summary(&stats.mem.dram_service_latency)),
+                ("mc_queue", summary(&stats.mem.core_queue_component)),
             ]),
         ),
     ])
@@ -300,6 +194,7 @@ pub fn summary_json(stats: &Stats, names: &[String], outcome: RunOutcome) -> Jso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emc_types::{FromJson, Histogram};
 
     fn sample(cycle: Cycle) -> MetricSample {
         MetricSample {
@@ -340,29 +235,63 @@ mod tests {
         assert_eq!(s.recent(100).len(), 10);
     }
 
+    /// Every leaf of the canonical encoding `canonical` is at the same
+    /// path in `doc`: counters and vectors equal, histograms summarised.
+    fn assert_exported(canonical: &JsonValue, doc: &JsonValue, path: &str) {
+        if let Ok(h) = Histogram::from_json_value(canonical) {
+            let summary = HistSummary::from_json_value(doc);
+            assert_eq!(summary, Ok(HistSummary::of(&h)), "{path}");
+            return;
+        }
+        match canonical {
+            JsonValue::Obj(fields) => {
+                for (key, v) in fields {
+                    let d = doc
+                        .get(key)
+                        .unwrap_or_else(|| panic!("{path}.{key} missing"));
+                    assert_exported(v, d, &format!("{path}.{key}"));
+                }
+            }
+            JsonValue::Arr(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    let d = doc.idx(i).unwrap_or_else(|| panic!("{path}[{i}] missing"));
+                    assert_exported(v, d, &format!("{path}[{i}]"));
+                }
+            }
+            leaf => assert_eq!(leaf, doc, "{path}"),
+        }
+    }
+
     #[test]
     fn metrics_json_has_required_keys_and_parses() {
-        let stats = Stats::new(2);
+        let mut stats = Stats::new(2);
+        stats.cores[1].record_chain_length(4);
+        stats.mem.core_miss_latency.record(300);
         let names = vec!["mcf".to_string(), "lbm".to_string()];
         let doc = metrics_json(&stats, &names, RunOutcome::Completed, &[sample(5)]);
         let text = doc.to_json();
         let back = JsonValue::parse(&text).expect("valid JSON");
-        for key in [
-            "schema", "outcome", "cycles", "cores", "mem", "emc", "samples",
-        ] {
-            assert!(back.get(key).is_some(), "missing key {key}");
-        }
+        let keys: Vec<&str> = match &back {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(
+            keys,
+            ["schema", "outcome", "cycles", "cores", "mem", "ring", "emc", "prefetch", "samples"]
+        );
         assert_eq!(
             back.get("schema").and_then(|v| v.as_str()),
-            Some("emcsim-metrics-v1")
+            Some("emcsim-metrics-v2")
         );
-        let lat = back.get("mem").and_then(|m| m.get("latency")).unwrap();
-        for site in ["core_miss", "emc_miss", "dram_service", "on_chip_delay"] {
-            let h = lat.get(site).unwrap_or_else(|| panic!("missing {site}"));
-            for p in ["p50", "p95", "p99", "count"] {
-                assert!(h.get(p).is_some(), "{site} missing {p}");
-            }
-        }
+        assert_eq!(
+            back.get("outcome").and_then(|v| v.as_str()),
+            Some("completed")
+        );
+        // Every declared statistic, under its declared name.
+        assert_exported(&stats.to_json_value(), &back, "");
+        let core = back.get("cores").and_then(|c| c.idx(1)).unwrap();
+        assert_eq!(core.get("bench").and_then(|v| v.as_str()), Some("lbm"));
+        assert!(core.get("ipc").is_some() && core.get("mpki").is_some());
         let samples = back.get("samples").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(samples.len(), 1);
         assert!(samples[0].get("mc_queue_depth").is_some());
@@ -389,13 +318,14 @@ mod tests {
             .and_then(|v| v.as_f64())
             .unwrap();
         assert!((ipc - 2.0).abs() < 1e-9);
-        let p99 = back
-            .get("latency")
-            .and_then(|l| l.get("core_miss"))
-            .and_then(|h| h.get("p99"))
-            .and_then(|v| v.as_f64())
-            .unwrap();
-        assert!(p99 >= 256.0, "p99 {p99} should bracket the 400-cycle tail");
+        let core_miss = back.get("latency").and_then(|l| l.get("core_miss"));
+        let h = HistSummary::from_json_value(core_miss.unwrap()).unwrap();
+        assert!(
+            h.p99 >= 256,
+            "p99 {} should bracket the 400-cycle tail",
+            h.p99
+        );
+        assert_eq!((h.count, h.max), (3, 400));
     }
 
     #[test]

@@ -8,7 +8,9 @@ use crate::events::{EmcLoad, Ev, Scheduled};
 use crate::metrics::Sampler;
 use crate::profile::{Phase, ProfileReport, TickProfiler};
 use emc_cache::SetAssocCache;
-use emc_core::{generate_chain_into, AbortReason, Chain, DepMissCounter, Emc, EmcEvent, LoadRoute};
+use emc_core::{
+    generate_chain_into, AbortReason, Chain, DepMissCounter, EmcEngine, EmcEvent, LoadRoute,
+};
 use emc_cpu::{Core, CoreEvent, EntryState, RobId};
 use emc_dram::map_line;
 use emc_memctrl::MemoryController;
@@ -159,7 +161,7 @@ pub struct System {
     topo: Topology,
     mcs: Vec<MemoryController>,
     mc_retry: Vec<Vec<MemReq>>,
-    emcs: Vec<Emc>,
+    emcs: Vec<EmcEngine>,
     prefetchers: Vec<PrefetchEngine>,
     dep_counters: Vec<DepMissCounter>,
     /// Per core: the uops of its chain in flight, 0 if it has none (a
@@ -234,7 +236,7 @@ impl System {
         let mut mcs: Vec<MemoryController> = (0..cfg.memory_controllers)
             .map(|m| MemoryController::new(&cfg.dram, cfg.channels_of_mc(m).collect()))
             .collect();
-        let mut emc = Emc::new(&cfg.emc, cfg.cores);
+        let mut emc = EmcEngine::new(&cfg.emc, cfg.cores);
         emc.set_lease(cfg.liveness.enabled.then_some(cfg.liveness.emc_lease));
         let emcs = vec![emc; cfg.memory_controllers];
         let mut ring = Ring::new(topo, cfg.ring);
@@ -663,9 +665,6 @@ impl System {
         for c in &mut self.cores {
             c.stats = CoreStats::default();
         }
-        for e in &mut self.emcs {
-            e.stats = Default::default();
-        }
         self.snapshots = vec![None; self.cfg.cores];
         // Warmup-phase samples are discarded like every other statistic.
         self.sampler.clear();
@@ -693,9 +692,6 @@ impl System {
                 s
             });
             stats.cores[c] = snap;
-        }
-        for emc in &self.emcs {
-            merge_emc(&mut stats.emc, &emc.stats);
         }
         stats.prefetch.degree = self
             .prefetchers
@@ -1363,7 +1359,7 @@ impl System {
             self.emc_fault = Some((prob, rng));
         }
         for mc in 0..self.emcs.len() {
-            for ev in self.emcs[mc].tick(self.now) {
+            for ev in self.emcs[mc].tick(self.now, &mut self.stats.emc) {
                 match ev {
                     EmcEvent::Load {
                         ctx,
@@ -1453,7 +1449,7 @@ impl System {
                 },
             );
         } else {
-            self.emcs[mc].stats.llc_misses_generated += 1;
+            self.stats.emc.llc_misses_generated += 1;
             self.send_emc_req_to_dram(load, pline, pc, 0, 0);
         }
     }
@@ -1513,7 +1509,7 @@ impl System {
                 self.prefetched_by.remove(&pline);
                 self.prefetchers[core].on_useful();
                 self.stats.prefetch.useful += 1;
-                self.emcs[mc].stats.requests_covered_by_prefetch += 1;
+                self.stats.emc.requests_covered_by_prefetch += 1;
             }
             let value = self.cores[core].mem.read_u64(vaddr);
             let back = self.hop(Data, Stop::Llc(slice), Stop::Mc(mc), self.now + lat, true);
@@ -1521,7 +1517,7 @@ impl System {
             return;
         }
         self.emcs[mc].train_miss_predictor(core, pc, true);
-        self.emcs[mc].stats.llc_misses_generated += 1;
+        self.stats.emc.llc_misses_generated += 1;
         self.send_emc_req_to_dram(load, pline, pc, ring_cycles, lat);
     }
 
@@ -1538,7 +1534,7 @@ impl System {
     }
 
     /// Free a finished context. Its last results left in the same tick,
-    /// ahead of this event (`Emc::tick` announces `Results` first).
+    /// ahead of this event (`EmcEngine::tick` announces `Results` first).
     fn on_chain_done(&mut self, mc: usize, ctx: usize) {
         let fin = self.emcs[mc].take_finished(ctx);
         self.trace.span(
@@ -1697,7 +1693,8 @@ impl System {
                 arrive = self.hop(Data, Stop::Core(core), Stop::Mc(dest_mc), start, true);
             }
             chain.shipped_at = start;
-            let ctx = (self.emcs[dest_mc].start_chain(chain, arrive)).expect("a context is free");
+            let ctx = (self.emcs[dest_mc].start_chain(chain, arrive, &mut self.stats.emc))
+                .expect("a context is free");
             if self.trace.is_enabled() {
                 self.trace.span(
                     TraceTrack::EmcCtx { mc: dest_mc, ctx },
@@ -1790,24 +1787,6 @@ impl System {
             recycle(&mut self.emc_waiter_pool, o.emc_waiters);
         }
     }
-}
-
-fn merge_emc(into: &mut emc_types::EmcStats, from: &emc_types::EmcStats) {
-    into.chains_executed += from.chains_executed;
-    into.uops_executed += from.uops_executed;
-    into.loads_executed += from.loads_executed;
-    into.stores_executed += from.stores_executed;
-    into.dcache_accesses += from.dcache_accesses;
-    into.dcache_hits += from.dcache_hits;
-    into.direct_to_dram += from.direct_to_dram;
-    into.llc_lookups += from.llc_lookups;
-    into.llc_misses_generated += from.llc_misses_generated;
-    into.tlb_hits += from.tlb_hits;
-    into.tlb_misses += from.tlb_misses;
-    into.chains_rejected_busy += from.chains_rejected_busy;
-    into.branch_mispredicts_detected += from.branch_mispredicts_detected;
-    into.requests_covered_by_prefetch += from.requests_covered_by_prefetch;
-    into.chain_latency.merge(&from.chain_latency);
 }
 
 #[cfg(test)]

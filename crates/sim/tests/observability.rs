@@ -4,7 +4,7 @@
 //! behavior, only record it).
 
 use emc_sim::{build_system, cycle_cap, metrics_json, summary_json};
-use emc_types::{JsonValue, SystemConfig, TraceEvent};
+use emc_types::{FromJson, HistSummary, Histogram, JsonValue, SystemConfig, ToJson, TraceEvent};
 use emc_workloads::mix_by_name;
 
 const BUDGET: u64 = 20_000;
@@ -141,6 +141,33 @@ fn chrome_trace_export_parses_and_names_tracks() {
         .any(|e| matches!(e, TraceEvent::Span { .. })));
 }
 
+/// Every leaf of the canonical encoding `canonical` is at the same path
+/// in `doc`: counters and vectors equal, histograms summarised.
+fn assert_exported(canonical: &JsonValue, doc: &JsonValue, path: &str) {
+    if let Ok(h) = Histogram::from_json_value(canonical) {
+        let summary = HistSummary::from_json_value(doc);
+        assert_eq!(summary, Ok(HistSummary::of(&h)), "{path}");
+        return;
+    }
+    match canonical {
+        JsonValue::Obj(fields) => {
+            for (key, v) in fields {
+                let d = doc
+                    .get(key)
+                    .unwrap_or_else(|| panic!("{path}.{key} missing"));
+                assert_exported(v, d, &format!("{path}.{key}"));
+            }
+        }
+        JsonValue::Arr(items) => {
+            for (i, v) in items.iter().enumerate() {
+                let d = doc.idx(i).unwrap_or_else(|| panic!("{path}[{i}] missing"));
+                assert_exported(v, d, &format!("{path}[{i}]"));
+            }
+        }
+        leaf => assert_eq!(leaf, doc, "{path}"),
+    }
+}
+
 #[test]
 fn metrics_and_summary_exports_have_required_keys() {
     let mix = mix_by_name("H4").unwrap();
@@ -150,11 +177,12 @@ fn metrics_and_summary_exports_have_required_keys() {
     let names = sys.bench_names.clone();
     let doc = metrics_json(&report.stats, &names, report.outcome, sys.samples());
     let back = JsonValue::parse(&doc.to_json()).expect("metrics JSON parses");
-    for key in [
-        "schema", "outcome", "cycles", "cores", "mem", "emc", "samples",
-    ] {
-        assert!(back.get(key).is_some(), "metrics missing {key}");
-    }
+    assert_eq!(
+        back.get("schema").and_then(|v| v.as_str()),
+        Some("emcsim-metrics-v2")
+    );
+    // Every declared statistic the run counted, under its declared name.
+    assert_exported(&report.stats.to_json_value(), &back, "");
     assert!(
         !back.get("samples").unwrap().as_arr().unwrap().is_empty(),
         "metrics document carries no samples"

@@ -163,6 +163,40 @@ impl Histogram {
     }
 }
 
+crate::json_struct! {
+    /// Six-number summary of a [`Histogram`] for stats and report
+    /// documents (the full bucket vector stays off the wire).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct HistSummary {
+        /// Samples.
+        pub count: u64,
+        /// Mean value.
+        pub mean: f64,
+        /// Median.
+        pub p50: u64,
+        /// 95th percentile.
+        pub p95: u64,
+        /// 99th percentile.
+        pub p99: u64,
+        /// Largest sample.
+        pub max: u64,
+    }
+}
+
+impl HistSummary {
+    /// Summarize a histogram.
+    pub fn of(h: &Histogram) -> HistSummary {
+        HistSummary {
+            count: h.count,
+            mean: h.mean(),
+            p50: h.p50(),
+            p95: h.p95(),
+            p99: h.p99(),
+            max: h.max,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,5 +355,18 @@ mod tests {
         assert_eq!(e, orig, "merging into empty copies");
         // In particular min must not become 0.
         assert_eq!(e.min, 42);
+    }
+
+    #[test]
+    fn hist_summary_matches_histogram_percentiles() {
+        let mut h = Histogram::new();
+        for v in 1..=1000u64 {
+            h.record(v);
+        }
+        let s = HistSummary::of(&h);
+        assert_eq!(s.count, 1000);
+        assert_eq!(s.p50, h.p50());
+        assert_eq!(s.p95, h.p95());
+        assert_eq!(s.max, 1000);
     }
 }

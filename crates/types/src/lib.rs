@@ -45,7 +45,7 @@ pub use config::{
     PrefetcherKind, RingConfig, SystemConfig,
 };
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use hist::{Histogram, HISTOGRAM_BUCKETS};
+pub use hist::{HistSummary, Histogram, HISTOGRAM_BUCKETS};
 pub use json::{FromJson, JsonValue, ToJson};
 pub use mem_image::MemoryImage;
 pub use outcome::{
@@ -56,10 +56,10 @@ pub use program::{Program, StaticUop};
 pub use req::{AccessKind, MemReq, ReqId, ReqTimeline, Requester};
 pub use rng::{seeded_rng, substream};
 pub use sample::MetricSample;
-pub use stats::{CoreStats, EmcStats, MemStats, PrefetchStats, RingStats, Stats};
+pub use stats::{CoreStats, EmcStats, MemStats, PrefetchStats, RingStats, Stats, StatsView};
 pub use svc::{
-    EventBatch, HistSummary, JobState, JobStatusView, ProgressEvent, Rejection, ServiceStats,
-    SubmitAck, SubmitRequest, TenantStats, SVC_SCHEMA,
+    EventBatch, JobState, JobStatusView, ProgressEvent, Rejection, ServiceStats, SubmitAck,
+    SubmitRequest, TenantStats, SVC_SCHEMA,
 };
 pub use trace::{MissJourney, TraceEvent, TraceSink, TraceTrack, DEFAULT_TRACE_CAP};
 pub use uop::{BranchCond, Reg, UopKind, NUM_ARCH_REGS};

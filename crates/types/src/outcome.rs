@@ -194,20 +194,23 @@ impl LivenessSnapshot {
     }
 }
 
-/// How a simulation run terminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Every core reached its retired-uop budget (or finished its
-    /// program). The statistics are a valid measurement.
-    Completed,
-    /// The cycle cap elapsed before every core reached its budget. The
-    /// statistics cover a truncated window and must not be published as
-    /// a completed measurement.
-    CapHit,
-    /// The forward-progress watchdog fired: no core retired a single
-    /// uop for the whole watchdog window. The run was aborted and a
-    /// [`WedgeReport`] captured the scheduler state at the wedge point.
-    Wedged,
+crate::json_struct! {
+    /// How a simulation run terminated. Its label (`completed`,
+    /// `cap-hit`, `wedged`) is its value in the exported JSON documents.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RunOutcome {
+        /// Every core reached its retired-uop budget (or finished its
+        /// program). The statistics are a valid measurement.
+        Completed = "completed",
+        /// The cycle cap elapsed before every core reached its budget. The
+        /// statistics cover a truncated window and must not be published
+        /// as a completed measurement.
+        CapHit = "cap-hit",
+        /// The forward-progress watchdog fired: no core retired a single
+        /// uop for the whole watchdog window. The run was aborted and a
+        /// [`WedgeReport`] captured the scheduler state at the wedge point.
+        Wedged = "wedged",
+    }
 }
 
 impl fmt::Display for RunOutcome {
@@ -406,6 +409,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{JsonValue, ToJson};
 
     fn sample_wedge() -> WedgeReport {
         WedgeReport {
@@ -625,5 +629,17 @@ mod tests {
         assert_eq!(RunOutcome::Completed.to_string(), "completed");
         assert_eq!(RunOutcome::CapHit.to_string(), "cycle-cap hit");
         assert_eq!(RunOutcome::Wedged.to_string(), "wedged");
+    }
+
+    #[test]
+    fn run_outcomes_encode_as_their_labels() {
+        for (outcome, label) in [
+            (RunOutcome::Completed, "completed"),
+            (RunOutcome::CapHit, "cap-hit"),
+            (RunOutcome::Wedged, "wedged"),
+        ] {
+            assert_eq!(outcome.to_json_value(), JsonValue::from(label));
+            assert_eq!(RunOutcome::from_label(label), Some(outcome));
+        }
     }
 }

@@ -11,27 +11,29 @@
 
 use crate::Cycle;
 
-/// Occupancy of every scheduler-visible queue at one sample epoch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricSample {
-    /// Cycle the sample was taken.
-    pub cycle: Cycle,
-    /// Memory-controller queue depth, per MC.
-    pub mc_queue_depth: Vec<u32>,
-    /// Memory-controller retry-queue depth (rejected enqueues), per MC.
-    pub mc_retry_depth: Vec<u32>,
-    /// DRAM banks with an open row, per MC (row-buffer state).
-    pub banks_open: Vec<u32>,
-    /// Occupied EMC issue contexts, per MC.
-    pub emc_busy_contexts: Vec<u32>,
-    /// Ring links (either kind, either direction) busy this cycle.
-    pub ring_busy_links: u32,
-    /// Cache lines with an outstanding fill (MSHR occupancy).
-    pub outstanding_misses: u32,
-    /// Valid lines per LLC slice.
-    pub llc_occupancy: Vec<u32>,
-    /// ROB occupancy, per core.
-    pub rob_occupancy: Vec<u32>,
+crate::json_struct! {
+    /// Occupancy of every scheduler-visible queue at one sample epoch.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct MetricSample {
+        /// Cycle the sample was taken.
+        pub cycle: Cycle,
+        /// Memory-controller queue depth, per MC.
+        pub mc_queue_depth: Vec<u32>,
+        /// Memory-controller retry-queue depth (rejected enqueues), per MC.
+        pub mc_retry_depth: Vec<u32>,
+        /// DRAM banks with an open row, per MC (row-buffer state).
+        pub banks_open: Vec<u32>,
+        /// Occupied EMC issue contexts, per MC.
+        pub emc_busy_contexts: Vec<u32>,
+        /// Ring links (either kind, either direction) busy this cycle.
+        pub ring_busy_links: u32,
+        /// Cache lines with an outstanding fill (MSHR occupancy).
+        pub outstanding_misses: u32,
+        /// Valid lines per LLC slice, in thousandths of its capacity.
+        pub llc_occupancy: Vec<u32>,
+        /// ROB occupancy, per core.
+        pub rob_occupancy: Vec<u32>,
+    }
 }
 
 impl MetricSample {

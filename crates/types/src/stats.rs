@@ -1,9 +1,66 @@
 //! Statistics counters collected by the simulator and consumed by the
 //! figure harnesses and the energy model.
+//!
+//! Every statistic is declared once, here, inside `stats_struct!`: the
+//! declaration gives the struct its canonical encoding (through
+//! [`json_struct!`](crate::json_struct), the bytes of every cache entry)
+//! and its [`StatsView`], the body of `emcsim --metrics-out`.
+//! A new counter is one declaration plus one increment.
 
-use crate::hist::Histogram;
+use crate::hist::{HistSummary, Histogram};
+use crate::json::{u, JsonValue, ToJson};
 
-crate::json_struct! {
+/// The metrics view of a statistic: a counter or a vector as it is, a
+/// [`Histogram`] as its [`HistSummary`], and a stats struct as an object
+/// of its fields' views under their declared names, in declaration
+/// order.
+pub trait StatsView {
+    /// Build the view.
+    fn view(&self) -> JsonValue;
+}
+
+impl StatsView for u64 {
+    fn view(&self) -> JsonValue {
+        u(*self)
+    }
+}
+
+impl StatsView for Histogram {
+    fn view(&self) -> JsonValue {
+        HistSummary::of(self).to_json_value()
+    }
+}
+
+impl<T: StatsView> StatsView for Vec<T> {
+    fn view(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(StatsView::view).collect())
+    }
+}
+
+/// [`json_struct!`](crate::json_struct) plus the struct's [`StatsView`].
+macro_rules! stats_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $ty:ty $(= $absent:expr)? ),* $(,)?
+        }
+    ) => {
+        crate::json_struct! {
+            $(#[$meta])*
+            pub struct $name {
+                $( $(#[$fmeta])* pub $field: $ty $(= $absent)? ),*
+            }
+        }
+
+        impl StatsView for $name {
+            fn view(&self) -> JsonValue {
+                JsonValue::obj(vec![$( (stringify!($field), self.$field.view()) ),*])
+            }
+        }
+    };
+}
+
+stats_struct! {
     /// Per-core pipeline statistics.
     #[derive(Debug, Clone, Default)]
     pub struct CoreStats {
@@ -118,7 +175,7 @@ impl CoreStats {
     }
 }
 
-crate::json_struct! {
+stats_struct! {
     /// DRAM / memory-controller statistics (summed over channels).
     #[derive(Debug, Clone, Default)]
     pub struct MemStats {
@@ -188,7 +245,7 @@ impl MemStats {
     }
 }
 
-crate::json_struct! {
+stats_struct! {
     /// Ring interconnect statistics (§6.5 overhead numbers).
     #[derive(Debug, Clone, Default)]
     pub struct RingStats {
@@ -207,7 +264,7 @@ crate::json_struct! {
     }
 }
 
-crate::json_struct! {
+stats_struct! {
     /// EMC statistics (§6.3, Figures 15, 17, 21, 22).
     #[derive(Debug, Clone, Default)]
     pub struct EmcStats {
@@ -257,7 +314,7 @@ impl EmcStats {
     }
 }
 
-crate::json_struct! {
+stats_struct! {
     /// Prefetcher statistics.
     #[derive(Debug, Clone, Default)]
     pub struct PrefetchStats {
@@ -283,7 +340,7 @@ impl PrefetchStats {
     }
 }
 
-crate::json_struct! {
+stats_struct! {
     /// All statistics for one simulation run.
     #[derive(Debug, Clone, Default)]
     pub struct Stats {
@@ -474,6 +531,24 @@ mod tests {
         assert_eq!(back.mem.core_miss_latency.sum, 300);
         assert_eq!(back.mem.escalated_requests, 2);
         assert_eq!(back.emc.chains_executed, 9);
+    }
+
+    #[test]
+    fn view_keeps_counters_and_summarises_histograms() {
+        let mut s = Stats::new(1);
+        s.emc.chains_executed = 3;
+        s.emc.chain_latency.record(40);
+        s.cores[0].record_chain_length(2);
+        let view = s.view();
+        let emc = view.get("emc").unwrap();
+        assert_eq!(emc.get("chains_executed"), Some(&JsonValue::from(3u64)));
+        let latency = HistSummary::of(&s.emc.chain_latency).to_json_value();
+        assert_eq!(emc.get("chain_latency"), Some(&latency));
+        let core = view.get("cores").and_then(|c| c.idx(0)).unwrap();
+        assert_eq!(
+            core.get("chain_length_hist"),
+            Some(&s.cores[0].chain_length_hist.to_json_value())
+        );
     }
 
     #[test]

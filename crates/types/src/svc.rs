@@ -18,7 +18,7 @@
 //! mismatched schemas so a client talking to a future incompatible
 //! daemon fails loudly instead of misparsing.
 
-use crate::hist::Histogram;
+use crate::hist::HistSummary;
 use crate::json::{FromJson, JsonValue, ToJson};
 use crate::json_struct;
 
@@ -285,40 +285,6 @@ json_struct! {
 // ---------------------------------------------------------------------
 
 json_struct! {
-    /// Six-number summary of a [`Histogram`] for stats and report
-    /// documents (the full bucket vector stays off the wire).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct HistSummary {
-        /// Samples.
-        pub count: u64,
-        /// Mean value.
-        pub mean: f64,
-        /// Median.
-        pub p50: u64,
-        /// 95th percentile.
-        pub p95: u64,
-        /// 99th percentile.
-        pub p99: u64,
-        /// Largest sample.
-        pub max: u64,
-    }
-}
-
-impl HistSummary {
-    /// Summarize a histogram.
-    pub fn of(h: &Histogram) -> HistSummary {
-        HistSummary {
-            count: h.count,
-            mean: h.mean(),
-            p50: h.p50(),
-            p95: h.p95(),
-            p99: h.p99(),
-            max: h.max,
-        }
-    }
-}
-
-json_struct! {
     /// Per-tenant fairness statistics within [`ServiceStats`].
     #[derive(Debug, Clone, PartialEq)]
     pub struct TenantStats {
@@ -386,6 +352,7 @@ json_struct! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::Histogram;
 
     fn summary() -> HistSummary {
         let mut h = Histogram::new();
@@ -576,18 +543,5 @@ mod tests {
         let back = ServiceStats::from_json(&round_trip(stats.to_json())).unwrap();
         assert_eq!(back, stats);
         assert_eq!(back.tenants[1].escalated, 3);
-    }
-
-    #[test]
-    fn hist_summary_matches_histogram_percentiles() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let s = HistSummary::of(&h);
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50, h.p50());
-        assert_eq!(s.p95, h.p95());
-        assert_eq!(s.max, 1000);
     }
 }
