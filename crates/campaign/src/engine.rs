@@ -1,18 +1,17 @@
-//! The campaign engine: schedule jobs, consult the cache, retry faults,
-//! record progress.
+//! The campaign engine: schedule jobs, consult the cache, extend the
+//! cycle cap of live runs, record progress.
 //!
 //! A [`Campaign`] is a named, ordered list of [`JobSpec`]s. Running it
 //! walks every job through one policy: known-failed jobs are skipped
 //! (unless retries are requested), cached results are hits, everything
 //! else executes on the work-stealing pool under the class-driven
-//! retry policy ([`retry_decision`]). A wedge whose [`WedgeClass`] is
-//! transient (starvation, backpressure, slow-but-live) gets bounded
-//! re-runs; a deterministic class (EMC context leak, core deadlock)
-//! fails immediately — the simulator is deterministic, so re-running it
-//! only burns time. A [`RunOutcome::CapHit`] whose liveness probes show
-//! the run still making progress is re-run exactly once under a 10×
-//! extended cycle cap; a cap hit with a deterministic root cause fails
-//! immediately. Every completed job is stored in the cache and
+//! retry policy ([`retry_decision`]). A wedge fails on its first
+//! attempt, whatever its [`WedgeClass`]: a spec fixes its seed and the
+//! simulator is deterministic, so a re-run would wedge at the same
+//! cycle. A [`RunOutcome::CapHit`] whose liveness probes show the run
+//! still making progress is re-run exactly once under a 10× extended
+//! cycle cap (a different cap makes it a different run); a cap hit with
+//! a deterministic root cause fails immediately. Every completed job is stored in the cache and
 //! journaled in the manifest before the campaign moves on, so an
 //! interrupt loses at most the jobs still in flight.
 
@@ -34,32 +33,22 @@ pub const REPORT_SCHEMA: &str = "emc-campaign-report-v1";
 /// hit earns.
 pub const CAP_EXTENSION_FACTOR: u64 = 10;
 
-/// Bounded re-runs of a job whose wedge class is transient.
-const WEDGE_RETRIES: u32 = 2;
-
 /// What the engine does after a non-`Completed` attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryDecision {
-    /// Run the job again as-is: the wedge's root cause is transient (or
-    /// predates classification) and the retry budget has room.
-    Retry,
     /// Run once more under an extended cycle cap: the run hit the cap
     /// while its liveness probes showed forward progress.
     ExtendCap,
-    /// Record the failure: deterministic root cause, retry budget
-    /// spent, or the extended cap was already granted.
+    /// Record the failure: a wedge, a cap hit with a deterministic root
+    /// cause, or one whose extended cap was already granted.
     Fail,
 }
 
 /// The pure class-driven retry policy, separated from the execution
 /// loop so every (outcome, class) cell is unit-testable.
 ///
-/// - [`RunOutcome::Wedged`] with a transient class — MC starvation,
-///   ring backpressure, slow-but-live — retries while `attempts <=
-///   wedge_retries`; an unclassified wedge (reports from before the
-///   classifier existed) is treated as transient. A deterministic class
-///   (EMC context leak, core deadlock) fails on the first attempt: the
-///   simulator is deterministic, so the re-run would wedge identically.
+/// - [`RunOutcome::Wedged`] fails, whatever its class: the simulator is
+///   deterministic, so the re-run would wedge identically.
 /// - [`RunOutcome::CapHit`] whose class says the run was still live
 ///   earns exactly one re-run under an extended cap; a cap hit that is
 ///   itself deadlocked (or already extended) fails immediately.
@@ -67,28 +56,13 @@ pub enum RetryDecision {
 pub fn retry_decision(
     outcome: RunOutcome,
     class: Option<&WedgeClass>,
-    attempts: u32,
-    wedge_retries: u32,
     cap_extended: bool,
 ) -> RetryDecision {
-    match outcome {
-        RunOutcome::Completed => RetryDecision::Fail,
-        RunOutcome::Wedged => {
-            let transient = class.is_none_or(WedgeClass::is_transient);
-            if transient && attempts <= wedge_retries {
-                RetryDecision::Retry
-            } else {
-                RetryDecision::Fail
-            }
-        }
-        RunOutcome::CapHit => {
-            let live = class.is_some_and(WedgeClass::is_transient);
-            if live && !cap_extended {
-                RetryDecision::ExtendCap
-            } else {
-                RetryDecision::Fail
-            }
-        }
+    let live = class.is_some_and(WedgeClass::is_transient);
+    if outcome == RunOutcome::CapHit && live && !cap_extended {
+        RetryDecision::ExtendCap
+    } else {
+        RetryDecision::Fail
     }
 }
 
@@ -148,9 +122,8 @@ impl Executor {
         Some(record)
     }
 
-    /// Simulate `spec` under the class-driven retry policy — transient
-    /// wedge classes get bounded re-runs, deterministic classes fail on
-    /// sight, and a slow-but-live cap hit earns one extended cap — and
+    /// Simulate `spec` under the class-driven retry policy — a wedge
+    /// fails on sight, and a live cap hit earns one extended cap — and
     /// store a completed result in the cache. Never reads the cache.
     pub(crate) fn execute(&self, spec: &JobSpec, key: &JobKey) -> JobRecord {
         let mut record = JobRecord::new(spec, key, JobSource::Executed, String::new());
@@ -182,19 +155,7 @@ impl Executor {
                 .as_ref()
                 .map(|c| c.to_string())
                 .unwrap_or_else(|| "unclassified".into());
-            match retry_decision(
-                report.outcome,
-                report.class.as_ref(),
-                record.attempts,
-                WEDGE_RETRIES,
-                next_cap.is_some(),
-            ) {
-                RetryDecision::Retry => {
-                    eprintln!(
-                        "# {}: {} wedged ({class_label}, attempt {}), retrying",
-                        self.tag, spec.label, record.attempts
-                    );
-                }
+            match retry_decision(report.outcome, report.class.as_ref(), next_cap.is_some()) {
                 RetryDecision::ExtendCap => {
                     let cap = spec
                         .default_cycle_cap()
@@ -815,42 +776,23 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_retries_transient_wedges_within_budget() {
-        for class in [
+    fn retry_policy_never_retries_deterministic_wedges() {
+        // No wedge class retries, transient or not, classified or not:
+        // the same seed wedges at the same cycle.
+        let classes = [
             WedgeClass::McStarvation { mcs: vec![0] },
             WedgeClass::RingBackpressure { backlog: 2_000 },
             WedgeClass::SlowButLive,
-        ] {
-            assert_eq!(
-                retry_decision(RunOutcome::Wedged, Some(&class), 1, 2, false),
-                RetryDecision::Retry,
-                "{class} is transient"
-            );
-            assert_eq!(
-                retry_decision(RunOutcome::Wedged, Some(&class), 3, 2, false),
-                RetryDecision::Fail,
-                "{class} past the retry budget"
-            );
-        }
-        // Unclassified wedges (pre-classifier reports) stay retryable.
-        assert_eq!(
-            retry_decision(RunOutcome::Wedged, None, 1, 2, false),
-            RetryDecision::Retry
-        );
-    }
-
-    #[test]
-    fn retry_policy_never_retries_deterministic_wedges() {
-        for class in [
             WedgeClass::EmcContextLeak {
                 contexts: vec![(0, 1)],
             },
             WedgeClass::CoreDeadlock { cores: vec![2] },
-        ] {
+        ];
+        for class in classes.iter().map(Some).chain([None]) {
             assert_eq!(
-                retry_decision(RunOutcome::Wedged, Some(&class), 1, 5, false),
+                retry_decision(RunOutcome::Wedged, class, false),
                 RetryDecision::Fail,
-                "{class} is deterministic — retrying repeats it"
+                "{class:?} would wedge again"
             );
         }
     }
@@ -859,22 +801,22 @@ mod tests {
     fn retry_policy_extends_cap_once_for_live_cap_hits() {
         let live = WedgeClass::SlowButLive;
         assert_eq!(
-            retry_decision(RunOutcome::CapHit, Some(&live), 1, 2, false),
+            retry_decision(RunOutcome::CapHit, Some(&live), false),
             RetryDecision::ExtendCap
         );
         assert_eq!(
-            retry_decision(RunOutcome::CapHit, Some(&live), 2, 2, true),
+            retry_decision(RunOutcome::CapHit, Some(&live), true),
             RetryDecision::Fail,
             "the extension is granted exactly once"
         );
         let dead = WedgeClass::CoreDeadlock { cores: vec![0] };
         assert_eq!(
-            retry_decision(RunOutcome::CapHit, Some(&dead), 1, 2, false),
+            retry_decision(RunOutcome::CapHit, Some(&dead), false),
             RetryDecision::Fail,
             "a deadlocked cap hit gains nothing from more cycles"
         );
         assert_eq!(
-            retry_decision(RunOutcome::CapHit, None, 1, 2, false),
+            retry_decision(RunOutcome::CapHit, None, false),
             RetryDecision::Fail,
             "an unclassified cap hit is treated as deterministic"
         );

@@ -21,9 +21,10 @@
 //!   executed / failed; the engine and `campaignd` both keep their books
 //!   with them.
 //! - [`Campaign`] / [`CampaignOptions`] — the engine: a work-stealing
-//!   executor ([`parallel_map`]) across all cores, bounded retries for
-//!   wedged runs, immediate structured failure for cap hits, and live
-//!   progress lines (done/total, hit rate, ETA).
+//!   executor ([`parallel_map`]) across all cores, structured failure
+//!   for wedged runs on the first attempt, one extended-cap re-run for a
+//!   cap hit that is still live, and live progress lines (done/total,
+//!   hit rate, ETA).
 //! - [`CampaignReport`] — per-job provenance (hit / executed / skipped /
 //!   deferred) plus campaign-level aggregation via `Histogram::merge`.
 //!

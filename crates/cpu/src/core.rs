@@ -95,6 +95,10 @@ pub struct RobEntry {
     pub remote: bool,
     /// This load went past the LLC to memory (set by the owning sim).
     pub llc_miss: bool,
+    /// This load's line has reached the chip from memory but not yet
+    /// the core (set by the owning sim through [`Core::mark_on_chip`]):
+    /// a chain sourced at it can ship with the value.
+    pub on_chip: bool,
     /// Output taint: this value derives from an in-flight LLC miss.
     pub tainted: bool,
     /// Output chain depth (ALU ops since the source miss).
@@ -219,6 +223,8 @@ pub struct Core {
     mem_inflight: usize,
 
     finished_at: Option<Cycle>,
+    /// The cycle of the last retirement counted in `stats.retired_uops`.
+    last_retired_at: Cycle,
     /// [`tick`](Core::tick) only counts the cycle before this one: what
     /// [`inert_until`](Core::inert_until) answered after a tick that
     /// moved nothing. Every call from outside that can end the wait
@@ -273,6 +279,7 @@ impl Core {
             waiting_count: 0,
             mem_inflight: 0,
             finished_at: None,
+            last_retired_at: 0,
             asleep_until: 0,
             stall_since: None,
             finished_stall: None,
@@ -284,6 +291,13 @@ impl Core {
     /// The cycle the program finished (fetch past the end and ROB empty).
     pub fn finished_at(&self) -> Option<Cycle> {
         self.finished_at
+    }
+
+    /// The cycle of the core's most recent retirement (0 before the
+    /// first); runahead pseudo-retirement does not count. The liveness
+    /// probe's per-core retirement age is measured from it.
+    pub fn last_retired_at(&self) -> Cycle {
+        self.last_retired_at
     }
 
     /// Committed architectural register values.
@@ -437,6 +451,15 @@ impl Core {
             self.stats.dependent_llc_misses += 1;
             self.stats.dep_chain_pairs += 1;
             self.stats.dep_chain_uop_sum += depth as u64;
+        }
+    }
+
+    /// Mark a load whose line has reached the chip from memory (called
+    /// by the simulator at the memory controller's completion). Ignored
+    /// if the load was flushed.
+    pub fn mark_on_chip(&mut self, id: RobId) {
+        if let Some(idx) = self.index_of(id) {
+            self.rob[idx].on_chip = true;
         }
     }
 
@@ -752,6 +775,7 @@ impl Core {
                 continue;
             }
             self.stats.retired_uops += 1;
+            self.last_retired_at = now;
             match e.uop.kind {
                 UopKind::Load => self.stats.retired_loads += 1,
                 UopKind::Store => {
@@ -1138,6 +1162,7 @@ impl Core {
                 store_value: None,
                 remote: false,
                 llc_miss: false,
+                on_chip: false,
                 tainted: false,
                 chain_depth: 0,
                 waiters: Vec::new(),

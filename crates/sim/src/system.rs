@@ -19,7 +19,7 @@ use emc_ring::RingKind::{self, Control, Data};
 use emc_ring::{Ring, Topology};
 use emc_types::rng::{seeded_rng, substream, SmallRng};
 use emc_types::{
-    physical_line, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, FxHashSet, LineAddr,
+    line_owner, physical_line, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, LineAddr,
     LivenessSnapshot, MemReq, MetricSample, MissJourney, PrefetcherKind, ReqId, Requester,
     RunOutcome, RunReport, Stats, SystemConfig, TraceSink, TraceTrack, UopKind, WedgeCoreState,
     WedgeEmcContext, WedgeReport, CACHE_LINE_BYTES,
@@ -138,6 +138,21 @@ struct Outstanding {
     emc_waiters: Vec<EmcLoad>,
 }
 
+/// One core's side of chain generation.
+struct ChainSlot {
+    counter: DepMissCounter,
+    /// The uops of the core's chain in flight, 0 if it has none (a core
+    /// has at most one).
+    uops: usize,
+    /// No chain is generated before this cycle.
+    cooldown: Cycle,
+    /// Consecutive chain aborts (graceful degradation).
+    fail_streak: u32,
+    /// Current quiesce backoff window (doubles on each quiesce event,
+    /// saturating; resets when a chain completes).
+    backoff: Cycle,
+}
+
 /// Hand a waiter buffer back to the pool it was borrowed from.
 fn recycle<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
     if buf.capacity() > 0 {
@@ -158,44 +173,25 @@ pub struct System {
     l1d: Vec<SetAssocCache>,
     llc: Vec<SetAssocCache>,
     ring: Ring,
-    topo: Topology,
     mcs: Vec<MemoryController>,
     mc_retry: Vec<Vec<MemReq>>,
     emcs: Vec<EmcEngine>,
     prefetchers: Vec<PrefetchEngine>,
-    dep_counters: Vec<DepMissCounter>,
-    /// Per core: the uops of its chain in flight, 0 if it has none (a
-    /// core has at most one).
-    chain_uops: Vec<usize>,
-    chain_cooldown: Vec<Cycle>,
-    /// Consecutive chain aborts per home core (graceful degradation).
-    chain_fail_streak: Vec<u32>,
-    /// Current quiesce backoff window per home core (doubles on each
-    /// quiesce event, saturating; resets when a chain completes).
-    chain_backoff: Vec<Cycle>,
+    chains: Vec<ChainSlot>,
     /// EMC context-kill fault stream, armed iff the fault plan enables
     /// `emc_kill_prob`.
     emc_fault: Option<(f64, SmallRng)>,
-    /// Loads whose line is on chip but not yet at the core. Nothing
-    /// iterates it.
-    source_ready: FxHashSet<(CoreId, RobId)>,
     events: BinaryHeap<Scheduled>,
     /// Lines on their way to or from DRAM. Nothing iterates it.
     outstanding: FxHashMap<LineAddr, Outstanding>,
     waiter_pool: Vec<Vec<(CoreId, RobId)>>,
     emc_waiter_pool: Vec<Vec<EmcLoad>>,
-    /// Which core's prefetcher brought a line in. Nothing iterates it.
-    prefetched_by: FxHashMap<LineAddr, CoreId>,
     next_req: u64,
     /// Accumulated system statistics (cores filled at snapshot time).
     pub stats: Stats,
     trace: TraceSink,
     sampler: Sampler,
     profiler: TickProfiler,
-    /// Per-core cycle of the last retirement (liveness probe).
-    core_last_retire: Vec<Cycle>,
-    /// Per-core retired-uop count at the last probe update.
-    core_prev_retired: Vec<u64>,
     snapshots: Vec<Option<CoreStats>>,
     scratch_events: Vec<CoreEvent>,
     scratch_lines: Vec<LineAddr>,
@@ -264,34 +260,31 @@ impl System {
                 .map(|_| SetAssocCache::new(&cfg.llc_slice))
                 .collect(),
             ring,
-            topo,
             mc_retry: vec![Vec::new(); cfg.memory_controllers],
             mcs,
             emcs,
             prefetchers: (0..cfg.cores)
                 .map(|_| PrefetchEngine::new(cfg.prefetcher, &cfg.prefetch))
                 .collect(),
-            dep_counters: (0..cfg.cores)
-                .map(|_| DepMissCounter::new(cfg.emc.dep_counter_trigger))
+            chains: (0..cfg.cores)
+                .map(|_| ChainSlot {
+                    counter: DepMissCounter::new(cfg.emc.dep_counter_trigger),
+                    uops: 0,
+                    cooldown: 0,
+                    fail_streak: 0,
+                    backoff: cfg.emc.quiesce_backoff,
+                })
                 .collect(),
-            chain_uops: vec![0; cfg.cores],
-            chain_cooldown: vec![0; cfg.cores],
-            chain_fail_streak: vec![0; cfg.cores],
-            chain_backoff: vec![cfg.emc.quiesce_backoff; cfg.cores],
             emc_fault,
-            source_ready: FxHashSet::default(),
             events: BinaryHeap::new(),
             outstanding: FxHashMap::default(),
             waiter_pool: Vec::new(),
             emc_waiter_pool: Vec::new(),
-            prefetched_by: FxHashMap::default(),
             next_req: 0,
             stats: Stats::new(cfg.cores),
             trace: TraceSink::disabled(),
             sampler: Sampler::default(),
             profiler: TickProfiler::disabled(),
-            core_last_retire: vec![0; cfg.cores],
-            core_prev_retired: vec![0; cfg.cores],
             snapshots: vec![None; cfg.cores],
             scratch_events: Vec::new(),
             scratch_lines: Vec::new(),
@@ -382,7 +375,7 @@ impl System {
     /// Send one message over the ring, `emc` saying whether it is EMC
     /// traffic; the cycle it arrives. The only caller of [`Ring::send`].
     fn hop(&mut self, kind: RingKind, from: Stop, to: Stop, at: Cycle, emc: bool) -> Cycle {
-        let topo = self.topo;
+        let topo = self.ring.topology();
         let stop = |s| match s {
             Stop::Core(c) => topo.core_stop(c),
             Stop::Llc(slice) => topo.llc_stop(slice),
@@ -405,7 +398,7 @@ impl System {
     }
 
     fn slice_of(&self, pline: LineAddr) -> usize {
-        self.topo.llc_slice_of(pline)
+        self.ring.topology().llc_slice_of(pline)
     }
 
     // ==================================================================
@@ -501,7 +494,7 @@ impl System {
         for (c, core) in self.cores.iter().enumerate() {
             wake = wake.min(core.asleep_until());
             if wake > now && self.wants_chain(c) {
-                wake = wake.min(self.chain_cooldown[c]);
+                wake = wake.min(self.chains[c].cooldown);
             }
             if wake <= now {
                 return now;
@@ -591,10 +584,8 @@ impl System {
                 .flat_map(|(m, emc)| emc.context_ages(self.now).map(move |(c, age)| (m, c, age)))
                 .collect(),
             ring_backlog: self.ring.max_backlog(self.now),
-            core_retire_age: self
-                .core_last_retire
-                .iter()
-                .map(|&at| self.now.saturating_sub(at))
+            core_retire_age: (self.cores.iter())
+                .map(|c| self.now - c.last_retired_at().max(self.measure_start))
                 .collect(),
             cores_finished: self
                 .cores
@@ -616,7 +607,7 @@ impl System {
                     retired_uops: c.stats.retired_uops,
                     rob_len: c.rob_len(),
                     finished: c.finished_at().is_some(),
-                    active_chain_uops: Some(self.chain_uops[i]).filter(|&n| n > 0),
+                    active_chain_uops: Some(self.chains[i].uops).filter(|&n| n > 0),
                     rob_head: c.rob_iter().next().map(|e| {
                         format!(
                             "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
@@ -668,9 +659,6 @@ impl System {
         self.snapshots = vec![None; self.cfg.cores];
         // Warmup-phase samples are discarded like every other statistic.
         self.sampler.clear();
-        // The retirement probe starts a fresh epoch with the counters.
-        self.core_prev_retired = vec![0; self.cfg.cores];
-        self.core_last_retire = vec![self.now; self.cfg.cores];
     }
 
     fn all_cores_done(&self, budget: u64) -> bool {
@@ -720,24 +708,10 @@ impl System {
         let t = self.profiler.phase_mark(Phase::Prefetch, t);
         self.tick_cores();
         let t = self.profiler.phase_mark(Phase::Cores, t);
-        self.track_retirement();
         self.observe();
         self.take_snapshots(budget);
         self.profiler.phase_end(Phase::Observe, t);
         self.now += 1;
-    }
-
-    /// Per-core retirement liveness probe: remember the cycle of each
-    /// core's most recent retirement (read-only bookkeeping; never
-    /// affects simulated behaviour).
-    fn track_retirement(&mut self) {
-        for c in 0..self.cfg.cores {
-            let retired = self.cores[c].stats.retired_uops;
-            if retired != self.core_prev_retired[c] {
-                self.core_prev_retired[c] = retired;
-                self.core_last_retire[c] = self.now;
-            }
-        }
     }
 
     /// Per-cycle observability hook: close finished ROB-stall spans and
@@ -968,7 +942,7 @@ impl System {
             Ev::ChainAbortAtCore { chain } => {
                 let core = chain.home_core;
                 self.cores[core].unmark_remote(chain.uops.iter().map(|u| u.rob));
-                self.chain_uops[core] = 0;
+                self.chains[core].uops = 0;
                 self.chain_pool.push(chain);
             }
         }
@@ -989,7 +963,6 @@ impl System {
         let depart = self.now + lat;
         let hit = self.llc[slice].access(pline, false);
         if hit.is_some_and(|h| h.first_use_of_prefetch) {
-            self.prefetched_by.remove(&pline);
             self.prefetchers[core].on_useful();
             // Keep streams advancing once prefetches start covering
             // the demand stream (train on prefetched hits, as FDP's
@@ -1013,7 +986,7 @@ impl System {
         self.cores[core].stats.llc_misses += 1;
         self.cores[core].mark_llc_miss(rob);
         let dependent = self.cores[core].load_is_dependent(rob);
-        self.dep_counters[core].on_llc_miss(dependent);
+        self.chains[core].counter.on_llc_miss(dependent);
         self.prefetchers[core].train(pline, pc);
         let id = self.new_req_id();
         let mut req = MemReq::read(id, pline, Requester::Core(core), pc, created);
@@ -1028,12 +1001,9 @@ impl System {
 
     fn handle_llc_eviction(&mut self, ev: emc_cache::Eviction) {
         if ev.flags.prefetched {
+            // A core only prefetches lines of its own address space.
             self.stats.prefetch.useless += 1;
-            if let Some(core) = self.prefetched_by.remove(&ev.line) {
-                self.prefetchers[core].on_useless();
-            }
-        } else {
-            self.prefetched_by.remove(&ev.line);
+            self.prefetchers[line_owner(ev.line)].on_useless();
         }
         if ev.flags.emc_resident {
             let mc = self.mc_of_line(ev.line);
@@ -1053,9 +1023,6 @@ impl System {
         let pline = req.line;
         let slice = self.slice_of(pline);
         let prefetched = req.kind == AccessKind::Prefetch;
-        if prefetched {
-            self.prefetched_by.insert(pline, req.requester.home_core());
-        }
         // Low-confidence prefetches insert at LRU (FDP) so they cannot
         // pollute the LLC; everything else inserts at MRU.
         let lru_insert = prefetched && self.prefetchers[req.requester.home_core()].low_confidence();
@@ -1079,7 +1046,6 @@ impl System {
         // it counts as useful for FDP (the right response to lateness is
         // a higher degree, not throttling).
         if prefetched && !waiters.is_empty() {
-            self.prefetched_by.remove(&pline);
             let trainer = waiters[0].0;
             self.prefetchers[trainer].on_useful();
             self.prefetchers[trainer].train_on_prefetch_hit(pline);
@@ -1109,7 +1075,6 @@ impl System {
         for &(c, rob) in &waiters {
             self.l1d[c].fill(req.line, false, false);
             self.cores[c].complete_load(rob, self.now);
-            self.source_ready.remove(&(c, rob));
             // A chain may be waiting on this load as its source miss and
             // have missed the MC-time interception (the load merged onto
             // an already-completed request): deliver at fill time.
@@ -1268,7 +1233,7 @@ impl System {
             .map(|o| std::mem::take(&mut o.waiters));
         if let Some(waiters) = waiters {
             for &(c, rob) in &waiters {
-                self.source_ready.insert((c, rob));
+                self.cores[c].mark_on_chip(rob);
                 self.deliver_awaited_source(c, rob);
             }
             if let Some(o) = self.outstanding.get_mut(&pline) {
@@ -1506,7 +1471,6 @@ impl System {
         if let Some(hit) = self.llc[slice].access(pline, false) {
             self.emcs[mc].train_miss_predictor(core, pc, false);
             if hit.first_use_of_prefetch {
-                self.prefetched_by.remove(&pline);
                 self.prefetchers[core].on_useful();
                 self.stats.prefetch.useful += 1;
                 self.stats.emc.requests_covered_by_prefetch += 1;
@@ -1544,12 +1508,12 @@ impl System {
             self.now,
             vec![("uops", fin.chain.uops.len() as u64)],
         );
-        let core = fin.chain.home_core;
-        self.chain_uops[core] = 0;
+        let slot = &mut self.chains[fin.chain.home_core];
+        slot.uops = 0;
         // A completed chain ends any failure streak and resets the
         // degradation backoff for this core.
-        self.chain_fail_streak[core] = 0;
-        self.chain_backoff[core] = self.cfg.emc.quiesce_backoff;
+        slot.fail_streak = 0;
+        slot.backoff = self.cfg.emc.quiesce_backoff;
         self.chain_pool.push(fin.chain);
     }
 
@@ -1575,12 +1539,13 @@ impl System {
         // Graceful degradation: after `quiesce_threshold` consecutive
         // failed chains the EMC quiesces for this core, backing off for
         // a window that doubles (saturating) on every repeat.
-        self.chain_fail_streak[core] += 1;
-        if self.chain_fail_streak[core] >= self.cfg.emc.quiesce_threshold {
-            self.chain_fail_streak[core] = 0;
-            let backoff = self.chain_backoff[core];
-            self.chain_cooldown[core] = self.chain_cooldown[core].max(self.now + backoff);
-            self.chain_backoff[core] = backoff
+        let slot = &mut self.chains[core];
+        slot.fail_streak += 1;
+        if slot.fail_streak >= self.cfg.emc.quiesce_threshold {
+            slot.fail_streak = 0;
+            slot.cooldown = slot.cooldown.max(self.now + slot.backoff);
+            slot.backoff = slot
+                .backoff
                 .saturating_mul(2)
                 .min(self.cfg.emc.quiesce_backoff_max);
             self.cores[core].stats.emc_quiesce_events += 1;
@@ -1590,21 +1555,20 @@ impl System {
     }
 
     /// Whether `core` would try to generate a chain once its cooldown
-    /// is over: no chain of its own in flight, and stalled on a full
-    /// window with the dependent-miss counter saying go.
+    /// is over: there is an EMC, no chain of the core's own is in
+    /// flight, and it is stalled on a full window with the
+    /// dependent-miss counter saying go.
     fn wants_chain(&self, core: CoreId) -> bool {
-        self.chain_uops[core] == 0
+        self.cfg.emc.enabled
+            && self.chains[core].uops == 0
             && !self.cores[core].in_runahead()
             && self.cores[core].full_window_stall().is_some()
-            && self.dep_counters[core].should_generate()
+            && self.chains[core].counter.should_generate()
     }
 
     fn maybe_generate_chains(&mut self) {
-        if !self.cfg.emc.enabled {
-            return;
-        }
         for core in 0..self.cfg.cores {
-            if self.now < self.chain_cooldown[core] || !self.wants_chain(core) {
+            if self.now < self.chains[core].cooldown || !self.wants_chain(core) {
                 continue;
             }
             // The head miss blocks retirement, but the chain worth
@@ -1656,7 +1620,7 @@ impl System {
             self.chain_pool.push(cur);
             let Some((_, gen_cycles)) = best else {
                 self.chain_pool.push(chain);
-                self.chain_cooldown[core] = self.now + 8;
+                self.chains[core].cooldown = self.now + 8;
                 continue;
             };
             let source_pline = physical_line(core, chain.source_addr.line());
@@ -1666,25 +1630,23 @@ impl System {
             // chain's arrival over the data ring gates execution.
             if !self.emcs[dest_mc].has_free_context() {
                 self.chain_pool.push(chain);
-                self.chain_cooldown[core] = self.now + 32;
+                self.chains[core].cooldown = self.now + 32;
                 continue;
             }
             let (source_rob, uops) = (chain.source_rob, chain.uops.len());
             // Source data may already be on chip (or the load done): then
             // it ships with the chain.
-            let already = self.source_ready.contains(&(core, source_rob))
-                || self.cores[core]
-                    .entry(source_rob)
-                    .is_none_or(|e| e.state == EntryState::Done);
+            let already = (self.cores[core].entry(source_rob))
+                .is_none_or(|e| e.on_chip || e.state == EntryState::Done);
             chain.source_value =
                 already.then(|| self.source_value(core, source_rob, chain.source_addr));
-            self.chain_uops[core] = uops;
+            self.chains[core].uops = uops;
             self.cores[core].stats.chains_sent += 1;
             self.cores[core].stats.chain_uops_sent += uops as u64;
             self.cores[core].stats.record_chain_length(uops);
             self.cores[core].stats.chain_live_ins += chain.live_in_count();
             self.cores[core].mark_remote(chain.uops.iter().map(|u| u.rob));
-            self.chain_cooldown[core] = self.now + gen_cycles;
+            self.chains[core].cooldown = self.now + gen_cycles;
             // Ship: 6 B/uop + live-ins, over the data ring (§6.5).
             let msgs = chain.transfer_bytes().div_ceil(CACHE_LINE_BYTES).max(1);
             let start = self.now + gen_cycles;
@@ -1718,9 +1680,10 @@ impl System {
         let mut candidates = std::mem::take(&mut self.scratch_lines);
         for core in 0..self.cfg.cores {
             self.prefetchers[core].drain_into(&mut candidates);
-            // Trained on physical lines.
+            // Trained on physical lines; one outside the core's own
+            // address space is no line of its program.
             for &pline in &candidates {
-                if self.outstanding.contains_key(&pline) {
+                if line_owner(pline) != core || self.outstanding.contains_key(&pline) {
                     continue;
                 }
                 let slice = self.slice_of(pline);

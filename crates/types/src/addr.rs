@@ -42,10 +42,21 @@ pub struct PageAddr(pub u64);
 /// The paper's workloads are multiprogrammed SPEC mixes: each core has a
 /// private address space, so identical virtual addresses on different
 /// cores must map to distinct physical lines (otherwise homogeneous mixes
-/// would alias in the shared caches).
+/// would alias in the shared caches). Only the low 40 bits of the
+/// virtual line are kept, so [`line_owner`] can always recover `core`.
 pub fn physical_line(core: usize, line: LineAddr) -> LineAddr {
-    LineAddr(line.0 | ((core as u64 + 1) << 40))
+    LineAddr((line.0 & ((1 << OWNER_SHIFT) - 1)) | ((core as u64 + 1) << OWNER_SHIFT))
 }
+
+/// The core whose address space a physical line belongs to: the inverse
+/// of [`physical_line`] in its `core` argument. A line outside every
+/// core's space (high bits zero) has no owner and gives `usize::MAX`.
+pub fn line_owner(line: LineAddr) -> usize {
+    ((line.0 >> OWNER_SHIFT) as usize).wrapping_sub(1)
+}
+
+/// Where [`physical_line`] puts the owning core.
+const OWNER_SHIFT: u32 = 40;
 
 impl Addr {
     /// The cache line containing this address.
@@ -143,6 +154,16 @@ mod tests {
         assert_ne!(a, l, "physicalization moves even core 0");
         // Low bits (set index, row locality) are preserved.
         assert_eq!(a.0 & 0xffff_ffff, l.0);
+    }
+
+    #[test]
+    fn line_owner_inverts_physical_line() {
+        for core in 0..8 {
+            for line in [0, (1 << 40) - 1, (1 << 40) + 0x1234] {
+                assert_eq!(line_owner(physical_line(core, LineAddr(line))), core);
+            }
+        }
+        assert_eq!(line_owner(LineAddr(0x1234)), usize::MAX, "no core owns it");
     }
 
     #[test]

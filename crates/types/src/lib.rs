@@ -39,7 +39,7 @@ pub mod svc;
 pub mod trace;
 pub mod uop;
 
-pub use addr::{physical_line, Addr, LineAddr, PageAddr, CACHE_LINE_BYTES, PAGE_BYTES};
+pub use addr::{line_owner, physical_line, Addr, LineAddr, PageAddr, CACHE_LINE_BYTES, PAGE_BYTES};
 pub use config::{
     CacheConfig, CoreConfig, DramConfig, EmcConfig, FaultPlan, LivenessConfig, PrefetchConfig,
     PrefetcherKind, RingConfig, SystemConfig,

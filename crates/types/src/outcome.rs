@@ -62,10 +62,11 @@ impl WedgeClass {
         }
     }
 
-    /// Whether a retry (same seed, fresh run) can plausibly clear the
-    /// condition. Starvation and backpressure are load-dependent and
-    /// bounded by the enforcement mechanisms; a leaked context or a
-    /// deadlocked core reproduces deterministically.
+    /// Whether more cycles may clear the condition: starvation and
+    /// backpressure are load-dependent and bounded by the enforcement
+    /// mechanisms, while a leaked context or a deadlocked core stays
+    /// stuck however long the run goes on. (A re-run with the same seed
+    /// and cap clears nothing: the simulator is deterministic.)
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
