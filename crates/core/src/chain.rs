@@ -204,7 +204,7 @@ pub fn generate_chain(
 /// most generated chains are thrown away (no free context, or a sibling
 /// candidate reached more loads). Returns the walk's cycles; on `None`
 /// what `chain` holds is meaningless.
-pub fn generate_chain_into(
+pub(crate) fn generate_chain_into(
     core: &Core,
     home_core: CoreId,
     source: RobId,

@@ -264,7 +264,7 @@ impl EmcEngine {
             contexts: (0..cfg.contexts).map(|_| None).collect(),
             generations: vec![0; cfg.contexts],
             lease: Cycle::MAX,
-            sleep_until: 0,
+            sleep_until: Cycle::MAX,
             ready: Vec::new(),
             dcache: SetAssocCache::new(&dcache_cfg),
             tlbs: (0..cores)
@@ -469,16 +469,17 @@ impl EmcEngine {
         self.tlbs[core].contains(tlb_page(addr))
     }
 
-    /// The cycle before which neither [`expire_leases`](EmcEngine::expire_leases)
-    /// nor [`tick`](EmcEngine::tick) is known to do anything, unless one of
+    /// The first cycle from `now` at which [`expire_leases`](EmcEngine::expire_leases)
+    /// or [`tick`](EmcEngine::tick) may do anything, unless one of
     /// `start_chain`, `deliver_source`, `complete_load`, `force_abort`,
     /// `drain_results` or `take_finished` is called first: the earlier of
     /// the engine's sleep (`Cycle::MAX` when only those calls can give it
-    /// work, 0 while it is awake) and the first lease to run out.
-    pub fn next_wake(&self) -> Cycle {
+    /// work, as for an engine that never held a chain; `now` while it is
+    /// awake) and the first lease to run out.
+    pub fn next_wake(&self, now: Cycle) -> Cycle {
         let expiry = |c: &Context| c.progress_at.saturating_add(self.lease);
         let first = self.contexts.iter().flatten().map(expiry).min();
-        self.sleep_until.min(first.unwrap_or(Cycle::MAX))
+        self.sleep_until.min(first.unwrap_or(Cycle::MAX)).max(now)
     }
 
     /// Advance one EMC cycle: issue up to `issue_width` ready uops across
@@ -1272,11 +1273,11 @@ mod tests {
         emc.set_lease(Some(100));
         let ctx = emc.start_chain(simple_chain(), 10, &mut stats).unwrap();
         assert!(emc.tick(0, &mut stats).is_empty());
-        assert_eq!(emc.next_wake(), 110, "asleep until the lease runs out");
+        assert_eq!(emc.next_wake(1), 110, "asleep until the lease runs out");
         emc.expire_leases(109);
-        assert_eq!(emc.next_wake(), 110);
+        assert_eq!(emc.next_wake(109), 110);
         emc.expire_leases(110);
-        assert_eq!((ages(&emc, 110), emc.next_wake()), (vec![0], 0));
+        assert_eq!((ages(&emc, 110), emc.next_wake(110)), (vec![0], 110));
         let reason = AbortReason::LeaseExpired;
         assert_eq!(
             emc.tick(110, &mut stats),
@@ -1292,10 +1293,16 @@ mod tests {
         emc.set_lease(None);
         emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
         assert!(emc.tick(0, &mut stats).is_empty());
-        assert_eq!(emc.next_wake(), Cycle::MAX);
+        assert_eq!(emc.next_wake(1), Cycle::MAX);
         emc.expire_leases(1 << 40);
         assert_eq!(ages(&emc, 1 << 40), [1 << 40]);
         assert!(emc.tick(1 << 40, &mut stats).is_empty());
+    }
+
+    #[test]
+    fn an_engine_that_never_held_a_chain_never_wakes() {
+        let emc = EmcEngine::new(&cfg(), 4);
+        assert_eq!(emc.next_wake(0), Cycle::MAX);
     }
 
     #[test]
@@ -1306,7 +1313,7 @@ mod tests {
         let ctx = emc.start_chain(simple_chain(), 10, &mut stats).unwrap();
         emc.deliver_source(ctx, 0x4000);
         assert!(emc.tick(0, &mut stats).is_empty());
-        assert_eq!(emc.next_wake(), 10, "the chain arrives before 110");
+        assert_eq!(emc.next_wake(1), 10, "the chain arrives before 110");
     }
 
     #[test]
@@ -1493,7 +1500,7 @@ mod tests {
                     }
                 }
             }
-            let asleep = now < emc.next_wake();
+            let asleep = now < emc.next_wake(now);
             twin.sleep_until = 0;
             let events = emc.tick(now, &mut stats);
             assert_eq!(
@@ -1504,7 +1511,7 @@ mod tests {
             assert_eq!(stats.uops_executed, twin_stats.uops_executed);
             if asleep {
                 slept += 1;
-                in_flight_sleeps += u64::from(emc.next_wake() != Cycle::MAX);
+                in_flight_sleeps += u64::from(emc.next_wake(now) != Cycle::MAX);
             }
             events_seen += events.len() as u64;
             for ev in events {

@@ -4,13 +4,15 @@
 //! *"Accelerating Dependent Cache Misses with an Enhanced Memory
 //! Controller"* (ISCA 2016):
 //!
-//! 1. **Chain generation at the core** ([`chain::generate_chain`],
-//!    Algorithm 1): on a full-window stall whose head is an LLC-miss
-//!    load, and when the per-core [`DepMissCounter`] predicts a dependent
-//!    miss, the core performs a pseudo-wakeup dataflow walk over its ROB,
-//!    renaming the EMC-eligible dependents of the miss through a Register
-//!    Remapping Table onto the EMC's 16-register file and capturing ready
-//!    values in a live-in vector.
+//! 1. **Chain generation at the core** ([`ChainUnit`], the paper's
+//!    per-core dependence-chain generation unit, §4.2): on a full-window
+//!    stall whose head is an LLC-miss load, and when its
+//!    [`DepMissCounter`] predicts a dependent miss, the unit performs a
+//!    pseudo-wakeup dataflow walk over the core's ROB
+//!    ([`chain::generate_chain`], Algorithm 1), renaming the EMC-eligible
+//!    dependents of the miss through a Register Remapping Table onto the
+//!    EMC's 16-register file and capturing ready values in a live-in
+//!    vector. It also picks the chain to ship and when to back off.
 //! 2. **Remote execution at the memory controller** ([`EmcEngine`],
 //!    §4.1/§4.3): per-chain issue contexts, a 2-wide out-of-order
 //!    back-end, a 4 KB data cache fed by DRAM fills and kept coherent via
@@ -24,9 +26,9 @@
 //! the lease runs out), which chain still waits for its source miss
 //! ([`EmcEngine::awaiting_source`]) and the chain latency it measures
 //! from [`Chain::shipped_at`]; [`EmcEngine::next_wake`] answers for the
-//! engine's sleep and the leases alike. The engine keeps no counters: it
-//! counts into the caller's `EmcStats` ([`Emc`] pairs an engine driven
-//! on its own with the counters it writes).
+//! engine's sleep and the leases alike. Neither it nor the unit keeps
+//! counters: they count into the caller's `EmcStats` ([`Emc`] pairs an
+//! engine driven on its own with the counters it writes) and `CoreStats`.
 //!
 //! The system simulator (`emc-sim`) wires these to the cores, ring, LLC
 //! and DRAM; this crate is pure mechanism.
@@ -37,7 +39,9 @@
 pub mod chain;
 pub mod engine;
 pub mod predictor;
+pub mod unit;
 
-pub use chain::{generate_chain, generate_chain_into, Chain, ChainSrc, ChainUop, GeneratedChain};
+pub use chain::{generate_chain, Chain, ChainSrc, ChainUop, GeneratedChain};
 pub use engine::{AbortReason, ChainResult, Emc, EmcEngine, EmcEvent, FinishedChain, LoadRoute};
 pub use predictor::{DepMissCounter, MissPredictor};
+pub use unit::ChainUnit;

@@ -707,13 +707,14 @@ impl Core {
         Some(until)
     }
 
-    /// The cycle before which [`tick`](Core::tick) only counts: the
-    /// core found itself inert and nothing has called on it since. 0
-    /// while awake, `Cycle::MAX` once the program has finished.
-    pub fn asleep_until(&self) -> Cycle {
+    /// The first cycle from `now` at which [`tick`](Core::tick) does more
+    /// than count: the end of the sleep the core fell into when it found
+    /// itself inert (nothing has called on it since), `now` while awake,
+    /// `Cycle::MAX` once the program has finished.
+    pub fn next_wake(&self, now: Cycle) -> Cycle {
         match self.finished_at {
             Some(_) => Cycle::MAX,
-            None => self.asleep_until,
+            None => self.asleep_until.max(now),
         }
     }
 

@@ -522,12 +522,12 @@ impl MemoryController {
     /// can do anything, given no enqueue before then: a burst completes,
     /// a channel's winner finds its bank and the bus ready, a request
     /// ages past the escalation threshold, a batch forms, or the storm
-    /// generator draws (every cycle while armed). `None` when only an
-    /// enqueue can give the controller work.
-    pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
+    /// generator draws (every cycle while armed). `Cycle::MAX` when only
+    /// an enqueue can give the controller work.
+    pub fn next_wake(&self, now: Cycle) -> Cycle {
         let per_cycle_draw = self.faults.as_ref().is_some_and(|f| f.storm_prob > 0.0);
         if per_cycle_draw || (self.marked == 0 && self.markable > 0) {
-            return Some(now);
+            return now;
         }
         let mut wake = self.in_flight.peek().map_or(Cycle::MAX, |f| f.data_at);
         if self.escalation_threshold.is_some() && !self.queue.is_empty() {
@@ -535,12 +535,12 @@ impl MemoryController {
         }
         for p in &self.picks {
             match *p {
-                Pick::Stale => return Some(now),
+                Pick::Stale => return now,
                 Pick::Idle => {}
                 Pick::Ready { at, .. } => wake = wake.min(at),
             }
         }
-        (wake != Cycle::MAX).then_some(wake.max(now))
+        wake.max(now)
     }
 
     /// Whether the controller has any queued or in-flight work.
@@ -712,18 +712,18 @@ mod tests {
         let mut mc = MemoryController::new(&cfg, vec![0]);
         mc.set_escalation_threshold(Some(5_000));
         let mut stats = MemStats::default();
-        assert_eq!(mc.next_wake(0), None, "only an enqueue gives it work");
+        assert_eq!(mc.next_wake(0), Cycle::MAX, "only an enqueue gives it work");
         mc.enqueue(read(1, 0, 0, 0), 0).unwrap();
-        assert_eq!(mc.next_wake(0), Some(0), "a batch is due");
+        assert_eq!(mc.next_wake(0), 0, "a batch is due");
         mc.tick(0, &mut stats);
         let done = cfg.t_rcd + cfg.t_cas + cfg.t_burst;
-        assert_eq!(mc.next_wake(1), Some(done), "the burst in flight");
+        assert_eq!(mc.next_wake(1), done, "the burst in flight");
         // A second request to the busy bank waits for it, not for `now`.
         mc.enqueue(read(2, 1, 0, 1), 1).unwrap();
         mc.tick(1, &mut stats);
         let ready = mc.channels[0].ready_at(mc.queue[0].loc);
         assert!(ready > 2 && ready < done);
-        assert_eq!(mc.next_wake(2), Some(ready));
+        assert_eq!(mc.next_wake(2), ready);
         for t in 2..ready {
             assert!(mc.tick(t, &mut stats).is_empty());
             assert_eq!(mc.queue_len(), 1, "nothing issues before {ready}");
@@ -886,7 +886,7 @@ mod tests {
                 assert_eq!(cs.backpressure_storms, os.backpressure_storms);
                 assert_eq!(cs.ecc_reissues, os.ecc_reissues);
                 assert_eq!(cached.is_full(), oracle.0.is_full());
-                if due.is_none_or(|t| t > now) {
+                if due > now {
                     let after = state(&cached, &cs);
                     assert_eq!(
                         after, before,

@@ -23,7 +23,7 @@ pub use markov::MarkovPrefetcher;
 pub use stream::StreamPrefetcher;
 pub use stride::StridePrefetcher;
 
-use emc_types::{LineAddr, PrefetchConfig, PrefetcherKind};
+use emc_types::{Cycle, LineAddr, PrefetchConfig, PrefetcherKind};
 
 /// One core's prefetching machinery: the configured prefetcher(s) plus an
 /// FDP throttle.
@@ -91,13 +91,19 @@ impl PrefetchEngine {
         }
     }
 
-    /// Whether [`drain_into`](Self::drain_into) would find anything to
-    /// drain. While this is false the engine may be left undrained.
-    pub fn has_pending(&self) -> bool {
-        self.stream.as_ref().is_some_and(|s| s.has_pending())
+    /// `now` if [`drain_into`](Self::drain_into) would find anything to
+    /// drain, else `Cycle::MAX`: until training gives it candidates the
+    /// engine may be left undrained.
+    pub fn next_wake(&self, now: Cycle) -> Cycle {
+        let pending = self.stream.as_ref().is_some_and(|s| s.has_pending())
             || self.ghb.as_ref().is_some_and(|g| g.has_pending())
             || self.markov.as_ref().is_some_and(|m| m.has_pending())
-            || self.stride.as_ref().is_some_and(|st| st.has_pending())
+            || self.stride.as_ref().is_some_and(|st| st.has_pending());
+        if pending {
+            now
+        } else {
+            Cycle::MAX
+        }
     }
 
     /// Replace `out`'s contents with this cycle's prefetch candidates,

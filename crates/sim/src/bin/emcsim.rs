@@ -7,9 +7,10 @@
 //!          [--metrics-out FILE] [--trace-out FILE] [--sample-interval N]
 //!          [--profile] [--profile-stride N]
 //!
-//! Prints a human-readable report with latency percentiles, or a
-//! machine-readable run summary with `--json`. `--metrics-out` writes
-//! the full statistics document (histograms + time-series samples);
+//! Prints a human-readable report with latency percentiles, or with
+//! `--json` the full statistics document (`emcsim-metrics-v2`: every
+//! counter, histogram summaries and time-series samples) on stdout.
+//! `--metrics-out` writes the same document to a file, for any outcome;
 //! `--trace-out` writes a Chrome trace-event file loadable in Perfetto.
 //! Both are written even for wedged or capped runs, so a bad run still
 //! leaves its evidence behind. `--liveness` additionally dumps the
@@ -25,8 +26,8 @@
 //! (cycle-cap hit) when no class was captured.
 
 use emc_sim::{
-    build_system, cycle_cap, eight_core_mix, metrics_json, summary_json, RunOutcome,
-    ThroughputMeter, DEFAULT_PROFILE_STRIDE,
+    build_system, cycle_cap, eight_core_mix, metrics_json, RunOutcome, ThroughputMeter,
+    DEFAULT_PROFILE_STRIDE,
 };
 use emc_types::{FaultPlan, Histogram, LivenessConfig, PrefetcherKind, SystemConfig, WedgeClass};
 use emc_workloads::{mix_by_name, Benchmark};
@@ -59,7 +60,8 @@ fn usage() {
          \t[--prefetcher none|ghb|stream|markov|stride] [--no-emc] [--runahead]\n\
          \t[--budget N] [--seed N] [--faults] [--json] [--liveness] [--no-liveness]\n\
          \t[--metrics-out FILE] [--trace-out FILE] [--sample-interval N]\n\
-         \t[--profile] [--profile-stride N]"
+         \t[--profile] [--profile-stride N]\n\
+         --json prints the emcsim-metrics-v2 document on stdout, as --metrics-out writes it"
     );
 }
 
@@ -239,10 +241,10 @@ fn main() {
 
     // Exporters run before outcome handling: a wedged or capped run
     // still writes its metrics and trace for post-mortem inspection.
-    let bench_names = sys.bench_names.clone();
+    let names = &sys.bench_names;
+    let metrics = || metrics_json(&report.stats, names, report.outcome, sys.samples());
     if let Some(path) = &metrics_out {
-        let doc = metrics_json(&report.stats, &bench_names, report.outcome, sys.samples());
-        std::fs::write(path, doc.to_json() + "\n")
+        std::fs::write(path, metrics().to_json() + "\n")
             .unwrap_or_else(|e| bad_args(&format!("--metrics-out {path}: {e}")));
         eprintln!("# metrics written to {path}");
     }
@@ -302,14 +304,11 @@ fn main() {
             std::process::exit(code);
         }
     }
-    let stats = report.stats;
     if json {
-        println!(
-            "{}",
-            summary_json(&stats, &bench_names, report.outcome).to_json()
-        );
+        println!("{}", metrics().to_json());
         return;
     }
+    let stats = report.stats;
     println!(
         "{:<12} {:>8} {:>8} {:>10} {:>8}",
         "core", "IPC", "MPKI", "dep-miss%", "chains"

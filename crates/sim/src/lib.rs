@@ -32,7 +32,7 @@ pub mod runner;
 pub mod system;
 
 pub use emc_types::{RunOutcome, RunReport, WedgeReport};
-pub use metrics::{metrics_json, summary_json, Sampler, DEFAULT_SAMPLE_INTERVAL};
+pub use metrics::{metrics_json, Sampler, DEFAULT_SAMPLE_INTERVAL};
 pub use profile::{
     Phase, PhaseStat, ProfileReport, Throughput, ThroughputMeter, TickProfiler,
     DEFAULT_PROFILE_STRIDE,

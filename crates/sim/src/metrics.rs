@@ -1,14 +1,12 @@
 //! The time-series metrics pipeline: a configurable [`Sampler`] that
 //! captures queue-occupancy [`MetricSample`]s each epoch, and the JSON
-//! exporters behind `emcsim --metrics-out` and `--json`.
+//! exporter behind `emcsim --metrics-out` and `--json`.
 //!
-//! All JSON here is rendered through [`JsonValue`]. The schemas are
+//! All JSON here is rendered through [`JsonValue`]. The schema is
 //! versioned by a `"schema"` key so downstream consumers can detect
 //! format changes.
 
-use emc_types::{
-    Cycle, HistSummary, JsonValue, MetricSample, RunOutcome, Stats, StatsView, ToJson,
-};
+use emc_types::{Cycle, JsonValue, MetricSample, RunOutcome, Stats, StatsView, ToJson};
 
 /// Default sampling epoch: coarse enough to be free (one sample per
 /// 10 k cycles), fine enough that a wedge report shows meaningful
@@ -22,8 +20,8 @@ const SAMPLE_CAP: usize = 100_000;
 /// Periodic capture of [`MetricSample`]s at a configurable interval.
 ///
 /// The sampler itself does not know how to read the system; the
-/// simulator asks [`Sampler::due`] each cycle and pushes a sample it
-/// assembled. Sampling is on by default at [`DEFAULT_SAMPLE_INTERVAL`];
+/// simulator asks [`Sampler::next_wake`] each cycle it ticks and pushes
+/// a sample it assembled when the answer is that cycle. Sampling is on by default at [`DEFAULT_SAMPLE_INTERVAL`];
 /// an interval of 0 disables it entirely.
 #[derive(Debug, Clone)]
 pub struct Sampler {
@@ -57,16 +55,15 @@ impl Sampler {
         self.next = 0;
     }
 
-    /// Whether a sample should be captured at `now`.
+    /// The first cycle from `now` at which a sample is due (`now`: take
+    /// one) — `Cycle::MAX` while sampling is disabled.
     #[inline]
-    pub fn due(&self, now: Cycle) -> bool {
-        self.interval != 0 && now >= self.next
-    }
-
-    /// The first cycle at which [`due`](Self::due) holds (`None` while
-    /// sampling is disabled).
-    pub fn next_due(&self) -> Option<Cycle> {
-        (self.interval != 0).then_some(self.next)
+    pub fn next_wake(&self, now: Cycle) -> Cycle {
+        if self.interval == 0 {
+            Cycle::MAX
+        } else {
+            self.next.max(now)
+        }
     }
 
     /// Store a captured sample and schedule the next epoch.
@@ -141,60 +138,10 @@ pub fn metrics_json(
     JsonValue::Obj(doc)
 }
 
-/// The compact `--json` run summary: outcome, per-core IPC, and the
-/// headline latency histograms as [`HistSummary`]s.
-pub fn summary_json(stats: &Stats, names: &[String], outcome: RunOutcome) -> JsonValue {
-    let summary = |h| HistSummary::of(h).to_json_value();
-    let cores: Vec<JsonValue> = stats
-        .cores
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            JsonValue::obj(vec![
-                ("core", (i as u64).into()),
-                (
-                    "bench",
-                    names.get(i).map(String::as_str).unwrap_or("?").into(),
-                ),
-                ("ipc", c.ipc().into()),
-                ("mpki", c.mpki().into()),
-                ("chains_sent", c.chains_sent.into()),
-                ("chains_aborted_lease", c.chains_aborted_lease.into()),
-            ])
-        })
-        .collect();
-    let lease_aborts: u64 = stats.cores.iter().map(|c| c.chains_aborted_lease).sum();
-    JsonValue::obj(vec![
-        ("schema", "emcsim-summary-v1".into()),
-        ("outcome", outcome.to_json_value()),
-        ("cycles", stats.cycles.into()),
-        ("ipc_sum", stats.ipc_sum().into()),
-        ("cores", JsonValue::Arr(cores)),
-        (
-            // PR 6's forward-progress counters: requests force-escalated
-            // by MC aging and chains aborted by EMC context leases.
-            "counters",
-            JsonValue::obj(vec![
-                ("escalated_requests", stats.mem.escalated_requests.into()),
-                ("chains_aborted_lease", lease_aborts.into()),
-            ]),
-        ),
-        (
-            "latency",
-            JsonValue::obj(vec![
-                ("core_miss", summary(&stats.mem.core_miss_latency)),
-                ("emc_miss", summary(&stats.mem.emc_miss_latency)),
-                ("dram_service", summary(&stats.mem.dram_service_latency)),
-                ("mc_queue", summary(&stats.mem.core_queue_component)),
-            ]),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emc_types::{FromJson, Histogram};
+    use emc_types::{FromJson, HistSummary, Histogram};
 
     fn sample(cycle: Cycle) -> MetricSample {
         MetricSample {
@@ -207,10 +154,10 @@ mod tests {
     #[test]
     fn sampler_fires_on_interval_boundaries() {
         let mut s = Sampler::with_interval(100);
-        assert!(s.due(0));
+        assert_eq!(s.next_wake(0), 0);
         s.push(sample(0));
-        assert!(!s.due(99));
-        assert!(s.due(100));
+        assert_eq!(s.next_wake(99), 100);
+        assert_eq!(s.next_wake(100), 100);
         s.push(sample(100));
         assert_eq!(s.samples().len(), 2);
     }
@@ -218,8 +165,8 @@ mod tests {
     #[test]
     fn zero_interval_disables_sampling() {
         let s = Sampler::with_interval(0);
-        assert!(!s.due(0));
-        assert!(!s.due(1_000_000));
+        assert_eq!(s.next_wake(0), Cycle::MAX);
+        assert_eq!(s.next_wake(1_000_000), Cycle::MAX);
     }
 
     #[test]
@@ -295,67 +242,5 @@ mod tests {
         let samples = back.get("samples").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(samples.len(), 1);
         assert!(samples[0].get("mc_queue_depth").is_some());
-    }
-
-    #[test]
-    fn summary_json_reports_per_core_ipc_and_percentiles() {
-        let mut stats = Stats::new(1);
-        stats.cores[0].retired_uops = 1000;
-        stats.cores[0].cycles = 500;
-        for v in [100u64, 200, 400] {
-            stats.mem.core_miss_latency.record(v);
-        }
-        let doc = summary_json(&stats, &["mcf".to_string()], RunOutcome::CapHit);
-        let back = JsonValue::parse(&doc.to_json()).expect("valid JSON");
-        assert_eq!(
-            back.get("outcome").and_then(|v| v.as_str()),
-            Some("cap-hit")
-        );
-        let ipc = back
-            .get("cores")
-            .and_then(|c| c.idx(0))
-            .and_then(|c| c.get("ipc"))
-            .and_then(|v| v.as_f64())
-            .unwrap();
-        assert!((ipc - 2.0).abs() < 1e-9);
-        let core_miss = back.get("latency").and_then(|l| l.get("core_miss"));
-        let h = HistSummary::from_json_value(core_miss.unwrap()).unwrap();
-        assert!(
-            h.p99 >= 256,
-            "p99 {} should bracket the 400-cycle tail",
-            h.p99
-        );
-        assert_eq!((h.count, h.max), (3, 400));
-    }
-
-    #[test]
-    fn summary_json_exports_forward_progress_counters() {
-        let mut stats = Stats::new(2);
-        stats.mem.escalated_requests = 7;
-        stats.cores[0].chains_aborted_lease = 2;
-        stats.cores[1].chains_aborted_lease = 3;
-        let names = vec!["mcf".to_string(), "lbm".to_string()];
-        let doc = summary_json(&stats, &names, RunOutcome::Completed);
-        let back = JsonValue::parse(&doc.to_json()).expect("valid JSON");
-        let counters = back.get("counters").expect("counters object");
-        assert_eq!(
-            counters.get("escalated_requests").and_then(|v| v.as_f64()),
-            Some(7.0)
-        );
-        assert_eq!(
-            counters
-                .get("chains_aborted_lease")
-                .and_then(|v| v.as_f64()),
-            Some(5.0),
-            "summed across cores"
-        );
-        assert_eq!(
-            back.get("cores")
-                .and_then(|c| c.idx(1))
-                .and_then(|c| c.get("chains_aborted_lease"))
-                .and_then(|v| v.as_f64()),
-            Some(3.0),
-            "per-core breakdown exported too"
-        );
     }
 }

@@ -8,9 +8,7 @@ use crate::events::{EmcLoad, Ev, Scheduled};
 use crate::metrics::Sampler;
 use crate::profile::{Phase, ProfileReport, TickProfiler};
 use emc_cache::SetAssocCache;
-use emc_core::{
-    generate_chain_into, AbortReason, Chain, DepMissCounter, EmcEngine, EmcEvent, LoadRoute,
-};
+use emc_core::{AbortReason, ChainUnit, EmcEngine, EmcEvent, LoadRoute};
 use emc_cpu::{Core, CoreEvent, EntryState, RobId};
 use emc_dram::map_line;
 use emc_memctrl::MemoryController;
@@ -43,8 +41,9 @@ const WATCHDOG_INTERVAL: Cycle = 10_000;
 /// comes from `LivenessConfig::core_stall_age`.
 #[cfg(test)]
 const WEDGE_THRESHOLD: Cycle = 250_000;
-/// How many time-series samples a [`WedgeReport`] carries as the
-/// queue-depth history leading up to the wedge.
+/// How many of the sampler's samples a [`WedgeReport`] carries as the
+/// queue-depth history leading up to the wedge, ahead of the one taken
+/// at the wedge cycle.
 const WEDGE_SAMPLE_HISTORY: usize = 8;
 
 /// Why a [`System`] could not be constructed from its inputs.
@@ -138,21 +137,6 @@ struct Outstanding {
     emc_waiters: Vec<EmcLoad>,
 }
 
-/// One core's side of chain generation.
-struct ChainSlot {
-    counter: DepMissCounter,
-    /// The uops of the core's chain in flight, 0 if it has none (a core
-    /// has at most one).
-    uops: usize,
-    /// No chain is generated before this cycle.
-    cooldown: Cycle,
-    /// Consecutive chain aborts (graceful degradation).
-    fail_streak: u32,
-    /// Current quiesce backoff window (doubles on each quiesce event,
-    /// saturating; resets when a chain completes).
-    backoff: Cycle,
-}
-
 /// Hand a waiter buffer back to the pool it was borrowed from.
 fn recycle<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
     if buf.capacity() > 0 {
@@ -177,7 +161,8 @@ pub struct System {
     mc_retry: Vec<Vec<MemReq>>,
     emcs: Vec<EmcEngine>,
     prefetchers: Vec<PrefetchEngine>,
-    chains: Vec<ChainSlot>,
+    /// Each core's chain generation unit.
+    units: Vec<ChainUnit>,
     /// EMC context-kill fault stream, armed iff the fault plan enables
     /// `emc_kill_prob`.
     emc_fault: Option<(f64, SmallRng)>,
@@ -195,9 +180,6 @@ pub struct System {
     snapshots: Vec<Option<CoreStats>>,
     scratch_events: Vec<CoreEvent>,
     scratch_lines: Vec<LineAddr>,
-    /// Chains that finished, aborted or were never shipped, kept for
-    /// their buffers: generation writes into one of these.
-    chain_pool: Vec<Chain>,
     measure_start: Cycle,
     /// Cycles `run` and `run_with_warmup` jumped over instead of ticking.
     skipped_cycles: u64,
@@ -266,15 +248,7 @@ impl System {
             prefetchers: (0..cfg.cores)
                 .map(|_| PrefetchEngine::new(cfg.prefetcher, &cfg.prefetch))
                 .collect(),
-            chains: (0..cfg.cores)
-                .map(|_| ChainSlot {
-                    counter: DepMissCounter::new(cfg.emc.dep_counter_trigger),
-                    uops: 0,
-                    cooldown: 0,
-                    fail_streak: 0,
-                    backoff: cfg.emc.quiesce_backoff,
-                })
-                .collect(),
+            units: vec![ChainUnit::new(&cfg.emc); cfg.cores],
             emc_fault,
             events: BinaryHeap::new(),
             outstanding: FxHashMap::default(),
@@ -288,7 +262,6 @@ impl System {
             snapshots: vec![None; cfg.cores],
             scratch_events: Vec::new(),
             scratch_lines: Vec::new(),
-            chain_pool: Vec::new(),
             measure_start: 0,
             skipped_cycles: 0,
             cores,
@@ -483,18 +456,18 @@ impl System {
 
     /// The first cycle from `now` to `limit` whose tick could be more
     /// than a no-op that counts a cycle; every earlier one may be left
-    /// out. Each clause mirrors one thing `tick` does (DESIGN.md §3,
-    /// "Who wakes whom"); anything it cannot bound keeps the system
-    /// awake.
+    /// out: the earliest of every component's `next_wake` and of the
+    /// state `System` owns (DESIGN.md §3, "Who wakes whom"). Anything it
+    /// cannot bound keeps the system awake.
     fn next_wake(&self, limit: Cycle) -> Cycle {
         let now = self.now;
         let mut wake = limit;
         // Cores first: one that is awake settles it, and on a busy
         // system one is.
-        for (c, core) in self.cores.iter().enumerate() {
-            wake = wake.min(core.asleep_until());
-            if wake > now && self.wants_chain(c) {
-                wake = wake.min(self.chains[c].cooldown);
+        for (core, unit) in self.cores.iter().zip(&self.units) {
+            wake = wake.min(core.next_wake(now));
+            if wake > now {
+                wake = wake.min(unit.next_wake(core, now));
             }
             if wake <= now {
                 return now;
@@ -507,18 +480,12 @@ impl System {
         if let Some(ev) = self.events.peek() {
             wake = wake.min(ev.at);
         }
-        for mc in &self.mcs {
-            wake = wake.min(mc.next_wake(now).unwrap_or(limit));
-        }
-        if self.cfg.emc.enabled {
-            for emc in &self.emcs {
-                wake = wake.min(emc.next_wake());
-            }
-        }
-        if wake <= now || self.prefetchers.iter().any(|p| p.has_pending()) {
-            return now;
-        }
-        wake.min(self.sampler.next_due().unwrap_or(limit)).max(now)
+        let mcs = self.mcs.iter().map(|mc| mc.next_wake(now));
+        let emcs = self.emcs.iter().map(|emc| emc.next_wake(now));
+        let prefetchers = self.prefetchers.iter().map(|p| p.next_wake(now));
+        let components = mcs.chain(emcs).chain(prefetchers);
+        let wake = components.fold(wake.min(self.sampler.next_wake(now)), Cycle::min);
+        wake.max(now)
     }
 
     fn total_retired(&self) -> u64 {
@@ -540,29 +507,24 @@ impl System {
         } else {
             RunOutcome::CapHit
         };
-        let (class, liveness) = if outcome == RunOutcome::Completed {
-            (None, None)
-        } else {
-            let snap = self.liveness_snapshot();
-            (Some(snap.classify(&self.cfg.liveness)), Some(snap))
-        };
-        RunReport {
-            outcome,
-            stats: self.finalize(),
-            wedge: None,
-            class,
-            liveness,
-        }
+        self.ended(outcome, None)
     }
 
     fn wedged(&mut self, stalled_for: Cycle) -> RunReport {
         let wedge = self.wedge_report(stalled_for);
+        self.ended(RunOutcome::Wedged, Some(wedge))
+    }
+
+    /// The report of a run that ended with `outcome`: a run that did not
+    /// complete carries its liveness probes and their classification.
+    fn ended(&mut self, outcome: RunOutcome, wedge: Option<WedgeReport>) -> RunReport {
+        let liveness = (outcome != RunOutcome::Completed).then(|| self.liveness_snapshot());
         RunReport {
-            outcome: RunOutcome::Wedged,
+            outcome,
             stats: self.finalize(),
-            class: wedge.class.clone(),
-            liveness: wedge.liveness.clone(),
-            wedge: Some(wedge),
+            wedge,
+            class: liveness.as_ref().map(|l| l.classify(&self.cfg.liveness)),
+            liveness,
         }
     }
 
@@ -596,7 +558,8 @@ impl System {
     }
 
     /// Structured snapshot of every scheduler-visible queue, built when
-    /// the forward-progress watchdog fires.
+    /// the forward-progress watchdog fires: the sample history ends with
+    /// one taken now.
     pub fn wedge_report(&self, stalled_for: Cycle) -> WedgeReport {
         let cores = (0..self.cfg.cores)
             .map(|i| {
@@ -607,7 +570,7 @@ impl System {
                     retired_uops: c.stats.retired_uops,
                     rob_len: c.rob_len(),
                     finished: c.finished_at().is_some(),
-                    active_chain_uops: Some(self.chains[i].uops).filter(|&n| n > 0),
+                    active_chain_uops: self.units[i].in_flight(),
                     rob_head: c.rob_iter().next().map(|e| {
                         format!(
                             "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
@@ -633,19 +596,15 @@ impl System {
                 })
             })
             .collect();
-        let liveness = self.liveness_snapshot();
+        let mut recent_samples = self.sampler.recent(WEDGE_SAMPLE_HISTORY).to_vec();
+        recent_samples.push(self.capture_sample());
         WedgeReport {
             cycle: self.now,
             stalled_for,
             cores,
-            mc_queue_depths: self.mcs.iter().map(|m| m.queue_len()).collect(),
-            mc_retry_depths: self.mc_retry.iter().map(|r| r.len()).collect(),
             emc_contexts,
-            outstanding_lines: self.outstanding.len(),
             pending_events: self.events.len(),
-            recent_samples: self.sampler.recent(WEDGE_SAMPLE_HISTORY).to_vec(),
-            class: Some(liveness.classify(&self.cfg.liveness)),
-            liveness: Some(liveness),
+            recent_samples,
         }
     }
 
@@ -702,7 +661,7 @@ impl System {
         let t = self.profiler.phase_mark(Phase::Mcs, t);
         self.tick_emcs();
         let t = self.profiler.phase_mark(Phase::Emcs, t);
-        self.maybe_generate_chains();
+        self.ship_chains();
         let t = self.profiler.phase_mark(Phase::ChainGen, t);
         self.drain_prefetchers();
         let t = self.profiler.phase_mark(Phase::Prefetch, t);
@@ -727,7 +686,7 @@ impl System {
                 }
             }
         }
-        if self.sampler.due(self.now) {
+        if self.sampler.next_wake(self.now) == self.now {
             let s = self.capture_sample();
             if self.trace.is_enabled() {
                 self.emit_sample_counters(&s);
@@ -942,8 +901,7 @@ impl System {
             Ev::ChainAbortAtCore { chain } => {
                 let core = chain.home_core;
                 self.cores[core].unmark_remote(chain.uops.iter().map(|u| u.rob));
-                self.chains[core].uops = 0;
-                self.chain_pool.push(chain);
+                self.units[core].returned(chain);
             }
         }
     }
@@ -986,7 +944,7 @@ impl System {
         self.cores[core].stats.llc_misses += 1;
         self.cores[core].mark_llc_miss(rob);
         let dependent = self.cores[core].load_is_dependent(rob);
-        self.chains[core].counter.on_llc_miss(dependent);
+        self.units[core].on_llc_miss(dependent);
         self.prefetchers[core].train(pline, pc);
         let id = self.new_req_id();
         let mut req = MemReq::read(id, pline, Requester::Core(core), pc, created);
@@ -1508,13 +1466,7 @@ impl System {
             self.now,
             vec![("uops", fin.chain.uops.len() as u64)],
         );
-        let slot = &mut self.chains[fin.chain.home_core];
-        slot.uops = 0;
-        // A completed chain ends any failure streak and resets the
-        // degradation backoff for this core.
-        slot.fail_streak = 0;
-        slot.backoff = self.cfg.emc.quiesce_backoff;
-        self.chain_pool.push(fin.chain);
+        self.units[fin.chain.home_core].done(fin.chain);
     }
 
     fn on_chain_aborted(&mut self, mc: usize, ctx: usize, reason: AbortReason) {
@@ -1527,100 +1479,19 @@ impl System {
             vec![],
         );
         let core = fin.chain.home_core;
-        match reason {
-            AbortReason::TlbMiss => self.cores[core].stats.chains_aborted_tlb += 1,
-            AbortReason::BranchMispredict => {
-                self.cores[core].stats.chains_aborted_branch += 1;
-            }
-            AbortReason::Disambiguation => {}
-            AbortReason::Injected => self.cores[core].stats.chains_aborted_injected += 1,
-            AbortReason::LeaseExpired => self.cores[core].stats.chains_aborted_lease += 1,
-        }
-        // Graceful degradation: after `quiesce_threshold` consecutive
-        // failed chains the EMC quiesces for this core, backing off for
-        // a window that doubles (saturating) on every repeat.
-        let slot = &mut self.chains[core];
-        slot.fail_streak += 1;
-        if slot.fail_streak >= self.cfg.emc.quiesce_threshold {
-            slot.fail_streak = 0;
-            slot.cooldown = slot.cooldown.max(self.now + slot.backoff);
-            slot.backoff = slot
-                .backoff
-                .saturating_mul(2)
-                .min(self.cfg.emc.quiesce_backoff_max);
-            self.cores[core].stats.emc_quiesce_events += 1;
-        }
+        self.units[core].aborted(self.now, reason, &mut self.cores[core].stats);
         let arrive = self.hop(Control, Stop::Mc(mc), Stop::Core(core), self.now, true);
         self.schedule(arrive, Ev::ChainAbortAtCore { chain: fin.chain });
     }
 
-    /// Whether `core` would try to generate a chain once its cooldown
-    /// is over: there is an EMC, no chain of the core's own is in
-    /// flight, and it is stalled on a full window with the
-    /// dependent-miss counter saying go.
-    fn wants_chain(&self, core: CoreId) -> bool {
-        self.cfg.emc.enabled
-            && self.chains[core].uops == 0
-            && !self.cores[core].in_runahead()
-            && self.cores[core].full_window_stall().is_some()
-            && self.chains[core].counter.should_generate()
-    }
-
-    fn maybe_generate_chains(&mut self) {
+    /// Ship the chain each core's unit generates this cycle, if any, to
+    /// the EMC of the controller that owns its source miss's line.
+    fn ship_chains(&mut self) {
         for core in 0..self.cfg.cores {
-            if self.now < self.chains[core].cooldown || !self.wants_chain(core) {
-                continue;
-            }
-            // The head miss blocks retirement, but the chain worth
-            // accelerating may hang off any outstanding miss in the
-            // stalled window (e.g. the next pointer-chase hop, which
-            // issued together with the head's). Walk the window oldest
-            // first and take the first chain that reaches a dependent
-            // load; fall back to the head's chain.
-            let candidates = self.cores[core]
-                .rob_iter()
-                .filter(|e| {
-                    e.uop.kind == UopKind::Load
-                        && e.llc_miss
-                        && e.state == EntryState::Issued
-                        && !e.remote
-                        && e.addr.is_some()
-                })
-                .take(self.cfg.emc.chain_candidates.max(1))
-                .map(|e| e.id);
-            // Prefer the chain that reaches the most dependent loads: a
-            // stalled window usually holds both the payload-pointer load
-            // (whose chain is one payload miss) and the node load (whose
-            // chain carries the entire pointer chase). With every context
-            // taken the chain is dropped below whichever it is, and the
-            // first one found says all that matters: that there is one.
-            let any_free = self.emcs.iter().any(|e| e.has_free_context());
-            let mut chain = self.chain_pool.pop().unwrap_or_default();
-            let mut cur = self.chain_pool.pop().unwrap_or_default();
-            // (loads reached, gen cycles) of `chain`.
-            let mut best: Option<(usize, u64)> = None;
-            for src in candidates {
-                let Some(gen_cycles) =
-                    generate_chain_into(&self.cores[core], core, src, &self.cfg.emc, &mut cur)
-                else {
-                    continue;
-                };
-                let loads = cur.uops.iter().filter(|u| u.kind == UopKind::Load).count();
-                let better = best.is_none_or(|(best_loads, _)| {
-                    loads > best_loads || (loads == best_loads && cur.uops.len() > chain.uops.len())
-                });
-                if better {
-                    std::mem::swap(&mut chain, &mut cur);
-                    best = Some((loads, gen_cycles));
-                }
-                if !any_free {
-                    break;
-                }
-            }
-            self.chain_pool.push(cur);
-            let Some((_, gen_cycles)) = best else {
-                self.chain_pool.push(chain);
-                self.chains[core].cooldown = self.now + 8;
+            let any_free = || self.emcs.iter().any(EmcEngine::has_free_context);
+            let Some((mut chain, gen_cycles)) =
+                self.units[core].generate(&self.cores[core], core, self.now, any_free)
+            else {
                 continue;
             };
             let source_pline = physical_line(core, chain.source_addr.line());
@@ -1629,8 +1500,7 @@ impl System {
             // ring; the context is reserved at generation time and the
             // chain's arrival over the data ring gates execution.
             if !self.emcs[dest_mc].has_free_context() {
-                self.chain_pool.push(chain);
-                self.chains[core].cooldown = self.now + 32;
+                self.units[core].busy(self.now, chain);
                 continue;
             }
             let (source_rob, uops) = (chain.source_rob, chain.uops.len());
@@ -1640,13 +1510,9 @@ impl System {
                 .is_none_or(|e| e.on_chip || e.state == EntryState::Done);
             chain.source_value =
                 already.then(|| self.source_value(core, source_rob, chain.source_addr));
-            self.chains[core].uops = uops;
-            self.cores[core].stats.chains_sent += 1;
-            self.cores[core].stats.chain_uops_sent += uops as u64;
-            self.cores[core].stats.record_chain_length(uops);
-            self.cores[core].stats.chain_live_ins += chain.live_in_count();
+            let stats = &mut self.cores[core].stats;
+            self.units[core].shipped(&chain, self.now, gen_cycles, stats);
             self.cores[core].mark_remote(chain.uops.iter().map(|u| u.rob));
-            self.chains[core].cooldown = self.now + gen_cycles;
             // Ship: 6 B/uop + live-ins, over the data ring (§6.5).
             let msgs = chain.transfer_bytes().div_ceil(CACHE_LINE_BYTES).max(1);
             let start = self.now + gen_cycles;

@@ -3,7 +3,7 @@
 //! the zero-perturbation guarantee (tracing must not change simulated
 //! behavior, only record it).
 
-use emc_sim::{build_system, cycle_cap, metrics_json, summary_json};
+use emc_sim::{build_system, cycle_cap, metrics_json};
 use emc_types::{FromJson, HistSummary, Histogram, JsonValue, SystemConfig, ToJson, TraceEvent};
 use emc_workloads::mix_by_name;
 
@@ -169,7 +169,7 @@ fn assert_exported(canonical: &JsonValue, doc: &JsonValue, path: &str) {
 }
 
 #[test]
-fn metrics_and_summary_exports_have_required_keys() {
+fn metrics_export_has_required_keys() {
     let mix = mix_by_name("H4").unwrap();
     let mut sys = build_system(SystemConfig::quad_core(), &mix).unwrap();
     sys.set_sample_interval(1_000);
@@ -181,24 +181,17 @@ fn metrics_and_summary_exports_have_required_keys() {
         back.get("schema").and_then(|v| v.as_str()),
         Some("emcsim-metrics-v2")
     );
+    assert_eq!(
+        back.get("outcome").and_then(|v| v.as_str()),
+        Some("completed")
+    );
+    assert_eq!(back.get("cores").unwrap().as_arr().unwrap().len(), 4);
     // Every declared statistic the run counted, under its declared name.
     assert_exported(&report.stats.to_json_value(), &back, "");
     assert!(
         !back.get("samples").unwrap().as_arr().unwrap().is_empty(),
         "metrics document carries no samples"
     );
-    let summary = summary_json(&report.stats, &names, report.outcome);
-    let back = JsonValue::parse(&summary.to_json()).expect("summary JSON parses");
-    assert_eq!(
-        back.get("outcome").and_then(|v| v.as_str()),
-        Some("completed")
-    );
-    assert_eq!(back.get("cores").unwrap().as_arr().unwrap().len(), 4);
-    assert!(back
-        .get("latency")
-        .and_then(|l| l.get("core_miss"))
-        .and_then(|h| h.get("p95"))
-        .is_some());
 }
 
 #[test]
@@ -273,9 +266,10 @@ fn wedge_report_carries_recent_sample_history() {
     sys.run(200, cycle_cap(200));
     let w = sys.wedge_report(123_456);
     assert!(
-        !w.recent_samples.is_empty(),
+        w.recent_samples.len() > 1,
         "wedge report has no sample history"
     );
+    assert_eq!(w.recent_samples.last().map(|s| s.cycle), Some(w.cycle));
     let rendered = format!("{w}");
     assert!(
         rendered.contains("queue history"),

@@ -270,24 +270,14 @@ pub struct WedgeReport {
     pub stalled_for: Cycle,
     /// Per-core progress and ROB head state.
     pub cores: Vec<WedgeCoreState>,
-    /// Memory-controller queue depths.
-    pub mc_queue_depths: Vec<usize>,
-    /// Memory-controller retry-queue depths (rejected enqueues).
-    pub mc_retry_depths: Vec<usize>,
     /// Occupied EMC issue contexts.
     pub emc_contexts: Vec<WedgeEmcContext>,
-    /// Cache lines with outstanding fills.
-    pub outstanding_lines: usize,
     /// Events still queued in the scheduler.
     pub pending_events: usize,
-    /// The last time-series samples captured before the wedge (oldest
-    /// first), when the sampler was enabled: the queue-depth/occupancy
-    /// history leading up to the stall, not just the final snapshot.
+    /// The queue-depth/occupancy history leading up to the stall, oldest
+    /// first: the last samples the sampler captured, if it was enabled,
+    /// then one taken at the wedge cycle.
     pub recent_samples: Vec<MetricSample>,
-    /// Root-cause classification from the liveness probes.
-    pub class: Option<WedgeClass>,
-    /// The probe readings the classification was derived from.
-    pub liveness: Option<LivenessSnapshot>,
 }
 
 impl fmt::Display for WedgeReport {
@@ -316,11 +306,6 @@ impl fmt::Display for WedgeReport {
                 None => writeln!(f)?,
             }
         }
-        writeln!(
-            f,
-            "  mc queues: {:?} retry: {:?}",
-            self.mc_queue_depths, self.mc_retry_depths
-        )?;
         for e in &self.emc_contexts {
             writeln!(
                 f,
@@ -328,14 +313,7 @@ impl fmt::Display for WedgeReport {
                 e.mc, e.ctx, e.home_core, e.chain_uops, e.awaiting_source
             )?;
         }
-        write!(
-            f,
-            "  outstanding lines: {}  pending events: {}",
-            self.outstanding_lines, self.pending_events
-        )?;
-        if let Some(class) = &self.class {
-            write!(f, "\n  root cause: {class}")?;
-        }
+        write!(f, "  pending events: {}", self.pending_events)?;
         if !self.recent_samples.is_empty() {
             write!(f, "\n  queue history leading up to the wedge:")?;
             for s in &self.recent_samples {
@@ -359,8 +337,8 @@ pub struct RunReport {
     /// Scheduler-state diagnosis, present iff `outcome` is `Wedged`.
     pub wedge: Option<WedgeReport>,
     /// Root-cause classification, present for every non-completed
-    /// outcome (for `Wedged` it mirrors the wedge report's class; for
-    /// `CapHit` it distinguishes slow-but-live from a real pathology).
+    /// outcome (for `CapHit` it distinguishes slow-but-live from a real
+    /// pathology).
     pub class: Option<WedgeClass>,
     /// Liveness probe readings at termination, present for every
     /// non-completed outcome.
@@ -389,7 +367,8 @@ impl RunReport {
                     .wedge
                     .map(|w| w.to_string())
                     .unwrap_or_else(|| "(no wedge report captured)".into());
-                panic!("simulation wedged:\n{report}");
+                let class = self.class.map_or("unclassified".into(), |c| c.to_string());
+                panic!("simulation wedged, classified {class}:\n{report}");
             }
             RunOutcome::CapHit => {
                 let progress: Vec<u64> = self.stats.cores.iter().map(|c| c.retired_uops).collect();
@@ -425,8 +404,6 @@ mod tests {
                 active_chain_uops: Some(5),
                 rob_head: Some("Load Issued remote=false llc_miss=true".into()),
             }],
-            mc_queue_depths: vec![64],
-            mc_retry_depths: vec![3],
             emc_contexts: vec![WedgeEmcContext {
                 mc: 0,
                 ctx: 1,
@@ -434,12 +411,7 @@ mod tests {
                 chain_uops: 5,
                 awaiting_source: true,
             }],
-            outstanding_lines: 17,
             pending_events: 4,
-            class: Some(WedgeClass::EmcContextLeak {
-                contexts: vec![(0, 1)],
-            }),
-            liveness: None,
             recent_samples: vec![MetricSample {
                 cycle: 120_000,
                 mc_queue_depth: vec![64],
@@ -459,9 +431,10 @@ mod tests {
         let s = sample_wedge().to_string();
         assert!(s.contains("WEDGE at cycle 123456"));
         assert!(s.contains("core 0 (mcf)"));
-        assert!(s.contains("mc queues: [64] retry: [3]"));
         assert!(s.contains("emc 0 ctx 1"));
-        assert!(s.contains("outstanding lines: 17"));
+        assert!(s.contains("pending events: 4"));
+        assert!(s.contains("mcq=[64] retry=[3]"));
+        assert!(s.contains("outstanding=17"));
     }
 
     #[test]
@@ -475,13 +448,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "simulation wedged")]
+    #[should_panic(expected = "simulation wedged, classified emc-context-leak")]
     fn expect_completed_panics_on_wedge_with_report() {
         let report = RunReport {
             outcome: RunOutcome::Wedged,
             stats: Stats::new(1),
             wedge: Some(sample_wedge()),
-            class: None,
+            class: Some(WedgeClass::EmcContextLeak {
+                contexts: vec![(0, 1)],
+            }),
             liveness: None,
         };
         let _ = report.expect_completed();
@@ -620,9 +595,10 @@ mod tests {
     }
 
     #[test]
-    fn wedge_report_display_includes_root_cause() {
-        let s = sample_wedge().to_string();
-        assert!(s.contains("root cause: emc-context-leak (mc/ctx [(0, 1)])"));
+    fn wedge_report_display_leaves_the_root_cause_to_the_run_report() {
+        // `RunReport::class` carries it: printed once, by whoever prints
+        // the run's outcome.
+        assert!(!sample_wedge().to_string().contains("root cause"));
     }
 
     #[test]
