@@ -64,6 +64,8 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     entries: Vec<Option<Entry>>,
+    /// Valid ways in `entries`, kept by `fill` and `invalidate`.
+    valid: usize,
     tick: u64,
     /// Access latency in cycles (exposed for the timing model).
     pub latency: u64,
@@ -83,6 +85,7 @@ impl SetAssocCache {
             sets,
             ways: cfg.ways,
             entries: vec![None; sets * cfg.ways],
+            valid: 0,
             tick: 0,
             latency: cfg.latency,
         }
@@ -163,6 +166,7 @@ impl SetAssocCache {
             line: LineAddr(e.tag),
             flags: e.flags,
         });
+        self.valid += usize::from(evicted.is_none());
         self.entries[victim] = Some(Entry {
             tag: line.0,
             last_used: self.tick,
@@ -191,6 +195,7 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, line: LineAddr) -> Option<LineFlags> {
         let idx = self.find(line)?;
         let e = self.entries[idx].take().expect("found");
+        self.valid -= 1;
         Some(e.flags)
     }
 
@@ -210,9 +215,9 @@ impl SetAssocCache {
         }
     }
 
-    /// Number of valid lines (for tests/diagnostics).
+    /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.valid
     }
 
     /// Total line capacity (`sets * ways`). Together with
@@ -265,6 +270,23 @@ mod tests {
         // Evictions replace in place: still full.
         c.fill(LineAddr(4), false, false);
         assert_eq!(c.occupancy_permille(), 1000);
+    }
+
+    #[test]
+    fn occupancy_counts_what_a_scan_finds() {
+        emc_types::rng::for_each_case(0x0cc0, 64, |rng| {
+            let mut c = tiny();
+            for _ in 0..200 {
+                let line = LineAddr(rng.gen_range(0..12));
+                match rng.gen_range(0..3) {
+                    0 => _ = c.fill(line, false, false),
+                    1 => _ = c.fill_lru(line, false, true),
+                    _ => _ = c.invalidate(line),
+                }
+                let scan = c.entries.iter().filter(|e| e.is_some()).count();
+                assert_eq!(c.occupancy(), scan);
+            }
+        });
     }
 
     #[test]

@@ -18,11 +18,12 @@
 use crate::bpred::{HybridPredictor, PredictInfo};
 use emc_types::program::{Program, StaticUop};
 use emc_types::{Addr, CoreConfig, CoreStats, Cycle, MemoryImage, UopKind, NUM_ARCH_REGS};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Identifier of a dynamic uop: unique, monotonically increasing, never
-/// reused within a run.
+/// Identifier of a dynamic uop: unique, increasing in dispatch order,
+/// never reused within a run. Its low bits are its slot in the window,
+/// as a hardware ROB tag is (DESIGN.md §3, "The instruction window"), so
+/// consecutive uops have consecutive ids except across a flush.
 pub type RobId = u64;
 
 /// A source operand as captured at rename.
@@ -118,6 +119,9 @@ pub struct RobEntry {
     mem_pending: bool,
     /// Runahead INV bit (result is meaningless, §2's runahead contrast).
     pub inv: bool,
+    /// The rename-table mapping of this uop's destination before it
+    /// renamed it: what a flush that squashes it puts back.
+    renamed_over: Option<RobId>,
 }
 
 /// Events emitted by the core for the owning simulator to act on.
@@ -201,13 +205,16 @@ pub struct Core {
     program_done: bool,
 
     // --- window (DESIGN.md §3, "The instruction window") ---
-    rob: VecDeque<RobEntry>,
-    /// `rob.front().id`, kept beside the deque so that a lookup reads
-    /// one entry, not two. Meaningless while the ROB is empty.
-    front_id: RobId,
-    /// Runs of squashed ids inside the window, oldest first: `(first id
-    /// after the run, length of the run)`.
-    gaps: Vec<(RobId, u64)>,
+    /// A ring of `rob_entries.next_power_of_two()` slots, allocated
+    /// whole and filled in order by the first dispatches; the entry with
+    /// id `i` sits in slot `i & slot_mask`. Retired and squashed entries
+    /// stay where they are until a dispatch overwrites them.
+    rob: Vec<RobEntry>,
+    slot_mask: usize,
+    /// Live entries: the `rob_len` slots up to and excluding `next_id`'s.
+    rob_len: usize,
+    /// The id of the next dispatch; its slot is the one after the
+    /// youngest live entry.
     next_id: RobId,
     rename: [Option<RobId>; NUM_ARCH_REGS],
     committed: [u64; NUM_ARCH_REGS],
@@ -264,9 +271,9 @@ impl Core {
             fetch_idx: 0,
             fetch_resume_at: 0,
             program_done: false,
-            rob: VecDeque::new(),
-            front_id: 0,
-            gaps: Vec::new(),
+            rob: Vec::with_capacity(cfg.rob_entries.next_power_of_two()),
+            slot_mask: cfg.rob_entries.next_power_of_two() - 1,
+            rob_len: 0,
             next_id: 0,
             rename: [None; NUM_ARCH_REGS],
             committed: [0; NUM_ARCH_REGS],
@@ -305,20 +312,24 @@ impl Core {
         &self.committed
     }
 
-    /// Position of `id` in the ROB, by arithmetic. Ids grow by one per
-    /// dispatch and are never reused, so they are dense front to back
-    /// except where a flush squashed a run of them; `gaps` records those
-    /// runs. A squashed, retired or future id lands on some other entry
-    /// (or past the end) and fails the final comparison.
+    /// The window slot of `id`: its low bits.
+    fn slot(&self, id: RobId) -> usize {
+        id as usize & self.slot_mask
+    }
+
+    /// The slot of the oldest live entry (of the next dispatch, while
+    /// the window is empty).
+    fn head_slot(&self) -> usize {
+        self.slot(self.next_id.wrapping_sub(self.rob_len as u64))
+    }
+
+    /// The slot of in-flight entry `id`. A retired, squashed or future id
+    /// either has a slot outside the live range or shares its slot with
+    /// a live uop of another id, and misses.
     fn index_of(&self, id: RobId) -> Option<usize> {
-        let mut idx = id.wrapping_sub(self.front_id);
-        for &(first, len) in &self.gaps {
-            if first <= id {
-                idx = idx.wrapping_sub(len);
-            }
-        }
-        let idx = usize::try_from(idx).ok()?;
-        (self.rob.get(idx)?.id == id).then_some(idx)
+        let slot = self.slot(id);
+        let age = self.slot(self.next_id.wrapping_sub(1).wrapping_sub(id));
+        (age < self.rob_len && self.rob[slot].id == id).then_some(slot)
     }
 
     /// Look up an in-flight entry by id.
@@ -336,17 +347,23 @@ impl Core {
 
     /// Iterate the ROB from oldest to youngest.
     pub fn rob_iter(&self) -> impl Iterator<Item = &RobEntry> {
-        self.rob.iter()
+        let head = self.head_slot();
+        (head..head + self.rob_len).map(|i| &self.rob[i & self.slot_mask])
+    }
+
+    /// The oldest in-flight entry.
+    fn head(&self) -> Option<&RobEntry> {
+        (self.rob_len > 0).then(|| &self.rob[self.head_slot()])
     }
 
     /// Current ROB occupancy.
     pub fn rob_len(&self) -> usize {
-        self.rob.len()
+        self.rob_len
     }
 
     /// The window is completely full.
     pub fn rob_full(&self) -> bool {
-        self.rob.len() >= self.cfg.rob_entries
+        self.rob_len >= self.cfg.rob_entries
     }
 
     /// If the core is in a full-window stall whose head is an outstanding
@@ -363,7 +380,7 @@ impl Core {
         if !blocked {
             return None;
         }
-        let head = self.rob.front()?;
+        let head = self.head()?;
         (head.uop.kind == UopKind::Load && head.llc_miss && head.state != EntryState::Done)
             .then_some(head.id)
     }
@@ -410,10 +427,12 @@ impl Core {
     /// keep filling the caches (the prefetch benefit).
     fn exit_runahead(&mut self, now: Cycle) {
         let ra = self.runahead.take().expect("in runahead");
-        for e in self.rob.drain(..) {
-            recycle(&mut self.waiter_pool, e.waiters);
+        let head = self.head_slot();
+        for i in head..head + self.rob_len {
+            let e = &mut self.rob[i & self.slot_mask];
+            recycle(&mut self.waiter_pool, std::mem::take(&mut e.waiters));
         }
-        self.gaps.clear();
+        self.rob_len = 0;
         self.ready.0.clear();
         self.completing.0.clear();
         self.unresolved_stores.0.clear();
@@ -590,14 +609,7 @@ impl Core {
             return;
         }
         // Cheap signs of a tick that moved something.
-        let signs = |c: &Core| {
-            (
-                c.rob.len(),
-                c.next_id,
-                c.ready.0.len(),
-                c.completing.0.len(),
-            )
-        };
+        let signs = |c: &Core| (c.rob_len, c.next_id, c.ready.0.len(), c.completing.0.len());
         let before = signs(self);
         let stall_head = self.full_window_stall();
         if stall_head.is_some() {
@@ -621,7 +633,7 @@ impl Core {
         self.issue(now, events);
         self.dispatch(now);
         if self.program_done
-            && self.rob.is_empty()
+            && self.rob_len == 0
             && self.finished_at.is_none()
             && self.runahead.is_none()
         {
@@ -651,7 +663,7 @@ impl Core {
         // Retire: the head is not done, and an empty window is not the
         // end of the program. (The cheap ways out come first: a busy
         // core takes one of them.)
-        match self.rob.front() {
+        match self.head() {
             Some(head) if head.state == EntryState::Done => return None,
             None if self.program_done => return None,
             _ => {}
@@ -696,7 +708,7 @@ impl Core {
                 until = until.min(self.fetch_resume_at);
             } else {
                 let uop = self.program.uops.get(self.fetch_idx)?;
-                let room = self.rob.len() < self.cfg.rob_entries
+                let room = self.rob_len < self.cfg.rob_entries
                     && self.waiting_count < self.cfg.rs_entries
                     && !(uop.kind.is_mem() && self.mem_ops_in_rob() >= self.cfg.lsq_entries);
                 if room {
@@ -733,9 +745,11 @@ impl Core {
     fn retire(&mut self, now: Cycle, events: &mut Vec<CoreEvent>) {
         let in_runahead = self.runahead.is_some();
         for _ in 0..self.cfg.retire_width {
-            let Some(head) = self.rob.front_mut() else {
+            if self.rob_len == 0 {
                 break;
-            };
+            }
+            let slot = self.head_slot();
+            let head = &mut self.rob[slot];
             // Runahead never waits at a miss: an issued-but-incomplete
             // load at the head pseudo-completes with an INV result.
             if in_runahead
@@ -745,20 +759,14 @@ impl Core {
             {
                 head.inv = true;
                 head.result = 0;
-                self.finish_entry(0, now);
+                self.finish_entry(slot, now);
             }
-            if self.rob[0].state != EntryState::Done {
+            if self.rob[slot].state != EntryState::Done {
                 break;
             }
-            let e = self.rob.pop_front().expect("head exists");
-            if let Some(next) = self.rob.front() {
-                self.front_id = next.id;
-                if next.id != e.id + 1 {
-                    // Retirement walked up to a squashed run: the ids
-                    // after it now count from the new front.
-                    self.gaps.remove(0);
-                }
-            }
+            // The entry stays in its slot; it is out of the live range.
+            self.rob_len -= 1;
+            let e = &self.rob[slot];
             if e.uop.kind == UopKind::Store {
                 self.store_ids.0.remove(0);
             }
@@ -1035,30 +1043,38 @@ impl Core {
         }
     }
 
+    /// Squash every entry younger than `id`, which stays in the window.
     fn flush_younger_than(&mut self, id: RobId) {
-        while self.rob.back().is_some_and(|b| b.id > id) {
-            let e = self.rob.pop_back().expect("back exists");
+        let head_id = self.head().expect("the flushing branch is in flight").id;
+        let mut squashed = 0;
+        // Youngest first, so that each register ends at the mapping its
+        // oldest squashed writer renamed over. That mapping names an
+        // older entry, in flight still or retired since (then `None`).
+        while squashed < self.rob_len {
+            let slot = self.slot(self.next_id.wrapping_sub(1 + squashed as u64));
+            let e = &mut self.rob[slot];
+            if e.id <= id {
+                break;
+            }
+            squashed += 1;
             if e.state == EntryState::Waiting {
                 self.waiting_count -= 1;
             }
             if e.mem_pending {
                 self.mem_inflight = self.mem_inflight.saturating_sub(1);
             }
-            recycle(&mut self.waiter_pool, e.waiters);
+            if let Some(d) = e.uop.dst {
+                self.rename[d.idx()] = e.renamed_over.filter(|&p| p >= head_id);
+            }
+            recycle(&mut self.waiter_pool, std::mem::take(&mut e.waiters));
         }
+        self.rob_len -= squashed;
+        // Skip the counter forward to the next id whose slot is the one
+        // after `id`'s: ids stay unique and increasing.
+        self.next_id += (squashed as u64).wrapping_neg() & self.slot_mask as u64;
         self.ready.truncate_above(id);
         self.unresolved_stores.truncate_above(id);
         self.store_ids.truncate_above(id);
-        while self.gaps.last().is_some_and(|g| g.0 > id) {
-            self.gaps.pop();
-        }
-        // Rebuild the rename table from the surviving window.
-        self.rename = [None; NUM_ARCH_REGS];
-        for e in &self.rob {
-            if let Some(d) = e.uop.dst {
-                self.rename[d.idx()] = Some(e.id);
-            }
-        }
     }
 
     fn dispatch(&mut self, now: Cycle) {
@@ -1070,7 +1086,7 @@ impl Core {
                 self.program_done = true;
                 break;
             }
-            if self.rob.len() >= self.cfg.rob_entries || self.waiting_count >= self.cfg.rs_entries {
+            if self.rob_len >= self.cfg.rob_entries || self.waiting_count >= self.cfg.rs_entries {
                 break;
             }
             let uop = self.program.uops[self.fetch_idx];
@@ -1080,7 +1096,6 @@ impl Core {
             let prog_idx = self.fetch_idx;
             let pc = self.program.pc_of(prog_idx);
             let id = self.next_id;
-            self.next_id += 1;
 
             // Branch prediction steers fetch.
             let (bp, predicted_taken) = if uop.kind.is_branch() {
@@ -1136,22 +1151,13 @@ impl Core {
                     }
                 };
             }
-            if let Some(d) = uop.dst {
-                self.rename[d.idx()] = Some(id);
-            }
+            let renamed_over = uop.dst.and_then(|d| self.rename[d.idx()].replace(id));
             // Stores issue (resolve their address) as soon as the address
             // operand is ready; data may arrive later (split
             // store-address / store-data uops).
             let is_store = uop.kind == UopKind::Store;
             let all_ready = srcs[0].ready() && (is_store || srcs[1].ready());
-            match self.rob.back() {
-                None => self.front_id = id,
-                // First dispatch after a flush: ids `back.id + 1..id`
-                // were squashed.
-                Some(back) if back.id + 1 != id => self.gaps.push((id, id - back.id - 1)),
-                Some(_) => {}
-            }
-            self.rob.push_back(RobEntry {
+            let entry = RobEntry {
                 id,
                 prog_idx,
                 uop,
@@ -1172,7 +1178,19 @@ impl Core {
                 forwarded: false,
                 mem_pending: false,
                 inv: false,
-            });
+                renamed_over,
+            };
+            // The slot after the youngest live entry: one filled before,
+            // or the first not yet filled.
+            let slot = self.slot(id);
+            if slot < self.rob.len() {
+                self.rob[slot] = entry;
+            } else {
+                debug_assert_eq!(slot, self.rob.len());
+                self.rob.push(entry);
+            }
+            self.next_id += 1;
+            self.rob_len += 1;
             self.waiting_count += 1;
             if is_store {
                 self.store_ids.insert(id);
@@ -1383,6 +1401,65 @@ mod tests {
         let core = check_against_reference(p, mem.clone(), 100);
         assert_eq!(core.committed_regs()[2], 0, "wrong-path write must squash");
         assert_eq!(core.committed_regs()[3], 1);
+    }
+
+    #[test]
+    fn squashed_load_completing_into_a_reused_slot_changes_nothing() {
+        // The branch is taken but predicted not taken: the wrong-path
+        // load right behind it issues, is squashed, and the first load
+        // of the right path is dispatched into its slot.
+        let mut mem = MemoryImage::new();
+        mem.write_u64(Addr(0x100), 11);
+        mem.write_u64(Addr(0x108), 22);
+        let p = Program::new(
+            vec![
+                StaticUop::mov_imm(Reg(0), 0x100),
+                StaticUop::mov_imm(Reg(3), 0),
+                StaticUop::alu(UopKind::IntAdd, Reg(3), Reg(3), None, 1),
+                StaticUop::alu(UopKind::IntAdd, Reg(3), Reg(3), None, 1),
+                StaticUop::branch(BranchCond::NotZero, Some(Reg(3)), 8),
+                StaticUop::load(Reg(1), Reg(0), 0),
+                StaticUop::alu(UopKind::IntAdd, Reg(4), Reg(1), None, 1),
+                StaticUop::branch(BranchCond::Always, None, 9),
+                StaticUop::load(Reg(2), Reg(0), 8),
+                StaticUop::alu(UopKind::IntAdd, Reg(5), Reg(5), None, 1),
+            ],
+            0,
+        );
+        let mut core = Core::new(&CoreConfig::default(), Arc::new(p), mem);
+        let mut events = Vec::new();
+        let mut loads = Vec::new();
+        let mut now = 0;
+        while loads.len() < 2 {
+            assert!(now < 100, "both loads issue");
+            core.tick(now, &mut events);
+            for ev in events.drain(..) {
+                if let CoreEvent::LoadIssued { rob, .. } = ev {
+                    loads.push(rob);
+                }
+            }
+            now += 1;
+        }
+        let (squashed, reused) = (loads[0], loads[1]);
+        assert_eq!(core.stats.branch_mispredicts, 1);
+        assert!(core.entry(squashed).is_none());
+        assert!(reused > squashed && core.slot(reused) == core.slot(squashed));
+        let before = window_state(&core);
+        core.complete_load(squashed, now);
+        core.mark_llc_miss(squashed);
+        core.mark_on_chip(squashed);
+        assert_eq!(window_state(&core), before);
+        let e = core
+            .entry(reused)
+            .expect("the right-path load is in flight");
+        assert!(e.mem_pending && !e.llc_miss && !e.on_chip);
+        core.complete_load(reused, now);
+        for now in now..now + 20 {
+            core.tick(now, &mut events);
+        }
+        assert!(core.finished_at().is_some());
+        let regs = core.committed_regs();
+        assert_eq!((regs[1], regs[2], regs[4]), (0, 22, 0));
     }
 
     #[test]
@@ -1690,8 +1767,7 @@ mod tests {
     /// What a `complete_load` for a squashed id must leave untouched.
     fn window_state(core: &Core) -> impl PartialEq + std::fmt::Debug {
         let entries: Vec<_> = core
-            .rob
-            .iter()
+            .rob_iter()
             .map(|e| (e.id, e.state, e.mem_pending, e.result))
             .collect();
         (
@@ -1707,7 +1783,8 @@ mod tests {
     /// that the interesting cases happened.
     #[derive(Default)]
     struct Coverage {
-        max_gaps: usize,
+        /// Lookups of a squashed id whose slot a younger live uop holds.
+        stale_slot_lookups: u64,
         squashed_completions: u64,
         runahead_entries: u64,
         inert_ticks: u64,
@@ -1721,18 +1798,22 @@ mod tests {
     /// they are in one snapshot in 64.
     fn everything_but_stats(core: &Core, now: Cycle) -> impl PartialEq + std::fmt::Debug {
         let entries: Vec<_> = core
-            .rob
-            .iter()
+            .rob_iter()
             .map(|e| {
                 (
                     (e.id, e.state, e.srcs, e.result, e.addr, e.store_value),
                     (e.remote, e.llc_miss, e.tainted, e.chain_depth, e.inv),
-                    (e.forwarded, e.mem_pending, e.waiters.clone()),
+                    (
+                        e.forwarded,
+                        e.mem_pending,
+                        e.waiters.clone(),
+                        e.renamed_over,
+                    ),
                 )
             })
             .collect();
         (
-            (entries, core.front_id, core.gaps.clone(), core.next_id),
+            (entries, core.next_id),
             (core.rename, core.committed, core.committed_inv),
             (core.ready.0.clone(), core.completing.0.clone()),
             (core.unresolved_stores.0.clone(), core.store_ids.0.clone()),
@@ -1789,12 +1870,17 @@ mod tests {
 
     /// Run `program` to completion with random load latencies in
     /// [5, 260), half the loads marked LLC misses, checking every cycle
-    /// that `entry(id)` agrees with a scan of the ROB.
+    /// that `entry(id)` agrees with a scan of the ROB and that the rename
+    /// table maps each register to its youngest writer in the window.
     fn run_checked(cfg: &CoreConfig, program: &Program, seed: u64, cov: &mut Coverage) -> Core {
         let mut core = Core::new(cfg, Arc::new(program.clone()), MemoryImage::new());
         let mut rng = seeded_rng(seed);
         let mut events = Vec::new();
         let mut pending: Vec<(Cycle, RobId)> = Vec::new();
+        // Last cycle's window, the retirements counted by then, and the
+        // ids that have left the window other than by retiring.
+        let (mut window, mut retired_before) = (Vec::new(), 0);
+        let mut squashed = std::collections::BTreeSet::new();
         // Misses are known a few cycles after issue, as the LLC's answer
         // is, and always before the data.
         let mut misses: Vec<(Cycle, RobId)> = Vec::new();
@@ -1820,7 +1906,7 @@ mod tests {
                     return true;
                 }
                 let ends_runahead = core.runahead.as_ref().is_some_and(|r| r.source_rob == rob);
-                if ends_runahead || core.rob.iter().any(|e| e.id == rob) {
+                if ends_runahead || core.rob_iter().any(|e| e.id == rob) {
                     core.complete_load(rob, now);
                 } else {
                     // The request outlived a squash (or a runahead
@@ -1832,20 +1918,45 @@ mod tests {
                 }
                 false
             });
+            // Retirement took the oldest of last cycle's entries; the
+            // rest of those gone were squashed.
+            let retired = core.stats.retired_uops + core.stats.runahead_uops;
+            let live: Vec<RobId> = core.rob_iter().map(|e| e.id).collect();
+            let gone = window.drain(..).skip((retired - retired_before) as usize);
+            squashed.extend(gone.filter(|id| live.binary_search(id).is_err()));
+            (window, retired_before) = (live, retired);
+            let first = window.first().copied().unwrap_or(core.next_id);
+            squashed.retain(|&id| id + 2 >= first);
             // entry(id) against a scan, for every id around the window.
-            let mut scan = core.rob.iter().peekable();
-            let first = core.rob.front().map_or(core.next_id, |e| e.id);
-            for id in first.saturating_sub(2)..=core.next_id {
-                let expect = scan.next_if(|e| e.id == id).map(|e| e as *const RobEntry);
-                assert_eq!(
-                    core.entry(id).map(|e| e as *const RobEntry),
-                    expect,
-                    "entry({id}) at cycle {now}, gaps {:?}",
-                    core.gaps
-                );
+            let mut holder = vec![None; core.slot_mask + 1];
+            for e in core.rob_iter() {
+                holder[core.slot(e.id)] = Some(e.id);
             }
-            assert!(scan.next().is_none(), "ROB ids ascend");
-            cov.max_gaps = cov.max_gaps.max(core.gaps.len());
+            {
+                let mut scan = core.rob_iter().peekable();
+                for id in first.saturating_sub(2)..=core.next_id {
+                    let expect = scan.next_if(|e| e.id == id).map(|e| e as *const RobEntry);
+                    assert_eq!(
+                        core.entry(id).map(|e| e as *const RobEntry),
+                        expect,
+                        "entry({id}) at cycle {now}"
+                    );
+                    if squashed.contains(&id) {
+                        if let Some(younger) = holder[core.slot(id)] {
+                            assert!(younger > id, "slot of {id} holds {younger}");
+                            cov.stale_slot_lookups += 1;
+                        }
+                    }
+                }
+                assert!(scan.next().is_none(), "ROB ids ascend");
+            }
+            let mut rebuilt = [None; NUM_ARCH_REGS];
+            for e in core.rob_iter() {
+                if let Some(d) = e.uop.dst {
+                    rebuilt[d.idx()] = Some(e.id);
+                }
+            }
+            assert_eq!(core.rename, rebuilt, "rename table at cycle {now}");
             if core.finished_at().is_some() {
                 cov.runahead_entries += core.stats.runahead_entries;
                 return core;
@@ -1885,7 +1996,10 @@ mod tests {
             cov.inert_ticks - cov.asleep_ticks,
             cov.inert_ticks
         );
-        assert!(cov.max_gaps >= 2, "several squashed runs in flight at once");
+        assert!(
+            cov.stale_slot_lookups > 0,
+            "some squashed id's slot was taken by a younger uop"
+        );
         assert!(
             cov.squashed_completions > 0,
             "some load outlived its squash"
@@ -1918,7 +2032,7 @@ mod tests {
             panic!("the core never fell asleep");
         };
         fall_asleep(&mut core);
-        let load = core.rob.front().expect("the load blocks retirement").id;
+        let load = core.head().expect("the load blocks retirement").id;
         type Call = fn(&mut Core, RobId);
         let calls: [(&str, Call); 6] = [
             ("mark_llc_miss", |c, load| c.mark_llc_miss(load)),
