@@ -9,9 +9,12 @@
 //!
 //! Measured on H4 at the default quad-core config: the images hold
 //! 20 840 448 bytes (5 088 pages). Building the cell allocates
-//! 23 640 926 bytes (1.13× the images) when the images move, and
-//! allocated 44 645 926 bytes (2.14×) when `System::new` cloned each
-//! program and image into its core.
+//! 27 000 038 bytes (1.30× the images; the bound is 30 244 864): the
+//! images, which move, and 3 112 960 bytes of the generators' per-node
+//! scratch (16 bytes a chase node), freed before the build returns.
+//! Before that scratch it allocated 23 887 078 bytes (1.15×), and
+//! 44 645 926 bytes (2.14×) when `System::new` cloned each program and
+//! image into its core.
 
 use emc_bench::alloc::{counters, CountingAlloc};
 use emc_types::rng::substream;

@@ -58,11 +58,13 @@ impl ChainUnit {
     /// full window (not in runahead) with the counter armed; else
     /// `Cycle::MAX`.
     pub fn next_wake(&self, core: &Core, now: Cycle) -> Cycle {
+        // Cheapest questions first: on a cache-resident program the
+        // counter never arms, and `full_window_stall` is never asked.
         let wants = self.cfg.enabled
             && self.uops == 0
+            && self.counter.should_generate()
             && !core.in_runahead()
-            && core.full_window_stall().is_some()
-            && self.counter.should_generate();
+            && core.full_window_stall().is_some();
         if wants {
             self.cooldown.max(now)
         } else {

@@ -21,7 +21,7 @@ use crate::hash::FxHashMap;
 /// assert_eq!(m.read_u64(Addr(0x1000)), 42);
 /// assert_eq!(m.read_u64(Addr(0x2000)), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryImage {
     /// Keyed by page number. Nothing iterates it.
     pages: FxHashMap<u64, Box<[u8; PAGE_BYTES as usize]>>,
@@ -47,13 +47,17 @@ impl MemoryImage {
 
     /// Write one byte, allocating the page on demand.
     pub fn write_u8(&mut self, addr: Addr, v: u8) {
-        let page = addr.0 / PAGE_BYTES;
-        let off = (addr.0 % PAGE_BYTES) as usize;
-        let p = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_BYTES as usize]));
-        p[off] = v;
+        self.page_mut(addr)[(addr.0 % PAGE_BYTES) as usize] = v;
+    }
+
+    /// The page that holds `addr`, allocated zero-filled on first use
+    /// (every write allocates through here). Byte `i` of it is the byte
+    /// at `addr - addr % PAGE_BYTES + i`. A caller that fills memory page
+    /// by page pays one map probe per page, not one per word.
+    pub fn page_mut(&mut self, addr: Addr) -> &mut [u8; PAGE_BYTES as usize] {
+        self.pages
+            .entry(addr.0 / PAGE_BYTES)
+            .or_insert_with(|| Box::new([0u8; PAGE_BYTES as usize]))
     }
 
     /// Read a little-endian u64 (handles page-straddling addresses).
@@ -76,15 +80,10 @@ impl MemoryImage {
 
     /// Write a little-endian u64 (handles page-straddling addresses).
     pub fn write_u64(&mut self, addr: Addr, v: u64) {
-        let page = addr.0 / PAGE_BYTES;
         let off = (addr.0 % PAGE_BYTES) as usize;
         let bytes = v.to_le_bytes();
         if off + 8 <= PAGE_BYTES as usize {
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES as usize]));
-            p[off..off + 8].copy_from_slice(&bytes);
+            self.page_mut(addr)[off..off + 8].copy_from_slice(&bytes);
         } else {
             for (i, b) in bytes.iter().enumerate() {
                 self.write_u8(Addr(addr.0 + i as u64), *b);
@@ -131,6 +130,24 @@ mod tests {
         m.write_u64(Addr(0), u64::MAX);
         m.write_u8(Addr(3), 0);
         assert_eq!(m.read_u64(Addr(0)), 0xffff_ffff_00ff_ffff);
+    }
+
+    #[test]
+    fn page_mut_is_the_page_words_address() {
+        let mut m = MemoryImage::new();
+        let addr = Addr(PAGE_BYTES * 7 + 40);
+        let page = m.page_mut(addr);
+        assert!(page.iter().all(|&b| b == 0), "allocated zero-filled");
+        page[40..48].copy_from_slice(&0xdead_beef_u64.to_le_bytes());
+        page[0] = 0x5a;
+        assert_eq!(m.read_u64(addr), 0xdead_beef);
+        assert_eq!(m.read_u8(Addr(PAGE_BYTES * 7)), 0x5a);
+        m.write_u64(Addr(PAGE_BYTES * 8 - 8), 3);
+        assert_eq!(m.resident_pages(), 1, "one page, allocated once");
+        let page = m.page_mut(Addr(PAGE_BYTES * 7));
+        assert_eq!(page[0], 0x5a, "the same page, not a fresh one");
+        assert_eq!(page[PAGE_BYTES as usize - 8], 3);
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@ pub struct SmallRng {
 
 // `#[inline]` throughout: the workload generators draw a value per chase
 // node, and without inlining across the crate boundary `build` measured
-// about a fifth slower (about a third of a short `fig12_cold` cell is `build`).
+// about a fifth slower (`build` is about a third of a budget-1 000
+// `fig12_cold` cell).
 impl SmallRng {
     /// The next 64 random bits.
     #[inline]

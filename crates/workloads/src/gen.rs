@@ -12,7 +12,7 @@
 use crate::profiles::{Benchmark, Profile};
 use emc_types::program::{Program, StaticUop};
 use emc_types::rng::{seeded_rng, substream, SmallRng};
-use emc_types::{Addr, BranchCond, MemoryImage, Reg, UopKind};
+use emc_types::{Addr, BranchCond, MemoryImage, Reg, UopKind, PAGE_BYTES};
 
 /// Base of the spill/fill scratch region (L1-resident).
 pub const SPILL_BASE: u64 = 0x0010_0000;
@@ -180,28 +180,55 @@ fn init_chase_regions(p: &Profile, memory: &mut MemoryImage, rng: &mut SmallRng)
     // row-conflict reduction comes from batched same-row dependents).
     // A small fraction of payloads point into a hot region, giving the
     // EMC data cache and the LLC some temporal reuse (Figure 17).
+    //
+    // The draws happen in walk order: the image is a function of these
+    // exact streams. The writes happen in address order, a page at a
+    // time, so that a page costs one probe of the image's page table,
+    // not one per word into a random page.
     let payload_span = p.payload_lines.max(64);
+    // Each node's (successor, payload) pointers, indexed by node.
+    let mut nodes = vec![[0u64; 2]; n];
     for w in 0..n {
-        let cur = perm[w] as u64;
         let next = perm[(w + 1) % n] as u64;
-        let node = CHASE_BASE + cur * 64;
-        memory.write_u64(Addr(node), CHASE_BASE + next * 64);
         let payload_line = if rng.gen_range(0..100) < 15 {
             // Hot subset: 64 lines (4 KB).
             rng.gen_range(0..64)
         } else {
             (w as u64 * 8 + rng.gen_range(0..16)) % payload_span
         };
-        let payload = PAYLOAD_BASE + payload_line * 64;
-        memory.write_u64(Addr(node + 8), payload);
+        nodes[perm[w] as usize] = [CHASE_BASE + next * 64, PAYLOAD_BASE + payload_line * 64];
     }
-    if p.dep_depth > 1 {
-        // Payload lines chain onward for deeper indirection.
-        for i in 0..p.payload_lines {
-            let addr = PAYLOAD_BASE + i * 64 + 0x18;
-            let next = PAYLOAD_BASE + rng.gen_range(0..p.payload_lines) * 64;
-            memory.write_u64(Addr(addr), next);
+    for_each_page(memory, CHASE_BASE, n, |page, first| {
+        for (line, node) in page.chunks_exact_mut(64).zip(&nodes[first..]) {
+            line[..8].copy_from_slice(&node[0].to_le_bytes());
+            line[8..16].copy_from_slice(&node[1].to_le_bytes());
         }
+    });
+    if p.dep_depth > 1 {
+        // Payload lines chain onward for deeper indirection (at +0x18);
+        // these draws are in address order already.
+        let lines = p.payload_lines as usize;
+        for_each_page(memory, PAYLOAD_BASE, lines, |page, first| {
+            for line in page.chunks_exact_mut(64).take(lines - first) {
+                let next = PAYLOAD_BASE + rng.gen_range(0..p.payload_lines) * 64;
+                line[0x18..0x20].copy_from_slice(&next.to_le_bytes());
+            }
+        });
+    }
+}
+
+/// Hand `fill` each page of the `lines` 64-byte lines from the
+/// page-aligned `base`, in address order, with the index of the page's
+/// first line.
+fn for_each_page(
+    memory: &mut MemoryImage,
+    base: u64,
+    lines: usize,
+    mut fill: impl FnMut(&mut [u8; PAGE_BYTES as usize], usize),
+) {
+    debug_assert_eq!(base % PAGE_BYTES, 0);
+    for first in (0..lines).step_by((PAGE_BYTES / 64) as usize) {
+        fill(memory.page_mut(Addr(base + first as u64 * 64)), first);
     }
 }
 
@@ -358,6 +385,7 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DEFAULT_ITERATIONS;
     use emc_types::program::run_reference;
 
     #[test]
@@ -391,6 +419,81 @@ mod tests {
         assert!(r0 >= CHASE_BASE, "chase pointer escaped: {r0:#x}");
         assert!(r0 < CHASE_BASE + Benchmark::Mcf.profile().chase_lines * 64);
         assert_eq!(r0 % 64, 0, "nodes are line-aligned");
+    }
+
+    /// The reference the images are held to: the same draws, each word
+    /// written with `write_u64` in walk order.
+    fn init_chase_regions_by_word(p: &Profile, memory: &mut MemoryImage, rng: &mut SmallRng) {
+        if p.chase_lines == 0 || p.chase_segments == 0 {
+            return;
+        }
+        let n = p.chase_lines as usize;
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            let j = rng.gen_range(0..i as u64) as usize;
+            perm.swap(i, j);
+        }
+        let payload_span = p.payload_lines.max(64);
+        for w in 0..n {
+            let cur = perm[w] as u64;
+            let next = perm[(w + 1) % n] as u64;
+            let node = CHASE_BASE + cur * 64;
+            memory.write_u64(Addr(node), CHASE_BASE + next * 64);
+            let payload_line = if rng.gen_range(0..100) < 15 {
+                rng.gen_range(0..64)
+            } else {
+                (w as u64 * 8 + rng.gen_range(0..16)) % payload_span
+            };
+            memory.write_u64(Addr(node + 8), PAYLOAD_BASE + payload_line * 64);
+        }
+        if p.dep_depth > 1 {
+            for i in 0..p.payload_lines {
+                let addr = PAYLOAD_BASE + i * 64 + 0x18;
+                let next = PAYLOAD_BASE + rng.gen_range(0..p.payload_lines) * 64;
+                memory.write_u64(Addr(addr), next);
+            }
+        }
+    }
+
+    #[test]
+    fn every_benchmark_image_is_the_word_at_a_time_image() {
+        for b in Benchmark::all() {
+            for seed in [1, 2, 0x5eed] {
+                let mut rng = seeded_rng(substream(seed, b as u64 + 1));
+                let mut want = MemoryImage::new();
+                init_chase_regions_by_word(&b.profile(), &mut want, &mut rng);
+                let got = build(b, seed, DEFAULT_ITERATIONS).memory;
+                assert!(
+                    got == want,
+                    "{b} seed {seed}: {} pages, the reference has {}",
+                    got.resident_pages(),
+                    want.resident_pages()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn partial_last_pages_match_the_word_at_a_time_image() {
+        // (chase_lines, payload_lines, dep_depth): no region is a whole
+        // number of 64-line pages, and the last is a single line.
+        for (chase_lines, payload_lines, dep_depth) in [(1000, 777, 2), (65, 33, 3), (1, 1, 2)] {
+            let p = Profile {
+                chase_lines,
+                payload_lines,
+                dep_depth,
+                ..Benchmark::Mcf.profile()
+            };
+            for seed in [1, 2, 3] {
+                let (mut got_rng, mut want_rng) = (seeded_rng(seed), seeded_rng(seed));
+                let (mut got, mut want) = (MemoryImage::new(), MemoryImage::new());
+                init_chase_regions(&p, &mut got, &mut got_rng);
+                init_chase_regions_by_word(&p, &mut want, &mut want_rng);
+                let what = format!("{chase_lines}/{payload_lines}/{dep_depth} seed {seed}");
+                assert!(got == want, "{what}: the images differ");
+                assert_eq!(got_rng, want_rng, "{what}: the draws differ");
+            }
+        }
     }
 
     #[test]

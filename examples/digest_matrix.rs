@@ -7,15 +7,27 @@
 //!
 //! where the digest covers the canonical `Stats` JSON and the
 //! 1 000-cycle samples, and on the three traced cells every
-//! `MissJourney` (with its `ReqId`) and trace event too. No expected
-//! value lives here: a change that claims to move no simulated count
-//! copies this file into a checkout of its parent, runs both, and
-//! `diff`s the two outputs (DESIGN.md §7).
+//! `MissJourney` (with its `ReqId`) and trace event too. Then one line
+//! per benchmark for the memory image its workload starts from, in the
+//! same five columns —
+//!
+//! ```text
+//! image/<bench> image resident-pages 0 digest
+//! ```
+//!
+//! where the digest covers the resident page count and every 8-byte
+//! word of the chase and payload regions of `build(bench, 1,
+//! DEFAULT_ITERATIONS)`, read back with `read_u64`. No expected value
+//! lives here: a change that claims to move no simulated count copies
+//! this file into a checkout of its parent, runs both, and `diff`s the
+//! two outputs (DESIGN.md §7). So it uses no API newer than the parent's.
 //!
 //! Run with: `cargo run --release --example digest_matrix` (~8 s)
 
 use emc_campaign::{digest128_hex, stats_to_json};
-use emc_repro::{mix_by_name, Benchmark, FaultPlan, PrefetcherKind, SystemConfig};
+use emc_repro::emc_types::Addr;
+use emc_repro::emc_workloads::{CHASE_BASE, DEFAULT_ITERATIONS, PAYLOAD_BASE};
+use emc_repro::{build, mix_by_name, Benchmark, FaultPlan, PrefetcherKind, SystemConfig};
 use emc_sim::{build_system, cycle_cap, eight_core_mix};
 use std::fmt::Write;
 
@@ -45,6 +57,23 @@ fn run(name: &str, cfg: SystemConfig, benches: &[Benchmark], budget: u64, traced
         sys.now(),
         sys.skipped_cycles(),
         digest128_hex(text.as_bytes())
+    );
+}
+
+fn image(bench: Benchmark) {
+    let memory = build(bench, 1, DEFAULT_ITERATIONS).memory;
+    let p = bench.profile();
+    let pages = memory.resident_pages();
+    let mut bytes = (pages as u64).to_le_bytes().to_vec();
+    for (base, lines) in [(CHASE_BASE, p.chase_lines), (PAYLOAD_BASE, p.payload_lines)] {
+        for addr in (base..base + lines * 64).step_by(8) {
+            bytes.extend_from_slice(&memory.read_u64(Addr(addr)).to_le_bytes());
+        }
+    }
+    println!(
+        "image/{} image {pages} 0 {}",
+        bench.name(),
+        digest128_hex(&bytes)
     );
 }
 
@@ -151,5 +180,8 @@ fn main() {
             6_000,
             false,
         );
+    }
+    for bench in Benchmark::all() {
+        image(bench);
     }
 }
