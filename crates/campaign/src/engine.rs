@@ -150,12 +150,8 @@ impl Executor {
                 return record;
             }
 
-            let class_label = report
-                .class
-                .as_ref()
-                .map(|c| c.to_string())
-                .unwrap_or_else(|| "unclassified".into());
-            match retry_decision(report.outcome, report.class.as_ref(), next_cap.is_some()) {
+            let class_label = (report.class()).map_or("unclassified".into(), |c| c.to_string());
+            match retry_decision(report.outcome, report.class(), next_cap.is_some()) {
                 RetryDecision::ExtendCap => {
                     let cap = spec
                         .default_cycle_cap()
@@ -170,10 +166,8 @@ impl Executor {
                 RetryDecision::Fail => {
                     record.outcome = match report.outcome {
                         RunOutcome::Wedged => {
-                            let diag = report
-                                .wedge
-                                .as_ref()
-                                .map(|w| format!(" at cycle {}", w.cycle))
+                            let diag = (report.post_mortem.as_ref())
+                                .map(|p| format!(" at cycle {}", p.cycle))
                                 .unwrap_or_default();
                             format!(
                                 "wedged{diag} after {} attempts — root cause: {class_label}",

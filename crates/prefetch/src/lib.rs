@@ -15,13 +15,11 @@ pub mod fdp;
 pub mod ghb;
 pub mod markov;
 pub mod stream;
-pub mod stride;
 
 pub use fdp::FdpThrottle;
 pub use ghb::GhbPrefetcher;
 pub use markov::MarkovPrefetcher;
 pub use stream::StreamPrefetcher;
-pub use stride::StridePrefetcher;
 
 use emc_types::{Cycle, LineAddr, PrefetchConfig, PrefetcherKind};
 
@@ -41,11 +39,9 @@ use emc_types::{Cycle, LineAddr, PrefetchConfig, PrefetcherKind};
 /// ```
 #[derive(Debug)]
 pub struct PrefetchEngine {
-    kind: PrefetcherKind,
     stream: Option<StreamPrefetcher>,
     ghb: Option<GhbPrefetcher>,
     markov: Option<MarkovPrefetcher>,
-    stride: Option<StridePrefetcher>,
     fdp: FdpThrottle,
 }
 
@@ -58,24 +54,18 @@ impl PrefetchEngine {
             .then(|| GhbPrefetcher::new(cfg.ghb_entries, cfg.ghb_index_entries));
         let markov = matches!(kind, PrefetcherKind::MarkovStream)
             .then(|| MarkovPrefetcher::new(cfg.markov_entries, cfg.markov_fanout));
-        let stride = matches!(kind, PrefetcherKind::Stride).then(|| StridePrefetcher::new(256));
         PrefetchEngine {
-            kind,
             stream,
             ghb,
             markov,
-            stride,
             fdp: FdpThrottle::new(cfg),
         }
     }
 
-    /// Which configuration this engine implements.
-    pub fn kind(&self) -> PrefetcherKind {
-        self.kind
-    }
-
-    /// Train all active prefetchers on a demand LLC miss.
-    pub fn train(&mut self, line: LineAddr, pc: u64) {
+    /// Train all active prefetchers on a demand LLC miss of `line` by the
+    /// load at `pc`. No configured prefetcher reads `pc`: every one of
+    /// them trains on the line stream alone.
+    pub fn train(&mut self, line: LineAddr, _pc: u64) {
         self.fdp.on_train();
         if let Some(s) = &mut self.stream {
             s.train(line);
@@ -86,9 +76,6 @@ impl PrefetchEngine {
         if let Some(m) = &mut self.markov {
             m.train(line);
         }
-        if let Some(st) = &mut self.stride {
-            st.train(pc, line);
-        }
     }
 
     /// `now` if [`drain_into`](Self::drain_into) would find anything to
@@ -97,8 +84,7 @@ impl PrefetchEngine {
     pub fn next_wake(&self, now: Cycle) -> Cycle {
         let pending = self.stream.as_ref().is_some_and(|s| s.has_pending())
             || self.ghb.as_ref().is_some_and(|g| g.has_pending())
-            || self.markov.as_ref().is_some_and(|m| m.has_pending())
-            || self.stride.as_ref().is_some_and(|st| st.has_pending());
+            || self.markov.as_ref().is_some_and(|m| m.has_pending());
         if pending {
             now
         } else {
@@ -129,9 +115,6 @@ impl PrefetchEngine {
         }
         if let Some(m) = &mut self.markov {
             m.drain_into(degree.saturating_sub(out.len()).max(1), out);
-        }
-        if let Some(st) = &mut self.stride {
-            st.drain_into(degree.saturating_sub(out.len()).max(1), out);
         }
         if off {
             out.clear();
@@ -224,19 +207,6 @@ mod tests {
         e.train(LineAddr(1), 0);
         let reqs = e.take_requests();
         assert!(reqs.len() <= e.degree().max(1));
-    }
-
-    #[test]
-    fn stride_engine_works_end_to_end() {
-        let mut e = PrefetchEngine::new(PrefetcherKind::Stride, &cfg());
-        for k in 0..4u64 {
-            e.train(LineAddr(100 + 3 * k), 0x40);
-        }
-        let reqs = e.take_requests();
-        assert!(
-            reqs.contains(&LineAddr(112)),
-            "stride 3 continues: {reqs:?}"
-        );
     }
 
     #[test]

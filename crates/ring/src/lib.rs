@@ -65,8 +65,11 @@ impl Topology {
         self.core_stop(c)
     }
 
-    /// Home LLC slice of a line: static line-interleaving across slices
-    /// (address-hashed sliced LLC, as in ring-based Intel designs).
+    /// Home LLC slice of a line: the line number modulo the slice count,
+    /// so consecutive lines go to consecutive slices. There is no address
+    /// hash. Since each slice also picks its set from the low line bits,
+    /// slice `s` only ever uses the sets whose index is `s` modulo the
+    /// slice count (ROADMAP item 2).
     pub fn llc_slice_of(&self, line: emc_types::LineAddr) -> usize {
         (line.0 % self.cores as u64) as usize
     }

@@ -2,8 +2,8 @@
 //!
 //! Usage:
 //!   emcsim [--mix H4 | --homog mcf] [--cores 4|8] [--mcs 1|2]
-//!          [--prefetcher none|ghb|stream|markov|stride] [--no-emc] [--runahead]
-//!          [--budget N] [--seed N] [--faults] [--json] [--liveness] [--no-liveness]
+//!          [--prefetcher none|ghb|stream|markov] [--no-emc] [--runahead]
+//!          [--budget N] [--seed N] [--faults] [--json] [--no-liveness]
 //!          [--metrics-out FILE] [--trace-out FILE] [--sample-interval N]
 //!          [--profile] [--profile-stride N]
 //!
@@ -13,17 +13,17 @@
 //! `--metrics-out` writes the same document to a file, for any outcome;
 //! `--trace-out` writes a Chrome trace-event file loadable in Perfetto.
 //! Both are written even for wedged or capped runs, so a bad run still
-//! leaves its evidence behind. `--liveness` additionally dumps the
-//! per-component liveness probe snapshot on any non-completed outcome.
-//! `--profile` prints a host-side wall-time breakdown of the tick
-//! phases (stderr), sampling one tick in `--profile-stride` (default
-//! 64).
+//! leaves its evidence behind. A run that does not complete prints its
+//! post-mortem on stderr: root cause, one row per core and per busy EMC
+//! context, every liveness probe and the queue history. `--no-liveness`
+//! switches MC aging and EMC leases off. `--profile` prints a host-side
+//! wall-time breakdown of the tick phases (stderr), sampling one tick in
+//! `--profile-stride` (default 64).
 //!
 //! Exit codes: 0 on a completed run, 2 on bad arguments. A run that
-//! does not complete exits with its wedge root-cause class — 10
+//! does not complete exits with its post-mortem's root-cause class — 10
 //! mc-starvation, 11 emc-context-leak, 12 ring-backpressure, 13
-//! core-deadlock, 14 slow-but-live — falling back to 3 (wedged) or 4
-//! (cycle-cap hit) when no class was captured.
+//! core-deadlock, 14 slow-but-live.
 
 use emc_sim::{
     build_system, cycle_cap, eight_core_mix, metrics_json, RunOutcome, ThroughputMeter,
@@ -34,31 +34,24 @@ use emc_workloads::{mix_by_name, Benchmark};
 use std::io::Write;
 
 const EXIT_BAD_ARGS: i32 = 2;
-const EXIT_WEDGED: i32 = 3;
-const EXIT_CAP_HIT: i32 = 4;
-const EXIT_MC_STARVATION: i32 = 10;
-const EXIT_EMC_CONTEXT_LEAK: i32 = 11;
-const EXIT_RING_BACKPRESSURE: i32 = 12;
-const EXIT_CORE_DEADLOCK: i32 = 13;
-const EXIT_SLOW_BUT_LIVE: i32 = 14;
 
-/// Exit code for a classified non-completed run (one code per
-/// [`WedgeClass`], so scripts can dispatch without parsing stderr).
+/// Exit code for a run that did not complete: one per [`WedgeClass`] of
+/// its post-mortem, so scripts can dispatch without parsing stderr.
 fn class_exit_code(class: &WedgeClass) -> i32 {
     match class {
-        WedgeClass::McStarvation { .. } => EXIT_MC_STARVATION,
-        WedgeClass::EmcContextLeak { .. } => EXIT_EMC_CONTEXT_LEAK,
-        WedgeClass::RingBackpressure { .. } => EXIT_RING_BACKPRESSURE,
-        WedgeClass::CoreDeadlock { .. } => EXIT_CORE_DEADLOCK,
-        WedgeClass::SlowButLive => EXIT_SLOW_BUT_LIVE,
+        WedgeClass::McStarvation { .. } => 10,
+        WedgeClass::EmcContextLeak { .. } => 11,
+        WedgeClass::RingBackpressure { .. } => 12,
+        WedgeClass::CoreDeadlock { .. } => 13,
+        WedgeClass::SlowButLive => 14,
     }
 }
 
 fn usage() {
     eprintln!(
         "usage: emcsim [--mix H1..H10 | --homog <bench>] [--cores 4|8] [--mcs 1|2]\n\
-         \t[--prefetcher none|ghb|stream|markov|stride] [--no-emc] [--runahead]\n\
-         \t[--budget N] [--seed N] [--faults] [--json] [--liveness] [--no-liveness]\n\
+         \t[--prefetcher none|ghb|stream|markov] [--no-emc] [--runahead]\n\
+         \t[--budget N] [--seed N] [--faults] [--json] [--no-liveness]\n\
          \t[--metrics-out FILE] [--trace-out FILE] [--sample-interval N]\n\
          \t[--profile] [--profile-stride N]\n\
          --json prints the emcsim-metrics-v2 document on stdout, as --metrics-out writes it"
@@ -111,7 +104,6 @@ fn main() {
     let mut seed = 0x00c0_ffeeu64;
     let mut faults = false;
     let mut json = false;
-    let mut liveness = false;
     let mut no_liveness = false;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -130,9 +122,8 @@ fn main() {
                     "ghb" => PrefetcherKind::Ghb,
                     "stream" => PrefetcherKind::Stream,
                     "markov" => PrefetcherKind::MarkovStream,
-                    "stride" => PrefetcherKind::Stride,
                     _ => bad_args(&format!(
-                        "--prefetcher: unknown kind {v:?} (expected none|ghb|stream|markov|stride)"
+                        "--prefetcher: unknown kind {v:?} (expected none|ghb|stream|markov)"
                     )),
                 }
             }
@@ -142,7 +133,6 @@ fn main() {
             "--seed" => seed = parse_value(&mut args, "--seed"),
             "--faults" => faults = true,
             "--json" => json = true,
-            "--liveness" => liveness = true,
             "--no-liveness" => no_liveness = true,
             "--metrics-out" => metrics_out = Some(require_value(&mut args, "--metrics-out")),
             "--trace-out" => trace_out = Some(require_value(&mut args, "--trace-out")),
@@ -264,45 +254,16 @@ fn main() {
         );
     }
 
-    match report.outcome {
-        RunOutcome::Completed => {}
-        outcome => {
-            match outcome {
-                RunOutcome::Wedged => {
-                    eprintln!("emcsim: run WEDGED — no forward progress");
-                    match &report.wedge {
-                        Some(w) => eprintln!("{w}"),
-                        None => eprintln!("(no wedge report captured)"),
-                    }
-                }
-                _ => {
-                    let progress: Vec<u64> =
-                        report.stats.cores.iter().map(|c| c.retired_uops).collect();
-                    eprintln!(
-                        "emcsim: cycle cap hit after {} cycles before every core reached its \
-                         budget; per-core retired uops: {progress:?}",
-                        report.stats.cycles
-                    );
-                }
-            }
-            if let Some(class) = &report.class {
-                eprintln!("emcsim: root cause: {class}");
-            }
-            if liveness {
-                match &report.liveness {
-                    Some(snap) => eprintln!("emcsim: liveness probes:\n{}", snap.summary()),
-                    None => eprintln!("emcsim: liveness probes: (no snapshot captured)"),
-                }
-            }
-            let code = report.class.as_ref().map(class_exit_code).unwrap_or(
-                if outcome == RunOutcome::Wedged {
-                    EXIT_WEDGED
-                } else {
-                    EXIT_CAP_HIT
-                },
-            );
-            std::process::exit(code);
+    if let Some(pm) = &report.post_mortem {
+        match report.outcome {
+            RunOutcome::Wedged => eprintln!("emcsim: run WEDGED — no forward progress"),
+            _ => eprintln!(
+                "emcsim: cycle cap hit after {} cycles before every core reached its budget",
+                report.stats.cycles
+            ),
         }
+        eprintln!("{pm}");
+        std::process::exit(class_exit_code(&pm.class));
     }
     if json {
         println!("{}", metrics().to_json());

@@ -26,12 +26,13 @@
 #![warn(missing_docs)]
 
 pub mod events;
+mod inflight;
 pub mod metrics;
 pub mod profile;
 pub mod runner;
 pub mod system;
 
-pub use emc_types::{RunOutcome, RunReport, WedgeReport};
+pub use emc_types::{PostMortem, RunOutcome, RunReport};
 pub use metrics::{metrics_json, Sampler, DEFAULT_SAMPLE_INTERVAL};
 pub use profile::{
     Phase, PhaseStat, ProfileReport, Throughput, ThroughputMeter, TickProfiler,

@@ -5,6 +5,7 @@
 //! flow (paper Figures 7 and 11).
 
 use crate::events::{EmcLoad, Ev, Scheduled};
+use crate::inflight::InFlight;
 use crate::metrics::Sampler;
 use crate::profile::{Phase, ProfileReport, TickProfiler};
 use emc_cache::SetAssocCache;
@@ -17,10 +18,10 @@ use emc_ring::RingKind::{self, Control, Data};
 use emc_ring::{Ring, Topology};
 use emc_types::rng::{seeded_rng, substream, SmallRng};
 use emc_types::{
-    line_owner, physical_line, AccessKind, Addr, CoreId, CoreStats, Cycle, FxHashMap, LineAddr,
-    LivenessSnapshot, MemReq, MetricSample, MissJourney, PrefetcherKind, ReqId, Requester,
-    RunOutcome, RunReport, Stats, SystemConfig, TraceSink, TraceTrack, UopKind, WedgeCoreState,
-    WedgeEmcContext, WedgeReport, CACHE_LINE_BYTES,
+    line_owner, physical_line, AccessKind, Addr, ContextRow, CoreId, CoreRow, CoreStats, Cycle,
+    LineAddr, MemReq, MetricSample, MissJourney, PostMortem, PrefetcherKind, ReqId, Requester,
+    RunOutcome, RunReport, Stats, SystemConfig, TraceSink, TraceTrack, UopKind, WedgeClass,
+    CACHE_LINE_BYTES,
 };
 use emc_workloads::Workload;
 use std::collections::BinaryHeap;
@@ -33,18 +34,10 @@ const FAULT_STREAM_RING: u64 = 0xF001;
 const FAULT_STREAM_MC_BASE: u64 = 0xF100;
 const FAULT_STREAM_EMC_KILL: u64 = 0xF200;
 
-/// Default watchdog sampling cadence; the live value comes from
-/// `LivenessConfig::probe_interval`.
-#[cfg(test)]
-const WATCHDOG_INTERVAL: Cycle = 10_000;
-/// Default zero-retirement window that declares a wedge; the live value
-/// comes from `LivenessConfig::core_stall_age`.
-#[cfg(test)]
-const WEDGE_THRESHOLD: Cycle = 250_000;
-/// How many of the sampler's samples a [`WedgeReport`] carries as the
-/// queue-depth history leading up to the wedge, ahead of the one taken
-/// at the wedge cycle.
-const WEDGE_SAMPLE_HISTORY: usize = 8;
+/// How many of the sampler's samples a [`PostMortem`] carries as the
+/// queue-depth history leading up to the stop, ahead of the one taken
+/// at the stop cycle.
+const POST_MORTEM_HISTORY: usize = 8;
 
 /// Why a [`System`] could not be constructed from its inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,9 +70,9 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// In-loop forward-progress watchdog: samples total retirement every
-/// `interval` cycles and reports how long the system has been stalled
-/// once the zero-retirement window exceeds `threshold`. Both come from
-/// `LivenessConfig` (`probe_interval` / `core_stall_age`).
+/// `interval` cycles and fires once the zero-retirement window reaches
+/// `threshold`. Both come from `LivenessConfig` (`probe_interval` /
+/// `core_stall_age`).
 struct Watchdog {
     last_retired: u64,
     last_progress_at: Cycle,
@@ -100,20 +93,19 @@ impl Watchdog {
         }
     }
 
-    /// Returns `Some(stalled_for)` once no uop has retired anywhere for
-    /// at least the configured threshold.
-    fn check(&mut self, now: Cycle, retired: u64) -> Option<Cycle> {
+    /// Whether no uop has retired anywhere for at least the configured
+    /// threshold.
+    fn check(&mut self, now: Cycle, retired: u64) -> bool {
         if now < self.next_check {
-            return None;
+            return false;
         }
         self.next_check = now + self.interval;
         if retired != self.last_retired {
             self.last_retired = retired;
             self.last_progress_at = now;
-            return None;
+            return false;
         }
-        let stalled = now - self.last_progress_at;
-        (stalled >= self.threshold).then_some(stalled)
+        now - self.last_progress_at >= self.threshold
     }
 }
 
@@ -123,26 +115,6 @@ enum Stop {
     Core(CoreId),
     Llc(usize),
     Mc(usize),
-}
-
-/// LLC-level outstanding miss bookkeeping. Both lists borrow their
-/// buffers from the system's pools and hand them back through
-/// [`recycle`].
-#[derive(Debug, Default)]
-struct Outstanding {
-    waiters: Vec<(CoreId, RobId)>,
-    /// The EMC load the fetch was issued for, if an EMC issued it.
-    issuer: Option<EmcLoad>,
-    /// EMC loads merged onto it.
-    emc_waiters: Vec<EmcLoad>,
-}
-
-/// Hand a waiter buffer back to the pool it was borrowed from.
-fn recycle<T>(pool: &mut Vec<Vec<T>>, mut buf: Vec<T>) {
-    if buf.capacity() > 0 {
-        buf.clear();
-        pool.push(buf);
-    }
 }
 
 /// The simulated system.
@@ -167,10 +139,8 @@ pub struct System {
     /// `emc_kill_prob`.
     emc_fault: Option<(f64, SmallRng)>,
     events: BinaryHeap<Scheduled>,
-    /// Lines on their way to or from DRAM. Nothing iterates it.
-    outstanding: FxHashMap<LineAddr, Outstanding>,
-    waiter_pool: Vec<Vec<(CoreId, RobId)>>,
-    emc_waiter_pool: Vec<Vec<EmcLoad>>,
+    /// Lines on their way to or from DRAM, and the loads waiting for them.
+    in_flight: InFlight,
     next_req: u64,
     /// Accumulated system statistics (cores filled at snapshot time).
     pub stats: Stats,
@@ -251,9 +221,7 @@ impl System {
             units: vec![ChainUnit::new(&cfg.emc); cfg.cores],
             emc_fault,
             events: BinaryHeap::new(),
-            outstanding: FxHashMap::default(),
-            waiter_pool: Vec::new(),
-            emc_waiter_pool: Vec::new(),
+            in_flight: InFlight::default(),
             next_req: 0,
             stats: Stats::new(cfg.cores),
             trace: TraceSink::disabled(),
@@ -387,14 +355,11 @@ impl System {
     /// the cycle cap yields [`RunOutcome::CapHit`] (truncated stats,
     /// never silently passed off as a measurement), and a forward-
     /// progress watchdog aborts runs where no core retires anything for
-    /// `LivenessConfig::core_stall_age` cycles, attaching a
-    /// [`WedgeReport`] of the scheduler state (with its liveness-probe
-    /// root-cause classification).
+    /// `LivenessConfig::core_stall_age` cycles. A run that does not
+    /// complete carries its [`PostMortem`], root-cause class included.
     pub fn run(&mut self, budget_uops: u64, max_cycles: u64) -> RunReport {
-        match self.run_until(budget_uops, budget_uops, max_cycles) {
-            Some(stalled) => self.wedged(stalled),
-            None => self.report(budget_uops),
-        }
+        let wedged = self.run_until(budget_uops, budget_uops, max_cycles);
+        self.ended(wedged, budget_uops)
     }
 
     /// Run with a warmup phase: execute `warmup_uops` per core with
@@ -412,25 +377,21 @@ impl System {
         max_cycles: u64,
     ) -> RunReport {
         // No snapshots during warmup.
-        if let Some(stalled) = self.run_until(warmup_uops, u64::MAX, max_cycles) {
-            return self.wedged(stalled);
-        }
-        if self.now >= max_cycles && !self.all_cores_done(warmup_uops) {
-            return self.report(warmup_uops); // cap hit inside warmup
+        let wedged = self.run_until(warmup_uops, u64::MAX, max_cycles);
+        if wedged || !self.all_cores_done(warmup_uops) {
+            return self.ended(wedged, warmup_uops); // stopped inside warmup
         }
         self.reset_statistics();
-        match self.run_until(budget_uops, budget_uops, max_cycles) {
-            Some(stalled) => self.wedged(stalled),
-            None => self.report(budget_uops),
-        }
+        let wedged = self.run_until(budget_uops, budget_uops, max_cycles);
+        self.ended(wedged, budget_uops)
     }
 
     /// Tick until every core has retired `budget` uops or `max_cycles`
-    /// elapse, snapshotting cores at `snapshot_at`; `Some(stalled_for)`
-    /// if the watchdog fires first. Between ticks, cycles in which no
-    /// component can act are jumped over ([`next_wake`](Self::next_wake)),
-    /// never past a cycle the watchdog or the cap would have looked at.
-    fn run_until(&mut self, budget: u64, snapshot_at: u64, max_cycles: u64) -> Option<Cycle> {
+    /// elapse, snapshotting cores at `snapshot_at`; true if the watchdog
+    /// fires first. Between ticks, cycles in which no component can act
+    /// are jumped over ([`next_wake`](Self::next_wake)), never past a
+    /// cycle the watchdog or the cap would have looked at.
+    fn run_until(&mut self, budget: u64, snapshot_at: u64, max_cycles: u64) -> bool {
         let mut watch = self.new_watchdog();
         // The first tick of a phase is never jumped to: it snapshots
         // cores that finished in an earlier phase at this very cycle.
@@ -447,11 +408,11 @@ impl System {
             }
             self.tick(snapshot_at);
             ticked = true;
-            if let Some(stalled) = watch.check(self.now, self.total_retired()) {
-                return Some(stalled);
+            if watch.check(self.now, self.total_retired()) {
+                return true;
             }
         }
-        None
+        false
     }
 
     /// The first cycle from `now` to `limit` whose tick could be more
@@ -501,111 +462,77 @@ impl System {
         )
     }
 
-    fn report(&mut self, budget_uops: u64) -> RunReport {
-        let outcome = if self.all_cores_done(budget_uops) {
-            RunOutcome::Completed
-        } else {
-            RunOutcome::CapHit
+    /// The report of a run that stopped, `wedged` if the watchdog stopped
+    /// it: one that did not complete carries its post-mortem.
+    fn ended(&mut self, wedged: bool, budget_uops: u64) -> RunReport {
+        let outcome = match (wedged, self.all_cores_done(budget_uops)) {
+            (true, _) => RunOutcome::Wedged,
+            (false, true) => RunOutcome::Completed,
+            (false, false) => RunOutcome::CapHit,
         };
-        self.ended(outcome, None)
-    }
-
-    fn wedged(&mut self, stalled_for: Cycle) -> RunReport {
-        let wedge = self.wedge_report(stalled_for);
-        self.ended(RunOutcome::Wedged, Some(wedge))
-    }
-
-    /// The report of a run that ended with `outcome`: a run that did not
-    /// complete carries its liveness probes and their classification.
-    fn ended(&mut self, outcome: RunOutcome, wedge: Option<WedgeReport>) -> RunReport {
-        let liveness = (outcome != RunOutcome::Completed).then(|| self.liveness_snapshot());
         RunReport {
             outcome,
+            post_mortem: (outcome != RunOutcome::Completed).then(|| self.post_mortem()),
             stats: self.finalize(),
-            wedge,
-            class: liveness.as_ref().map(|l| l.classify(&self.cfg.liveness)),
-            liveness,
         }
     }
 
-    /// Read every per-component liveness probe: per-channel oldest
-    /// queued-request age at each MC, per-context progress age at each
-    /// EMC, the worst ring link backlog, and per-core retirement ages.
-    /// Pure observation — never changes simulated state.
-    pub fn liveness_snapshot(&self) -> LivenessSnapshot {
-        let mut mc_oldest_age = Vec::new();
-        for (m, mc) in self.mcs.iter().enumerate() {
-            for (ch, age) in mc.oldest_queue_ages(self.now) {
-                mc_oldest_age.push((m, ch, age));
-            }
-        }
-        LivenessSnapshot {
-            cycle: self.now,
-            mc_oldest_age,
-            emc_ctx_age: (self.emcs.iter().enumerate())
-                .flat_map(|(m, emc)| emc.context_ages(self.now).map(move |(c, age)| (m, c, age)))
-                .collect(),
-            ring_backlog: self.ring.max_backlog(self.now),
-            core_retire_age: (self.cores.iter())
-                .map(|c| self.now - c.last_retired_at().max(self.measure_start))
-                .collect(),
-            cores_finished: self
-                .cores
-                .iter()
-                .map(|c| c.finished_at().is_some())
-                .collect(),
-        }
-    }
-
-    /// Structured snapshot of every scheduler-visible queue, built when
-    /// the forward-progress watchdog fires: the sample history ends with
-    /// one taken now.
-    pub fn wedge_report(&self, stalled_for: Cycle) -> WedgeReport {
-        let cores = (0..self.cfg.cores)
-            .map(|i| {
-                let c = &self.cores[i];
-                WedgeCoreState {
-                    core: i,
-                    bench: self.bench_names[i].clone(),
-                    retired_uops: c.stats.retired_uops,
-                    rob_len: c.rob_len(),
-                    finished: c.finished_at().is_some(),
-                    active_chain_uops: self.units[i].in_flight(),
-                    rob_head: c.rob_iter().next().map(|e| {
-                        format!(
-                            "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
-                            e.id, e.uop.kind, e.state, e.remote, e.llc_miss, e.addr
-                        )
-                    }),
-                }
+    /// What the system looks like now, as the post-mortem of a run that
+    /// stops here: one row per core and per busy EMC context, every
+    /// liveness probe, the sample history ending with one taken now, and
+    /// the class they add up to. Pure observation.
+    pub fn post_mortem(&self) -> PostMortem {
+        let now = self.now;
+        let cores = (self.cores.iter().zip(&self.units).zip(&self.bench_names))
+            .map(|((c, unit), bench)| CoreRow {
+                bench: bench.clone(),
+                retired_uops: c.stats.retired_uops,
+                retire_age: now - c.last_retired_at().max(self.measure_start),
+                finished: c.finished_at().is_some(),
+                rob_len: c.rob_len(),
+                rob_head: c.rob_iter().next().map(|e| {
+                    format!(
+                        "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
+                        e.id, e.uop.kind, e.state, e.remote, e.llc_miss, e.addr
+                    )
+                }),
+                active_chain_uops: unit.in_flight(),
             })
             .collect();
-        let emc_contexts = self
-            .emcs
-            .iter()
-            .enumerate()
-            .flat_map(|(m, emc)| {
-                (0..self.cfg.emc.contexts).filter_map(move |ctx| {
-                    emc.context_chain(ctx).map(|ch| WedgeEmcContext {
-                        mc: m,
+        let contexts = (self.emcs.iter().enumerate())
+            .flat_map(|(mc, emc)| {
+                emc.context_ages(now).map(move |(ctx, age)| {
+                    let ch = emc.context_chain(ctx).expect("an aged context is busy");
+                    ContextRow {
+                        mc,
                         ctx,
                         home_core: ch.home_core,
                         chain_uops: ch.uops.len(),
                         awaiting_source: emc.awaiting_source(ch.home_core, ch.source_rob).is_some(),
-                    })
+                        age,
+                    }
                 })
             })
             .collect();
-        let mut recent_samples = self.sampler.recent(WEDGE_SAMPLE_HISTORY).to_vec();
+        let mc_oldest_age = (self.mcs.iter().enumerate())
+            .flat_map(|(m, mc)| {
+                (mc.oldest_queue_ages(now).into_iter()).map(move |(ch, age)| (m, ch, age))
+            })
+            .collect();
+        let mut recent_samples = self.sampler.recent(POST_MORTEM_HISTORY).to_vec();
         recent_samples.push(self.capture_sample());
-        WedgeReport {
-            cycle: self.now,
-            stalled_for,
+        let mut pm = PostMortem {
+            cycle: now,
+            class: WedgeClass::SlowButLive, // classified below, from the rest
             cores,
-            emc_contexts,
+            contexts,
+            mc_oldest_age,
+            ring_backlog: self.ring.max_backlog(now),
             pending_events: self.events.len(),
             recent_samples,
-        }
+        };
+        pm.class = pm.classify(&self.cfg.liveness);
+        pm
     }
 
     /// Zero all statistics counters, keeping microarchitectural state.
@@ -708,7 +635,7 @@ impl System {
                 .collect(),
             emc_busy_contexts: self.emcs.iter().map(|e| e.busy_contexts() as u32).collect(),
             ring_busy_links: self.ring.busy_links(self.now) as u32,
-            outstanding_misses: self.outstanding.len() as u32,
+            outstanding_misses: self.in_flight.len() as u32,
             llc_occupancy: self.llc.iter().map(|c| c.occupancy_permille()).collect(),
             rob_occupancy: self.cores.iter().map(|c| c.rob_len() as u32).collect(),
         }
@@ -716,41 +643,26 @@ impl System {
 
     /// Mirror a sample onto counter tracks in the Chrome trace.
     fn emit_sample_counters(&mut self, s: &MetricSample) {
-        for (m, &d) in s.mc_queue_depth.iter().enumerate() {
-            self.trace
-                .counter(TraceTrack::Mc(m), "mc queue depth", s.cycle, u64::from(d));
+        let trace = &mut self.trace;
+        let per_mc = [
+            ("mc queue depth", &s.mc_queue_depth),
+            ("banks open", &s.banks_open),
+            ("emc busy contexts", &s.emc_busy_contexts),
+        ];
+        for (name, depths) in per_mc {
+            for (m, &d) in depths.iter().enumerate() {
+                trace.counter(TraceTrack::Mc(m), name, s.cycle, u64::from(d));
+            }
         }
-        for (m, &d) in s.banks_open.iter().enumerate() {
-            self.trace
-                .counter(TraceTrack::Mc(m), "banks open", s.cycle, u64::from(d));
+        for (name, n) in [
+            ("busy links", s.ring_busy_links),
+            ("outstanding misses", s.outstanding_misses),
+        ] {
+            trace.counter(TraceTrack::Ring, name, s.cycle, u64::from(n));
         }
-        for (m, &d) in s.emc_busy_contexts.iter().enumerate() {
-            self.trace.counter(
-                TraceTrack::Mc(m),
-                "emc busy contexts",
-                s.cycle,
-                u64::from(d),
-            );
-        }
-        self.trace.counter(
-            TraceTrack::Ring,
-            "busy links",
-            s.cycle,
-            u64::from(s.ring_busy_links),
-        );
-        self.trace.counter(
-            TraceTrack::Ring,
-            "outstanding misses",
-            s.cycle,
-            u64::from(s.outstanding_misses),
-        );
         for (sl, &occ) in s.llc_occupancy.iter().enumerate() {
-            self.trace.counter(
-                TraceTrack::LlcSlice(sl),
-                "occupancy permille",
-                s.cycle,
-                u64::from(occ),
-            );
+            let track = TraceTrack::LlcSlice(sl);
+            trace.counter(track, "occupancy permille", s.cycle, u64::from(occ));
         }
     }
 
@@ -796,7 +708,8 @@ impl System {
         self.cores[core].stats.l1d_misses += 1;
         // Merge into an outstanding DRAM-bound miss if one exists (an
         // MSHR merge: it waits like a miss but is not a new one).
-        if self.merge_onto_outstanding(pline, core, rob) {
+        if self.in_flight.merge_core(pline, (core, rob)) {
+            self.cores[core].mark_llc_miss_merged(rob);
             return;
         }
         let slice = self.slice_of(pline);
@@ -865,14 +778,14 @@ impl System {
             }
             Ev::McArrive { mc, mut req } => {
                 if req.kind == AccessKind::Prefetch {
-                    if self.demand_merged(req.line) {
+                    if self.in_flight.demand_merged(req.line) {
                         // A demand merged onto this prefetch while it was
                         // in flight: it is a demand request now.
                         req.kind = AccessKind::Read;
                     } else if self.mcs[mc].queue_len() >= 3 * self.mcs[mc].capacity() / 4 {
                         // Prefetches are dropped when the memory queue
                         // runs hot: they must never back-pressure demands.
-                        self.untrack_outstanding(req.line);
+                        self.in_flight.untrack(req.line);
                         return;
                     }
                 }
@@ -931,7 +844,8 @@ impl System {
             self.cores[core].note_dependent_covered_by_prefetch(rob);
         }
         // Another request to the same line may have raced us here.
-        if hit.is_none() && self.merge_onto_outstanding(pline, core, rob) {
+        if hit.is_none() && self.in_flight.merge_core(pline, (core, rob)) {
+            self.cores[core].mark_llc_miss_merged(rob);
             return;
         }
         // Figure 2 limit study: dependent misses become LLC hits.
@@ -949,7 +863,7 @@ impl System {
         let id = self.new_req_id();
         let mut req = MemReq::read(id, pline, Requester::Core(core), pc, created);
         req.timeline.llc_arrive = Some(self.now);
-        self.track_outstanding(pline, Some((core, rob)), None);
+        self.in_flight.track(pline, Some((core, rob)), None);
         let mc = self.mc_of_line(pline);
         let arrive = self.hop(Control, Stop::Llc(slice), Stop::Mc(mc), depart, false);
         req.timeline.ring_cycles = ring_cycles + (arrive - depart);
@@ -996,9 +910,7 @@ impl System {
             // The line also sits in the servicing EMC's data cache now.
             self.llc[slice].set_emc_resident(pline, true);
         }
-        let o = self.outstanding.remove(&pline).unwrap_or_default();
-        recycle(&mut self.emc_waiter_pool, o.emc_waiters);
-        let waiters = o.waiters;
+        let waiters = self.in_flight.fill(pline);
         // A prefetch that demand loads merged onto is a *late* prefetch:
         // it still delivers data to its waiters like a demand fill, and
         // it counts as useful for FDP (the right response to lateness is
@@ -1012,7 +924,6 @@ impl System {
             self.llc[slice].access(pline, false);
         }
         if waiters.is_empty() {
-            recycle(&mut self.waiter_pool, waiters);
             return;
         }
         let core = waiters[0].0;
@@ -1038,7 +949,7 @@ impl System {
             // an already-completed request): deliver at fill time.
             self.deliver_awaited_source(c, rob);
         }
-        recycle(&mut self.waiter_pool, waiters);
+        self.in_flight.recycle(waiters);
         // Latency attribution (Figures 1, 18, 19) — core-issued demand
         // requests only (EMC-issued ones are recorded at the MC).
         let t = req.timeline;
@@ -1108,9 +1019,9 @@ impl System {
                 let mut retry = std::mem::take(&mut self.mc_retry[mc]);
                 retry.retain_mut(|req| {
                     if req.kind == AccessKind::Prefetch {
-                        if !self.demand_merged(req.line) {
+                        if !self.in_flight.demand_merged(req.line) {
                             // Never retry pure prefetches into a full queue.
-                            self.untrack_outstanding(req.line);
+                            self.in_flight.untrack(req.line);
                             return false;
                         }
                         req.kind = AccessKind::Read; // promoted by a merge
@@ -1170,34 +1081,21 @@ impl System {
         // Merged EMC loads get their data the moment it reaches the chip,
         // ahead of the load the fetch was issued for (served below): each
         // return occupies ring links, so the order is simulated state.
-        let (issuer, emc_waits) = self
-            .outstanding
-            .get_mut(&pline)
-            .map(|o| (o.issuer.take(), std::mem::take(&mut o.emc_waiters)))
-            .unwrap_or_default();
-        for &w in &emc_waits {
+        let ret = self.in_flight.dram_return(pline);
+        for &w in &ret.emc {
             self.data_to_emc(mc, w);
         }
-        recycle(&mut self.emc_waiter_pool, emc_waits);
         // Source-data interception for waiting chains (§4.3): any read
         // completion can carry a chain's source line, regardless of who
         // issued it (the source load may have merged onto an EMC- or
-        // prefetcher-issued fetch of the same line).
-        // (The list is lent out for the walk; nothing in it touches
-        // `outstanding`.)
-        let waiters = self
-            .outstanding
-            .get_mut(&pline)
-            .map(|o| std::mem::take(&mut o.waiters));
-        if let Some(waiters) = waiters {
-            for &(c, rob) in &waiters {
-                self.cores[c].mark_on_chip(rob);
-                self.deliver_awaited_source(c, rob);
-            }
-            if let Some(o) = self.outstanding.get_mut(&pline) {
-                o.waiters = waiters;
-            }
+        // prefetcher-issued fetch of the same line). Nothing in the walk
+        // touches the in-flight table.
+        for &(c, rob) in &ret.cores {
+            self.cores[c].mark_on_chip(rob);
+            self.deliver_awaited_source(c, rob);
         }
+        let issuer = ret.issuer;
+        self.in_flight.returned(pline, ret);
         let emc = req.requester.is_emc();
         if emc {
             let load = issuer.expect("an EMC's fetch remembers the load it was issued for");
@@ -1389,11 +1287,7 @@ impl System {
     ) {
         // Merge onto any outstanding fetch of the same line (the MC
         // snoops its own queue; chain loads often share a node line).
-        if let Some(o) = self.outstanding.get_mut(&pline) {
-            if o.emc_waiters.capacity() == 0 {
-                o.emc_waiters = self.emc_waiter_pool.pop().unwrap_or_default();
-            }
-            o.emc_waiters.push(load);
+        if self.in_flight.merge_emc(pline, load) {
             return;
         }
         let id = self.new_req_id();
@@ -1404,7 +1298,7 @@ impl System {
         let mut req = MemReq::read(id, pline, requester, pc, self.now);
         req.timeline.ring_cycles = ring_cycles;
         req.timeline.cache_cycles = cache_cycles;
-        self.track_outstanding(pline, None, Some(load));
+        self.in_flight.track(pline, None, Some(load));
         let owner = self.mc_of_line(pline);
         let arrive = if owner == load.mc {
             // The EMC is colocated with the memory queue: no ring hop.
@@ -1549,7 +1443,7 @@ impl System {
             // Trained on physical lines; one outside the core's own
             // address space is no line of its program.
             for &pline in &candidates {
-                if line_owner(pline) != core || self.outstanding.contains_key(&pline) {
+                if line_owner(pline) != core || self.in_flight.contains(pline) {
                     continue;
                 }
                 let slice = self.slice_of(pline);
@@ -1559,7 +1453,7 @@ impl System {
                 self.stats.prefetch.issued += 1;
                 let id = self.new_req_id();
                 let req = MemReq::prefetch(id, pline, core, self.now);
-                self.track_outstanding(pline, None, None);
+                self.in_flight.track(pline, None, None);
                 let mc = self.mc_of_line(pline);
                 let arrive = self.hop(Control, Stop::Core(core), Stop::Mc(mc), self.now, false);
                 self.schedule(arrive, Ev::McArrive { mc, req });
@@ -1567,60 +1461,15 @@ impl System {
         }
         self.scratch_lines = candidates;
     }
-
-    /// Make load `rob` of `core` wait for a fetch of `pline` that is
-    /// already under way, if one is.
-    fn merge_onto_outstanding(&mut self, pline: LineAddr, core: CoreId, rob: RobId) -> bool {
-        let Some(o) = self.outstanding.get_mut(&pline) else {
-            return false;
-        };
-        if o.waiters.capacity() == 0 {
-            o.waiters = self.waiter_pool.pop().unwrap_or_default();
-        }
-        o.waiters.push((core, rob));
-        self.cores[core].mark_llc_miss_merged(rob);
-        true
-    }
-
-    /// Whether a demand load, a core's or an EMC's, has merged onto the
-    /// fetch of `pline` that is under way.
-    fn demand_merged(&self, pline: LineAddr) -> bool {
-        self.outstanding
-            .get(&pline)
-            .is_some_and(|o| !o.waiters.is_empty() || !o.emc_waiters.is_empty())
-    }
-
-    /// Start tracking a line on its way to DRAM, `first` waiting for it,
-    /// fetched for `issuer` if an EMC issued the request.
-    fn track_outstanding(
-        &mut self,
-        pline: LineAddr,
-        first: Option<(CoreId, RobId)>,
-        issuer: Option<EmcLoad>,
-    ) {
-        let mut o = Outstanding {
-            issuer,
-            ..Default::default()
-        };
-        if let Some(first) = first {
-            o.waiters = self.waiter_pool.pop().unwrap_or_default();
-            o.waiters.push(first);
-        }
-        self.outstanding.insert(pline, o);
-    }
-
-    /// Stop tracking a line whose request was dropped short of DRAM.
-    fn untrack_outstanding(&mut self, pline: LineAddr) {
-        if let Some(o) = self.outstanding.remove(&pline) {
-            recycle(&mut self.waiter_pool, o.waiters);
-            recycle(&mut self.emc_waiter_pool, o.emc_waiters);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `LivenessConfig`'s default `probe_interval` and `core_stall_age`.
+    const WATCHDOG_INTERVAL: Cycle = 10_000;
+    const WEDGE_THRESHOLD: Cycle = 250_000;
 
     #[test]
     fn watchdog_stays_quiet_while_retirement_advances() {
@@ -1628,24 +1477,22 @@ mod tests {
         let mut retired = 0;
         for now in (WATCHDOG_INTERVAL..10 * WEDGE_THRESHOLD).step_by(WATCHDOG_INTERVAL as usize) {
             retired += 1;
-            assert_eq!(w.check(now, retired), None);
+            assert!(!w.check(now, retired));
         }
     }
 
     #[test]
     fn watchdog_fires_after_threshold_of_zero_retirement() {
         let mut w = Watchdog::new(0, 42, WATCHDOG_INTERVAL, WEDGE_THRESHOLD);
-        let mut fired = None;
         let mut now = 0;
-        while fired.is_none() {
+        while !w.check(now, 42) {
             now += WATCHDOG_INTERVAL;
-            fired = w.check(now, 42);
             assert!(
                 now <= WEDGE_THRESHOLD + WATCHDOG_INTERVAL,
                 "watchdog never fired"
             );
         }
-        assert!(fired.unwrap() >= WEDGE_THRESHOLD);
+        assert!(now >= WEDGE_THRESHOLD);
     }
 
     #[test]
@@ -1655,16 +1502,12 @@ mod tests {
         let mut now = 0;
         while now + WATCHDOG_INTERVAL < WEDGE_THRESHOLD {
             now += WATCHDOG_INTERVAL;
-            assert_eq!(w.check(now, 0), None);
+            assert!(!w.check(now, 0));
         }
         now += WATCHDOG_INTERVAL;
-        assert_eq!(
-            w.check(now, 1),
-            None,
-            "progress must reset the stall window"
-        );
+        assert!(!w.check(now, 1), "progress must reset the stall window");
         now += WATCHDOG_INTERVAL;
-        assert_eq!(w.check(now, 1), None, "fresh window has not expired yet");
+        assert!(!w.check(now, 1), "fresh window has not expired yet");
     }
 
     #[test]
@@ -1672,7 +1515,7 @@ mod tests {
         let mut w = Watchdog::new(0, 0, WATCHDOG_INTERVAL, WEDGE_THRESHOLD);
         // Off-interval calls never fire, no matter how stalled.
         for now in 1..WATCHDOG_INTERVAL {
-            assert_eq!(w.check(now, 0), None);
+            assert!(!w.check(now, 0));
         }
     }
 

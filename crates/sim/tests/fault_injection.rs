@@ -7,7 +7,7 @@
 
 use emc_sim::{build_system, cycle_cap, BuildError, RunOutcome, System};
 use emc_types::rng::{for_each_case, SmallRng};
-use emc_types::{FaultPlan, Stats, SystemConfig};
+use emc_types::{FaultPlan, Stats, SystemConfig, WedgeClass};
 use emc_workloads::{build, Benchmark, SPILL_BASE};
 
 /// Architectural fingerprint of a finished run: retired counts, final
@@ -26,7 +26,7 @@ fn run_to_completion(faults: FaultPlan, bench: Benchmark, iters: u64) -> (ArchSt
         report.outcome,
         RunOutcome::Completed,
         "faulty run must still terminate: {:?}",
-        report.wedge
+        report.post_mortem
     );
     let stats = report.stats;
     let retired = stats.cores.iter().map(|c| c.retired_uops).collect();
@@ -63,9 +63,8 @@ fn run_storm(
     assert_eq!(
         report.outcome,
         RunOutcome::Completed,
-        "storm run must still terminate; class {:?}, wedge {:?}",
-        report.class,
-        report.wedge
+        "storm run must still terminate: {:?}",
+        report.post_mortem
     );
     let stats = report.stats;
     let retired = stats.cores.iter().map(|c| c.retired_uops).collect();
@@ -265,7 +264,11 @@ fn starved_run_reports_cap_hit_with_progress() {
     let mut sys = build_system(SystemConfig::quad_core(), &mix).expect("build system");
     let report = sys.run(1_000_000_000, 20_000);
     assert_eq!(report.outcome, RunOutcome::CapHit);
-    assert!(report.wedge.is_none(), "cap-hit is not a wedge");
+    let pm = report
+        .post_mortem
+        .as_ref()
+        .expect("a cap hit has a post-mortem");
+    assert_eq!((pm.cycle, pm.cores.len()), (20_000, 4));
     assert!(!report.is_completed());
     for (i, c) in report.stats.cores.iter().enumerate() {
         assert!(
@@ -287,6 +290,30 @@ fn starved_warmup_reports_cap_hit_too() {
     let mut sys = build_system(SystemConfig::quad_core(), &mix).expect("build system");
     let report = sys.run_with_warmup(1_000_000_000, 2_000_000_000, 20_000);
     assert_eq!(report.outcome, RunOutcome::CapHit);
+}
+
+#[test]
+fn wedged_run_explains_itself_once() {
+    // A watchdog window of two DRAM round trips: four mcf cores all
+    // waiting on misses at once is a "wedge", and its post-mortem finds
+    // every core stalled, two chains at the EMC and no memory-side probe
+    // firing.
+    let mut cfg = SystemConfig::quad_core();
+    (cfg.liveness.core_stall_age, cfg.liveness.probe_interval) = (300, 1);
+    let mut sys = build_system(cfg, &[Benchmark::Mcf; 4]).expect("build system");
+    let report = sys.run(10_000, cycle_cap(10_000));
+    assert_eq!(report.outcome, RunOutcome::Wedged);
+    let pm = report
+        .post_mortem
+        .as_ref()
+        .expect("a wedge has a post-mortem");
+    let cores = vec![0, 1, 2, 3];
+    assert_eq!(pm.class, WedgeClass::CoreDeadlock { cores });
+    assert!(pm.cores.iter().all(|c| c.retire_age >= 300 && !c.finished));
+    let text = pm.to_string();
+    assert_eq!(text.matches("core-deadlock").count(), 1, "{text}");
+    assert_eq!(text.matches("  core ").count(), 4, "{text}");
+    assert_eq!(text.matches("  emc 0 ctx ").count(), 2, "{text}");
 }
 
 #[test]

@@ -257,22 +257,20 @@ fn profiling_does_not_perturb_results_and_attributes_wall_time() {
 }
 
 #[test]
-fn wedge_report_carries_recent_sample_history() {
+fn post_mortem_history_ends_at_the_stop_cycle() {
     let mix = mix_by_name("H4").unwrap();
     let mut sys = build_system(SystemConfig::quad_core(), &mix).unwrap();
     sys.set_sample_interval(500);
-    // Run briefly, then ask for a wedge snapshot directly: the report
-    // must carry the queue-depth history captured so far.
+    // Run briefly, then ask for a post-mortem directly: it must carry the
+    // queue-depth history captured so far, ending with one taken now.
     sys.run(200, cycle_cap(200));
-    let w = sys.wedge_report(123_456);
-    assert!(
-        w.recent_samples.len() > 1,
-        "wedge report has no sample history"
-    );
-    assert_eq!(w.recent_samples.last().map(|s| s.cycle), Some(w.cycle));
-    let rendered = format!("{w}");
+    let pm = sys.post_mortem();
+    assert!(pm.recent_samples.len() > 1, "post-mortem has no history");
+    assert_eq!(pm.cycle, sys.now());
+    assert_eq!(pm.recent_samples.last().map(|s| s.cycle), Some(pm.cycle));
+    let rendered = format!("{pm}");
     assert!(
         rendered.contains("queue history"),
-        "wedge display omits sample history:\n{rendered}"
+        "post-mortem display omits sample history:\n{rendered}"
     );
 }

@@ -57,9 +57,9 @@ fn check(name: &str, cfg: SystemConfig, benches: &[Benchmark], budget: u64) -> f
     assert_eq!(samples.len(), ticking.samples().len(), "{name}: samples");
     assert!(jumping.samples().len() > 3, "{name}: sampled");
     assert_eq!(
-        jumping.liveness_snapshot(),
-        ticking.liveness_snapshot(),
-        "{name}: liveness probes"
+        jumping.post_mortem(),
+        ticking.post_mortem(),
+        "{name}: post-mortem"
     );
     for c in 0..jumping.cfg.cores {
         assert_eq!(

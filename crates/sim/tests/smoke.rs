@@ -206,7 +206,7 @@ fn sim_makes_forward_progress_under_cap() {
         report.outcome,
         emc_sim::RunOutcome::Completed,
         "simulation did not complete: {:?}",
-        report.wedge
+        report.post_mortem
     );
     assert!(report.stats.cycles < cycle_cap(budget));
 }

@@ -85,10 +85,6 @@ mod tests {
         for pf in PrefetcherKind::ALL {
             assert_eq!(PrefetcherKind::from_label(pf.label()), Some(pf));
         }
-        assert_eq!(
-            PrefetcherKind::from_label(PrefetcherKind::Stride.label()),
-            Some(PrefetcherKind::Stride)
-        );
         assert_eq!(PrefetcherKind::from_label("bogus"), None);
     }
 

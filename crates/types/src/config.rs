@@ -20,15 +20,11 @@ crate::json_struct! {
         Stream = "Stream",
         /// Markov correlation prefetcher combined with the stream prefetcher.
         MarkovStream = "Markov+Stream",
-        /// PC-indexed stride prefetcher (extension; cited by the paper as the
-        /// simplest prefetcher class but not part of its evaluation grid).
-        Stride = "Stride",
     }
 }
 
 impl PrefetcherKind {
-    /// The four configurations evaluated in the paper, in figure order
-    /// (the stride extension is deliberately excluded).
+    /// The four configurations evaluated in the paper, in figure order.
     pub const ALL: [PrefetcherKind; 4] = [
         PrefetcherKind::None,
         PrefetcherKind::Ghb,

@@ -48,10 +48,7 @@ pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use hist::{HistSummary, Histogram, HISTOGRAM_BUCKETS};
 pub use json::{FromJson, JsonValue, ToJson};
 pub use mem_image::MemoryImage;
-pub use outcome::{
-    LivenessSnapshot, RunOutcome, RunReport, WedgeClass, WedgeCoreState, WedgeEmcContext,
-    WedgeReport,
-};
+pub use outcome::{ContextRow, CoreRow, PostMortem, RunOutcome, RunReport, WedgeClass};
 pub use program::{Program, StaticUop};
 pub use req::{AccessKind, MemReq, ReqId, ReqTimeline, Requester};
 pub use rng::{seeded_rng, substream};

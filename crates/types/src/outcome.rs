@@ -3,7 +3,7 @@
 //! (no core retires anything for a long window) can no longer be
 //! mistaken for a completed measurement — harnesses must inspect the
 //! [`RunOutcome`] (or call [`RunReport::expect_completed`], which fails
-//! loudly with the full [`WedgeReport`] diagnosis).
+//! loudly with the run's [`PostMortem`]).
 
 use std::fmt;
 
@@ -13,7 +13,7 @@ use crate::stats::Stats;
 use crate::Cycle;
 
 /// Root-cause classification of a run that failed to complete, derived
-/// from the per-component liveness probes ([`LivenessSnapshot`]). Each
+/// from the per-component liveness probes of a [`PostMortem`]. Each
 /// variant names the implicated components so a harness (or a human)
 /// can act on the diagnosis instead of a bare "wedged".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,46 +79,85 @@ impl WedgeClass {
 
 impl fmt::Display for WedgeClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())?;
         match self {
-            WedgeClass::McStarvation { mcs } => write!(f, "mc-starvation (mcs {mcs:?})"),
-            WedgeClass::EmcContextLeak { contexts } => {
-                write!(f, "emc-context-leak (mc/ctx {contexts:?})")
-            }
-            WedgeClass::RingBackpressure { backlog } => {
-                write!(f, "ring-backpressure (backlog {backlog} cycles)")
-            }
-            WedgeClass::CoreDeadlock { cores } => write!(f, "core-deadlock (cores {cores:?})"),
-            WedgeClass::SlowButLive => f.write_str("slow-but-live"),
+            WedgeClass::McStarvation { mcs } => write!(f, " (mcs {mcs:?})"),
+            WedgeClass::EmcContextLeak { contexts } => write!(f, " (mc/ctx {contexts:?})"),
+            WedgeClass::RingBackpressure { backlog } => write!(f, " (backlog {backlog} cycles)"),
+            WedgeClass::CoreDeadlock { cores } => write!(f, " (cores {cores:?})"),
+            WedgeClass::SlowButLive => Ok(()),
         }
     }
 }
 
-/// Point-in-time reading of every per-component liveness probe. The
-/// simulator captures one whenever a run ends without completing (and
-/// the watchdog samples them at `probe_interval`); the classifier turns
-/// it into a [`WedgeClass`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LivenessSnapshot {
-    /// Cycle at which the probes were read.
+/// What a run that did not complete looked like where it stopped: one row
+/// per core and one per busy EMC context, the probes the classifier reads
+/// beside them, and the queue history leading up to the stop. Built once,
+/// by `System`, for every run that does not complete.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PostMortem {
+    /// Cycle at which the run stopped.
     pub cycle: Cycle,
+    /// Root cause: [`classify`](Self::classify)'s reading of this record.
+    pub class: WedgeClass,
+    /// One row per core, by core index.
+    pub cores: Vec<CoreRow>,
+    /// One row per occupied EMC context.
+    pub contexts: Vec<ContextRow>,
     /// Oldest queued-request age per MC channel: `(mc, global channel,
     /// age in cycles)`, `0` for an empty queue.
     pub mc_oldest_age: Vec<(usize, usize, Cycle)>,
-    /// Occupied EMC contexts: `(mc, ctx, cycles since the last progress
-    /// event)` — ship arrival, source delivery, load completion or
-    /// result drain.
-    pub emc_ctx_age: Vec<(usize, usize, Cycle)>,
     /// Worst ring link backlog: queued occupancy beyond `cycle`, in
     /// cycles, across every link of both rings.
     pub ring_backlog: Cycle,
-    /// Per-core cycles since the last retirement.
-    pub core_retire_age: Vec<Cycle>,
-    /// Per-core program-finished flags (a finished core legitimately
-    /// stops retiring).
-    pub cores_finished: Vec<bool>,
+    /// Events still queued in the scheduler.
+    pub pending_events: usize,
+    /// The queue-depth/occupancy history leading up to the stop, oldest
+    /// first: the last samples the sampler captured, if it was enabled,
+    /// then one taken at `cycle`.
+    pub recent_samples: Vec<MetricSample>,
 }
 
-impl LivenessSnapshot {
+/// One core where a run stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoreRow {
+    /// Benchmark running on the core.
+    pub bench: String,
+    /// Uops retired so far (measurement window).
+    pub retired_uops: u64,
+    /// Cycles since the core last retired a uop.
+    pub retire_age: Cycle,
+    /// Whether the core's program had run to completion (a finished core
+    /// legitimately stops retiring).
+    pub finished: bool,
+    /// ROB occupancy.
+    pub rob_len: usize,
+    /// The ROB head entry (kind, state, remote/llc-miss flags, address),
+    /// if the ROB is non-empty.
+    pub rob_head: Option<String>,
+    /// Uops in the chain the core has in flight at an EMC, if any.
+    pub active_chain_uops: Option<usize>,
+}
+
+/// One occupied EMC issue context where a run stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ContextRow {
+    /// Which memory controller's EMC.
+    pub mc: usize,
+    /// Context slot index.
+    pub ctx: usize,
+    /// Home core of the chain occupying the slot.
+    pub home_core: usize,
+    /// Chain length in uops.
+    pub chain_uops: usize,
+    /// Whether the chain is still waiting for its source miss data.
+    pub awaiting_source: bool,
+    /// Cycles since the last progress event: ship arrival, source
+    /// delivery, load completion or result drain.
+    pub age: Cycle,
+}
+
+impl PostMortem {
     /// Classify a non-completed run by its probe readings, most
     /// *upstream* cause first: a starved MC queue also starves every
     /// EMC chain load queued behind it, so when both probes fire the
@@ -129,9 +168,7 @@ impl LivenessSnapshot {
     /// leak; both explain a stall better than "cores stopped", and only
     /// a run where some unfinished core still retires is merely slow.
     pub fn classify(&self, cfg: &LivenessConfig) -> WedgeClass {
-        let mut starved: Vec<usize> = self
-            .mc_oldest_age
-            .iter()
+        let mut starved: Vec<usize> = (self.mc_oldest_age.iter())
             .filter(|&&(_, _, age)| age >= cfg.mc_escalation_age)
             .map(|&(mc, _, _)| mc)
             .collect();
@@ -139,11 +176,9 @@ impl LivenessSnapshot {
         if !starved.is_empty() {
             return WedgeClass::McStarvation { mcs: starved };
         }
-        let leaked: Vec<(usize, usize)> = self
-            .emc_ctx_age
-            .iter()
-            .filter(|&&(_, _, age)| age >= cfg.emc_lease)
-            .map(|&(mc, ctx, _)| (mc, ctx))
+        let leaked: Vec<(usize, usize)> = (self.contexts.iter())
+            .filter(|c| c.age >= cfg.emc_lease)
+            .map(|c| (c.mc, c.ctx))
             .collect();
         if !leaked.is_empty() {
             return WedgeClass::EmcContextLeak { contexts: leaked };
@@ -153,45 +188,59 @@ impl LivenessSnapshot {
                 backlog: self.ring_backlog,
             };
         }
-        let stalled: Vec<usize> = (0..self.core_retire_age.len())
-            .filter(|&core| {
-                let finished = self.cores_finished.get(core).copied().unwrap_or(false);
-                !finished && self.core_retire_age[core] >= cfg.core_stall_age
-            })
+        let unfinished = self.cores.iter().filter(|c| !c.finished).count();
+        let stalled: Vec<usize> = (self.cores.iter().enumerate())
+            .filter(|(_, c)| !c.finished && c.retire_age >= cfg.core_stall_age)
+            .map(|(core, _)| core)
             .collect();
-        let unfinished = self.cores_finished.iter().filter(|&&fin| !fin).count();
         if unfinished > 0 && stalled.len() == unfinished {
             return WedgeClass::CoreDeadlock { cores: stalled };
         }
         WedgeClass::SlowButLive
     }
+}
 
-    /// One probe reading per line, for `--liveness` dumps and wedge
-    /// report displays.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = format!("liveness probes at cycle {}:\n", self.cycle);
+impl fmt::Display for PostMortem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "post-mortem at cycle {}: {}", self.cycle, self.class)?;
+        for (i, c) in self.cores.iter().enumerate() {
+            write!(
+                f,
+                "  core {i} ({}): retired={} last_retired={} cycles ago rob_len={}{}",
+                c.bench,
+                c.retired_uops,
+                c.retire_age,
+                c.rob_len,
+                if c.finished { " finished" } else { "" },
+            )?;
+            if let Some(n) = c.active_chain_uops {
+                write!(f, " active_chain={n}uops")?;
+            }
+            match &c.rob_head {
+                Some(h) => writeln!(f, " head[{h}]")?,
+                None => writeln!(f)?,
+            }
+        }
+        for c in &self.contexts {
+            writeln!(
+                f,
+                "  emc {} ctx {}: home_core={} chain={}uops awaiting_source={} \
+                 {} cycles since progress",
+                c.mc, c.ctx, c.home_core, c.chain_uops, c.awaiting_source, c.age
+            )?;
+        }
         for &(mc, ch, age) in &self.mc_oldest_age {
-            let _ = writeln!(s, "  mc {mc} ch {ch}: oldest queued request age {age}");
+            writeln!(f, "  mc {mc} ch {ch}: oldest queued request age {age}")?;
         }
-        for &(mc, ctx, age) in &self.emc_ctx_age {
-            let _ = writeln!(s, "  emc {mc} ctx {ctx}: {age} cycles since progress");
+        writeln!(f, "  ring: worst link backlog {} cycles", self.ring_backlog)?;
+        write!(f, "  pending events: {}", self.pending_events)?;
+        if !self.recent_samples.is_empty() {
+            write!(f, "\n  queue history leading up to the stop:")?;
+            for s in &self.recent_samples {
+                write!(f, "\n    {}", s.summary_line())?;
+            }
         }
-        let _ = writeln!(s, "  ring: worst link backlog {} cycles", self.ring_backlog);
-        for (core, (&age, &finished)) in self
-            .core_retire_age
-            .iter()
-            .zip(&self.cores_finished)
-            .enumerate()
-        {
-            let _ = writeln!(
-                s,
-                "  core {core}: {age} cycles since retirement{}",
-                if finished { " (finished)" } else { "" }
-            );
-        }
-        s.pop();
-        s
+        Ok(())
     }
 }
 
@@ -208,8 +257,8 @@ crate::json_struct! {
         /// as a completed measurement.
         CapHit = "cap-hit",
         /// The forward-progress watchdog fired: no core retired a single
-        /// uop for the whole watchdog window. The run was aborted and a
-        /// [`WedgeReport`] captured the scheduler state at the wedge point.
+        /// uop for the whole watchdog window. The run was aborted, and its
+        /// [`PostMortem`] records the state at the wedge point.
         Wedged = "wedged",
     }
 }
@@ -224,108 +273,8 @@ impl fmt::Display for RunOutcome {
     }
 }
 
-/// Per-core state captured when the watchdog declares a wedge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WedgeCoreState {
-    /// Core index.
-    pub core: usize,
-    /// Benchmark running on this core.
-    pub bench: String,
-    /// Uops retired so far (measurement window).
-    pub retired_uops: u64,
-    /// ROB occupancy at the wedge point.
-    pub rob_len: usize,
-    /// Whether the core's program had already run to completion.
-    pub finished: bool,
-    /// Number of uops in the chain this core has in flight at an EMC,
-    /// if any.
-    pub active_chain_uops: Option<usize>,
-    /// Formatted description of the ROB head entry (kind, state,
-    /// remote/llc-miss flags, address), if the ROB is non-empty.
-    pub rob_head: Option<String>,
-}
-
-/// EMC issue-context occupancy captured at the wedge point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WedgeEmcContext {
-    /// Which memory controller's EMC.
-    pub mc: usize,
-    /// Context slot index.
-    pub ctx: usize,
-    /// Home core of the chain occupying the slot.
-    pub home_core: usize,
-    /// Chain length in uops.
-    pub chain_uops: usize,
-    /// Whether the chain is still waiting for its source miss data.
-    pub awaiting_source: bool,
-}
-
-/// Structured diagnosis of a wedged run: what every scheduler-visible
-/// queue looked like when forward progress stopped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WedgeReport {
-    /// Cycle at which the wedge was declared.
-    pub cycle: Cycle,
-    /// How many cycles passed with zero retirement before declaring it.
-    pub stalled_for: Cycle,
-    /// Per-core progress and ROB head state.
-    pub cores: Vec<WedgeCoreState>,
-    /// Occupied EMC issue contexts.
-    pub emc_contexts: Vec<WedgeEmcContext>,
-    /// Events still queued in the scheduler.
-    pub pending_events: usize,
-    /// The queue-depth/occupancy history leading up to the stall, oldest
-    /// first: the last samples the sampler captured, if it was enabled,
-    /// then one taken at the wedge cycle.
-    pub recent_samples: Vec<MetricSample>,
-}
-
-impl fmt::Display for WedgeReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "WEDGE at cycle {}: no core retired a uop for {} cycles",
-            self.cycle, self.stalled_for
-        )?;
-        for c in &self.cores {
-            write!(
-                f,
-                "  core {} ({}): retired={} rob_len={}{}{}",
-                c.core,
-                c.bench,
-                c.retired_uops,
-                c.rob_len,
-                if c.finished { " finished" } else { "" },
-                match c.active_chain_uops {
-                    Some(n) => format!(" active_chain={n}uops"),
-                    None => String::new(),
-                },
-            )?;
-            match &c.rob_head {
-                Some(h) => writeln!(f, " head[{h}]")?,
-                None => writeln!(f)?,
-            }
-        }
-        for e in &self.emc_contexts {
-            writeln!(
-                f,
-                "  emc {} ctx {}: home_core={} chain={}uops awaiting_source={}",
-                e.mc, e.ctx, e.home_core, e.chain_uops, e.awaiting_source
-            )?;
-        }
-        write!(f, "  pending events: {}", self.pending_events)?;
-        if !self.recent_samples.is_empty() {
-            write!(f, "\n  queue history leading up to the wedge:")?;
-            for s in &self.recent_samples {
-                write!(f, "\n    {}", s.summary_line())?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The result of a full-system run: final statistics plus a typed
-/// outcome, and the wedge diagnosis when the watchdog fired.
+/// outcome, and a post-mortem when the run did not complete.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// How the run terminated.
@@ -334,15 +283,10 @@ pub struct RunReport {
     /// [`RunOutcome::CapHit`] and [`RunOutcome::Wedged`] these cover a
     /// truncated window.
     pub stats: Stats,
-    /// Scheduler-state diagnosis, present iff `outcome` is `Wedged`.
-    pub wedge: Option<WedgeReport>,
-    /// Root-cause classification, present for every non-completed
-    /// outcome (for `CapHit` it distinguishes slow-but-live from a real
-    /// pathology).
-    pub class: Option<WedgeClass>,
-    /// Liveness probe readings at termination, present for every
-    /// non-completed outcome.
-    pub liveness: Option<LivenessSnapshot>,
+    /// What the system looked like where it stopped, and why: present iff
+    /// the run did not complete (for `CapHit` its class tells a slow run
+    /// from a real pathology).
+    pub post_mortem: Option<PostMortem>,
 }
 
 impl RunReport {
@@ -351,37 +295,32 @@ impl RunReport {
         self.outcome == RunOutcome::Completed
     }
 
+    /// The root-cause class of a run that did not complete.
+    pub fn class(&self) -> Option<&WedgeClass> {
+        self.post_mortem.as_ref().map(|p| &p.class)
+    }
+
     /// Unwrap the statistics of a completed run.
     ///
     /// # Panics
     ///
-    /// Panics with the full diagnosis (including the [`WedgeReport`]
-    /// for wedged runs, or per-core progress for cap-hit runs) if the
-    /// run did not complete — a truncated run can never silently pass
-    /// as a measurement.
+    /// Panics with the class and the full [`PostMortem`] if the run did
+    /// not complete — a truncated run can never silently pass as a
+    /// measurement.
     pub fn expect_completed(self) -> Stats {
+        let class = self
+            .class()
+            .map_or("unclassified".into(), |c| c.to_string());
+        let report =
+            (self.post_mortem.as_ref()).map_or("(no post-mortem)".into(), |p| p.to_string());
         match self.outcome {
             RunOutcome::Completed => self.stats,
-            RunOutcome::Wedged => {
-                let report = self
-                    .wedge
-                    .map(|w| w.to_string())
-                    .unwrap_or_else(|| "(no wedge report captured)".into());
-                let class = self.class.map_or("unclassified".into(), |c| c.to_string());
-                panic!("simulation wedged, classified {class}:\n{report}");
-            }
-            RunOutcome::CapHit => {
-                let progress: Vec<u64> = self.stats.cores.iter().map(|c| c.retired_uops).collect();
-                let class = self
-                    .class
-                    .map(|c| format!("; classified {c}"))
-                    .unwrap_or_default();
-                panic!(
-                    "simulation hit the cycle cap after {} cycles before every core \
-                     reached its budget; per-core retired uops: {:?}{}",
-                    self.stats.cycles, progress, class
-                );
-            }
+            RunOutcome::Wedged => panic!("simulation wedged, classified {class}:\n{report}"),
+            RunOutcome::CapHit => panic!(
+                "simulation hit the cycle cap after {} cycles before every core reached \
+                 its budget, classified {class}:\n{report}",
+                self.stats.cycles
+            ),
         }
     }
 }
@@ -391,26 +330,38 @@ mod tests {
     use super::*;
     use crate::json::{JsonValue, ToJson};
 
-    fn sample_wedge() -> WedgeReport {
-        WedgeReport {
-            cycle: 123_456,
-            stalled_for: 250_000,
-            cores: vec![WedgeCoreState {
-                core: 0,
-                bench: "mcf".into(),
-                retired_uops: 42,
-                rob_len: 256,
-                finished: false,
-                active_chain_uops: Some(5),
-                rob_head: Some("Load Issued remote=false llc_miss=true".into()),
-            }],
-            emc_contexts: vec![WedgeEmcContext {
-                mc: 0,
-                ctx: 1,
-                home_core: 0,
-                chain_uops: 5,
-                awaiting_source: true,
-            }],
+    fn core(bench: &str, retire_age: Cycle, finished: bool) -> CoreRow {
+        CoreRow {
+            bench: bench.into(),
+            retired_uops: 42,
+            retire_age,
+            finished,
+            rob_len: 256,
+            rob_head: Some("Load Issued remote=false llc_miss=true".into()),
+            active_chain_uops: Some(5),
+        }
+    }
+
+    fn context(mc: usize, ctx: usize, age: Cycle) -> ContextRow {
+        ContextRow {
+            mc,
+            ctx,
+            home_core: 0,
+            chain_uops: 5,
+            awaiting_source: true,
+            age,
+        }
+    }
+
+    /// A record no probe fires on: core 0 still retires, core 1 finished.
+    fn quiet() -> PostMortem {
+        PostMortem {
+            cycle: 1_000_000,
+            class: WedgeClass::SlowButLive,
+            cores: vec![core("mcf", 40, false), core("lbm", 900_000, true)],
+            contexts: vec![context(0, 0, 500)],
+            mc_oldest_age: vec![(0, 0, 120), (0, 1, 0)],
+            ring_backlog: 12,
             pending_events: 4,
             recent_samples: vec![MetricSample {
                 cycle: 120_000,
@@ -426,23 +377,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wedge_report_display_names_every_queue() {
-        let s = sample_wedge().to_string();
-        assert!(s.contains("WEDGE at cycle 123456"));
-        assert!(s.contains("core 0 (mcf)"));
-        assert!(s.contains("emc 0 ctx 1"));
-        assert!(s.contains("pending events: 4"));
-        assert!(s.contains("mcq=[64] retry=[3]"));
-        assert!(s.contains("outstanding=17"));
+    fn report(outcome: RunOutcome, post_mortem: Option<PostMortem>) -> RunReport {
+        RunReport {
+            outcome,
+            stats: Stats::new(2),
+            post_mortem,
+        }
     }
 
     #[test]
-    fn wedge_report_display_includes_sample_history() {
-        let s = sample_wedge().to_string();
-        assert!(s.contains("queue history leading up to the wedge"));
-        assert!(s.contains("cycle 120000: mcq=[64]"));
-        let mut bare = sample_wedge();
+    fn post_mortem_display_names_every_row_and_the_class_once() {
+        let s = quiet().to_string();
+        for row in [
+            "post-mortem at cycle 1000000: slow-but-live",
+            "core 0 (mcf): retired=42 last_retired=40 cycles ago rob_len=256 active_chain=5uops",
+            "core 1 (lbm): retired=42 last_retired=900000 cycles ago rob_len=256 finished",
+            "emc 0 ctx 0: home_core=0 chain=5uops awaiting_source=true 500 cycles since progress",
+            "mc 0 ch 0: oldest queued request age 120",
+            "ring: worst link backlog 12 cycles",
+            "pending events: 4",
+            "queue history leading up to the stop",
+            "cycle 120000: mcq=[64] retry=[3]",
+            "outstanding=17",
+        ] {
+            assert!(s.contains(row), "{row:?} missing from:\n{s}");
+        }
+        assert_eq!(s.matches("slow-but-live").count(), 1, "{s}");
+        let mut bare = quiet();
         bare.recent_samples.clear();
         assert!(!bare.to_string().contains("queue history"));
     }
@@ -450,80 +411,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "simulation wedged, classified emc-context-leak")]
     fn expect_completed_panics_on_wedge_with_report() {
-        let report = RunReport {
-            outcome: RunOutcome::Wedged,
-            stats: Stats::new(1),
-            wedge: Some(sample_wedge()),
-            class: Some(WedgeClass::EmcContextLeak {
-                contexts: vec![(0, 1)],
-            }),
-            liveness: None,
+        let mut pm = quiet();
+        pm.class = WedgeClass::EmcContextLeak {
+            contexts: vec![(0, 1)],
         };
-        let _ = report.expect_completed();
+        let _ = report(RunOutcome::Wedged, Some(pm)).expect_completed();
     }
 
     #[test]
     #[should_panic(expected = "classified slow-but-live")]
     fn expect_completed_panics_on_cap_hit() {
-        let report = RunReport {
-            outcome: RunOutcome::CapHit,
-            stats: Stats::new(2),
-            wedge: None,
-            class: Some(WedgeClass::SlowButLive),
-            liveness: None,
-        };
-        let _ = report.expect_completed();
+        let _ = report(RunOutcome::CapHit, Some(quiet())).expect_completed();
     }
 
     #[test]
     fn completed_run_unwraps() {
-        let report = RunReport {
-            outcome: RunOutcome::Completed,
-            stats: Stats::new(2),
-            wedge: None,
-            class: None,
-            liveness: None,
-        };
-        assert!(report.is_completed());
+        let report = report(RunOutcome::Completed, None);
+        assert!(report.is_completed() && report.class().is_none());
         assert_eq!(report.expect_completed().cores.len(), 2);
-    }
-
-    fn quiet_snapshot() -> LivenessSnapshot {
-        LivenessSnapshot {
-            cycle: 1_000_000,
-            mc_oldest_age: vec![(0, 0, 120), (0, 1, 0)],
-            emc_ctx_age: vec![(0, 0, 500)],
-            ring_backlog: 12,
-            core_retire_age: vec![40, 900_000],
-            cores_finished: vec![false, true],
-        }
     }
 
     #[test]
     fn classifier_prefers_specific_causes() {
         let cfg = LivenessConfig::default();
-        let mut snap = quiet_snapshot();
-        assert_eq!(snap.classify(&cfg), WedgeClass::SlowButLive);
+        let mut pm = quiet();
+        assert_eq!(pm.classify(&cfg), WedgeClass::SlowButLive);
 
         // A stalled core while everything else is quiet: deadlock.
-        snap.core_retire_age = vec![400_000, 0];
+        (pm.cores[0].retire_age, pm.cores[1].retire_age) = (400_000, 0);
         assert_eq!(
-            snap.classify(&cfg),
+            pm.classify(&cfg),
             WedgeClass::CoreDeadlock { cores: vec![0] }
         );
 
         // Ring backlog outranks the core diagnosis.
-        snap.ring_backlog = 5_000;
+        pm.ring_backlog = 5_000;
         assert_eq!(
-            snap.classify(&cfg),
+            pm.classify(&cfg),
             WedgeClass::RingBackpressure { backlog: 5_000 }
         );
 
         // A leaked EMC context outranks the ring: the contexts stalled
         // while the MC queues drained normally.
-        snap.emc_ctx_age = vec![(0, 0, 500), (1, 1, 100_000)];
+        pm.contexts = vec![context(0, 0, 500), context(1, 1, 100_000)];
         assert_eq!(
-            snap.classify(&cfg),
+            pm.classify(&cfg),
             WedgeClass::EmcContextLeak {
                 contexts: vec![(1, 1)]
             }
@@ -532,24 +464,20 @@ mod tests {
         // A starved MC queue is the most upstream cause of all: chain
         // loads queued behind it pin their contexts, so the starvation
         // explains the "leaked" contexts too.
-        snap.mc_oldest_age = vec![(0, 0, 120), (1, 2, 50_000)];
-        assert_eq!(
-            snap.classify(&cfg),
-            WedgeClass::McStarvation { mcs: vec![1] }
-        );
+        pm.mc_oldest_age = vec![(0, 0, 120), (1, 2, 50_000)];
+        assert_eq!(pm.classify(&cfg), WedgeClass::McStarvation { mcs: vec![1] });
     }
 
     #[test]
     fn finished_cores_do_not_count_as_deadlocked() {
         let cfg = LivenessConfig::default();
-        let mut snap = quiet_snapshot();
+        let mut pm = quiet();
         // Core 1 finished long ago; only core 0 matters, and it retires.
-        snap.core_retire_age = vec![10, 900_000];
-        assert_eq!(snap.classify(&cfg), WedgeClass::SlowButLive);
+        pm.cores[0].retire_age = 10;
+        assert_eq!(pm.classify(&cfg), WedgeClass::SlowButLive);
         // All cores finished: nothing can be deadlocked.
-        snap.cores_finished = vec![true, true];
-        snap.core_retire_age = vec![900_000, 900_000];
-        assert_eq!(snap.classify(&cfg), WedgeClass::SlowButLive);
+        pm.cores = vec![core("mcf", 900_000, true), core("lbm", 900_000, true)];
+        assert_eq!(pm.classify(&cfg), WedgeClass::SlowButLive);
     }
 
     #[test]
@@ -583,22 +511,6 @@ mod tests {
             assert_eq!(class.label(), label);
             assert_eq!(class.is_transient(), transient, "{label}");
         }
-    }
-
-    #[test]
-    fn snapshot_summary_names_every_probe() {
-        let s = quiet_snapshot().summary();
-        assert!(s.contains("mc 0 ch 0: oldest queued request age 120"));
-        assert!(s.contains("emc 0 ctx 0: 500 cycles since progress"));
-        assert!(s.contains("ring: worst link backlog 12 cycles"));
-        assert!(s.contains("core 1: 900000 cycles since retirement (finished)"));
-    }
-
-    #[test]
-    fn wedge_report_display_leaves_the_root_cause_to_the_run_report() {
-        // `RunReport::class` carries it: printed once, by whoever prints
-        // the run's outcome.
-        assert!(!sample_wedge().to_string().contains("root cause"));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! of every scheduler-visible queue in the system. The samples feed the
 //! metrics exporter (`--metrics-out`), counter tracks in the Chrome
 //! trace (`--trace-out`), and — via
-//! [`WedgeReport::recent_samples`](crate::WedgeReport) — the wedge
-//! diagnosis, so a wedged run shows the queue-depth history leading up
-//! to the wedge rather than just the final snapshot.
+//! [`PostMortem::recent_samples`](crate::PostMortem) — the post-mortem
+//! of a run that did not complete, so it shows the queue-depth history
+//! leading up to the stop rather than just the final snapshot.
 
 use crate::Cycle;
 

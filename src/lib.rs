@@ -38,6 +38,6 @@ pub use emc_workloads;
 pub use emc_energy::{estimate_default, EnergyBreakdown, EnergyParams};
 pub use emc_sim::{build_system, run_homogeneous, run_mix, BuildError, System, DEFAULT_BUDGET};
 pub use emc_types::{
-    FaultPlan, PrefetcherKind, RunOutcome, RunReport, Stats, SystemConfig, WedgeReport,
+    FaultPlan, PostMortem, PrefetcherKind, RunOutcome, RunReport, Stats, SystemConfig,
 };
 pub use emc_workloads::{build, mix_by_name, Benchmark, QUAD_MIXES};
