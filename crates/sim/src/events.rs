@@ -1,4 +1,4 @@
-//! Scheduled-event plumbing for the system simulator.
+//! Scheduled events of the system simulator, and the queue they wait in.
 //!
 //! A message carries what is known about the request it moves — the EMC
 //! load it serves ([`EmcLoad`]), its stamps and latency components (the
@@ -10,6 +10,7 @@
 use emc_core::{Chain, ChainResult};
 use emc_cpu::RobId;
 use emc_types::{Addr, CoreId, Cycle, LineAddr, MemReq};
+use std::collections::BinaryHeap;
 
 /// One load of a chain executing at an EMC: uop `uop` of the chain in
 /// context `ctx` of the EMC at controller `mc`. The context is reused
@@ -17,7 +18,7 @@ use emc_types::{Addr, CoreId, Cycle, LineAddr, MemReq};
 /// made under, and whoever completes it checks the tag is still the
 /// context's (`EmcEngine::generation`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EmcLoad {
+pub(crate) struct EmcLoad {
     /// Issuing EMC.
     pub mc: usize,
     /// Context index.
@@ -32,99 +33,72 @@ pub struct EmcLoad {
     pub vaddr: Addr,
 }
 
-/// A scheduled simulator event.
+/// A scheduled simulator event. A core load is named by its core and
+/// ROB id (`core`, `rob`), a line by its physical address (`pline`), and
+/// `ring_cycles` is what the request has spent on the ring so far.
 #[derive(Debug)]
-pub enum Ev {
+pub(crate) enum Ev {
     /// An L1 hit completes at the core.
-    L1Done {
-        /// Core.
-        core: CoreId,
-        /// Load's ROB id.
-        rob: RobId,
-    },
-    /// A core demand request arrives at its home LLC slice.
+    L1Done { core: CoreId, rob: RobId },
+    /// A core's demand request, from a load at `pc` that left the core at
+    /// `created`, arrives at its home LLC slice.
     LlcReq {
-        /// Requesting core.
         core: CoreId,
-        /// Load's ROB id.
         rob: RobId,
-        /// Physical line.
         pline: LineAddr,
-        /// Load PC.
         pc: u64,
-        /// Cycle the request left the core (for latency attribution).
         created: Cycle,
-        /// Ring cycles spent so far.
         ring_cycles: Cycle,
     },
-    /// LLC-hit data arrives back at the requesting core.
+    /// LLC-hit data arrives back at the requesting core, filling its L1.
     LlcDone {
-        /// Core.
         core: CoreId,
-        /// Load's ROB id.
         rob: RobId,
-        /// Physical line (fills L1).
         pline: LineAddr,
     },
-    /// A memory request arrives at a memory controller.
-    McArrive {
-        /// Target MC index.
-        mc: usize,
-        /// The request.
-        req: MemReq,
-    },
+    /// A memory request arrives at memory controller `mc`.
+    McArrive { mc: usize, req: MemReq },
     /// DRAM fill data arrives at the home LLC slice: install + forward.
-    FillAtLlc {
-        /// The completed request.
-        req: MemReq,
-    },
-    /// Data delivered to the first waiter's core: complete the waiters.
+    FillAtLlc { req: MemReq },
+    /// Data delivered to the first waiter's core: complete the loads that
+    /// waited for the line.
     CoreDeliver {
-        /// The completed request.
         req: MemReq,
-        /// The loads that waited for the line.
         waiters: Vec<(CoreId, RobId)>,
     },
-    /// An EMC load (route = LLC) arrives at the home LLC slice.
+    /// An EMC load (route = LLC) from `pc` arrives at the home LLC slice.
     EmcLlcReq {
-        /// The load.
         load: EmcLoad,
-        /// PC.
         pc: u64,
-        /// Ring cycles spent so far.
         ring_cycles: Cycle,
     },
-    /// Data for an EMC load is available at its EMC.
-    EmcLoadDone {
-        /// The load.
-        load: EmcLoad,
-        /// Loaded value.
-        value: u64,
-    },
+    /// The `value` an EMC load reads is available at its EMC.
+    EmcLoadDone { load: EmcLoad, value: u64 },
     /// Chain live-outs arrive back at the home core.
     ChainResults {
-        /// Home core.
         core: CoreId,
-        /// Per-uop results.
         results: Vec<ChainResult>,
     },
     /// The aborted chain arrives back at its home core, which returns its
-    /// uops to local execution.
-    ChainAbortAtCore {
-        /// The chain (its buffers go back to the pool afterwards).
-        chain: Chain,
-    },
+    /// uops to local execution and the chain's buffers to its unit.
+    ChainAbortAtCore { chain: Chain },
 }
 
-/// Heap wrapper ordered by (cycle, sequence).
+/// The events scheduled for later cycles. Events fire in cycle order,
+/// and those due in the same cycle in the order they were scheduled:
+/// `seq`, minted here, is simulated state (DESIGN.md §3).
+#[derive(Debug, Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Scheduled>,
+    seq: u64,
+}
+
+/// Heap entry ordered by (cycle, sequence).
 #[derive(Debug)]
-pub struct Scheduled {
-    /// Fire cycle.
-    pub at: Cycle,
-    /// Tie-break sequence (FIFO among same-cycle events).
-    pub seq: u64,
-    /// Payload.
-    pub ev: Ev,
+struct Scheduled {
+    at: Cycle,
+    seq: u64,
+    ev: Ev,
 }
 
 impl PartialEq for Scheduled {
@@ -148,48 +122,77 @@ impl PartialOrd for Scheduled {
     }
 }
 
+impl EventQueue {
+    /// Fire `ev` at cycle `at`, and never before the cycle after `now`.
+    pub fn schedule(&mut self, now: Cycle, at: Cycle, ev: Ev) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Scheduled {
+            at: at.max(now + 1),
+            seq,
+            ev,
+        });
+    }
+
+    /// The next event due at or before `now`, if any.
+    pub fn pop_due(&mut self, now: Cycle) -> Option<Ev> {
+        if self.heap.peek()?.at > now {
+            return None;
+        }
+        self.heap.pop().map(|s| s.ev)
+    }
+
+    /// The cycle the earliest scheduled event fires, if there is one.
+    pub fn next_at(&self) -> Option<Cycle> {
+        self.heap.peek().map(|s| s.at)
+    }
+
+    /// How many events are scheduled.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
 
     fn ev(core: usize) -> Ev {
         Ev::L1Done { core, rob: 0 }
     }
 
+    fn drain(q: &mut EventQueue, now: Cycle) -> Vec<usize> {
+        std::iter::from_fn(|| match q.pop_due(now)? {
+            Ev::L1Done { core, .. } => Some(core),
+            _ => unreachable!(),
+        })
+        .collect()
+    }
+
     #[test]
-    fn heap_pops_earliest_cycle_first() {
-        let mut h = BinaryHeap::new();
-        h.push(Scheduled {
-            at: 30,
-            seq: 0,
-            ev: ev(0),
-        });
-        h.push(Scheduled {
-            at: 10,
-            seq: 1,
-            ev: ev(1),
-        });
-        h.push(Scheduled {
-            at: 20,
-            seq: 2,
-            ev: ev(2),
-        });
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|s| s.at)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
+    fn queue_pops_earliest_cycle_first() {
+        let mut q = EventQueue::default();
+        for (core, at) in [(0, 30), (1, 10), (2, 20)] {
+            q.schedule(0, at, ev(core));
+        }
+        assert_eq!(q.next_at(), Some(10));
+        assert_eq!(drain(&mut q, 19), [1], "nothing before its cycle");
+        assert_eq!(drain(&mut q, 30), [2, 0]);
+        assert_eq!((q.len(), q.next_at()), (0, None));
     }
 
     #[test]
     fn same_cycle_events_pop_fifo() {
-        let mut h = BinaryHeap::new();
-        for seq in [5u64, 1, 3] {
-            h.push(Scheduled {
-                at: 7,
-                seq,
-                ev: ev(seq as usize),
-            });
+        let mut q = EventQueue::default();
+        for core in [5, 1, 3] {
+            q.schedule(0, 7, ev(core));
         }
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop().map(|s| s.seq)).collect();
-        assert_eq!(order, vec![1, 3, 5], "ties break by insertion sequence");
+        // Due in the past or this cycle: the next cycle, behind the rest.
+        q.schedule(6, 2, ev(4));
+        assert_eq!(
+            drain(&mut q, 7),
+            [5, 1, 3, 4],
+            "ties break by schedule order"
+        );
     }
 }

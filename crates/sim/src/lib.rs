@@ -25,12 +25,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
-mod inflight;
+mod events; // `EventQueue`: scheduled messages, by cycle, then FIFO
+mod inflight; // `InFlight`: lines on their way to or from DRAM
+mod mc_queues; // `McQueues`: the memory controllers and their admission
+mod measure; // `Measure`: measurement window, budget snapshots, watchdog
 pub mod metrics;
 pub mod profile;
 pub mod runner;
-pub mod system;
+pub mod system; // `System`: the machine and its schedule; `system/` the rest
 
 pub use emc_types::{PostMortem, RunOutcome, RunReport};
 pub use metrics::{metrics_json, Sampler, DEFAULT_SAMPLE_INTERVAL};

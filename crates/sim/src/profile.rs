@@ -37,7 +37,7 @@ pub const PHASE_COUNT: usize = 7;
 pub const DEFAULT_PROFILE_STRIDE: u32 = 64;
 
 /// The sub-phases of one [`System::tick`](crate::System::tick), in
-/// execution order.
+/// execution order, which is also their index (`phase as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Event-queue drain: ring deliveries, DRAM completions, L1 fills.
@@ -78,18 +78,6 @@ impl Phase {
             Phase::Prefetch => "prefetch",
             Phase::Cores => "tick_cores",
             Phase::Observe => "observe",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Phase::Events => 0,
-            Phase::Mcs => 1,
-            Phase::Emcs => 2,
-            Phase::ChainGen => 3,
-            Phase::Prefetch => 4,
-            Phase::Cores => 5,
-            Phase::Observe => 6,
         }
     }
 }
@@ -203,7 +191,7 @@ impl TickProfiler {
     /// Credit `nanos` to `phase` directly (the measurement core;
     /// public so tests can synthesize known distributions).
     pub fn record(&mut self, phase: Phase, nanos: u64) {
-        let i = phase.index();
+        let i = phase as usize;
         self.nanos[i] = self.nanos[i].saturating_add(nanos);
         self.samples[i] = self.samples[i].saturating_add(1);
     }
@@ -215,8 +203,8 @@ impl TickProfiler {
                 .iter()
                 .map(|&p| PhaseStat {
                     name: p.name(),
-                    nanos: self.nanos[p.index()],
-                    samples: self.samples[p.index()],
+                    nanos: self.nanos[p as usize],
+                    samples: self.samples[p as usize],
                 })
                 .collect(),
             sampled_ticks: self.sampled_ticks,

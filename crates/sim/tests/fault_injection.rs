@@ -14,32 +14,10 @@ use emc_workloads::{build, Benchmark, SPILL_BASE};
 /// committed registers, and the spill words every benchmark writes.
 type ArchState = (Vec<u64>, Vec<[u64; 16]>, Vec<u64>);
 
-/// Run four copies of `bench` to completion (small iteration count)
-/// under `faults` and return the architectural state plus statistics.
-fn run_to_completion(faults: FaultPlan, bench: Benchmark, iters: u64) -> (ArchState, Stats) {
-    let mut cfg = SystemConfig::quad_core();
-    cfg.faults = faults;
-    let workloads: Vec<_> = (0..4).map(|i| build(bench, 50 + i, iters)).collect();
-    let mut sys = System::new(cfg, workloads).expect("build system");
-    let report = sys.run(u64::MAX, cycle_cap(100_000));
-    assert_eq!(
-        report.outcome,
-        RunOutcome::Completed,
-        "faulty run must still terminate: {:?}",
-        report.post_mortem
-    );
-    let stats = report.stats;
-    let retired = stats.cores.iter().map(|c| c.retired_uops).collect();
-    let regs = (0..4).map(|c| *sys.core(c).committed_regs()).collect();
-    let mem = (0..4)
-        .flat_map(|c| (0..8).map(move |k| (c, k)))
-        .map(|(c, k)| {
-            sys.core(c)
-                .mem
-                .read_u64(emc_types::Addr(SPILL_BASE + k * 8))
-        })
-        .collect();
-    ((retired, regs, mem), stats)
+/// Run four copies of mcf to completion (small iteration count) under
+/// `faults` and return the architectural state plus statistics.
+fn run_to_completion(faults: FaultPlan, iters: u64) -> (ArchState, Stats) {
+    run_storm(faults, |_| {}, iters, 1)
 }
 
 /// [`run_to_completion`] with a config tweak (liveness thresholds) and
@@ -63,7 +41,7 @@ fn run_storm(
     assert_eq!(
         report.outcome,
         RunOutcome::Completed,
-        "storm run must still terminate: {:?}",
+        "faulty run must still terminate: {:?}",
         report.post_mortem
     );
     let stats = report.stats;
@@ -102,7 +80,7 @@ fn arb_fault_plan(rng: &mut SmallRng) -> FaultPlan {
 
 fn baseline() -> &'static ArchState {
     static BASELINE: std::sync::OnceLock<ArchState> = std::sync::OnceLock::new();
-    BASELINE.get_or_init(|| run_to_completion(FaultPlan::default(), Benchmark::Mcf, 120).0)
+    BASELINE.get_or_init(|| run_to_completion(FaultPlan::default(), 120).0)
 }
 
 /// Any valid fault plan: the run terminates and its final
@@ -112,7 +90,7 @@ fn baseline() -> &'static ArchState {
 fn chaos_faults_are_architecturally_invisible() {
     for_each_case(0x5eed_fa01, 6, |rng| {
         let plan = arb_fault_plan(rng);
-        let (faulty, _) = run_to_completion(plan, Benchmark::Mcf, 120);
+        let (faulty, _) = run_to_completion(plan, 120);
         let clean = baseline();
         assert_eq!(
             &faulty.0, &clean.0,
@@ -132,8 +110,8 @@ fn chaos_faults_are_architecturally_invisible() {
 fn chaos_runs_are_deterministic() {
     for_each_case(0x5eed_fa02, 6, |rng| {
         let plan = arb_fault_plan(rng);
-        let (state_a, a) = run_to_completion(plan, Benchmark::Mcf, 100);
-        let (state_b, b) = run_to_completion(plan, Benchmark::Mcf, 100);
+        let (state_a, a) = run_to_completion(plan, 100);
+        let (state_b, b) = run_to_completion(plan, 100);
         assert_eq!(state_a, state_b);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.mem.dram_reads, b.mem.dram_reads);
@@ -149,7 +127,7 @@ fn chaos_runs_are_deterministic() {
 
 #[test]
 fn chaos_plan_actually_injects_faults() {
-    let (_, stats) = run_to_completion(FaultPlan::chaos(), Benchmark::Mcf, 150);
+    let (_, stats) = run_to_completion(FaultPlan::chaos(), 150);
     assert!(
         stats.ring.injected_delays > 0,
         "no ring delays injected: {:?}",
@@ -173,7 +151,7 @@ fn emc_kill_storm_degrades_gracefully() {
         emc_kill_prob: 0.05,
         ..FaultPlan::default()
     };
-    let (state, stats) = run_to_completion(plan, Benchmark::Mcf, 120);
+    let (state, stats) = run_to_completion(plan, 120);
     assert_eq!(&state, baseline(), "kill storm changed architectural state");
     let injected: u64 = stats.cores.iter().map(|c| c.chains_aborted_injected).sum();
     let quiesces: u64 = stats.cores.iter().map(|c| c.emc_quiesce_events).sum();

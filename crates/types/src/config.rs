@@ -605,6 +605,20 @@ impl SystemConfig {
         start..start + len
     }
 
+    /// The memory controller that owns channel `ch`: the inverse of
+    /// [`channels_of_mc`](Self::channels_of_mc), in which the first
+    /// `channels % memory_controllers` controllers own one extra channel.
+    pub fn mc_of_channel(&self, ch: usize) -> usize {
+        let per = self.dram.channels / self.memory_controllers;
+        let extra = self.dram.channels % self.memory_controllers;
+        let wide = extra * (per + 1);
+        if ch < wide {
+            ch / (per + 1)
+        } else {
+            extra + (ch - wide) / per
+        }
+    }
+
     /// Validate the configuration.
     ///
     /// # Errors
@@ -688,6 +702,21 @@ mod tests {
         c.memory_controllers = 2;
         assert_eq!(c.channels_of_mc(0), 0..2);
         assert_eq!(c.channels_of_mc(1), 2..3);
+    }
+
+    #[test]
+    fn mc_of_channel_inverts_channels_of_mc() {
+        let mut c = SystemConfig::quad_core();
+        for channels in 1..=8 {
+            for mcs in 1..=channels {
+                (c.dram.channels, c.memory_controllers) = (channels, mcs);
+                for mc in 0..mcs {
+                    for ch in c.channels_of_mc(mc) {
+                        assert_eq!(c.mc_of_channel(ch), mc, "{channels} channels, {mcs} MCs");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! journeys appear as nestable async slices on their home core's track.
 //! Timestamps map 1 cycle → 1 µs (the formats have no unitless time).
 
-use crate::req::ReqId;
-use crate::{CoreId, Cycle};
+use crate::req::{MemReq, ReqId};
+use crate::{CoreId, Cycle, MetricSample};
 use std::collections::HashMap;
 use std::io::{self, Write};
 
@@ -145,6 +145,18 @@ pub enum TraceEvent {
     },
 }
 
+impl TraceEvent {
+    /// The track the event belongs to.
+    pub fn track(&self) -> TraceTrack {
+        match self {
+            TraceEvent::Span { track, .. }
+            | TraceEvent::AsyncBegin { track, .. }
+            | TraceEvent::AsyncEnd { track, .. }
+            | TraceEvent::Counter { track, .. } => *track,
+        }
+    }
+}
+
 /// The full per-request record of one demand miss: the cycle it crossed
 /// each subsystem boundary, assembled at delivery time from the
 /// request's [`ReqTimeline`](crate::ReqTimeline).
@@ -176,6 +188,25 @@ pub struct MissJourney {
 }
 
 impl MissJourney {
+    /// The journey of `req`, whose data is consumable at `delivered`:
+    /// its timeline, under its own `ReqId`.
+    pub fn new(req: &MemReq, delivered: Cycle) -> Self {
+        let t = req.timeline;
+        MissJourney {
+            req: req.id,
+            core: req.requester.home_core(),
+            emc: req.requester.is_emc(),
+            line: req.line.0,
+            created: t.created,
+            llc_arrive: t.llc_arrive,
+            mc_enqueue: t.mc_enqueue,
+            dram_issue: t.dram_issue,
+            dram_done: t.dram_done,
+            delivered,
+            row_hit: t.row_hit,
+        }
+    }
+
     /// The journey broken into consecutive `(stage, start, end)`
     /// intervals. Stages whose boundary stamp is missing (e.g. the LLC
     /// for a direct-to-DRAM EMC request) are skipped; the next present
@@ -295,6 +326,61 @@ impl TraceSink {
         });
     }
 
+    /// Record `req`'s DRAM access as one span on the track of the bank
+    /// that served it, `bank` of `channel` behind controller `mc`.
+    pub fn dram_access(&mut self, mc: usize, channel: usize, bank: usize, req: &MemReq) {
+        if !self.enabled {
+            return;
+        }
+        let t = req.timeline;
+        let (Some(issue), Some(done)) = (t.dram_issue, t.dram_done) else {
+            return;
+        };
+        let name = if t.row_hit == Some(true) {
+            "dram row hit"
+        } else {
+            "dram access"
+        };
+        let args = vec![
+            ("req", req.id.0),
+            ("row_hit", t.row_hit.map(u64::from).unwrap_or(0)),
+        ];
+        self.span(
+            TraceTrack::Bank { mc, channel, bank },
+            name,
+            issue,
+            done,
+            args,
+        );
+    }
+
+    /// Mirror a time-series sample onto counter tracks.
+    pub fn sample_counters(&mut self, s: &MetricSample) {
+        if !self.enabled {
+            return;
+        }
+        let per_mc = [
+            ("mc queue depth", &s.mc_queue_depth),
+            ("banks open", &s.banks_open),
+            ("emc busy contexts", &s.emc_busy_contexts),
+        ];
+        for (name, depths) in per_mc {
+            for (m, &d) in depths.iter().enumerate() {
+                self.counter(TraceTrack::Mc(m), name, s.cycle, u64::from(d));
+            }
+        }
+        for (name, n) in [
+            ("busy links", s.ring_busy_links),
+            ("outstanding misses", s.outstanding_misses),
+        ] {
+            self.counter(TraceTrack::Ring, name, s.cycle, u64::from(n));
+        }
+        for (sl, &occ) in s.llc_occupancy.iter().enumerate() {
+            let track = TraceTrack::LlcSlice(sl);
+            self.counter(track, "occupancy permille", s.cycle, u64::from(occ));
+        }
+    }
+
     /// Record a finished miss journey: stores the record and emits one
     /// nestable async slice for the whole miss plus one child slice per
     /// stage, all on the home core's track.
@@ -366,23 +452,14 @@ impl TraceSink {
     /// its human-readable label.
     pub fn write_chrome_trace<W: Write>(&self, mut w: W) -> io::Result<()> {
         // Assign stable tids by sorted track order.
-        let mut tracks: Vec<TraceTrack> = Vec::new();
-        let mut seen: HashMap<TraceTrack, usize> = HashMap::new();
+        let mut tids: HashMap<TraceTrack, usize> = HashMap::new();
         for ev in &self.events {
-            let track = match ev {
-                TraceEvent::Span { track, .. }
-                | TraceEvent::AsyncBegin { track, .. }
-                | TraceEvent::AsyncEnd { track, .. }
-                | TraceEvent::Counter { track, .. } => *track,
-            };
-            if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(track) {
-                e.insert(0);
-                tracks.push(track);
-            }
+            tids.entry(ev.track()).or_insert(0);
         }
+        let mut tracks: Vec<TraceTrack> = tids.keys().copied().collect();
         tracks.sort_by_key(|t| t.sort_key());
         for (tid, t) in tracks.iter().enumerate() {
-            seen.insert(*t, tid);
+            tids.insert(*t, tid);
         }
         writeln!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
         write!(
@@ -400,15 +477,15 @@ impl TraceSink {
         }
         for ev in &self.events {
             writeln!(w, ",")?;
+            let tid = tids[&ev.track()];
             match ev {
                 TraceEvent::Span {
-                    track,
                     name,
                     start,
                     dur,
                     args,
+                    ..
                 } => {
-                    let tid = seen[track];
                     write!(
                         w,
                         "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\
@@ -416,50 +493,29 @@ impl TraceSink {
                         (*dur).max(1)
                     )?;
                     write_args(&mut w, args)?;
-                    write!(w, "}}")?;
                 }
                 TraceEvent::AsyncBegin {
-                    track,
-                    name,
-                    id,
-                    ts,
-                    args,
+                    name, id, ts, args, ..
                 } => {
-                    let tid = seen[track];
                     write!(
                         w,
                         "{{\"name\":\"{name}\",\"cat\":\"journey\",\"ph\":\"b\",\
                          \"id\":{id},\"pid\":0,\"tid\":{tid},\"ts\":{ts}"
                     )?;
                     write_args(&mut w, args)?;
-                    write!(w, "}}")?;
                 }
-                TraceEvent::AsyncEnd {
-                    track,
-                    name,
-                    id,
-                    ts,
-                } => {
-                    let tid = seen[track];
-                    write!(
-                        w,
-                        "{{\"name\":\"{name}\",\"cat\":\"journey\",\"ph\":\"e\",\
-                         \"id\":{id},\"pid\":0,\"tid\":{tid},\"ts\":{ts}}}"
-                    )?;
-                }
+                TraceEvent::AsyncEnd { name, id, ts, .. } => write!(
+                    w,
+                    "{{\"name\":\"{name}\",\"cat\":\"journey\",\"ph\":\"e\",\
+                     \"id\":{id},\"pid\":0,\"tid\":{tid},\"ts\":{ts}}}"
+                )?,
                 TraceEvent::Counter {
-                    track,
-                    name,
-                    ts,
-                    value,
-                } => {
-                    let tid = seen[track];
-                    write!(
-                        w,
-                        "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\
-                         \"ts\":{ts},\"args\":{{\"{name}\":{value}}}}}"
-                    )?;
-                }
+                    name, ts, value, ..
+                } => write!(
+                    w,
+                    "{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\
+                     \"ts\":{ts},\"args\":{{\"{name}\":{value}}}}}"
+                )?,
             }
         }
         writeln!(w, "\n]}}")?;
@@ -467,16 +523,18 @@ impl TraceSink {
     }
 }
 
+/// Write `args` as the event's `"args"` object, if any, and close the
+/// event.
 fn write_args<W: Write>(w: &mut W, args: &[(&'static str, u64)]) -> io::Result<()> {
-    if args.is_empty() {
-        return Ok(());
-    }
-    write!(w, ",\"args\":{{")?;
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            write!(w, ",")?;
+    if !args.is_empty() {
+        write!(w, ",\"args\":{{")?;
+        for (i, (k, v)) in args.iter().enumerate() {
+            if i > 0 {
+                write!(w, ",")?;
+            }
+            write!(w, "\"{k}\":{v}")?;
         }
-        write!(w, "\"{k}\":{v}")?;
+        write!(w, "}}")?;
     }
     write!(w, "}}")
 }
