@@ -212,10 +212,10 @@ pub(crate) fn generate_chain_into(
     chain: &mut Chain,
 ) -> Option<u64> {
     let src_entry = core.entry(source)?;
-    if src_entry.uop.kind != UopKind::Load || src_entry.state == EntryState::Done {
+    if src_entry.uop().kind != UopKind::Load || src_entry.state() == EntryState::Done {
         return None;
     }
-    let source_addr = src_entry.addr?;
+    let source_addr = src_entry.addr()?;
 
     // EPRs are handed out in order; the source miss's data takes the
     // first.
@@ -245,10 +245,9 @@ pub(crate) fn generate_chain_into(
     'broadcast: while chain.uops.len() < cfg.uop_buffer {
         // Waiters of this producer, oldest first; an uop waiting on it
         // with both operands is listed twice in a row.
-        let waiters = core.waiters_of(producer);
-        debug_assert!(waiters.windows(2).all(|w| w[0].0 <= w[1].0));
+        debug_assert!(core.waiters_of(producer).map(|w| w.0).is_sorted());
         let mut prev = None;
-        for &(cid, _) in waiters {
+        for (cid, _) in core.waiters_of(producer) {
             if chain.uops.len() >= cfg.uop_buffer {
                 break;
             }
@@ -256,10 +255,11 @@ pub(crate) fn generate_chain_into(
                 continue;
             }
             let Some(c) = core.entry(cid) else { continue };
-            if c.state != EntryState::Waiting || c.remote {
+            if c.state() != EntryState::Waiting || c.remote() {
                 continue;
             }
-            let kind = c.uop.kind;
+            let (uop, ops) = (c.uop(), c.srcs());
+            let kind = uop.kind;
             if !kind.emc_allowed() {
                 continue;
             }
@@ -270,9 +270,9 @@ pub(crate) fn generate_chain_into(
                 continue;
             }
             // All sources must be renamed in the RRT or ready (live-in).
-            let has_src = [c.uop.srcs[0].is_some(), c.uop.srcs[1].is_some()];
-            let eprs = [0, 1].map(|i| c.srcs[i].producer.and_then(|pid| chain.epr_of(pid)));
-            if (0..2).any(|i| has_src[i] && eprs[i].is_none() && !c.srcs[i].ready()) {
+            let has_src = [uop.srcs[0].is_some(), uop.srcs[1].is_some()];
+            let eprs = [0, 1].map(|i| ops[i].producer().and_then(|pid| chain.epr_of(pid)));
+            if (0..2).any(|i| has_src[i] && eprs[i].is_none() && !ops[i].ready()) {
                 continue;
             }
             // Live-in capacity check: register values AND immediates are
@@ -289,7 +289,7 @@ pub(crate) fn generate_chain_into(
                 srcs[i] = Some(match eprs[i] {
                     Some(epr) => ChainSrc::Epr(epr),
                     None => {
-                        chain.live_ins.push(c.srcs[i].value.expect("checked ready"));
+                        chain.live_ins.push(ops[i].value().expect("checked ready"));
                         ChainSrc::LiveIn(chain.live_ins.len() as u8 - 1)
                     }
                 });
@@ -297,7 +297,7 @@ pub(crate) fn generate_chain_into(
             // Immediates are shifted into the live-in vector (Figure 9).
             chain.imm_live_ins += u64::from(uses_imm);
             // Rename destination.
-            let dst = match c.uop.dst {
+            let dst = match uop.dst {
                 Some(_) => match alloc_epr() {
                     Some(e) => Some(e),
                     None => continue, // out of EPRs: cannot include this uop
@@ -312,9 +312,9 @@ pub(crate) fn generate_chain_into(
                 kind,
                 srcs,
                 dst,
-                imm: c.uop.imm,
-                pc: c.pc,
-                predicted_taken: c.predicted_taken,
+                imm: uop.imm,
+                pc: c.pc(),
+                predicted_taken: c.predicted_taken(),
             });
             gen_cycles += 1;
         }
@@ -343,11 +343,11 @@ fn is_register_spill(core: &Core, store_id: RobId) -> bool {
         return false;
     };
     core.rob_iter().any(|e| {
-        e.id > store_id
-            && e.uop.kind == UopKind::Load
-            && e.uop.imm == store.uop.imm
-            && e.uop.srcs[0] == store.uop.srcs[0]
-            && e.srcs[0].producer == store.srcs[0].producer
+        e.id() > store_id
+            && e.uop().kind == UopKind::Load
+            && e.uop().imm == store.uop().imm
+            && e.uop().srcs[0] == store.uop().srcs[0]
+            && e.srcs()[0].producer() == store.srcs()[0].producer()
     })
 }
 

@@ -19,8 +19,14 @@
 //! its one `Stats::emc`, shared by every memory controller's engine. An
 //! engine driven on its own keeps its counters beside it in an [`Emc`].
 
-use crate::chain::{Chain, ChainSrc, ChainUop};
+mod context;
+mod standalone;
+
+pub use standalone::Emc;
+
+use crate::chain::Chain;
 use crate::predictor::MissPredictor;
+use context::{Context, UopState};
 use emc_cache::{CircularTlb, SetAssocCache};
 use emc_types::{
     physical_line, Addr, CacheConfig, CoreId, Cycle, EmcConfig, EmcStats, LineAddr, PageAddr,
@@ -137,104 +143,14 @@ pub struct FinishedChain {
     pub active_at: Cycle,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UopState {
-    Waiting,
-    Issued,
-    Done,
-}
-
-#[derive(Debug, Clone)]
-struct Context {
-    chain: Chain,
-    prf: Vec<u64>,
-    prf_ready: Vec<bool>,
-    states: Vec<UopState>,
-    outbox: Vec<ChainResult>,
-    store_buffer: Vec<(Addr, u64)>,
-    source_delivered: bool,
-    /// The chain is still in flight on the data ring until this cycle
-    /// (the context is reserved at generation time; execution may not
-    /// begin before the uops physically arrive).
-    active_at: Cycle,
-    /// The lease clock: the chain's last progress, from its arrival on.
-    progress_at: Cycle,
-    /// Progress since the last [`EmcEngine::expire_leases`], which dates
-    /// it.
-    progressed: bool,
-    aborted: Option<AbortReason>,
-    announced: bool,
-}
-
-impl Context {
-    fn new(chain: Chain, prf_entries: usize, active_at: Cycle) -> Self {
-        let n = chain.uops.len();
-        let mut c = Context {
-            prf: vec![0; prf_entries],
-            prf_ready: vec![false; prf_entries],
-            states: vec![UopState::Waiting; n],
-            outbox: Vec::new(),
-            store_buffer: Vec::new(),
-            source_delivered: false,
-            active_at,
-            progress_at: active_at,
-            progressed: false,
-            aborted: None,
-            announced: false,
-            chain,
-        };
-        // Data shipped with the chain is no progress of the chain's own.
-        if let Some(value) = c.chain.source_value {
-            c.set_source(value);
-        }
-        c
-    }
-
-    fn set_source(&mut self, value: u64) {
-        let epr = self.chain.source_epr as usize;
-        self.prf[epr] = value;
-        self.prf_ready[epr] = true;
-        self.source_delivered = true;
-    }
-
-    fn src_value(&self, s: ChainSrc) -> Option<u64> {
-        match s {
-            ChainSrc::Epr(e) => self.prf_ready[e as usize].then(|| self.prf[e as usize]),
-            ChainSrc::LiveIn(i) => Some(self.chain.live_ins[i as usize]),
-        }
-    }
-
-    fn uop_ready(&self, i: usize) -> bool {
-        self.states[i] == UopState::Waiting
-            && self.chain.uops[i]
-                .srcs
-                .iter()
-                .flatten()
-                .all(|&s| self.src_value(s).is_some())
-    }
-
-    /// Resolve the two ALU inputs per the ISA operand conventions.
-    fn operands(&self, u: &ChainUop) -> (u64, u64) {
-        let s0 = u.srcs[0].and_then(|s| self.src_value(s));
-        let s1 = u.srcs[1].and_then(|s| self.src_value(s));
-        match u.kind {
-            UopKind::Mov => (s0.unwrap_or(u.imm), 0),
-            UopKind::Not | UopKind::SignExtend => (s0.unwrap_or(0), 0),
-            _ => (s0.unwrap_or(0), s1.unwrap_or(u.imm)),
-        }
-    }
-
-    fn all_done(&self) -> bool {
-        self.states.iter().all(|&s| s == UopState::Done)
-    }
-}
-
 /// The enhanced memory controller's compute engine (counts into the
 /// caller's [`EmcStats`]).
 #[derive(Clone)]
 pub struct EmcEngine {
     cfg: EmcConfig,
     contexts: Vec<Option<Context>>,
+    /// How many of `contexts` hold a chain.
+    busy: usize,
     /// Per context: how many chains it has finished.
     generations: Vec<u64>,
     /// Cycles without progress that reclaim a busy context (MAX: never).
@@ -245,6 +161,12 @@ pub struct EmcEngine {
     sleep_until: Cycle,
     /// The uops one context issues in a cycle, kept for its capacity.
     ready: Vec<usize>,
+    /// The list [`tick`](EmcEngine::tick) fills, kept for its capacity.
+    events: Vec<EmcEvent>,
+    /// Contexts whose chains finished, kept for their buffers.
+    spare: Vec<Context>,
+    /// Result lists handed back for a context's outbox to reuse.
+    spare_outboxes: Vec<Vec<ChainResult>>,
     dcache: SetAssocCache,
     tlbs: Vec<CircularTlb>,
     miss_pred: Vec<MissPredictor>,
@@ -262,10 +184,14 @@ impl EmcEngine {
         EmcEngine {
             cfg: *cfg,
             contexts: (0..cfg.contexts).map(|_| None).collect(),
+            busy: 0,
             generations: vec![0; cfg.contexts],
             lease: Cycle::MAX,
             sleep_until: Cycle::MAX,
             ready: Vec::new(),
+            events: Vec::new(),
+            spare: Vec::new(),
+            spare_outboxes: Vec::new(),
             dcache: SetAssocCache::new(&dcache_cfg),
             tlbs: (0..cores)
                 .map(|_| CircularTlb::new(cfg.tlb_entries))
@@ -289,8 +215,9 @@ impl EmcEngine {
 
     /// Number of issue contexts currently occupied by a chain. The
     /// time-series sampler reads this each epoch as EMC occupancy.
+    #[inline]
     pub fn busy_contexts(&self) -> usize {
-        self.contexts.iter().filter(|c| c.is_some()).count()
+        self.busy
     }
 
     /// Total number of issue contexts (occupied or free).
@@ -339,7 +266,10 @@ impl EmcEngine {
             return Err(chain);
         };
         self.tlbs[chain.home_core].insert(tlb_page(chain.source_addr));
-        self.contexts[slot] = Some(Context::new(chain, self.cfg.prf_entries, active_at));
+        let spare = self.spare.pop();
+        let context = Context::new(chain, self.cfg.prf_entries, active_at, spare);
+        self.contexts[slot] = Some(context);
+        self.busy += 1;
         self.sleep_until = 0;
         Ok(slot)
     }
@@ -396,12 +326,15 @@ impl EmcEngine {
     /// Panics if the context is empty.
     pub fn take_finished(&mut self, ctx: usize) -> FinishedChain {
         self.sleep_until = 0;
-        let c = self.contexts[ctx].take().expect("context not empty");
+        let mut c = self.contexts[ctx].take().expect("context not empty");
+        self.busy -= 1;
         self.generations[ctx] += 1;
-        FinishedChain {
-            chain: c.chain,
+        let fin = FinishedChain {
+            chain: std::mem::take(&mut c.chain),
             active_at: c.active_at,
-        }
+        };
+        self.spare.push(c);
+        fin
     }
 
     /// The once-per-cycle lease pass, before [`tick`](EmcEngine::tick): progress
@@ -428,13 +361,23 @@ impl EmcEngine {
     }
 
     /// Drain the results completed in `ctx` since the last drain (called
-    /// by the simulator on [`EmcEvent::Results`]).
+    /// by the simulator on [`EmcEvent::Results`]). The buffer may be
+    /// handed back through [`recycle_results`](EmcEngine::recycle_results)
+    /// once they are consumed.
     pub fn drain_results(&mut self, ctx: usize) -> Vec<ChainResult> {
         self.sleep_until = 0;
-        self.contexts[ctx]
-            .as_mut()
-            .map(|c| std::mem::take(&mut c.outbox))
-            .unwrap_or_default()
+        let Some(c) = self.contexts[ctx].as_mut() else {
+            return Vec::new();
+        };
+        let spare = self.spare_outboxes.pop().unwrap_or_default();
+        std::mem::replace(&mut c.outbox, spare)
+    }
+
+    /// Hand back a buffer [`drain_results`](EmcEngine::drain_results)
+    /// returned, for a later drain to reuse.
+    pub fn recycle_results(&mut self, mut results: Vec<ChainResult>) {
+        results.clear();
+        self.spare_outboxes.push(results);
     }
 
     /// A line arrived from DRAM at this memory controller: fill the EMC
@@ -476,6 +419,7 @@ impl EmcEngine {
     /// the engine's sleep (`Cycle::MAX` when only those calls can give it
     /// work, as for an engine that never held a chain; `now` while it is
     /// awake) and the first lease to run out.
+    #[inline]
     pub fn next_wake(&self, now: Cycle) -> Cycle {
         let expiry = |c: &Context| c.progress_at.saturating_add(self.lease);
         let first = self.contexts.iter().flatten().map(expiry).min();
@@ -489,9 +433,10 @@ impl EmcEngine {
     /// a tick that issued nothing and announced nothing would repeat
     /// unchanged until a caller hands the engine something or a chain in
     /// flight on the ring arrives; the engine sleeps until then. What
-    /// executes is counted in `stats`.
+    /// executes is counted in `stats`. The list may be handed back
+    /// through [`recycle`](EmcEngine::recycle), as most ticks fill none.
     pub fn tick(&mut self, now: Cycle, stats: &mut EmcStats) -> Vec<EmcEvent> {
-        let mut events = Vec::new();
+        let mut events = std::mem::take(&mut self.events);
         if now < self.sleep_until {
             return events;
         }
@@ -562,6 +507,13 @@ impl EmcEngine {
             self.sleep_until = next_arrival;
         }
         events
+    }
+
+    /// Hand back an event list [`tick`](EmcEngine::tick) returned, for a
+    /// later tick to fill.
+    pub fn recycle(&mut self, mut events: Vec<EmcEvent>) {
+        events.clear();
+        self.events = events;
     }
 
     fn issue_uop(
@@ -679,46 +631,6 @@ impl EmcEngine {
                 });
             }
         }
-    }
-}
-
-/// An [`EmcEngine`] driven on its own, outside a `System`, with the
-/// counters it writes kept beside it; every other call goes to the engine.
-pub struct Emc {
-    engine: EmcEngine,
-    /// What the engine counted.
-    pub stats: EmcStats,
-}
-
-impl Emc {
-    /// Build an EMC for `cores` home cores, its counters at zero.
-    pub fn new(cfg: &EmcConfig, cores: usize) -> Self {
-        let (engine, stats) = (EmcEngine::new(cfg, cores), EmcStats::default());
-        Emc { engine, stats }
-    }
-
-    /// [`EmcEngine::start_chain`], counted in [`stats`](Emc::stats).
-    pub fn start_chain(&mut self, chain: Chain, active_at: Cycle) -> Result<usize, Chain> {
-        self.engine.start_chain(chain, active_at, &mut self.stats)
-    }
-
-    /// [`EmcEngine::tick`], counted in [`stats`](Emc::stats).
-    pub fn tick(&mut self, now: Cycle) -> Vec<EmcEvent> {
-        self.engine.tick(now, &mut self.stats)
-    }
-}
-
-impl std::ops::Deref for Emc {
-    type Target = EmcEngine;
-
-    fn deref(&self) -> &EmcEngine {
-        &self.engine
-    }
-}
-
-impl std::ops::DerefMut for Emc {
-    fn deref_mut(&mut self) -> &mut EmcEngine {
-        &mut self.engine
     }
 }
 
@@ -1314,6 +1226,94 @@ mod tests {
         emc.deliver_source(ctx, 0x4000);
         assert!(emc.tick(0, &mut stats).is_empty());
         assert_eq!(emc.next_wake(1), 10, "the chain arrives before 110");
+    }
+
+    #[test]
+    fn an_engine_ticked_only_when_due_matches_one_ticked_every_cycle() {
+        // A system may leave out the lease pass and the tick of an engine
+        // whose `next_wake` has not come: nothing it emits or counts may
+        // move. One engine is driven every cycle, the other only when due,
+        // and the simulator's side acts on both alike. Some loads never
+        // come back, so leases run out.
+        let mut rng = seeded_rng(0x5eed_e3c0);
+        let engine = || {
+            let mut emc = EmcEngine::new(&cfg(), 4);
+            emc.set_lease(Some(80));
+            emc
+        };
+        let (mut every, mut gated) = (engine(), engine());
+        let (mut stats, mut gated_stats) = (EmcStats::default(), EmcStats::default());
+        enum Due {
+            Source,
+            Load { uop: usize },
+        }
+        let mut due: Vec<(Cycle, usize, Due)> = Vec::new();
+        let (mut skipped, mut expired) = (0, 0);
+        for now in 0..40_000 {
+            if rng.gen_range(0..30) == 0 && every.has_free_context() {
+                let home = rng.gen_range(0..4) as usize;
+                let chain = random_chain(&mut rng, home);
+                let active_at = now + rng.gen_range(0..30);
+                let started = every.start_chain(chain.clone(), active_at, &mut stats);
+                let ctx = started.expect("a context is free");
+                assert_eq!(
+                    gated.start_chain(chain, active_at, &mut gated_stats).ok(),
+                    Some(ctx)
+                );
+                due.push((now + rng.gen_range(0..100), ctx, Due::Source));
+            }
+            let mut k = 0;
+            while k < due.len() {
+                if due[k].0 > now {
+                    k += 1;
+                    continue;
+                }
+                match due.swap_remove(k) {
+                    (_, ctx, Due::Source) => {
+                        every.deliver_source(ctx, 0x10_0000);
+                        gated.deliver_source(ctx, 0x10_0000);
+                    }
+                    (_, ctx, Due::Load { uop }) => {
+                        let v = 0x10_0000 + rng.gen_range(0..4096) * 8;
+                        every.complete_load(ctx, uop, v);
+                        gated.complete_load(ctx, uop, v);
+                    }
+                }
+            }
+            every.expire_leases(now);
+            let events = every.tick(now, &mut stats);
+            if gated.next_wake(now) <= now {
+                gated.expire_leases(now);
+                assert_eq!(gated.tick(now, &mut gated_stats), events, "cycle {now}");
+            } else {
+                assert!(events.is_empty(), "asleep at {now}, yet {events:?}");
+                skipped += 1;
+            }
+            for ev in events {
+                match ev {
+                    EmcEvent::Load { ctx, uop, .. } if rng.gen_range(0..25) > 0 => {
+                        due.push((now + 1 + rng.gen_range(0..60), ctx, Due::Load { uop }));
+                    }
+                    EmcEvent::Load { .. } => {}
+                    EmcEvent::Results { ctx } => {
+                        assert_eq!(gated.drain_results(ctx), every.drain_results(ctx));
+                    }
+                    EmcEvent::ChainDone { ctx } | EmcEvent::ChainAborted { ctx, .. } => {
+                        let lease = AbortReason::LeaseExpired;
+                        expired += u64::from(ev == EmcEvent::ChainAborted { ctx, reason: lease });
+                        due.retain(|d| d.1 != ctx);
+                        let (a, b) = (every.take_finished(ctx), gated.take_finished(ctx));
+                        assert_eq!((a.chain.uops, a.active_at), (b.chain.uops, b.active_at));
+                    }
+                }
+            }
+        }
+        assert_eq!(format!("{gated_stats:?}"), format!("{stats:?}"));
+        assert!(
+            stats.chains_executed > 200 && expired > 20,
+            "{expired} leases ran out"
+        );
+        assert!(skipped > 10_000, "{skipped} of 40 000 ticks left out");
     }
 
     #[test]

@@ -57,6 +57,7 @@ impl ChainUnit {
     /// chain of the unit's own is in flight, and `core` is stalled on a
     /// full window (not in runahead) with the counter armed; else
     /// `Cycle::MAX`.
+    #[inline]
     pub fn next_wake(&self, core: &Core, now: Cycle) -> Cycle {
         // Cheapest questions first: on a cache-resident program the
         // counter never arms, and `full_window_stall` is never asked.
@@ -99,14 +100,14 @@ impl ChainUnit {
         let candidates = core
             .rob_iter()
             .filter(|e| {
-                e.uop.kind == UopKind::Load
-                    && e.llc_miss
-                    && e.state == EntryState::Issued
-                    && !e.remote
-                    && e.addr.is_some()
+                e.uop().kind == UopKind::Load
+                    && e.llc_miss()
+                    && e.state() == EntryState::Issued
+                    && !e.remote()
+                    && e.addr().is_some()
             })
             .take(self.cfg.chain_candidates.max(1))
-            .map(|e| e.id);
+            .map(|e| e.id());
         let any_free = any_free();
         let mut chain = self.spare.pop().unwrap_or_default();
         let mut cur = self.spare.pop().unwrap_or_default();

@@ -143,8 +143,8 @@ fn chain_members_depend_on_the_source() {
         let in_chain: std::collections::HashSet<u64> = g.chain.uops.iter().map(|u| u.rob).collect();
         for u in &g.chain.uops {
             let e = core.entry(u.rob).expect("in ROB");
-            let depends = e.srcs.iter().any(|s| {
-                s.producer
+            let depends = e.srcs().iter().any(|s| {
+                s.producer()
                     .is_some_and(|p| p == src || in_chain.contains(&p))
             });
             assert!(depends, "uop {} is not dependent on the chain", u.rob);

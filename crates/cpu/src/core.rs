@@ -13,116 +13,16 @@
 //! Everything the EMC's chain-generation unit needs — the ROB contents,
 //! per-entry wakeup (waiter) lists that implement the paper's
 //! pseudo-wakeup dataflow walk, source-operand readiness and values — is
-//! exposed read-only here and consumed by the `emc-core` crate.
+//! exposed read-only here and consumed by the `emc-core` crate. The
+//! window's storage is in [`crate::window`].
 
-use crate::bpred::{HybridPredictor, PredictInfo};
+use crate::bpred::HybridPredictor;
+use crate::window::{
+    Cold, Completions, EntryState, Hot, Ids, Links, Operand, RobEntry, RobId, SlotSet, Window,
+};
 use emc_types::program::{Program, StaticUop};
 use emc_types::{Addr, CoreConfig, CoreStats, Cycle, MemoryImage, UopKind, NUM_ARCH_REGS};
 use std::sync::Arc;
-
-/// Identifier of a dynamic uop: unique, increasing in dispatch order,
-/// never reused within a run. Its low bits are its slot in the window,
-/// as a hardware ROB tag is (DESIGN.md §3, "The instruction window"), so
-/// consecutive uops have consecutive ids except across a flush.
-pub type RobId = u64;
-
-/// A source operand as captured at rename.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SrcOp {
-    /// The value, once available.
-    pub value: Option<u64>,
-    /// The in-flight producer at rename time (None = committed register
-    /// or immediate-only).
-    pub producer: Option<RobId>,
-    /// Whether the value derives from an in-flight LLC miss.
-    pub taint: bool,
-    /// Dependence-chain depth (ALU ops since the source miss).
-    pub depth: u16,
-    /// Runahead INV bit: the value descends from the runahead-entry miss
-    /// and is architecturally meaningless.
-    pub inv: bool,
-}
-
-impl SrcOp {
-    fn absent() -> Self {
-        SrcOp {
-            value: Some(0),
-            producer: None,
-            taint: false,
-            depth: 0,
-            inv: false,
-        }
-    }
-
-    /// Whether the operand's value is available.
-    pub fn ready(&self) -> bool {
-        self.value.is_some()
-    }
-}
-
-/// Execution state of a ROB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EntryState {
-    /// Dispatched, waiting for operands or issue bandwidth.
-    Waiting,
-    /// Issued to an execution unit (or the memory system).
-    Issued,
-    /// Completed; result (if any) is valid.
-    Done,
-}
-
-/// One reorder-buffer entry.
-#[derive(Debug, Clone)]
-pub struct RobEntry {
-    /// Dynamic uop id.
-    pub id: RobId,
-    /// Index of the static uop in the program.
-    pub prog_idx: usize,
-    /// The static uop.
-    pub uop: StaticUop,
-    /// Synthetic PC.
-    pub pc: u64,
-    /// Execution state.
-    pub state: EntryState,
-    /// Captured source operands.
-    pub srcs: [SrcOp; 2],
-    /// Result value (valid when `Done` and the uop has a destination).
-    pub result: u64,
-    /// Resolved memory address (mem ops, once issued).
-    pub addr: Option<Addr>,
-    /// Store data (stores, once issued).
-    pub store_value: Option<u64>,
-    /// Shipped to the EMC: the core must not issue it locally.
-    pub remote: bool,
-    /// This load went past the LLC to memory (set by the owning sim).
-    pub llc_miss: bool,
-    /// This load's line has reached the chip from memory but not yet
-    /// the core (set by the owning sim through [`Core::mark_on_chip`]):
-    /// a chain sourced at it can ship with the value.
-    pub on_chip: bool,
-    /// Output taint: this value derives from an in-flight LLC miss.
-    pub tainted: bool,
-    /// Output chain depth (ALU ops since the source miss).
-    pub chain_depth: u16,
-    /// Consumers waiting for this entry's result, read through
-    /// [`Core::waiters_of`]. The buffer is borrowed from the core's pool
-    /// at the first registration and handed back when the entry
-    /// completes or is squashed.
-    waiters: Vec<(RobId, u8)>,
-    /// Branch-prediction checkpoint (branches only).
-    pub bp: Option<PredictInfo>,
-    /// Predicted direction at fetch (branches only).
-    pub predicted_taken: bool,
-    /// Whether this load's value was forwarded from an older store.
-    pub forwarded: bool,
-    /// Whether this load currently holds an in-flight memory slot.
-    mem_pending: bool,
-    /// Runahead INV bit (result is meaningless, §2's runahead contrast).
-    pub inv: bool,
-    /// The rename-table mapping of this uop's destination before it
-    /// renamed it: what a flush that squashes it puts back.
-    renamed_over: Option<RobId>,
-}
 
 /// Events emitted by the core for the owning simulator to act on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,51 +44,6 @@ pub enum CoreEvent {
     },
 }
 
-/// A small ordered set in a `Vec`. The scheduler's keys (ROB ids,
-/// completion times) arrive nearly in order, so an insert lands at or
-/// near the back; the sets stay a few dozen keys long, so taking the
-/// oldest is a short `memmove`; and nothing allocates once the buffer has
-/// grown to its working size.
-#[derive(Debug, Default)]
-struct SortedQueue<T>(Vec<T>);
-
-impl<T: Ord + Copy> SortedQueue<T> {
-    fn first(&self) -> Option<T> {
-        self.0.first().copied()
-    }
-
-    fn insert(&mut self, key: T) {
-        let mut i = self.0.len();
-        while i > 0 && self.0[i - 1] > key {
-            i -= 1;
-        }
-        if i == 0 || self.0[i - 1] != key {
-            self.0.insert(i, key);
-        }
-    }
-
-    fn remove(&mut self, key: T) {
-        if let Ok(i) = self.0.binary_search(&key) {
-            self.0.remove(i);
-        }
-    }
-
-    /// Drop every key above `max`: a flush squashes the youngest ids.
-    fn truncate_above(&mut self, max: T) {
-        while self.0.last().is_some_and(|b| *b > max) {
-            self.0.pop();
-        }
-    }
-}
-
-/// Hand a waiter buffer back to the pool it was borrowed from.
-fn recycle(pool: &mut Vec<Vec<(RobId, u8)>>, mut waiters: Vec<(RobId, u8)>) {
-    if waiters.capacity() > 0 {
-        waiters.clear();
-        pool.push(waiters);
-    }
-}
-
 /// The out-of-order core.
 pub struct Core {
     cfg: CoreConfig,
@@ -205,24 +60,16 @@ pub struct Core {
     program_done: bool,
 
     // --- window (DESIGN.md §3, "The instruction window") ---
-    /// A ring of `rob_entries.next_power_of_two()` slots, allocated
-    /// whole and filled in order by the first dispatches; the entry with
-    /// id `i` sits in slot `i & slot_mask`. Retired and squashed entries
-    /// stay where they are until a dispatch overwrites them.
-    rob: Vec<RobEntry>,
-    slot_mask: usize,
-    /// Live entries: the `rob_len` slots up to and excluding `next_id`'s.
-    rob_len: usize,
-    /// The id of the next dispatch; its slot is the one after the
-    /// youngest live entry.
-    next_id: RobId,
+    rob: Window,
     rename: [Option<RobId>; NUM_ARCH_REGS],
     committed: [u64; NUM_ARCH_REGS],
-    ready: SortedQueue<RobId>,
-    completing: SortedQueue<(Cycle, RobId)>,
-    unresolved_stores: SortedQueue<RobId>,
-    store_ids: SortedQueue<RobId>,
-    waiter_pool: Vec<Vec<(RobId, u8)>>,
+    /// Waiting, local uops whose operands are ready.
+    ready: Ids,
+    completing: Completions,
+    /// Stores whose address is not yet known.
+    unresolved_stores: Ids,
+    /// Every store in the window.
+    stores: SlotSet,
     /// The last load that issue found waiting for an older store's data,
     /// and that store.
     data_wait: Option<(RobId, RobId)>,
@@ -262,6 +109,7 @@ struct Runahead {
 impl Core {
     /// Create a core executing `program` against `mem`.
     pub fn new(cfg: &CoreConfig, program: Arc<Program>, mem: MemoryImage) -> Self {
+        let rob = Window::new(cfg.rob_entries);
         Core {
             cfg: *cfg,
             bpred: HybridPredictor::new(cfg.bp_table_entries),
@@ -271,17 +119,13 @@ impl Core {
             fetch_idx: 0,
             fetch_resume_at: 0,
             program_done: false,
-            rob: Vec::with_capacity(cfg.rob_entries.next_power_of_two()),
-            slot_mask: cfg.rob_entries.next_power_of_two() - 1,
-            rob_len: 0,
-            next_id: 0,
             rename: [None; NUM_ARCH_REGS],
             committed: [0; NUM_ARCH_REGS],
-            ready: SortedQueue::default(),
-            completing: SortedQueue::default(),
-            unresolved_stores: SortedQueue::default(),
-            store_ids: SortedQueue::default(),
-            waiter_pool: Vec::new(),
+            ready: Ids::default(),
+            completing: Completions::default(),
+            unresolved_stores: Ids::default(),
+            stores: SlotSet::new(&rob),
+            rob,
             data_wait: None,
             waiting_count: 0,
             mem_inflight: 0,
@@ -312,58 +156,45 @@ impl Core {
         &self.committed
     }
 
-    /// The window slot of `id`: its low bits.
-    fn slot(&self, id: RobId) -> usize {
-        id as usize & self.slot_mask
-    }
-
-    /// The slot of the oldest live entry (of the next dispatch, while
-    /// the window is empty).
-    fn head_slot(&self) -> usize {
-        self.slot(self.next_id.wrapping_sub(self.rob_len as u64))
-    }
-
-    /// The slot of in-flight entry `id`. A retired, squashed or future id
-    /// either has a slot outside the live range or shares its slot with
-    /// a live uop of another id, and misses.
-    fn index_of(&self, id: RobId) -> Option<usize> {
-        let slot = self.slot(id);
-        let age = self.slot(self.next_id.wrapping_sub(1).wrapping_sub(id));
-        (age < self.rob_len && self.rob[slot].id == id).then_some(slot)
+    /// The entry in `slot`, read-only.
+    fn view(&self, slot: usize) -> RobEntry<'_> {
+        let links = &self.rob.links[slot];
+        let prog_idx = links.prog_idx as usize;
+        RobEntry {
+            hot: &self.rob.hot[slot],
+            links,
+            cold: &self.rob.cold[slot],
+            uop: &self.program.uops[prog_idx],
+            pc: self.program.pc_of(prog_idx),
+        }
     }
 
     /// Look up an in-flight entry by id.
-    pub fn entry(&self, id: RobId) -> Option<&RobEntry> {
-        self.index_of(id).map(|i| &self.rob[i])
+    pub fn entry(&self, id: RobId) -> Option<RobEntry<'_>> {
+        self.rob.index_of(id).map(|slot| self.view(slot))
     }
 
     /// The wakeup list of in-flight entry `id`: `(consumer, source slot)`
     /// for every operand renamed to it while it was incomplete, in
     /// dispatch order (ascending consumer id; squashed consumers stay
     /// listed). Empty once the entry completes.
-    pub fn waiters_of(&self, id: RobId) -> &[(RobId, u8)] {
-        self.entry(id).map_or(&[], |e| &e.waiters)
+    pub fn waiters_of(&self, id: RobId) -> impl Iterator<Item = (RobId, usize)> + '_ {
+        (self.rob.index_of(id).into_iter()).flat_map(|slot| self.rob.waiters(slot))
     }
 
     /// Iterate the ROB from oldest to youngest.
-    pub fn rob_iter(&self) -> impl Iterator<Item = &RobEntry> {
-        let head = self.head_slot();
-        (head..head + self.rob_len).map(|i| &self.rob[i & self.slot_mask])
-    }
-
-    /// The oldest in-flight entry.
-    fn head(&self) -> Option<&RobEntry> {
-        (self.rob_len > 0).then(|| &self.rob[self.head_slot()])
+    pub fn rob_iter(&self) -> impl Iterator<Item = RobEntry<'_>> {
+        (0..self.rob.len).map(|age| self.view(self.rob.at(age)))
     }
 
     /// Current ROB occupancy.
     pub fn rob_len(&self) -> usize {
-        self.rob_len
+        self.rob.len
     }
 
     /// The window is completely full.
     pub fn rob_full(&self) -> bool {
-        self.rob_len >= self.cfg.rob_entries
+        self.rob.len >= self.cfg.rob_entries
     }
 
     /// If the core is in a full-window stall whose head is an outstanding
@@ -377,12 +208,12 @@ impl Core {
         let blocked = self.rob_full()
             || self.waiting_count >= self.cfg.rs_entries
             || self.mem_ops_in_rob() >= self.cfg.lsq_entries;
-        if !blocked {
+        if !blocked || self.rob.len == 0 {
             return None;
         }
-        let head = self.head()?;
-        (head.uop.kind == UopKind::Load && head.llc_miss && head.state != EntryState::Done)
-            .then_some(head.id)
+        let head = &self.rob.hot[self.rob.head()];
+        let miss = matches!(head.kind, UopKind::Load) && head.llc_miss;
+        (miss && head.state != EntryState::Done).then_some(head.id)
     }
 
     /// The `(start, end)` of a full-window stall episode that ended this
@@ -403,18 +234,18 @@ impl Core {
     /// keep (pseudo-)executing to prefetch independent misses.
     fn enter_runahead(&mut self, source: RobId, now: Cycle) {
         debug_assert!(self.runahead.is_none());
-        let Some(idx) = self.index_of(source) else {
+        let Some(idx) = self.rob.index_of(source) else {
             return;
         };
         self.runahead = Some(Runahead {
             source_rob: source,
-            resume_idx: self.rob[idx].prog_idx,
+            resume_idx: self.rob.links[idx].prog_idx as usize,
             checkpoint: self.committed,
         });
         self.stats.runahead_entries += 1;
         // Pseudo-complete the blocking load with an INV result so the
         // window can drain past it.
-        let e = &mut self.rob[idx];
+        let e = &mut self.rob.hot[idx];
         if e.state == EntryState::Issued {
             e.inv = true;
             e.result = 0;
@@ -427,16 +258,14 @@ impl Core {
     /// keep filling the caches (the prefetch benefit).
     fn exit_runahead(&mut self, now: Cycle) {
         let ra = self.runahead.take().expect("in runahead");
-        let head = self.head_slot();
-        for i in head..head + self.rob_len {
-            let e = &mut self.rob[i & self.slot_mask];
-            recycle(&mut self.waiter_pool, std::mem::take(&mut e.waiters));
+        for age in 0..self.rob.len {
+            self.rob.clear_waiters(self.rob.at(age));
         }
-        self.rob_len = 0;
+        self.rob.len = 0;
         self.ready.0.clear();
-        self.completing.0.clear();
+        self.completing.clear();
         self.unresolved_stores.0.clear();
-        self.store_ids.0.clear();
+        self.stores.clear();
         self.waiting_count = 0;
         self.mem_inflight = 0;
         self.rename = [None; NUM_ARCH_REGS];
@@ -453,8 +282,8 @@ impl Core {
     /// dependent-miss statistics.
     pub fn mark_llc_miss_merged(&mut self, id: RobId) {
         self.asleep_until = 0;
-        if let Some(idx) = self.index_of(id) {
-            self.rob[idx].llc_miss = true;
+        if let Some(idx) = self.rob.index_of(id) {
+            self.rob.hot[idx].llc_miss = true;
         }
     }
 
@@ -462,8 +291,10 @@ impl Core {
     /// soon as the miss is known, always before completion).
     pub fn mark_llc_miss(&mut self, id: RobId) {
         self.asleep_until = 0;
-        let Some(idx) = self.index_of(id) else { return };
-        let e = &mut self.rob[idx];
+        let Some(idx) = self.rob.index_of(id) else {
+            return;
+        };
+        let e = &mut self.rob.hot[idx];
         e.llc_miss = true;
         let tainted = e.srcs.iter().filter(|s| s.taint);
         if let Some(depth) = tainted.map(|s| s.depth).max() {
@@ -477,8 +308,8 @@ impl Core {
     /// by the simulator at the memory controller's completion). Ignored
     /// if the load was flushed.
     pub fn mark_on_chip(&mut self, id: RobId) {
-        if let Some(idx) = self.index_of(id) {
-            self.rob[idx].on_chip = true;
+        if let Some(idx) = self.rob.index_of(id) {
+            self.rob.cold[idx].on_chip = true;
         }
     }
 
@@ -492,8 +323,7 @@ impl Core {
 
     /// Whether this load is data-dependent on an in-flight LLC miss.
     pub fn load_is_dependent(&self, id: RobId) -> bool {
-        self.entry(id)
-            .is_some_and(|e| e.srcs.iter().any(|s| s.taint))
+        (self.rob.index_of(id)).is_some_and(|i| self.rob.hot[i].srcs.iter().any(|s| s.taint))
     }
 
     /// Complete an outstanding load issued to the memory system. Ignored
@@ -504,9 +334,11 @@ impl Core {
             self.exit_runahead(now);
             return;
         }
-        let Some(idx) = self.index_of(id) else { return };
-        let e = &mut self.rob[idx];
-        if e.uop.kind != UopKind::Load {
+        let Some(idx) = self.rob.index_of(id) else {
+            return;
+        };
+        let e = &mut self.rob.hot[idx];
+        if !matches!(e.kind, UopKind::Load) {
             return;
         }
         if std::mem::take(&mut e.mem_pending) {
@@ -529,8 +361,8 @@ impl Core {
         self.asleep_until = 0;
         for id in ids {
             self.ready.remove(id);
-            if let Some(idx) = self.index_of(id) {
-                self.rob[idx].remote = true;
+            if let Some(idx) = self.rob.index_of(id) {
+                self.rob.hot[idx].remote = true;
             }
         }
     }
@@ -541,15 +373,15 @@ impl Core {
     pub fn unmark_remote(&mut self, ids: impl IntoIterator<Item = RobId>) {
         self.asleep_until = 0;
         for id in ids {
-            let Some(idx) = self.index_of(id) else {
+            let Some(idx) = self.rob.index_of(id) else {
                 continue;
             };
-            let e = &mut self.rob[idx];
+            let e = &mut self.rob.hot[idx];
             if !e.remote {
                 continue;
             }
             e.remote = false;
-            if e.state == EntryState::Waiting && e.srcs.iter().all(|s| s.ready()) {
+            if e.state == EntryState::Waiting && e.srcs.iter().all(|s| s.ready) {
                 self.ready.insert(id);
             }
         }
@@ -568,8 +400,10 @@ impl Core {
         now: Cycle,
     ) {
         self.asleep_until = 0;
-        let Some(idx) = self.index_of(id) else { return };
-        let e = &mut self.rob[idx];
+        let Some(idx) = self.rob.index_of(id) else {
+            return;
+        };
+        let (e, cold) = (&mut self.rob.hot[idx], &mut self.rob.cold[idx]);
         if e.state == EntryState::Done {
             return;
         }
@@ -581,12 +415,12 @@ impl Core {
         }
         e.state = EntryState::Issued;
         e.result = result;
-        if e.uop.kind == UopKind::Load {
-            e.addr = Some(Addr(result)); // informational; value is `result`
+        if matches!(e.kind, UopKind::Load) {
+            cold.addr = Some(Addr(result)); // informational; value is `result`
         }
         if let Some((addr, value)) = store {
-            e.addr = Some(addr);
-            e.store_value = Some(value);
+            cold.addr = Some(addr);
+            cold.store_value = Some(value);
             self.unresolved_stores.remove(id);
         }
         // It may sit in the ready set after an abort re-enabled it.
@@ -609,7 +443,14 @@ impl Core {
             return;
         }
         // Cheap signs of a tick that moved something.
-        let signs = |c: &Core| (c.rob_len, c.next_id, c.ready.0.len(), c.completing.0.len());
+        let signs = |c: &Core| {
+            (
+                c.rob.len,
+                c.rob.next_id,
+                c.ready.0.len(),
+                c.completing.len(),
+            )
+        };
         let before = signs(self);
         let stall_head = self.full_window_stall();
         if stall_head.is_some() {
@@ -633,7 +474,7 @@ impl Core {
         self.issue(now, events);
         self.dispatch(now);
         if self.program_done
-            && self.rob_len == 0
+            && self.rob.len == 0
             && self.finished_at.is_none()
             && self.runahead.is_none()
         {
@@ -642,7 +483,7 @@ impl Core {
         // Nothing moved and nothing is executing: likely nothing will
         // until a load comes back. (With uops in flight the wait is a
         // few cycles, and asking costs more than ticking through it.)
-        if signs(self) == before && self.completing.0.is_empty() {
+        if signs(self) == before && self.completing.len() == 0 {
             self.asleep_until = self.inert_until(now + 1).unwrap_or(0);
         }
     }
@@ -663,13 +504,14 @@ impl Core {
         // Retire: the head is not done, and an empty window is not the
         // end of the program. (The cheap ways out come first: a busy
         // core takes one of them.)
-        match self.head() {
-            Some(head) if head.state == EntryState::Done => return None,
-            None if self.program_done => return None,
-            _ => {}
+        let head = self.rob.head();
+        if (self.rob.len > 0 && self.rob.hot[head].state == EntryState::Done)
+            || (self.rob.len == 0 && self.program_done)
+        {
+            return None;
         }
         let mut until = Cycle::MAX;
-        if let Some((t, _)) = self.completing.first() {
+        if let Some(t) = self.completing.first() {
             if t <= now {
                 return None;
             }
@@ -687,16 +529,12 @@ impl Core {
         }
         // Issue: every ready uop is a load held behind an older store's
         // address, up to the load that waits for an older store's data.
-        let oldest_unresolved = self.unresolved_stores.first();
         for &id in &self.ready.0 {
-            let e = self.entry(id)?;
-            if e.uop.kind == UopKind::Load && oldest_unresolved.is_some_and(|s| s < id) {
+            let kind = self.rob.hot[self.rob.index_of(id)?].kind;
+            if self.held_behind_a_store(id, kind) {
                 continue;
             }
-            let waits_for_data = self.data_wait.is_some_and(|(load, store)| {
-                load == id && self.entry(store).is_some_and(|s| s.store_value.is_none())
-            });
-            if !waits_for_data {
+            if !self.waits_for_store_data(id) {
                 return None;
             }
             break;
@@ -708,7 +546,7 @@ impl Core {
                 until = until.min(self.fetch_resume_at);
             } else {
                 let uop = self.program.uops.get(self.fetch_idx)?;
-                let room = self.rob_len < self.cfg.rob_entries
+                let room = self.rob.len < self.cfg.rob_entries
                     && self.waiting_count < self.cfg.rs_entries
                     && !(uop.kind.is_mem() && self.mem_ops_in_rob() >= self.cfg.lsq_entries);
                 if room {
@@ -719,10 +557,26 @@ impl Core {
         Some(until)
     }
 
+    /// Whether `id`, of kind `kind`, is a load that must wait for every
+    /// older store's address.
+    fn held_behind_a_store(&self, id: RobId, kind: UopKind) -> bool {
+        matches!(kind, UopKind::Load) && self.unresolved_stores.0.front().is_some_and(|&s| s < id)
+    }
+
+    /// Whether `id` is the load issue last found waiting for an older
+    /// store's data, and that store still has none.
+    fn waits_for_store_data(&self, id: RobId) -> bool {
+        self.data_wait.is_some_and(|(load, store)| {
+            let store = self.rob.index_of(store);
+            load == id && store.is_some_and(|s| self.rob.cold[s].store_value.is_none())
+        })
+    }
+
     /// The first cycle from `now` at which [`tick`](Core::tick) does more
     /// than count: the end of the sleep the core fell into when it found
     /// itself inert (nothing has called on it since), `now` while awake,
     /// `Cycle::MAX` once the program has finished.
+    #[inline]
     pub fn next_wake(&self, now: Cycle) -> Cycle {
         match self.finished_at {
             Some(_) => Cycle::MAX,
@@ -745,15 +599,15 @@ impl Core {
     fn retire(&mut self, now: Cycle, events: &mut Vec<CoreEvent>) {
         let in_runahead = self.runahead.is_some();
         for _ in 0..self.cfg.retire_width {
-            if self.rob_len == 0 {
+            if self.rob.len == 0 {
                 break;
             }
-            let slot = self.head_slot();
-            let head = &mut self.rob[slot];
+            let slot = self.rob.head();
+            let head = &mut self.rob.hot[slot];
             // Runahead never waits at a miss: an issued-but-incomplete
             // load at the head pseudo-completes with an INV result.
             if in_runahead
-                && head.uop.kind == UopKind::Load
+                && matches!(head.kind, UopKind::Load)
                 && head.state == EntryState::Issued
                 && head.mem_pending
             {
@@ -761,21 +615,22 @@ impl Core {
                 head.result = 0;
                 self.finish_entry(slot, now);
             }
-            if self.rob[slot].state != EntryState::Done {
+            let e = &self.rob.hot[slot];
+            if e.state != EntryState::Done {
                 break;
             }
             // The entry stays in its slot; it is out of the live range.
-            self.rob_len -= 1;
-            let e = &self.rob[slot];
-            if e.uop.kind == UopKind::Store {
-                self.store_ids.0.remove(0);
-            }
-            if let Some(dst) = e.uop.dst {
+            self.rob.len -= 1;
+            if let Some(dst) = e.dst {
                 self.committed[dst.idx()] = e.result;
                 self.committed_inv[dst.idx()] = in_runahead && e.inv;
                 if self.rename[dst.idx()] == Some(e.id) {
                     self.rename[dst.idx()] = None;
                 }
+            }
+            let kind = e.kind;
+            if matches!(kind, UopKind::Store) {
+                self.stores.remove(slot);
             }
             if in_runahead {
                 // Pseudo-retirement: the register state advanced above is
@@ -785,12 +640,13 @@ impl Core {
             }
             self.stats.retired_uops += 1;
             self.last_retired_at = now;
-            match e.uop.kind {
+            match kind {
                 UopKind::Load => self.stats.retired_loads += 1,
                 UopKind::Store => {
                     self.stats.retired_stores += 1;
-                    let addr = e.addr.expect("retired store has address");
-                    let value = e.store_value.expect("retired store has data");
+                    let cold = &self.rob.cold[slot];
+                    let addr = cold.addr.expect("retired store has address");
+                    let value = cold.store_value.expect("retired store has data");
                     self.mem.write_u64(addr, value);
                     events.push(CoreEvent::StoreRetired { addr });
                 }
@@ -801,15 +657,11 @@ impl Core {
     }
 
     fn drain_completions(&mut self, now: Cycle) {
-        while let Some((t, id)) = self.completing.first() {
-            if t > now {
-                break;
-            }
-            self.completing.0.remove(0);
+        while let Some(id) = self.completing.pop_due(now) {
             // The entry may have been flushed, or finished remotely.
-            if let Some(idx) = self.index_of(id) {
-                let e = &self.rob[idx];
-                if e.state == EntryState::Issued && e.uop.kind != UopKind::Load {
+            if let Some(idx) = self.rob.index_of(id) {
+                let e = &self.rob.hot[idx];
+                if e.state == EntryState::Issued && !matches!(e.kind, UopKind::Load) {
                     self.finish_entry(idx, now);
                 }
             }
@@ -819,81 +671,74 @@ impl Core {
     /// Transition the Issued entry at `idx` to Done and wake its
     /// consumers.
     fn finish_entry(&mut self, idx: usize, now: Cycle) {
-        let e = &mut self.rob[idx];
+        let e = &mut self.rob.hot[idx];
         debug_assert_eq!(e.state, EntryState::Issued);
         e.state = EntryState::Done;
-        match e.uop.kind {
+        match e.kind {
             UopKind::Load => {
                 e.tainted = e.llc_miss;
-                e.chain_depth = 0;
+                e.depth = 0;
                 // e.inv stays as set (runahead INV loads).
             }
             UopKind::Store | UopKind::Branch(_) => {
                 e.tainted = false;
-                e.chain_depth = 0;
+                e.depth = 0;
             }
             _ => {
                 // ALU: taint/depth were computed at issue.
             }
         }
-        let (id, result, taint, depth, inv) = (e.id, e.result, e.tainted, e.chain_depth, e.inv);
-        let waiters = std::mem::take(&mut e.waiters);
-        for &(consumer, slot) in &waiters {
+        let (id, result, taint, depth, inv) = (e.id, e.result, e.tainted, e.depth, e.inv);
+        let waiters = self.rob.take_waiters(idx);
+        for (consumer, slot) in waiters.iter() {
             // Squashed consumers stay on the list and miss here.
-            let Some(ci) = self.index_of(consumer) else {
+            let Some(ci) = self.rob.index_of(consumer) else {
                 continue;
             };
-            let c = &mut self.rob[ci];
-            let s = &mut c.srcs[slot as usize];
-            if s.producer != Some(id) || s.value.is_some() {
+            let c = &mut self.rob.hot[ci];
+            let s = &mut c.srcs[slot];
+            debug_assert_eq!(self.rob.links[ci].producer(slot), Some(id));
+            if s.ready {
                 continue;
             }
-            s.value = Some(result);
-            s.taint = taint;
-            s.depth = depth;
-            s.inv = inv;
+            (s.value, s.ready, s.taint, s.depth, s.inv) = (result, true, taint, depth, inv);
+            let store = matches!(c.kind, UopKind::Store);
             if c.state == EntryState::Waiting && !c.remote {
-                let ready = if c.uop.kind == UopKind::Store {
-                    c.srcs[0].ready()
-                } else {
-                    c.srcs.iter().all(|s| s.ready())
-                };
-                if ready {
+                // A store issues once its address operand is ready.
+                if c.srcs[0].ready && (store || c.srcs[1].ready) {
                     self.ready.insert(consumer);
                 }
-            } else if c.uop.kind == UopKind::Store
-                && c.state == EntryState::Issued
-                && slot == 1
-                && c.store_value.is_none()
-            {
-                // Split store: address already resolved, data just
-                // arrived.
-                c.store_value = Some(result);
-                self.completing.insert((now + 1, consumer));
+            } else if store && c.state == EntryState::Issued && slot == 1 {
+                let data = &mut self.rob.cold[ci].store_value;
+                if data.is_none() {
+                    // Split store: address already resolved, data just
+                    // arrived.
+                    *data = Some(result);
+                    self.completing.insert(now + 1, consumer);
+                }
             }
         }
-        recycle(&mut self.waiter_pool, waiters);
+        self.rob.recycle_waiters(waiters);
     }
 
     fn issue(&mut self, now: Cycle, events: &mut Vec<CoreEvent>) {
         let mut issued = 0;
         // Loads held behind an older unresolved store stay ready for next
-        // cycle; `held` counts them at the front of the queue. Everything
-        // an issue inserts or squashes is younger than the uop issuing,
-        // so the queue only changes at or after position `held`.
+        // cycle; `held` counts them at the front of the set. Everything an
+        // issue inserts or squashes is younger than the uop issuing, so
+        // the set only changes at or after position `held`.
         let mut held = 0;
         while issued < self.cfg.issue_width {
             let Some(&id) = self.ready.0.get(held) else {
                 break;
             };
-            let Some(idx) = self.index_of(id) else {
-                self.ready.0.remove(held);
-                continue;
-            };
-            debug_assert_eq!(self.rob[idx].state, EntryState::Waiting);
-            let kind = self.rob[idx].uop.kind;
+            // A ready uop is live: its slot is its id's.
+            let idx = self.rob.slot(id);
+            let kind = self.rob.hot[idx].kind;
+            debug_assert_eq!(self.rob.hot[idx].id, id);
+            debug_assert_eq!(self.rob.hot[idx].state, EntryState::Waiting);
             // Memory ordering: wait for all older stores' addresses.
-            if kind == UopKind::Load && self.unresolved_stores.first().is_some_and(|s| s < id) {
+            if self.held_behind_a_store(id, kind) {
                 held += 1;
                 continue;
             }
@@ -902,12 +747,10 @@ impl Core {
             // every slot left this cycle (DESIGN.md §5, "Known modelling
             // deviations"). While that store still has no data, skip
             // finding it again.
-            if let Some((_, store)) = self.data_wait.filter(|w| w.0 == id) {
-                if self.entry(store).is_some_and(|s| s.store_value.is_none()) {
-                    break;
-                }
+            if self.waits_for_store_data(id) {
+                break;
             }
-            self.ready.0.remove(held);
+            self.ready.remove_at(held);
             issued += 1;
             self.waiting_count -= 1;
             match kind {
@@ -920,106 +763,101 @@ impl Core {
     }
 
     fn issue_alu(&mut self, idx: usize, now: Cycle) {
-        let e = &mut self.rob[idx];
+        let e = &mut self.rob.hot[idx];
         e.state = EntryState::Issued;
-        let a = e.srcs[0].value.expect("ready");
-        let b = e.srcs[1].value.expect("ready");
-        let (ra, rb) = resolve_operands(&e.uop, a, b);
-        e.result = e.uop.kind.alu(ra, rb);
-        e.tainted = e.srcs.iter().any(|s| s.taint);
-        e.inv = e.srcs.iter().any(|s| s.inv);
-        e.chain_depth = e
-            .srcs
-            .iter()
-            .filter(|s| s.taint)
-            .map(|s| s.depth)
-            .max()
-            .unwrap_or(0)
-            .saturating_add(1);
-        let done = now + e.uop.kind.exec_latency();
-        self.completing.insert((done, e.id));
+        let [a, b] = e.srcs;
+        debug_assert!(a.ready && b.ready);
+        e.result = e.kind.alu(a.value, b.value);
+        e.tainted = a.taint || b.taint;
+        e.inv = a.inv || b.inv;
+        let depth = |s: Operand| if s.taint { s.depth } else { 0 };
+        e.depth = depth(a).max(depth(b)).saturating_add(1);
+        self.completing.insert(now + e.kind.exec_latency(), e.id);
     }
 
     fn issue_store(&mut self, idx: usize, now: Cycle) {
-        let e = &mut self.rob[idx];
+        let (e, cold) = (&mut self.rob.hot[idx], &mut self.rob.cold[idx]);
         e.state = EntryState::Issued;
-        let base = e.srcs[0].value.expect("address operand ready");
-        e.addr = Some(e.uop.effective_address(base));
-        e.inv = e.srcs.iter().any(|s| s.inv);
-        e.store_value = e.srcs[1].value;
+        let [base, data] = e.srcs;
+        debug_assert!(base.ready, "address operand ready");
+        let uop = &self.program.uops[self.rob.links[idx].prog_idx as usize];
+        cold.addr = Some(uop.effective_address(base.value));
+        e.inv = base.inv || data.inv;
+        cold.store_value = data.ready.then_some(data.value);
         // The address is resolved: younger loads may now disambiguate.
         self.unresolved_stores.remove(e.id);
         // Without its data the store completes when the operand arrives
         // (see finish_entry's wakeup path).
-        if e.store_value.is_some() {
-            self.completing.insert((now + 1, e.id));
+        if data.ready {
+            self.completing.insert(now + 1, e.id);
         }
     }
 
     fn issue_branch(&mut self, idx: usize, now: Cycle) {
-        let e = &mut self.rob[idx];
+        let (e, cold) = (&mut self.rob.hot[idx], &self.rob.cold[idx]);
+        let prog_idx = self.rob.links[idx].prog_idx as usize;
         e.state = EntryState::Issued;
-        let v = e.srcs[0].value.expect("ready");
-        let UopKind::Branch(cond) = e.uop.kind else {
+        let UopKind::Branch(cond) = e.kind else {
             unreachable!("issue_branch on non-branch")
         };
-        let taken = if e.srcs[0].inv {
+        let src = e.srcs[0];
+        debug_assert!(src.ready);
+        let taken = if src.inv {
             // Runahead: a branch on an INV value cannot be resolved;
             // follow the prediction.
-            e.predicted_taken
+            cold.predicted_taken
         } else {
-            StaticUop::branch_taken(cond, v)
+            StaticUop::branch_taken(cond, src.value)
         };
         e.result = u64::from(taken);
-        let (id, predicted, pc) = (e.id, e.predicted_taken, e.pc);
+        let id = e.id;
         let redirect = if taken {
-            e.uop.target.expect("branch has target") as usize
+            let target = self.program.uops[prog_idx].target;
+            target.expect("branch has target") as usize
         } else {
-            e.prog_idx + 1
+            prog_idx + 1
         };
-        self.bpred
-            .resolve(pc, e.bp.expect("branch has checkpoint"), taken);
-        if taken != predicted {
+        let pc = self.program.pc_of(prog_idx);
+        (self.bpred).resolve(pc, cold.bp.expect("branch has checkpoint"), taken);
+        if taken != cold.predicted_taken {
             self.stats.branch_mispredicts += 1;
             self.flush_younger_than(id);
             self.fetch_idx = redirect;
             self.program_done = false;
             self.fetch_resume_at = now + self.cfg.mispredict_penalty;
         }
-        self.completing.insert((now + 1, id));
+        self.completing.insert(now + 1, id);
     }
 
     fn issue_load(&mut self, idx: usize, now: Cycle, events: &mut Vec<CoreEvent>) {
-        let e = &self.rob[idx];
-        let (id, pc) = (e.id, e.pc);
-        let base = e.srcs[0];
-        let addr = e.uop.effective_address(base.value.expect("ready"));
+        let id = self.rob.hot[idx].id;
+        let base = self.rob.hot[idx].srcs[0];
+        let prog_idx = self.rob.links[idx].prog_idx as usize;
+        let addr = self.program.uops[prog_idx].effective_address(base.value);
         // Store-to-load forwarding: youngest older store to the same
         // address wins.
+        let (head, mut end) = (self.rob.head(), self.rob.age(idx));
         let mut forwarded: Option<u64> = None;
-        for &sid in self.store_ids.0.iter().rev() {
-            if sid >= id {
-                continue;
-            }
-            let Some(s) = self.entry(sid) else { continue };
-            if s.addr == Some(addr) {
-                forwarded = s.store_value;
+        while let Some(age) = self.stores.prev(head, end) {
+            let s = self.rob.at(age);
+            if self.rob.cold[s].addr == Some(addr) {
+                forwarded = self.rob.cold[s].store_value;
                 if forwarded.is_none() {
                     // Matching older store whose data is not yet known:
                     // the load must wait, and the issue slot is spent
                     // (DESIGN.md §5, "Known modelling deviations").
                     self.ready.insert(id);
                     self.waiting_count += 1;
-                    self.data_wait = Some((id, sid));
+                    self.data_wait = Some((id, self.rob.hot[s].id));
                     return;
                 }
                 break;
             }
+            end = age;
         }
-        let mem_value = self.mem.read_u64(addr);
-        let e = &mut self.rob[idx];
+        let (e, cold) = (&mut self.rob.hot[idx], &mut self.rob.cold[idx]);
         e.state = EntryState::Issued;
-        e.addr = Some(addr);
+        cold.addr = Some(addr);
         if base.inv {
             // Runahead: a load whose address descends from the INV miss
             // has no meaningful address — drop it (no memory request).
@@ -1030,29 +868,31 @@ impl Core {
             // Forwarded loads complete within the issue cycle (LSQ
             // bypass).
             e.result = v;
-            e.forwarded = true;
             self.finish_entry(idx, now);
         } else {
-            e.result = mem_value;
+            e.result = self.mem.read_u64(addr);
             e.mem_pending = true;
             self.mem_inflight += 1;
             if self.runahead.is_some() {
                 self.stats.runahead_requests += 1;
             }
+            let pc = self.program.pc_of(prog_idx);
             events.push(CoreEvent::LoadIssued { rob: id, addr, pc });
         }
     }
 
     /// Squash every entry younger than `id`, which stays in the window.
     fn flush_younger_than(&mut self, id: RobId) {
-        let head_id = self.head().expect("the flushing branch is in flight").id;
+        let head_id = self.rob.hot[self.rob.head()].id;
         let mut squashed = 0;
         // Youngest first, so that each register ends at the mapping its
         // oldest squashed writer renamed over. That mapping names an
         // older entry, in flight still or retired since (then `None`).
-        while squashed < self.rob_len {
-            let slot = self.slot(self.next_id.wrapping_sub(1 + squashed as u64));
-            let e = &mut self.rob[slot];
+        while squashed < self.rob.len {
+            let slot = self
+                .rob
+                .slot(self.rob.next_id.wrapping_sub(1 + squashed as u64));
+            let e = &self.rob.hot[slot];
             if e.id <= id {
                 break;
             }
@@ -1063,18 +903,22 @@ impl Core {
             if e.mem_pending {
                 self.mem_inflight = self.mem_inflight.saturating_sub(1);
             }
-            if let Some(d) = e.uop.dst {
-                self.rename[d.idx()] = e.renamed_over.filter(|&p| p >= head_id);
+            if let Some(d) = e.dst {
+                let over = self.rob.links[slot].renamed_over();
+                self.rename[d.idx()] = over.filter(|&p| p >= head_id);
             }
-            recycle(&mut self.waiter_pool, std::mem::take(&mut e.waiters));
+            self.rob.clear_waiters(slot);
+            self.stores.remove(slot);
         }
-        self.rob_len -= squashed;
+        self.rob.len -= squashed;
+        for ids in [&mut self.ready, &mut self.unresolved_stores] {
+            while ids.0.back().is_some_and(|&r| r > id) {
+                ids.0.pop_back();
+            }
+        }
         // Skip the counter forward to the next id whose slot is the one
         // after `id`'s: ids stay unique and increasing.
-        self.next_id += (squashed as u64).wrapping_neg() & self.slot_mask as u64;
-        self.ready.truncate_above(id);
-        self.unresolved_stores.truncate_above(id);
-        self.store_ids.truncate_above(id);
+        self.rob.next_id += (squashed as u64).wrapping_neg() & self.rob.mask as u64;
     }
 
     fn dispatch(&mut self, now: Cycle) {
@@ -1086,24 +930,20 @@ impl Core {
                 self.program_done = true;
                 break;
             }
-            if self.rob_len >= self.cfg.rob_entries || self.waiting_count >= self.cfg.rs_entries {
-                break;
-            }
-            let uop = self.program.uops[self.fetch_idx];
-            if uop.kind.is_mem() && self.mem_ops_in_rob() >= self.cfg.lsq_entries {
+            if self.rob.len >= self.cfg.rob_entries || self.waiting_count >= self.cfg.rs_entries {
                 break;
             }
             let prog_idx = self.fetch_idx;
-            let pc = self.program.pc_of(prog_idx);
-            let id = self.next_id;
+            let uop = self.program.uops[prog_idx];
+            if uop.kind.is_mem() && self.mem_ops_in_rob() >= self.cfg.lsq_entries {
+                break;
+            }
+            let id = self.rob.next_id;
 
             // Branch prediction steers fetch.
-            let (bp, predicted_taken) = if uop.kind.is_branch() {
-                let info = self.bpred.predict(pc);
-                let taken = match uop.kind {
-                    UopKind::Branch(emc_types::BranchCond::Always) => true,
-                    _ => info.taken,
-                };
+            let (bp, predicted_taken) = if let UopKind::Branch(cond) = uop.kind {
+                let info = self.bpred.predict(self.program.pc_of(prog_idx));
+                let taken = matches!(cond, emc_types::BranchCond::Always) || info.taken;
                 self.fetch_idx = if taken {
                     uop.target.expect("branch has target") as usize
                 } else {
@@ -1117,83 +957,80 @@ impl Core {
 
             // Rename: capture operands, or join the producer's wakeup
             // list.
-            let mut srcs = [SrcOp::absent(), SrcOp::absent()];
+            let mut srcs = [Operand::committed(0, false); 2];
+            let mut producers = [None; 2];
             for (i, src) in uop.srcs.iter().enumerate() {
                 let Some(r) = src else { continue };
-                srcs[i] = match self.rename[r.idx()] {
-                    None => SrcOp {
-                        value: Some(self.committed[r.idx()]),
-                        inv: self.committed_inv[r.idx()],
-                        ..SrcOp::absent()
-                    },
+                producers[i] = self.rename[r.idx()];
+                srcs[i] = match producers[i] {
+                    None => {
+                        Operand::committed(self.committed[r.idx()], self.committed_inv[r.idx()])
+                    }
                     Some(pid) => {
-                        let pi = self.index_of(pid).expect("renamed producer in ROB");
-                        let p = &mut self.rob[pi];
+                        let pi = self.rob.index_of(pid).expect("renamed producer in ROB");
+                        let p = &self.rob.hot[pi];
                         if p.state == EntryState::Done {
-                            SrcOp {
-                                value: Some(p.result),
-                                producer: Some(pid),
+                            Operand {
+                                value: p.result,
+                                depth: p.depth,
+                                ready: true,
                                 taint: p.tainted,
-                                depth: p.chain_depth,
                                 inv: p.inv,
                             }
                         } else {
-                            if p.waiters.capacity() == 0 {
-                                p.waiters = self.waiter_pool.pop().unwrap_or_default();
-                            }
-                            p.waiters.push((id, i as u8));
-                            SrcOp {
-                                value: None,
-                                producer: Some(pid),
-                                ..SrcOp::absent()
-                            }
+                            self.rob.push_waiter(pi, id, i);
+                            Operand::waiting()
                         }
                     }
                 };
+            }
+            // An absent operand of an ALU uop holds what the ALU reads in
+            // its place: a move's immediate, or the second operand's.
+            match uop.kind {
+                UopKind::Mov if uop.srcs[0].is_none() => srcs[0].value = uop.imm,
+                UopKind::Mov | UopKind::Not | UopKind::SignExtend => {}
+                UopKind::Load | UopKind::Store | UopKind::Branch(_) => {}
+                _ if uop.srcs[1].is_none() => srcs[1].value = uop.imm,
+                _ => {}
             }
             let renamed_over = uop.dst.and_then(|d| self.rename[d.idx()].replace(id));
             // Stores issue (resolve their address) as soon as the address
             // operand is ready; data may arrive later (split
             // store-address / store-data uops).
-            let is_store = uop.kind == UopKind::Store;
-            let all_ready = srcs[0].ready() && (is_store || srcs[1].ready());
-            let entry = RobEntry {
+            let kind = uop.kind;
+            let is_store = matches!(kind, UopKind::Store);
+            let all_ready = srcs[0].ready && (is_store || srcs[1].ready);
+            // The slot after the youngest live entry, written in place.
+            let slot = self.rob.slot(id);
+            self.rob.hot[slot] = Hot {
                 id,
-                prog_idx,
-                uop,
-                pc,
-                state: EntryState::Waiting,
-                srcs,
                 result: 0,
-                addr: None,
-                store_value: None,
+                srcs,
+                kind,
+                dst: uop.dst,
+                state: EntryState::Waiting,
+                depth: 0,
                 remote: false,
                 llc_miss: false,
-                on_chip: false,
                 tainted: false,
-                chain_depth: 0,
-                waiters: Vec::new(),
-                bp,
-                predicted_taken,
-                forwarded: false,
-                mem_pending: false,
                 inv: false,
-                renamed_over,
+                mem_pending: false,
             };
-            // The slot after the youngest live entry: one filled before,
-            // or the first not yet filled.
-            let slot = self.slot(id);
-            if slot < self.rob.len() {
-                self.rob[slot] = entry;
-            } else {
-                debug_assert_eq!(slot, self.rob.len());
-                self.rob.push(entry);
+            self.rob.links[slot] = Links::new(prog_idx, producers, renamed_over);
+            if kind.is_mem() || kind.is_branch() {
+                self.rob.cold[slot] = Cold {
+                    addr: None,
+                    store_value: None,
+                    bp,
+                    predicted_taken,
+                    on_chip: false,
+                };
             }
-            self.next_id += 1;
-            self.rob_len += 1;
+            self.rob.next_id += 1;
+            self.rob.len += 1;
             self.waiting_count += 1;
             if is_store {
-                self.store_ids.insert(id);
+                self.stores.insert(slot);
                 self.unresolved_stores.insert(id);
             }
             if all_ready {
@@ -1203,29 +1040,7 @@ impl Core {
     }
 
     fn mem_ops_in_rob(&self) -> usize {
-        self.mem_inflight + self.store_ids.0.len()
-    }
-}
-
-/// Resolve ALU operand selection (Mov immediate special case) given the
-/// two captured source values.
-fn resolve_operands(uop: &StaticUop, a: u64, b: u64) -> (u64, u64) {
-    match uop.kind {
-        UopKind::Mov => {
-            if uop.srcs[0].is_some() {
-                (a, 0)
-            } else {
-                (uop.imm, 0)
-            }
-        }
-        UopKind::Not | UopKind::SignExtend => (a, 0),
-        _ => {
-            if uop.srcs[1].is_some() {
-                (a, b)
-            } else {
-                (a, uop.imm)
-            }
-        }
+        self.mem_inflight + self.stores.len()
     }
 }
 
@@ -1443,7 +1258,7 @@ mod tests {
         let (squashed, reused) = (loads[0], loads[1]);
         assert_eq!(core.stats.branch_mispredicts, 1);
         assert!(core.entry(squashed).is_none());
-        assert!(reused > squashed && core.slot(reused) == core.slot(squashed));
+        assert!(reused > squashed && core.rob.slot(reused) == core.rob.slot(squashed));
         let before = window_state(&core);
         core.complete_load(squashed, now);
         core.mark_llc_miss(squashed);
@@ -1452,7 +1267,7 @@ mod tests {
         let e = core
             .entry(reused)
             .expect("the right-path load is in flight");
-        assert!(e.mem_pending && !e.llc_miss && !e.on_chip);
+        assert!(e.hot.mem_pending && !e.llc_miss() && !e.on_chip());
         core.complete_load(reused, now);
         for now in now..now + 20 {
             core.tick(now, &mut events);
@@ -1764,16 +1579,24 @@ mod tests {
         program
     }
 
+    /// The ids of the live entries in `set`, oldest first.
+    fn members(core: &Core, set: &SlotSet) -> Vec<RobId> {
+        let live = (0..core.rob.len).map(|age| core.rob.at(age));
+        live.filter(|&slot| set.contains(slot))
+            .map(|slot| core.rob.hot[slot].id)
+            .collect()
+    }
+
     /// What a `complete_load` for a squashed id must leave untouched.
     fn window_state(core: &Core) -> impl PartialEq + std::fmt::Debug {
         let entries: Vec<_> = core
             .rob_iter()
-            .map(|e| (e.id, e.state, e.mem_pending, e.result))
+            .map(|e| (e.id(), e.state(), e.hot.mem_pending, e.result()))
             .collect();
         (
             entries,
             core.ready.0.clone(),
-            core.completing.0.clone(),
+            core.completing.entries(),
             core.waiting_count,
             core.mem_inflight,
         )
@@ -1800,27 +1623,28 @@ mod tests {
         let entries: Vec<_> = core
             .rob_iter()
             .map(|e| {
+                let h = e.hot;
                 (
-                    (e.id, e.state, e.srcs, e.result, e.addr, e.store_value),
-                    (e.remote, e.llc_miss, e.tainted, e.chain_depth, e.inv),
-                    (
-                        e.forwarded,
-                        e.mem_pending,
-                        e.waiters.clone(),
-                        e.renamed_over,
-                    ),
+                    (h.id, h.state, h.srcs, e.srcs(), h.result, e.addr()),
+                    (e.cold.store_value, e.on_chip(), e.predicted_taken()),
+                    (h.remote, h.llc_miss, h.tainted, h.depth, h.inv),
+                    (h.mem_pending, core.waiters_of(h.id).collect::<Vec<_>>()),
+                    e.links.renamed_over(),
                 )
             })
             .collect();
         (
-            (entries, core.next_id),
+            (entries, core.rob.next_id),
             (core.rename, core.committed, core.committed_inv),
-            (core.ready.0.clone(), core.completing.0.clone()),
-            (core.unresolved_stores.0.clone(), core.store_ids.0.clone()),
+            (core.ready.0.clone(), core.completing.entries()),
+            (
+                core.unresolved_stores.0.clone(),
+                members(core, &core.stores),
+            ),
             (core.data_wait, core.waiting_count, core.mem_inflight),
             (core.fetch_idx, core.fetch_resume_at, core.program_done),
             (core.finished_at, core.stall_since, core.finished_stall),
-            (core.runahead.is_some(), core.waiter_pool.len()),
+            core.runahead.is_some(),
             now.is_multiple_of(64).then(|| format!("{:?}", core.bpred)),
         )
     }
@@ -1906,7 +1730,7 @@ mod tests {
                     return true;
                 }
                 let ends_runahead = core.runahead.as_ref().is_some_and(|r| r.source_rob == rob);
-                if ends_runahead || core.rob_iter().any(|e| e.id == rob) {
+                if ends_runahead || core.rob_iter().any(|e| e.id() == rob) {
                     core.complete_load(rob, now);
                 } else {
                     // The request outlived a squash (or a runahead
@@ -1921,28 +1745,28 @@ mod tests {
             // Retirement took the oldest of last cycle's entries; the
             // rest of those gone were squashed.
             let retired = core.stats.retired_uops + core.stats.runahead_uops;
-            let live: Vec<RobId> = core.rob_iter().map(|e| e.id).collect();
+            let live: Vec<RobId> = core.rob_iter().map(|e| e.id()).collect();
             let gone = window.drain(..).skip((retired - retired_before) as usize);
             squashed.extend(gone.filter(|id| live.binary_search(id).is_err()));
             (window, retired_before) = (live, retired);
-            let first = window.first().copied().unwrap_or(core.next_id);
+            let first = window.first().copied().unwrap_or(core.rob.next_id);
             squashed.retain(|&id| id + 2 >= first);
             // entry(id) against a scan, for every id around the window.
-            let mut holder = vec![None; core.slot_mask + 1];
+            let mut holder = vec![None; core.rob.mask + 1];
             for e in core.rob_iter() {
-                holder[core.slot(e.id)] = Some(e.id);
+                holder[core.rob.slot(e.id())] = Some(e.id());
             }
             {
                 let mut scan = core.rob_iter().peekable();
-                for id in first.saturating_sub(2)..=core.next_id {
-                    let expect = scan.next_if(|e| e.id == id).map(|e| e as *const RobEntry);
+                for id in first.saturating_sub(2)..=core.rob.next_id {
+                    let expect = scan.next_if(|e| e.id() == id).map(|e| e.hot as *const Hot);
                     assert_eq!(
-                        core.entry(id).map(|e| e as *const RobEntry),
+                        core.entry(id).map(|e| e.hot as *const Hot),
                         expect,
                         "entry({id}) at cycle {now}"
                     );
                     if squashed.contains(&id) {
-                        if let Some(younger) = holder[core.slot(id)] {
+                        if let Some(younger) = holder[core.rob.slot(id)] {
                             assert!(younger > id, "slot of {id} holds {younger}");
                             cov.stale_slot_lookups += 1;
                         }
@@ -1952,8 +1776,8 @@ mod tests {
             }
             let mut rebuilt = [None; NUM_ARCH_REGS];
             for e in core.rob_iter() {
-                if let Some(d) = e.uop.dst {
-                    rebuilt[d.idx()] = Some(e.id);
+                if let Some(d) = e.uop().dst {
+                    rebuilt[d.idx()] = Some(e.id());
                 }
             }
             assert_eq!(core.rename, rebuilt, "rename table at cycle {now}");
@@ -2032,7 +1856,9 @@ mod tests {
             panic!("the core never fell asleep");
         };
         fall_asleep(&mut core);
-        let load = core.head().expect("the load blocks retirement").id;
+        let load = (core.rob_iter().next())
+            .expect("the load blocks retirement")
+            .id();
         type Call = fn(&mut Core, RobId);
         let calls: [(&str, Call); 6] = [
             ("mark_llc_miss", |c, load| c.mark_llc_miss(load)),

@@ -18,6 +18,8 @@
 
 pub mod bpred;
 pub mod core;
+pub mod window;
 
-pub use crate::core::{Core, CoreEvent, EntryState, RobEntry, RobId, SrcOp};
+pub use crate::core::{Core, CoreEvent};
+pub use crate::window::{EntryState, RobEntry, RobId, SrcOp};
 pub use bpred::{HybridPredictor, PredictInfo};

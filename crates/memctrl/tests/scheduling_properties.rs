@@ -1,9 +1,10 @@
 //! Property-based tests for the PAR-BS memory controller: conservation
-//! (everything enqueued completes exactly once), causality, and
-//! starvation-freedom under adversarial request streams.
+//! (everything enqueued completes exactly once), causality,
+//! starvation-freedom under adversarial request streams, and that the
+//! ticks `next_wake` calls idle may be left out.
 
 use emc_memctrl::MemoryController;
-use emc_types::rng::for_each_case;
+use emc_types::rng::{for_each_case, seeded_rng};
 use emc_types::{DramConfig, LineAddr, MemReq, MemStats, ReqId, Requester};
 use std::collections::HashSet;
 
@@ -299,4 +300,56 @@ fn escalation_fires_and_bounds_victim_age() {
         "aging never fired under a saturating hog (escalated_requests = {})",
         stats.escalated_requests
     );
+}
+
+/// What skipping the ticks `next_wake` says are idle may not move: the
+/// completions, the cycle each comes back, and every counter.
+#[test]
+fn a_controller_ticked_only_when_due_matches_one_ticked_every_cycle() {
+    let mut rng = seeded_rng(0x5eed_6a7e);
+    let mut skipped = 0;
+    for stream in 0..32 {
+        let controller = || {
+            let mut mc = MemoryController::new(&DramConfig::default(), vec![0, 1]);
+            mc.set_escalation_threshold((stream % 2 == 0).then_some(150));
+            mc
+        };
+        let (mut every, mut gated) = (controller(), controller());
+        let (mut every_stats, mut gated_stats) = (MemStats::default(), MemStats::default());
+        let (mut every_done, mut gated_done) = (Vec::new(), Vec::new());
+        let burst = 1 + rng.gen_range(0..8);
+        let mut now = 0;
+        while now < 2_000 || !every.is_idle() {
+            assert!(now < 20_000, "stream {stream} never drains");
+            if now < 2_000 && rng.gen_range(0..64) < burst {
+                let id = now * 4 + rng.gen_range(0..4);
+                let line = LineAddr(rng.gen_range(0..4) * 1024 + rng.gen_range(0..32));
+                let core = rng.gen_range(0..4) as usize;
+                let req = match rng.gen_range(0..6) {
+                    0 => MemReq::writeback(ReqId(id), line, Requester::Core(core), now),
+                    1 => MemReq::prefetch(ReqId(id), line, core, now),
+                    _ => MemReq::read(ReqId(id), line, Requester::Core(core), 0x40, now),
+                };
+                let admitted = every.enqueue(req, now).is_ok();
+                assert_eq!(gated.enqueue(req, now).is_ok(), admitted);
+            }
+            every_done.extend(
+                every
+                    .tick(now, &mut every_stats)
+                    .iter()
+                    .map(|c| (c.req.id, now)),
+            );
+            if gated.next_wake(now) <= now {
+                let done = gated.tick(now, &mut gated_stats);
+                gated_done.extend(done.iter().map(|c| (c.req.id, now)));
+            } else {
+                skipped += 1;
+            }
+            now += 1;
+        }
+        assert!(gated.is_idle(), "stream {stream}");
+        assert_eq!(gated_done, every_done, "stream {stream}");
+        assert_eq!(format!("{gated_stats:?}"), format!("{every_stats:?}"));
+    }
+    assert!(skipped > 20_000, "{skipped} ticks skipped");
 }

@@ -81,6 +81,7 @@ impl PrefetchEngine {
     /// `now` if [`drain_into`](Self::drain_into) would find anything to
     /// drain, else `Cycle::MAX`: until training gives it candidates the
     /// engine may be left undrained.
+    #[inline]
     pub fn next_wake(&self, now: Cycle) -> Cycle {
         let pending = self.stream.as_ref().is_some_and(|s| s.has_pending())
             || self.ghb.as_ref().is_some_and(|g| g.has_pending())

@@ -74,8 +74,10 @@ pub(crate) enum Ev {
     },
     /// The `value` an EMC load reads is available at its EMC.
     EmcLoadDone { load: EmcLoad, value: u64 },
-    /// Chain live-outs arrive back at the home core.
+    /// Chain live-outs from the EMC at controller `mc` arrive back at the
+    /// home core; the buffer goes back to that EMC.
     ChainResults {
+        mc: usize,
         core: CoreId,
         results: Vec<ChainResult>,
     },

@@ -21,6 +21,9 @@ pub(crate) struct McQueues {
     mcs: Vec<MemoryController>,
     /// Per controller, the rejected requests, oldest first.
     retry: Vec<Vec<MemReq>>,
+    /// Per controller, its `next_wake` as its last tick left it: only an
+    /// arrival or a tick changes the controller.
+    wake: Vec<Cycle>,
 }
 
 /// Offer `req` to `mc`'s queue at `now` under the admission policy,
@@ -62,6 +65,7 @@ impl McQueues {
         McQueues {
             mcs,
             retry: vec![Vec::new(); cfg.memory_controllers],
+            wake: vec![0; cfg.memory_controllers],
         }
     }
 
@@ -72,9 +76,19 @@ impl McQueues {
 
     /// `req` arrives at controller `mc` at `now`.
     pub fn arrive(&mut self, mc: usize, req: MemReq, now: Cycle, in_flight: &mut InFlight) {
+        self.wake[mc] = now;
         if let Some(req) = admit(&mut self.mcs[mc], req, now, in_flight, false) {
             self.retry[mc].push(req);
         }
+    }
+
+    /// Whether a [`tick`](Self::tick) of controller `mc` at `now` could
+    /// act: a rejected request waits, or the controller's `next_wake`
+    /// has come. A tick it is not due for changes nothing but, on an
+    /// empty queue, the escalation scan's next cycle, which the next
+    /// enqueue and tick set again.
+    pub fn due(&self, mc: usize, now: Cycle) -> bool {
+        !self.retry[mc].is_empty() || self.wake[mc] <= now
     }
 
     /// One cycle of controller `mc`: retry what its queue rejected, then
@@ -95,7 +109,9 @@ impl McQueues {
             }
             None => false,
         });
-        ctrl.tick(now, stats)
+        let done = ctrl.tick(now, stats);
+        self.wake[mc] = ctrl.next_wake(now + 1);
+        done
     }
 
     /// Hand controller `mc`'s drained completion list back.
@@ -114,7 +130,7 @@ impl McQueues {
         if self.retry.iter().any(|r| !r.is_empty()) {
             return now;
         }
-        (self.mcs.iter().map(|mc| mc.next_wake(now))).fold(Cycle::MAX, Cycle::min)
+        self.wake.iter().fold(Cycle::MAX, |a, &b| a.min(b)).max(now)
     }
 }
 

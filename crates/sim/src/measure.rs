@@ -112,14 +112,14 @@ impl Measure {
 
     /// Whether nothing has retired anywhere for the whole stall window.
     pub fn wedged(&mut self, now: Cycle, cores: &[Core]) -> bool {
-        self.watchdog.check(now, total_retired(cores))
+        now >= self.watchdog.next_check && self.watchdog.check(now, total_retired(cores))
     }
 
     /// Freeze the statistics of every core that has reached `budget` by
     /// `now` and has none frozen yet.
     pub fn take(&mut self, now: Cycle, budget: u64, cores: &[Core]) {
         for (snap, core) in self.snapshots.iter_mut().zip(cores) {
-            if snap.is_none() && reached(core, budget) {
+            if reached(core, budget) && snap.is_none() {
                 let mut s = core.stats.clone();
                 s.cycles = (now - self.start).max(1);
                 *snap = Some(s);
@@ -130,7 +130,7 @@ impl Measure {
     /// Whether every core has reached `budget` or has frozen statistics.
     pub fn all_done(&self, budget: u64, cores: &[Core]) -> bool {
         (self.snapshots.iter().zip(cores))
-            .all(|(snap, core)| snap.is_some() || reached(core, budget))
+            .all(|(snap, core)| reached(core, budget) || snap.is_some())
     }
 
     /// The measured statistics at `now`: `stats` over the window, each

@@ -84,8 +84,10 @@ enum Stop {
 
 /// The simulated system.
 pub struct System {
-    /// Configuration this system was built with.
-    pub cfg: SystemConfig,
+    /// Configuration this system was built with, read once by
+    /// [`new`](Self::new) and by the run loop: private, so that it cannot
+    /// be changed after the build and only half apply.
+    cfg: SystemConfig,
     now: Cycle,
     cores: Vec<Core>,
     /// Benchmark names per core (reporting).
@@ -187,6 +189,11 @@ impl System {
             bench_names,
             cfg,
         })
+    }
+
+    /// The configuration this system was built with.
+    pub fn cfg(&self) -> &SystemConfig {
+        &self.cfg
     }
 
     /// Current simulation cycle.
@@ -326,15 +333,15 @@ impl System {
 
     fn tick_cores(&mut self) {
         for c in 0..self.cfg.cores {
-            let mut events = std::mem::take(&mut self.scratch_events);
-            self.cores[c].tick(self.now, &mut events);
-            for ev in events.drain(..) {
-                match ev {
+            self.cores[c].tick(self.now, &mut self.scratch_events);
+            // Events are `Copy`: read them in place, then clear.
+            for i in 0..self.scratch_events.len() {
+                match self.scratch_events[i] {
                     CoreEvent::LoadIssued { rob, addr, pc } => self.on_core_load(c, rob, addr, pc),
                     CoreEvent::StoreRetired { addr } => self.on_store_retired(c, addr),
                 }
             }
-            self.scratch_events = events;
+            self.scratch_events.clear();
         }
     }
 
@@ -427,10 +434,11 @@ impl System {
                     emc.complete_load(load.ctx, load.uop, value);
                 }
             }
-            Ev::ChainResults { core, results } => {
+            Ev::ChainResults { mc, core, results } => {
                 for r in results.iter() {
                     self.cores[core].complete_remote(r.rob, r.value, r.store, self.now);
                 }
+                self.emcs[mc].recycle_results(results);
             }
             Ev::ChainAbortAtCore { chain } => {
                 let core = chain.home_core;
@@ -591,6 +599,9 @@ impl System {
 
     fn tick_mcs(&mut self) {
         for mc in 0..self.mc_queues.controllers().len() {
+            if !self.mc_queues.due(mc, self.now) {
+                continue;
+            }
             let mem = &mut self.stats.mem;
             let mut done = (self.mc_queues).tick(mc, self.now, &mut self.in_flight, mem);
             for comp in done.drain(..) {
@@ -672,6 +683,9 @@ impl System {
         }
         let mut candidates = std::mem::take(&mut self.scratch_lines);
         for core in 0..self.cfg.cores {
+            if self.prefetchers[core].next_wake(self.now) > self.now {
+                continue;
+            }
             self.prefetchers[core].drain_into(&mut candidates);
             // Trained on physical lines; one outside the core's own
             // address space is no line of its program.

@@ -46,8 +46,8 @@ impl System {
     /// from the functional image.
     fn source_value(&self, core: CoreId, rob: RobId, addr: Addr) -> u64 {
         if let Some(e) = self.cores[core].entry(rob) {
-            if e.uop.kind == UopKind::Load && e.state != EntryState::Waiting {
-                return e.result;
+            if e.uop().kind == UopKind::Load && e.state() != EntryState::Waiting {
+                return e.result();
             }
         }
         self.cores[core].mem.read_u64(addr)
@@ -55,6 +55,14 @@ impl System {
 
     pub(super) fn tick_emcs(&mut self) {
         if !self.cfg.emc.enabled {
+            return;
+        }
+        // Nothing to do while every engine sleeps. A busy context keeps
+        // the phase running: the lease pass dates its progress at `now`,
+        // and later would move its lease's end.
+        let now = self.now;
+        let idle = |emc: &EmcEngine| emc.busy_contexts() == 0 && emc.next_wake(now) > now;
+        if self.emc_fault.is_none() && self.emcs.iter().all(idle) {
             return;
         }
         // Context leases, on every EMC before anything else: a shipped
@@ -80,7 +88,8 @@ impl System {
             self.emc_fault = Some((prob, rng));
         }
         for mc in 0..self.emcs.len() {
-            for ev in self.emcs[mc].tick(self.now, &mut self.stats.emc) {
+            let mut events = self.emcs[mc].tick(self.now, &mut self.stats.emc);
+            for ev in events.drain(..) {
                 match ev {
                     EmcEvent::Load {
                         ctx,
@@ -109,6 +118,7 @@ impl System {
                     }
                 }
             }
+            self.emcs[mc].recycle(events);
         }
     }
 
@@ -121,10 +131,10 @@ impl System {
             .map(|c| c.uops[load.uop].rob)
             .expect("chain present");
         let conflict = self.cores[core].rob_iter().any(|e| {
-            e.id < rob
-                && e.uop.kind == UopKind::Store
-                && !e.remote
-                && (e.addr.is_none() || e.addr == Some(vaddr))
+            e.id() < rob
+                && e.uop().kind == UopKind::Store
+                && !e.remote()
+                && (e.addr().is_none() || e.addr() == Some(vaddr))
         });
         if conflict {
             self.cores[core].stats.chains_cancelled_disambiguation += 1;
@@ -236,20 +246,22 @@ impl System {
         let results = self.emcs[mc].drain_results(ctx);
         self.cores[core].stats.chain_live_outs += results.len() as u64;
         let arrive = self.hop(Data, Stop::Mc(mc), Stop::Core(core), self.now, true);
-        self.schedule(arrive, Ev::ChainResults { core, results });
+        self.schedule(arrive, Ev::ChainResults { mc, core, results });
     }
 
     /// Free a finished context. Its last results left in the same tick,
     /// ahead of this event (`EmcEngine::tick` announces `Results` first).
     fn on_chain_done(&mut self, mc: usize, ctx: usize) {
         let fin = self.emcs[mc].take_finished(ctx);
-        self.trace.span(
-            TraceTrack::EmcCtx { mc, ctx },
-            "chain execute",
-            fin.active_at.min(self.now),
-            self.now,
-            vec![("uops", fin.chain.uops.len() as u64)],
-        );
+        if self.trace.is_enabled() {
+            self.trace.span(
+                TraceTrack::EmcCtx { mc, ctx },
+                "chain execute",
+                fin.active_at.min(self.now),
+                self.now,
+                vec![("uops", fin.chain.uops.len() as u64)],
+            );
+        }
         self.units[fin.chain.home_core].done(fin.chain);
     }
 
@@ -272,6 +284,9 @@ impl System {
     /// the EMC of the controller that owns its source miss's line.
     pub(super) fn ship_chains(&mut self) {
         for core in 0..self.cfg.cores {
+            if self.units[core].next_wake(&self.cores[core], self.now) > self.now {
+                continue;
+            }
             let any_free = || self.emcs.iter().any(EmcEngine::has_free_context);
             let Some((mut chain, gen_cycles)) =
                 self.units[core].generate(&self.cores[core], core, self.now, any_free)
@@ -291,7 +306,7 @@ impl System {
             // Source data may already be on chip (or the load done): then
             // it ships with the chain.
             let already = (self.cores[core].entry(source_rob))
-                .is_none_or(|e| e.on_chip || e.state == EntryState::Done);
+                .is_none_or(|e| e.on_chip() || e.state() == EntryState::Done);
             chain.source_value =
                 already.then(|| self.source_value(core, source_rob, chain.source_addr));
             let stats = &mut self.cores[core].stats;

@@ -160,7 +160,12 @@ impl System {
                 rob_head: c.rob_iter().next().map(|e| {
                     format!(
                         "id={} {:?} state={:?} remote={} llc_miss={} addr={:?}",
-                        e.id, e.uop.kind, e.state, e.remote, e.llc_miss, e.addr
+                        e.id(),
+                        e.uop().kind,
+                        e.state(),
+                        e.remote(),
+                        e.llc_miss(),
+                        e.addr()
                     )
                 }),
                 active_chain_uops: unit.in_flight(),

@@ -8,7 +8,7 @@ use emc_types::{FaultPlan, PrefetcherKind, RunOutcome, RunReport, SystemConfig};
 use emc_workloads::{mix_by_name, Benchmark};
 
 fn all_retired(sys: &System, budget: u64) -> bool {
-    (0..sys.cfg.cores).all(|c| {
+    (0..sys.cfg().cores).all(|c| {
         let core = sys.core(c);
         core.stats.retired_uops >= budget || core.finished_at().is_some()
     })
@@ -61,7 +61,7 @@ fn check(name: &str, cfg: SystemConfig, benches: &[Benchmark], budget: u64) -> f
         ticking.post_mortem(),
         "{name}: post-mortem"
     );
-    for c in 0..jumping.cfg.cores {
+    for c in 0..jumping.cfg().cores {
         assert_eq!(
             format!("{:?}", jumping.core(c).stats),
             format!("{:?}", ticking.core(c).stats),

@@ -135,6 +135,7 @@ impl UopKind {
     ///
     /// Panics if called on `Load`, `Store`, or `Branch` — those have
     /// dedicated execution paths.
+    #[inline]
     pub fn alu(self, a: u64, b: u64) -> u64 {
         match self {
             UopKind::IntAdd => a.wrapping_add(b),
