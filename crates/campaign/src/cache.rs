@@ -13,9 +13,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use emc_types::json::{read_tagged, schema, Reader};
 use emc_types::JsonValue;
 
-use crate::codec::{run_result_from_json, run_result_to_json};
+use crate::codec::run_result_to_json;
 use crate::spec::{code_fingerprint, JobKey, JobSpec, RunResult};
 
 /// Schema tag stamped into every cache entry.
@@ -161,28 +162,31 @@ impl ResultCache {
     }
 }
 
-/// Parse and validate one cache entry against the key we expect.
+emc_types::json_struct! {
+    /// A cache entry past its tags: the result. The spec echo is skipped.
+    struct EntryBody {
+        result: RunResult,
+    }
+}
+
+/// Decode and validate one cache entry against the key we expect, in
+/// one pass over its text: the tags are read, the result decoded and
+/// the spec echo skipped.
 fn decode_entry(text: &str, key: &JobKey) -> Result<RunResult, String> {
-    let doc = JsonValue::parse(text)?;
-    let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-    if schema != CACHE_SCHEMA {
-        return Err(format!("schema {schema:?}, expected {CACHE_SCHEMA:?}"));
-    }
-    let stored_key = doc.get("key").and_then(|v| v.as_str()).unwrap_or("");
-    if stored_key != key.0 {
-        return Err(format!("key mismatch: entry says {stored_key:?}"));
-    }
-    let fp = doc
-        .get("fingerprint")
-        .and_then(|v| v.as_str())
-        .unwrap_or("");
-    if fp != code_fingerprint() {
-        // Unreachable through `load` (the fingerprint is inside the
-        // hashed spec, so a different fingerprint yields a different
-        // path), but a copied-in entry from another build must not pass.
-        return Err(format!("fingerprint {fp:?} from a different build"));
-    }
-    run_result_from_json(doc.get("result").ok_or("missing result")?)
+    let fingerprint = code_fingerprint();
+    let tags = ["schema", "key", "fingerprint"];
+    let body = Reader::read_all(text, |r| {
+        read_tagged(r, tags, EntryBody::read_members, |tag, got| match tag {
+            0 => schema(got, CACHE_SCHEMA),
+            1 if got != key.0 => Err(format!("key mismatch: entry says {got:?}")),
+            // Unreachable through `load` (the fingerprint is inside the
+            // hashed spec, so a different fingerprint yields a different
+            // path), but a copied-in entry from another build must not pass.
+            2 if got != fingerprint => Err(format!("fingerprint {got:?} from a different build")),
+            _ => Ok(()),
+        })
+    })?;
+    Ok(body.result)
 }
 
 #[cfg(test)]

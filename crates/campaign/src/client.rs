@@ -11,8 +11,10 @@ use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use emc_types::json::{Reader, TextError};
 use emc_types::{
-    EventBatch, JobStatusView, JsonValue, Rejection, ServiceStats, SubmitAck, SubmitRequest,
+    EventBatch, FromJson, JobStatusView, JsonValue, Rejection, ServiceStats, SubmitAck,
+    SubmitRequest,
 };
 
 use crate::http::read_message;
@@ -88,8 +90,10 @@ impl Client {
     ///
     /// [`ClientError::Unreachable`] when nothing answers.
     pub fn healthz(&self) -> Result<(), ClientError> {
-        self.request("GET", "/v1/healthz", None, self.timeout)
-            .map(|_| ())
+        self.request("GET", "/v1/healthz", None, self.timeout, |r| {
+            JsonValue::read(r)
+        })
+        .map(drop)
     }
 
     /// Submit a job (`POST /v1/jobs`).
@@ -98,8 +102,10 @@ impl Client {
     ///
     /// [`ClientError::Rejected`] carries the structured 400/429/503.
     pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitAck, ClientError> {
-        let doc = self.request("POST", "/v1/jobs", Some(&req.to_json()), self.timeout)?;
-        SubmitAck::from_json(&doc).map_err(ClientError::Protocol)
+        let body = Some(&req.to_json());
+        self.request("POST", "/v1/jobs", body, self.timeout, |r| {
+            SubmitAck::read_document(r)
+        })
     }
 
     /// Snapshot a job (`GET /v1/jobs/<id>`).
@@ -108,8 +114,10 @@ impl Client {
     ///
     /// 404 surfaces as [`ClientError::Rejected`].
     pub fn status(&self, id: &str) -> Result<JobStatusView, ClientError> {
-        let doc = self.request("GET", &format!("/v1/jobs/{id}"), None, self.timeout)?;
-        JobStatusView::from_json(&doc).map_err(ClientError::Protocol)
+        let path = format!("/v1/jobs/{id}");
+        self.request("GET", &path, None, self.timeout, |r| {
+            JobStatusView::read_document(r)
+        })
     }
 
     /// Long-poll a job's event stream
@@ -120,13 +128,10 @@ impl Client {
     /// 404 surfaces as [`ClientError::Rejected`].
     pub fn events(&self, id: &str, since: u64, timeout_ms: u64) -> Result<EventBatch, ClientError> {
         let path = format!("/v1/jobs/{id}/events?since={since}&timeout_ms={timeout_ms}");
-        let doc = self.request(
-            "GET",
-            &path,
-            None,
-            self.timeout + Duration::from_millis(timeout_ms),
-        )?;
-        EventBatch::from_json(&doc).map_err(ClientError::Protocol)
+        let timeout = self.timeout + Duration::from_millis(timeout_ms);
+        self.request("GET", &path, None, timeout, |r| {
+            EventBatch::read_document(r)
+        })
     }
 
     /// Service statistics (`GET /v1/stats`).
@@ -135,8 +140,9 @@ impl Client {
     ///
     /// [`ClientError::Unreachable`] / [`ClientError::Protocol`].
     pub fn stats(&self) -> Result<ServiceStats, ClientError> {
-        let doc = self.request("GET", "/v1/stats", None, self.timeout)?;
-        ServiceStats::from_json(&doc).map_err(ClientError::Protocol)
+        self.request("GET", "/v1/stats", None, self.timeout, |r| {
+            ServiceStats::read_document(r)
+        })
     }
 
     /// Begin a graceful drain (`POST /v1/drain`).
@@ -145,18 +151,22 @@ impl Client {
     ///
     /// [`ClientError::Unreachable`] when nothing answers.
     pub fn drain(&self) -> Result<JsonValue, ClientError> {
-        self.request("POST", "/v1/drain", None, self.timeout)
+        self.request("POST", "/v1/drain", None, self.timeout, |r| {
+            JsonValue::read(r)
+        })
     }
 
-    /// One request/response cycle. 2xx returns the parsed body; other
-    /// statuses decode the body as a [`Rejection`].
-    fn request(
+    /// One request/response cycle. A 2xx body is decoded by `read`,
+    /// straight from its text; other statuses decode the body as a
+    /// [`Rejection`].
+    fn request<T>(
         &self,
         method: &str,
         path: &str,
         body: Option<&JsonValue>,
         read_timeout: Duration,
-    ) -> Result<JsonValue, ClientError> {
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, String>,
+    ) -> Result<T, ClientError> {
         let addr = self
             .addr
             .to_socket_addrs()
@@ -181,14 +191,17 @@ impl Client {
             .map_err(|e| ClientError::Unreachable(format!("write: {e}")))?;
 
         let (status, text) = read_response(&mut stream)?;
-        let doc = JsonValue::parse(&text)
-            .map_err(|e| ClientError::Protocol(format!("status {status}, bad body: {e}")))?;
+        let bad_body = |e| ClientError::Protocol(format!("status {status}, bad body: {e}"));
         if (200..300).contains(&status) {
-            return Ok(doc);
+            return Reader::read_all(&text, read).map_err(|e| match e {
+                TextError::Syntax(e) => bad_body(e),
+                TextError::Decode(e) => ClientError::Protocol(e),
+            });
         }
-        match Rejection::from_json(&doc) {
+        match Reader::read_all(&text, Rejection::read_document) {
             Ok(rejection) => Err(ClientError::Rejected { status, rejection }),
-            Err(e) => Err(ClientError::Protocol(format!(
+            Err(TextError::Syntax(e)) => Err(bad_body(e)),
+            Err(TextError::Decode(e)) => Err(ClientError::Protocol(format!(
                 "status {status}, undecodable rejection: {e}"
             ))),
         }

@@ -20,7 +20,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use emc_types::{FromJson, JsonValue, ToJson};
+use emc_types::json::{read_tagged, schema, Reader};
+use emc_types::{JsonValue, ToJson};
 
 use crate::cache::write_atomic;
 use crate::engine::JobRecord;
@@ -275,18 +276,28 @@ impl Manifest {
         ])
     }
 
-    /// Parse a manifest document (inverse of [`Manifest::to_json`]).
+    /// Parse a manifest document (inverse of [`Manifest::to_json`]) in
+    /// one pass over its text; the tallies for readers are skipped.
     pub fn from_json_text(text: &str) -> Result<Manifest, String> {
-        let doc = JsonValue::parse(text)?;
-        let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-        if schema != MANIFEST_SCHEMA {
-            return Err(format!("schema {schema:?}, expected {MANIFEST_SCHEMA:?}"));
-        }
+        let body = Reader::read_all(text, |r| {
+            read_tagged(r, ["schema"], ManifestBody::read_members, |_, got| {
+                schema(got, MANIFEST_SCHEMA)
+            })
+        })?;
         Ok(Manifest {
-            name: String::from_json_member(&doc, "name", None)?,
-            id: String::from_json_member(&doc, "id", None)?,
-            entries: Vec::from_json_member(&doc, "jobs", None)?,
+            name: body.name,
+            id: body.id,
+            entries: body.jobs,
         })
+    }
+}
+
+emc_types::json_struct! {
+    /// What a manifest document holds that a [`Manifest`] keeps.
+    struct ManifestBody {
+        name: String,
+        id: String,
+        jobs: Vec<ManifestEntry>,
     }
 }
 

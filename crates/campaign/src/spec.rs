@@ -16,6 +16,7 @@
 
 use emc_energy::{estimate_default, EnergyBreakdown};
 use emc_sim::{eight_core_mix, run_mix};
+use emc_types::json::Source;
 use emc_types::{FromJson, JsonValue, RunReport, Stats, SystemConfig, ToJson};
 use emc_workloads::Benchmark;
 
@@ -174,8 +175,8 @@ impl ToJson for JobKey {
 }
 
 impl FromJson for JobKey {
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        String::from_json_value(v).map(JobKey)
+    fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+        String::read(src).map(JobKey)
     }
 }
 

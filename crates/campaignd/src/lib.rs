@@ -34,4 +34,4 @@ pub mod service;
 
 pub use http::{read_request, write_response, Request};
 pub use queue::{Dispatch, FairQueue, QueueFull, TaskRef, DEFAULT_AGE_MS, DEFAULT_MARK_CAP};
-pub use service::{expand_request, handle_request, Service, ServiceConfig};
+pub use service::{expand_request, handle_request, Service, ServiceConfig, FINISHED_JOBS_KEPT};

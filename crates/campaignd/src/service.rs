@@ -33,7 +33,7 @@
 //! caller's deadline and the back-off after a failed `accept`
 //! (DESIGN.md §11, "No waiting").
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -46,6 +46,7 @@ use emc_campaign::{
     ResultCache, Tally, CACHE_HIT, COMPLETED, SUITES,
 };
 use emc_types::codec::u;
+use emc_types::json::{Reader, TextError};
 use emc_types::{
     EventBatch, Histogram, JobState, JobStatusView, JsonValue, ProgressEvent, Rejection,
     ServiceStats, SubmitAck, SubmitRequest, TenantStats, SVC_SCHEMA,
@@ -57,6 +58,11 @@ use crate::queue::{FairQueue, TaskRef, DEFAULT_AGE_MS, DEFAULT_MARK_CAP};
 /// Upper bound on one long-poll wait, milliseconds (also the wait when
 /// the client names none).
 const POLL_TIMEOUT_MS: u64 = 10_000;
+
+/// How many of the jobs finished in this life keep their event stream:
+/// an older one answers `events` as a job resumed complete does,
+/// complete and with no events, so the rows a daemon holds stay bounded.
+pub const FINISHED_JOBS_KEPT: usize = 64;
 
 /// Service configuration (defaults suit an interactive localhost daemon).
 #[derive(Debug, Clone)]
@@ -105,10 +111,11 @@ struct Job {
     finished_ms: u64,
     tally: Tally,
     /// The job's progress events, one per resolved task in resolution
-    /// order, each kept as the few numbers it is rebuilt from.
+    /// order, each kept as the few numbers it is rebuilt from; dropped
+    /// once [`FINISHED_JOBS_KEPT`] newer jobs have finished.
     resolved: Vec<Resolved>,
     /// Task labels, moved out of the manifest rows when the work is
-    /// dropped (until then the rows hold them).
+    /// dropped (until then the rows hold them); dropped with `resolved`.
     labels: Box<[String]>,
 }
 
@@ -293,6 +300,9 @@ struct Tenant {
 struct State {
     jobs: Vec<Job>,
     job_index: HashMap<String, usize>,
+    /// The jobs finished in this life that still keep their event
+    /// stream, oldest first.
+    finished: VecDeque<usize>,
     tenants: Vec<Tenant>,
     tenant_index: HashMap<String, usize>,
     queue: FairQueue,
@@ -325,6 +335,18 @@ impl State {
     /// Nothing queued and nothing running.
     fn idle(&self) -> bool {
         self.queue.is_empty() && self.running == 0
+    }
+
+    /// Job `job` has finished: keep its event stream, and drop the
+    /// oldest kept one past [`FINISHED_JOBS_KEPT`].
+    fn finish(&mut self, job: usize) {
+        self.finished.push_back(job);
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = self.finished.pop_front().expect("over the bound");
+            let oldest = &mut self.jobs[oldest];
+            oldest.resolved = Vec::new();
+            oldest.labels = Box::default();
+        }
     }
 
     fn push_job(&mut self, job: Job) {
@@ -432,6 +454,7 @@ impl Service {
         let mut state = State {
             jobs: Vec::new(),
             job_index: HashMap::new(),
+            finished: VecDeque::new(),
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             queue: FairQueue::new(capacity, cfg.mark_cap, cfg.age_ms),
@@ -660,6 +683,7 @@ impl Service {
         job.resolved.shrink_to_fit();
         job.finished_ms = now;
         state.job_wall_ms.saturating_record(elapsed_ms);
+        state.finish(task.job);
         None
     }
 
@@ -1126,9 +1150,11 @@ pub fn handle_request(svc: &Service, req: &Request) -> (u16, JsonValue) {
             ]),
         ),
         ("POST", ["v1", "jobs"]) => {
-            let submission = JsonValue::parse(&req.body)
-                .map_err(|e| format!("request body is not JSON: {e}"))
-                .and_then(|doc| SubmitRequest::from_json(&doc));
+            let submission =
+                Reader::read_all(&req.body, SubmitRequest::read_document).map_err(|e| match e {
+                    TextError::Syntax(e) => format!("request body is not JSON: {e}"),
+                    TextError::Decode(e) => e,
+                });
             match submission {
                 Ok(sr) => match svc.submit(&sr) {
                     Ok(ack) => (200, ack.to_json()),
@@ -1337,54 +1363,6 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
-        let _ = fs::remove_dir_all(cache_dir);
-    }
-
-    #[test]
-    fn admission_control_rejects_with_structured_reason() {
-        let mut cfg = small_cfg("admission");
-        cfg.queue_cap = 15; // one 10-task job fits, a second cannot
-        cfg.workers = 1;
-        let cache_dir = cfg.cache_dir.clone();
-        let svc = Service::new(cfg);
-        // No workers started: the queue stays full.
-        svc.submit(&small_request("alice")).expect("first fits");
-        let (code, rej) = svc.submit(&small_request("bob")).unwrap_err();
-        assert_eq!(code, 429);
-        assert_eq!(rej.error, "queue-full");
-        assert_eq!(rej.capacity, 15);
-        assert!(rej.queue_depth >= 10);
-        assert!(rej.detail.contains("capacity"));
-        let _ = fs::remove_dir_all(cache_dir);
-    }
-
-    #[test]
-    fn rejected_submissions_leave_no_tenant_behind() {
-        let mut cfg = small_cfg("tenants");
-        cfg.queue_cap = 15;
-        let cache_dir = cfg.cache_dir.clone();
-        let svc = Service::new(cfg);
-        svc.submit(&small_request("alice")).expect("first fits");
-        for i in 0..100 {
-            let (code, _) = svc.submit(&small_request(&format!("m{i}"))).unwrap_err();
-            assert_eq!(code, 429);
-        }
-        let tenants: Vec<String> = svc.stats().tenants.into_iter().map(|t| t.tenant).collect();
-        assert_eq!(tenants, ["alice"], "a 429 allocates nothing per name");
-        let _ = fs::remove_dir_all(cache_dir);
-    }
-
-    #[test]
-    fn drain_rejects_submissions_and_stops_when_idle() {
-        let cfg = small_cfg("drain");
-        let cache_dir = cfg.cache_dir.clone();
-        let svc = Service::new(cfg);
-        let doc = svc.drain();
-        assert!(matches!(doc.get("draining"), Some(JsonValue::Bool(true))));
-        let (code, rej) = svc.submit(&small_request("alice")).unwrap_err();
-        assert_eq!(code, 503);
-        assert_eq!(rej.error, "draining");
-        assert!(svc.stopped(), "idle drain stops immediately");
         let _ = fs::remove_dir_all(cache_dir);
     }
 

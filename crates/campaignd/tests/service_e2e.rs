@@ -1,7 +1,8 @@
 //! End-to-end service test, in-process: the ISSUE-9 acceptance
 //! scenario. Three tenants queue 1000+ tasks onto a 4-worker pool,
-//! the daemon is killed mid-run (abrupt stop, workers abandoned), and a
-//! second service instance over the same cache directory resumes every
+//! the daemon is killed mid-run (abrupt stop, workers abandoned, jobs
+//! part-resolved and most of the flood still queued), and a fresh
+//! service instance over the same cache directory resumes every
 //! journaled job without re-executing a single simulation. Along the
 //! way: per-tenant queue waits stay bounded by the aging threshold,
 //! and `/v1/stats` agrees with the manifests on disk (hit counts,
@@ -60,7 +61,7 @@ fn three_tenants_thousand_tasks_kill_and_resume() {
     let cache_dir = tmp_cache();
     let tenants = ["alice", "bob", "carol"];
 
-    // ---------------- Life 1: warm up, flood, die mid-run ----------------
+    // ---------------- Life 1: warm up ----------------
     let svc = Service::new(cfg(&cache_dir));
     let workers = svc.start_workers();
 
@@ -87,9 +88,19 @@ fn three_tenants_thousand_tasks_kill_and_resume() {
     assert_eq!(stats1.task_wall_ms.p95, manifest_wall.p95(), "p95 agrees");
     assert!(stats1.mcycles_per_sec > 0.0);
 
+    svc.stop();
+    for w in workers {
+        let _ = w.join();
+    }
+    drop(svc);
+
+    // ---------------- Life 2: flood, die mid-run ----------------
     // Flood: 36 identical submissions across three tenants — 1080
     // tasks, every one a cache hit of the warmed 30 keys. With the
-    // warmup job that is 1110 tasks queued through the service.
+    // warmup job that is 1110 tasks queued through the service. All of
+    // it is admitted before the workers start, so the kill below lands
+    // mid-run however fast four workers drain cache hits.
+    let svc = Service::new(cfg(&cache_dir));
     let mut flood_ids = Vec::new();
     for _ in 0..FLOOD_PER_TENANT {
         for tenant in tenants {
@@ -100,19 +111,39 @@ fn three_tenants_thousand_tasks_kill_and_resume() {
     let total_jobs = 1 + flood_ids.len() as u64;
     let total_tasks = total_jobs * TASKS_PER_JOB;
     assert!(total_tasks >= 1_000, "acceptance floor: {total_tasks}");
+    let workers = svc.start_workers();
 
-    // Kill mid-run: abrupt stop with the queue still deep, like the
-    // process dying. The journal (written before every ack) is the only
-    // thing resume gets to rely on.
-    let depth_at_kill = svc.stats().queue_depth;
-    assert!(depth_at_kill > 0, "flood must still be queued at the kill");
+    // Kill mid-run: as soon as the first flood job resolves a task,
+    // abrupt stop, like the process dying, with workers mid-task. The
+    // journal (written before every ack) is the only thing resume gets
+    // to rely on.
+    let first = &flood_ids[0];
+    while svc
+        .events(first, 0, 10_000)
+        .expect("first flood job")
+        .events
+        .is_empty()
+    {}
     svc.stop();
     for w in workers {
         let _ = w.join();
     }
+    let depth_at_kill = svc.stats().queue_depth;
+    assert!(depth_at_kill > 0, "flood must still be queued at the kill");
+    let done_at_kill: Vec<u64> = flood_ids
+        .iter()
+        .map(|id| svc.status(id).expect("flood job").done)
+        .collect();
+    assert!(done_at_kill[0] > 0, "the kill lands after the first event");
+    assert!(
+        done_at_kill
+            .iter()
+            .any(|&done| done > 0 && done < TASKS_PER_JOB),
+        "some flood job is part-resolved at the kill: {done_at_kill:?}"
+    );
     drop(svc);
 
-    // ---------------- Life 2: resume, drain, reconcile ----------------
+    // ---------------- Life 3: resume, drain, reconcile ----------------
     let svc = Service::new(cfg(&cache_dir));
     let workers = svc.start_workers();
     assert!(

@@ -57,11 +57,12 @@ impl System {
         if !self.cfg.emc.enabled {
             return;
         }
-        // Nothing to do while every engine sleeps. A busy context keeps
-        // the phase running: the lease pass dates its progress at `now`,
-        // and later would move its lease's end.
+        // Nothing to do while every engine sleeps. A sleeping engine's
+        // lease pass is due no sooner either: `next_wake` counts the first
+        // lease to run out, and every call that marks a context's progress
+        // (which the pass dates at `now`) also wakes the engine.
         let now = self.now;
-        let idle = |emc: &EmcEngine| emc.busy_contexts() == 0 && emc.next_wake(now) > now;
+        let idle = |emc: &EmcEngine| emc.next_wake(now) > now;
         if self.emc_fault.is_none() && self.emcs.iter().all(idle) {
             return;
         }

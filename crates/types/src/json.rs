@@ -6,6 +6,8 @@
 //! output is well-formed and contains the required keys. Keeping both
 //! directions in-tree means the exporters are exercised end-to-end by
 //! `cargo test` with no external JSON crate on the runtime path.
+//! Decoding needs no tree: [`FromJson`] types read JSON text token by
+//! token ([`read`]), and a tree is one more source of the same tokens.
 //!
 //! Objects preserve insertion order so emitted reports are stable and
 //! diffable across runs.
@@ -15,10 +17,15 @@
 //! definition, so a serialised struct names each field exactly once:
 //! declaration order is key order, on disk and on the wire.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
-/// The parser recurses once per level and its input comes off the
+pub mod read;
+
+pub use read::{read_tagged, schema, Kind, Other, Reader, Source, TextError, Tree};
+
+/// Deepest nesting of arrays and objects a [`Reader`] accepts. A
+/// decoder recurses once per level and its input comes off the
 /// network; the deepest document this workspace writes (a cache entry,
 /// down to a histogram's buckets) nests 7 levels.
 pub const MAX_DEPTH: usize = 128;
@@ -45,11 +52,6 @@ impl JsonValue {
     /// Build an object from key/value pairs.
     pub fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
         JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Build an array of numbers from an iterator of `u64`.
-    pub fn nums<I: IntoIterator<Item = u64>>(it: I) -> JsonValue {
-        JsonValue::Arr(it.into_iter().map(JsonValue::from).collect())
     }
 
     /// Look up a key in an object; `None` for missing keys or non-objects.
@@ -178,18 +180,7 @@ impl JsonValue {
     /// Parse a JSON document. Returns a message naming the byte offset
     /// of the first error.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
+        Reader::read_all(text, JsonValue::read).map_err(String::from)
     }
 }
 
@@ -215,9 +206,14 @@ pub fn dec_u64(v: &JsonValue) -> Result<u64, String> {
         JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => {
             Ok(*n as u64)
         }
-        JsonValue::Str(s) => s.parse().map_err(|_| format!(": bad u64 string {s:?}")),
+        JsonValue::Str(s) => dec_u64_str(s),
         other => Err(expected("u64", other)),
     }
+}
+
+/// [`dec_u64`] of a string value.
+fn dec_u64_str(s: &str) -> Result<u64, String> {
+    s.parse().map_err(|_| format!(": bad u64 string {s:?}"))
 }
 
 /// The leaf of a decode error: scalars are shown, containers only named
@@ -358,27 +354,26 @@ to_json_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
 to_json_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
 to_json_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8);
 
-/// Conversion out of a [`JsonValue`] tree, the inverse of [`ToJson`]:
-/// implemented for the integers (exactly, through [`dec_u64`]), `f64`,
-/// `bool`, `String`, `Option` and `Vec`, and by
+/// Conversion out of JSON, the inverse of [`ToJson`]: implemented for
+/// the integers (exactly, under [`dec_u64`]'s rules), `f64`, `bool`,
+/// `String`, `Option`, `Vec` and [`JsonValue`], and by
 /// [`json_struct!`](crate::json_struct) for every serialised struct.
+///
+/// A type has one decode function, [`read`](FromJson::read), over any
+/// [`Source`]: JSON text through [`Reader::read_all`], with no tree in
+/// between, or a tree through [`from_json_value`](FromJson::from_json_value).
 ///
 /// Errors are the path to the offending value, jq style, then the
 /// complaint: `.mem.core_miss_latency.sum: expected u64, got -3`,
 /// `.events[2].seq: missing`. A path grows by plain prefixing on the way
 /// out, so nothing is allocated while decoding succeeds.
 pub trait FromJson: Sized {
-    /// Decode a value.
-    fn from_json_value(v: &JsonValue) -> Result<Self, String>;
+    /// Decode the next value of `src`.
+    fn read<S: Source>(src: &mut S) -> Result<Self, String>;
 
-    /// Decode the member `key` of an object. `absent` is the value of a
-    /// missing key; `None` makes the key required.
-    fn from_json_member(obj: &JsonValue, key: &str, absent: Option<Self>) -> Result<Self, String> {
-        match (obj.get(key), absent) {
-            (Some(v), _) => Self::from_json_value(v).map_err(|e| format!(".{key}{e}")),
-            (None, Some(default)) => Ok(default),
-            (None, None) => Err(format!(".{key}: missing")),
-        }
+    /// Decode a parsed tree.
+    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
+        Self::read(&mut Tree::new(v))
     }
 }
 
@@ -393,8 +388,8 @@ macro_rules! json_uint {
         }
 
         impl FromJson for $t {
-            fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-                $t::try_from(dec_u64(v)?)
+            fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+                $t::try_from(src.u64()?)
                     .map_err(|_| format!(": value exceeds {}", stringify!($t)))
             }
         }
@@ -404,47 +399,43 @@ macro_rules! json_uint {
 json_uint!(u8, u32, u64, usize);
 
 impl FromJson for f64 {
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        v.as_f64().ok_or_else(|| expected("number", v))
+    fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+        src.f64()
     }
 }
 
 impl FromJson for bool {
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        match v {
-            JsonValue::Bool(b) => Ok(*b),
-            other => Err(expected("bool", other)),
-        }
+    fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+        src.bool()
     }
 }
 
 impl FromJson for String {
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| expected("string", v))
+    fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+        src.str().map(Cow::into_owned)
     }
 }
 
 /// `None` is an omitted key in a [`json_struct!`](crate::json_struct)
 /// (declare the field `= None`) and `null` anywhere else.
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        match v {
-            JsonValue::Null => Ok(None),
-            some => T::from_json_value(some).map(Some),
+    fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+        if src.null()? {
+            Ok(None)
+        } else {
+            T::read(src).map(Some)
         }
     }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        v.as_arr()
-            .ok_or_else(|| expected("array", v))?
-            .iter()
-            .enumerate()
-            .map(|(i, item)| T::from_json_value(item).map_err(|e| format!("[{i}]{e}")))
-            .collect()
+    fn read<S: Source>(src: &mut S) -> Result<Self, String> {
+        let mut items = Vec::new();
+        src.array(|src, i| {
+            items.push(T::read(src).map_err(|e| format!("[{i}]{e}"))?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -464,7 +455,16 @@ impl<T: FromJson> FromJson for Vec<T> {
 /// `= None`. For an enum, `Variant = "label"` is the one table behind
 /// `label`, `from_label` and both impls.
 ///
+/// A struct decodes in one pass over its object's members, in document
+/// order: a declared key is read into its field (the first of a
+/// duplicate key counts, as a tree lookup finds it), any other member is
+/// skipped, and a field no member filled takes its declared value or
+/// fails as `.field: missing`. `read_members` is that pass with a hook
+/// for the members the struct does not declare, for a document that
+/// wraps a struct in tags of its own ([`read_tagged`](crate::json::read_tagged)).
+///
 /// ```
+/// use emc_types::json::{Reader, TextError};
 /// use emc_types::{json_struct, FromJson, JsonValue, ToJson};
 ///
 /// json_struct! {
@@ -479,15 +479,18 @@ impl<T: FromJson> FromJson for Vec<T> {
 ///
 /// let p = Point { x: 1, y: 2, colour: "red".into() };
 /// assert_eq!(p.to_json_value().to_json(), r#"{"x":1,"y":2,"colour":"red"}"#);
-/// let old = JsonValue::parse(r#"{"x":1,"y":-2}"#).unwrap();
-/// assert_eq!(Point::from_json_value(&old).unwrap_err(), ".y: expected u64, got -2");
+/// let old = r#"{"x":1,"y":-2}"#;
+/// let err = TextError::Decode(".y: expected u64, got -2".into());
+/// assert_eq!(Reader::read_all(old, Point::read).unwrap_err(), err);
 /// let old = JsonValue::parse(r#"{"x":1,"y":2}"#).unwrap();
 /// assert_eq!(Point::from_json_value(&old).unwrap().colour, "black");
 /// ```
 #[macro_export]
 macro_rules! json_struct {
-    (@absent) => { None };
-    (@absent $absent:expr) => { Some($absent) };
+    (@absent $field:ident) => {
+        return Ok(Err(concat!(".", stringify!($field), ": missing").to_string()))
+    };
+    (@absent $field:ident $absent:expr) => { $absent };
     (
         $(#[$meta:meta])*
         $vis:vis struct $name:ident {
@@ -515,15 +518,44 @@ macro_rules! json_struct {
             }
         }
 
+        impl $name {
+            /// Decode an object, offering each member the struct does not
+            /// declare to `other`, which consumes it and returns `true`,
+            /// or returns `false` to have it skipped. The outer error is
+            /// a member that stopped the pass; the inner one, a field no
+            /// member filled once the whole object was read.
+            #[allow(dead_code)]
+            pub fn read_members<S: $crate::json::Source>(
+                src: &mut S,
+                other: &mut $crate::json::Other<'_, S>,
+            ) -> Result<Result<Self, String>, String> {
+                $( let mut $field = None; )*
+                src.object(|src, key| {
+                    match key {
+                        $( stringify!($field) if $field.is_none() => {
+                            let value = <$ty as $crate::json::FromJson>::read(src);
+                            $field = Some(value.map_err(|e| format!(".{}{e}", stringify!($field)))?);
+                        } )*
+                        _ => {
+                            if !other(src, key)? {
+                                src.skip()?;
+                            }
+                        }
+                    }
+                    Ok(())
+                })?;
+                Ok(Ok($name {
+                    $( $field: match $field {
+                        Some(value) => value,
+                        None => $crate::json_struct!(@absent $field $($absent)?),
+                    }, )*
+                }))
+            }
+        }
+
         impl $crate::json::FromJson for $name {
-            fn from_json_value(v: &$crate::json::JsonValue) -> Result<Self, String> {
-                Ok($name {
-                    $( $field: <$ty as $crate::json::FromJson>::from_json_member(
-                        v,
-                        stringify!($field),
-                        $crate::json_struct!(@absent $($absent)?),
-                    )?, )*
-                })
+            fn read<S: $crate::json::Source>(src: &mut S) -> Result<Self, String> {
+                Self::read_members(src, &mut |_, _| Ok(false))?
             }
         }
     };
@@ -562,9 +594,9 @@ macro_rules! json_struct {
         }
 
         impl $crate::json::FromJson for $name {
-            fn from_json_value(v: &$crate::json::JsonValue) -> Result<Self, String> {
-                let label = v.as_str().ok_or(": expected a label")?;
-                Self::from_label(label).ok_or_else(|| format!(": unknown label {label:?}"))
+            fn read<S: $crate::json::Source>(src: &mut S) -> Result<Self, String> {
+                let label = src.str().map_err(|_| ": expected a label")?;
+                Self::from_label(&label).ok_or_else(|| format!(": unknown label {label:?}"))
             }
         }
     };
@@ -589,201 +621,6 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects open around `pos`.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(open @ (b'[' | b'{')) => {
-                // One stack frame per level: bounded here, not by the input.
-                if self.depth == MAX_DEPTH {
-                    let at = self.pos;
-                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
-                }
-                self.depth += 1;
-                let v = if open == b'[' {
-                    self.array()
-                } else {
-                    self.object()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Consume a run of plain bytes in one go.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| format!("invalid utf-8 at byte {start}"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("truncated escape at byte {}", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| {
-                                    format!("truncated \\u escape at byte {}", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogates (emitted only for exotic input)
-                            // decode to the replacement character.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("unknown escape at byte {}", self.pos - 1)),
-                    }
-                }
-                _ => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,7 +634,7 @@ mod tests {
             ("neg", (-7.0).into()),
             ("flag", true.into()),
             ("none", JsonValue::Null),
-            ("arr", JsonValue::nums([0, 1, u32::MAX as u64])),
+            ("arr", vec![0, 1, u64::from(u32::MAX)].to_json_value()),
             (
                 "nested",
                 JsonValue::obj(vec![("tab\there", JsonValue::Arr(vec![]))]),
@@ -867,20 +704,63 @@ mod tests {
         );
     }
 
+    crate::json_struct! {
+        struct Rows { rows: Vec<Vec<u64>> }
+    }
+    crate::json_struct! {
+        struct Flag { flag: bool }
+    }
+    crate::json_struct! {
+        struct Named { rows: String }
+    }
+    crate::json_struct! {
+        struct Gone { gone: f64 }
+    }
+    crate::json_struct! {
+        struct Defaulted { gone: f64 = 0.5 }
+    }
+
+    /// Decode `text` as a `T` from the text and from its tree: the two
+    /// routes give the same value or the same error.
+    fn both<T: FromJson + ToJson>(text: &str) -> Result<JsonValue, String> {
+        let direct = read::from_text::<T>(text).map(|v| v.to_json_value());
+        let tree = JsonValue::parse(text).and_then(|doc| T::from_json_value(&doc));
+        assert_eq!(direct, tree.map(|v| v.to_json_value()), "{text}");
+        direct
+    }
+
     #[test]
     fn decode_errors_are_paths_to_the_offending_value() {
-        let doc = JsonValue::parse(r#"{"rows":[[1,2],[3,"x"]],"flag":1}"#).unwrap();
-        let rows = Vec::<Vec<u64>>::from_json_member(&doc, "rows", None);
+        let doc = r#"{"rows":[[1,2],[3,"x"]],"flag":1}"#;
+        let rows = both::<Rows>(doc);
         assert_eq!(rows.unwrap_err(), ".rows[1][1]: bad u64 string \"x\"");
-        let flag = bool::from_json_member(&doc, "flag", None);
+        let flag = both::<Flag>(doc);
         assert_eq!(flag.unwrap_err(), ".flag: expected bool, got 1");
-        let rows = String::from_json_member(&doc, "rows", None);
+        let rows = both::<Named>(doc);
         assert_eq!(rows.unwrap_err(), ".rows: expected string, got an array");
-        let gone = f64::from_json_member(&doc, "gone", None);
+        let gone = both::<Gone>(doc);
         assert_eq!(gone.unwrap_err(), ".gone: missing");
-        assert_eq!(f64::from_json_member(&doc, "gone", Some(0.5)), Ok(0.5));
+        assert_eq!(read::from_text::<Defaulted>(doc).unwrap().gone, 0.5);
         assert_eq!(Option::<u64>::from_json_value(&JsonValue::Null), Ok(None));
         assert_eq!(Option::<u64>::from_json_value(&u(7)), Ok(Some(7)));
+    }
+
+    #[test]
+    fn a_struct_skips_unknown_members_and_keeps_the_first_duplicate() {
+        let doc = r#"{"extra":{"a":[1,{"b":null}]},"flag":true,"flag":"x"}"#;
+        assert_eq!(
+            both::<Flag>(doc),
+            Ok(JsonValue::obj(vec![("flag", true.into())]))
+        );
+        // Skipped is still read: broken or too deep, the text is refused.
+        assert!(read::from_text::<Flag>(r#"{"extra":[1,},"flag":true}"#).is_err());
+        let bad_number = both::<Flag>(r#"{"extra":[0,1-2],"flag":true}"#);
+        assert_eq!(bad_number.unwrap_err(), "bad number at byte 12");
+        let deep = format!(r#"{{"extra":{},"flag":true}}"#, "[".repeat(200_000));
+        let err = both::<Flag>(&deep).unwrap_err();
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // A struct is an object; anything else is named, not missing.
+        assert_eq!(both::<Flag>("5").unwrap_err(), ": expected object, got 5");
     }
 
     #[test]
@@ -921,7 +801,7 @@ mod tests {
     #[test]
     fn pretty_output_is_indented_and_reparses_equal() {
         let doc = JsonValue::obj(vec![
-            ("a", JsonValue::nums([1, 2])),
+            ("a", vec![1u64, 2].to_json_value()),
             ("b", JsonValue::obj(vec![("c", JsonValue::Null)])),
             ("empty_arr", JsonValue::Arr(vec![])),
             ("empty_obj", JsonValue::Obj(vec![])),

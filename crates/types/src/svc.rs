@@ -19,7 +19,7 @@
 //! daemon fails loudly instead of misparsing.
 
 use crate::hist::HistSummary;
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::{read_tagged, schema, JsonValue, Other, Source, ToJson, Tree};
 use crate::json_struct;
 
 /// Schema tag stamped into (and required from) every protocol document.
@@ -34,13 +34,17 @@ fn tagged(body: &impl ToJson) -> JsonValue {
     JsonValue::Obj(pairs)
 }
 
-/// Decode a tagged document, schema first.
-fn untagged<T: FromJson>(doc: &JsonValue) -> Result<T, String> {
-    let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
-    if schema != SVC_SCHEMA {
-        return Err(format!("schema {schema:?}, expected {SVC_SCHEMA:?}"));
-    }
-    T::from_json_value(doc)
+/// Decode a tagged document with `read_members`, a struct's one-pass
+/// decode, judging its `schema` tag as [`read_tagged`] does: a schema
+/// that is not ours is the error once it is read, a missing one once the
+/// whole document is.
+fn untagged<S: Source, T>(
+    src: &mut S,
+    read_members: impl FnOnce(&mut S, &mut Other<'_, S>) -> Result<Result<T, String>, String>,
+) -> Result<T, String> {
+    read_tagged(src, ["schema"], read_members, |_, got| {
+        schema(got, SVC_SCHEMA)
+    })
 }
 
 /// Give top-level documents their `to_json` / `from_json` pair.
@@ -59,7 +63,17 @@ macro_rules! tagged_document {
             /// Names the schema mismatch, or the path to the missing or
             /// mistyped member.
             pub fn from_json(doc: &JsonValue) -> Result<$name, String> {
-                untagged(doc)
+                Self::read_document(&mut Tree::new(doc))
+            }
+
+            /// [`from_json`](Self::from_json) from any source: the text
+            /// of a request or a response is read with no tree.
+            ///
+            /// # Errors
+            ///
+            /// As [`from_json`](Self::from_json).
+            pub fn read_document<S: Source>(src: &mut S) -> Result<$name, String> {
+                untagged(src, Self::read_members)
             }
         }
     )*};
@@ -137,7 +151,17 @@ impl SubmitRequest {
     /// Names the schema mismatch, the path to the missing or mistyped
     /// member, or an empty tenant.
     pub fn from_json(doc: &JsonValue) -> Result<SubmitRequest, String> {
-        let mut req: SubmitRequest = untagged(doc)?;
+        Self::read_document(&mut Tree::new(doc))
+    }
+
+    /// [`from_json`](Self::from_json) from any source: `campaignd` reads
+    /// a request body with no tree.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_json`](Self::from_json).
+    pub fn read_document<S: Source>(src: &mut S) -> Result<SubmitRequest, String> {
+        let mut req = untagged(src, Self::read_members)?;
         if req.tenant.is_empty() {
             return Err("tenant must be non-empty".into());
         }
@@ -353,6 +377,7 @@ json_struct! {
 mod tests {
     use super::*;
     use crate::hist::Histogram;
+    use crate::json::Reader;
 
     fn summary() -> HistSummary {
         let mut h = Histogram::new();
@@ -428,6 +453,32 @@ mod tests {
                 "{key}={bad}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_tagged_document_is_judged_by_the_members_read_so_far() {
+        let text = |members: &str| -> Result<SubmitRequest, String> {
+            let doc = format!(r#"{{"tenant":"a","suite":"quad",{members}}}"#);
+            let direct = Reader::read_all(&doc, SubmitRequest::read_document);
+            let tree = JsonValue::parse(&doc).and_then(|v| SubmitRequest::from_json(&v));
+            assert_eq!(direct.clone().map_err(String::from), tree, "{doc}");
+            tree
+        };
+        let ours = format!(r#""schema":"{SVC_SCHEMA}""#);
+        // A bad member before the schema is reported as itself, as it is
+        // when the schema comes first (keys sorted, or not).
+        let bad = r#""budget":-1"#;
+        let budget = ".budget: expected u64, got -1";
+        assert_eq!(text(&format!("{bad},{ours}")).unwrap_err(), budget);
+        assert_eq!(text(&format!("{ours},{bad}")).unwrap_err(), budget);
+        // A schema read before the bad member, or no schema in a
+        // document read through, is the error.
+        let v0 = r#""schema":"emc-campaignd-v0""#;
+        let wrong = format!("schema \"emc-campaignd-v0\", expected {SVC_SCHEMA:?}");
+        assert_eq!(text(&format!("{v0},{bad}")).unwrap_err(), wrong);
+        let missing = format!("schema \"\", expected {SVC_SCHEMA:?}");
+        assert_eq!(text(r#""repeat":2"#).unwrap_err(), missing);
+        assert_eq!(text(&ours).map(|r| r.repeat), Ok(1));
     }
 
     #[test]
