@@ -55,11 +55,6 @@ impl Mshrs {
         self.entries.is_empty()
     }
 
-    /// Whether a miss to `line` is already outstanding.
-    pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
-    }
-
     /// Try to allocate (or merge into) an MSHR for `line` with `waiter`.
     pub fn alloc(&mut self, line: LineAddr, waiter: u64) -> MshrOutcome {
         if let Some(ws) = self.entries.get_mut(&line) {
@@ -70,19 +65,6 @@ impl Mshrs {
             return MshrOutcome::Full;
         }
         self.entries.insert(line, vec![waiter]);
-        MshrOutcome::NewMiss
-    }
-
-    /// Register an outstanding line with no waiter (e.g. a prefetch),
-    /// respecting capacity.
-    pub fn alloc_no_waiter(&mut self, line: LineAddr) -> MshrOutcome {
-        if self.entries.contains_key(&line) {
-            return MshrOutcome::Merged;
-        }
-        if self.entries.len() >= self.capacity {
-            return MshrOutcome::Full;
-        }
-        self.entries.insert(line, Vec::new());
         MshrOutcome::NewMiss
     }
 
@@ -120,14 +102,5 @@ mod tests {
     fn complete_unknown_line_is_empty() {
         let mut m = Mshrs::new(1);
         assert!(m.complete(LineAddr(9)).is_empty());
-    }
-
-    #[test]
-    fn no_waiter_allocation() {
-        let mut m = Mshrs::new(2);
-        assert_eq!(m.alloc_no_waiter(LineAddr(5)), MshrOutcome::NewMiss);
-        assert_eq!(m.alloc_no_waiter(LineAddr(5)), MshrOutcome::Merged);
-        assert!(m.contains(LineAddr(5)));
-        assert_eq!(m.complete(LineAddr(5)), Vec::<u64>::new());
     }
 }

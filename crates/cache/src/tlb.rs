@@ -5,9 +5,11 @@
 //! table entries of the last pages accessed by the EMC for each core."
 //!
 //! The corresponding core-side bookkeeping (a bit per PTE tracking whether
-//! the translation is resident at the EMC, used both to skip re-sending
-//! PTEs and to invalidate EMC entries on TLB shootdowns) is modeled by the
-//! owner of this structure querying [`CircularTlb::contains`].
+//! the translation is resident at the EMC, used to skip re-sending PTEs)
+//! is modeled by the owner of this structure querying
+//! [`CircularTlb::contains`]. The paper also uses that bit to invalidate
+//! EMC entries on TLB shootdowns; the simulator issues none, so no
+//! invalidation path is modeled.
 
 use emc_types::PageAddr;
 
@@ -60,34 +62,6 @@ impl CircularTlb {
         self.slots[self.head] = Some(page);
         self.head = (self.head + 1) % self.slots.len();
     }
-
-    /// Invalidate `page` (TLB shootdown path). Returns whether it was
-    /// present.
-    pub fn invalidate(&mut self, page: PageAddr) -> bool {
-        for s in &mut self.slots {
-            if *s == Some(page) {
-                *s = None;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Invalidate everything (full shootdown / context switch).
-    pub fn clear(&mut self) {
-        self.slots.fill(None);
-        self.head = 0;
-    }
-
-    /// Number of resident translations.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Whether the TLB holds no translations.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +74,7 @@ mod tests {
         for p in 1..=3 {
             t.insert(PageAddr(p));
         }
-        assert_eq!(t.len(), 3);
+        assert!((1..=3).all(|p| t.contains(PageAddr(p))));
         t.insert(PageAddr(4));
         assert!(!t.contains(PageAddr(1)), "oldest evicted");
         assert!(t.contains(PageAddr(2)));
@@ -116,25 +90,6 @@ mod tests {
         // If the duplicate had consumed a slot, page 1 would be gone.
         assert!(t.contains(PageAddr(1)));
         assert!(t.contains(PageAddr(2)));
-    }
-
-    #[test]
-    fn shootdown_invalidation() {
-        let mut t = CircularTlb::new(4);
-        t.insert(PageAddr(9));
-        assert!(t.invalidate(PageAddr(9)));
-        assert!(!t.contains(PageAddr(9)));
-        assert!(!t.invalidate(PageAddr(9)), "second invalidate is a miss");
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut t = CircularTlb::new(2);
-        t.insert(PageAddr(1));
-        assert!(!t.is_empty());
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
     }
 
     #[test]

@@ -16,8 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use emc_types::json::{read_tagged, schema, Reader};
 use emc_types::JsonValue;
 
-use crate::codec::run_result_to_json;
-use crate::spec::{code_fingerprint, JobKey, JobSpec, RunResult};
+use crate::spec::{code_fingerprint, run_result_to_json, JobKey, JobSpec, RunResult};
 
 /// Schema tag stamped into every cache entry.
 pub const CACHE_SCHEMA: &str = "emc-campaign-cache-v1";

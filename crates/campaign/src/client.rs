@@ -79,11 +79,6 @@ impl Client {
         }
     }
 
-    /// The daemon address this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Liveness probe (`GET /v1/healthz`).
     ///
     /// # Errors

@@ -390,20 +390,6 @@ impl CampaignReport {
             .collect()
     }
 
-    /// Merge one histogram, selected by `pick`, across every completed
-    /// job — campaign-level latency distributions without re-binning
-    /// (see `Histogram::merge`).
-    pub fn merged_hist<F>(&self, pick: F) -> Histogram
-    where
-        F: Fn(&RunResult) -> &Histogram,
-    {
-        let mut acc = Histogram::new();
-        for r in self.records.iter().filter_map(|r| r.result.as_ref()) {
-            acc.merge(pick(r));
-        }
-        acc
-    }
-
     /// Host-perf distributions over the jobs *executed* this run:
     /// per-job wall milliseconds and simulated cycles per host second.
     /// Both empty when everything came from the cache.
@@ -890,21 +876,5 @@ mod tests {
         // 4 done in 8s → 2s/job → 12s for the remaining 6.
         let e = eta(4, 10, Duration::from_secs(8)).expect("mid-flight");
         assert!((e.as_secs_f64() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merged_hist_aggregates_across_jobs() {
-        let cache = tmpcache("hist");
-        let root = cache.root().to_path_buf();
-        let campaign = tiny_campaign(4);
-        let report = campaign.run(&CampaignOptions::quiet(Some(cache)));
-        let merged = report.merged_hist(|r| &r.stats.mem.core_miss_latency);
-        let sum: u64 = report
-            .expect_completed()
-            .iter()
-            .map(|r| r.stats.mem.core_miss_latency.count)
-            .sum();
-        assert_eq!(merged.count, sum, "merge preserves total sample count");
-        let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -9,7 +9,9 @@
 //! - [`JobSpec`] — one workload mix × [`SystemConfig`] × budget, hashed
 //!   (with a code-version fingerprint) into a content-addressed
 //!   [`JobKey`]. Two specs share a key exactly when they would produce
-//!   byte-identical results.
+//!   byte-identical results. [`config_json`], [`stats_to_json`],
+//!   [`run_result_to_json`] and [`run_result_from_json`] name the
+//!   documents that code outside the crates asks for.
 //! - [`ResultCache`] — completed [`RunResult`]s stored once under
 //!   `results/cache/<shard>/<key>.json`; every re-run or cross-figure
 //!   duplicate is a cache hit with byte-identical output. Writes are
@@ -26,14 +28,13 @@
 //!   cap hit that is still live, and live progress lines (done/total,
 //!   hit rate, ETA).
 //! - [`CampaignReport`] — per-job provenance (hit / executed / skipped /
-//!   deferred) plus campaign-level aggregation via `Histogram::merge`.
+//!   deferred) plus host-perf histograms over the jobs it executed.
 //!
 //! The `campaign` binary exposes the same engine on the command line;
 //! the `emc-bench` figure harnesses are thin layers over this crate.
 
 pub mod cache;
 pub mod client;
-pub mod codec;
 pub mod engine;
 pub mod exec;
 pub mod hash;
@@ -44,7 +45,6 @@ pub mod suite;
 
 pub use cache::{write_atomic, ResultCache, CACHE_SCHEMA, DEFAULT_CACHE_DIR};
 pub use client::{Client, ClientError, DEFAULT_ADDR};
-pub use codec::{run_result_from_json, run_result_to_json, stats_to_json};
 pub use engine::{
     eta, retry_decision, Campaign, CampaignOptions, CampaignReport, Executor, JobRecord, JobSource,
     RetryDecision, CAP_EXTENSION_FACTOR, REPORT_SCHEMA,
@@ -55,6 +55,7 @@ pub use manifest::{
     JobStatus, Manifest, ManifestEntry, Tally, CACHE_HIT, COMPLETED, MANIFEST_SCHEMA,
 };
 pub use spec::{
-    benchmark_by_name, code_fingerprint, config_json, JobKey, JobSpec, RunResult, CACHE_EPOCH,
+    benchmark_by_name, code_fingerprint, config_json, run_result_from_json, run_result_to_json,
+    stats_to_json, JobKey, JobSpec, RunResult, CACHE_EPOCH,
 };
 pub use suite::{config_grid, figure_budget, homog_jobs, mix8_jobs, quad_jobs, suite_jobs, SUITES};

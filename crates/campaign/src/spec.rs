@@ -8,11 +8,10 @@
 //! they would produce byte-identical results — which is what lets the
 //! result cache deduplicate the same baseline run across figures.
 //!
-//! The canonical encoding ([`emc_types::codec::config_to_json`]) is
-//! generated from the config structs' own definitions
-//! ([`emc_types::json_struct!`]): a field added to [`SystemConfig`] (or
-//! any nested config) is in the key by being declared, so the
-//! fingerprint can never silently go stale.
+//! The canonical encoding ([`config_json`]) is generated from the config
+//! structs' own definitions ([`emc_types::json_struct!`]): a field added
+//! to [`SystemConfig`] (or any nested config) is in the key by being
+//! declared, so the fingerprint can never silently go stale.
 
 use emc_energy::{estimate_default, EnergyBreakdown};
 use emc_sim::{eight_core_mix, run_mix};
@@ -20,7 +19,7 @@ use emc_types::json::Source;
 use emc_types::{FromJson, JsonValue, RunReport, Stats, SystemConfig, ToJson};
 use emc_workloads::Benchmark;
 
-pub(crate) use emc_types::codec::u;
+pub(crate) use emc_types::json::u;
 
 use crate::hash::digest128_hex;
 
@@ -200,13 +199,31 @@ emc_types::json_struct! {
     }
 }
 
-/// Canonical encoding of a [`SystemConfig`] — a thin alias for
-/// [`emc_types::codec::config_to_json`], the single encoding shared
-/// with the simulator's exporters. Every field of every nested struct
-/// (including the liveness layer) enters the document by being
-/// declared, so it can never silently fall out of the cache key.
+/// Canonical encoding of a [`SystemConfig`], the document the cache key
+/// hashes. Every field of every nested struct (including the liveness
+/// layer) enters it by being declared, so it can never silently fall out
+/// of the key.
 pub fn config_json(cfg: &SystemConfig) -> JsonValue {
-    emc_types::codec::config_to_json(cfg)
+    cfg.to_json_value()
+}
+
+/// Encode full run statistics.
+pub fn stats_to_json(s: &Stats) -> JsonValue {
+    s.to_json_value()
+}
+
+/// Encode a full [`RunResult`], as the cache stores it.
+pub fn run_result_to_json(r: &RunResult) -> JsonValue {
+    r.to_json_value()
+}
+
+/// Decode a full [`RunResult`].
+///
+/// # Errors
+///
+/// Returns the path to the first missing or malformed field.
+pub fn run_result_from_json(v: &JsonValue) -> Result<RunResult, String> {
+    RunResult::from_json_value(v)
 }
 
 /// Look up a [`Benchmark`] by its printed name (inverse of

@@ -15,7 +15,7 @@ use std::collections::HashSet;
 
 use emc_campaign::{JobSpec, Manifest, ManifestEntry, RunResult};
 use emc_energy::EnergyBreakdown;
-use emc_types::codec::u;
+use emc_types::json::u;
 use emc_types::rng::{for_each_case, SmallRng};
 use emc_types::*;
 use emc_workloads::Benchmark;

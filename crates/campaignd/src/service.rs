@@ -45,7 +45,7 @@ use emc_campaign::{
     eta, suite_jobs, worker_count, write_atomic, Executor, JobRecord, JobSource, JobSpec, Manifest,
     ResultCache, Tally, CACHE_HIT, COMPLETED, SUITES,
 };
-use emc_types::codec::u;
+use emc_types::json::u;
 use emc_types::json::{Reader, TextError};
 use emc_types::{
     EventBatch, Histogram, JobState, JobStatusView, JsonValue, ProgressEvent, Rejection,
@@ -487,11 +487,6 @@ impl Service {
     /// Milliseconds since the daemon started (the queue's virtual clock).
     fn now_ms(&self) -> u64 {
         self.inner.started.elapsed().as_millis() as u64
-    }
-
-    /// The configured cache root.
-    pub fn cache_dir(&self) -> &Path {
-        &self.inner.cfg.cache_dir
     }
 
     // -----------------------------------------------------------------
@@ -1387,58 +1382,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_resumes_without_reexecuting_completed_work() {
-        let cfg = small_cfg("resume");
-        let cache_dir = cfg.cache_dir.clone();
-
-        // First life: run one job to completion, admit a second, then
-        // stop abruptly with its tasks still queued (no workers ever saw
-        // them — the moral equivalent of kill -9 mid-queue).
-        let before = {
-            let svc = Service::new(cfg.clone());
-            let workers = svc.start_workers();
-            svc.submit(&small_request("alice")).unwrap();
-            assert!(svc.wait_all_jobs(Duration::from_secs(120)));
-            let before = svc.status("j1").unwrap();
-            svc.stop();
-            for w in workers {
-                w.join().unwrap();
-            }
-            svc.submit(&small_request("bob")).unwrap();
-            before
-        };
-
-        // Second life: both journals replay. Job 1 is already complete
-        // per its manifest; job 2's tasks re-queue and resolve as pure
-        // cache hits (alice's run populated the shared cache).
-        let svc = Service::new(cfg);
-        let s1 = svc.status("j1").expect("job 1 survives");
-        assert_eq!(s1.state, JobState::Done);
-        assert_eq!(s1.done, 10);
-        // Recounted from the manifest, the tally is the one kept live.
-        assert_eq!(
-            (s1.hits, s1.executed, s1.failed),
-            (before.hits, before.executed, before.failed)
-        );
-        let s2 = svc.status("j2").expect("job 2 survives");
-        assert_eq!(s2.state, JobState::Queued);
-
-        let workers = svc.start_workers();
-        assert!(svc.wait_all_jobs(Duration::from_secs(120)));
-        let s2 = svc.status("j2").unwrap();
-        assert_eq!(s2.state, JobState::Done);
-        assert_eq!(s2.hits, 10, "resume re-executes nothing");
-        assert_eq!(s2.executed, 0);
-        let stats = svc.stats();
-        assert_eq!(stats.executed, 0, "this life simulated nothing");
-        svc.stop();
-        for w in workers {
-            w.join().unwrap();
-        }
-        let _ = fs::remove_dir_all(cache_dir);
-    }
-
-    #[test]
     fn finished_jobs_hold_no_per_task_state_and_answer_as_before() {
         let cfg = small_cfg("release");
         let cache_dir = cfg.cache_dir.clone();
@@ -1470,7 +1413,7 @@ mod tests {
         };
 
         // First life: j1 runs to completion; j2 is admitted after the
-        // stop, so it is still queued (the resume test's setup).
+        // stop, so no worker ever saw its tasks (a kill mid-queue).
         let first = {
             let svc = Service::new(cfg.clone());
             let workers = svc.start_workers();
@@ -1485,11 +1428,16 @@ mod tests {
             first
         };
 
-        // Second life: j1 registers complete from its manifest, j2 runs.
+        // Second life: j1 registers complete from its manifest; j2's
+        // tasks re-queue and resolve as hits of alice's run.
         let svc = Service::new(cfg);
+        assert_eq!(svc.status("j2").unwrap().state, JobState::Queued);
         let workers = svc.start_workers();
         assert!(svc.wait_all_jobs(Duration::from_secs(120)));
+        assert_eq!(svc.stats().executed, 0, "this life simulated nothing");
         let second = released_answers(&svc);
+        let j2 = &second[1].0;
+        assert_eq!((j2.hits, j2.executed), (10, 0), "resumed as hits");
         let (j1, j1_events) = &second[0];
         assert_eq!(j1.state, JobState::Done);
         assert_eq!(

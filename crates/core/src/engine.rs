@@ -399,19 +399,6 @@ impl EmcEngine {
         self.miss_pred[core].train(pc, was_miss);
     }
 
-    /// TLB shootdown (§4.1.4): the OS invalidated a translation; the
-    /// core's PTE bit says a copy lives at the EMC, so it must be
-    /// invalidated here too. Returns whether an entry was present.
-    pub fn tlb_shootdown(&mut self, core: CoreId, addr: Addr) -> bool {
-        self.tlbs[core].invalidate(tlb_page(addr))
-    }
-
-    /// Whether the EMC TLB currently holds `addr`'s translation for
-    /// `core` (the core-side PTE bit of §4.1.4).
-    pub fn tlb_resident(&self, core: CoreId, addr: Addr) -> bool {
-        self.tlbs[core].contains(tlb_page(addr))
-    }
-
     /// The first cycle from `now` at which [`expire_leases`](EmcEngine::expire_leases)
     /// or [`tick`](EmcEngine::tick) may do anything, unless one of
     /// `start_chain`, `deliver_source`, `complete_load`, `force_abort`,
@@ -1052,43 +1039,6 @@ mod tests {
     }
 
     #[test]
-    fn tlb_shootdown_invalidate_and_reinstall() {
-        let mut emc = EmcEngine::new(&cfg(), 4);
-        let mut stats = EmcStats::default();
-        let ctx = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
-        assert!(
-            emc.tlb_resident(0, Addr(0x100)),
-            "PTE installed with the chain"
-        );
-        // Shootdown removes it; chains touching that page now abort.
-        assert!(emc.tlb_shootdown(0, Addr(0x100)));
-        assert!(!emc.tlb_resident(0, Addr(0x100)));
-        assert!(
-            !emc.tlb_shootdown(0, Addr(0x100)),
-            "second shootdown is a miss"
-        );
-        // The running chain's next load now TLB-misses and aborts — the
-        // §4.1.4 behavior the shootdown machinery must preserve.
-        emc.deliver_source(ctx, 0x4000);
-        let ev = drive_until_event(
-            &mut emc,
-            &mut stats,
-            |e| matches!(e, EmcEvent::ChainAborted { .. }),
-            10,
-        );
-        let EmcEvent::ChainAborted { reason, .. } = ev else {
-            unreachable!()
-        };
-        assert_eq!(reason, AbortReason::TlbMiss);
-        emc.take_finished(ctx);
-        // A later chain reinstalls the PTE (it ships with the chain).
-        let _ctx2 = emc.start_chain(simple_chain(), 0, &mut stats).unwrap();
-        assert!(emc.tlb_resident(0, Addr(0x100)));
-        // Shootdowns are per-core: core 1's TLB is unaffected.
-        assert!(!emc.tlb_shootdown(1, Addr(0x100)));
-    }
-
-    #[test]
     fn force_abort_for_disambiguation() {
         let mut emc = EmcEngine::new(&cfg(), 4);
         let mut stats = EmcStats::default();
@@ -1229,94 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn an_engine_ticked_only_when_due_matches_one_ticked_every_cycle() {
-        // A system may leave out the lease pass and the tick of an engine
-        // whose `next_wake` has not come: nothing it emits or counts may
-        // move. One engine is driven every cycle, the other only when due,
-        // and the simulator's side acts on both alike. Some loads never
-        // come back, so leases run out.
-        let mut rng = seeded_rng(0x5eed_e3c0);
-        let engine = || {
-            let mut emc = EmcEngine::new(&cfg(), 4);
-            emc.set_lease(Some(80));
-            emc
-        };
-        let (mut every, mut gated) = (engine(), engine());
-        let (mut stats, mut gated_stats) = (EmcStats::default(), EmcStats::default());
-        enum Due {
-            Source,
-            Load { uop: usize },
-        }
-        let mut due: Vec<(Cycle, usize, Due)> = Vec::new();
-        let (mut skipped, mut expired) = (0, 0);
-        for now in 0..40_000 {
-            if rng.gen_range(0..30) == 0 && every.has_free_context() {
-                let home = rng.gen_range(0..4) as usize;
-                let chain = random_chain(&mut rng, home);
-                let active_at = now + rng.gen_range(0..30);
-                let started = every.start_chain(chain.clone(), active_at, &mut stats);
-                let ctx = started.expect("a context is free");
-                assert_eq!(
-                    gated.start_chain(chain, active_at, &mut gated_stats).ok(),
-                    Some(ctx)
-                );
-                due.push((now + rng.gen_range(0..100), ctx, Due::Source));
-            }
-            let mut k = 0;
-            while k < due.len() {
-                if due[k].0 > now {
-                    k += 1;
-                    continue;
-                }
-                match due.swap_remove(k) {
-                    (_, ctx, Due::Source) => {
-                        every.deliver_source(ctx, 0x10_0000);
-                        gated.deliver_source(ctx, 0x10_0000);
-                    }
-                    (_, ctx, Due::Load { uop }) => {
-                        let v = 0x10_0000 + rng.gen_range(0..4096) * 8;
-                        every.complete_load(ctx, uop, v);
-                        gated.complete_load(ctx, uop, v);
-                    }
-                }
-            }
-            every.expire_leases(now);
-            let events = every.tick(now, &mut stats);
-            if gated.next_wake(now) <= now {
-                gated.expire_leases(now);
-                assert_eq!(gated.tick(now, &mut gated_stats), events, "cycle {now}");
-            } else {
-                assert!(events.is_empty(), "asleep at {now}, yet {events:?}");
-                skipped += 1;
-            }
-            for ev in events {
-                match ev {
-                    EmcEvent::Load { ctx, uop, .. } if rng.gen_range(0..25) > 0 => {
-                        due.push((now + 1 + rng.gen_range(0..60), ctx, Due::Load { uop }));
-                    }
-                    EmcEvent::Load { .. } => {}
-                    EmcEvent::Results { ctx } => {
-                        assert_eq!(gated.drain_results(ctx), every.drain_results(ctx));
-                    }
-                    EmcEvent::ChainDone { ctx } | EmcEvent::ChainAborted { ctx, .. } => {
-                        let lease = AbortReason::LeaseExpired;
-                        expired += u64::from(ev == EmcEvent::ChainAborted { ctx, reason: lease });
-                        due.retain(|d| d.1 != ctx);
-                        let (a, b) = (every.take_finished(ctx), gated.take_finished(ctx));
-                        assert_eq!((a.chain.uops, a.active_at), (b.chain.uops, b.active_at));
-                    }
-                }
-            }
-        }
-        assert_eq!(format!("{gated_stats:?}"), format!("{stats:?}"));
-        assert!(
-            stats.chains_executed > 200 && expired > 20,
-            "{expired} leases ran out"
-        );
-        assert!(skipped > 10_000, "{skipped} of 40 000 ticks left out");
-    }
-
-    #[test]
     fn take_finished_advances_the_generation() {
         let mut emc = EmcEngine::new(&cfg(), 4);
         let mut stats = EmcStats::default();
@@ -1393,7 +1255,7 @@ mod tests {
 
     // ------------------------------------------------------------------
     // Sleeping: seeded random chains driven with random latencies, an
-    // engine that sleeps against a twin that is woken before every tick.
+    // engine ticked only when due against a twin woken before every tick.
     // ------------------------------------------------------------------
 
     /// 1 to 12 uops over E0 (the source) and the registers earlier uops
@@ -1444,42 +1306,47 @@ mod tests {
     }
 
     #[test]
-    fn a_sleeping_engine_misses_nothing() {
+    fn an_engine_ticked_only_when_due_matches_one_ticked_every_cycle() {
+        // A system may leave out the lease pass and the tick of an engine
+        // whose `next_wake` has not come: nothing it emits or counts may
+        // move. `gated` is driven only when due; its twin every cycle,
+        // with its sleep cleared first. The simulator's side acts on both
+        // alike: new chains, deliveries, kills and fills. Some loads never
+        // come back, so leases run out.
         let mut rng = seeded_rng(0x5eed_0c16);
-        let mut emc = EmcEngine::new(&cfg(), 4);
-        let mut stats = EmcStats::default();
-        let mut twin = emc.clone();
-        let mut twin_stats = EmcStats::default();
+        let mut gated = EmcEngine::new(&cfg(), 4);
+        gated.set_lease(Some(80));
+        let mut every = gated.clone();
+        let (mut stats, mut every_stats) = (EmcStats::default(), EmcStats::default());
         // (cycle, ctx, what) deliveries still on their way.
         enum Due {
             Source,
             Load { uop: usize },
         }
         let mut due: Vec<(Cycle, usize, Due)> = Vec::new();
-        let (mut slept, mut in_flight_sleeps, mut events_seen) = (0u64, 0u64, 0u64);
+        let (mut asleep, mut in_flight_sleeps) = (0u64, 0u64);
+        let (mut events_seen, mut expired) = (0u64, 0u64);
         for now in 0..60_000 {
-            // The simulator's side: new chains, deliveries, kills, fills.
-            if rng.gen_range(0..25) == 0 && emc.has_free_context() {
+            if rng.gen_range(0..25) == 0 && gated.has_free_context() {
                 let home = rng.gen_range(0..4) as usize;
                 let chain = random_chain(&mut rng, home);
                 let active_at = now + rng.gen_range(0..30);
-                let ctx = emc
-                    .start_chain(chain.clone(), active_at, &mut stats)
-                    .unwrap();
+                let started = gated.start_chain(chain.clone(), active_at, &mut stats);
+                let ctx = started.expect("a context is free");
                 assert_eq!(
-                    twin.start_chain(chain, active_at, &mut twin_stats).ok(),
+                    every.start_chain(chain, active_at, &mut every_stats).ok(),
                     Some(ctx)
                 );
                 due.push((now + rng.gen_range(0..100), ctx, Due::Source));
             }
             if rng.gen_range(0..2_000) == 0 {
-                let ctx = rng.gen_range(0..emc.context_count() as u64) as usize;
-                emc.force_abort(ctx, AbortReason::Injected);
-                twin.force_abort(ctx, AbortReason::Injected);
+                let ctx = rng.gen_range(0..gated.context_count() as u64) as usize;
+                gated.force_abort(ctx, AbortReason::Injected);
+                every.force_abort(ctx, AbortReason::Injected);
             }
             if rng.gen_range(0..50) == 0 {
                 let line = physical_line(0, Addr(0x10_0000 + rng.gen_range(0..64) * 8).line());
-                assert_eq!(emc.on_dram_fill(line), twin.on_dram_fill(line));
+                assert_eq!(gated.on_dram_fill(line), every.on_dram_fill(line));
             }
             let mut k = 0;
             while k < due.len() {
@@ -1487,52 +1354,56 @@ mod tests {
                     k += 1;
                     continue;
                 }
-                let (_, ctx, what) = due.swap_remove(k);
-                match what {
-                    Due::Source => {
-                        emc.deliver_source(ctx, 0x10_0000);
-                        twin.deliver_source(ctx, 0x10_0000);
+                match due.swap_remove(k) {
+                    (_, ctx, Due::Source) => {
+                        gated.deliver_source(ctx, 0x10_0000);
+                        every.deliver_source(ctx, 0x10_0000);
                     }
-                    Due::Load { uop } => {
+                    (_, ctx, Due::Load { uop }) => {
                         let v = 0x10_0000 + rng.gen_range(0..4096) * 8;
-                        emc.complete_load(ctx, uop, v);
-                        twin.complete_load(ctx, uop, v);
+                        gated.complete_load(ctx, uop, v);
+                        every.complete_load(ctx, uop, v);
                     }
                 }
             }
-            let asleep = now < emc.next_wake(now);
-            twin.sleep_until = 0;
-            let events = emc.tick(now, &mut stats);
-            assert_eq!(
-                events,
-                twin.tick(now, &mut twin_stats),
-                "cycle {now}, asleep: {asleep}"
-            );
-            assert_eq!(stats.uops_executed, twin_stats.uops_executed);
-            if asleep {
-                slept += 1;
-                in_flight_sleeps += u64::from(emc.next_wake(now) != Cycle::MAX);
+            every.sleep_until = 0;
+            every.expire_leases(now);
+            let events = every.tick(now, &mut every_stats);
+            let wake = gated.next_wake(now);
+            if wake <= now {
+                gated.expire_leases(now);
+                assert_eq!(gated.tick(now, &mut stats), events, "cycle {now}");
+            } else {
+                assert!(events.is_empty(), "asleep at {now}, yet {events:?}");
+                asleep += 1;
+                in_flight_sleeps += u64::from(wake != Cycle::MAX);
             }
+            assert_eq!(stats.uops_executed, every_stats.uops_executed);
             events_seen += events.len() as u64;
             for ev in events {
                 match ev {
-                    EmcEvent::Load { ctx, uop, .. } => {
+                    EmcEvent::Load { ctx, uop, .. } if rng.gen_range(0..25) > 0 => {
                         due.push((now + 1 + rng.gen_range(0..60), ctx, Due::Load { uop }));
                     }
+                    EmcEvent::Load { .. } => {}
                     EmcEvent::Results { ctx } => {
-                        assert_eq!(emc.drain_results(ctx), twin.drain_results(ctx));
+                        assert_eq!(gated.drain_results(ctx), every.drain_results(ctx));
                     }
                     EmcEvent::ChainDone { ctx } | EmcEvent::ChainAborted { ctx, .. } => {
+                        let lease = AbortReason::LeaseExpired;
+                        expired += u64::from(ev == EmcEvent::ChainAborted { ctx, reason: lease });
                         due.retain(|d| d.1 != ctx);
-                        let (a, b) = (emc.take_finished(ctx), twin.take_finished(ctx));
-                        assert_eq!(a.chain.uops, b.chain.uops);
+                        let (a, b) = (gated.take_finished(ctx), every.take_finished(ctx));
+                        assert_eq!((a.chain.uops, a.active_at), (b.chain.uops, b.active_at));
                     }
                 }
             }
         }
+        assert_eq!(format!("{stats:?}"), format!("{every_stats:?}"));
         assert!(stats.chains_executed > 200, "chains ran to completion");
+        assert!(expired > 20, "{expired} leases ran out");
         assert!(events_seen > 5_000, "{events_seen} events");
-        assert!(slept > 30_000, "asleep on {slept} of 60 000 cycles");
+        assert!(asleep > 30_000, "{asleep} of 60 000 ticks left out");
         assert!(
             in_flight_sleeps > 100,
             "slept {in_flight_sleeps} cycles toward an arrival"

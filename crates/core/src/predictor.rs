@@ -47,11 +47,6 @@ impl DepMissCounter {
     pub fn should_generate(&self) -> bool {
         self.value >= self.trigger
     }
-
-    /// Raw counter value (diagnostics).
-    pub fn value(&self) -> u8 {
-        self.value
-    }
 }
 
 /// PC-hashed 3-bit LLC hit/miss predictor (one per core at the EMC).
@@ -104,11 +99,11 @@ mod tests {
         for _ in 0..20 {
             c.on_llc_miss(true);
         }
-        assert_eq!(c.value(), 7);
+        assert_eq!(c.value, 7);
         for _ in 0..20 {
             c.on_llc_miss(false);
         }
-        assert_eq!(c.value(), 0);
+        assert_eq!(c.value, 0);
         assert!(!c.should_generate());
     }
 

@@ -1529,9 +1529,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Seeded random programs against the reference interpreter, as in
-    // `tests/equivalence.rs::ooo_matches_reference` but as loops, plus
-    // checks of the window's own bookkeeping.
+    // Seeded random programs, as loops, against the reference
+    // interpreter, plus checks of the window's own bookkeeping.
     // ------------------------------------------------------------------
 
     /// `mov r15, iters; body; sub r15, 1; brnz r15 -> body`. The body is

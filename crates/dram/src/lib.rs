@@ -86,11 +86,6 @@ impl Channel {
         }
     }
 
-    /// Number of banks in this channel.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Flat bank index within this channel for a location.
     pub fn bank_index(&self, loc: Location) -> usize {
         loc.rank * self.cfg.banks_per_rank + loc.bank
@@ -161,18 +156,6 @@ impl Channel {
             data_at: data_start + cfg.t_burst,
             outcome,
         }
-    }
-
-    /// Earliest cycle the data bus is free (for diagnostics/tests).
-    pub fn bus_free_at(&self) -> Cycle {
-        self.bus_free_at
-    }
-
-    /// The open row in every bank, in bank-index order (`None` =
-    /// precharged). The time-series sampler reads this as the channel's
-    /// row-buffer state.
-    pub fn open_rows(&self) -> impl Iterator<Item = Option<u64>> + '_ {
-        self.banks.iter().map(|b| b.open_row)
     }
 
     /// Number of banks currently holding a row open.
@@ -285,17 +268,14 @@ mod tests {
     }
 
     #[test]
-    fn open_rows_expose_per_bank_state() {
+    fn open_bank_count_counts_open_rows() {
         let mut ch = Channel::new(&cfg());
         assert_eq!(ch.open_bank_count(), 0);
         ch.issue(loc(0, 3), false, 0);
         ch.issue(loc(1, 5), false, 0);
         assert_eq!(ch.open_bank_count(), 2);
-        let rows: Vec<Option<u64>> = ch.open_rows().collect();
-        assert_eq!(rows.len(), ch.bank_count());
-        assert_eq!(rows[ch.bank_index(loc(0, 3))], Some(3));
-        assert_eq!(rows[ch.bank_index(loc(1, 5))], Some(5));
-        assert_eq!(rows.iter().filter(|r| r.is_some()).count(), 2);
+        assert_eq!(ch.open_row(loc(0, 3)), Some(3));
+        assert_eq!(ch.open_row(loc(1, 5)), Some(5));
     }
 
     #[test]
@@ -303,7 +283,7 @@ mod tests {
         let mut c = cfg();
         c.ranks_per_channel = 2;
         let ch = Channel::new(&c);
-        assert_eq!(ch.bank_count(), 16);
+        assert_eq!(ch.banks.len(), 16);
         assert_eq!(
             ch.bank_index(Location {
                 channel: 0,

@@ -230,21 +230,6 @@ impl MemoryController {
             .collect()
     }
 
-    /// Whether this MC services the given global channel index.
-    pub fn owns_channel(&self, ch: usize) -> bool {
-        self.owned_channels.contains(&ch)
-    }
-
-    /// The channels this MC owns, as `(global_channel, &Channel)` pairs,
-    /// for observability (per-bank row-buffer state sampling and DRAM
-    /// bank trace tracks).
-    pub fn channels(&self) -> impl Iterator<Item = (usize, &Channel)> + '_ {
-        self.owned_channels
-            .iter()
-            .copied()
-            .zip(self.channels.iter())
-    }
-
     /// DRAM banks holding a row open, summed over owned channels.
     pub fn open_bank_count(&self) -> usize {
         self.channels.iter().map(|c| c.open_bank_count()).sum()
@@ -580,13 +565,9 @@ mod tests {
         let mut mc = MemoryController::new(&cfg, vec![0]);
         let mut stats = MemStats::default();
         assert_eq!(mc.open_bank_count(), 0);
-        let pairs: Vec<usize> = mc.channels().map(|(g, _)| g).collect();
-        assert_eq!(pairs, vec![0], "owned global channel indices");
         mc.enqueue(read(1, 0, 0, 0), 0).unwrap();
         drain(&mut mc, &mut stats, 500);
         assert_eq!(mc.open_bank_count(), 1, "the serviced bank holds its row");
-        let per_channel: usize = mc.channels().map(|(_, c)| c.open_bank_count()).sum();
-        assert_eq!(per_channel, mc.open_bank_count());
     }
 
     #[test]
@@ -679,15 +660,6 @@ mod tests {
         let done = drain(&mut mc, &mut stats, 1000);
         assert_eq!(done[0].req.id, ReqId(2), "read before write");
         assert_eq!(stats.dram_writes, 1);
-    }
-
-    #[test]
-    fn channels_split_across_mcs() {
-        let cfg = DramConfig::default(); // 2 channels
-        let mc0 = MemoryController::new(&cfg, vec![0]);
-        let mc1 = MemoryController::new(&cfg, vec![1]);
-        assert!(mc0.owns_channel(0) && !mc0.owns_channel(1));
-        assert!(mc1.owns_channel(1) && !mc1.owns_channel(0));
     }
 
     #[test]

@@ -21,14 +21,15 @@ const REPLAY: usize = 8;
 /// use emc_prefetch::GhbPrefetcher;
 /// use emc_types::LineAddr;
 ///
-/// let mut pf = GhbPrefetcher::new(1024, 512);
+/// let (mut pf, mut reqs) = (GhbPrefetcher::new(1024, 512), Vec::new());
 /// // Train a repeating delta pattern: +1, +2, +1, +2 ...
 /// for l in [10u64, 11, 13, 14, 16] {
 ///     pf.train(LineAddr(l));
-///     pf.take_requests(64); // discard predictions for seen misses
+///     pf.drain_into(64, &mut reqs); // predictions for seen misses
 /// }
+/// reqs.clear();
 /// pf.train(LineAddr(17));
-/// let reqs = pf.take_requests(2);
+/// pf.drain_into(2, &mut reqs);
 /// assert_eq!(reqs, vec![LineAddr(19), LineAddr(20)]);
 /// ```
 #[derive(Debug, Clone)]
@@ -144,7 +145,8 @@ impl GhbPrefetcher {
     }
 
     /// [`drain_into`](Self::drain_into) a fresh `Vec`.
-    pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
+    #[cfg(test)]
+    fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
         let mut out = Vec::new();
         self.drain_into(degree, &mut out);
         out

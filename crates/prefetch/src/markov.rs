@@ -28,7 +28,8 @@ struct EntrySucc {
 /// pf.train(LineAddr(1));
 /// pf.train(LineAddr(50)); // records 1 -> 50
 /// pf.train(LineAddr(1));
-/// let reqs = pf.take_requests(4);
+/// let mut reqs = Vec::new();
+/// pf.drain_into(4, &mut reqs);
 /// assert_eq!(reqs, vec![LineAddr(50)]);
 /// ```
 #[derive(Debug, Clone)]
@@ -95,15 +96,11 @@ impl MarkovPrefetcher {
     }
 
     /// [`drain_into`](Self::drain_into) a fresh `Vec`.
-    pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
+    #[cfg(test)]
+    fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
         let mut out = Vec::new();
         self.drain_into(degree, &mut out);
         out
-    }
-
-    /// Number of correlation-table entries in use.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
     }
 }
 
@@ -160,7 +157,7 @@ mod tests {
         for l in 0..40u64 {
             pf.train(LineAddr(l * 100));
         }
-        assert!(pf.table_len() <= 4);
+        assert!(pf.table.len() <= 4);
     }
 
     #[test]

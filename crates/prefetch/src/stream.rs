@@ -32,7 +32,8 @@ struct Stream {
 /// let mut pf = StreamPrefetcher::new(32, 32);
 /// pf.train(LineAddr(100));
 /// pf.train(LineAddr(101)); // direction confirmed
-/// let reqs = pf.take_requests(4);
+/// let mut reqs = Vec::new();
+/// pf.drain_into(4, &mut reqs);
 /// assert_eq!(reqs[0], LineAddr(102));
 /// ```
 #[derive(Debug, Clone)]
@@ -144,15 +145,11 @@ impl StreamPrefetcher {
     }
 
     /// [`drain_into`](Self::drain_into) a fresh `Vec`.
-    pub fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
+    #[cfg(test)]
+    fn take_requests(&mut self, degree: usize) -> Vec<LineAddr> {
         let mut out = Vec::new();
         self.drain_into(degree, &mut out);
         out
-    }
-
-    /// Number of currently tracked streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 }
 
@@ -217,7 +214,7 @@ mod tests {
         for l in [10u64, 1000, 2000, 3000] {
             pf.train(LineAddr(l));
         }
-        assert_eq!(pf.stream_count(), 2);
+        assert_eq!(pf.streams.len(), 2);
     }
 
     #[test]

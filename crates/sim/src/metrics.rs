@@ -28,7 +28,6 @@ pub struct Sampler {
     interval: Cycle,
     next: Cycle,
     samples: Vec<MetricSample>,
-    dropped: u64,
 }
 
 impl Default for Sampler {
@@ -44,7 +43,6 @@ impl Sampler {
             interval,
             next: 0,
             samples: Vec::new(),
-            dropped: 0,
         }
     }
 
@@ -70,9 +68,7 @@ impl Sampler {
     pub fn push(&mut self, s: MetricSample) {
         self.next = s.cycle.saturating_add(self.interval.max(1));
         if self.samples.len() >= SAMPLE_CAP {
-            let drop = SAMPLE_CAP / 2;
-            self.samples.drain(..drop);
-            self.dropped += drop as u64;
+            self.samples.drain(..SAMPLE_CAP / 2);
         }
         self.samples.push(s);
     }
@@ -87,15 +83,9 @@ impl Sampler {
         &self.samples[self.samples.len().saturating_sub(n)..]
     }
 
-    /// Samples discarded to honor the retention cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Discard captured samples (used when warmup statistics are reset).
     pub fn clear(&mut self) {
         self.samples.clear();
-        self.dropped = 0;
         self.next = 0;
     }
 }

@@ -136,11 +136,6 @@ impl TickProfiler {
         }
     }
 
-    /// Whether any sampling will ever happen.
-    pub fn is_enabled(&self) -> bool {
-        self.stride != 0
-    }
-
     /// Called once at the top of each tick: decides whether this tick
     /// is sampled. One branch when disabled.
     #[inline]
@@ -347,7 +342,7 @@ mod tests {
         let r = p.report();
         assert_eq!(r.sampled_ticks, 0);
         assert_eq!(r.sampled_nanos(), 0);
-        assert!(!p.is_enabled());
+        assert_eq!(p.stride, 0);
     }
 
     #[test]

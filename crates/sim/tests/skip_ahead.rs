@@ -3,8 +3,7 @@
 //! single cycle must end in exactly the same place.
 
 use emc_sim::{build_system, cycle_cap, eight_core_mix, System};
-use emc_types::codec::stats_to_json;
-use emc_types::{FaultPlan, PrefetcherKind, RunOutcome, RunReport, SystemConfig};
+use emc_types::{FaultPlan, PrefetcherKind, RunOutcome, RunReport, SystemConfig, ToJson};
 use emc_workloads::{mix_by_name, Benchmark};
 
 fn all_retired(sys: &System, budget: u64) -> bool {
@@ -46,8 +45,8 @@ fn check(name: &str, cfg: SystemConfig, benches: &[Benchmark], budget: u64) -> f
     assert_eq!(expect.outcome, RunOutcome::Completed, "{name}");
     assert_eq!(jumping.now(), ticking.now(), "{name}: final cycle");
     assert_eq!(
-        stats_to_json(&got.stats).to_json(),
-        stats_to_json(&expect.stats).to_json(),
+        got.stats.to_json_value().to_json(),
+        expect.stats.to_json_value().to_json(),
         "{name}: statistics"
     );
     let samples = jumping.samples().iter().zip(ticking.samples());

@@ -22,7 +22,6 @@ pub const PAGE_BYTES: u64 = 4096;
 /// use emc_types::Addr;
 /// let a = Addr(0x1234);
 /// assert_eq!(a.line().base().0, 0x1200);
-/// assert_eq!(a.offset_in_line(), 0x34);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
@@ -63,27 +62,12 @@ impl Addr {
     pub fn line(self) -> LineAddr {
         LineAddr(self.0 / CACHE_LINE_BYTES)
     }
-
-    /// The page containing this address.
-    pub fn page(self) -> PageAddr {
-        PageAddr(self.0 / PAGE_BYTES)
-    }
-
-    /// Byte offset of this address within its cache line.
-    pub fn offset_in_line(self) -> u64 {
-        self.0 % CACHE_LINE_BYTES
-    }
 }
 
 impl LineAddr {
     /// First byte address of this line.
     pub fn base(self) -> Addr {
         Addr(self.0 * CACHE_LINE_BYTES)
-    }
-
-    /// The page containing this line.
-    pub fn page(self) -> PageAddr {
-        PageAddr(self.0 * CACHE_LINE_BYTES / PAGE_BYTES)
     }
 }
 
@@ -123,18 +107,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_and_page_round_trip() {
+    fn line_of_an_address() {
         let a = Addr(0xdead_beef);
         assert_eq!(a.line().base().0, 0xdead_beef & !63);
-        assert_eq!(a.page().base().0, 0xdead_beef & !4095);
-        assert_eq!(a.line().page(), a.page());
-    }
-
-    #[test]
-    fn offsets() {
-        assert_eq!(Addr(63).offset_in_line(), 63);
-        assert_eq!(Addr(64).offset_in_line(), 0);
+        assert_eq!(Addr(63).line(), LineAddr(0));
         assert_eq!(Addr(64).line(), LineAddr(1));
+        assert_eq!(Addr(4096).line(), LineAddr(64));
     }
 
     #[test]
@@ -164,16 +142,5 @@ mod tests {
             }
         }
         assert_eq!(line_owner(LineAddr(0x1234)), usize::MAX, "no core owns it");
-    }
-
-    #[test]
-    fn line_page_relation_across_page_boundary() {
-        // 64 lines per 4 KB page.
-        let page0_last = Addr(4095);
-        let page1_first = Addr(4096);
-        assert_eq!(page0_last.page(), PageAddr(0));
-        assert_eq!(page1_first.page(), PageAddr(1));
-        assert_eq!(page0_last.line(), LineAddr(63));
-        assert_eq!(page1_first.line(), LineAddr(64));
     }
 }

@@ -9,7 +9,7 @@ crate::json_struct! {
     /// Which hardware prefetcher configuration is active (§5 of the paper:
     /// stream always accompanies Markov because it strictly helps it).
     /// The labels are the figure column names and the canonical config
-    /// encoding (see [`codec`](crate::codec)).
+    /// encoding (see [`json_struct!`](crate::json_struct)).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     pub enum PrefetcherKind {
         /// No prefetching (baseline).
@@ -182,13 +182,6 @@ impl Default for DramConfig {
             t_burst: 16,
             queue_entries: 128,
         }
-    }
-}
-
-impl DramConfig {
-    /// Total banks across the system.
-    pub fn total_banks(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.banks_per_rank
     }
 }
 
@@ -383,15 +376,6 @@ impl FaultPlan {
             mc_storm_prob: 0.0005,
             mc_storm_cycles: 200,
         }
-    }
-
-    /// True iff any fault class can actually fire.
-    pub fn any_active(&self) -> bool {
-        self.enabled
-            && (self.ring_delay_prob > 0.0
-                || self.dram_reissue_prob > 0.0
-                || self.emc_kill_prob > 0.0
-                || self.mc_storm_prob > 0.0)
     }
 
     /// Validate the plan.
@@ -730,7 +714,6 @@ mod tests {
         assert_eq!(c.dram.channels, 4);
         assert_eq!(c.dram.ranks_per_channel, 4);
         assert_eq!(c.dram.queue_entries, 256);
-        assert_eq!(c.dram.total_banks(), 128);
     }
 
     #[test]
@@ -760,7 +743,6 @@ mod tests {
     fn fault_plan_defaults_are_inert() {
         let plan = FaultPlan::default();
         assert!(!plan.enabled);
-        assert!(!plan.any_active());
         plan.validate().unwrap();
         // A config carrying the default plan is valid and identical to
         // the preset.
@@ -771,29 +753,45 @@ mod tests {
     fn fault_plan_chaos_is_valid_and_active() {
         let plan = FaultPlan::chaos();
         plan.validate().unwrap();
-        assert!(plan.any_active());
+        assert!(plan.enabled && plan.emc_kill_prob > 0.0);
         let cfg = SystemConfig::quad_core().with_faults(plan);
         cfg.validate().unwrap();
         assert_eq!(cfg.faults, plan);
     }
 
     #[test]
-    fn fault_plan_serde_round_trip() {
-        use crate::codec::config_to_json;
+    fn members_younger_than_a_document_decode_as_declared() {
         use crate::json::{FromJson, JsonValue, ToJson};
-        let cfg = SystemConfig::quad_core().with_faults(FaultPlan::chaos());
-        let json = config_to_json(&cfg).to_json();
-        let back = SystemConfig::from_json_value(&JsonValue::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, cfg);
-        // Configs serialized before the fault layer existed (no
-        // `faults` key) still deserialize, with faults disabled.
-        let legacy = json.replace(
-            &format!(",\"faults\":{}", cfg.faults.to_json_value().to_json()),
-            "",
-        );
-        assert!(!legacy.contains("faults"), "failed to strip faults key");
-        let back = SystemConfig::from_json_value(&JsonValue::parse(&legacy).unwrap()).unwrap();
+        use crate::stats::Stats;
+        // A document written before `member` existed.
+        let without = |text: String, member: String| {
+            assert!(text.contains(&member), "{member} in {text}");
+            text.replace(&format!(",{member}"), "")
+        };
+        let mut cfg = SystemConfig::quad_core().with_faults(FaultPlan::chaos());
+        cfg.liveness.enabled = false;
+        let mut text = cfg.to_json_value().to_json();
+        for (key, v) in [
+            ("faults", cfg.faults.to_json_value()),
+            ("liveness", cfg.liveness.to_json_value()),
+        ] {
+            text = without(text, format!("\"{key}\":{}", v.to_json()));
+        }
+        let back = SystemConfig::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back.faults, FaultPlan::default());
+        assert_eq!(back.liveness, LivenessConfig::default());
+
+        let mut s = Stats::new(1);
+        s.cores[0].chains_aborted_lease = 3;
+        s.mem.escalated_requests = 99;
+        let text = without(
+            s.to_json_value().to_json(),
+            "\"chains_aborted_lease\":3".into(),
+        );
+        let text = without(text, "\"escalated_requests\":99".into());
+        let back = Stats::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.cores[0].chains_aborted_lease, 0);
+        assert_eq!(back.mem.escalated_requests, 0);
     }
 
     #[test]
@@ -805,11 +803,18 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_labels() {
+    fn labels_round_trip() {
+        use crate::svc::JobState;
         for pf in PrefetcherKind::ALL {
             assert!(!pf.label().is_empty());
+            assert_eq!(PrefetcherKind::from_label(pf.label()), Some(pf));
         }
         assert_eq!(PrefetcherKind::MarkovStream.label(), "Markov+Stream");
+        assert_eq!(PrefetcherKind::from_label("bogus"), None);
+        for state in [JobState::Queued, JobState::Running, JobState::Done] {
+            assert_eq!(JobState::from_label(state.label()), Some(state));
+        }
+        assert_eq!(JobState::from_label("exploded"), None);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod codec;
 pub mod config;
 pub mod hash;
 pub mod hist;

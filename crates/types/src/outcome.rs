@@ -290,11 +290,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// True iff every core reached its budget.
-    pub fn is_completed(&self) -> bool {
-        self.outcome == RunOutcome::Completed
-    }
-
     /// The root-cause class of a run that did not complete.
     pub fn class(&self) -> Option<&WedgeClass> {
         self.post_mortem.as_ref().map(|p| &p.class)
@@ -427,7 +422,7 @@ mod tests {
     #[test]
     fn completed_run_unwraps() {
         let report = report(RunOutcome::Completed, None);
-        assert!(report.is_completed() && report.class().is_none());
+        assert!(report.class().is_none());
         assert_eq!(report.expect_completed().cores.len(), 2);
     }
 

@@ -163,16 +163,6 @@ impl Program {
         self.pc_base + 4 * idx as u64
     }
 
-    /// Number of static uops.
-    pub fn len(&self) -> usize {
-        self.uops.len()
-    }
-
-    /// Whether the program has no uops.
-    pub fn is_empty(&self) -> bool {
-        self.uops.is_empty()
-    }
-
     /// Validate internal consistency: branch targets in range, register
     /// indices in range, stores have a value operand.
     ///

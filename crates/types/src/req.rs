@@ -52,11 +52,6 @@ impl Requester {
     pub fn is_emc(self) -> bool {
         matches!(self, Requester::Emc { .. })
     }
-
-    /// Whether this request is a prefetch.
-    pub fn is_prefetch(self) -> bool {
-        matches!(self, Requester::Prefetcher(_))
-    }
 }
 
 /// The type of memory access.
@@ -119,14 +114,6 @@ impl ReqTimeline {
     /// Total latency from creation to delivery, if delivered.
     pub fn total_latency(&self) -> Option<Cycle> {
         Some(self.delivered?.saturating_sub(self.created))
-    }
-
-    /// On-chip delay: total latency minus pure DRAM service latency
-    /// (the decomposition of Figure 1). For requests that never touched
-    /// DRAM (LLC hits) this is the entire latency.
-    pub fn on_chip_delay(&self) -> Option<Cycle> {
-        let total = self.total_latency()?;
-        Some(total.saturating_sub(self.dram_latency().unwrap_or(0)))
     }
 
     /// Queueing delay at the memory controller (enqueue to first DRAM
@@ -205,7 +192,6 @@ mod tests {
         t.delivered = Some(300);
         assert_eq!(t.dram_latency(), Some(70));
         assert_eq!(t.total_latency(), Some(200));
-        assert_eq!(t.on_chip_delay(), Some(130));
         assert_eq!(t.mc_queue_delay(), Some(30));
     }
 
@@ -216,7 +202,6 @@ mod tests {
         t.delivered = Some(40);
         assert_eq!(t.dram_latency(), None);
         assert_eq!(t.total_latency(), Some(30));
-        assert_eq!(t.on_chip_delay(), Some(30));
     }
 
     #[test]
@@ -231,7 +216,6 @@ mod tests {
         assert_eq!(e.home_core(), 1);
         assert_eq!(p.home_core(), 3);
         assert!(e.is_emc() && !c.is_emc() && !p.is_emc());
-        assert!(p.is_prefetch() && !e.is_prefetch());
     }
 
     #[test]
@@ -243,7 +227,7 @@ mod tests {
         assert_eq!(w.kind, AccessKind::Write);
         let p = MemReq::prefetch(ReqId(3), LineAddr(6), 1, 11);
         assert_eq!(p.kind, AccessKind::Prefetch);
-        assert!(p.requester.is_prefetch());
+        assert_eq!(p.requester, Requester::Prefetcher(1));
     }
 
     #[test]

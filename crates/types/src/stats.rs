@@ -512,28 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_serde_round_trip() {
-        use crate::codec::stats_to_json;
-        use crate::json::{FromJson, JsonValue};
-        let mut s = Stats::new(2);
-        s.cycles = 123;
-        s.cores[0].retired_uops = 77;
-        s.cores[0].record_chain_length(5);
-        s.mem.core_miss_latency.record(300);
-        s.mem.escalated_requests = 2;
-        s.emc.chains_executed = 9;
-        let json = stats_to_json(&s).to_json();
-        let back =
-            Stats::from_json_value(&JsonValue::parse(&json).expect("parse")).expect("decode");
-        assert_eq!(back.cycles, 123);
-        assert_eq!(back.cores[0].retired_uops, 77);
-        assert_eq!(back.cores[0].chain_length_hist[5], 1);
-        assert_eq!(back.mem.core_miss_latency.sum, 300);
-        assert_eq!(back.mem.escalated_requests, 2);
-        assert_eq!(back.emc.chains_executed, 9);
-    }
-
-    #[test]
     fn view_keeps_counters_and_summarises_histograms() {
         let mut s = Stats::new(1);
         s.emc.chains_executed = 3;

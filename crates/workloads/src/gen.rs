@@ -394,7 +394,7 @@ mod tests {
             let w = build(b, 7, 100);
             w.program.validate().unwrap_or_else(|e| panic!("{b}: {e}"));
             assert!(w.body_uops > 0, "{b} empty body");
-            assert!(w.program.len() < 1000, "{b} program too large");
+            assert!(w.program.uops.len() < 1000, "{b} program too large");
         }
     }
 
